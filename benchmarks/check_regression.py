@@ -17,9 +17,7 @@ read as hardware speed, while a *single* kernel regressing against the
 rest still trips the gate.  The scale never drops below 1, so a faster
 runner is not held to a tighter bar; pass ``--no-normalize`` for raw
 absolute comparison.  Any correctness flag carried by the fresh payload
-(``f1_parity`` / ``parity`` / ``knn_merge`` / ``mmap`` / ``index`` /
-``service`` / ``cluster`` / ``kernels``)
-failing is always fatal.
+(:data:`CORRECTNESS_FLAGS`) failing is always fatal.
 
 The baselines live in ``benchmarks/baselines/`` and were generated with
 the same deterministic seeds the benchmarks hard-code, so a rerun on
@@ -47,33 +45,26 @@ def _rows_by_key(payload: Dict) -> Dict[Tuple[str, str], Dict]:
     }
 
 
+#: ``(payload key, ok field)`` for every correctness flag a benchmark
+#: may record; a present flag that is false always fails the gate.
+CORRECTNESS_FLAGS = (
+    ("f1_parity", "all_identical"),
+    ("parity", "all_ok"),
+    ("knn_merge", "identical"),
+    ("mmap", "parity_ok"),
+    ("index", "all_ok"),
+    ("service", "all_ok"),
+    ("cluster", "all_ok"),
+)
+
+
 def _correctness_failures(payload: Dict) -> List[str]:
     """Any parity/correctness flags the benchmark recorded as failing."""
     failures = []
-    f1 = payload.get("f1_parity")
-    if f1 is not None and not f1.get("all_identical", True):
-        failures.append("f1_parity.all_identical is false")
-    parity = payload.get("parity")
-    if parity is not None and not parity.get("all_ok", True):
-        failures.append("parity.all_ok is false")
-    knn = payload.get("knn_merge")
-    if knn is not None and not knn.get("identical", True):
-        failures.append("knn_merge.identical is false")
-    mmap_check = payload.get("mmap")
-    if mmap_check is not None and not mmap_check.get("parity_ok", True):
-        failures.append("mmap.parity_ok is false")
-    index = payload.get("index")
-    if index is not None and not index.get("all_ok", True):
-        failures.append("index.all_ok is false")
-    service = payload.get("service")
-    if service is not None and not service.get("all_ok", True):
-        failures.append("service.all_ok is false")
-    cluster = payload.get("cluster")
-    if cluster is not None and not cluster.get("all_ok", True):
-        failures.append("cluster.all_ok is false")
-    kernels = payload.get("kernels")
-    if kernels is not None and not kernels.get("all_ok", True):
-        failures.append("kernels.all_ok is false")
+    for key, field in CORRECTNESS_FLAGS:
+        section = payload.get(key)
+        if section is not None and not section.get(field, True):
+            failures.append(f"{key}.{field} is false")
     return failures
 
 

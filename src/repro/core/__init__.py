@@ -20,21 +20,12 @@ from .normalization import (
     znormalize,
     znormalize_values,
 )
-from .kernels import (
-    KernelBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_default_backend,
-    use_backend,
-)
 from .mmapio import (
     MANIFEST_NAME,
     MappedCollection,
     MappedCollectionError,
     StreamingCollectionWriter,
     build_index,
-    build_warm_cache,
     load_collection,
     save_collection,
 )
@@ -67,15 +58,8 @@ __all__ = [
     "save_collection",
     "load_collection",
     "build_index",
-    "build_warm_cache",
     "StreamingCollectionWriter",
     "MANIFEST_NAME",
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "set_default_backend",
-    "use_backend",
     "DEFAULT_SEGMENTS",
     "PointSummary",
     "IntervalSummary",

@@ -258,7 +258,6 @@ class MappedCollection(Collection):
         "mapped_variances",
         "mapped_samples",
         "mapped_index",
-        "mapped_warm",
         "_shard_range",
     )
 
@@ -275,7 +274,6 @@ class MappedCollection(Collection):
         shard_range: Tuple[int, int],
         name: Optional[str] = None,
         mapped_index: Optional[Dict] = None,
-        mapped_warm: Optional[Dict] = None,
         _validated: bool = False,
     ) -> None:
         super().__init__(items, name=name, _validated=_validated)
@@ -286,7 +284,6 @@ class MappedCollection(Collection):
         self.mapped_variances = mapped_variances
         self.mapped_samples = mapped_samples
         self.mapped_index = mapped_index
-        self.mapped_warm = mapped_warm
         self._shard_range = shard_range
 
     @property
@@ -323,14 +320,6 @@ class MappedCollection(Collection):
                 key: (table if key == "segments" else table[start:stop])
                 for key, table in self.mapped_index.items()
             }
-        warm = None
-        if self.mapped_warm is not None:
-            # Magnitude scales are whole-collection maxima: they stay
-            # valid (if slightly conservative) for any row subset.
-            warm = {
-                key: (entry if key.endswith("_scale") else entry[start:stop])
-                for key, entry in self.mapped_warm.items()
-            }
 
         return MappedCollection(
             self._items[start:stop],
@@ -343,7 +332,6 @@ class MappedCollection(Collection):
             shard_range=(offset + start, offset + stop),
             name=self.name,
             mapped_index=index,
-            mapped_warm=warm,
             _validated=True,
         )
 
@@ -496,21 +484,6 @@ def load_collection(
                 )
             mapped_index[key] = table
 
-    mapped_warm: Optional[Dict] = None
-    warm_spec = manifest.get("warm")
-    if warm_spec:
-        mapped_warm = {}
-        for key, file_name in warm_spec["arrays"].items():
-            table = _open_file(file_name)
-            if table.shape[0] != n_series:
-                raise MappedCollectionError(
-                    f"warm-cache table {file_name!r} has {table.shape[0]} "
-                    f"rows for {n_series} series"
-                )
-            mapped_warm[key] = table
-        for key, value in warm_spec.get("scales", {}).items():
-            mapped_warm[key] = float(value)
-
     return MappedCollection(
         items,
         manifest_path=manifest_path,
@@ -522,7 +495,6 @@ def load_collection(
         shard_range=(0, n_series),
         name=manifest.get("name"),
         mapped_index=mapped_index,
-        mapped_warm=mapped_warm,
     )
 
 
@@ -764,107 +736,6 @@ def build_index(
         )
 
     manifest["index"] = {"segments": int(n_segments), "arrays": arrays}
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
-    return manifest_path
-
-
-def build_warm_cache(path: str, chunk_rows: int = 65536) -> str:
-    """Persist the float32 materialization tier next to a saved collection.
-
-    Streams the mapped matrices chunk by chunk and writes the warm
-    tables the query engine's precision tier would otherwise downcast on
-    first use, recording them under the manifest's ``"warm"`` key so
-    :func:`load_collection` re-opens them zero-copy and a restarted
-    daemon serves cold queries without the 1-NN priming probe:
-
-    * exact / pdf — ``warm_values32.npy`` (``(N, n)`` float32 point
-      estimates);
-    * multisample — ``warm_bounds_low32.npy`` / ``warm_bounds_high32.npy``
-      (``(N, n)`` float32 per-timestamp sample min/max — the bound
-      stages' interval tier).
-
-    Each tier's float64 magnitude scale (what keeps the widened float32
-    bounds admissible) is measured during the same pass and stored in
-    the manifest.  Returns the manifest path.
-    """
-    if chunk_rows < 1:
-        raise InvalidParameterError(
-            f"chunk_rows must be >= 1, got {chunk_rows}"
-        )
-    manifest_path = _resolve_manifest(path)
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise MappedCollectionError(
-            f"{manifest_path!r} is not a {MANIFEST_FORMAT} manifest"
-        )
-    directory = os.path.dirname(manifest_path)
-    kind = manifest.get("kind")
-    n_series = manifest["n_series"]
-    length = manifest["length"]
-
-    def _table(file_name: str, shape: Tuple[int, ...]) -> np.ndarray:
-        return np.lib.format.open_memmap(
-            os.path.join(directory, file_name),
-            mode="w+",
-            dtype=np.float32,
-            shape=shape,
-        )
-
-    arrays: Dict[str, str] = {}
-    scales: Dict[str, float] = {}
-    if kind == "multisample":
-        samples = np.load(
-            os.path.join(directory, manifest["arrays"]["samples"]),
-            mmap_mode="r",
-        )
-        low32 = _table("warm_bounds_low32.npy", (n_series, length))
-        high32 = _table("warm_bounds_high32.npy", (n_series, length))
-        scale = 0.0
-        for start in range(0, n_series, chunk_rows):
-            stop = min(start + chunk_rows, n_series)
-            block = np.asarray(samples[start:stop])
-            low = block.min(axis=2)
-            high = block.max(axis=2)
-            if low.size:
-                scale = max(
-                    scale,
-                    float(np.abs(low).max()),
-                    float(np.abs(high).max()),
-                )
-            low32[start:stop] = low
-            high32[start:stop] = high
-        low32.flush()
-        high32.flush()
-        arrays = {
-            "bounds_low32": "warm_bounds_low32.npy",
-            "bounds_high32": "warm_bounds_high32.npy",
-        }
-        scales = {"bounds_scale": scale}
-    elif kind in ("exact", "pdf"):
-        values = np.load(
-            os.path.join(directory, manifest["arrays"]["values"]),
-            mmap_mode="r",
-        )
-        values32 = _table("warm_values32.npy", (n_series, length))
-        scale = 0.0
-        for start in range(0, n_series, chunk_rows):
-            stop = min(start + chunk_rows, n_series)
-            block = np.asarray(values[start:stop])
-            if block.size:
-                scale = max(scale, float(np.abs(block).max()))
-            values32[start:stop] = block
-        values32.flush()
-        arrays = {"values32": "warm_values32.npy"}
-        scales = {"values_scale": scale}
-    else:
-        raise MappedCollectionError(
-            f"unknown collection kind {kind!r} in {manifest_path!r}"
-        )
-
-    manifest["warm"] = {"arrays": arrays, "scales": scales}
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")

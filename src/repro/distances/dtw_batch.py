@@ -34,7 +34,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core import kernels
 from ..core.errors import InvalidParameterError
 from .dtw import _band_limits
 
@@ -73,11 +72,6 @@ def banded_dtw_from_costs(
     DUST-DTW).  Returns the ``(B,)`` square-rooted accumulated costs,
     bit-identical to running :func:`~repro.distances.dtw.dtw_distance`
     per pair with the same band.
-
-    When the thread's active :class:`~repro.core.kernels.KernelBackend`
-    carries a compiled ``dtw_wavefront`` (the optional numba backend),
-    the stacked DP runs there — same recurrence, same band, one
-    parallel per-pair loop instead of the anti-diagonal wavefront.
     """
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 3:
@@ -90,19 +84,6 @@ def banded_dtw_from_costs(
     if n_pairs == 0:
         return np.empty(0)
     starts, stops = _band_limits(n, m, window)
-    jit = kernels.active_backend().dtw_wavefront
-    if jit is not None:
-        totals = jit(
-            np.ascontiguousarray(costs),
-            np.ascontiguousarray(starts),
-            np.ascontiguousarray(stops),
-        )
-        if np.any(np.isinf(totals)):
-            raise InvalidParameterError(
-                f"no warping path exists within window={window} "
-                f"for lengths {n} and {m}"
-            )
-        return np.sqrt(totals)
     accumulated = np.full((n_pairs, n + 1, m + 1), np.inf)
     accumulated[:, 0, 0] = 0.0
     all_rows = np.arange(n + 1)

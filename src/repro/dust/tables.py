@@ -39,9 +39,6 @@ PHI_FLOOR = 1e-30
 #: Default number of grid samples per table.
 DEFAULT_TABLE_POINTS = 2048
 
-#: float32 unit roundoff — scales the low-precision tier's bracket width.
-_FLOAT32_EPS = float(np.finfo(np.float32).eps)
-
 
 class DustTable:
     """``dust`` values on a grid of absolute observed differences.
@@ -88,9 +85,6 @@ class DustTable:
         # values from numeric integration noise.
         self._dust_squared = np.maximum(dust_squared, 0.0)
         self._slope = self._tail_slope()
-        # Low-precision tier (built lazily on first dust_squared32 call).
-        self._table32: np.ndarray = None
-        self._table_peak = 0.0
 
     def _tail_slope(self) -> float:
         """Slope of dust² per unit d at the end of the grid (extrapolation)."""
@@ -132,44 +126,6 @@ class DustTable:
     def dust(self, difference: np.ndarray) -> np.ndarray:
         """``dust(d)`` for absolute differences ``d`` (vectorized)."""
         return np.sqrt(self.dust_squared(difference))
-
-    def dust_squared32(
-        self, difference: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Admissible ``(lower, upper)`` dust² brackets — the float32 tier.
-
-        Interpolates on a float32 mirror of the table and widens each
-        value by the tier's rounding budget, so
-        ``lower <= dust_squared(d) <= upper`` holds element-wise.
-        Screening consumers that only need an admissible bracket read
-        this tier; exact refinement keeps the float64 table.  Grid
-        indices are still derived in float64 — a float32 position could
-        land in the neighbouring cell, whose value difference the ulp
-        budget does not cover.
-        """
-        if self._table32 is None:
-            self._table32 = self._dust_squared.astype(np.float32)
-            self._table_peak = float(self._dust_squared.max(initial=0.0))
-        d = np.abs(np.asarray(difference, dtype=np.float64))
-        if self._step <= 0.0:
-            exact = self.dust_squared(difference)
-            return exact, exact
-        position = d / self._step
-        left = np.clip(
-            np.nan_to_num(position, nan=0.0), 0.0, len(self._grid) - 2
-        ).astype(np.intp)
-        fraction = np.clip(position - left, 0.0, 1.0).astype(np.float32)
-        values = self._table32
-        inside = values[left] + fraction * (values[left + 1] - values[left])
-        overshoot = np.maximum(d - self.radius, 0.0)
-        estimate = inside.astype(np.float64) + self._slope * overshoot
-        # Downcast + three float32 interpolation ops round absolutely in
-        # the table's magnitude (plus the extrapolation term's, beyond
-        # the grid); 8 ulp over-covers the worst case.
-        budget = 8.0 * _FLOAT32_EPS * (
-            self._table_peak + self._slope * overshoot
-        )
-        return np.maximum(estimate - budget, 0.0), estimate + budget
 
     def dust_squared_sum(self, differences: np.ndarray) -> np.ndarray:
         """``dust(d)².sum(axis=-1)`` fused for the batch matrix kernels.

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import kernels
 from ..core.errors import InvalidParameterError
 from ..core.uncertain import MultisampleUncertainTimeSeries
 from .exact import DEFAULT_BINS
@@ -155,19 +154,6 @@ def _block_probabilities(
     if live.size == 0:
         return probabilities
 
-    n_atoms = s_query * s_candidate
-    jit = kernels.active_backend().munich_convolution
-    if jit is not None:
-        # The compiled backend sizes each row's DP state individually,
-        # so the width-sorted chunking below (a NumPy vectorization
-        # concern) is unnecessary — one parallel call covers the block.
-        probabilities[live] = jit(
-            np.ascontiguousarray(residuals[live]),
-            np.ascontiguousarray(cutoffs[live]),
-            n_atoms,
-        )
-        return probabilities
-
     # Width-sorted chunks: rows needing similar DP state widths run
     # together, and each chunk is sized so its state stays cache-resident
     # instead of streaming a (B, n_bins) block through DRAM per pass.
@@ -181,7 +167,7 @@ def _block_probabilities(
         position += chunk_rows
         rows = live[chunk]
         probabilities[rows] = _dp_chunk(
-            residuals[rows], cutoffs[rows], n_atoms
+            residuals[rows], cutoffs[rows], s_query * s_candidate
         )
     return probabilities
 

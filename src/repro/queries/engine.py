@@ -59,18 +59,6 @@ def _stack(rows: List[np.ndarray]) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _downcast(matrix: np.ndarray) -> Tuple[np.ndarray, float]:
-    """``(float32 copy, scale)`` of one stack — the low-precision tier.
-
-    ``scale`` is the stack's largest absolute value, measured in float64
-    *before* the downcast: float32 rounding is absolute in data
-    magnitude (≈ ``6e-8 · scale`` per element), so consumers derive the
-    admissible widening margin for float32 bounds from it.
-    """
-    scale = float(np.abs(matrix).max()) if matrix.size else 0.0
-    return matrix.astype(np.float32), scale
-
-
 def _point_estimate(item) -> np.ndarray:
     """One value per timestamp, mirroring ``Collection.values_matrix``."""
     if isinstance(item, UncertainTimeSeries):
@@ -104,7 +92,6 @@ class CollectionMaterialization:
         "_samples_tensor",
         "_envelopes",
         "_summaries",
-        "_low_precision",
     )
 
     def __init__(self, collection: Sequence) -> None:
@@ -125,9 +112,6 @@ class CollectionMaterialization:
         self._samples_tensor: np.ndarray = None
         self._envelopes: Dict[Optional[int], Tuple[np.ndarray, np.ndarray]] = {}
         self._summaries: Dict[Hashable, object] = {}
-        #: Float32 tier: downcast stacks + their float64 magnitude scale,
-        #: keyed like the float64 caches they mirror.
-        self._low_precision: Dict[Hashable, Tuple] = {}
 
     def __len__(self) -> int:
         return len(self.collection)
@@ -312,73 +296,6 @@ class CollectionMaterialization:
                     highs.append(high)
                 self._bounds = (_stack(lows), _stack(highs))
         return self._bounds
-
-    def values_matrix32(self) -> Tuple[np.ndarray, float]:
-        """``(float32 values matrix, scale)`` — the low-precision tier.
-
-        Adopts a persisted warm tier
-        (:func:`~repro.core.mmapio.build_warm_cache` →
-        ``mapped_warm["values32"]``) zero-copy when present, so daemons
-        restart without re-downcasting.
-        """
-        key = "values"
-        cached = self._low_precision.get(key)
-        if cached is None:
-            warm = self._mapped("mapped_warm")
-            if warm is not None and "values32" in warm:
-                cached = (
-                    warm["values32"],
-                    float(warm.get("values_scale", 0.0)),
-                )
-            else:
-                cached = _downcast(self.values_matrix())
-            self._low_precision[key] = cached
-        return cached
-
-    def bounding_matrices32(self) -> Tuple[np.ndarray, np.ndarray, float]:
-        """``(low32, high32, scale)`` — float32 bounding-interval tier.
-
-        Bound stages stream these at half the bytes of the float64
-        stacks; ``scale`` (the stacks' float64 magnitude bound, also
-        persisted with warm tiers) lets techniques widen the resulting
-        bounds admissibly so no verdict can flip.
-        """
-        key = "bounds"
-        cached = self._low_precision.get(key)
-        if cached is None:
-            warm = self._mapped("mapped_warm")
-            if warm is not None and "bounds_low32" in warm:
-                cached = (
-                    warm["bounds_low32"],
-                    warm["bounds_high32"],
-                    float(warm.get("bounds_scale", 0.0)),
-                )
-            else:
-                low, high = self.bounding_matrices()
-                low32, low_scale = _downcast(low)
-                high32, high_scale = _downcast(high)
-                cached = (low32, high32, max(low_scale, high_scale))
-            self._low_precision[key] = cached
-        return cached
-
-    def dtw_envelopes32(
-        self, window: Optional[int]
-    ) -> Tuple[np.ndarray, np.ndarray, float]:
-        """``(lower32, upper32, scale)`` — float32 DTW-envelope tier.
-
-        Downcast of :meth:`dtw_envelopes` (the envelopes themselves are
-        built in float64, so the only float32 error is the final
-        rounding, covered by the techniques' widening margin).
-        """
-        key = ("envelopes", window)
-        cached = self._low_precision.get(key)
-        if cached is None:
-            lower, upper = self.dtw_envelopes(window)
-            lower32, low_scale = _downcast(lower)
-            upper32, up_scale = _downcast(upper)
-            cached = (lower32, upper32, max(low_scale, up_scale))
-            self._low_precision[key] = cached
-        return cached
 
     def _mapped_index(self, n_segments: int) -> Optional[Dict]:
         """The collection's persisted index tables, when geometry matches.

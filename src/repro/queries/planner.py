@@ -59,16 +59,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.errors import InvalidParameterError
-from ..core.kernels import validate_backend_name
 
 #: Kinds of score matrices a plan can produce.
 PLAN_KINDS = ("distance", "probability", "calibration")
-
-#: Precision tiers for bound/filter stages: ``mixed`` (default) streams
-#: the float32 materialization tier through bound stages — admissibly
-#: widened, so verdicts never flip — while refine kernels stay float64;
-#: ``float64`` keeps the legacy everything-double path.
-PRECISION_MODES = ("mixed", "float64")
 
 #: Plan-policy modes: ``auto`` pilots and tunes the cascade, ``fixed``
 #: runs the technique's authored cascade verbatim, ``never_index``
@@ -248,16 +241,6 @@ class PlanPolicy:
     ``use_index``
         Tri-state index toggle: ``None`` defers to the process default
         (:func:`set_default_policy` / ``set_index_enabled``).
-    ``precision``
-        ``"mixed"`` (default) lets bound stages stream the float32
-        materialization tier (admissibly widened — decisions and values
-        are identical to the double path); ``"float64"`` forces the
-        legacy all-double execution.
-    ``backend``
-        Kernel backend for plan execution: ``None`` auto-selects the
-        best available (:mod:`repro.core.kernels`), ``"numpy"`` pins
-        the reference kernels, ``"numba"`` requests the optional JIT
-        backend (falling back to numpy when not installed).
     """
 
     mode: str = "auto"
@@ -268,20 +251,12 @@ class PlanPolicy:
     min_selectivity: float = 0.02
     cost_cache: bool = True
     use_index: Optional[bool] = None
-    precision: str = "mixed"
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.mode not in POLICY_MODES:
             raise InvalidParameterError(
                 f"mode must be one of {POLICY_MODES}, got {self.mode!r}"
             )
-        if self.precision not in PRECISION_MODES:
-            raise InvalidParameterError(
-                f"precision must be one of {PRECISION_MODES}, got "
-                f"{self.precision!r}"
-            )
-        validate_backend_name(self.backend)
         for name in ("pilot_queries", "pilot_candidates"):
             if getattr(self, name) < 1:
                 raise InvalidParameterError(
@@ -322,12 +297,10 @@ class PlanPolicy:
             )
         kwargs: Dict[str, Any] = {}
         for name, value in payload.items():
-            if name in ("mode", "precision"):
+            if name == "mode":
                 kwargs[name] = str(value)
             elif name == "use_index":
                 kwargs[name] = None if value is None else bool(value)
-            elif name == "backend":
-                kwargs[name] = None if value is None else str(value)
             elif name == "cost_cache":
                 kwargs[name] = bool(value)
             elif name == "min_selectivity":
@@ -582,10 +555,6 @@ class ExplainReport:
     rationale: str
     cache_hit: bool
     executor: Optional[Dict] = None
-    #: Kernel backend / bound-stage dtype the execution recorded
-    #: (``None`` on legacy stats records).
-    backend: Optional[str] = None
-    bound_dtype: Optional[str] = None
 
     @classmethod
     def from_stats(cls, stats: "PruningStats") -> "ExplainReport":
@@ -638,8 +607,6 @@ class ExplainReport:
             rationale=explanation.rationale if explanation else "",
             cache_hit=explanation.cache_hit if explanation else False,
             executor=stats.executor,
-            backend=stats.backend,
-            bound_dtype=stats.bound_dtype,
         )
 
     def summary(self) -> str:
@@ -669,13 +636,6 @@ class ExplainReport:
                 f"{100.0 * actual:5.1f}% "
                 f"({record['decided']}/{record['entered']} cells)"
             )
-        if self.backend or self.bound_dtype:
-            bits = []
-            if self.backend:
-                bits.append(f"backend={self.backend}")
-            if self.bound_dtype:
-                bits.append(f"bound dtype={self.bound_dtype}")
-            lines.append(f"  kernels: {', '.join(bits)}")
         if self.rationale:
             lines.append(f"  rationale: {self.rationale}")
         if self.executor:
@@ -748,12 +708,6 @@ class PruningStats:
     #: merged shard-by-shard so the sharded/cluster paths explain
     #: themselves the same way an in-process run does).
     explanation: Optional[PlanExplanation] = None
-    #: Kernel backend that executed the plan (``"numpy"``/``"numba"``);
-    #: ``None`` on legacy records and direct ``plan.execute`` calls.
-    backend: Optional[str] = None
-    #: Dtype the bound stages streamed (``"float32"`` under the mixed
-    #: precision tier); ``None`` when no bound stage ran.
-    bound_dtype: Optional[str] = None
 
     @property
     def total_cells(self) -> int:
@@ -828,8 +782,6 @@ class PruningStats:
             stages=tuple(merged),
             executor=self.executor if self.executor else other.executor,
             explanation=explanation,
-            backend=self.backend or other.backend,
-            bound_dtype=self.bound_dtype or other.bound_dtype,
         )
 
     @staticmethod
@@ -890,13 +842,6 @@ class PruningStats:
                 f"  index selectivity {kept}/{total} candidates kept "
                 f"({100.0 * selectivity:5.1f}%)"
             )
-        if self.backend or self.bound_dtype:
-            bits = []
-            if self.backend:
-                bits.append(f"backend={self.backend}")
-            if self.bound_dtype:
-                bits.append(f"bound dtype={self.bound_dtype}")
-            lines.append(f"  kernels      {', '.join(bits)}")
         if self.executor:
             pairs = ", ".join(
                 f"{key}={value}" for key, value in self.executor.items()
@@ -930,9 +875,6 @@ class PlanContext:
     #: The policy this execution runs under (stages consult it — the
     #: index stage's enable switch lives here, not in module state).
     policy: Optional[PlanPolicy] = None
-    #: Dtype the bound stage actually streamed this execution (set by
-    #: :class:`BoundStage`; surfaces in ``PruningStats.bound_dtype``).
-    bound_dtype: Optional[str] = None
 
     @property
     def n_undecided(self) -> int:
@@ -971,16 +913,6 @@ class BoundStage(PlanStage):
     (probability 1); ``slack`` guards the comparisons for techniques
     whose batched bound sums may reorder floats (MUNICH-DTW uses
     :data:`~repro.distances.dtw_batch.PRUNE_SLACK`).
-
-    Under a ``precision="mixed"`` policy the stage asks the technique
-    for its float32 bound tier (``matrix_bounds(..., precision=
-    "float32")``) — bounds computed from the engine's half-width
-    materializations and *admissibly widened* by the technique, so
-    every cell decided here would also be decided (identically) by the
-    float64 path; the handful of borderline cells the widening leaves
-    open simply fall through to the exact float64 refine.  Techniques
-    without a float32 tier (the ``precision`` keyword raises
-    ``TypeError``) transparently keep the legacy double path.
     """
 
     name = "bounds"
@@ -995,24 +927,9 @@ class BoundStage(PlanStage):
             raise InvalidParameterError(
                 "BoundStage requires a probability workload with epsilons"
             )
-        policy = context.policy
-        bounds = None
-        if policy is not None and policy.precision == "mixed":
-            try:
-                bounds = context.technique.matrix_bounds(
-                    context.queries, context.collection,
-                    precision="float32",
-                )
-            except TypeError:
-                bounds = None
-            else:
-                context.bound_dtype = "float32"
-        if bounds is None:
-            bounds = context.technique.matrix_bounds(
-                context.queries, context.collection
-            )
-            context.bound_dtype = "float64"
-        lower, upper = bounds
+        lower, upper = context.technique.matrix_bounds(
+            context.queries, context.collection
+        )
         guard_hi = (context.epsilons * (1.0 + self.slack))[:, None]
         guard_lo = (context.epsilons * (1.0 - self.slack))[:, None]
         misses = context.undecided & (lower > guard_hi)
@@ -1189,7 +1106,6 @@ class QueryPlan:
             n_queries=n_queries,
             n_candidates=n_candidates,
             stages=tuple(context.stage_stats),
-            bound_dtype=context.bound_dtype,
         )
 
     def __repr__(self) -> str:
@@ -1223,17 +1139,13 @@ def _stage_bytes_per_cell(
     streams two ``S``-segment float64 summaries, a bound stage two
     full-length interval stacks, an exact refine two full-length value
     stacks, and a Monte Carlo refine its whole per-cell draw stack.
-    Dtype-aware: under a ``precision="mixed"`` policy the bound stage
-    streams the float32 tier, so its cells cost half the bytes — which
-    is exactly what lets the pilot keep a filter the double-precision
-    pricing would have dropped.
+    No policy changes a stage's bytes; ``policy`` is accepted so
+    external cost probes can keep passing it.
     """
     if stage_name == "index":
         segments = getattr(technique, "index_segments", None) or 1
         return 16.0 * segments
     if stage_name == "bounds":
-        if policy is not None and policy.precision == "mixed":
-            return 16.0 * length
         return 32.0 * length
     munich = getattr(technique, "_munich", None)
     if munich is not None and getattr(munich, "method", "") == "montecarlo":
@@ -1360,16 +1272,14 @@ def tune_plan(
         policy=policy,
     )
     refine_cost = (
-        _stage_bytes_per_cell(final.name, technique, length, policy)
+        _stage_bytes_per_cell(final.name, technique, length)
         / STREAM_BYTES_PER_SECOND
     )
     estimates: List[StageEstimate] = []
     kept: List[Tuple[float, int, PlanStage]] = []
     pilot_broken = False
     for position, stage in enumerate(prunable):
-        bytes_per_cell = _stage_bytes_per_cell(
-            stage.name, technique, length, policy
-        )
+        bytes_per_cell = _stage_bytes_per_cell(stage.name, technique, length)
         if pilot_broken:
             kept.append((bytes_per_cell, position, stage))
             estimates.append(

@@ -91,7 +91,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import kernels
 from ..core.errors import InvalidParameterError, UnsupportedQueryError
 from ..core.summaries import (
     DEFAULT_SEGMENTS,
@@ -202,43 +201,6 @@ def _query_bound_stacks(
         return low[None, :], high[None, :]
     materialized = engine.materialize(queries)
     return materialized.bounding_matrices()
-
-
-#: float32 unit roundoff — what the admissible widening margins scale by.
-_FLOAT32_EPS = float(np.finfo(np.float32).eps)
-
-
-def _float32_sum_slop(scale: float, length: int) -> float:
-    """Admissible widening for a float32 squared-gap sum.
-
-    Every float32 gap element carries absolute error ≲ ``4·u·V``
-    (downcast rounding of both operands, the subtraction, and the max;
-    ``u`` = float32 eps, ``V`` = the stacks' magnitude scale), so one
-    squared term errs by ≲ ``20·u·V²``; the sums accumulate in float64,
-    keeping the total at the per-term budget.  A flat ``32·n·u·V²``
-    over-covers it — subtracting it from lower sums and adding it to
-    upper sums keeps the float32 bounds admissible everywhere, at a
-    ``~3e-6`` relative cost in pruning power.
-    """
-    return 32.0 * max(1, length) * _FLOAT32_EPS * scale * scale
-
-
-def _query_bound_stacks32(
-    engine: QueryEngine, queries: Sequence
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Float32 tier of :func:`_query_bound_stacks`, plus magnitude scale."""
-    if len(queries) == 1:
-        low, high = queries[0].bounding_intervals()
-        scale = 0.0
-        if low.size:
-            scale = float(max(np.abs(low).max(), np.abs(high).max()))
-        return (
-            low.astype(np.float32)[None, :],
-            high.astype(np.float32)[None, :],
-            scale,
-        )
-    materialized = engine.materialize(queries)
-    return materialized.bounding_matrices32()
 
 
 def _query_point_summary(engine: QueryEngine, queries: Sequence, n_segments: int):
@@ -423,14 +385,11 @@ class Technique(abc.ABC):
             self, plan, kind, queries, collection, epsilon, tau, knn_k,
             policy,
         )
-        with kernels.use_backend(policy.backend) as backend:
-            values, stats = plan.execute(
-                self, kind, queries, collection, epsilon=epsilon, tau=tau,
-                knn_k=knn_k, exclude=exclude, policy=policy,
-            )
-        return values, dataclasses.replace(
-            stats, explanation=explanation, backend=backend.name
+        values, stats = plan.execute(
+            self, kind, queries, collection, epsilon=epsilon, tau=tau,
+            knn_k=knn_k, exclude=exclude, policy=policy,
         )
+        return values, dataclasses.replace(stats, explanation=explanation)
 
     def _indexed_plan(
         self,
@@ -1375,33 +1334,18 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         return QueryPlan(stages)
 
     def matrix_bounds(
-        self,
-        queries: Sequence,
-        collection: Sequence,
-        precision: str = "float64",
+        self, queries: Sequence, collection: Sequence
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Minimal-bounding-interval distance bounds for every pair.
 
         The per-timestamp interval gap/span arithmetic (Section 2.1) is
         broadcast over bounded query blocks of the cached ``(N, n)``
-        interval stacks; in float64 the sums run along the timestamp
-        axis exactly as in the per-row path, so the bounds are
-        bit-identical to it.  With ``precision="float32"`` the blocks
-        stream the engine's half-width interval tier and the resulting
-        sums are widened by :func:`_float32_sum_slop`, keeping every
-        decided cell identical to the float64 path's.
+        interval stacks; sums run along the timestamp axis exactly as in
+        the per-row path, so the bounds are bit-identical to it.
         """
         materialized = self.engine.materialize(collection)
-        if precision == "float32":
-            low, high, scale = materialized.bounding_matrices32()
-            query_low, query_high, query_scale = _query_bound_stacks32(
-                self.engine, queries
-            )
-            slop = _float32_sum_slop(max(scale, query_scale), low.shape[1])
-        else:
-            low, high = materialized.bounding_matrices()
-            query_low, query_high = _query_bound_stacks(self.engine, queries)
-            slop = 0.0
+        low, high = materialized.bounding_matrices()
+        query_low, query_high = _query_bound_stacks(self.engine, queries)
         n_queries = len(queries)
         n_series = len(collection)
         length = low.shape[1]
@@ -1414,16 +1358,8 @@ class MunichTechnique(_MultisampleCalibration, Technique):
                 query_low[start:stop, None, :],
                 query_high[start:stop, None, :],
             )
-            if slop:
-                lower[start:stop] = np.sqrt(np.maximum(
-                    (gap * gap).sum(axis=2, dtype=np.float64) - slop, 0.0
-                ))
-                upper[start:stop] = np.sqrt(
-                    (span * span).sum(axis=2, dtype=np.float64) + slop
-                )
-            else:
-                lower[start:stop] = np.sqrt((gap * gap).sum(axis=2))
-                upper[start:stop] = np.sqrt((span * span).sum(axis=2))
+            lower[start:stop] = np.sqrt((gap * gap).sum(axis=2))
+            upper[start:stop] = np.sqrt((span * span).sum(axis=2))
         return lower, upper
 
     def index_bounds(
@@ -1727,10 +1663,7 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         return QueryPlan(stages)
 
     def matrix_bounds(
-        self,
-        queries: Sequence,
-        collection: Sequence,
-        precision: str = "float64",
+        self, queries: Sequence, collection: Sequence
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Envelope lower bounds and interval-span upper bounds per pair.
 
@@ -1742,27 +1675,11 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
           contains the diagonal for equal lengths, so every
           materialization pair stays within it — clearing ε means
           probability 1.
-
-        ``precision="float32"`` streams the engine's half-width
-        envelope/interval tiers, widening the sums with
-        :func:`_float32_sum_slop` so the bounds stay admissible.
         """
         materialized = self.engine.materialize(collection)
-        if precision == "float32":
-            env_lower, env_upper, env_scale = materialized.dtw_envelopes32(
-                self.window
-            )
-            low, high, bound_scale = materialized.bounding_matrices32()
-            query_low, query_high, query_scale = _query_bound_stacks32(
-                self.engine, queries
-            )
-            scale = max(env_scale, bound_scale, query_scale)
-            slop = _float32_sum_slop(scale, low.shape[1])
-        else:
-            env_lower, env_upper = materialized.dtw_envelopes(self.window)
-            low, high = materialized.bounding_matrices()
-            query_low, query_high = _query_bound_stacks(self.engine, queries)
-            slop = 0.0
+        env_lower, env_upper = materialized.dtw_envelopes(self.window)
+        low, high = materialized.bounding_matrices()
+        query_low, query_high = _query_bound_stacks(self.engine, queries)
         n_queries = len(queries)
         n_series = len(collection)
         length = low.shape[1]
@@ -1776,19 +1693,11 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
                 env_lower[None, :, :] - block_high,
             )
             np.maximum(gap, 0.0, out=gap)
+            lower[start:stop] = np.sqrt((gap * gap).sum(axis=2))
             _, span = interval_gap_and_span(
                 low[None, :, :], high[None, :, :], block_low, block_high
             )
-            if slop:
-                lower[start:stop] = np.sqrt(np.maximum(
-                    (gap * gap).sum(axis=2, dtype=np.float64) - slop, 0.0
-                ))
-                upper[start:stop] = np.sqrt(
-                    (span * span).sum(axis=2, dtype=np.float64) + slop
-                )
-            else:
-                lower[start:stop] = np.sqrt((gap * gap).sum(axis=2))
-                upper[start:stop] = np.sqrt((span * span).sum(axis=2))
+            upper[start:stop] = np.sqrt((span * span).sum(axis=2))
         return lower, upper
 
     def index_bounds(

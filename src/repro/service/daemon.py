@@ -43,7 +43,7 @@ from ..core.mmapio import MappedCollection
 from ..core.series import TimeSeries
 from ..queries.engine import QueryEngine
 from ..queries.planner import PlanPolicy
-from ..queries.session import SessionConfig, SimilaritySession
+from ..queries.session import SimilaritySession
 from ..queries.techniques import EuclideanTechnique, Technique
 from .batching import (
     BatchQueue,
@@ -99,10 +99,6 @@ class SimilarityDaemon:
         Warm a session for every cataloged collection during
         :meth:`start` — the instant-warm-restart path.  Collections
         registered later warm lazily on first query.
-    n_workers:
-        Worker processes per session (forwarded to
-        :class:`SimilaritySession`; the default 1 keeps kernels
-        in-process and lets the thread pool provide concurrency).
     """
 
     def __init__(
@@ -115,7 +111,6 @@ class SimilarityDaemon:
         pool_size: Optional[int] = None,
         default_timeout: Optional[float] = None,
         preload: bool = True,
-        n_workers: int = 1,
     ) -> None:
         if isinstance(catalog, ServiceCatalog):
             self._catalog = catalog
@@ -127,7 +122,6 @@ class SimilarityDaemon:
         self.port = int(port)
         self.default_timeout = default_timeout
         self.preload = preload
-        self._n_workers = n_workers
         if pool_size is None:
             import os
 
@@ -262,27 +256,26 @@ class SimilarityDaemon:
 
     # -- sessions and techniques -------------------------------------------
 
-    def _build_session(self, name: str) -> SimilaritySession:
-        collection = self._catalog.open_collection(name)
+    @staticmethod
+    def _warm_session(collection: MappedCollection) -> SimilaritySession:
+        """An in-process session over ``collection``, primed by a probe.
+
+        One 1-NN probe fills the engine's kernel caches (materialized
+        matrices, norm stacks, index adoption) so a restarted daemon's
+        first real query pays only its own kernel — the warm-start
+        contract the service benchmark gates on.  Kinds without a
+        distance path just skip the probe.
+        """
         session = SimilaritySession(
-            collection,
-            engine=QueryEngine(max_collections=8),
-            config=SessionConfig(n_workers=self._n_workers),
+            collection, engine=QueryEngine(max_collections=8)
         )
-        # Prime the engine's kernel caches (materialized matrices, norm
-        # stacks, index adoption) with one 1-NN probe so a restarted
-        # daemon's first real query pays only its own kernel — the
-        # warm-start contract the service benchmark gates on.  Kinds
-        # without a distance path just skip the probe.  Collections
-        # saved with a persisted warm tier (build_warm_cache) adopt it
-        # zero-copy instead, so the probe is unnecessary.
-        if (
-            len(session) > 1
-            and getattr(collection, "mapped_warm", None) is None
-        ):
+        if len(session) > 1:
             with contextlib.suppress(ReproError):
                 session.queries([0]).using(EuclideanTechnique()).knn(1)
         return session
+
+    def _build_session(self, name: str) -> SimilaritySession:
+        return self._warm_session(self._catalog.open_collection(name))
 
     async def _get_session(self, name: str) -> SimilaritySession:
         session = self._sessions.get(name)
@@ -323,18 +316,7 @@ class SimilarityDaemon:
                 f"candidates [{start}, {stop}) exceed collection "
                 f"{name!r} with {len(mapped)} series"
             )
-        session = SimilaritySession(
-            mapped.shard(start, stop),
-            engine=QueryEngine(max_collections=8),
-            config=SessionConfig(n_workers=self._n_workers),
-        )
-        if (
-            len(session) > 1
-            and getattr(mapped, "mapped_warm", None) is None
-        ):
-            with contextlib.suppress(ReproError):
-                session.queries([0]).using(EuclideanTechnique()).knn(1)
-        return session
+        return self._warm_session(mapped.shard(start, stop))
 
     async def _get_shard_session(
         self, name: str, start: int, stop: int

@@ -258,10 +258,6 @@ def stats_payload(stats: Optional[PruningStats]) -> Optional[Dict[str, Any]]:
     selectivity = stats.index_selectivity
     if selectivity is not None:
         payload["index_selectivity"] = selectivity
-    if stats.backend is not None:
-        payload["backend"] = stats.backend
-    if stats.bound_dtype is not None:
-        payload["bound_dtype"] = stats.bound_dtype
     explanation = stats.explanation
     if explanation is not None:
         payload["explanation"] = explanation.to_payload()
@@ -295,8 +291,6 @@ def stats_from_payload(
             )
             for entry in payload.get("stages", ())
         )
-        backend = payload.get("backend")
-        bound_dtype = payload.get("bound_dtype")
         return PruningStats(
             technique_name=str(payload.get("technique", "?")),
             kind=str(payload.get("kind", "?")),
@@ -306,8 +300,6 @@ def stats_from_payload(
             explanation=PlanExplanation.from_payload(
                 payload.get("explanation")
             ),
-            backend=None if backend is None else str(backend),
-            bound_dtype=None if bound_dtype is None else str(bound_dtype),
         )
     except (TypeError, ValueError) as error:
         raise ProtocolError(

@@ -290,6 +290,24 @@ class TestErrors:
         loaded = load_collection(manifest_path)
         assert len(loaded) == len(pdf)
 
+    def test_legacy_warm_block_is_ignored(self, pdf, tmp_path):
+        """Manifests written with a float32 ``warm`` block still load;
+        the block's tables are never opened."""
+        manifest_path = save_collection(pdf, str(tmp_path))
+        with open(manifest_path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["warm"] = {
+            "arrays": {"values32": "warm_values32.npy"},
+            "scales": {"values_scale": 1.0},
+        }
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        loaded = load_collection(str(tmp_path))
+        assert np.array_equal(
+            loaded.values_matrix(),
+            np.vstack([series.observations for series in pdf]),
+        )
+
     def test_collection_wrapper_roundtrip(self, pdf, tmp_path):
         collection = Collection(pdf, name="wrapped")
         save_collection(collection, str(tmp_path))

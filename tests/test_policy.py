@@ -115,8 +115,13 @@ class TestPlanPolicy:
         assert PlanPolicy.from_wire({}) == PlanPolicy()
 
     def test_wire_rejects_unknown_fields(self):
-        with pytest.raises(InvalidParameterError, match="unknown policy"):
-            PlanPolicy.from_wire({"mode": "auto", "warp": 9})
+        for extra in (
+            {"warp": 9},
+            {"precision": "float64"},
+            {"backend": "numpy"},
+        ):
+            with pytest.raises(InvalidParameterError, match="unknown policy"):
+                PlanPolicy.from_wire({"mode": "auto", **extra})
 
     def test_policies_are_hashable(self):
         assert len({PlanPolicy(), PlanPolicy(), PlanPolicy(mode="fixed")}) == 2

@@ -35,7 +35,11 @@ from repro.service import ServiceCatalog, ServiceClient, ServiceError
 from repro.service.client import ServiceResult
 from repro.service.cli import query_main
 from repro.service.daemon import SimilarityDaemon
-from repro.service.protocol import PROTOCOL_VERSION, build_technique
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    build_technique,
+    stats_from_payload,
+)
 
 SEED = 626
 N_SERIES = 12
@@ -229,6 +233,16 @@ class TestQueryParity:
         assert answer.stats["n_queries"] == N_SERIES
         assert answer.stats["stages"]
 
+    def test_stats_parse_ignores_retired_fields(self, harness):
+        """An older daemon's payload may still carry ``backend`` and
+        ``bound_dtype``; parsing drops them and keeps everything else."""
+        with harness.client() as client:
+            answer = client.knn("pdf", k=3, technique="dust")
+        legacy = dict(answer.stats, backend="numpy", bound_dtype="float32")
+        parsed = stats_from_payload(legacy)
+        assert parsed == stats_from_payload(answer.stats)
+        assert parsed.n_queries == N_SERIES
+
 
 class TestBatchingOverTheWire:
     def test_concurrent_same_plan_requests_coalesce(
@@ -374,6 +388,25 @@ class TestStructuredErrors:
         response = self._raw_exchange(harness, request)
         assert response["error"]["type"] == "ProtocolError"
         assert "frobnicate" in response["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "policy", [{"precision": "float64"}, {"backend": "numpy"}]
+    )
+    def test_unknown_policy_fields(self, harness, policy):
+        request = json.dumps(
+            {
+                "v": PROTOCOL_VERSION,
+                "id": "x",
+                "op": "knn",
+                "collection": "pdf",
+                "params": {"k": 3, "policy": policy},
+            }
+        ).encode() + b"\n"
+        response = self._raw_exchange(harness, request)
+        assert response["ok"] is False
+        assert response["error"]["type"] == "ProtocolError"
+        assert "unknown policy fields" in response["error"]["message"]
+        assert next(iter(policy)) in response["error"]["message"]
 
     def test_errors_do_not_kill_the_daemon(self, harness):
         with harness.client() as client:
