@@ -51,10 +51,10 @@ from repro.queries import (
     FilteredTechnique,
     MunichDtwTechnique,
     MunichTechnique,
+    PlanPolicy,
     ProudTechnique,
     QueryEngine,
     SimilaritySession,
-    set_index_enabled,
 )
 
 SEED = 2012
@@ -93,13 +93,15 @@ def _best_of(callable_, repeats: int) -> float:
 def _knn_at_scale(collection, indexed: bool, repeats: int):
     """kNN wall time for the fixed 8-query workload; returns the result
     of the last run so callers can compare neighbour sets."""
-    set_index_enabled(indexed)
+    policy = PlanPolicy(use_index=indexed)
     holder: Dict = {}
 
     def run():
         # A fresh engine per run: the unindexed path must not coast on
         # summaries cached by the indexed one (and vice versa).
-        session = SimilaritySession(collection, engine=QueryEngine())
+        session = SimilaritySession(
+            collection, engine=QueryEngine(), policy=policy
+        )
         holder["result"] = (
             session.queries(list(range(N_QUERIES)))
             .using(EuclideanTechnique(index_segments=SEGMENTS))
@@ -107,7 +109,6 @@ def _knn_at_scale(collection, indexed: bool, repeats: int):
         )
 
     seconds = _best_of(run, repeats)
-    set_index_enabled(True)
     return seconds, holder["result"]
 
 
@@ -252,19 +253,18 @@ def _build_parity_workload(n_series: int, length: int):
 
 
 def _parity_case(name: str, collection, technique, query) -> Dict:
-    set_index_enabled(True)
-    indexed = query(
-        SimilaritySession(collection, engine=QueryEngine())
-        .queries()
-        .using(technique)
+    indexed, baseline = (
+        query(
+            SimilaritySession(
+                collection,
+                engine=QueryEngine(),
+                policy=PlanPolicy(use_index=use_index),
+            )
+            .queries()
+            .using(technique)
+        )
+        for use_index in (True, False)
     )
-    set_index_enabled(False)
-    baseline = query(
-        SimilaritySession(collection, engine=QueryEngine())
-        .queries()
-        .using(technique)
-    )
-    set_index_enabled(True)
     if hasattr(indexed, "indices"):  # KnnResult
         identical = bool(np.array_equal(indexed.indices, baseline.indices))
         max_diff = float(np.max(np.abs(indexed.scores - baseline.scores)))

@@ -14,10 +14,7 @@ workload — two ways per technique:
   application for DUST, broadcast moments for PROUD, batched bounds for
   MUNICH).
 
-The run also re-executes a small harness workload under both
-``scoring="matrix"`` and ``scoring="profile"`` and verifies the F1
-numbers are identical — the regression guard CI smoke-runs via
-``--quick``.  Results land in ``BENCH_matrix.json`` at the repo root.
+Results land in ``BENCH_matrix.json`` at the repo root.
 
 Run:  PYTHONPATH=src python benchmarks/bench_matrix.py
       PYTHONPATH=src python benchmarks/bench_matrix.py --quick  (CI smoke)
@@ -37,7 +34,6 @@ import numpy as np
 
 from repro.core import spawn
 from repro.datasets import generate_dataset
-from repro.evaluation import run_similarity_experiment
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario
 from repro.queries import (
@@ -138,44 +134,6 @@ def _row(
     }
 
 
-def _f1_parity_check(n_series: int, length: int, n_queries: int) -> Dict:
-    """Harness F1 must be identical under matrix and profile scoring."""
-    exact = generate_dataset(
-        "GunPoint", seed=SEED + 1, n_series=n_series, length=length
-    )
-    scenario = ConstantScenario("normal", 0.6)
-
-    def techniques():
-        return [
-            EuclideanTechnique(),
-            DustTechnique(),
-            FilteredTechnique.uma(),
-            FilteredTechnique.uema(),
-            ProudTechnique(assumed_std=0.7),
-        ]
-
-    matrix_run = run_similarity_experiment(
-        exact, scenario, techniques(), n_queries=n_queries, seed=SEED,
-        scoring="matrix",
-    )
-    profile_run = run_similarity_experiment(
-        exact, scenario, techniques(), n_queries=n_queries, seed=SEED,
-        scoring="profile",
-    )
-    matrix_f1 = matrix_run.f1_row()
-    profile_f1 = profile_run.f1_row()
-    matches = {
-        name: bool(abs(matrix_f1[name] - profile_f1[name]) < 1e-12)
-        for name in matrix_f1
-    }
-    return {
-        "matrix_f1": matrix_f1,
-        "profile_f1": profile_f1,
-        "identical": matches,
-        "all_identical": all(matches.values()),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-series", type=int, default=200)
@@ -233,16 +191,6 @@ def main(argv=None) -> int:
             )
         )
 
-    parity = _f1_parity_check(
-        n_series=min(args.n_series, 30),
-        length=min(args.length, 32),
-        n_queries=8,
-    )
-    print(
-        "  harness F1 parity (matrix vs profile): "
-        + ("identical" if parity["all_identical"] else "MISMATCH")
-    )
-
     target = {
         row["technique"]: row["speedup"] >= TARGET_SPEEDUP
         for row in results
@@ -265,7 +213,6 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
         },
         "results": results,
-        "f1_parity": parity,
         "speedup_target": {
             "threshold": TARGET_SPEEDUP,
             "met": target,
@@ -278,9 +225,6 @@ def main(argv=None) -> int:
         handle.write("\n")
     print(f"[written to {args.out}]")
 
-    if not parity["all_identical"]:
-        print("FAIL: matrix and profile scoring disagree on F1", file=sys.stderr)
-        return 1
     if not args.quick and not all(target.values()):
         missed = [name for name, ok in target.items() if not ok]
         print(

@@ -131,14 +131,12 @@ def _measure_warm(
     try:
         with service.client() as client:
             started = time.perf_counter()
-            client.knn("main", k=k, technique="euclidean", indices=[0])
+            client.query("knn", "main", {"k": k}, "euclidean", [0])
             first = time.perf_counter() - started
             steady = np.inf
             for _ in range(repeats):
                 started = time.perf_counter()
-                client.knn(
-                    "main", k=k, technique="euclidean", indices=[0]
-                )
+                client.query("knn", "main", {"k": k}, "euclidean", [0])
                 steady = min(steady, time.perf_counter() - started)
     finally:
         service.stop()
@@ -155,12 +153,10 @@ def _measure_throughput(
     service = _DaemonThread(catalog_path)
     try:
         with service.client() as client:
-            client.knn("main", k=k, technique="euclidean", indices=[0])
+            client.query("knn", "main", {"k": k}, "euclidean", [0])
             started = time.perf_counter()
             for index in indices:
-                client.knn(
-                    "main", k=k, technique="euclidean", indices=[index]
-                )
+                client.query("knn", "main", {"k": k}, "euclidean", [index])
             serial = (time.perf_counter() - started) / len(indices)
 
         per_client = [
@@ -173,11 +169,8 @@ def _measure_throughput(
             with service.client() as client:
                 barrier.wait(timeout=120.0)
                 for index in rows:
-                    answer = client.knn(
-                        "main",
-                        k=k,
-                        technique="euclidean",
-                        indices=[index],
+                    answer = client.query(
+                        "knn", "main", {"k": k}, "euclidean", [index]
                     )
                     sizes.append(answer.batch["size"])
 
@@ -217,9 +210,7 @@ def _check_parity(
                     .using(build_technique("euclidean"))
                     .knn(k)
                 )
-            answer = client.knn(
-                "main", k=k, technique="euclidean", indices=probe
-            )
+            answer = client.query("knn", "main", {"k": k}, "euclidean", probe)
             checks.append(
                 {
                     "check": "knn_euclidean_main",
@@ -244,15 +235,15 @@ def _check_parity(
                     .using(build_technique("proud"))
                     .prob_range(4.0, 0.4)
                 )
-            dust_answer = client.knn("pdf", k=5, technique="dust")
+            dust_answer = client.query("knn", "pdf", {"k": 5}, "dust")
             checks.append(
                 {
                     "check": "knn_dust_pdf",
                     "ok": dust_answer.indices == dust.indices.tolist(),
                 }
             )
-            prq_answer = client.prob_range(
-                "pdf", epsilon=4.0, tau=0.4, technique="proud"
+            prq_answer = client.query(
+                "prob_range", "pdf", {"epsilon": 4.0, "tau": 0.4}, "proud"
             )
             checks.append(
                 {

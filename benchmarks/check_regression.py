@@ -48,7 +48,6 @@ def _rows_by_key(payload: Dict) -> Dict[Tuple[str, str], Dict]:
 #: ``(payload key, ok field)`` for every correctness flag a benchmark
 #: may record; a present flag that is false always fails the gate.
 CORRECTNESS_FLAGS = (
-    ("f1_parity", "all_identical"),
     ("parity", "all_ok"),
     ("knn_merge", "identical"),
     ("mmap", "parity_ok"),

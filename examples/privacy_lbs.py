@@ -24,11 +24,7 @@ from repro.core import Collection, ErrorModel, TimeSeries, make_rng, spawn, znor
 from repro.distributions import NormalError
 from repro.perturbation import perturb
 from repro.proud import Proud
-from repro.queries import (
-    EuclideanTechnique,
-    ProudTechnique,
-    probabilistic_range_query,
-)
+from repro.queries import EuclideanTechnique, ProudTechnique, SimilaritySession
 
 SEED = 13
 PROFILE_LENGTH = 96  # one day at 15-minute resolution
@@ -84,21 +80,20 @@ def main() -> None:
     print(f"probabilistic range query: Pr(distance ≤ {epsilon:.2f}) ≥ τ")
     print(f"published noise: normal, σ = {NOISE_STD} (announced)\n")
 
+    # Query 0 (the reference) against the whole published fleet; a query
+    # selected by index never matches itself.
+    session = SimilaritySession(published)
+    query = session.queries([0])
     proud = ProudTechnique(assumed_std=NOISE_STD)
     for tau in (0.01, 0.2, 0.8):
-        result = probabilistic_range_query(
-            proud, reference, published, epsilon, tau=tau, exclude=0
-        )
+        result = query.using(proud).prob_range(epsilon, tau).sets()[0]
         labels = [published[i].name for i in result]
         commuters = sum(1 for label in labels if label == "commuter")
         print(f"  τ = {tau:4}: {len(result):2d} profiles returned, "
               f"{commuters} of them commuters")
 
     # Contrast with the certain-data baseline at the same ε.
-    euclid = EuclideanTechnique()
-    baseline = probabilistic_range_query(
-        euclid, reference, published, epsilon, exclude=0
-    )
+    baseline = query.using(EuclideanTechnique()).range(epsilon).sets()[0]
     commuters = sum(
         1 for i in baseline if published[i].name == "commuter"
     )

@@ -36,7 +36,7 @@ from repro.core import (
 from repro.distributions import NormalError
 from repro.dust import Dust
 from repro.distances import euclidean, uema_distance
-from repro.queries import knn_technique_query, DustTechnique, FilteredTechnique
+from repro.queries import DustTechnique, FilteredTechnique, SimilaritySession
 
 SEED = 7
 SIGNATURE_LENGTH = 120
@@ -112,13 +112,14 @@ def main() -> None:
     print("incoming measurement vs reference library "
           f"({len(uncertain_library)} signatures, 4 machine states)\n")
 
+    session = SimilaritySession(uncertain_library)
     for technique in (
         FilteredTechnique.uema(),
         FilteredTechnique.uma(),
         DustTechnique(),
     ):
-        neighbors = knn_technique_query(
-            technique, incoming, uncertain_library, k=5
+        neighbors = (
+            session.queries([incoming]).using(technique).knn(5).row(0)
         )
         votes = [uncertain_library[i].label for i in neighbors]
         diagnosis = FAULT_MODES[max(set(votes), key=votes.count)]

@@ -113,14 +113,8 @@ from .queries import (
     Technique,
     clear_plan_cache,
     get_default_policy,
-    index_enabled,
-    knn_query,
-    set_default_policy,
-    set_index_enabled,
     knn_table,
-    knn_technique_query,
-    probabilistic_range_query,
-    range_query,
+    set_default_policy,
 )
 from .service import (
     CatalogError,
@@ -166,9 +160,7 @@ __all__ = [
     # cost-based planning
     "PlanPolicy", "PlanExplanation", "StageEstimate", "ExplainReport",
     "get_default_policy", "set_default_policy", "clear_plan_cache",
-    "index_enabled", "set_index_enabled",
-    "range_query", "probabilistic_range_query", "knn_query", "knn_table",
-    "knn_technique_query",
+    "knn_table",
     # datasets
     "generate_dataset", "load_ucr_directory", "UCR_SPECS",
     "PAPER_DATASET_NAMES", "stream_fourier_collection",

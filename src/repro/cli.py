@@ -5,7 +5,7 @@ Usage::
     python -m repro.cli list
     python -m repro.cli fig05 --scale tiny
     python -m repro.cli fig16 --seed 7 --out results.txt
-    python -m repro.cli fig11 --scoring profile
+    python -m repro.cli fig11 --workers 2
     python -m repro.cli uniformity
     python -m repro.cli all --scale reduced
 
@@ -146,18 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"experiment seed (default {EXPERIMENT_SEED})",
     )
     parser.add_argument(
-        "--scoring",
-        default=None,
-        choices=("matrix", "profile"),
-        help="harness scoring path: all-pairs matrix kernels (default) "
-        "or one vectorized profile per query",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the matrix scoring path (default 1; "
+        help="worker processes for the harness (default 1; "
         "N>1 shards the all-pairs kernels across a process pool)",
     )
     parser.add_argument(
@@ -195,7 +188,7 @@ def _render_stats_log() -> str:
             order.append(name)
         grouped.setdefault(name, []).append(stats)
     if not order:
-        return "[no pruning stats recorded — matrix scoring only]"
+        return "[no pruning stats recorded]"
     lines = ["pruning statistics (merged over this command's plans):"]
     for name in order:
         records = grouped[name]
@@ -258,20 +251,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.scoring is not None:
-        from .evaluation.harness import set_default_scoring
-
-        set_default_scoring(args.scoring)
-
     if args.workers is not None:
         from .evaluation.harness import set_default_workers
 
         set_default_workers(args.workers)
 
     if args.no_index:
-        from .queries.index import set_index_enabled
+        from dataclasses import replace
 
-        set_index_enabled(False)
+        from .queries.planner import get_default_policy, set_default_policy
+
+        set_default_policy(replace(get_default_policy(), use_index=False))
 
     if args.stats:
         from .evaluation.harness import enable_stats_log

@@ -397,7 +397,17 @@ def load_collection(
                 f"incomplete (payload or index tables deleted?) — re-save "
                 f"it with save_collection()/build_index()"
             )
-        array = np.load(array_path, mmap_mode=mmap_mode)
+        try:
+            array = np.load(array_path, mmap_mode=mmap_mode)
+        except (ValueError, EOFError) as error:
+            # A truncated payload fails here with numpy's bare "mmap
+            # length is greater than file size" / "Failed to read all
+            # data"; reject it at load, naming both files.
+            raise MappedCollectionError(
+                f"collection payload {array_path!r} referenced by manifest "
+                f"{manifest_path!r} is truncated or corrupt ({error}); "
+                f"re-save it with save_collection()/build_index()"
+            ) from error
         if mmap_mode is None:
             # np.load returns a view over a writeable buffer; re-own it
             # so the whole base chain is read-only and series rows are

@@ -58,25 +58,6 @@ def check_aligned(x: np.ndarray, y: np.ndarray, context: str = "") -> None:
         raise LengthMismatchError(int(x.size), int(y.size), context)
 
 
-def distance_profile(
-    distance: Distance, query: np.ndarray, matrix: np.ndarray
-) -> np.ndarray:
-    """Distances from ``query`` to every row of ``matrix``.
-
-    Uses the callable's vectorized ``profile`` hook when it has one (the
-    built-in Euclidean/Manhattan functions and
-    :class:`~repro.distances.filtered.FilteredEuclidean` do); otherwise
-    falls back to one call per row.  This is the single entry point the
-    query layer uses, so registering a hook accelerates every consumer.
-    """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    query = np.asarray(query, dtype=np.float64)
-    hook = getattr(distance, "profile", None)
-    if hook is not None:
-        return np.asarray(hook(query, matrix), dtype=np.float64)
-    return np.array([distance(query, row) for row in matrix])
-
-
 def pairwise_matrix(
     distance: Distance, rows: np.ndarray, columns: np.ndarray
 ) -> np.ndarray:

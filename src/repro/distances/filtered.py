@@ -105,16 +105,6 @@ class FilteredEuclidean:
         """
         return euclidean(x, y)
 
-    def profile(self, query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        """Batch hook over pre-filtered arrays: row-wise Euclidean.
-
-        Like :meth:`__call__`, inputs are already filtered; the query
-        engine caches filtered matrices per collection.
-        """
-        from .lp import euclidean_profile
-
-        return euclidean_profile(query, matrix)
-
 
 def uma_distance(
     x: UncertainTimeSeries, y: UncertainTimeSeries, window: int = PAPER_WINDOW

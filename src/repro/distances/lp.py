@@ -78,23 +78,6 @@ def euclidean_profile(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", difference, difference))
 
 
-def manhattan_profile(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Manhattan distance from ``query`` to every row of ``matrix``."""
-    query = np.asarray(query, dtype=np.float64)
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    if matrix.shape[1] != query.size:
-        raise InvalidParameterError(
-            f"query length {query.size} != row length {matrix.shape[1]}"
-        )
-    return np.abs(matrix - query[None, :]).sum(axis=1)
-
-
-# Batch hooks consumed by repro.distances.base.distance_profile: a distance
-# callable may carry a `.profile(query, matrix)` vectorized fast path.
-euclidean.profile = euclidean_profile
-manhattan.profile = manhattan_profile
-
-
 #: Entries of the GEMM-identity squared matrix below this fraction of the
 #: norm scale are recomputed exactly: the ``||r||² + ||c||² − 2 r·c``
 #: expansion cancels catastrophically for near-duplicate pairs, and the

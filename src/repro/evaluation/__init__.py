@@ -4,14 +4,11 @@ from __future__ import annotations
 
 from .harness import (
     DEFAULT_MUNICH_SAMPLES,
-    SCORING_MODES,
     ExperimentResult,
     QueryOutcome,
     TechniqueOutcome,
-    get_default_scoring,
     get_default_workers,
     run_similarity_experiment,
-    set_default_scoring,
     set_default_workers,
 )
 from .metrics import (
@@ -33,9 +30,6 @@ __all__ = [
     "TechniqueOutcome",
     "QueryOutcome",
     "DEFAULT_MUNICH_SAMPLES",
-    "SCORING_MODES",
-    "set_default_scoring",
-    "get_default_scoring",
     "set_default_workers",
     "get_default_workers",
     "PrecisionRecall",

@@ -18,24 +18,15 @@ Section 4.1.2 on one dataset and one perturbation scenario:
 Per-query wall-clock time of the scoring kernel is recorded, which is what
 the time-performance figures (11–12) report.
 
-Scoring modes
--------------
-
-The default ``scoring="matrix"`` answers the whole protocol through the
-session API (:mod:`repro.queries.session`): one all-pairs
-``distance_matrix`` / ``probability_matrix`` kernel per technique scores
-every query row at once, each query's ε is read straight off its anchor
-column of the same (calibration) matrix, and per-query time is the
-amortized kernel time.  ``scoring="profile"`` keeps the one-vectorized-
-call-per-query path — it produces identical F1 numbers and exists as the
-reference the matrix path is benchmarked and regression-tested against
-(``benchmarks/bench_matrix.py``).  :func:`set_default_scoring` flips the
-process-wide default (the CLI's ``--scoring`` flag).
+Every technique is scored through the session API
+(:mod:`repro.queries.session`): one all-pairs ``distance_matrix`` /
+``probability_matrix`` kernel per technique scores every query row at
+once, each query's ε is read straight off its anchor column of the same
+(calibration) matrix, and per-query time is the amortized kernel time.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -54,7 +45,6 @@ from ..queries.thresholds import (
     QueryCalibration,
     calibrate_queries,
     select_query_indices,
-    technique_epsilon,
 )
 from .metrics import MeanWithCI, PrecisionRecall, mean_with_ci, score_result_set
 from .tau import DEFAULT_TAU_GRID, optimal_tau, results_at_tau
@@ -63,10 +53,6 @@ from .tau import DEFAULT_TAU_GRID, optimal_tau, results_at_tau
 #: paper's Figure 4 setting ("for each timestamp, we have 5 samples").
 DEFAULT_MUNICH_SAMPLES = 5
 
-#: Recognized scoring modes (see the module docstring).
-SCORING_MODES = ("matrix", "profile")
-
-_default_scoring = "matrix"
 _default_workers = 1
 _stats_log: Optional[List] = None
 
@@ -74,7 +60,7 @@ _stats_log: Optional[List] = None
 def enable_stats_log() -> None:
     """Start collecting per-technique :class:`PruningStats` records.
 
-    The matrix scoring path appends ``(technique_name, stats)`` pairs
+    The harness appends ``(technique_name, stats)`` pairs
     for every plan it executes; :func:`drain_stats_log` retrieves and
     clears them.  This is what backs the CLI's ``--stats`` flag.
     """
@@ -96,26 +82,11 @@ def _log_stats(name: str, stats: Optional[PruningStats]) -> None:
         _stats_log.append((name, stats))
 
 
-def set_default_scoring(mode: str) -> None:
-    """Set the process-wide default scoring mode (``"matrix"``/``"profile"``)."""
-    global _default_scoring
-    if mode not in SCORING_MODES:
-        raise InvalidParameterError(
-            f"scoring must be one of {SCORING_MODES}, got {mode!r}"
-        )
-    _default_scoring = mode
-
-
-def get_default_scoring() -> str:
-    """The scoring mode used when ``run_similarity_experiment`` gets none."""
-    return _default_scoring
-
-
 def set_default_workers(n_workers: int) -> None:
     """Set the process-wide default worker count (the CLI's ``--workers``).
 
-    ``1`` keeps the harness single-process; ``> 1`` shards the matrix
-    scoring path across a
+    ``1`` keeps the harness single-process; ``> 1`` shards the
+    all-pairs kernels across a
     :class:`~repro.queries.parallel.ShardedExecutor` worker pool.
     """
     global _default_workers
@@ -152,7 +123,7 @@ class TechniqueOutcome:
     """All queries' scores for one technique on one dataset/scenario.
 
     ``pruning_stats`` carries the scoring plan's filter-and-refine
-    accounting (matrix scoring path only): candidates decided per
+    accounting: candidates decided per
     stage, refinements run, Monte Carlo samples evaluated, and
     per-stage wall time.
     """
@@ -209,7 +180,6 @@ def run_similarity_experiment(
     munich_samples: int = DEFAULT_MUNICH_SAMPLES,
     tau_grid: Sequence[float] = DEFAULT_TAU_GRID,
     fixed_tau: Optional[float] = None,
-    scoring: Optional[str] = None,
     n_workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Run the full comparison protocol; see the module docstring.
@@ -229,22 +199,12 @@ def run_similarity_experiment(
         Number of query series (sampled deterministically); default all.
     munich_samples:
         Repeated observations per timestamp for multisample techniques.
-    scoring:
-        ``"matrix"`` (all-pairs kernels, the default) or ``"profile"``
-        (per-query vectorized rows); ``None`` uses
-        :func:`get_default_scoring`.
     n_workers:
-        Worker processes for the matrix scoring path (``None`` uses
+        Worker processes for the all-pairs kernels (``None`` uses
         :func:`get_default_workers`; ``1`` stays single-process).  The
         sharded results match single-process scoring to 1e-9, so F1
         numbers are unchanged.
     """
-    if scoring is None:
-        scoring = _default_scoring
-    if scoring not in SCORING_MODES:
-        raise InvalidParameterError(
-            f"scoring must be one of {SCORING_MODES}, got {scoring!r}"
-        )
     if n_workers is None:
         n_workers = _default_workers
     if n_workers < 1:
@@ -281,30 +241,15 @@ def run_similarity_experiment(
             if technique.input_kind == "multisample"
             else pdf_collection
         )
-        if scoring == "matrix":
-            outcome = _evaluate_technique_matrix(
-                technique,
-                collection,
-                calibrations,
-                query_indices,
-                tau_grid=tau_grid,
-                fixed_tau=fixed_tau,
-                n_workers=n_workers,
-            )
-        elif technique.kind == "distance":
-            outcome = _evaluate_distance_technique(
-                technique, collection, calibrations, query_indices
-            )
-        else:
-            outcome = _evaluate_probabilistic_technique(
-                technique,
-                collection,
-                calibrations,
-                query_indices,
-                tau_grid=tau_grid,
-                fixed_tau=fixed_tau,
-            )
-        outcomes[technique.name] = outcome
+        outcomes[technique.name] = _evaluate_technique_matrix(
+            technique,
+            collection,
+            calibrations,
+            query_indices,
+            tau_grid=tau_grid,
+            fixed_tau=fixed_tau,
+            n_workers=n_workers,
+        )
 
     return ExperimentResult(
         dataset_name=exact.name or "<unnamed>",
@@ -459,97 +404,6 @@ def _score_matrix_session(
                     np.count_nonzero(probabilities[position] >= tau)
                 ),
                 elapsed_seconds=result.per_query_seconds,
-            )
-        )
-    return outcome
-
-
-def _evaluate_distance_technique(
-    technique: Technique,
-    collection: Sequence,
-    calibrations: List[QueryCalibration],
-    query_indices: np.ndarray,
-) -> TechniqueOutcome:
-    outcome = TechniqueOutcome(technique_name=technique.name)
-    for query_index in query_indices:
-        calibration = calibrations[query_index]
-        query = collection[query_index]
-        candidates = _candidate_indices(len(collection), query_index)
-        # One batch kernel scores the whole collection; the same profile
-        # yields ε (the anchor entry — a distance technique's calibration
-        # distance is its distance) and the result set.
-        started = time.perf_counter()
-        profile = technique.distance_profile(query, collection)
-        elapsed = time.perf_counter() - started
-        epsilon = technique_epsilon(
-            technique, collection, calibration, profile=profile
-        )
-        distances = profile[candidates]
-        selected = candidates[distances <= epsilon]
-        outcome.queries.append(
-            QueryOutcome(
-                query_index=int(query_index),
-                epsilon=epsilon,
-                scores=score_result_set(
-                    selected.tolist(), set(calibration.ground_truth)
-                ),
-                result_size=int(selected.size),
-                elapsed_seconds=elapsed,
-            )
-        )
-    return outcome
-
-
-def _evaluate_probabilistic_technique(
-    technique: Technique,
-    collection: Sequence,
-    calibrations: List[QueryCalibration],
-    query_indices: np.ndarray,
-    tau_grid: Sequence[float],
-    fixed_tau: Optional[float],
-) -> TechniqueOutcome:
-    probabilities: List[np.ndarray] = []
-    candidate_lists: List[np.ndarray] = []
-    epsilons: List[float] = []
-    elapsed_times: List[float] = []
-    ground_truths: List[frozenset] = []
-
-    for query_index in query_indices:
-        calibration = calibrations[query_index]
-        query = collection[query_index]
-        epsilon = technique_epsilon(technique, collection, calibration)
-        candidates = _candidate_indices(len(collection), query_index)
-        started = time.perf_counter()
-        probs = technique.probability_profile(query, collection, epsilon)[
-            candidates
-        ]
-        elapsed = time.perf_counter() - started
-        probabilities.append(probs)
-        candidate_lists.append(candidates)
-        epsilons.append(epsilon)
-        elapsed_times.append(elapsed)
-        ground_truths.append(calibration.ground_truth)
-
-    if fixed_tau is not None:
-        tau = fixed_tau
-    else:
-        tau = optimal_tau(
-            probabilities, candidate_lists, ground_truths, tau_grid
-        ).best_tau
-
-    scores = results_at_tau(probabilities, candidate_lists, ground_truths, tau)
-    outcome = TechniqueOutcome(technique_name=technique.name, tau=tau)
-    for position, query_index in enumerate(query_indices):
-        selected_count = int(
-            np.count_nonzero(probabilities[position] >= tau)
-        )
-        outcome.queries.append(
-            QueryOutcome(
-                query_index=int(query_index),
-                epsilon=epsilons[position],
-                scores=scores[position],
-                result_size=selected_count,
-                elapsed_seconds=elapsed_times[position],
             )
         )
     return outcome

@@ -13,18 +13,15 @@
 Absolute milliseconds are not comparable to the paper's C++ numbers; the
 orderings and growth shapes are the reproduction target.
 
-Both figures run through the session API's all-pairs matrix kernels
-(``scoring="matrix"``, the harness default): per-query time is the
-amortized ``(M, N)`` kernel time, which is the honest cost of the paper's
-every-series-is-a-query protocol.  Pass ``scoring="profile"`` to time the
-one-kernel-per-query path instead (the two are compared head-to-head by
-``benchmarks/bench_matrix.py``).
+Both figures run through the session API's all-pairs matrix kernels:
+per-query time is the amortized ``(M, N)`` kernel time, which is the
+honest cost of the paper's every-series-is-a-query protocol.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..core.collection import Collection
 from ..core.normalization import resample
@@ -52,11 +49,10 @@ FIG12_LENGTHS_REDUCED: Sequence[int] = (50, 100, 200, 400)
 def run_figure11(
     scale: Scale = None,
     seed: int = EXPERIMENT_SEED,
-    scoring: Optional[str] = None,
 ) -> Dict[float, Dict[str, float]]:
     """``{sigma: {technique: mean seconds per query}}`` (normal errors)."""
     scale = scale if scale is not None else get_scale()
-    sweep = sigma_sweep(scale, "normal", seed=seed, scoring=scoring)
+    sweep = sigma_sweep(scale, "normal", seed=seed)
     return {
         sigma: {
             name: averaged_metric(per_dataset, name, "seconds_per_query")
@@ -72,7 +68,6 @@ def run_figure12(
     lengths: Sequence[int] = None,
     dataset_name: str = "GunPoint",
     sigma: float = 1.0,
-    scoring: Optional[str] = None,
 ) -> Dict[int, Dict[str, float]]:
     """``{length: {technique: mean seconds per query}}`` via resampling."""
     scale = scale if scale is not None else get_scale()
@@ -93,7 +88,6 @@ def run_figure12(
             standard_pdf_techniques(scenario),
             n_queries=min(scale.n_queries, 8),
             seed=seed,
-            scoring=scoring,
         )
         results[length] = {
             name: run.techniques[name].mean_query_seconds()

@@ -21,11 +21,7 @@ import numpy as np
 
 from ..core.rng import spawn
 from ..datasets import generate_dataset
-from ..evaluation.harness import (
-    ExperimentResult,
-    get_default_scoring,
-    run_similarity_experiment,
-)
+from ..evaluation.harness import ExperimentResult, run_similarity_experiment
 from ..perturbation.scenarios import ConstantScenario, PerturbationScenario
 from ..queries.techniques import (
     DustTechnique,
@@ -79,7 +75,6 @@ def run_on_datasets(
     technique_factory: TechniqueFactory,
     seed: int = EXPERIMENT_SEED,
     dataset_names: Optional[Sequence[str]] = None,
-    scoring: Optional[str] = None,
 ) -> Dict[str, ExperimentResult]:
     """Run one scenario over every dataset of the scale."""
     names = tuple(dataset_names or scale.dataset_names)
@@ -97,7 +92,6 @@ def run_on_datasets(
             techniques,
             n_queries=scale.n_queries,
             seed=spawn(seed, "run", name, scenario.name),
-            scoring=scoring,
         )
     return results
 
@@ -116,21 +110,14 @@ def sigma_sweep(
     technique_factory: TechniqueFactory = standard_pdf_techniques,
     seed: int = EXPERIMENT_SEED,
     factory_key: str = "standard",
-    scoring: Optional[str] = None,
 ) -> Dict[float, Dict[str, ExperimentResult]]:
     """All-dataset runs for every σ of the scale under one error family.
 
     Returns ``{sigma: {dataset: ExperimentResult}}``; results are memoized
-    per (scale, family, factory_key, seed, scoring) for the lifetime of
-    the process.
+    per (scale, family, factory_key, seed) for the lifetime of the
+    process.
     """
-    # Resolve the scoring default *before* keying the memo: a sweep cached
-    # while the process default was "matrix" must not be served after a
-    # set_default_scoring("profile") switch (the timings would silently
-    # measure the wrong path).
-    if scoring is None:
-        scoring = get_default_scoring()
-    cache_key = (scale.name, family, factory_key, seed, scoring)
+    cache_key = (scale.name, family, factory_key, seed)
     cached = _SWEEP_CACHE.get(cache_key)
     if cached is not None:
         return cached
@@ -138,7 +125,7 @@ def sigma_sweep(
     for sigma in scale.sigmas:
         scenario = ConstantScenario(family, sigma)
         sweep[sigma] = run_on_datasets(
-            scale, scenario, technique_factory, seed=seed, scoring=scoring
+            scale, scenario, technique_factory, seed=seed
         )
     _SWEEP_CACHE[cache_key] = sweep
     return sweep

@@ -11,8 +11,9 @@ go through the declarative session API (:mod:`repro.queries.session`):
 :class:`SimilaritySession` pins a collection, :class:`QuerySet` selects
 queries and a technique, and the techniques' ``distance_matrix`` /
 ``probability_matrix`` kernels answer the whole ``(M, N)`` grid at once.
-The free functions (``range_query``, ``knn_technique_query``, ...) remain
-as thin shims over the same kernels.
+Every query — kNN, range, probabilistic range, one row or all pairs —
+is a ``session.queries(...).using(technique)`` chain; ``repro.api.connect``
+returns the same surface for a daemon or a sharded cluster.
 """
 
 from __future__ import annotations
@@ -23,18 +24,11 @@ from .engine import (
     CollectionMaterialization,
     QueryEngine,
 )
-from .index import (
-    IndexStage,
-    index_enabled,
-    knn_candidate_thresholds,
-    set_index_enabled,
-)
+from .index import IndexStage, knn_candidate_thresholds
 from .knn import (
     euclidean_knn_table,
     knn_indices,
-    knn_query,
     knn_table,
-    knn_technique_query,
     sparse_knn_table,
 )
 from .parallel import (
@@ -69,11 +63,6 @@ from .planner import (
     sequential_mc_grid_decision,
     sequential_mc_verdict,
     set_default_policy,
-)
-from .range_query import (
-    probabilistic_range_query,
-    range_query,
-    result_set_from_scores,
 )
 from .session import (
     InProcessBackend,
@@ -125,8 +114,6 @@ __all__ = [
     "QueryPlan",
     "PlanStage",
     "IndexStage",
-    "index_enabled",
-    "set_index_enabled",
     "knn_candidate_thresholds",
     "BoundStage",
     "RefineStage",
@@ -157,14 +144,9 @@ __all__ = [
     "ProudTechnique",
     "MunichTechnique",
     "MunichDtwTechnique",
-    "range_query",
-    "probabilistic_range_query",
-    "result_set_from_scores",
     "knn_indices",
     "knn_table",
     "sparse_knn_table",
-    "knn_query",
-    "knn_technique_query",
     "euclidean_knn_table",
     "QueryCalibration",
     "calibrate_queries",

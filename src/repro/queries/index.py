@@ -31,38 +31,12 @@ policy).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import InvalidParameterError
-from .planner import (
-    PlanContext,
-    PlanStage,
-    effective_index_enabled,
-    get_default_policy,
-    set_default_policy,
-)
-
-
-def set_index_enabled(enabled: bool) -> None:
-    """Flip index pruning on the process-wide default plan policy.
-
-    Kept as the stable entry point for the CLI's ``--no-index``; it is
-    now a shim over :func:`~repro.queries.planner.set_default_policy`
-    (``use_index`` field) rather than its own module-global, so
-    sessions, the service daemon, and ``explain()`` all observe one
-    consistent setting.
-    """
-    set_default_policy(
-        replace(get_default_policy(), use_index=bool(enabled))
-    )
-
-
-def index_enabled() -> bool:
-    """Whether the default plan policy enables summarization-index pruning."""
-    return effective_index_enabled(None)
+from .planner import PlanContext, PlanStage, effective_index_enabled
 
 
 def knn_candidate_thresholds(

@@ -1,19 +1,20 @@
 """k-nearest-neighbor queries.
 
-Used in two places: DUST-style top-k search (Section 3.3 — "DUST being a
-distance measure, it can be used to answer top-k nearest neighbor
-queries"), and the evaluation protocol's ground-truth construction (the
-10 nearest neighbors under exact Euclidean define the true answer set).
+The top-k ranking helpers behind two uses: DUST-style top-k search
+(Section 3.3 — "DUST being a distance measure, it can be used to answer
+top-k nearest neighbor queries"), which the session's ``knn`` verb ranks
+with :func:`knn_table` / :func:`sparse_knn_table`, and the evaluation
+protocol's ground-truth construction (the 10 nearest neighbors under
+exact Euclidean define the true answer set).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..core.errors import InvalidParameterError
-from ..distances.base import Distance, distance_profile
 from ..distances.lp import euclidean_matrix
 
 
@@ -132,94 +133,6 @@ def sparse_knn_table(
         indices[row] = chosen
         scores[row] = row_values[indices[row]]
     return indices, scores
-
-
-#: Private engine for the free-function shims: their throwaway one-query
-#: workloads must not churn identity-keyed entries through the process-
-#: shared engine's LRU (evicting materializations that sessions rely on).
-_PLANNER_ENGINE = None
-
-
-def planner_query_set(technique, query, collection, exclude: Optional[int]):
-    """A one-query planner-backed :class:`~repro.queries.session.QuerySet`.
-
-    The execution seam shared by the legacy free functions: each builds a
-    single-query set against a private-engine session and runs the same
-    validated verb path (planner stages, pruning statistics, backend
-    dispatch) as the fluent ``session.queries(...).using(...)`` chains.
-    """
-    from .engine import QueryEngine
-    from .session import QuerySet, SimilaritySession
-
-    global _PLANNER_ENGINE
-    if _PLANNER_ENGINE is None:
-        _PLANNER_ENGINE = QueryEngine(max_collections=4)
-    session = SimilaritySession(collection, engine=_PLANNER_ENGINE)
-    positions = np.asarray(
-        [-1 if exclude is None else int(exclude)], dtype=np.intp
-    )
-    return QuerySet(session, [query], positions, technique)
-
-
-def knn_query(
-    distance: Distance,
-    query_values: np.ndarray,
-    collection_values: np.ndarray,
-    k: int,
-    exclude: Optional[int] = None,
-) -> List[int]:
-    """Top-k query under an arbitrary distance callable.
-
-    Euclidean queries — the paper's certain-data baseline and the ground-
-    truth measure — route through the planner-backed session path (same
-    stable rankings, plus index pruning when enabled).  Other callables
-    have no :class:`~repro.queries.techniques.Technique` wrapper and fall
-    back to one vectorized :func:`~repro.distances.base.distance_profile`
-    kernel.
-    """
-    from ..distances.lp import euclidean as _euclidean
-
-    if distance is _euclidean:
-        from .techniques import EuclideanTechnique
-
-        matrix = np.atleast_2d(
-            np.asarray(collection_values, dtype=np.float64)
-        )
-        return knn_technique_query(
-            EuclideanTechnique(),
-            np.asarray(query_values, dtype=np.float64),
-            matrix,
-            k,
-            exclude=exclude,
-        )
-    distances = distance_profile(distance, query_values, collection_values)
-    return knn_indices(distances, k, exclude=exclude)
-
-
-def knn_technique_query(
-    technique,
-    query,
-    collection: Sequence,
-    k: int,
-    exclude: Optional[int] = None,
-) -> List[int]:
-    """Top-k under a distance :class:`~repro.queries.techniques.Technique`.
-
-    A shim over the session path: the query runs through the same planner
-    verb as ``session.queries([...]).using(technique).knn(k)``, so free-
-    function callers get identical rankings (stable break-ties-by-index)
-    and the same index-stage pruning as the fluent surface.  Probabilistic
-    techniques have no stable ranking (the paper's argument for not using
-    top-k as the comparison task — Section 4.1.2), so this raises for
-    them.
-    """
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    eligible = len(collection) - (1 if exclude is not None else 0)
-    if eligible < 1:
-        return []
-    query_set = planner_query_set(technique, query, collection, exclude)
-    return query_set.knn(min(int(k), eligible)).row(0)
 
 
 def euclidean_knn_table(values: np.ndarray, k: int) -> np.ndarray:

@@ -240,7 +240,7 @@ class PlanPolicy:
         key (see :func:`plan_for_workload`).
     ``use_index``
         Tri-state index toggle: ``None`` defers to the process default
-        (:func:`set_default_policy` / ``set_index_enabled``).
+        (:func:`set_default_policy`).
     """
 
     mode: str = "auto"
@@ -329,8 +329,8 @@ def get_default_policy() -> PlanPolicy:
 def set_default_policy(policy: PlanPolicy) -> None:
     """Replace the process-wide default policy.
 
-    This is the one piece of planner-global state; the legacy
-    ``set_index_enabled`` toggle routes through it (``use_index``).
+    This is the one piece of planner-global state; the CLI's
+    ``--no-index`` sets ``use_index=False`` on it.
     """
     global _DEFAULT_POLICY
     if not isinstance(policy, PlanPolicy):

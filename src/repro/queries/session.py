@@ -46,7 +46,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.deprecation import warn_once
 from ..core.errors import InvalidParameterError, UnsupportedQueryError
 from .engine import SHARED_ENGINE, QueryEngine
 from .knn import knn_table, sparse_knn_table
@@ -60,22 +59,16 @@ from .planner import (
 )
 from .techniques import Technique, _epsilon_vector
 
-#: Sentinel distinguishing "caller omitted the legacy keyword" from an
-#: explicit ``None`` (which is meaningful for ``n_workers``/``backend``).
-_UNSET: Any = object()
-
 
 @dataclass(frozen=True)
 class SessionConfig:
     """Every session knob in one declarative object.
 
-    Consolidates what used to be loose :class:`SimilaritySession`
-    keywords (``n_workers``, ``backend``, ``row_block``, ``col_block``)
-    plus the :class:`~repro.queries.planner.PlanPolicy` that governs
-    cost-based plan choice, so a deployment's execution shape is one
-    value that can be stored, compared, and passed through ``connect()``
-    unchanged.  The legacy keywords still work behind once-per-process
-    :class:`DeprecationWarning` shims.
+    Holds the executor knobs (``n_workers``, ``backend``, ``row_block``,
+    ``col_block``) plus the :class:`~repro.queries.planner.PlanPolicy`
+    that governs cost-based plan choice, so a deployment's execution
+    shape is one value that can be stored, compared, and passed through
+    ``connect()`` unchanged.
 
     ``n_workers=1`` keeps kernels in-process; ``> 1`` (or ``None`` for
     all cores) shards the ``(M, N)`` grid over a worker pool.
@@ -846,11 +839,6 @@ class SimilaritySession:
         common case); combining it with a ``config`` that also sets a
         policy is an error.
 
-    The pre-config keywords (``n_workers``, ``backend``, ``row_block``,
-    ``col_block``) are still accepted behind once-per-process
-    :class:`DeprecationWarning` shims and fold into the effective
-    config.
-
     Parallel sessions own a worker pool: call :meth:`close` (or use the
     session as a context manager) to release it deterministically.
     """
@@ -870,10 +858,6 @@ class SimilaritySession:
         self,
         collection: Sequence,
         engine: Optional[QueryEngine] = None,
-        n_workers: Optional[int] = _UNSET,
-        backend: Optional[str] = _UNSET,
-        row_block: Optional[int] = _UNSET,
-        col_block: Optional[int] = _UNSET,
         *,
         config: Optional[SessionConfig] = None,
         policy: Optional[PlanPolicy] = None,
@@ -882,9 +866,15 @@ class SimilaritySession:
             raise InvalidParameterError(
                 "a similarity session needs a non-empty collection"
             )
-        config = self._effective_config(
-            config, policy, n_workers, backend, row_block, col_block
-        )
+        if config is None:
+            config = SessionConfig()
+        if policy is not None:
+            if config.policy is not None:
+                raise InvalidParameterError(
+                    "policy= conflicts with config.policy; set it in "
+                    "one place"
+                )
+            config = dataclasses.replace(config, policy=policy)
         self._collection = collection
         self._engine = engine if engine is not None else SHARED_ENGINE
         self._config = config
@@ -902,54 +892,6 @@ class SimilaritySession:
         self._closed = False
         self._close_lock = threading.Lock()
         self._engine.materialize(collection)
-
-    @staticmethod
-    def _effective_config(
-        config: Optional[SessionConfig],
-        policy: Optional[PlanPolicy],
-        n_workers,
-        backend,
-        row_block,
-        col_block,
-    ) -> SessionConfig:
-        """Fold legacy keywords + ``policy`` into one :class:`SessionConfig`.
-
-        Each legacy keyword that was actually passed warns once per
-        process and overrides the corresponding config field; mixing a
-        legacy keyword with an explicit ``config`` is rejected so there
-        is never a silent precedence question.
-        """
-        legacy = {
-            name: value
-            for name, value in (
-                ("n_workers", n_workers),
-                ("backend", backend),
-                ("row_block", row_block),
-                ("col_block", col_block),
-            )
-            if value is not _UNSET
-        }
-        if legacy and config is not None:
-            raise InvalidParameterError(
-                f"pass {'/'.join(sorted(legacy))} inside config=, not "
-                f"alongside it"
-            )
-        for name in legacy:
-            warn_once(
-                f"session-kwarg:{name}",
-                f"SimilaritySession({name}=...) is deprecated; pass "
-                f"config=SessionConfig({name}=...) instead",
-            )
-        if config is None:
-            config = SessionConfig(**legacy)
-        if policy is not None:
-            if config.policy is not None:
-                raise InvalidParameterError(
-                    "policy= conflicts with config.policy; set it in "
-                    "one place"
-                )
-            config = dataclasses.replace(config, policy=policy)
-        return config
 
     @property
     def config(self) -> SessionConfig:

@@ -75,12 +75,6 @@ the plans refine with live in ``distance_kernel`` /
 ``probability_kernel`` / ``calibration_kernel`` / ``refine_matrix``;
 :meth:`Technique.matrix_with_stats` returns the score matrix together
 with the executed plan's :class:`~repro.queries.planner.PruningStats`.
-
-Migration note for custom :class:`Technique` subclasses: a pre-planner
-subclass that overrode ``distance_matrix`` / ``probability_matrix`` is
-detected and its override is used as the refine kernel verbatim; such
-overrides must not delegate back to ``super()``'s matrix methods (which
-now run the plan) — override the ``*_kernel`` methods instead.
 """
 
 from __future__ import annotations
@@ -532,13 +526,8 @@ class Technique(abc.ABC):
     ) -> np.ndarray:
         """The exact all-pairs distance kernel the refine stage runs.
 
-        Base implementation stacks :meth:`distance_profile` rows —
-        unless the subclass still overrides :meth:`distance_matrix`
-        directly (the pre-planner extension point), in which case that
-        override *is* the kernel.
+        Base implementation stacks :meth:`distance_profile` rows.
         """
-        if type(self).distance_matrix is not Technique.distance_matrix:
-            return self.distance_matrix(queries, collection)
         if len(queries) == 0:
             return np.empty((0, len(collection)))
         return np.vstack(
@@ -550,8 +539,6 @@ class Technique(abc.ABC):
     ) -> np.ndarray:
         """The exact all-pairs probability kernel the refine stage runs."""
         eps = _epsilon_vector(epsilon, len(queries))
-        if type(self).probability_matrix is not Technique.probability_matrix:
-            return self.probability_matrix(queries, collection, eps)
         if len(queries) == 0:
             return np.empty((0, len(collection)))
         return np.vstack(
@@ -570,8 +557,6 @@ class Technique(abc.ABC):
         probabilistic ones it stacks :meth:`calibration_profile` rows
         (concrete techniques override with a Euclidean GEMM).
         """
-        if type(self).calibration_matrix is not Technique.calibration_matrix:
-            return self.calibration_matrix(queries, collection)
         if self.kind == "distance":
             return self.distance_kernel(queries, collection)
         if len(queries) == 0:

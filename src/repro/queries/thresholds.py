@@ -20,7 +20,7 @@ excluded throughout (a query is never its own neighbor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -73,19 +73,10 @@ def technique_epsilon(
     technique: Technique,
     perturbed: Sequence,
     calibration: QueryCalibration,
-    profile: Optional[np.ndarray] = None,
 ) -> float:
     """This technique's ε for one query: its calibration distance between
     the perturbed query and the perturbed anchor (10th NN) series.
-
-    When the caller has already computed the query's calibration profile
-    (the batch vector of calibration distances to every collection series
-    — for distance techniques that is the distance profile itself), pass
-    it as ``profile`` and the anchor entry is read off directly instead of
-    recomputing the pair.
     """
-    if profile is not None:
-        return float(profile[calibration.anchor_index])
     query = perturbed[calibration.query_index]
     anchor = perturbed[calibration.anchor_index]
     return technique.calibration_distance(query, anchor)

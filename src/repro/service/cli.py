@@ -190,19 +190,21 @@ def query_main(argv: Optional[List[str]] = None) -> int:
             return 0
         if args.collection is None:
             parser.error("query verbs require --collection")
-        # _query is the shared transport under both the deprecated
-        # ServiceClient verbs and RemoteBackend; the CLI uses it directly
-        # so it never trips its own deprecation warnings.
         if args.knn is not None:
-            result = client._query(
-                "knn",
-                args.collection,
-                {"k": int(args.knn)},
-                technique,
-                indices,
-                None,
-                args.timeout,
-            )
+            op, params = "knn", {"k": int(args.knn)}
+        elif args.range_ is not None:
+            op, params = "range", {"epsilon": float(args.range_)}
+        else:
+            epsilon, tau = args.prob_range
+            op, params = "prob_range", {
+                "epsilon": float(epsilon),
+                "tau": float(tau),
+            }
+        result = client.query(
+            op, args.collection, params, technique, indices,
+            timeout=args.timeout,
+        )
+        if op == "knn":
             for row, (neighbors, scores) in enumerate(
                 zip(result.indices, result.scores)
             ):
@@ -211,29 +213,7 @@ def query_main(argv: Optional[List[str]] = None) -> int:
                     for index, score in zip(neighbors, scores)
                 )
                 print(f"query {row}: {pairs}")
-        elif args.range_ is not None:
-            result = client._query(
-                "range",
-                args.collection,
-                {"epsilon": float(args.range_)},
-                technique,
-                indices,
-                None,
-                args.timeout,
-            )
-            for row, found in enumerate(result.matches):
-                print(f"query {row}: {found}")
         else:
-            epsilon, tau = args.prob_range
-            result = client._query(
-                "prob_range",
-                args.collection,
-                {"epsilon": float(epsilon), "tau": float(tau)},
-                technique,
-                indices,
-                None,
-                args.timeout,
-            )
             for row, found in enumerate(result.matches):
                 print(f"query {row}: {found}")
         if result.batch:

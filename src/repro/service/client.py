@@ -8,17 +8,23 @@ One TCP connection, one request at a time, structured results::
         client.ping()
         client.register("trades", "/data/trades_collection")
 
-        hits = client.knn("trades", k=10, technique="dust",
-                          indices=[0, 1, 2])
+        hits = client.query("knn", "trades", {"k": 10},
+                            technique="dust", indices=[0, 1, 2])
         hits.indices      # (3, 10) ranked neighbor lists
         hits.scores       # matching distances
         hits.batch        # {"size": ..., "n_queries": ..., "waited_ms": ...}
         hits.stats        # the plan's pruning statistics, if recorded
 
-        prq = client.prob_range("sensors", epsilon=4.0, tau=0.4,
-                                technique={"name": "proud",
-                                           "params": {"assumed_std": 0.7}})
+        prq = client.query("prob_range", "sensors",
+                           {"epsilon": 4.0, "tau": 0.4},
+                           technique={"name": "proud",
+                                      "params": {"assumed_std": 0.7}})
         prq.matches       # per-query match index lists
+
+Most callers want the fluent surface instead —
+``repro.api.connect("tcp://host:port/name").queries().using(t).knn(k)`` —
+which returns the same result types as an in-process session;
+:meth:`ServiceClient.query` is the raw wire verb underneath it.
 
 Server-side errors raise :class:`ServiceError` carrying the structured
 ``error.type`` — the daemon never ships tracebacks.
@@ -29,9 +35,8 @@ from __future__ import annotations
 import itertools
 import socket
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..core.deprecation import warn_once
 from ..core.errors import ReproError
 from .protocol import (
     PROTOCOL_VERSION,
@@ -151,17 +156,26 @@ class ServiceClient:
             )
         return response
 
-    def _query(
+    # -- query op ---------------------------------------------------------
+
+    def query(
         self,
         op: str,
         collection: str,
         params: Dict[str, Any],
-        technique: Union[str, Dict[str, Any], None],
-        indices: Optional[Sequence[int]],
-        values: Optional[Sequence[Sequence[float]]],
-        timeout: Optional[float],
-        candidates: Optional[Tuple[int, int]] = None,
+        technique: Union[str, Dict[str, Any], None] = None,
+        indices: Optional[Sequence[int]] = None,
+        values: Optional[Sequence[Sequence[float]]] = None,
+        timeout: Optional[float] = None,
     ) -> ServiceResult:
+        """One ``knn`` / ``range`` / ``prob_range`` request.
+
+        ``params`` is the op's wire parameters (``{"k": 10}``,
+        ``{"epsilon": 4.0}``, ``{"epsilon": 4.0, "tau": 0.4}``, plus an
+        optional ``"policy"``).  Queries default to *every* collection
+        series (the paper's full protocol); pass ``indices`` for a subset
+        or ``values`` for raw query rows against an exact-kind collection.
+        """
         if indices is not None and values is not None:
             raise ProtocolError(
                 "pass query 'indices' or raw 'values', not both"
@@ -181,11 +195,6 @@ class ServiceClient:
             }
         if timeout is not None:
             payload["timeout"] = float(timeout)
-        if candidates is not None:
-            payload["candidates"] = {
-                "start": int(candidates[0]),
-                "stop": int(candidates[1]),
-            }
         response = self._request(payload)
         return ServiceResult(
             op=op,
@@ -193,89 +202,6 @@ class ServiceClient:
             stats=response.get("stats"),
             batch=response.get("batch"),
             elapsed_ms=response.get("elapsed_ms"),
-        )
-
-    # -- query ops ----------------------------------------------------------
-
-    @staticmethod
-    def _warn_direct(verb: str) -> None:
-        warn_once(
-            f"service-client-verb:{verb}",
-            f"ServiceClient.{verb}() is deprecated; use the fluent "
-            f"surface — repro.api.connect('tcp://host:port').queries()"
-            f".using(technique).{verb}(...) — which returns the same "
-            f"structured results as an in-process session",
-            stacklevel=4,
-        )
-
-    def knn(
-        self,
-        collection: str,
-        k: int,
-        technique: Union[str, Dict[str, Any], None] = None,
-        indices: Optional[Sequence[int]] = None,
-        values: Optional[Sequence[Sequence[float]]] = None,
-        timeout: Optional[float] = None,
-    ) -> ServiceResult:
-        """Row-wise k-nearest neighbors (distance techniques).
-
-        Queries default to *every* collection series (the paper's full
-        protocol); pass ``indices`` for a subset or ``values`` for raw
-        query rows against an exact-kind collection.
-
-        .. deprecated::
-            Use ``repro.api.connect(...)`` and the fluent query surface.
-        """
-        self._warn_direct("knn")
-        return self._query(
-            "knn", collection, {"k": int(k)}, technique, indices, values,
-            timeout,
-        )
-
-    def range(
-        self,
-        collection: str,
-        epsilon: Union[float, Sequence[float]],
-        technique: Union[str, Dict[str, Any], None] = None,
-        indices: Optional[Sequence[int]] = None,
-        values: Optional[Sequence[Sequence[float]]] = None,
-        timeout: Optional[float] = None,
-    ) -> ServiceResult:
-        """Per-query range results ``distance <= ε`` (Equation 1).
-
-        .. deprecated::
-            Use ``repro.api.connect(...)`` and the fluent query surface.
-        """
-        self._warn_direct("range")
-        return self._query(
-            "range", collection, {"epsilon": _epsilon_param(epsilon)},
-            technique, indices, values, timeout,
-        )
-
-    def prob_range(
-        self,
-        collection: str,
-        epsilon: Union[float, Sequence[float]],
-        tau: float,
-        technique: Union[str, Dict[str, Any], None] = None,
-        indices: Optional[Sequence[int]] = None,
-        values: Optional[Sequence[Sequence[float]]] = None,
-        timeout: Optional[float] = None,
-    ) -> ServiceResult:
-        """Probabilistic range ``Pr(distance <= ε) >= τ`` (Equation 2).
-
-        .. deprecated::
-            Use ``repro.api.connect(...)`` and the fluent query surface.
-        """
-        self._warn_direct("prob_range")
-        return self._query(
-            "prob_range",
-            collection,
-            {"epsilon": _epsilon_param(epsilon), "tau": float(tau)},
-            technique,
-            indices,
-            values,
-            timeout,
         )
 
     # -- control ops --------------------------------------------------------

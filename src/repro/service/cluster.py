@@ -867,8 +867,8 @@ class RemoteBackend(SimilarityBackend):
         policy = query_set.policy
         if policy is not None:
             params = {**params, "policy": policy.to_wire()}
-        return self._client._query(
-            op, self._collection, params, spec, indices, values, None
+        return self._client.query(
+            op, self._collection, params, spec, indices, values
         )
 
     def knn(self, query_set: QuerySet, k: int) -> KnnResult:

@@ -125,10 +125,11 @@ def main() -> int:
             )
             with ServiceClient("127.0.0.1", port) as client:
                 assert client.ping()
-                euclid = client.knn("smoke", k=5, technique="euclidean")
-                dust = client.knn("smoke", k=5, technique="dust")
-                prq = client.prob_range(
-                    "smoke", epsilon=4.0, tau=0.4, technique="proud"
+                euclid = client.query("knn", "smoke", {"k": 5}, "euclidean")
+                dust = client.query("knn", "smoke", {"k": 5}, "dust")
+                prq = client.query(
+                    "prob_range", "smoke", {"epsilon": 4.0, "tau": 0.4},
+                    "proud",
                 )
             if euclid.indices != euclid_expected:
                 print("FAIL: Euclidean kNN differs from in-process result")

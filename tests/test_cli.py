@@ -8,20 +8,19 @@ import pytest
 
 from repro.cli import _COMMANDS, build_parser, main, run_command
 from repro.core import InvalidParameterError
-from repro.evaluation import (
-    get_default_scoring,
-    get_default_workers,
-    set_default_scoring,
-    set_default_workers,
+from repro.evaluation import get_default_workers, set_default_workers
+from repro.queries.planner import (
+    effective_index_enabled,
+    get_default_policy,
+    set_default_policy,
 )
 
 
 @pytest.fixture
 def restore_harness_defaults():
-    """Snapshot and restore the process-wide scoring/workers defaults."""
-    scoring, workers = get_default_scoring(), get_default_workers()
+    """Snapshot and restore the process-wide workers default."""
+    workers = get_default_workers()
     yield
-    set_default_scoring(scoring)
     set_default_workers(workers)
 
 
@@ -43,7 +42,7 @@ class TestParser:
     def test_workers_and_scoring_default_to_none(self):
         args = build_parser().parse_args(["fig05"])
         assert args.workers is None
-        assert args.scoring is None
+        assert not hasattr(args, "scoring")  # one scoring path, no switch
 
     def test_workers_parses_int(self):
         args = build_parser().parse_args(["fig05", "--workers", "4"])
@@ -86,15 +85,6 @@ class TestExecution:
         assert main(["uniformity", "--scale", "tiny", "--workers", "2"]) == 0
         assert get_default_workers() == 2
 
-    def test_scoring_passthrough_sets_harness_default(
-        self, restore_harness_defaults, capsys
-    ):
-        assert (
-            main(["uniformity", "--scale", "tiny", "--scoring", "profile"])
-            == 0
-        )
-        assert get_default_scoring() == "profile"
-
     def test_invalid_workers_rejected(self, restore_harness_defaults):
         with pytest.raises(InvalidParameterError):
             main(["uniformity", "--scale", "tiny", "--workers", "0"])
@@ -131,10 +121,9 @@ class TestStatsFlag:
 class TestNoIndexFlag:
     @pytest.fixture(autouse=True)
     def restore_index_default(self):
-        from repro.queries.index import set_index_enabled
-
+        policy = get_default_policy()
         yield
-        set_index_enabled(True)
+        set_default_policy(policy)
 
     def test_parser_accepts_flag(self):
         args = build_parser().parse_args(["fig05", "--no-index"])
@@ -142,13 +131,10 @@ class TestNoIndexFlag:
         assert build_parser().parse_args(["fig05"]).no_index is False
 
     def test_no_index_disables_index_stage(self, capsys):
-        from repro.queries.index import index_enabled
-
         assert main(["uniformity", "--scale", "tiny", "--no-index"]) == 0
-        assert not index_enabled()
+        assert get_default_policy().use_index is False
+        assert not effective_index_enabled(None)
 
     def test_default_keeps_index_enabled(self, capsys):
-        from repro.queries.index import index_enabled
-
         assert main(["uniformity", "--scale", "tiny"]) == 0
-        assert index_enabled()
+        assert effective_index_enabled(None)

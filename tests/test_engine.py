@@ -16,8 +16,7 @@ import pytest
 
 from repro.core import spawn
 from repro.datasets import generate_dataset
-from repro.distances.base import distance_profile
-from repro.distances.lp import euclidean, euclidean_profile, manhattan
+from repro.distances.lp import euclidean, euclidean_profile
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario, MixedStdScenario
 from repro.queries import (
@@ -28,9 +27,7 @@ from repro.queries import (
     MunichTechnique,
     ProudTechnique,
     QueryEngine,
-    knn_technique_query,
-    probabilistic_range_query,
-    range_query,
+    SimilaritySession,
     technique_epsilon,
 )
 from repro.queries.thresholds import PAPER_K, calibrate_queries
@@ -231,11 +228,10 @@ class TestCalibrationProfile:
         values = np.vstack([s.observations for s in homogeneous])
         calibration = calibrate_queries(values, k=PAPER_K)[0]
         profile = technique.calibration_profile(homogeneous[0], homogeneous)
-        from_profile = technique_epsilon(
-            technique, homogeneous, calibration, profile=profile
-        )
         from_pair = technique_epsilon(technique, homogeneous, calibration)
-        assert from_profile == pytest.approx(from_pair, abs=1e-9)
+        assert profile[calibration.anchor_index] == pytest.approx(
+            from_pair, abs=1e-9
+        )
 
 
 class TestBatchQueryConsumers:
@@ -243,7 +239,13 @@ class TestBatchQueryConsumers:
         values = np.random.default_rng(7).normal(size=(20, 16))
         query = values[0]
         epsilon = 4.0
-        fast = range_query(query, values, epsilon, euclidean, exclude=0)
+        fast = (
+            SimilaritySession(values)
+            .queries([0])
+            .using(EuclideanTechnique())
+            .range(epsilon)
+            .sets()[0]
+        )
         slow = [
             j
             for j in range(1, 20)
@@ -251,23 +253,14 @@ class TestBatchQueryConsumers:
         ]
         assert fast == slow
 
-    def test_range_query_works_without_profile_hook(self):
-        values = np.random.default_rng(8).normal(size=(12, 10))
-        plain = lambda x, y: float(np.abs(x - y).sum())  # noqa: E731
-        assert range_query(values[0], values, 8.0, plain) == range_query(
-            values[0], values, 8.0, manhattan
-        )
-
-    def test_distance_profile_helper_hook_vs_loop(self):
-        values = np.random.default_rng(9).normal(size=(10, 8))
-        hooked = distance_profile(euclidean, values[0], values)
-        looped = np.array([euclidean(values[0], row) for row in values])
-        np.testing.assert_allclose(hooked, looped, atol=1e-9)
-
     def test_knn_technique_query_matches_per_pair_ranking(self, homogeneous):
         technique = DustTechnique()
-        batch = knn_technique_query(
-            technique, homogeneous[2], homogeneous, k=5, exclude=2
+        batch = (
+            SimilaritySession(homogeneous)
+            .queries([2])
+            .using(technique)
+            .knn(5)
+            .row(0)
         )
         distances = np.array(
             [technique.distance(homogeneous[2], c) for c in homogeneous]
@@ -280,19 +273,16 @@ class TestBatchQueryConsumers:
     def test_probabilistic_range_query_distance_and_prob(
         self, homogeneous
     ):
-        technique = EuclideanTechnique()
-        result = probabilistic_range_query(
-            technique, homogeneous[0], homogeneous, epsilon=5.0, exclude=0
-        )
+        query_set = SimilaritySession(homogeneous).queries([0])
+        result = query_set.using(EuclideanTechnique()).range(5.0).sets()[0]
         assert 0 not in result
         proud = ProudTechnique(assumed_std=0.7)
-        with_tau = probabilistic_range_query(
-            proud, homogeneous[0], homogeneous, epsilon=5.0, tau=0.5
-        )
+        with_tau = query_set.using(proud).prob_range(5.0, 0.5).sets()[0]
         expected = [
             j
             for j, candidate in enumerate(homogeneous)
-            if proud.probability(homogeneous[0], candidate, 5.0) >= 0.5
+            if j != 0
+            and proud.probability(homogeneous[0], candidate, 5.0) >= 0.5
         ]
         assert with_tau == expected
 

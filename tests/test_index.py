@@ -52,28 +52,22 @@ from repro.queries import (
     IndexStage,
     MunichDtwTechnique,
     MunichTechnique,
+    PlanPolicy,
     ProudTechnique,
     QueryEngine,
+    SessionConfig,
     SimilaritySession,
-    index_enabled,
     knn_candidate_thresholds,
     knn_table,
-    set_index_enabled,
     sparse_knn_table,
 )
 
 TOL = 1e-9
+NO_INDEX = PlanPolicy(use_index=False)
+SHARDED = SessionConfig(backend="serial", row_block=4, col_block=5)
 
 N_SERIES = 13
 LENGTH = 12
-
-
-@pytest.fixture(autouse=True)
-def _index_on():
-    """Every test starts (and ends) with the index enabled."""
-    set_index_enabled(True)
-    yield
-    set_index_enabled(True)
 
 
 @pytest.fixture(scope="module")
@@ -341,11 +335,12 @@ def _distance_cases(pdf, multisample):
 class TestParity:
     def test_knn_matches_unindexed(self, pdf, multisample):
         for technique, collection in _distance_cases(pdf, multisample):
-            set_index_enabled(True)
             session = SimilaritySession(collection, engine=QueryEngine())
             indexed = session.queries().using(technique).knn(4)
-            set_index_enabled(False)
-            baseline = session.queries().using(technique).knn(4)
+            baseline = (
+                session.queries().using(technique).with_policy(NO_INDEX)
+                .knn(4)
+            )
             assert np.array_equal(indexed.indices, baseline.indices), (
                 technique.name
             )
@@ -355,11 +350,12 @@ class TestParity:
 
     def test_range_matches_unindexed(self, pdf, multisample):
         for technique, collection in _distance_cases(pdf, multisample):
-            set_index_enabled(True)
             session = SimilaritySession(collection, engine=QueryEngine())
             indexed = session.queries().using(technique).range(3.0)
-            set_index_enabled(False)
-            baseline = session.queries().using(technique).range(3.0)
+            baseline = (
+                session.queries().using(technique).with_policy(NO_INDEX)
+                .range(3.0)
+            )
             for a, b in zip(indexed.matches, baseline.matches):
                 assert np.array_equal(a, b), technique.name
 
@@ -377,14 +373,13 @@ class TestParity:
             (ProudTechnique(assumed_std=0.4), pdf),
         ]
         for technique, collection in cases:
-            set_index_enabled(True)
             session = SimilaritySession(collection, engine=QueryEngine())
             indexed = (
                 session.queries().using(technique).prob_range(2.5, 0.3)
             )
-            set_index_enabled(False)
             baseline = (
-                session.queries().using(technique).prob_range(2.5, 0.3)
+                session.queries().using(technique).with_policy(NO_INDEX)
+                .prob_range(2.5, 0.3)
             )
             for a, b in zip(indexed.matches, baseline.matches):
                 assert np.array_equal(a, b), technique.name
@@ -394,12 +389,7 @@ class TestParity:
         single = SimilaritySession(multisample, engine=QueryEngine())
         reference = single.queries().using(technique).knn(4)
         with SimilaritySession(
-            multisample,
-            engine=QueryEngine(),
-            n_workers=1,
-            backend="serial",
-            row_block=4,
-            col_block=5,
+            multisample, engine=QueryEngine(), config=SHARDED
         ) as sharded:
             result = sharded.queries().using(technique).knn(4)
         assert np.array_equal(result.indices, reference.indices)
@@ -410,12 +400,7 @@ class TestParity:
         single = SimilaritySession(multisample, engine=QueryEngine())
         reference = single.queries().using(technique).range(3.0)
         with SimilaritySession(
-            multisample,
-            engine=QueryEngine(),
-            n_workers=1,
-            backend="serial",
-            row_block=4,
-            col_block=5,
+            multisample, engine=QueryEngine(), config=SHARDED
         ) as sharded:
             result = sharded.queries().using(technique).range(3.0)
         for a, b in zip(result.matches, reference.matches):
@@ -462,9 +447,10 @@ class TestAccounting:
         assert "skipped" in text
 
     def test_selectivity_none_without_index(self, multisample):
-        set_index_enabled(False)
         technique = EuclideanTechnique()
-        session = SimilaritySession(multisample, engine=QueryEngine())
+        session = SimilaritySession(
+            multisample, engine=QueryEngine(), policy=NO_INDEX
+        )
         result = session.queries().using(technique).knn(4)
         # The stage still runs (as a no-op); with nothing decided the
         # selectivity reads 1.0 — or the stage is absent entirely on the
@@ -472,13 +458,6 @@ class TestAccounting:
         stats = result.pruning_stats
         selectivity = stats.index_selectivity
         assert selectivity is None or selectivity == pytest.approx(1.0)
-
-    def test_toggle_roundtrip(self):
-        assert index_enabled()
-        set_index_enabled(False)
-        assert not index_enabled()
-        set_index_enabled(True)
-        assert index_enabled()
 
     def test_index_stage_noop_without_decision_info(self, multisample):
         technique = EuclideanTechnique()

@@ -252,6 +252,23 @@ class TestErrors:
         assert manifest_path in message
         assert "re-save" in message
 
+    @pytest.mark.parametrize("mmap_mode", ["r", None])
+    def test_truncated_payload_rejected_at_load(
+        self, pdf, tmp_path, mmap_mode
+    ):
+        """A short ``.npy`` fails in ``load_collection`` itself (not at
+        first query), naming the manifest and the payload file."""
+        manifest_path = save_collection(pdf, str(tmp_path))
+        payload = tmp_path / "values.npy"
+        with open(payload, "r+b") as handle:
+            handle.truncate(payload.stat().st_size - 5)
+        with pytest.raises(MappedCollectionError) as excinfo:
+            load_collection(str(tmp_path), mmap_mode=mmap_mode)
+        message = str(excinfo.value)
+        assert "values.npy" in message
+        assert manifest_path in message
+        assert "truncated" in message
+
     def test_deleted_index_table_names_manifest_and_file(
         self, pdf, tmp_path
     ):

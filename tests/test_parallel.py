@@ -23,6 +23,7 @@ from repro.queries import (
     FilteredTechnique,
     MunichTechnique,
     ProudTechnique,
+    SessionConfig,
     ShardedExecutor,
     SimilaritySession,
     Technique,
@@ -349,6 +350,11 @@ class TestBackendFallback:
             )
 
 
+SERIAL_SHARDS = SessionConfig(
+    n_workers=2, backend="serial", row_block=4, col_block=5
+)
+
+
 class TestSessionWiring:
     def test_single_process_session_has_no_executor(self, pdf):
         session = SimilaritySession(pdf)
@@ -357,9 +363,7 @@ class TestSessionWiring:
     def test_parallel_session_results_match(self, pdf):
         reference = SimilaritySession(pdf)
         baseline = reference.queries().using(EuclideanTechnique()).knn(4)
-        with SimilaritySession(
-            pdf, n_workers=2, backend="serial", row_block=4, col_block=5
-        ) as session:
+        with SimilaritySession(pdf, config=SERIAL_SHARDS) as session:
             assert session.executor is not None
             result = session.queries().using(EuclideanTechnique()).knn(4)
             assert np.array_equal(result.indices, baseline.indices)
@@ -377,9 +381,7 @@ class TestSessionWiring:
             .using(EuclideanTechnique())
             .range(3.0)
         )
-        with SimilaritySession(
-            pdf, n_workers=2, backend="serial", row_block=4, col_block=5
-        ) as session:
+        with SimilaritySession(pdf, config=SERIAL_SHARDS) as session:
             sharded = (
                 session.queries().using(EuclideanTechnique()).range(3.0)
             )
@@ -393,9 +395,7 @@ class TestSessionWiring:
             .using(technique)
             .prob_range(2.5, tau=0.4)
         )
-        with SimilaritySession(
-            pdf, n_workers=2, backend="serial", row_block=4, col_block=5
-        ) as session:
+        with SimilaritySession(pdf, config=SERIAL_SHARDS) as session:
             sharded = (
                 session.queries().using(technique).prob_range(2.5, tau=0.4)
             )
@@ -405,9 +405,8 @@ class TestSessionWiring:
         baseline = (
             SimilaritySession(pdf).queries().using(EuclideanTechnique())
         ).knn(4)
-        with SimilaritySession(
-            pdf, n_workers=2, backend="process", col_block=4
-        ) as session:
+        config = SessionConfig(n_workers=2, backend="process", col_block=4)
+        with SimilaritySession(pdf, config=config) as session:
             result = session.queries().using(EuclideanTechnique()).knn(4)
         assert np.array_equal(result.indices, baseline.indices)
 

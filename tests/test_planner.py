@@ -34,6 +34,7 @@ from repro.queries import (
     PruningStats,
     QueryPlan,
     RefineStage,
+    SessionConfig,
     ShardedExecutor,
     SimilaritySession,
     StageStats,
@@ -442,9 +443,8 @@ class TestSessionStats:
             assert ranged.pruning_stats is not None
 
     def test_parallel_session_logs_executor_plan(self, pdf):
-        with SimilaritySession(
-            pdf, backend="serial", row_block=4
-        ) as session:
+        config = SessionConfig(backend="serial", row_block=4)
+        with SimilaritySession(pdf, config=config) as session:
             result = (
                 session.queries().using(DustTechnique()).profile_matrix()
             )
@@ -454,7 +454,7 @@ class TestSessionStats:
         assert stats.executor["backend"] == "serial"
         assert stats.executor["cpu_count"] >= 1
         knn = (
-            SimilaritySession(pdf, backend="serial", row_block=4)
+            SimilaritySession(pdf, config=config)
             .queries()
             .using(EuclideanTechnique())
             .knn(3)
@@ -480,7 +480,7 @@ class TestSessionStats:
 
 
 class TestCustomTechniqueMigration:
-    """Pre-planner extension points keep working unchanged."""
+    """A per-pair-only subclass runs through the default plan."""
 
     def test_per_pair_fallback_subclass(self, pdf):
         class Hamming(Technique):
@@ -499,36 +499,6 @@ class TestCustomTechniqueMigration:
         reference = _stacked_profiles(technique, pdf[:4], pdf)
         np.testing.assert_array_equal(values, reference)
         assert [entry.stage for entry in stats.stages] == ["refine"]
-
-    def test_legacy_matrix_override_is_the_refine_kernel(self, pdf):
-        class LegacyGemm(Technique):
-            name = "legacy-gemm"
-            kind = "distance"
-            calls = 0
-
-            def distance(self, query, candidate):
-                residual = query.observations - candidate.observations
-                return float(np.sqrt((residual * residual).sum()))
-
-            def distance_matrix(self, queries, collection):
-                type(self).calls += 1
-                return np.vstack(
-                    [
-                        [self.distance(q, c) for c in collection]
-                        for q in queries
-                    ]
-                )
-
-        technique = LegacyGemm()
-        values, stats = technique.matrix_with_stats(
-            "distance", pdf[:3], pdf
-        )
-        assert LegacyGemm.calls == 1  # the override ran as the kernel
-        reference = EuclideanTechnique().distance_matrix(pdf[:3], pdf)
-        assert np.max(np.abs(values - reference)) <= PARITY_TOL
-        # And the classic entry point still answers directly.
-        direct = technique.distance_matrix(pdf[:3], pdf)
-        assert np.max(np.abs(direct - reference)) <= PARITY_TOL
 
     def test_default_plan_is_single_refine(self):
         plan = EuclideanTechnique().build_plan("distance")

@@ -13,20 +13,16 @@ The contracts under test:
 * ``QuerySet.with_policy`` / ``SimilaritySession(config=...)`` /
   ``connect(policy=...)`` accept the policy uniformly and ``explain()``
   reports the same chosen plan on every backend;
-* the legacy session keywords and index toggle route through the policy
-  behind once-per-process :class:`DeprecationWarning` shims.
+* executor knobs live only on :class:`SessionConfig`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core import TimeSeries, spawn
 from repro.core.errors import InvalidParameterError
-from repro.core.deprecation import reset_deprecation_warnings, warn_once
 from repro.datasets import generate_dataset
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario
@@ -137,15 +133,6 @@ class TestIndexRouting:
         set_default_policy(PlanPolicy(use_index=False))
         assert effective_index_enabled(PlanPolicy(use_index=True))
         assert not effective_index_enabled(None)
-
-    def test_legacy_toggle_routes_through_policy(self):
-        from repro.queries.index import index_enabled, set_index_enabled
-
-        set_index_enabled(False)
-        assert not effective_index_enabled(None)
-        assert not index_enabled()
-        set_index_enabled(True)
-        assert effective_index_enabled(None)
 
 
 class TestTauGrid:
@@ -410,36 +397,11 @@ class TestSessionConfig:
             assert session.config == config
             assert session.policy is None
 
-    def test_legacy_kwargs_warn_once_and_still_work(self, noise):
-        reset_deprecation_warnings()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with SimilaritySession(noise, n_workers=2) as session:
-                    assert session.config.n_workers == 2
-            deprecations = [
-                entry for entry in caught
-                if issubclass(entry.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-            assert "SessionConfig" in str(deprecations[0].message)
-            # Second use: the once-per-process registry swallows it.
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with SimilaritySession(noise, n_workers=2):
-                    pass
-            assert not [
-                entry for entry in caught
-                if issubclass(entry.category, DeprecationWarning)
-            ]
-        finally:
-            reset_deprecation_warnings()
-
-    def test_legacy_kwargs_conflict_with_config(self, noise):
-        with pytest.raises(InvalidParameterError, match="config="):
-            SimilaritySession(
-                noise, n_workers=2, config=SessionConfig(n_workers=2)
-            )
+    def test_executor_knobs_only_through_config(self, noise):
+        with pytest.raises(TypeError):
+            SimilaritySession(noise, n_workers=2)
+        with pytest.raises(TypeError):
+            SimilaritySession(noise, None, 2)
 
     def test_policy_kwarg_merges_into_config(self, noise):
         policy = PlanPolicy(mode="fixed")
@@ -452,38 +414,3 @@ class TestSessionConfig:
             SessionConfig(n_workers=0)
         with pytest.raises(InvalidParameterError):
             SessionConfig(policy="auto")
-
-
-class TestWarnOnce:
-    def test_warn_once_fires_exactly_once_per_key(self):
-        reset_deprecation_warnings()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert warn_once("test:policy-key", "first call warns")
-                assert not warn_once("test:policy-key", "second is silent")
-                assert warn_once("test:other-key", "new key warns")
-            assert len(caught) == 2
-        finally:
-            reset_deprecation_warnings()
-
-    def test_service_client_verbs_warn_once(self):
-        from repro.service.client import ServiceClient
-
-        reset_deprecation_warnings()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                for _ in range(2):
-                    try:
-                        ServiceClient("127.0.0.1", 1).knn("missing", k=1)
-                    except Exception:
-                        pass  # no daemon: only the warning matters
-            deprecations = [
-                entry for entry in caught
-                if issubclass(entry.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-            assert "connect" in str(deprecations[0].message)
-        finally:
-            reset_deprecation_warnings()

@@ -26,11 +26,6 @@ from repro.queries import (
     calibrate_queries,
     euclidean_knn_table,
     knn_indices,
-    knn_query,
-    knn_technique_query,
-    probabilistic_range_query,
-    range_query,
-    result_set_from_scores,
     select_query_indices,
     technique_epsilon,
 )
@@ -166,51 +161,55 @@ class TestMunichTechnique:
         assert EuclideanTechnique().input_kind == "pdf"
 
 
+def _one_query(collection, query, technique):
+    """A one-row fluent query set: an index selects a member (its
+    self-match is excluded), a value row competes against every series."""
+    return SimilaritySession(collection).queries([query]).using(technique)
+
+
 class TestRangeQueries:
     def test_certain_range_query(self):
         collection = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
-        result = range_query(np.zeros(2), collection, 2.0, euclidean)
-        assert result == [0, 1]
+        result = _one_query(collection, np.zeros(2), EuclideanTechnique())
+        assert result.range(2.0).sets() == [[0, 1]]
 
     def test_exclude_self(self):
         collection = np.array([[0.0, 0.0], [1.0, 0.0]])
-        result = range_query(np.zeros(2), collection, 2.0, euclidean, exclude=0)
-        assert result == [1]
+        result = _one_query(collection, 0, EuclideanTechnique())
+        assert result.range(2.0).sets() == [[1]]
 
     def test_negative_epsilon_rejected(self):
+        query_set = _one_query(np.zeros((1, 2)), 0, EuclideanTechnique())
         with pytest.raises(InvalidParameterError):
-            range_query(np.zeros(2), np.zeros((1, 2)), -1.0, euclidean)
+            query_set.range(-1.0)
 
     def test_probabilistic_range_query_distance_technique(
         self, perturbed_collection
     ):
         technique = EuclideanTechnique()
         query = perturbed_collection[0]
-        result = probabilistic_range_query(
-            technique, query, perturbed_collection, 5.0, exclude=0
+        result = (
+            _one_query(perturbed_collection, 0, technique).range(5.0).sets()[0]
         )
-        assert 0 not in result
-        assert all(
-            technique.distance(query, perturbed_collection[i]) <= 5.0
-            for i in result
-        )
+        expected = [
+            i
+            for i, candidate in enumerate(perturbed_collection)
+            if i != 0 and technique.distance(query, candidate) <= 5.0
+        ]
+        assert result == expected
 
     def test_probabilistic_range_query_with_tau(self, perturbed_collection):
         technique = ProudTechnique(assumed_std=0.2)
-        result = probabilistic_range_query(
-            technique, perturbed_collection[0], perturbed_collection,
-            3.0, tau=0.5, exclude=0,
+        query = perturbed_collection[0]
+        result = _one_query(perturbed_collection, 0, technique).prob_range(
+            3.0, 0.5
         )
-        assert isinstance(result, list)
-
-    def test_result_set_from_scores(self):
-        distances = np.array([0.5, 1.5, 0.2, 3.0])
-        assert result_set_from_scores(distances, 1.0, "distance") == [0, 2]
-        probabilities = np.array([0.9, 0.2, 0.7])
-        assert result_set_from_scores(probabilities, 0.5, "probabilistic") == [0, 2]
-        assert result_set_from_scores(distances, 1.0, "distance", exclude=0) == [2]
-        with pytest.raises(InvalidParameterError):
-            result_set_from_scores(distances, 1.0, "other")
+        expected = [
+            i
+            for i, candidate in enumerate(perturbed_collection)
+            if i != 0 and technique.probability(query, candidate, 3.0) >= 0.5
+        ]
+        assert result.sets() == [expected]
 
 
 class TestKnn:
@@ -228,26 +227,22 @@ class TestKnn:
 
     def test_knn_query(self):
         collection = np.array([[0.0], [3.0], [1.0], [10.0]])
-        result = knn_query(euclidean, np.array([0.0]), collection, 2)
-        assert result == [0, 2]
+        result = _one_query(collection, np.array([0.0]), EuclideanTechnique())
+        assert result.knn(2).row(0) == [0, 2]
 
     def test_knn_technique_query(self, perturbed_collection):
         technique = EuclideanTechnique()
-        result = knn_technique_query(
-            technique, perturbed_collection[0], perturbed_collection, 3,
-            exclude=0,
-        )
-        assert len(result) == 3
-        assert 0 not in result
+        query = perturbed_collection[0]
+        result = _one_query(perturbed_collection, 0, technique).knn(3).row(0)
+        distances = [technique.distance(query, c) for c in perturbed_collection]
+        assert result == knn_indices(distances, 3, exclude=0)
 
     def test_knn_technique_query_rejects_probabilistic(
         self, perturbed_collection
     ):
+        query_set = _one_query(perturbed_collection, 0, ProudTechnique())
         with pytest.raises(UnsupportedQueryError):
-            knn_technique_query(
-                ProudTechnique(), perturbed_collection[0],
-                perturbed_collection, 3,
-            )
+            query_set.knn(3)
 
     def test_euclidean_knn_table(self):
         values = np.array([[0.0], [1.0], [2.5], [10.0]])
@@ -314,84 +309,3 @@ class TestThresholdCalibration:
     def test_select_query_indices_validation(self):
         with pytest.raises(InvalidParameterError):
             select_query_indices(10, 0, make_rng(0))
-
-
-class TestFreeFunctionSessionParity:
-    """The legacy free functions now run through the planner-backed
-    session path — each must equal the fluent chain it routes to."""
-
-    def test_knn_technique_query_matches_fluent_chain(
-        self, perturbed_collection
-    ):
-        technique = DustTechnique()
-        free = knn_technique_query(
-            technique, perturbed_collection[2], perturbed_collection,
-            4, exclude=2,
-        )
-        with SimilaritySession(perturbed_collection) as session:
-            chained = session.queries([2]).using(technique).knn(4)
-        assert free == [int(i) for i in chained.indices[0]]
-
-    def test_knn_technique_query_value_query_matches_chain(
-        self, perturbed_collection
-    ):
-        # No ``exclude`` → the query is a free value row: every
-        # candidate competes, so the result is the plain profile order.
-        technique = EuclideanTechnique()
-        query = perturbed_collection[0]
-        free = knn_technique_query(
-            technique, query, perturbed_collection, 3
-        )
-        profile = np.array(
-            [technique.distance(query, s) for s in perturbed_collection]
-        )
-        order = np.argsort(profile, kind="stable")[:3]
-        assert free == [int(i) for i in order]
-
-    def test_knn_query_euclidean_routes_through_planner(self):
-        rng = np.random.default_rng(11)
-        collection = rng.normal(size=(9, 6))
-        query = collection[4]
-        free = knn_query(euclidean, query, collection, 3, exclude=4)
-        with SimilaritySession(collection) as session:
-            chained = (
-                session.queries([4]).using(EuclideanTechnique()).knn(3)
-            )
-        assert free == [int(i) for i in chained.indices[0]]
-
-    def test_range_query_euclidean_matches_fluent_chain(self):
-        rng = np.random.default_rng(12)
-        collection = rng.normal(size=(8, 5))
-        free = range_query(collection[1], collection, 2.5, euclidean,
-                           exclude=1)
-        with SimilaritySession(collection) as session:
-            chained = (
-                session.queries([1])
-                .using(EuclideanTechnique())
-                .range(2.5)
-            )
-        assert free == [int(i) for i in chained.matches[0]]
-
-    def test_probabilistic_range_query_matches_fluent_chain(
-        self, perturbed_collection
-    ):
-        technique = ProudTechnique(assumed_std=0.2)
-        free = probabilistic_range_query(
-            technique, perturbed_collection[0], perturbed_collection,
-            3.0, tau=0.5, exclude=0,
-        )
-        with SimilaritySession(perturbed_collection) as session:
-            chained = (
-                session.queries([0])
-                .using(technique)
-                .prob_range(3.0, 0.5)
-            )
-        assert free == [int(i) for i in chained.matches[0]]
-
-    def test_free_functions_populate_planner_statistics(self):
-        # The reroute is observable: the shared planner engine records
-        # plans for free-function calls too.
-        collection = np.random.default_rng(13).normal(size=(6, 4))
-        result = knn_query(euclidean, collection[0], collection, 2,
-                           exclude=0)
-        assert len(result) == 2

@@ -5,7 +5,8 @@ The contracts under test:
 * register → reopen (same process or a *fresh* process) → the entry is
   immediately there and the collection memory-maps without re-ingestion;
 * WAL mode lets several concurrent reader processes open the catalog
-  while entries exist, each seeing a consistent snapshot;
+  while entries exist, each seeing a consistent snapshot — even while
+  another connection holds the write lock;
 * a catalog written by a **newer** release (higher schema version) is
   rejected with a clear :class:`CatalogError` instead of being misread;
 * a v1 catalog migrates in place to the current schema on open,
@@ -228,6 +229,26 @@ class TestPersistence:
                 catalog.register("other", saved)
             with pytest.raises(CatalogError, match="read-only"):
                 catalog.unregister("gp")
+
+    def test_held_write_lock_does_not_fail_readers(self, saved, tmp_path):
+        path = str(tmp_path / "catalog.db")
+        with ServiceCatalog(path) as catalog:
+            catalog.register("gp", saved)
+        writer = sqlite3.connect(path, isolation_level=None)
+        try:
+            writer.execute("BEGIN IMMEDIATE")
+            writer.execute("DELETE FROM collections WHERE name = 'gp'")
+            # The writer holds the lock with its change uncommitted:
+            # a read-only catalog still opens, lists and reads the last
+            # committed snapshot without a "database is locked" error.
+            with ServiceCatalog(path, readonly=True) as reader:
+                assert reader.names() == ["gp"]
+                assert [entry.name for entry in reader.entries()] == ["gp"]
+                assert reader.get("gp").n_series == 10
+                assert len(reader.open_collection("gp")) == 10
+            writer.execute("ROLLBACK")
+        finally:
+            writer.close()
 
     def test_readonly_requires_existing_catalog(self, tmp_path):
         with pytest.raises(CatalogError, match="no catalog database"):

@@ -40,7 +40,7 @@ from repro.datasets import generate_dataset
 from repro.perturbation import ConstantScenario
 from repro.queries import SimilaritySession
 from repro.queries.techniques import DustTechnique, ProudTechnique
-from repro.service import ServiceCatalog, ServiceClient
+from repro.service import ServiceCatalog
 from repro.service.catalog import SCHEMA_VERSION, CatalogError, ShardEntry
 from repro.service.cluster import (
     ClusterBackend,
@@ -387,14 +387,6 @@ class TestUnifiedFluentSurface:
         finally:
             remote.close()
             clustered.close()
-
-    def test_deprecated_client_verbs_point_at_connect(self, fleet):
-        from repro.core.deprecation import reset_deprecation_warnings
-
-        reset_deprecation_warnings()
-        with ServiceClient("127.0.0.1", fleet[0].port) as client:
-            with pytest.warns(DeprecationWarning, match="repro.api.connect"):
-                client.knn("pdf", k=3, technique="dust")
 
     def test_remote_session_reports_shape(self, fleet):
         remote = connect(f"tcp://127.0.0.1:{fleet[0].port}/pdf")

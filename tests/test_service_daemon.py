@@ -10,7 +10,8 @@ The contracts under test:
   coalesced answers still match serial execution;
 * failures cross the wire as structured ``{"type", "message"}`` errors
   — bad collection, bad technique, bad params, version mismatch,
-  malformed JSON — and never kill the daemon;
+  malformed JSON, an over-limit line — and never kill the daemon, nor
+  does a client that hangs up mid-line;
 * a per-request timeout returns a ``Timeout`` error while the daemon
   keeps serving;
 * shutdown drains: a request in flight when ``shutdown`` arrives still
@@ -156,7 +157,7 @@ class TestQueryParity:
     def test_knn_matches_in_process(self, spec, pdf, harness):
         expected = _serial(pdf, spec, lambda q: q.knn(3))
         with harness.client() as client:
-            answer = client.knn("pdf", k=3, technique=spec)
+            answer = client.query("knn", "pdf", {"k": 3}, technique=spec)
         assert answer.indices == expected.indices.tolist()
         np.testing.assert_allclose(
             answer.scores, expected.scores, atol=1e-9
@@ -174,9 +175,10 @@ class TestQueryParity:
             .range(epsilons),
         )
         with harness.client() as client:
-            answer = client.range(
+            answer = client.query(
+                "range",
                 "pdf",
-                epsilon=list(epsilons),
+                {"epsilon": list(epsilons)},
                 technique="euclidean",
                 indices=[0, 1, 2, 3],
             )
@@ -193,8 +195,8 @@ class TestQueryParity:
             collection, spec, lambda q: q.prob_range(5.0, 0.5)
         )
         with harness.client() as client:
-            answer = client.prob_range(
-                name, epsilon=5.0, tau=0.5, technique=spec
+            answer = client.query(
+                "prob_range", name, {"epsilon": 5.0, "tau": 0.5}, spec
             )
         assert answer.matches == [
             [int(i) for i in found] for found in expected.matches
@@ -210,8 +212,8 @@ class TestQueryParity:
                 .knn(3)
             )
         with harness.client() as client:
-            answer = client.knn(
-                "exact", k=3, technique="euclidean", values=rows
+            answer = client.query(
+                "knn", "exact", {"k": 3}, "euclidean", values=rows
             )
         assert answer.indices == expected.indices.tolist()
 
@@ -223,12 +225,12 @@ class TestQueryParity:
                 .knn(2)
             )
         with harness.client() as client:
-            answer = client.knn("pdf", k=2, technique="dust", indices=[5, 2])
+            answer = client.query("knn", "pdf", {"k": 2}, "dust", [5, 2])
         assert answer.indices == expected.indices.tolist()
 
     def test_response_carries_pruning_stats(self, harness):
         with harness.client() as client:
-            answer = client.knn("pdf", k=3, technique="dust")
+            answer = client.query("knn", "pdf", {"k": 3}, technique="dust")
         assert answer.stats is not None
         assert answer.stats["n_queries"] == N_SERIES
         assert answer.stats["stages"]
@@ -237,7 +239,7 @@ class TestQueryParity:
         """An older daemon's payload may still carry ``backend`` and
         ``bound_dtype``; parsing drops them and keeps everything else."""
         with harness.client() as client:
-            answer = client.knn("pdf", k=3, technique="dust")
+            answer = client.query("knn", "pdf", {"k": 3}, technique="dust")
         legacy = dict(answer.stats, backend="numpy", bound_dtype="float32")
         parsed = stats_from_payload(legacy)
         assert parsed == stats_from_payload(answer.stats)
@@ -262,8 +264,8 @@ class TestBatchingOverTheWire:
             def worker(slot: int) -> None:
                 with live.client() as client:
                     barrier.wait(timeout=30.0)
-                    answers[slot] = client.knn(
-                        "pdf", k=3, technique="dust", indices=[slot]
+                    answers[slot] = client.query(
+                        "knn", "pdf", {"k": 3}, "dust", [slot]
                     )
 
             threads = [
@@ -295,8 +297,8 @@ class TestBatchingOverTheWire:
             def worker(slot: int) -> None:
                 with live.client() as client:
                     barrier.wait(timeout=30.0)
-                    answers[slot] = client.knn(
-                        "pdf", k=3, technique="euclidean", indices=[slot]
+                    answers[slot] = client.query(
+                        "knn", "pdf", {"k": 3}, "euclidean", [slot]
                     )
 
             threads = [
@@ -319,26 +321,37 @@ class TestBatchingOverTheWire:
             live.stop()
 
 
+def _raw_exchange(harness, raw: bytes) -> dict:
+    """Send raw bytes on a fresh connection and decode the reply line."""
+    with socket.create_connection(
+        ("127.0.0.1", harness.port), timeout=30.0
+    ) as sock:
+        sock.sendall(raw)
+        reader = sock.makefile("rb")
+        return json.loads(reader.readline())
+
+
 class TestStructuredErrors:
     def test_unknown_collection(self, harness):
         with harness.client() as client:
             with pytest.raises(ServiceError) as excinfo:
-                client.knn("ghost", k=3)
+                client.query("knn", "ghost", {"k": 3})
         assert excinfo.value.error_type == "CatalogError"
         assert "ghost" in str(excinfo.value)
 
     def test_unknown_technique(self, harness):
         with harness.client() as client:
             with pytest.raises(ServiceError) as excinfo:
-                client.knn("pdf", k=3, technique="cosine")
+                client.query("knn", "pdf", {"k": 3}, technique="cosine")
         assert excinfo.value.error_type == "ProtocolError"
 
     def test_unknown_technique_param(self, harness):
         with harness.client() as client:
             with pytest.raises(ServiceError) as excinfo:
-                client.knn(
+                client.query(
+                    "knn",
                     "pdf",
-                    k=3,
+                    {"k": 3},
                     technique={"name": "dust", "params": {"bogus": 1}},
                 )
         assert excinfo.value.error_type == "ProtocolError"
@@ -347,37 +360,31 @@ class TestStructuredErrors:
     def test_bad_query_params(self, harness):
         with harness.client() as client:
             with pytest.raises(ServiceError, match="params.k"):
-                client.knn("pdf", k=0)
+                client.query("knn", "pdf", {"k": 0})
             with pytest.raises(ServiceError, match="tau"):
-                client.prob_range("pdf", epsilon=4.0, tau=1.5)
+                client.query("prob_range", "pdf", {"epsilon": 4.0, "tau": 1.5})
             with pytest.raises(ServiceError, match=r"\[0, 11\]"):
-                client.knn("pdf", k=3, indices=[99])
+                client.query("knn", "pdf", {"k": 3}, indices=[99])
 
     def test_raw_values_rejected_on_uncertain_kind(self, harness):
         with harness.client() as client:
             with pytest.raises(ServiceError, match="exact-kind"):
-                client.knn("pdf", k=3, values=[[0.0] * LENGTH])
-
-    def _raw_exchange(self, harness, raw: bytes) -> dict:
-        with socket.create_connection(
-            ("127.0.0.1", harness.port), timeout=30.0
-        ) as sock:
-            sock.sendall(raw)
-            reader = sock.makefile("rb")
-            return json.loads(reader.readline())
+                client.query(
+                    "knn", "pdf", {"k": 3}, values=[[0.0] * LENGTH]
+                )
 
     def test_protocol_version_mismatch(self, harness):
         request = json.dumps(
             {"v": 99, "id": "x", "op": "ping"}
         ).encode() + b"\n"
-        response = self._raw_exchange(harness, request)
+        response = _raw_exchange(harness, request)
         assert response["ok"] is False
         assert response["error"]["type"] == "ProtocolError"
         assert "version" in response["error"]["message"]
         assert response["v"] == PROTOCOL_VERSION
 
     def test_malformed_json_line(self, harness):
-        response = self._raw_exchange(harness, b"{nope\n")
+        response = _raw_exchange(harness, b"{nope\n")
         assert response["ok"] is False
         assert response["error"]["type"] == "ProtocolError"
 
@@ -385,7 +392,7 @@ class TestStructuredErrors:
         request = json.dumps(
             {"v": PROTOCOL_VERSION, "id": "x", "op": "frobnicate"}
         ).encode() + b"\n"
-        response = self._raw_exchange(harness, request)
+        response = _raw_exchange(harness, request)
         assert response["error"]["type"] == "ProtocolError"
         assert "frobnicate" in response["error"]["message"]
 
@@ -402,7 +409,7 @@ class TestStructuredErrors:
                 "params": {"k": 3, "policy": policy},
             }
         ).encode() + b"\n"
-        response = self._raw_exchange(harness, request)
+        response = _raw_exchange(harness, request)
         assert response["ok"] is False
         assert response["error"]["type"] == "ProtocolError"
         assert "unknown policy fields" in response["error"]["message"]
@@ -411,18 +418,62 @@ class TestStructuredErrors:
     def test_errors_do_not_kill_the_daemon(self, harness):
         with harness.client() as client:
             with pytest.raises(ServiceError):
-                client.knn("ghost", k=3)
+                client.query("knn", "ghost", {"k": 3})
             assert client.ping()
+
+
+class TestWireFaults:
+    def test_oversized_line_gets_structured_error(
+        self, collections, tmp_path, monkeypatch
+    ):
+        import repro.service.daemon as daemon_module
+
+        limit = 1024
+        monkeypatch.setattr(daemon_module, "MAX_LINE_BYTES", limit)
+        catalog_path = str(tmp_path / "catalog.db")
+        with ServiceCatalog(catalog_path) as catalog:
+            catalog.register("pdf", collections["pdf"])
+        live = DaemonHarness(catalog_path, max_delay=0.001)
+        try:
+            request = json.dumps(
+                {
+                    "v": PROTOCOL_VERSION,
+                    "id": "big",
+                    "op": "knn",
+                    "collection": "pdf",
+                    "params": {"k": 3},
+                    "queries": {"values": [[0.0] * (4 * limit)]},
+                }
+            ).encode() + b"\n"
+            assert len(request) > limit
+            response = _raw_exchange(live, request)
+            assert response["ok"] is False
+            assert response["error"]["type"] == "ProtocolError"
+            assert f"exceeds {limit} bytes" in response["error"]["message"]
+            with live.client() as client:
+                assert client.ping()
+        finally:
+            live.stop()
+
+    def test_half_line_then_close_leaves_daemon_serving(self, harness):
+        with socket.create_connection(
+            ("127.0.0.1", harness.port), timeout=30.0
+        ) as sock:
+            sock.sendall(b'{"v": 1, "id": "cut", "op": "kn')
+        with harness.client() as client:
+            assert client.ping()
+            answer = client.query("knn", "pdf", {"k": 2}, "euclidean")
+        assert len(answer.indices) == N_SERIES
 
 
 class TestTimeouts:
     def test_expired_request_reports_timeout(self, harness):
         with harness.client() as client:
             with pytest.raises(ServiceError) as excinfo:
-                client.prob_range(
+                client.query(
+                    "prob_range",
                     "ms",
-                    epsilon=5.0,
-                    tau=0.5,
+                    {"epsilon": 5.0, "tau": 0.5},
                     technique={
                         "name": "munich-dtw",
                         "params": {"n_samples": 64},
@@ -457,7 +508,7 @@ class TestControlOps:
         with harness.client() as client:
             registered = client.register("late", manifest)
             assert registered == {"registered": "late", "n_series": 6}
-            answer = client.knn("late", k=2, technique="euclidean")
+            answer = client.query("knn", "late", {"k": 2}, "euclidean")
         assert len(answer.indices) == 6
 
     def test_query_cli_round_trip(self, pdf, harness, capsys):
@@ -483,6 +534,21 @@ class TestControlOps:
         ]
         assert len(rows) == 2
         assert "[batch size" in out
+        base = ["--port", str(harness.port), "--collection", "pdf",
+                "--queries", "0,1"]
+        for verb in (
+            ["--technique", "euclidean", "--range", "4.0"],
+            ["--technique", "proud", "--prob-range", "4.0", "0.4"],
+        ):
+            assert query_main(base + verb) == 0
+            out = capsys.readouterr().out
+            rows = [
+                line for line in out.splitlines() if line.startswith("query ")
+            ]
+            assert [row.split(":")[0] for row in rows] == [
+                "query 0", "query 1"
+            ]
+            assert "[" in rows[0]  # a match-index list per query row
         code = query_main(["--port", str(harness.port), "--status"])
         out = capsys.readouterr().out
         assert code == 0
@@ -505,8 +571,8 @@ class TestGracefulShutdown:
 
         def slow_query() -> None:
             with live.client(timeout=120.0) as client:
-                answer_box["answer"] = client.knn(
-                    "pdf", k=3, technique="dust"
+                answer_box["answer"] = client.query(
+                    "knn", "pdf", {"k": 3}, "dust"
                 )
 
         worker = threading.Thread(target=slow_query)
@@ -560,7 +626,7 @@ class TestLazyWarming:
         try:
             with live.client() as client:
                 assert client.status()["warm"] == []
-                client.knn("pdf", k=2, technique="euclidean")
+                client.query("knn", "pdf", {"k": 2}, technique="euclidean")
                 assert client.status()["warm"] == ["pdf"]
         finally:
             live.stop()

@@ -10,10 +10,10 @@ The contracts under test:
   (where the norm expansion cancels catastrophically);
 * matrix-path and profile-path kNN rankings agree bit-for-bit (stable
   tie-breaking by candidate index);
-* the fluent ``SimilaritySession`` / ``QuerySet`` surface matches the
-  free-function protocol, including self-match exclusion;
-* the harness produces identical F1 under ``scoring="matrix"`` and
-  ``scoring="profile"``.
+* the fluent ``SimilaritySession`` / ``QuerySet`` surface matches
+  per-pair references, including self-match exclusion;
+* the harness's F1, τ and result sizes match a per-pair reference of
+  the same protocol.
 """
 
 from __future__ import annotations
@@ -29,7 +29,13 @@ from repro.distances.lp import (
     euclidean_matrix,
     squared_euclidean_matrix,
 )
-from repro.evaluation import run_similarity_experiment
+from repro.evaluation import (
+    DEFAULT_TAU_GRID,
+    optimal_tau,
+    results_at_tau,
+    run_similarity_experiment,
+    score_result_set,
+)
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario, MixedStdScenario
 from repro.queries import (
@@ -43,13 +49,17 @@ from repro.queries import (
     QueryEngine,
     QuerySet,
     RangeResult,
+    SessionConfig,
     SimilaritySession,
     Technique,
+    knn_indices,
     knn_table,
-    knn_technique_query,
-    probabilistic_range_query,
 )
-from repro.queries.thresholds import PAPER_K
+from repro.queries.thresholds import (
+    PAPER_K,
+    calibrate_queries,
+    select_query_indices,
+)
 
 SEED = 4321
 N_SERIES = 24
@@ -345,8 +355,9 @@ class TestKnnTieBreaking:
         session = SimilaritySession(homogeneous)
         result = session.queries().using(technique).knn(5)
         for index, query in enumerate(homogeneous):
-            expected = knn_technique_query(
-                technique, query, homogeneous, k=5, exclude=index
+            expected = knn_indices(
+                technique.distance_profile(query, homogeneous), 5,
+                exclude=index,
             )
             assert result.row(index) == expected
 
@@ -437,7 +448,7 @@ class TestSessionClose:
         import threading
 
         session = SimilaritySession(
-            homogeneous, n_workers=2, backend="process"
+            homogeneous, config=SessionConfig(n_workers=2, backend="process")
         )
         assert session.executor is not None
         barrier = threading.Barrier(8)
@@ -518,16 +529,18 @@ class TestQuerySetVerbs:
         with pytest.raises(UnsupportedQueryError):
             session.queries().using(ProudTechnique(assumed_std=0.7)).knn(5)
 
-    def test_range_matches_free_function(self, homogeneous):
+    def test_range_matches_per_pair_reference(self, homogeneous):
         technique = EuclideanTechnique()
         session = SimilaritySession(homogeneous)
         result = session.queries().using(technique).range(4.5)
         assert isinstance(result, RangeResult)
         for index, found in enumerate(result.sets()):
-            expected = probabilistic_range_query(
-                technique, homogeneous[index], homogeneous, 4.5,
-                exclude=index,
-            )
+            expected = [
+                j
+                for j, candidate in enumerate(homogeneous)
+                if j != index
+                and technique.distance(homogeneous[index], candidate) <= 4.5
+            ]
             assert found == expected
 
     def test_range_rejects_probabilistic(self, homogeneous):
@@ -537,16 +550,19 @@ class TestQuerySetVerbs:
                 ProudTechnique(assumed_std=0.7)
             ).range(4.5)
 
-    def test_prob_range_matches_free_function(self, homogeneous):
+    def test_prob_range_matches_per_pair_reference(self, homogeneous):
         technique = ProudTechnique(assumed_std=0.7)
         session = SimilaritySession(homogeneous)
         result = session.queries().using(technique).prob_range(4.5, 0.5)
         assert result.tau == 0.5
         for index, found in enumerate(result.sets()):
-            expected = probabilistic_range_query(
-                technique, homogeneous[index], homogeneous, 4.5, tau=0.5,
-                exclude=index,
-            )
+            query = homogeneous[index]
+            expected = [
+                j
+                for j, candidate in enumerate(homogeneous)
+                if j != index
+                and technique.probability(query, candidate, 4.5) >= 0.5
+            ]
             assert found == expected
 
     def test_prob_range_validation(self, homogeneous):
@@ -592,63 +608,88 @@ class TestQuerySetVerbs:
             assert index not in found
 
 
-class TestHarnessScoringParity:
+def _per_pair_protocol(exact, scenario, technique, n_queries, seed):
+    """The harness protocol evaluated one pair at a time.
+
+    Same perturbation streams, calibration and query selection as
+    :func:`run_similarity_experiment`, but every ε, distance and
+    probability comes from the technique's per-pair methods.  Returns
+    ``(per-query F1 list, tau, per-query result sizes)``.
+    """
+    pdf = [
+        scenario.apply(series, spawn(seed, "perturb-pdf", index))
+        for index, series in enumerate(exact)
+    ]
+    calibrations = calibrate_queries(exact.values_matrix(), k=PAPER_K)
+    query_indices = select_query_indices(
+        len(exact), n_queries, spawn(seed, "query-selection")
+    )
+    scores, candidate_lists, ground_truths, sizes = [], [], [], []
+    for query_index in query_indices:
+        calibration = calibrations[query_index]
+        query = pdf[query_index]
+        epsilon = technique.calibration_distance(
+            query, pdf[calibration.anchor_index]
+        )
+        candidates = np.array(
+            [i for i in range(len(pdf)) if i != query_index]
+        )
+        ground_truths.append(calibration.ground_truth)
+        candidate_lists.append(candidates)
+        if technique.kind == "distance":
+            selected = [
+                int(i)
+                for i in candidates
+                if technique.distance(query, pdf[i]) <= epsilon
+            ]
+            scores.append(
+                score_result_set(selected, set(calibration.ground_truth))
+            )
+            sizes.append(len(selected))
+        else:
+            scores.append(
+                np.array(
+                    [
+                        technique.probability(query, pdf[i], epsilon)
+                        for i in candidates
+                    ]
+                )
+            )
+    if technique.kind == "distance":
+        return [score.f1 for score in scores], None, sizes
+    tau = optimal_tau(
+        scores, candidate_lists, ground_truths, DEFAULT_TAU_GRID
+    ).best_tau
+    at_tau = results_at_tau(scores, candidate_lists, ground_truths, tau)
+    sizes = [int(np.count_nonzero(row >= tau)) for row in scores]
+    return [score.f1 for score in at_tau], tau, sizes
+
+
+class TestHarnessPerPairReference:
     @pytest.fixture(scope="class")
     def dataset(self):
         return generate_dataset(
             "GunPoint", seed=SEED, n_series=20, length=24
         )
 
-    def test_matrix_and_profile_scoring_identical_f1(self, dataset):
+    def test_harness_f1_matches_per_pair_reference(self, dataset):
         scenario = ConstantScenario("normal", 0.6)
-
-        def techniques():
-            return [
-                EuclideanTechnique(),
-                DustTechnique(),
-                FilteredTechnique.uma(),
-                ProudTechnique(assumed_std=0.7),
-            ]
-
-        matrix_run = run_similarity_experiment(
-            dataset, scenario, techniques(), n_queries=8, seed=3,
-            scoring="matrix",
+        techniques = [
+            EuclideanTechnique(),
+            DustTechnique(),
+            FilteredTechnique.uma(),
+            ProudTechnique(assumed_std=0.7),
+        ]
+        run = run_similarity_experiment(
+            dataset, scenario, techniques, n_queries=8, seed=3
         )
-        profile_run = run_similarity_experiment(
-            dataset, scenario, techniques(), n_queries=8, seed=3,
-            scoring="profile",
-        )
-        for name, outcome in matrix_run.techniques.items():
-            reference = profile_run.techniques[name]
-            assert outcome.f1().mean == pytest.approx(
-                reference.f1().mean, abs=1e-12
+        for technique in techniques:
+            outcome = run.techniques[technique.name]
+            f1s, tau, sizes = _per_pair_protocol(
+                dataset, scenario, technique, n_queries=8, seed=3
             )
-            assert outcome.tau == reference.tau
-            for got, expected in zip(outcome.queries, reference.queries):
-                assert got.epsilon == pytest.approx(
-                    expected.epsilon, abs=1e-9
-                )
-                assert got.result_size == expected.result_size
-
-    def test_scoring_validation_and_default(self, dataset):
-        from repro.evaluation import (
-            get_default_scoring,
-            set_default_scoring,
-        )
-
-        assert get_default_scoring() == "matrix"
-        with pytest.raises(InvalidParameterError):
-            run_similarity_experiment(
-                dataset,
-                ConstantScenario("normal", 0.4),
-                [EuclideanTechnique()],
-                n_queries=2,
-                scoring="bogus",
+            assert outcome.tau == tau, technique.name
+            assert [q.result_size for q in outcome.queries] == sizes
+            np.testing.assert_allclose(
+                [q.f1 for q in outcome.queries], f1s, atol=1e-12, rtol=0.0
             )
-        with pytest.raises(InvalidParameterError):
-            set_default_scoring("bogus")
-        set_default_scoring("profile")
-        try:
-            assert get_default_scoring() == "profile"
-        finally:
-            set_default_scoring("matrix")
