@@ -1,14 +1,15 @@
 #!/usr/bin/env python
-"""All-pairs matrix kernels vs looped per-query profiles.
+"""All-pairs matrix kernels vs looped one-row matrices.
 
 Times the paper's full evaluation protocol — *every* series of the
 collection queried against all others (Section 4.1.2), the Figure 11–12
 workload — two ways per technique:
 
-* **looped** ("before"): one vectorized ``distance_profile`` /
-  ``probability_profile`` call per query, exactly what the harness did
-  after PR 1;
-* **matrix** ("after"): a single ``distance_matrix`` /
+* **looped**: one single-row ``distance_matrix([q], collection)`` /
+  ``probability_matrix([q], collection, eps)`` call per query — the
+  ``M = 1`` plan every single-row query (e.g. a daemon request) runs,
+  kept under the regression gate here;
+* **matrix**: a single ``distance_matrix`` /
   ``probability_matrix`` kernel for the whole ``(M, N)`` grid — the
   session-API path (GEMM identity for Euclidean/UMA/UEMA, grouped table
   application for DUST, broadcast moments for PROUD, batched bounds for
@@ -86,7 +87,7 @@ def _best_of(callable_, repeats: int) -> float:
 def _bench_distance(technique, collection, repeats) -> Dict:
     looped = _best_of(
         lambda: [
-            technique.distance_profile(query, collection)
+            technique.distance_matrix([query], collection)
             for query in collection
         ],
         repeats,
@@ -100,7 +101,7 @@ def _bench_distance(technique, collection, repeats) -> Dict:
 def _bench_probability(technique, collection, epsilons, repeats) -> Dict:
     looped = _best_of(
         lambda: [
-            technique.probability_profile(query, collection, float(eps))
+            technique.probability_matrix([query], collection, float(eps))
             for query, eps in zip(collection, epsilons)
         ],
         repeats,
@@ -197,7 +198,7 @@ def main(argv=None) -> int:
         if row["technique"] in TARGET_TECHNIQUES
     }
     payload = {
-        "benchmark": "all-pairs matrix kernels vs looped profiles",
+        "benchmark": "all-pairs matrix kernels vs looped one-row matrices",
         "workload": {
             "protocol": "full (every series is a query)",
             "n_series": args.n_series,

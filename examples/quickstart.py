@@ -76,12 +76,13 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 4. Batch path: one vectorized call scores the query against every
-    #    series of the collection.  This is what the harness, kNN, and
-    #    range queries run on; profiles match the per-pair methods
-    #    exactly, just without the per-candidate Python overhead.
+    #    series of the collection -- the one-row case of the (M, N)
+    #    matrix kernel that the harness, kNN, and range queries run on.
+    #    It matches the per-pair methods, just without the per-candidate
+    #    Python overhead.
     # ------------------------------------------------------------------
     dust_technique = api.DustTechnique()
-    profile = dust_technique.distance_profile(query, uncertain)
+    profile = dust_technique.distance_matrix([query], uncertain)[0]
     within = (profile <= epsilon).sum() - 1  # minus the self-match
     print(f"\nbatch query (DUST distance profile over {len(uncertain)} series):")
     print(f"  nearest candidate: series {int(profile.argsort()[1])} "

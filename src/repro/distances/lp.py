@@ -65,8 +65,7 @@ def euclidean_profile(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Euclidean distance from ``query`` to every row of ``matrix``.
 
     The batch counterpart of :func:`euclidean` — one exact row-wise kernel
-    (no norm-expansion cancellation), used by the query engine's
-    distance-profile paths.
+    (no norm-expansion cancellation).
     """
     query = np.asarray(query, dtype=np.float64)
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))

@@ -68,7 +68,7 @@ class DustTable:
         self._grid = np.linspace(0.0, radius, n_points)
         # The grid is uniform, so lookups use direct index arithmetic
         # instead of np.interp's per-point binary search (the hot path of
-        # batch DUST profiles — see dust_squared()).
+        # the batch DUST kernels — see dust_squared()).
         self._step = radius / (n_points - 1)
         # A 4001-point integration grid keeps the table values within
         # ~0.3% even at pdf discontinuities, at a quarter of the default

@@ -80,7 +80,8 @@ def run_dtw_study(
         dust_dtw = DustDtwTechnique(window=window)
 
         # Each measure scores one query against every candidate in a
-        # single batch profile (GEMM / wavefront DTW / table kernels).
+        # single batch row (row-wise Euclidean / wavefront DTW / the
+        # techniques' one-row kernels).
         measures = {
             "Euclidean": lambda q: euclidean_profile(
                 perturbed[q].observations, perturbed_values
@@ -88,10 +89,12 @@ def run_dtw_study(
             "DTW": lambda q: dtw_distance_stack(
                 perturbed[q].observations, perturbed_values, window=window
             ),
-            "DUST": lambda q: dust.distance_profile(perturbed[q], perturbed),
-            "DUST-DTW": lambda q: dust_dtw.distance_profile(
-                perturbed[q], perturbed
-            ),
+            "DUST": lambda q: dust.distance_matrix(
+                [perturbed[q]], perturbed
+            )[0],
+            "DUST-DTW": lambda q: dust_dtw.distance_matrix(
+                [perturbed[q]], perturbed
+            )[0],
         }
         row: Dict[str, float] = {}
         for name, measure in measures.items():

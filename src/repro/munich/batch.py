@@ -3,7 +3,7 @@
 :func:`~repro.munich.exact.convolved_probability` evaluates one ``(q, c)``
 pair by convolving ``n`` per-timestamp histograms over the full
 ``n_bins``-wide grid — hundreds of small NumPy calls per pair, repeated
-for every undecided candidate of a profile.  The batched evaluator here
+for every undecided candidate of a query row.  The batched evaluator here
 answers a whole block of candidates against one query in a single stacked
 pass, and restructures the DP itself so that blocks do strictly less work
 than the per-pair loop:

@@ -1,10 +1,11 @@
 """Query framework: RQ / PRQ / top-k and the threshold-calibration protocol.
 
 Collection-level scoring runs through the batch query engine
-(:mod:`repro.queries.engine`): techniques expose vectorized
-``distance_profile`` / ``probability_profile`` methods whose per-collection
-materializations (values matrices, filtered matrices, error-model codes,
-bounding intervals) are cached by :class:`~repro.queries.engine.QueryEngine`.
+(:mod:`repro.queries.engine`): each technique pairs its per-pair
+reference (``distance`` / ``probability``) with one vectorized ``(M, N)``
+kernel per kind, whose per-collection materializations (values
+matrices, filtered matrices, error-model codes, bounding intervals) are
+cached by :class:`~repro.queries.engine.QueryEngine`.
 
 All-pairs workloads — every series a query, the paper's full protocol —
 go through the declarative session API (:mod:`repro.queries.session`):

@@ -22,11 +22,12 @@ batch engine removes that overhead in two pieces:
   hazard).  Capacity is bounded: the least recently used collection is
   evicted — together with its strong reference — once the bound is hit.
 
-Consumers reach the engine through
-:meth:`repro.queries.techniques.Technique.distance_profile` /
-``probability_profile``, which every concrete technique overrides with a
-truly vectorized kernel; the default implementations fall back to the
-per-pair methods, so third-party techniques keep working unchanged.
+Consumers reach the engine through the ``(M, N)`` kernels of
+:class:`repro.queries.techniques.Technique` (``distance_kernel`` /
+``probability_kernel`` / ``calibration_kernel``), which every concrete
+technique overrides with a vectorized kernel; the default
+implementations loop over the per-pair methods, so third-party
+techniques keep working unchanged.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ def knn_indices(
     """Indices of the ``k`` smallest entries of a distance vector.
 
     Ties are broken by candidate index (stable argsort), making ground
-    truth deterministic and rankings reproducible across the profile and
-    matrix query paths.
+    truth deterministic and rankings reproducible across single-row and
+    matrix queries.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -46,8 +46,8 @@ def knn_table(
 ) -> np.ndarray:
     """Row-wise top-k of an ``(M, N)`` score matrix, shape ``(M, k)``.
 
-    Every row goes through :func:`knn_indices`, so matrix-path rankings
-    agree bit-for-bit with profile-path rankings (same stable
+    Every row goes through :func:`knn_indices`, so matrix rankings agree
+    bit-for-bit with ranking each score row alone (same stable
     break-ties-by-index rule).  ``exclude`` optionally gives one index to
     skip per row (``-1`` for none) — the self-match column of all-pairs
     matrices.

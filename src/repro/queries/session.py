@@ -5,7 +5,7 @@ of a collection a query against all others — an ``(M, N)`` workload.  The
 session API expresses that workload declaratively and answers it with the
 techniques' batch-of-queries matrix kernels
 (:meth:`~repro.queries.techniques.Technique.distance_matrix` /
-``probability_matrix``) instead of ``M`` separate profile calls::
+``probability_matrix``) instead of ``M`` separate one-row calls::
 
     session = SimilaritySession(collection)
     result = session.queries().using(DustTechnique()).knn(10)

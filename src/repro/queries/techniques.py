@@ -16,19 +16,12 @@ methods on one common task.  The harness talks to every method through the
 Exposing the raw probability (rather than just the boolean) lets the
 evaluation layer sweep ``τ`` cheaply to find the paper's "optimal τ".
 
-Batch API
----------
-
-Each technique additionally answers *collection-level* queries through
-:meth:`Technique.distance_profile` / :meth:`Technique.probability_profile`:
-one call scores a query against every series of a collection and returns
-the ``(N,)`` vector of distances or match probabilities.  The base-class
-implementations fall back to the per-pair methods; every concrete
-technique overrides them with a vectorized kernel backed by the
-:class:`~repro.queries.engine.QueryEngine` materialization cache, which is
-what makes the harness scoring loops, ε-calibration, kNN, and range
-queries run at NumPy speed instead of one interpreter round-trip per
-candidate.
+The per-pair methods (``distance`` / ``probability`` /
+``calibration_distance``) are each technique's *reference*: tests
+compare against them and a custom technique implements only them.
+Everything collection-level runs through one ``(M, N)`` kernel per
+kind, backed by the :class:`~repro.queries.engine.QueryEngine`
+materialization cache; a single query is the ``M = 1`` row.
 
 Matrix API
 ----------
@@ -52,9 +45,9 @@ independent rows.  :meth:`Technique.distance_matrix` /
   and pays the per-pair convolution only for the undecided middle.
 
 ``probability_matrix`` accepts one ε per query (or a scalar), matching
-the protocol's per-query calibrated thresholds.  Base-class
-implementations stack the row kernels, so custom techniques keep working;
-tensor kernels process bounded query blocks to keep peak memory flat.
+the protocol's per-query calibrated thresholds.  Base-class kernels loop
+over the per-pair methods, so custom techniques keep working; tensor
+kernels process bounded query blocks to keep peak memory flat.
 The declarative front door for all of this is
 :class:`repro.queries.session.SimilaritySession`.
 
@@ -112,7 +105,6 @@ from ..distances.filtered import FilteredEuclidean
 from ..distances.lp import (
     euclidean,
     euclidean_matrix,
-    euclidean_profile,
     squared_euclidean_matrix,
 )
 from ..distributions import make_distribution
@@ -184,11 +176,11 @@ def _query_bound_stacks(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(M, n)`` query-side bounding-interval stacks for a bound stage.
 
-    Single-query workloads (the profile path builds a fresh one-item
-    list per call) read the intervals directly so they don't churn the
-    engine's LRU with throwaway materializations; everything larger
-    goes through the engine and shares the cached stacks — in the full
-    protocol the query side *is* the collection.
+    Single-query workloads (single-row session ops build a fresh
+    one-item list per call) read the intervals directly so they don't
+    churn the engine's LRU with throwaway materializations; everything
+    larger goes through the engine and shares the cached stacks — in the
+    full protocol the query side *is* the collection.
     """
     if len(queries) == 1:
         low, high = queries[0].bounding_intervals()
@@ -214,6 +206,22 @@ def _query_interval_summary(
         low, high = queries[0].bounding_intervals()
         return summarize_intervals(low[None, :], high[None, :], n_segments)
     return engine.materialize(queries).interval_paa_summary(n_segments)
+
+
+def _per_pair_matrix(
+    score, queries: Sequence, collection: Sequence, *row_args
+) -> np.ndarray:
+    """``(M, N)`` matrix of ``score(query, candidate, *row_args[i])``.
+
+    The base-class kernel: one per-pair call per cell, with each
+    ``row_args`` vector (e.g. per-query ε) supplying one scalar per row.
+    """
+    out = np.empty((len(queries), len(collection)))
+    for i, query in enumerate(queries):
+        extra = [float(values[i]) for values in row_args]
+        for j, candidate in enumerate(collection):
+            out[i, j] = score(query, candidate, *extra)
+    return out
 
 
 def _sparse_euclidean_refine(
@@ -291,37 +299,13 @@ class Technique(abc.ABC):
             f"{self.name} is not a probabilistic technique"
         )
 
-    def distance_profile(self, query, collection: Sequence) -> np.ndarray:
-        """Distances from ``query`` to every series of ``collection``.
+    def calibration_distance(self, query, candidate) -> float:
+        """Distance used to derive this technique's ``ε`` from the 10th NN.
 
-        The base implementation loops over :meth:`distance`; concrete
-        distance techniques override it with a vectorized kernel.  The
-        result aligns with ``collection`` (entry ``j`` scores series
-        ``j``), so callers exclude self-matches by indexing.
+        Distance techniques use their own distance; probabilistic ones use
+        Euclidean on the observations (the paper's ``ε_eucl``).
         """
-        return np.fromiter(
-            (self.distance(query, candidate) for candidate in collection),
-            dtype=np.float64,
-            count=len(collection),
-        )
-
-    def probability_profile(
-        self, query, collection: Sequence, epsilon: float
-    ) -> np.ndarray:
-        """``Pr(distance <= ε)`` against every series of ``collection``.
-
-        Base implementation loops over :meth:`probability`; probabilistic
-        techniques override it with a kernel vectorized over the candidate
-        axis.
-        """
-        return np.fromiter(
-            (
-                self.probability(query, candidate, epsilon)
-                for candidate in collection
-            ),
-            dtype=np.float64,
-            count=len(collection),
-        )
+        return self.distance(query, candidate)
 
     # -- the planned matrix API --------------------------------------------
 
@@ -526,27 +510,19 @@ class Technique(abc.ABC):
     ) -> np.ndarray:
         """The exact all-pairs distance kernel the refine stage runs.
 
-        Base implementation stacks :meth:`distance_profile` rows.
+        Base implementation loops over the per-pair :meth:`distance`.
         """
-        if len(queries) == 0:
-            return np.empty((0, len(collection)))
-        return np.vstack(
-            [self.distance_profile(query, collection) for query in queries]
-        )
+        return _per_pair_matrix(self.distance, queries, collection)
 
     def probability_kernel(
         self, queries: Sequence, collection: Sequence, epsilon
     ) -> np.ndarray:
-        """The exact all-pairs probability kernel the refine stage runs."""
+        """The exact all-pairs probability kernel the refine stage runs.
+
+        Base implementation loops over the per-pair :meth:`probability`.
+        """
         eps = _epsilon_vector(epsilon, len(queries))
-        if len(queries) == 0:
-            return np.empty((0, len(collection)))
-        return np.vstack(
-            [
-                self.probability_profile(query, collection, float(value))
-                for query, value in zip(queries, eps)
-            ]
-        )
+        return _per_pair_matrix(self.probability, queries, collection, eps)
 
     def calibration_kernel(
         self, queries: Sequence, collection: Sequence
@@ -554,52 +530,15 @@ class Technique(abc.ABC):
         """The exact calibration-distance kernel the refine stage runs.
 
         For distance techniques this *is* :meth:`distance_kernel`; for
-        probabilistic ones it stacks :meth:`calibration_profile` rows
-        (concrete techniques override with a Euclidean GEMM).
+        probabilistic ones the base implementation loops over the
+        per-pair :meth:`calibration_distance` (concrete techniques
+        override with a Euclidean GEMM).
         """
         if self.kind == "distance":
             return self.distance_kernel(queries, collection)
-        if len(queries) == 0:
-            return np.empty((0, len(collection)))
-        return np.vstack(
-            [self.calibration_profile(query, collection) for query in queries]
+        return _per_pair_matrix(
+            self.calibration_distance, queries, collection
         )
-
-    def calibration_distance(self, query, candidate) -> float:
-        """Distance used to derive this technique's ``ε`` from the 10th NN.
-
-        Distance techniques use their own distance; probabilistic ones use
-        Euclidean on the observations (the paper's ``ε_eucl``).
-        """
-        return self.distance(query, candidate)
-
-    def calibration_profile(self, query, collection: Sequence) -> np.ndarray:
-        """Calibration distances from ``query`` to every collection series.
-
-        For distance techniques this *is* :meth:`distance_profile`, so the
-        harness derives ε and the result set from one batch computation.
-        """
-        if self.kind == "distance":
-            return self.distance_profile(query, collection)
-        return np.fromiter(
-            (
-                self.calibration_distance(query, candidate)
-                for candidate in collection
-            ),
-            dtype=np.float64,
-            count=len(collection),
-        )
-
-    def matches(self, query, candidate, epsilon: float,
-                tau: Optional[float] = None) -> bool:
-        """Range-query predicate for one candidate."""
-        if self.kind == "distance":
-            return self.distance(query, candidate) <= epsilon
-        if tau is None:
-            raise InvalidParameterError(
-                f"{self.name} requires a probability threshold tau"
-            )
-        return self.probability(query, candidate, epsilon) >= tau
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -620,13 +559,6 @@ class EuclideanTechnique(Technique):
         self, query: UncertainTimeSeries, candidate: UncertainTimeSeries
     ) -> float:
         return euclidean(query.observations, candidate.observations)
-
-    def distance_profile(
-        self, query: UncertainTimeSeries, collection: Sequence
-    ) -> np.ndarray:
-        """Row-wise Euclidean against the cached ``(N, n)`` values matrix."""
-        matrix = self.engine.materialize(collection).values_matrix()
-        return euclidean_profile(query.observations, matrix)
 
     def distance_kernel(
         self, queries: Sequence, collection: Sequence
@@ -716,51 +648,6 @@ class DustTechnique(Technique):
     ) -> float:
         return self._dust.distance(query, candidate)
 
-    def distance_profile(
-        self, query: UncertainTimeSeries, collection: Sequence
-    ) -> np.ndarray:
-        """DUST lifted to the whole ``(N, n)`` difference matrix.
-
-        Cells are grouped by their ``(error_q, error_c)`` lookup table via
-        the collection's cached error-model code matrix, so a homogeneous
-        run costs a single vectorized table application and mixed-error
-        runs cost one per distinct pair — never one per candidate.
-        """
-        materialized = self.engine.materialize(collection)
-        values = materialized.values_matrix()
-        differences = np.abs(values - query.observations[None, :])
-        codes, distincts = materialized.model_codes()
-
-        query_model = query.error_model
-        table_cache = self._dust.cache
-        if query_model.is_homogeneous and len(distincts) == 1:
-            table = table_cache.get(query_model[0], distincts[0])
-            return np.sqrt(table.dust_squared(differences).sum(axis=1))
-
-        # Map the query's per-timestamp distributions into the collection's
-        # code space (extending it for distributions unseen there).
-        mapping = {distribution: i for i, distribution in enumerate(distincts)}
-        query_codes = np.fromiter(
-            (
-                mapping.setdefault(distribution, len(mapping))
-                for distribution in query_model
-            ),
-            dtype=np.intp,
-            count=len(query_model),
-        )
-        all_distinct = list(mapping)
-        n_codes = len(all_distinct)
-        pair_codes = query_codes[None, :] * n_codes + codes
-        dust_squared = np.empty_like(differences)
-        for pair in np.unique(pair_codes):
-            query_index, candidate_index = divmod(int(pair), n_codes)
-            table = table_cache.get(
-                all_distinct[query_index], all_distinct[candidate_index]
-            )
-            cells = pair_codes == pair
-            dust_squared[cells] = table.dust_squared(differences[cells])
-        return np.sqrt(dust_squared.sum(axis=1))
-
     def distance_kernel(
         self, queries: Sequence, collection: Sequence
     ) -> np.ndarray:
@@ -803,7 +690,7 @@ class DustTechnique(Technique):
             # one shared error model DUST is symmetric, so only the upper
             # triangle (plus the small in-block overlap) is computed and
             # the rest is mirrored — per-cell values are bit-identical to
-            # the row-wise profiles either way.
+            # the one-row kernel either way.
             symmetric = queries is collection
             for start, stop in _query_blocks(
                 n_queries, len(collection), length
@@ -895,15 +782,6 @@ class FilteredTechnique(Technique):
         return euclidean(
             self._filtered_values(query), self._filtered_values(candidate)
         )
-
-    def distance_profile(
-        self, query: UncertainTimeSeries, collection: Sequence
-    ) -> np.ndarray:
-        """Row-wise Euclidean over the cached filtered ``(N, n)`` matrix."""
-        matrix = self.engine.materialize(collection).filtered_matrix(
-            self.filtered
-        )
-        return euclidean_profile(self._filtered_values(query), matrix)
 
     def distance_kernel(
         self, queries: Sequence, collection: Sequence
@@ -1005,8 +883,8 @@ class ProudTechnique(Technique):
         assumed_std: Optional[float] = None,
         synopsis_coefficients: Optional[int] = None,
     ) -> None:
-        # tau is supplied per matches() call by the harness; the default
-        # here only matters for direct interactive use.
+        # The technique returns raw probabilities and callers apply tau;
+        # the default here only matters for direct use of the engine.
         self._proud = Proud(tau=0.5, synopsis_coefficients=synopsis_coefficients)
         self.assumed_std = assumed_std
         self._model_cache: Dict[
@@ -1052,48 +930,6 @@ class ProudTechnique(Technique):
             epsilon,
         )
 
-    def probability_profile(
-        self,
-        query: UncertainTimeSeries,
-        collection: Sequence,
-        epsilon: float,
-    ) -> np.ndarray:
-        """PROUD's normal model evaluated over the whole candidate axis.
-
-        The squared-distance moments (Equations 5–7) are sums of
-        per-timestamp terms, so they vectorize directly over the cached
-        values and variance matrices.  The synopsis variant estimates
-        moments per union-of-coefficients and keeps the per-pair path.
-        """
-        if self._proud.synopsis is not None:
-            return super().probability_profile(query, collection, epsilon)
-        if epsilon < 0.0:
-            raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
-        materialized = self.engine.materialize(collection)
-        values = materialized.values_matrix()
-        observed = values - query.observations[None, :]
-        if self.assumed_std is not None:
-            # Constant-σ rewrite: Var[D_i] is one scalar; broadcasting it
-            # avoids materializing (N, n) constant matrices per query.
-            assumed_variance = self.assumed_std * self.assumed_std
-            variance_d = assumed_variance + assumed_variance
-        else:
-            variances = materialized.variances_matrix()
-            query_variances = query.error_model.variances()
-            variance_d = variances + query_variances[None, :]
-        mean = (observed * observed + variance_d).sum(axis=1)
-        variance = (
-            2.0 * variance_d * variance_d
-            + 4.0 * observed * observed * variance_d
-        ).sum(axis=1)
-
-        probabilities = np.where(mean <= epsilon * epsilon, 1.0, 0.0)
-        random = variance > 0.0
-        if np.any(random):
-            z = (epsilon * epsilon - mean[random]) / np.sqrt(variance[random])
-            probabilities[random] = std_normal_cdf(z)
-        return probabilities
-
     def probability_kernel(
         self, queries: Sequence, collection: Sequence, epsilon
     ) -> np.ndarray:
@@ -1104,7 +940,9 @@ class ProudTechnique(Technique):
         distance, so the whole matrix reduces to one GEMM.  With reported
         (possibly heterogeneous) models the per-timestamp moments are
         accumulated over bounded ``(B, N, n)`` blocks.  ``epsilon`` may be
-        a scalar or one threshold per query.
+        a scalar or one threshold per query.  The synopsis variant
+        estimates moments per union-of-coefficients and keeps the
+        per-pair path.
         """
         n_queries = len(queries)
         eps = _epsilon_vector(epsilon, n_queries)
@@ -1161,13 +999,6 @@ class ProudTechnique(Technique):
     ) -> float:
         return euclidean(query.observations, candidate.observations)
 
-    def calibration_profile(
-        self, query: UncertainTimeSeries, collection: Sequence
-    ) -> np.ndarray:
-        """Vectorized ε_eucl: Euclidean on observations, row-wise."""
-        matrix = self.engine.materialize(collection).values_matrix()
-        return euclidean_profile(query.observations, matrix)
-
     def calibration_kernel(
         self, queries: Sequence, collection: Sequence
     ) -> np.ndarray:
@@ -1196,13 +1027,6 @@ class _MultisampleCalibration:
         candidate: MultisampleUncertainTimeSeries,
     ) -> float:
         return euclidean(query.samples[:, 0], candidate.samples[:, 0])
-
-    def calibration_profile(
-        self, query: MultisampleUncertainTimeSeries, collection: Sequence
-    ) -> np.ndarray:
-        """Vectorized ε_eucl over the cached column-0 sample matrix."""
-        matrix = self.engine.materialize(collection).sample_column_matrix(0)
-        return euclidean_profile(query.samples[:, 0], matrix)
 
     def calibration_kernel(
         self, queries: Sequence, collection: Sequence
@@ -1276,26 +1100,6 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         epsilon: float,
     ) -> float:
         return self._munich.probability(query, candidate, epsilon)
-
-    def probability_profile(
-        self,
-        query: MultisampleUncertainTimeSeries,
-        collection: Sequence,
-        epsilon: float,
-    ) -> np.ndarray:
-        """MUNICH's bounding filter vectorized over the candidate axis.
-
-        One single-row execution of the technique's query plan: the
-        bound stage decides the clear hits/misses from the cached
-        interval stacks, and only the undecided middle pays the
-        probability evaluation, batched over the whole set in
-        convolution mode.  With bounds disabled the plan is a single
-        refine stage and matches the per-pair path exactly.
-        """
-        values, _ = self.matrix_with_stats(
-            "probability", [query], collection, epsilon=epsilon
-        )
-        return values[0]
 
     def build_plan(
         self, kind: str, tau: Optional[float] = None
@@ -1489,30 +1293,34 @@ class DustDtwTechnique(Technique):
     ) -> float:
         return self._dust.dtw_distance(query, candidate, window=self.window)
 
-    def distance_profile(
-        self, query: UncertainTimeSeries, collection: Sequence
+    def distance_kernel(
+        self, queries: Sequence, collection: Sequence
     ) -> np.ndarray:
         """Stacked wavefront DTW over grouped ``dust²`` cost tensors.
 
-        Candidates sharing an error distribution (read off the cached
-        code matrix's first timestamp, the same distribution the per-pair
-        path keys its table on) advance through one DP together; blocks
-        bound the ``(B, n, m)`` cost tensors.
+        Per query, candidates sharing an error distribution (read off
+        the cached code matrix's first timestamp, the same distribution
+        the per-pair path keys its table on) advance through one DP
+        together; blocks bound the ``(B, n, m)`` cost tensors.
         """
+        if len(queries) == 0:
+            return np.empty((0, len(collection)))
         materialized = self.engine.materialize(collection)
         values = materialized.values_matrix()
         codes, distincts = materialized.model_codes()
-        out = np.empty(len(collection))
-        query_distribution = query.error_model[0]
         first_codes = codes[:, 0]
-        for code in np.unique(first_codes):
-            table = self._dust.cache.get(
-                query_distribution, distincts[int(code)]
-            )
-            rows = np.flatnonzero(first_codes == code)
-            out[rows] = _dust_dtw_stack(
-                query.observations, values[rows], table, self.window
-            )
+        groups = [
+            (distincts[int(code)], np.flatnonzero(first_codes == code))
+            for code in np.unique(first_codes)
+        ]
+        out = np.empty((len(queries), len(collection)))
+        for row, query in enumerate(queries):
+            query_distribution = query.error_model[0]
+            for distribution, columns in groups:
+                table = self._dust.cache.get(query_distribution, distribution)
+                out[row, columns] = _dust_dtw_stack(
+                    query.observations, values[columns], table, self.window
+                )
         return out
 
 
@@ -1614,18 +1422,6 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         return self._munich.dtw_probability(
             query, candidate, epsilon, window=self.window
         )
-
-    def probability_profile(
-        self,
-        query: MultisampleUncertainTimeSeries,
-        collection: Sequence,
-        epsilon: float,
-    ) -> np.ndarray:
-        """One single-row execution of the technique's query plan."""
-        values, _ = self.matrix_with_stats(
-            "probability", [query], collection, epsilon=epsilon
-        )
-        return values[0]
 
     def build_plan(
         self, kind: str, tau: Optional[float] = None

@@ -3,7 +3,7 @@
 The acceptance bar for the kernel layer is *bit-identity* with the
 per-pair dynamic program — the wavefront evaluates the same cells with
 the same operand order — and 1e-9 parity everywhere a technique stacks
-the kernels (profiles, matrices, sharded execution).
+the kernels (one-row and all-pairs matrices, sharded execution).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.core import (
     spawn,
 )
 from repro.datasets import generate_dataset
+from repro.distances import dtw_batch
 from repro.distances import (
     ROLLING_MIN_LENGTH,
     banded_dtw_from_costs,
@@ -246,7 +247,7 @@ class TestDustDtwTechnique:
     def test_profile_matches_per_pair(self, workload):
         pdf, _ = workload
         technique = DustDtwTechnique(window=2)
-        profile = technique.distance_profile(pdf[0], pdf)
+        profile = technique.distance_matrix([pdf[0]], pdf)[0]
         reference = np.array(
             [technique.distance(pdf[0], candidate) for candidate in pdf]
         )
@@ -256,7 +257,7 @@ class TestDustDtwTechnique:
         pdf, _ = workload
         technique = DustDtwTechnique(window=3)
         dust = Dust(cache=technique.dust.cache)
-        profile = technique.distance_profile(pdf[1], pdf)
+        profile = technique.distance_matrix([pdf[1]], pdf)[0]
         reference = np.array([
             dust.dtw_distance(pdf[1], candidate, window=3)
             for candidate in pdf
@@ -269,7 +270,7 @@ class TestDustDtwTechnique:
         matrix = technique.distance_matrix(pdf[:5], pdf)
         for row, query in enumerate(pdf[:5]):
             np.testing.assert_array_equal(
-                matrix[row], technique.distance_profile(query, pdf)
+                matrix[row], technique.distance_matrix([query], pdf)[0]
             )
 
     def test_mixed_error_models_grouped(self, workload):
@@ -282,16 +283,53 @@ class TestDustDtwTechnique:
         )
         mixed[2] = swapped
         technique = DustDtwTechnique(window=2)
-        profile = technique.distance_profile(mixed[0], mixed)
+        profile = technique.distance_matrix([mixed[0]], mixed)[0]
         reference = np.array(
             [technique.distance(mixed[0], candidate) for candidate in mixed]
         )
         assert np.array_equal(profile, reference)
 
+    @pytest.mark.parametrize(
+        "rolling", [False, True], ids=["stacked", "rolling"]
+    )
+    def test_kernel_many_queries_mixed_models(
+        self, workload, monkeypatch, rolling
+    ):
+        """M > 1 queries with different error distributions against a
+        mixed collection: every cell equals per-pair ``dtw_distance`` on
+        both the stacked and the rolling (long-series) DP."""
+        pdf, _ = workload
+        if rolling:
+            # Lower the long-series threshold so these short series roll.
+            monkeypatch.setattr(dtw_batch, "ROLLING_MIN_LENGTH", 8)
+        length = len(pdf[0])
+        assert dtw_batch._use_rolling(length, length) == rolling
+        models = [NormalError(0.4), UniformError(0.8), NormalError(1.0)]
+        mixed = [
+            UncertainTimeSeries(
+                series.observations,
+                ErrorModel.constant(models[index % len(models)], length),
+            )
+            for index, series in enumerate(pdf[:6])
+        ]
+        queries = mixed[:3]
+        technique = DustDtwTechnique(window=4)
+        matrix = technique.distance_matrix(queries, mixed)
+        reference = np.array(
+            [
+                [
+                    technique.dust.dtw_distance(query, candidate, window=4)
+                    for candidate in mixed
+                ]
+                for query in queries
+            ]
+        )
+        assert np.array_equal(matrix, reference)
+
     def test_unconstrained_window(self, workload):
         pdf, _ = workload
         technique = DustDtwTechnique()
-        profile = technique.distance_profile(pdf[0], pdf[:6])
+        profile = technique.distance_matrix([pdf[0]], pdf[:6])[0]
         reference = np.array(
             [technique.distance(pdf[0], c) for c in pdf[:6]]
         )
@@ -320,9 +358,9 @@ class TestMunichDtwTechnique:
             munich=Munich(tau=0.5, method="montecarlo", n_samples=40, rng=9),
         )
         epsilon = 3.5
-        profile = technique.probability_profile(
-            multisample[0], multisample, epsilon
-        )
+        profile = technique.probability_matrix(
+            [multisample[0]], multisample, epsilon
+        )[0]
         reference = np.array([
             technique.probability(multisample[0], candidate, epsilon)
             for candidate in multisample
@@ -334,9 +372,9 @@ class TestMunichDtwTechnique:
         munich = Munich(tau=0.5, method="montecarlo", n_samples=30, rng=4)
         technique = MunichDtwTechnique(window=3, munich=munich)
         epsilon = 2.0
-        profile = technique.probability_profile(
-            multisample[1], multisample, epsilon
-        )
+        profile = technique.probability_matrix(
+            [multisample[1]], multisample, epsilon
+        )[0]
         reference = np.array([
             munich.dtw_probability(
                 multisample[1], candidate, epsilon, window=3
@@ -354,11 +392,11 @@ class TestMunichDtwTechnique:
         )
         for epsilon in (0.5, 2.0, 8.0):
             np.testing.assert_array_equal(
-                bounded.probability_profile(
-                    multisample[2], multisample, epsilon
+                bounded.probability_matrix(
+                    [multisample[2]], multisample, epsilon
                 ),
-                unbounded.probability_profile(
-                    multisample[2], multisample, epsilon
+                unbounded.probability_matrix(
+                    [multisample[2]], multisample, epsilon
                 ),
             )
 
@@ -368,9 +406,13 @@ class TestMunichDtwTechnique:
             window=2,
             munich=Munich(tau=0.5, method="montecarlo", n_samples=20, rng=1),
         )
-        tiny = technique.probability_profile(multisample[0], multisample, 1e-9)
+        tiny = technique.probability_matrix(
+            [multisample[0]], multisample, 1e-9
+        )[0]
         assert np.all(tiny[1:] == 0.0)
-        huge = technique.probability_profile(multisample[0], multisample, 1e6)
+        huge = technique.probability_matrix(
+            [multisample[0]], multisample, 1e6
+        )[0]
         assert np.all(huge == 1.0)
 
     def test_matrix_per_query_epsilons(self, workload):
@@ -386,9 +428,9 @@ class TestMunichDtwTechnique:
         for row in range(4):
             np.testing.assert_array_equal(
                 matrix[row],
-                technique.probability_profile(
-                    multisample[row], multisample, float(epsilons[row])
-                ),
+                technique.probability_matrix(
+                    [multisample[row]], multisample, float(epsilons[row])
+                )[0],
             )
 
     def test_naive_method_falls_back(self):
@@ -400,7 +442,7 @@ class TestMunichDtwTechnique:
         technique = MunichDtwTechnique(
             window=1, munich=Munich(tau=0.5, method="naive")
         )
-        profile = technique.probability_profile(series[0], series, 1.5)
+        profile = technique.probability_matrix([series[0]], series, 1.5)[0]
         reference = np.array(
             [technique.probability(series[0], c, 1.5) for c in series]
         )
@@ -409,7 +451,9 @@ class TestMunichDtwTechnique:
     def test_calibration_is_column0_euclidean(self, workload):
         _, multisample = workload
         technique = MunichDtwTechnique(window=2)
-        profile = technique.calibration_profile(multisample[0], multisample)
+        profile = technique.calibration_matrix(
+            [multisample[0]], multisample
+        )[0]
         reference = np.array([
             np.linalg.norm(
                 multisample[0].samples[:, 0] - candidate.samples[:, 0]
@@ -422,7 +466,9 @@ class TestMunichDtwTechnique:
         _, multisample = workload
         technique = MunichDtwTechnique(window=2)
         with pytest.raises(InvalidParameterError):
-            technique.probability_profile(multisample[0], multisample, -1.0)
+            technique.probability_matrix(
+                [multisample[0]], multisample, -1.0
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +595,11 @@ class TestRollingDiagonalKernel:
         reference = dtw_distance_paired(x, y, window=2)
         assert np.array_equal(rolled, reference)
 
-    def test_dust_dtw_profile_long_series_parity(self):
+    def test_dust_dtw_profile_long_series_parity(self, monkeypatch):
         # DUST-DTW's stacked kernel takes the rolling path for long
         # series; verify against the per-pair anchor on a small stack.
+        # GunPoint tops out at 150 timestamps, so the threshold is lowered
+        # to that length (per-pair DTW at 512 takes seconds per pair).
         exact = generate_dataset(
             "GunPoint", seed=29, n_series=3, length=ROLLING_MIN_LENGTH
         )
@@ -560,8 +608,10 @@ class TestRollingDiagonalKernel:
             scenario.apply(series, spawn(29, "pdf", index))
             for index, series in enumerate(exact)
         ]
+        monkeypatch.setattr(dtw_batch, "ROLLING_MIN_LENGTH", len(pdf[0]))
+        assert dtw_batch._use_rolling(len(pdf[0]), len(pdf[0]))
         technique = DustDtwTechnique(window=6)
-        profile = technique.distance_profile(pdf[0], pdf)
+        profile = technique.distance_matrix([pdf[0]], pdf)[0]
         expected = np.array(
             [
                 technique.dust.dtw_distance(pdf[0], candidate, window=6)

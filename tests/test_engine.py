@@ -1,7 +1,7 @@
-"""Batch query engine: materialization cache + profile/per-pair equivalence.
+"""Batch query engine: materialization cache + kernel/per-pair equivalence.
 
-The contract under test: for every technique family,
-``distance_profile`` / ``probability_profile`` return exactly (to 1e-9)
+The contract under test: for every technique family, a one-row
+``distance_matrix`` / ``probability_matrix`` returns exactly (to 1e-9)
 what the per-pair ``distance`` / ``probability`` loop returns, on
 homogeneous and heterogeneous error models alike — so the harness can use
 the vectorized kernels without changing any result.
@@ -91,7 +91,7 @@ class TestDistanceProfileEquivalence:
         collection = request.getfixturevalue(fixture)
         technique.reset()
         query = collection[3]
-        profile = technique.distance_profile(query, collection)
+        profile = technique.distance_matrix([query], collection)[0]
         expected = np.array(
             [technique.distance(query, candidate) for candidate in collection]
         )
@@ -100,7 +100,7 @@ class TestDistanceProfileEquivalence:
 
     def test_self_distance_is_zero(self, homogeneous):
         technique = EuclideanTechnique()
-        profile = technique.distance_profile(homogeneous[5], homogeneous)
+        profile = technique.distance_matrix([homogeneous[5]], homogeneous)[0]
         assert profile[5] == pytest.approx(0.0, abs=1e-12)
 
     def test_dust_heterogeneous_query_model_unseen_in_collection(
@@ -109,7 +109,7 @@ class TestDistanceProfileEquivalence:
         """A query whose distributions extend the collection's code space."""
         technique = DustTechnique()
         query = heterogeneous[0]  # mixed-σ model vs σ=0.4 collection
-        profile = technique.distance_profile(query, homogeneous)
+        profile = technique.distance_matrix([query], homogeneous)[0]
         expected = np.array(
             [technique.distance(query, candidate) for candidate in homogeneous]
         )
@@ -136,7 +136,7 @@ class TestProbabilityProfileEquivalence:
         technique = ProudTechnique(assumed_std=assumed_std)
         epsilon = self._epsilon(collection)
         query = collection[3]
-        profile = technique.probability_profile(query, collection, epsilon)
+        profile = technique.probability_matrix([query], collection, epsilon)[0]
         expected = np.array(
             [
                 technique.probability(query, candidate, epsilon)
@@ -149,7 +149,9 @@ class TestProbabilityProfileEquivalence:
         technique = ProudTechnique(synopsis_coefficients=8)
         epsilon = self._epsilon(homogeneous)
         query = homogeneous[3]
-        profile = technique.probability_profile(query, homogeneous, epsilon)
+        profile = technique.probability_matrix(
+            [query], homogeneous, epsilon
+        )[0]
         expected = np.array(
             [
                 technique.probability(query, candidate, epsilon)
@@ -171,7 +173,9 @@ class TestProbabilityProfileEquivalence:
             ]
         )
         epsilon = float(np.partition(others, PAPER_K)[PAPER_K])
-        profile = technique.probability_profile(query, multisample, epsilon)
+        profile = technique.probability_matrix(
+            [query], multisample, epsilon
+        )[0]
         expected = np.array(
             [
                 technique.probability(query, candidate, epsilon)
@@ -182,28 +186,32 @@ class TestProbabilityProfileEquivalence:
 
     def test_negative_epsilon_rejected(self, homogeneous, multisample):
         with pytest.raises(Exception):
-            ProudTechnique().probability_profile(
-                homogeneous[0], homogeneous, -1.0
+            ProudTechnique().probability_matrix(
+                [homogeneous[0]], homogeneous, -1.0
             )
         with pytest.raises(Exception):
-            MunichTechnique().probability_profile(
-                multisample[0], multisample, -1.0
+            MunichTechnique().probability_matrix(
+                [multisample[0]], multisample, -1.0
             )
 
 
 class TestCalibrationProfile:
     def test_distance_technique_uses_distance_profile(self, homogeneous):
         technique = DustTechnique()
-        profile = technique.calibration_profile(homogeneous[0], homogeneous)
+        profile = technique.calibration_matrix(
+            [homogeneous[0]], homogeneous
+        )[0]
         np.testing.assert_allclose(
             profile,
-            technique.distance_profile(homogeneous[0], homogeneous),
+            technique.distance_matrix([homogeneous[0]], homogeneous)[0],
             atol=1e-12,
         )
 
     def test_proud_calibration_is_euclidean(self, homogeneous):
         technique = ProudTechnique(assumed_std=0.7)
-        profile = technique.calibration_profile(homogeneous[0], homogeneous)
+        profile = technique.calibration_matrix(
+            [homogeneous[0]], homogeneous
+        )[0]
         expected = np.array(
             [
                 technique.calibration_distance(homogeneous[0], candidate)
@@ -214,7 +222,9 @@ class TestCalibrationProfile:
 
     def test_munich_calibration_uses_column_zero(self, multisample):
         technique = MunichTechnique()
-        profile = technique.calibration_profile(multisample[0], multisample)
+        profile = technique.calibration_matrix(
+            [multisample[0]], multisample
+        )[0]
         expected = np.array(
             [
                 technique.calibration_distance(multisample[0], candidate)
@@ -227,7 +237,9 @@ class TestCalibrationProfile:
         technique = EuclideanTechnique()
         values = np.vstack([s.observations for s in homogeneous])
         calibration = calibrate_queries(values, k=PAPER_K)[0]
-        profile = technique.calibration_profile(homogeneous[0], homogeneous)
+        profile = technique.calibration_matrix(
+            [homogeneous[0]], homogeneous
+        )[0]
         from_pair = technique_epsilon(technique, homogeneous, calibration)
         assert profile[calibration.anchor_index] == pytest.approx(
             from_pair, abs=1e-9
@@ -356,7 +368,7 @@ class TestQueryEngine:
         technique = EuclideanTechnique()
         private = QueryEngine()
         technique.attach_engine(private)
-        technique.distance_profile(homogeneous[0], homogeneous)
+        technique.distance_matrix(homogeneous, homogeneous)
         assert len(private) == 1
         technique.reset()
         assert len(private) == 0
@@ -365,7 +377,7 @@ class TestQueryEngine:
         from repro.queries import SHARED_ENGINE
 
         technique = EuclideanTechnique()
-        technique.distance_profile(homogeneous[0], homogeneous)
+        technique.distance_matrix(homogeneous, homogeneous)
         before = len(SHARED_ENGINE)
         assert before >= 1
         technique.reset()
@@ -390,12 +402,12 @@ class TestQueryEngine:
         technique = EuclideanTechnique()
         technique.attach_engine(QueryEngine())
         collection = list(homogeneous)
-        before = technique.distance_profile(collection[0], collection)
+        before = technique.distance_matrix([collection[0]], collection)[0]
         collection[5] = homogeneous[6]  # replace a member in place
-        after = technique.distance_profile(collection[0], collection)
+        after = technique.distance_matrix([collection[0]], collection)[0]
         assert after[5] == pytest.approx(before[6], abs=1e-12)
         collection.append(homogeneous[7])  # grow in place
-        grown = technique.distance_profile(collection[0], collection)
+        grown = technique.distance_matrix([collection[0]], collection)[0]
         assert grown.shape == (len(homogeneous) + 1,)
 
     def test_dust_table_propagates_nan(self):

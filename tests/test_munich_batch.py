@@ -4,7 +4,7 @@ Property: for every randomized configuration — lengths, sample counts,
 bin counts, thresholds from degenerate to saturating — the stacked batch
 evaluator equals :func:`repro.munich.exact.convolved_probability` per
 candidate to far better than the 1e-9 batch-kernel tolerance, and the
-technique/profile/matrix/shard layers above it inherit that parity.
+technique/one-row/matrix/shard layers above it inherit that parity.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class TestBatchedConvolution:
 
 
 # ---------------------------------------------------------------------------
-# Technique-level parity (profile / matrix / shards / ragged fallback)
+# Technique-level parity (one row / matrix / shards / ragged fallback)
 # ---------------------------------------------------------------------------
 
 
@@ -158,9 +158,9 @@ class TestMunichTechniqueBatch:
         munich = Munich(tau=0.5, n_bins=256, use_bounds=use_bounds)
         technique = MunichTechnique(munich)
         for epsilon in (0.5, 2.5, 6.0):
-            profile = technique.probability_profile(
-                multisample[0], multisample, epsilon
-            )
+            profile = technique.probability_matrix(
+                [multisample[0]], multisample, epsilon
+            )[0]
             reference = np.array([
                 munich.probability(multisample[0], candidate, epsilon)
                 for candidate in multisample
@@ -186,9 +186,9 @@ class TestMunichTechniqueBatch:
     def test_montecarlo_method_keeps_per_pair_path(self, multisample):
         munich = Munich(tau=0.5, method="montecarlo", n_samples=50, rng=3)
         technique = MunichTechnique(munich)
-        profile = technique.probability_profile(
-            multisample[0], multisample, 2.5
-        )
+        profile = technique.probability_matrix(
+            [multisample[0]], multisample, 2.5
+        )[0]
         reference = np.array([
             munich.probability(multisample[0], candidate, 2.5)
             for candidate in multisample
@@ -206,7 +206,9 @@ class TestMunichTechniqueBatch:
         )
         munich = Munich(tau=0.5, n_bins=128)
         technique = MunichTechnique(munich)
-        profile = technique.probability_profile(multisample[0], ragged, 2.5)
+        profile = technique.probability_matrix(
+            [multisample[0]], ragged, 2.5
+        )[0]
         reference = np.array([
             munich.probability(multisample[0], candidate, 2.5)
             for candidate in ragged

@@ -74,10 +74,13 @@ def multisample(exact):
     ]
 
 
-def _stacked_profiles(technique, queries, collection):
-    """The pre-refactor base behaviour: one profile row per query."""
-    return np.vstack(
-        [technique.distance_profile(query, collection) for query in queries]
+def _per_pair_distances(technique, queries, collection):
+    """The per-pair reference: one ``distance`` call per cell."""
+    return np.array(
+        [
+            [technique.distance(query, candidate) for candidate in collection]
+            for query in queries
+        ]
     )
 
 
@@ -150,7 +153,7 @@ class TestPlanParity:
     def test_distance_families(self, pdf, factory):
         technique = factory()
         values, stats = technique.matrix_with_stats("distance", pdf, pdf)
-        reference = _stacked_profiles(technique, pdf, pdf)
+        reference = _per_pair_distances(technique, pdf, pdf)
         assert np.max(np.abs(values - reference)) <= PARITY_TOL
         assert [entry.stage for entry in stats.stages] == ["refine"]
         assert stats.stages[0].decided == stats.total_cells
@@ -160,7 +163,7 @@ class TestPlanParity:
         values, stats = technique.matrix_with_stats(
             "distance", pdf[:5], pdf
         )
-        reference = _stacked_profiles(technique, pdf[:5], pdf)
+        reference = _per_pair_distances(technique, pdf[:5], pdf)
         assert np.array_equal(values, reference)
         assert stats.decided_by("refine") == stats.total_cells
 
@@ -170,9 +173,9 @@ class TestPlanParity:
         values, stats = technique.matrix_with_stats(
             "probability", pdf, pdf, epsilon=epsilons
         )
-        reference = np.vstack(
+        reference = np.array(
             [
-                technique.probability_profile(query, pdf, float(eps))
+                [technique.probability(query, c, float(eps)) for c in pdf]
                 for query, eps in zip(pdf, epsilons)
             ]
         )
@@ -237,14 +240,16 @@ class TestPlanParity:
         assert np.array_equal(values, reference)
 
     def test_profile_rides_the_plan(self, multisample):
+        """A one-row plan (direct query-side bound stacks) scores its row
+        exactly as the multi-row plan does."""
         technique = MunichTechnique(Munich(tau=0.5, n_bins=256))
-        profile = technique.probability_profile(
-            multisample[0], multisample, 3.0
-        )
-        matrix = technique.probability_matrix(
+        profile = technique.probability_matrix(
             [multisample[0]], multisample, 3.0
         )
-        assert np.array_equal(profile, matrix[0])
+        matrix = technique.probability_matrix(
+            multisample[:4], multisample, 3.0
+        )
+        assert np.array_equal(profile[0], matrix[0])
 
     def test_calibration_kind_single_refine(self, multisample):
         technique = MunichTechnique()
@@ -496,7 +501,7 @@ class TestCustomTechniqueMigration:
         values, stats = technique.matrix_with_stats(
             "distance", pdf[:4], pdf
         )
-        reference = _stacked_profiles(technique, pdf[:4], pdf)
+        reference = _per_pair_distances(technique, pdf[:4], pdf)
         np.testing.assert_array_equal(values, reference)
         assert [entry.stage for entry in stats.stages] == ["refine"]
 

@@ -45,13 +45,6 @@ class TestEuclideanTechnique:
             euclidean(x.observations, y.observations)
         )
 
-    def test_matches_is_threshold(self, perturbed_collection):
-        technique = EuclideanTechnique()
-        x, y = perturbed_collection[0], perturbed_collection[1]
-        d = technique.distance(x, y)
-        assert technique.matches(x, y, d + 0.01)
-        assert not technique.matches(x, y, d - 0.01)
-
     def test_probability_unsupported(self, perturbed_collection):
         with pytest.raises(UnsupportedQueryError):
             EuclideanTechnique().probability(
@@ -121,13 +114,6 @@ class TestProudTechnique:
         assert technique.calibration_distance(x, y) == pytest.approx(
             euclidean(x.observations, y.observations)
         )
-
-    def test_matches_requires_tau(self, perturbed_collection):
-        technique = ProudTechnique()
-        with pytest.raises(InvalidParameterError):
-            technique.matches(
-                perturbed_collection[0], perturbed_collection[1], 1.0
-            )
 
     def test_reset_clears_model_cache(self, perturbed_collection):
         technique = ProudTechnique(assumed_std=0.5)

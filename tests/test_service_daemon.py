@@ -465,6 +465,50 @@ class TestWireFaults:
             answer = client.query("knn", "pdf", {"k": 2}, "euclidean")
         assert len(answer.indices) == N_SERIES
 
+    def test_client_gone_mid_batch_does_not_poison_batch(
+        self, pdf, collections, tmp_path
+    ):
+        """One member of a coalesced batch hangs up before its reply; the
+        other member still gets the in-process answer and the daemon
+        keeps serving."""
+        catalog_path = str(tmp_path / "catalog.db")
+        with ServiceCatalog(catalog_path) as catalog:
+            catalog.register("pdf", collections["pdf"])
+        live = DaemonHarness(catalog_path, max_delay=0.5)
+        try:
+            def knn_request(row: int) -> bytes:
+                return json.dumps(
+                    {
+                        "v": PROTOCOL_VERSION,
+                        "id": f"row{row}",
+                        "op": "knn",
+                        "collection": "pdf",
+                        "params": {"k": 3},
+                        "technique": "dust",
+                        "queries": {"indices": [row]},
+                    }
+                ).encode() + b"\n"
+
+            address = ("127.0.0.1", live.port)
+            with socket.create_connection(address, timeout=30.0) as stays:
+                with socket.create_connection(address, timeout=30.0) as gone:
+                    gone.sendall(knn_request(0))
+                    stays.sendall(knn_request(1))
+                # ``gone`` is closed while the batch still waits out
+                # max_delay, so its reply goes to a dead socket.
+                response = json.loads(stays.makefile("rb").readline())
+            assert response["ok"] is True
+            assert response["batch"]["size"] == 2
+            with SimilaritySession(pdf) as session:
+                expected = (
+                    session.queries([1]).using(build_technique("dust")).knn(3)
+                )
+            assert response["result"]["indices"] == expected.indices.tolist()
+            with live.client() as client:
+                assert client.ping()
+        finally:
+            live.stop()
+
 
 class TestTimeouts:
     def test_expired_request_reports_timeout(self, harness):

@@ -2,13 +2,13 @@
 
 The contracts under test:
 
-* ``distance_matrix`` / ``probability_matrix`` ≡ the stacked per-query
-  profiles to 1e-9, for all five technique families on homogeneous *and*
-  heterogeneous error models (so the harness can take the matrix path
-  without changing any result);
+* ``distance_matrix`` / ``probability_matrix`` ≡ the stacked one-row
+  matrices to 1e-9, for all five technique families on homogeneous *and*
+  heterogeneous error models (so batching queries never changes a
+  result);
 * the GEMM identity stays numerically sound on near-duplicate series
   (where the norm expansion cancels catastrophically);
-* matrix-path and profile-path kNN rankings agree bit-for-bit (stable
+* all-pairs and one-row kNN rankings agree bit-for-bit (stable
   tie-breaking by candidate index);
 * the fluent ``SimilaritySession`` / ``QuerySet`` surface matches
   per-pair references, including self-match exclusion;
@@ -125,7 +125,7 @@ class TestDistanceMatrixEquivalence:
         technique.reset()
         matrix = technique.distance_matrix(collection, collection)
         stacked = np.vstack(
-            [technique.distance_profile(q, collection) for q in collection]
+            [technique.distance_matrix([q], collection)[0] for q in collection]
         )
         assert matrix.shape == (len(collection), len(collection))
         np.testing.assert_allclose(matrix, stacked, atol=1e-9, rtol=0.0)
@@ -135,7 +135,7 @@ class TestDistanceMatrixEquivalence:
         queries = [heterogeneous[0], homogeneous[3], heterogeneous[7]]
         matrix = technique.distance_matrix(queries, homogeneous)
         stacked = np.vstack(
-            [technique.distance_profile(q, homogeneous) for q in queries]
+            [technique.distance_matrix([q], homogeneous) for q in queries]
         )
         np.testing.assert_allclose(matrix, stacked, atol=1e-9, rtol=0.0)
 
@@ -162,13 +162,11 @@ class TestDistanceMatrixEquivalence:
 
         technique = Hamming()
         matrix = technique.distance_matrix(homogeneous[:4], homogeneous)
-        stacked = np.vstack(
-            [
-                technique.distance_profile(q, homogeneous)
-                for q in homogeneous[:4]
-            ]
-        )
-        np.testing.assert_array_equal(matrix, stacked)
+        per_pair = [
+            [technique.distance(q, c) for c in homogeneous]
+            for q in homogeneous[:4]
+        ]
+        np.testing.assert_array_equal(matrix, per_pair)
 
 
 class TestProbabilityMatrixEquivalence:
@@ -185,7 +183,7 @@ class TestProbabilityMatrixEquivalence:
         )
         stacked = np.vstack(
             [
-                technique.probability_profile(q, collection, float(e))
+                technique.probability_matrix([q], collection, float(e))[0]
                 for q, e in zip(collection, epsilons)
             ]
         )
@@ -196,7 +194,7 @@ class TestProbabilityMatrixEquivalence:
         matrix = technique.probability_matrix(homogeneous, homogeneous, 4.0)
         stacked = np.vstack(
             [
-                technique.probability_profile(q, homogeneous, 4.0)
+                technique.probability_matrix([q], homogeneous, 4.0)[0]
                 for q in homogeneous
             ]
         )
@@ -210,7 +208,7 @@ class TestProbabilityMatrixEquivalence:
         )
         stacked = np.vstack(
             [
-                technique.probability_profile(q, homogeneous, float(e))
+                technique.probability_matrix([q], homogeneous, float(e))[0]
                 for q, e in zip(homogeneous[:3], epsilons)
             ]
         )
@@ -229,7 +227,7 @@ class TestProbabilityMatrixEquivalence:
         )
         stacked = np.vstack(
             [
-                technique.probability_profile(q, multisample, float(e))
+                technique.probability_matrix([q], multisample, float(e))[0]
                 for q, e in zip(multisample, epsilons)
             ]
         )
@@ -259,7 +257,7 @@ class TestCalibrationMatrix:
         matrix = technique.calibration_matrix(homogeneous, homogeneous)
         stacked = np.vstack(
             [
-                technique.calibration_profile(q, homogeneous)
+                technique.calibration_matrix([q], homogeneous)[0]
                 for q in homogeneous
             ]
         )
@@ -270,7 +268,7 @@ class TestCalibrationMatrix:
         matrix = technique.calibration_matrix(multisample, multisample)
         stacked = np.vstack(
             [
-                technique.calibration_profile(q, multisample)
+                technique.calibration_matrix([q], multisample)[0]
                 for q in multisample
             ]
         )
@@ -319,9 +317,9 @@ class TestGemmNumericalStability:
         technique = EuclideanTechnique()
         near = [homogeneous[0], homogeneous[0]]  # identical queries
         matrix = technique.distance_matrix(near, homogeneous)
-        profile = technique.distance_profile(homogeneous[0], homogeneous)
-        np.testing.assert_allclose(matrix[0], profile, atol=1e-9, rtol=0.0)
-        np.testing.assert_allclose(matrix[1], profile, atol=1e-9, rtol=0.0)
+        profile = technique.distance_matrix([homogeneous[0]], homogeneous)
+        np.testing.assert_allclose(matrix[0], profile[0], atol=1e-9, rtol=0.0)
+        np.testing.assert_allclose(matrix[1], profile[0], atol=1e-9, rtol=0.0)
 
 
 class TestKnnTieBreaking:
@@ -356,7 +354,7 @@ class TestKnnTieBreaking:
         result = session.queries().using(technique).knn(5)
         for index, query in enumerate(homogeneous):
             expected = knn_indices(
-                technique.distance_profile(query, homogeneous), 5,
+                technique.distance_matrix([query], homogeneous)[0], 5,
                 exclude=index,
             )
             assert result.row(index) == expected
