@@ -93,7 +93,7 @@ def _best_of(callable_, repeats: int) -> float:
 def _knn_at_scale(collection, indexed: bool, repeats: int):
     """kNN wall time for the fixed 8-query workload; returns the result
     of the last run so callers can compare neighbour sets."""
-    policy = PlanPolicy(use_index=indexed)
+    policy = PlanPolicy(mode="auto" if indexed else "fixed")
     holder: Dict = {}
 
     def run():
@@ -258,12 +258,12 @@ def _parity_case(name: str, collection, technique, query) -> Dict:
             SimilaritySession(
                 collection,
                 engine=QueryEngine(),
-                policy=PlanPolicy(use_index=use_index),
+                policy=PlanPolicy(mode=mode),
             )
             .queries()
             .using(technique)
         )
-        for use_index in (True, False)
+        for mode in ("auto", "fixed")
     )
     if hasattr(indexed, "indices"):  # KnnResult
         identical = bool(np.array_equal(indexed.indices, baseline.indices))

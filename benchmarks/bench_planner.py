@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Query-planner benchmark: adaptive MC stopping + rolling-diagonal DTW.
+"""Query-planner benchmark: adaptive MC stopping, τ grid, rolling DTW.
 
-Two workloads exercise the planner's new machinery:
+Three workloads exercise the planner's machinery:
 
 * **MUNICH-DTW adaptive decision workload** — a kNN-calibrated
   probabilistic decision query: each query's ε is its 10th-nearest-
@@ -12,6 +12,11 @@ Two workloads exercise the planner's new machinery:
   rounds, sequential stopping against τ.  Decisions are asserted
   identical cell for cell; the full run enforces the ≥2× speedup floor
   that adaptive stopping buys on the dominant draw-stack DP cost.
+
+* **MUNICH-DTW τ-grid sweep** — the optimal-τ calibration loop: one
+  adaptive pass per grid τ versus one bracketing pass that settles the
+  whole grid.  Decisions are asserted identical at every grid τ; the
+  full run enforces a ≥1.3× floor on per-τ over grid seconds.
 
 * **Rolling-diagonal DTW, length 1024** — long-series banded DTW
   through the rolling three-diagonal wavefront state.  The kernel is
@@ -49,7 +54,7 @@ from repro.queries import MunichDtwTechnique
 SEED = 2012
 PARITY_TOL = 1e-9
 ADAPTIVE_SPEEDUP_FLOOR = 2.0
-MIXED_SPEEDUP_FLOOR = 1.3
+SWEEP_SPEEDUP_FLOOR = 1.3
 ROLLING_LENGTH = 1024
 TAU_GRID = (0.2, 0.4, 0.6, 0.8, 0.9)
 DEFAULT_OUT = os.path.join(
@@ -161,72 +166,23 @@ def _bench_adaptive_mc(
     return row
 
 
-def _bench_mixed_planner(
+def _bench_tau_sweep(
     multisample,
     n_queries: int,
     tau_grid,
     n_samples: int,
     window: int,
-    knn_series: int,
-    knn_length: int,
-    knn_queries: int,
-    knn_k: int,
     repeats: int,
 ) -> Dict:
-    """Cost-based chooser + one-pass τ-grid vs the fixed cascade.
+    """One-pass τ-grid bracketing vs one adaptive pass per grid τ.
 
-    A mixed workload with two legs:
-
-    * **Euclidean kNN over i.i.d. noise** — the PAA index prunes almost
-      nothing here (averaged noise collapses every lower bound toward
-      zero), so the authored ``index -> refine`` cascade pays the index
-      stage for free.  ``mode="fixed"`` runs it as authored;
-      ``mode="auto"`` pilots a seeded sample, sees the dead stage, and
-      drops it.  Rankings must stay bit-identical (filters are sound).
-    * **MUNICH-DTW optimal-τ sweep** — the paper's τ-calibration loop.
-      Fixed cascade: one adaptive-MC pass per grid τ.  Planner: one
-      bracketing pass whose sequential rule covers the whole grid, with
-      decisions asserted identical to the full-sample reference at
-      *every* grid τ (the never-flips guarantee, per τ).
+    The workload is the paper's optimal-τ calibration loop over
+    MUNICH-DTW.  The per-τ sweep runs one adaptive-MC pass per grid
+    threshold; the grid sweep runs one bracketing pass whose sequential
+    rule covers the whole grid.  Decisions are asserted identical to
+    the full-sample reference at *every* grid τ (the never-flips
+    guarantee, per τ).
     """
-    from repro.core import TimeSeries
-    from repro.queries import EuclideanTechnique
-    from repro.queries.planner import PlanPolicy, clear_plan_cache
-    from repro.queries.session import SimilaritySession
-
-    fixed_policy = PlanPolicy(mode="fixed")
-    auto_policy = PlanPolicy(
-        mode="auto", pilot_floor_cells=min(8192, knn_series * knn_queries)
-    )
-
-    rng = np.random.default_rng(SEED)
-    noise = [
-        TimeSeries(rng.normal(size=knn_length)) for _ in range(knn_series)
-    ]
-    with SimilaritySession(noise) as session:
-        query_set = session.queries(list(range(knn_queries))).using(
-            EuclideanTechnique()
-        )
-
-        def knn_fixed():
-            return query_set.with_policy(fixed_policy).knn(knn_k)
-
-        def knn_auto():
-            return query_set.with_policy(auto_policy).knn(knn_k)
-
-        clear_plan_cache()
-        fixed_hits = knn_fixed()
-        auto_hits = knn_auto()
-        knn_parity = bool(
-            np.array_equal(fixed_hits.indices, auto_hits.indices)
-            and np.max(np.abs(fixed_hits.scores - auto_hits.scores))
-            <= PARITY_TOL
-        )
-        auto_explanation = auto_hits.pruning_stats.explanation
-        index_dropped = "index" not in auto_explanation.chosen_stages
-        knn_fixed_seconds = _best_of(knn_fixed, repeats)
-        knn_auto_seconds = _best_of(knn_auto, repeats)
-
     munich = Munich(
         tau=0.5, method="montecarlo", n_samples=n_samples, rng=SEED
     )
@@ -242,29 +198,18 @@ def _bench_mixed_planner(
     def sweep_fixed():
         return [
             technique.matrix_with_stats(
-                "probability",
-                queries,
-                multisample,
-                epsilon=epsilons,
-                tau=tau,
-                policy=fixed_policy,
+                "probability", queries, multisample, epsilon=epsilons, tau=tau
             )[0]
             for tau in grid
         ]
 
     def sweep_grid():
         return technique.matrix_with_stats(
-            "probability",
-            queries,
-            multisample,
-            epsilon=epsilons,
-            tau=grid,
-            policy=fixed_policy,
+            "probability", queries, multisample, epsilon=epsilons, tau=grid
         )[0]
 
     reference = technique.matrix_with_stats(
-        "probability", queries, multisample, epsilon=epsilons,
-        policy=fixed_policy,
+        "probability", queries, multisample, epsilon=epsilons
     )[0]
     per_tau_values = sweep_fixed()
     grid_values = sweep_grid()
@@ -275,35 +220,25 @@ def _bench_mixed_planner(
     )
     sweep_fixed_seconds = _best_of(sweep_fixed, repeats)
     sweep_grid_seconds = _best_of(sweep_grid, repeats)
-
-    fixed_total = knn_fixed_seconds + sweep_fixed_seconds
-    auto_total = knn_auto_seconds + sweep_grid_seconds
-    speedup = fixed_total / auto_total if auto_total > 0 else float("inf")
+    speedup = (
+        sweep_fixed_seconds / sweep_grid_seconds
+        if sweep_grid_seconds > 0
+        else float("inf")
+    )
     row = {
-        "technique": "mixed kNN + tau-sweep",
-        "kind": "planner-chooser",
-        "fixed_seconds": fixed_total,
-        "auto_seconds": auto_total,
-        "speedup": speedup,
-        "knn_fixed_seconds": knn_fixed_seconds,
-        "knn_auto_seconds": knn_auto_seconds,
+        "technique": "MUNICH-DTW",
+        "kind": "tau-grid-sweep",
         "sweep_fixed_seconds": sweep_fixed_seconds,
         "sweep_grid_seconds": sweep_grid_seconds,
-        "knn_parity": knn_parity,
+        "speedup": speedup,
         "sweep_decisions_identical": bool(sweep_parity),
-        "index_dropped_by_chooser": bool(index_dropped),
-        "auto_plan": list(auto_explanation.chosen_stages),
         "tau_grid": list(grid),
-        "knn_series": knn_series,
-        "knn_queries": knn_queries,
-        "knn_k": knn_k,
     }
     print(
-        f"  mixed planner workload: fixed {fixed_total * 1e3:9.3f} ms   "
-        f"auto {auto_total * 1e3:9.3f} ms   speedup {speedup:5.2f}x   "
-        f"kNN parity: {knn_parity}   tau-grid decisions identical: "
-        f"{bool(sweep_parity)}   auto plan: "
-        f"{' -> '.join(auto_explanation.chosen_stages)}"
+        f"  MUNICH-DTW (tau-grid-sweep): per-tau "
+        f"{sweep_fixed_seconds * 1e3:9.3f} ms   grid "
+        f"{sweep_grid_seconds * 1e3:9.3f} ms   speedup {speedup:5.2f}x   "
+        f"decisions identical at every tau: {bool(sweep_parity)}"
     )
     return row
 
@@ -367,10 +302,6 @@ def main(argv=None) -> int:
     parser.add_argument("--mc-samples", type=int, default=192)
     parser.add_argument("--rolling-pairs", type=int, default=8)
     parser.add_argument("--rolling-window", type=int, default=64)
-    parser.add_argument("--mixed-series", type=int, default=160)
-    parser.add_argument("--mixed-length", type=int, default=64)
-    parser.add_argument("--mixed-queries", type=int, default=64)
-    parser.add_argument("--mixed-k", type=int, default=8)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default=DEFAULT_OUT)
     parser.add_argument(
@@ -385,8 +316,6 @@ def main(argv=None) -> int:
         args.queries, args.k = 4, 4
         args.mc_samples, args.repeats = 32, 1
         args.rolling_pairs, args.rolling_window = 2, 32
-        args.mixed_series, args.mixed_length = 24, 16
-        args.mixed_queries, args.mixed_k = 8, 3
 
     munich_samples = 3
     window = max(1, args.length // 10)
@@ -408,16 +337,12 @@ def main(argv=None) -> int:
         window,
         args.repeats,
     )
-    mixed_row = _bench_mixed_planner(
+    sweep_row = _bench_tau_sweep(
         multisample,
         args.queries,
         TAU_GRID,
         args.mc_samples,
         window,
-        args.mixed_series,
-        args.mixed_length,
-        args.mixed_queries,
-        args.mixed_k,
         args.repeats,
     )
     rolling_row = _bench_rolling_dtw(
@@ -427,17 +352,16 @@ def main(argv=None) -> int:
         parity_pairs=2,
         repeats=args.repeats,
     )
-    results = [adaptive_row, mixed_row, rolling_row]
+    results = [adaptive_row, sweep_row, rolling_row]
 
     parity_ok = bool(
         adaptive_row["decisions_identical"]
-        and mixed_row["knn_parity"]
-        and mixed_row["sweep_decisions_identical"]
+        and sweep_row["sweep_decisions_identical"]
         and rolling_row["max_abs_diff"] <= PARITY_TOL
     )
     floor_ok = args.quick or (
         adaptive_row["speedup"] >= ADAPTIVE_SPEEDUP_FLOOR
-        and mixed_row["speedup"] >= MIXED_SPEEDUP_FLOOR
+        and sweep_row["speedup"] >= SWEEP_SPEEDUP_FLOOR
     )
     payload = {
         "benchmark": "query planner: adaptive MC stopping + "
@@ -465,7 +389,7 @@ def main(argv=None) -> int:
         "parity": {"tolerance": PARITY_TOL, "all_ok": parity_ok},
         "speedup_floor": {
             "required": None if args.quick else ADAPTIVE_SPEEDUP_FLOOR,
-            "mixed_required": None if args.quick else MIXED_SPEEDUP_FLOOR,
+            "sweep_required": None if args.quick else SWEEP_SPEEDUP_FLOOR,
             "all_ok": floor_ok,
         },
     }
@@ -478,15 +402,16 @@ def main(argv=None) -> int:
 
     if not parity_ok:
         print(
-            "FAIL: adaptive decisions or rolling-DTW distances deviate "
-            "from the fixed paths",
+            "FAIL: adaptive or tau-grid decisions, or rolling-DTW "
+            "distances, deviate from the fixed paths",
             file=sys.stderr,
         )
         return 1
     if not floor_ok:
         print(
             f"FAIL: adaptive speedup below the "
-            f"{ADAPTIVE_SPEEDUP_FLOOR:g}x floor",
+            f"{ADAPTIVE_SPEEDUP_FLOOR:g}x floor or tau-grid speedup below "
+            f"the {SWEEP_SPEEDUP_FLOOR:g}x floor",
             file=sys.stderr,
         )
         return 1

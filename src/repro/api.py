@@ -91,13 +91,11 @@ from .queries import (
     DustDtwTechnique,
     DustTechnique,
     EuclideanTechnique,
-    ExplainReport,
     FilteredTechnique,
     KnnResult,
     MatrixResult,
     MunichDtwTechnique,
     MunichTechnique,
-    PlanExplanation,
     PlanPolicy,
     ProudTechnique,
     PruningStats,
@@ -108,10 +106,8 @@ from .queries import (
     SessionConfig,
     ShardedExecutor,
     SimilaritySession,
-    StageEstimate,
     StageStats,
     Technique,
-    clear_plan_cache,
     get_default_policy,
     knn_table,
     set_default_policy,
@@ -157,10 +153,8 @@ __all__ = [
     "QueryEngine", "SimilaritySession", "SessionConfig", "QuerySet",
     "MatrixResult", "KnnResult", "RangeResult", "ShardedExecutor",
     "QueryPlan", "PruningStats", "StageStats",
-    # cost-based planning
-    "PlanPolicy", "PlanExplanation", "StageEstimate", "ExplainReport",
-    "get_default_policy", "set_default_policy", "clear_plan_cache",
-    "knn_table",
+    # plan policy
+    "PlanPolicy", "get_default_policy", "set_default_policy", "knn_table",
     # datasets
     "generate_dataset", "load_ucr_directory", "UCR_SPECS",
     "PAPER_DATASET_NAMES", "stream_fourier_collection",

@@ -164,8 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-index",
         action="store_true",
-        help="disable the PAA summarization-index stage (escape hatch: "
-        "every plan scans all candidates, as before PR 6)",
+        help="disable the PAA summarization-index stage: installs "
+        "PlanPolicy(mode='fixed') as the process default, so every plan "
+        "runs its technique's cascade as authored",
     )
     parser.add_argument(
         "--out",
@@ -257,11 +258,9 @@ def main(argv=None) -> int:
         set_default_workers(args.workers)
 
     if args.no_index:
-        from dataclasses import replace
+        from .queries.planner import PlanPolicy, set_default_policy
 
-        from .queries.planner import get_default_policy, set_default_policy
-
-        set_default_policy(replace(get_default_policy(), use_index=False))
+        set_default_policy(PlanPolicy(mode="fixed"))
 
     if args.stats:
         from .evaluation.harness import enable_stats_log

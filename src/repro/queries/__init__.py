@@ -45,21 +45,16 @@ from .planner import (
     POLICY_MODES,
     AdaptiveMCStage,
     BoundStage,
-    ExplainReport,
-    PlanExplanation,
     PlanPolicy,
     PlanStage,
     PruningStats,
     QueryPlan,
     RefineStage,
-    StageEstimate,
     StageStats,
     adaptive_mc_schedule,
-    clear_plan_cache,
     effective_index_enabled,
     get_default_policy,
     normalize_tau,
-    plan_cache_size,
     sequential_mc_decision,
     sequential_mc_grid_decision,
     sequential_mc_verdict,
@@ -122,16 +117,11 @@ __all__ = [
     "PruningStats",
     "StageStats",
     "PlanPolicy",
-    "PlanExplanation",
-    "StageEstimate",
-    "ExplainReport",
     "POLICY_MODES",
     "get_default_policy",
     "set_default_policy",
     "effective_index_enabled",
     "normalize_tau",
-    "clear_plan_cache",
-    "plan_cache_size",
     "ADAPTIVE_MC_FIRST_FRACTION",
     "adaptive_mc_schedule",
     "sequential_mc_decision",

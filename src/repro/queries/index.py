@@ -24,9 +24,8 @@ planner's O(M·N) scans into candidate-set scans.  The stage is a no-op
 — sound but useless — whenever the technique has no index, the workload
 carries no decision information (plain ``distance_matrix``), or index
 pruning is switched off by the governing
-:class:`~repro.queries.planner.PlanPolicy` (``mode="never_index"`` or
-``use_index=False`` — what the CLI's ``--no-index`` sets on the default
-policy).
+:class:`~repro.queries.planner.PlanPolicy` (``mode="fixed"`` — what the
+CLI's ``--no-index`` installs as the process default).
 """
 
 from __future__ import annotations

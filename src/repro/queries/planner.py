@@ -49,10 +49,8 @@ from __future__ import annotations
 
 import abc
 import math
-import os
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -63,17 +61,9 @@ from ..core.errors import InvalidParameterError
 #: Kinds of score matrices a plan can produce.
 PLAN_KINDS = ("distance", "probability", "calibration")
 
-#: Plan-policy modes: ``auto`` pilots and tunes the cascade, ``fixed``
-#: runs the technique's authored cascade verbatim, ``never_index``
-#: tunes but never admits an index stage.
-POLICY_MODES = ("auto", "fixed", "never_index")
-
-#: The cost model's assumed streaming bandwidth (bytes/second).  Pilot
-#: wall-clock on a few hundred cells is noisy; per-cell costs are
-#: floored at ``bytes_streamed / STREAM_BYTES_PER_SECOND`` so a stage
-#: that must stream more data can never be *modeled* as cheaper than
-#: one that streams less (the PIMDAL memory-bound argument).
-STREAM_BYTES_PER_SECOND = 8e9
+#: Plan-policy modes: ``auto`` lets the planner prepend the index stage,
+#: ``fixed`` runs the technique's authored cascade verbatim.
+POLICY_MODES = ("auto", "fixed")
 
 #: First adaptive round evaluates this fraction of the draw budget;
 #: every later round doubles the cumulative target.  Geometric
@@ -205,82 +195,36 @@ def normalize_tau(tau) -> Union[None, float, Tuple[float, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Plan policy: how much self-tuning the planner is allowed to do
+# Plan policy: whether the planner may extend the authored cascade
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PlanPolicy:
-    """The knobs steering cost-based plan choice (hashable, immutable).
+    """How a technique's authored cascade runs (hashable, immutable).
 
     ``mode``
-        ``"auto"`` (default) pilots a small sample of the workload,
-        drops filter stages whose estimated selectivity is below
-        ``min_selectivity`` or whose modeled cost exceeds the refine
-        work they save, and orders the kept filters cheapest-first.
-        ``"fixed"`` runs the technique's authored cascade verbatim
-        (the pre-policy behaviour).  ``"never_index"`` tunes like
-        ``auto`` but never admits an index stage.
-    ``pilot_queries`` / ``pilot_candidates``
-        The pilot sample's shape; drawn with ``pilot_seed`` pinned so
-        every process — in-process, shard worker, daemon — scores the
-        same sample and chooses the same plan.  Only *filter* stages
-        (bounds, index) run on the pilot — they are deterministic and
-        side-effect-free; refine stages are priced by the streamed-bytes
-        model so a pilot can never advance a technique's seeded Monte
-        Carlo streams.
-    ``pilot_floor_cells``
-        Workloads smaller than this run the authored cascade untouched
-        (piloting a tiny workload costs more than it can save).
-    ``min_selectivity``
-        A filter stage must decide at least this fraction of the cells
-        it sees to stay in the plan.
-    ``cost_cache``
-        Reuse chosen plans per ``(technique, workload-shape, policy)``
-        key (see :func:`plan_for_workload`).
-    ``use_index``
-        Tri-state index toggle: ``None`` defers to the process default
-        (:func:`set_default_policy`).
+        ``"auto"`` (default) lets the planner prepend the
+        summarization-index stage (:class:`~repro.queries.index.IndexStage`)
+        whenever the workload carries decision information it can
+        prune with.  ``"fixed"`` runs
+        :meth:`~repro.queries.techniques.Technique.build_plan` exactly
+        as the technique wrote it, with no index stage.  Every filter
+        stage is sound, so the two modes differ in cost only, never in
+        a decision.
     """
 
     mode: str = "auto"
-    pilot_queries: int = 4
-    pilot_candidates: int = 48
-    pilot_seed: int = 2012
-    pilot_floor_cells: int = 8192
-    min_selectivity: float = 0.02
-    cost_cache: bool = True
-    use_index: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.mode not in POLICY_MODES:
             raise InvalidParameterError(
                 f"mode must be one of {POLICY_MODES}, got {self.mode!r}"
             )
-        for name in ("pilot_queries", "pilot_candidates"):
-            if getattr(self, name) < 1:
-                raise InvalidParameterError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
-                )
-        if self.pilot_floor_cells < 0:
-            raise InvalidParameterError(
-                f"pilot_floor_cells must be >= 0, got {self.pilot_floor_cells}"
-            )
-        if not 0.0 <= self.min_selectivity <= 1.0:
-            raise InvalidParameterError(
-                f"min_selectivity must be within [0, 1], got "
-                f"{self.min_selectivity}"
-            )
 
     def to_wire(self) -> Dict[str, Any]:
         """The JSON-safe request form (only non-default fields)."""
-        payload: Dict[str, Any] = {}
-        default = PlanPolicy()
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if value != getattr(default, name):
-                payload[name] = value
-        return payload
+        return {} if self == PlanPolicy() else {"mode": self.mode}
 
     @classmethod
     def from_wire(cls, payload: Any) -> "PlanPolicy":
@@ -289,35 +233,15 @@ class PlanPolicy:
             raise InvalidParameterError(
                 f"policy must be an object, got {type(payload).__name__}"
             )
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
+        unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidParameterError(
                 f"unknown policy fields: {', '.join(sorted(unknown))}"
             )
-        kwargs: Dict[str, Any] = {}
-        for name, value in payload.items():
-            if name == "mode":
-                kwargs[name] = str(value)
-            elif name == "use_index":
-                kwargs[name] = None if value is None else bool(value)
-            elif name == "cost_cache":
-                kwargs[name] = bool(value)
-            elif name == "min_selectivity":
-                kwargs[name] = float(value)
-            else:
-                kwargs[name] = int(value)
-        return cls(**kwargs)
+        return cls(**{name: str(value) for name, value in payload.items()})
 
 
-def _initial_default_policy() -> PlanPolicy:
-    """The process default; ``REPRO_PLAN_MODE`` overrides the mode (the
-    nightly invariance loop runs the benchmark suite once per mode)."""
-    mode = os.environ.get("REPRO_PLAN_MODE", "").strip() or "auto"
-    return PlanPolicy(mode=mode)
-
-
-_DEFAULT_POLICY = _initial_default_policy()
+_DEFAULT_POLICY = PlanPolicy()
 _POLICY_LOCK = threading.Lock()
 
 
@@ -330,7 +254,7 @@ def set_default_policy(policy: PlanPolicy) -> None:
     """Replace the process-wide default policy.
 
     This is the one piece of planner-global state; the CLI's
-    ``--no-index`` sets ``use_index=False`` on it.
+    ``--no-index`` installs ``PlanPolicy(mode="fixed")`` here.
     """
     global _DEFAULT_POLICY
     if not isinstance(policy, PlanPolicy):
@@ -353,297 +277,9 @@ def resolve_policy(policy: Optional[PlanPolicy]) -> PlanPolicy:
 
 
 def effective_index_enabled(policy: Optional[PlanPolicy] = None) -> bool:
-    """Whether plans may include an index stage under ``policy``.
-
-    A policy's explicit ``use_index`` wins; ``None`` defers to the
-    process default's, and an unset default means enabled.
-    """
-    policy = resolve_policy(policy)
-    if policy.mode == "never_index":
-        return False
-    if policy.use_index is not None:
-        return policy.use_index
-    default = _DEFAULT_POLICY
-    if default.use_index is not None:
-        return default.use_index
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Plan explanation: why the chooser kept, dropped and ordered stages
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StageEstimate:
-    """The pilot's verdict on one candidate stage.
-
-    ``selectivity`` is the fraction of pilot cells the stage decided
-    (of those it saw), ``seconds_per_cell`` its measured pilot cost,
-    ``bytes_per_cell`` the cost model's streamed-bytes estimate, and
-    ``kept``/``reason`` the chooser's decision and its one-line why.
-    """
-
-    stage: str
-    selectivity: float
-    seconds_per_cell: float
-    bytes_per_cell: float
-    kept: bool
-    reason: str
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "selectivity": self.selectivity,
-            "seconds_per_cell": self.seconds_per_cell,
-            "bytes_per_cell": self.bytes_per_cell,
-            "kept": self.kept,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "StageEstimate":
-        return cls(
-            stage=str(payload["stage"]),
-            selectivity=float(payload["selectivity"]),
-            seconds_per_cell=float(payload["seconds_per_cell"]),
-            bytes_per_cell=float(payload["bytes_per_cell"]),
-            kept=bool(payload["kept"]),
-            reason=str(payload["reason"]),
-        )
-
-
-@dataclass(frozen=True)
-class PlanExplanation:
-    """What the planner chose for one workload, and why.
-
-    Recorded on :class:`PruningStats` by every policy-aware execution,
-    shipped through the service stats payload, and rendered by
-    ``cli --stats`` / ``cli explain`` — the daemon and cluster paths
-    surface exactly what an in-process run would.
-    """
-
-    technique_name: str
-    kind: str
-    mode: str
-    chosen_stages: Tuple[str, ...]
-    estimates: Tuple[StageEstimate, ...] = ()
-    pilot_cells: int = 0
-    cache_hit: bool = False
-    rationale: str = ""
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-safe wire form (the service stats payload carries it)."""
-        return {
-            "technique": self.technique_name,
-            "kind": self.kind,
-            "mode": self.mode,
-            "chosen_stages": list(self.chosen_stages),
-            "estimates": [entry.to_payload() for entry in self.estimates],
-            "pilot_cells": self.pilot_cells,
-            "cache_hit": self.cache_hit,
-            "rationale": self.rationale,
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: Optional[Dict[str, Any]]
-    ) -> Optional["PlanExplanation"]:
-        """Tolerant inverse of :meth:`to_payload` (``None`` passes through,
-        so stats from a pre-policy daemon still parse)."""
-        if payload is None:
-            return None
-        return cls(
-            technique_name=str(payload.get("technique", "")),
-            kind=str(payload.get("kind", "")),
-            mode=str(payload.get("mode", "fixed")),
-            chosen_stages=tuple(payload.get("chosen_stages", ())),
-            estimates=tuple(
-                StageEstimate.from_payload(entry)
-                for entry in payload.get("estimates", ())
-            ),
-            pilot_cells=int(payload.get("pilot_cells", 0)),
-            cache_hit=bool(payload.get("cache_hit", False)),
-            rationale=str(payload.get("rationale", "")),
-        )
-
-    def merged(self, other: "PlanExplanation") -> "PlanExplanation":
-        """Combine two shards' explanations into one workload-level record.
-
-        Shards of one workload run the same pinned-seed pilot recipe,
-        so they normally choose identical stage lists — the estimates
-        are then averaged weighted by pilot cells.  If a degenerate
-        shard shape made a different choice, the first shard's plan is
-        reported and the divergence is called out in the rationale
-        instead of silently averaging incompatible records.
-        """
-        if other.chosen_stages != self.chosen_stages:
-            note = (
-                f"shards diverged: {'+'.join(other.chosen_stages) or 'none'}"
-                f" vs {'+'.join(self.chosen_stages) or 'none'}"
-            )
-            if note in self.rationale:
-                return self
-            rationale = f"{self.rationale}; {note}" if self.rationale else note
-            return replace(self, rationale=rationale)
-        total = self.pilot_cells + other.pilot_cells
-        if not self.estimates or not other.estimates or total == 0:
-            return replace(self, pilot_cells=total)
-        weight = self.pilot_cells / total
-        other_by_stage = {entry.stage: entry for entry in other.estimates}
-        estimates = []
-        for entry in self.estimates:
-            twin = other_by_stage.get(entry.stage)
-            if twin is None:
-                estimates.append(entry)
-                continue
-            estimates.append(
-                replace(
-                    entry,
-                    selectivity=(
-                        weight * entry.selectivity
-                        + (1.0 - weight) * twin.selectivity
-                    ),
-                    seconds_per_cell=(
-                        weight * entry.seconds_per_cell
-                        + (1.0 - weight) * twin.seconds_per_cell
-                    ),
-                )
-            )
-        return replace(
-            self,
-            estimates=tuple(estimates),
-            pilot_cells=total,
-            cache_hit=self.cache_hit and other.cache_hit,
-        )
-
-    def summary_lines(self) -> List[str]:
-        """The ``cli --stats`` rendering (indented under the stage table)."""
-        chosen = " -> ".join(self.chosen_stages) or "(none)"
-        cache = ", cached plan" if self.cache_hit else ""
-        lines = [f"  plan [{self.mode}] {chosen}{cache}"]
-        for entry in self.estimates:
-            verdict = "kept" if entry.kept else "dropped"
-            lines.append(
-                f"    {entry.stage:12s} est. selectivity "
-                f"{100.0 * entry.selectivity:5.1f}%, "
-                f"~{entry.seconds_per_cell * 1e9:.0f} ns/cell "
-                f"({entry.bytes_per_cell:.0f} B/cell) -> {verdict}: "
-                f"{entry.reason}"
-            )
-        if self.rationale:
-            lines.append(f"    rationale: {self.rationale}")
-        return lines
-
-
-@dataclass(frozen=True)
-class ExplainReport:
-    """What ``QuerySet.explain()`` returns: chosen plan + est vs actual.
-
-    ``records`` pairs each *executed* stage with the pilot's estimated
-    selectivity (``None`` when the stage was not piloted — fixed mode,
-    tiny workloads, cache-bypassed runs) and the actual selectivity
-    measured during execution.  Identical across in-process, daemon
-    and cluster backends for the same workload and policy.
-    """
-
-    technique_name: str
-    kind: str
-    mode: str
-    plan: Tuple[str, ...]
-    records: Tuple[Dict[str, Any], ...]
-    rationale: str
-    cache_hit: bool
-    executor: Optional[Dict] = None
-
-    @classmethod
-    def from_stats(cls, stats: "PruningStats") -> "ExplainReport":
-        """Build the report off one executed plan's stats record."""
-        explanation = stats.explanation
-        estimates = {}
-        if explanation is not None:
-            estimates = {
-                entry.stage: entry for entry in explanation.estimates
-            }
-        records = []
-        executed = set()
-        for entry in stats.stages:
-            executed.add(entry.stage)
-            estimate = estimates.get(entry.stage)
-            actual = (
-                entry.decided / entry.entered if entry.entered else 0.0
-            )
-            records.append(
-                {
-                    "stage": entry.stage,
-                    "estimated_selectivity": (
-                        estimate.selectivity if estimate else None
-                    ),
-                    "actual_selectivity": actual,
-                    "decided": entry.decided,
-                    "entered": entry.entered,
-                }
-            )
-        # Dropped stages never execute, so they have no actuals — their
-        # pilot estimate is still part of the decision record.
-        for estimate in (explanation.estimates if explanation else ()):
-            if estimate.stage in executed:
-                continue
-            records.append(
-                {
-                    "stage": estimate.stage,
-                    "estimated_selectivity": estimate.selectivity,
-                    "actual_selectivity": None,
-                    "decided": 0,
-                    "entered": 0,
-                }
-            )
-        return cls(
-            technique_name=stats.technique_name,
-            kind=stats.kind,
-            mode=explanation.mode if explanation else "fixed",
-            plan=tuple(entry.stage for entry in stats.stages),
-            records=tuple(records),
-            rationale=explanation.rationale if explanation else "",
-            cache_hit=explanation.cache_hit if explanation else False,
-            executor=stats.executor,
-        )
-
-    def summary(self) -> str:
-        """Human-readable rendering (the ``cli explain`` output)."""
-        chosen = " -> ".join(self.plan) or "(none)"
-        cache = " (cached plan)" if self.cache_hit else ""
-        lines = [
-            f"{self.technique_name} ({self.kind}) plan "
-            f"[{self.mode}]{cache}: {chosen}"
-        ]
-        for record in self.records:
-            estimated = record["estimated_selectivity"]
-            actual = record["actual_selectivity"]
-            est = (
-                f"{100.0 * estimated:5.1f}%"
-                if estimated is not None
-                else "  n/a"
-            )
-            if actual is None:
-                lines.append(
-                    f"  {record['stage']:12s} estimated {est}  "
-                    f"(dropped by the chooser)"
-                )
-                continue
-            lines.append(
-                f"  {record['stage']:12s} estimated {est}  actual "
-                f"{100.0 * actual:5.1f}% "
-                f"({record['decided']}/{record['entered']} cells)"
-            )
-        if self.rationale:
-            lines.append(f"  rationale: {self.rationale}")
-        if self.executor:
-            pairs = ", ".join(
-                f"{key}={value}" for key, value in self.executor.items()
-            )
-            lines.append(f"  executor: {pairs}")
-        return "\n".join(lines)
+    """Whether plans may include an index stage under ``policy`` (or,
+    when ``None``, the process default)."""
+    return resolve_policy(policy).mode == "auto"
 
 
 @dataclass(frozen=True)
@@ -704,10 +340,6 @@ class PruningStats:
     #: workloads (the CLI's per-command roll-up), where ``M × N`` of any
     #: single workload no longer describes the total.
     cells: Optional[int] = None
-    #: Why this plan was chosen (policy-aware executions record it;
-    #: merged shard-by-shard so the sharded/cluster paths explain
-    #: themselves the same way an in-process run does).
-    explanation: Optional[PlanExplanation] = None
 
     @property
     def total_cells(self) -> int:
@@ -768,12 +400,6 @@ class PruningStats:
             merged.append(entry)
         for extras in pending.values():
             merged.extend(extras)
-        if self.explanation is None:
-            explanation = other.explanation
-        elif other.explanation is None:
-            explanation = self.explanation
-        else:
-            explanation = self.explanation.merged(other.explanation)
         return PruningStats(
             technique_name=self.technique_name,
             kind=self.kind,
@@ -781,7 +407,6 @@ class PruningStats:
             n_candidates=self.n_candidates,
             stages=tuple(merged),
             executor=self.executor if self.executor else other.executor,
-            explanation=explanation,
         )
 
     @staticmethod
@@ -793,11 +418,9 @@ class PruningStats:
     ) -> Optional["PruningStats"]:
         """Merge per-shard stats into one workload-level record.
 
-        Stage counters sum stage-by-stage and the shards'
-        :class:`PlanExplanation` records merge pilot-cell-weighted
-        (see :meth:`PlanExplanation.merged`), so estimated-vs-actual
-        selectivities — hence ``explain()`` output — read the same
-        whether the plan ran in-process, sharded, or on a cluster.
+        Stage counters sum stage-by-stage, so the executed plan —
+        hence ``explain()`` output — reads the same whether it ran
+        in-process, sharded, or on a cluster.
         """
         shards = [s for s in shards if s is not None]
         if not shards:
@@ -847,8 +470,6 @@ class PruningStats:
                 f"{key}={value}" for key, value in self.executor.items()
             )
             lines.append(f"  executor     {pairs}")
-        if self.explanation is not None:
-            lines.extend(self.explanation.summary_lines())
         return "\n".join(lines)
 
 
@@ -1113,34 +734,21 @@ class QueryPlan:
         return f"QueryPlan([{inner}])"
 
 
-# ---------------------------------------------------------------------------
-# Cost-based plan choice: pilot sampling, the bytes-streamed model, cache
-# ---------------------------------------------------------------------------
-
-
-def _series_length(collection: Sequence) -> int:
-    """Timestamp count of the workload's series (cost-model input)."""
-    try:
-        return max(1, len(collection[0]))
-    except (IndexError, TypeError):
-        return 1
-
-
 def _stage_bytes_per_cell(
     stage_name: str,
     technique,
     length: int,
     policy: Optional[PlanPolicy] = None,
 ) -> float:
-    """Streamed bytes one cell costs a stage, under the cost model.
+    """Streamed bytes one cell costs a stage (per-stage bandwidth reports).
 
-    Deliberately coarse — the point is *relative* stage ordering on a
-    memory-bound machine, not absolute throughput: an index stage
+    Deliberately coarse — a memory-bound machine's stage costs are
+    dominated by the bytes each stage streams: an index stage
     streams two ``S``-segment float64 summaries, a bound stage two
     full-length interval stacks, an exact refine two full-length value
     stacks, and a Monte Carlo refine its whole per-cell draw stack.
     No policy changes a stage's bytes; ``policy`` is accepted so
-    external cost probes can keep passing it.
+    external probes can keep passing it.
     """
     if stage_name == "index":
         segments = getattr(technique, "index_segments", None) or 1
@@ -1151,338 +759,3 @@ def _stage_bytes_per_cell(
     if munich is not None and getattr(munich, "method", "") == "montecarlo":
         return 16.0 * length * max(1, getattr(munich, "n_samples", 1))
     return 16.0 * length
-
-
-def _pilot_workload(
-    queries: Sequence,
-    collection: Sequence,
-    epsilons: Optional[np.ndarray],
-    policy: PlanPolicy,
-) -> Tuple[Sequence, Sequence, Optional[np.ndarray]]:
-    """The pinned-seed pilot sample of one ``(M, N)`` workload."""
-    n_queries = len(queries)
-    n_candidates = len(collection)
-    rng = np.random.default_rng(policy.pilot_seed)
-    rows = np.sort(
-        rng.choice(
-            n_queries,
-            size=min(policy.pilot_queries, n_queries),
-            replace=False,
-        )
-    )
-    cols = np.sort(
-        rng.choice(
-            n_candidates,
-            size=min(policy.pilot_candidates, n_candidates),
-            replace=False,
-        )
-    )
-    pilot_queries = [queries[int(i)] for i in rows]
-    pilot_collection = [collection[int(j)] for j in cols]
-    pilot_eps = epsilons[rows] if epsilons is not None else None
-    return pilot_queries, pilot_collection, pilot_eps
-
-
-def tune_plan(
-    technique,
-    plan: QueryPlan,
-    kind: str,
-    queries: Sequence,
-    collection: Sequence,
-    epsilons: Optional[np.ndarray],
-    tau,
-    knn_k: Optional[int],
-    policy: PlanPolicy,
-) -> Tuple[QueryPlan, PlanExplanation]:
-    """Score the cascade on a pilot sample and choose the stages to run.
-
-    Only *filter* stages (everything before the plan's final refine)
-    are candidates for dropping/reordering — the final refine stage is
-    what guarantees every cell gets a verdict, and filter stages are
-    sound (they decide a cell only when its outcome is certain), so any
-    subset in any order produces identical decisions; the chooser
-    affects cost only.  Filters run on the pinned-seed pilot to
-    estimate selectivity and per-cell cost; the refine stage is priced
-    by the streamed-bytes model (running it might consume seeded Monte
-    Carlo draws).  A filter stays when its estimated selectivity clears
-    ``policy.min_selectivity`` *and* the refine work it saves exceeds
-    its own modeled cost; the kept filters run cheapest-first by
-    modeled bytes (deterministic across processes, unlike wall-clock).
-    """
-    names = tuple(stage.name for stage in plan.stages)
-    length = _series_length(collection)
-    prunable = list(plan.stages[:-1])
-    final = plan.stages[-1]
-    if policy.mode == "fixed":
-        return plan, PlanExplanation(
-            technique_name=technique.name,
-            kind=kind,
-            mode=policy.mode,
-            chosen_stages=names,
-            rationale="fixed policy: technique cascade as authored",
-        )
-    if not prunable:
-        return plan, PlanExplanation(
-            technique_name=technique.name,
-            kind=kind,
-            mode=policy.mode,
-            chosen_stages=names,
-            rationale="single-stage plan; nothing to tune",
-        )
-    total_cells = len(queries) * len(collection)
-    if total_cells < policy.pilot_floor_cells:
-        return plan, PlanExplanation(
-            technique_name=technique.name,
-            kind=kind,
-            mode=policy.mode,
-            chosen_stages=names,
-            rationale=(
-                f"workload of {total_cells} cells is below the pilot "
-                f"floor ({policy.pilot_floor_cells}); authored cascade"
-            ),
-        )
-    if knn_k is not None and policy.pilot_candidates <= 2 * knn_k:
-        return plan, PlanExplanation(
-            technique_name=technique.name,
-            kind=kind,
-            mode=policy.mode,
-            chosen_stages=names,
-            rationale=(
-                f"pilot of {policy.pilot_candidates} candidates is too "
-                f"small to judge top-{knn_k} pruning; authored cascade"
-            ),
-        )
-    pilot_queries, pilot_collection, pilot_eps = _pilot_workload(
-        queries, collection, epsilons, policy
-    )
-    pilot_cells = len(pilot_queries) * len(pilot_collection)
-    context = PlanContext(
-        technique=technique,
-        kind=kind,
-        queries=pilot_queries,
-        collection=pilot_collection,
-        epsilons=pilot_eps,
-        tau=tau,
-        values=np.empty((len(pilot_queries), len(pilot_collection))),
-        undecided=np.ones(
-            (len(pilot_queries), len(pilot_collection)), dtype=bool
-        ),
-        knn_k=knn_k,
-        exclude=None,
-        policy=policy,
-    )
-    refine_cost = (
-        _stage_bytes_per_cell(final.name, technique, length)
-        / STREAM_BYTES_PER_SECOND
-    )
-    estimates: List[StageEstimate] = []
-    kept: List[Tuple[float, int, PlanStage]] = []
-    pilot_broken = False
-    for position, stage in enumerate(prunable):
-        bytes_per_cell = _stage_bytes_per_cell(stage.name, technique, length)
-        if pilot_broken:
-            kept.append((bytes_per_cell, position, stage))
-            estimates.append(
-                StageEstimate(
-                    stage=stage.name,
-                    selectivity=0.0,
-                    seconds_per_cell=0.0,
-                    bytes_per_cell=bytes_per_cell,
-                    kept=True,
-                    reason="pilot aborted earlier; kept as authored",
-                )
-            )
-            continue
-        entered = context.n_undecided
-        started = time.perf_counter()
-        try:
-            stage.run(context)
-        except Exception as error:  # sound fallback: keep as authored
-            pilot_broken = True
-            kept.append((bytes_per_cell, position, stage))
-            estimates.append(
-                StageEstimate(
-                    stage=stage.name,
-                    selectivity=0.0,
-                    seconds_per_cell=0.0,
-                    bytes_per_cell=bytes_per_cell,
-                    kept=True,
-                    reason=f"pilot failed ({type(error).__name__}); kept",
-                )
-            )
-            continue
-        elapsed = time.perf_counter() - started
-        decided = entered - context.n_undecided
-        selectivity = decided / entered if entered else 0.0
-        seconds_per_cell = elapsed / max(entered, 1)
-        stage_cost = max(
-            seconds_per_cell, bytes_per_cell / STREAM_BYTES_PER_SECOND
-        )
-        if selectivity < policy.min_selectivity:
-            keep = False
-            reason = (
-                f"estimated selectivity {100.0 * selectivity:.1f}% is "
-                f"below the {100.0 * policy.min_selectivity:.1f}% floor"
-            )
-        elif selectivity * refine_cost <= stage_cost:
-            keep = False
-            reason = "costs more than the refine work it saves"
-        else:
-            keep = True
-            reason = (
-                f"saves ~{selectivity * refine_cost / stage_cost:.1f}x "
-                f"its cost in refine work"
-            )
-        if keep:
-            kept.append((bytes_per_cell, position, stage))
-        estimates.append(
-            StageEstimate(
-                stage=stage.name,
-                selectivity=selectivity,
-                seconds_per_cell=seconds_per_cell,
-                bytes_per_cell=bytes_per_cell,
-                kept=keep,
-                reason=reason,
-            )
-        )
-    kept.sort(key=lambda entry: (entry[0], entry[1]))
-    stages = tuple(stage for _, _, stage in kept) + (final,)
-    dropped = len(prunable) - len(kept)
-    rationale = (
-        f"pilot scored {pilot_cells} of {total_cells} cells: kept "
-        f"{len(kept)}/{len(prunable)} filter stages"
-        + (f", dropped {dropped}" if dropped else "")
-        + ", ordered cheapest-first"
-    )
-    return QueryPlan(stages), PlanExplanation(
-        technique_name=technique.name,
-        kind=kind,
-        mode=policy.mode,
-        chosen_stages=tuple(stage.name for stage in stages),
-        estimates=tuple(estimates),
-        pilot_cells=pilot_cells,
-        cache_hit=False,
-        rationale=rationale,
-    )
-
-
-class _PlanCache:
-    """Bounded LRU of chosen plans per (technique, workload-shape, policy).
-
-    Keys use the technique's identity with a strong reference pinned in
-    the entry (the engine cache's precedent), so ids can never be
-    recycled while an entry lives.
-    """
-
-    def __init__(self, max_entries: int = 128) -> None:
-        self._entries: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-        self._max_entries = max_entries
-        self._lock = threading.Lock()
-
-    def get(self, key: Tuple) -> Optional[Tuple[QueryPlan, PlanExplanation]]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            _, plan, explanation = entry
-            return plan, explanation
-
-    def put(
-        self,
-        key: Tuple,
-        technique,
-        plan: QueryPlan,
-        explanation: PlanExplanation,
-    ) -> None:
-        with self._lock:
-            self._entries[key] = (technique, plan, explanation)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-_PLAN_CACHE = _PlanCache()
-
-
-def clear_plan_cache() -> None:
-    """Drop every cached plan (tests; or after mutating a collection)."""
-    _PLAN_CACHE.clear()
-
-
-def plan_cache_size() -> int:
-    """Number of cached plans (observability hook)."""
-    return len(_PLAN_CACHE)
-
-
-def _epsilon_signature(epsilon) -> Optional[Tuple]:
-    """A coarse ε fingerprint for the plan-cache key.
-
-    Selectivity depends on the threshold's magnitude, not its exact
-    per-query values — the mean (rounded) plus the vector-vs-scalar
-    shape is enough to keep workloads with materially different
-    thresholds from sharing a plan.
-    """
-    if epsilon is None:
-        return None
-    values = np.asarray(epsilon, dtype=np.float64)
-    mean = float(np.round(values.mean(), 9)) if values.size else 0.0
-    return (int(values.ndim), int(values.size), mean)
-
-
-def plan_for_workload(
-    technique,
-    plan: QueryPlan,
-    kind: str,
-    queries: Sequence,
-    collection: Sequence,
-    epsilon,
-    tau,
-    knn_k: Optional[int],
-    policy: PlanPolicy,
-) -> Tuple[QueryPlan, PlanExplanation]:
-    """The tuned (possibly cached) plan for one workload.
-
-    ``plan`` is the technique's authored cascade (``build_plan`` plus
-    the index-stage prepend); the chooser tunes it under ``policy`` and
-    memoizes the result per ``(technique identity, kind, M, N, ε
-    signature, τ, k, policy)`` — one pilot prices a whole sweep of
-    identically-shaped executions.
-    """
-    from .techniques import _epsilon_vector
-
-    epsilons = (
-        _epsilon_vector(epsilon, len(queries))
-        if epsilon is not None
-        else None
-    )
-    key: Optional[Tuple] = None
-    if policy.cost_cache and policy.mode != "fixed":
-        key = (
-            id(technique),
-            kind,
-            len(queries),
-            len(collection),
-            _epsilon_signature(epsilon),
-            tau,
-            knn_k,
-            policy,
-        )
-        cached = _PLAN_CACHE.get(key)
-        if cached is not None:
-            plan, explanation = cached
-            return plan, replace(explanation, cache_hit=True)
-    tuned, explanation = tune_plan(
-        technique, plan, kind, queries, collection, epsilons, tau, knn_k, policy
-    )
-    if key is not None:
-        _PLAN_CACHE.put(key, technique, tuned, explanation)
-    return tuned, explanation

@@ -51,7 +51,6 @@ from .engine import SHARED_ENGINE, QueryEngine
 from .knn import knn_table, sparse_knn_table
 from .parallel import ShardedExecutor
 from .planner import (
-    ExplainReport,
     PlanPolicy,
     PruningStats,
     effective_index_enabled,
@@ -66,9 +65,9 @@ class SessionConfig:
 
     Holds the executor knobs (``n_workers``, ``backend``, ``row_block``,
     ``col_block``) plus the :class:`~repro.queries.planner.PlanPolicy`
-    that governs cost-based plan choice, so a deployment's execution
-    shape is one value that can be stored, compared, and passed through
-    ``connect()`` unchanged.
+    that decides whether plans get the index stage, so a deployment's
+    execution shape is one value that can be stored, compared, and
+    passed through ``connect()`` unchanged.
 
     ``n_workers=1`` keeps kernels in-process; ``> 1`` (or ``None`` for
     all cores) shards the ``(M, N)`` grid over a worker pool.
@@ -603,17 +602,18 @@ class QuerySet:
             pruning_stats=result.pruning_stats,
         )
 
-    def explain(self, k=None, epsilon=None, tau=None) -> ExplainReport:
-        """Execute one workload and report *how* it was planned.
+    def explain(self, k=None, epsilon=None, tau=None) -> PruningStats:
+        """Execute one workload and report the plan that ran.
 
         Runs the verb the arguments select — ``k`` → :meth:`knn`,
         ``epsilon`` + ``tau`` → :meth:`prob_range`, ``epsilon`` alone →
         :meth:`range` (distance techniques) or a probability
         :meth:`profile_matrix`, neither → :meth:`profile_matrix` — and
-        returns an :class:`~repro.queries.planner.ExplainReport`: the
-        chosen plan, each stage's estimated vs. actual selectivity, and
-        the chooser's rationale.  Identical across in-process, daemon,
-        and cluster backends (shards merge their explanations).
+        returns the executed plan's
+        :class:`~repro.queries.planner.PruningStats`: every stage in
+        execution order with the cells it decided and its wall time.
+        Identical stage lists across in-process, daemon, and cluster
+        backends (shards merge their stats stage by stage).
         """
         if k is not None:
             if epsilon is not None or tau is not None:
@@ -637,7 +637,7 @@ class QuerySet:
                 result = self.profile_matrix(epsilon)
         else:
             result = self.profile_matrix()
-        return ExplainReport.from_stats(result.pruning_stats)
+        return result.pruning_stats
 
     # -- plumbing ----------------------------------------------------------
 

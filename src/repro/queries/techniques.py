@@ -73,7 +73,6 @@ with the executed plan's :class:`~repro.queries.planner.PruningStats`.
 from __future__ import annotations
 
 import abc
-import dataclasses
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -128,7 +127,6 @@ from .planner import (
     adaptive_mc_schedule,
     effective_index_enabled,
     normalize_tau,
-    plan_for_workload,
     resolve_policy,
     sequential_mc_decision,
     sequential_mc_verdict,
@@ -235,14 +233,20 @@ def _sparse_euclidean_refine(
     Gathering each row's candidate columns keeps the kernel cost (and,
     on a memory-mapped collection, the bytes actually read) proportional
     to the surviving candidate set instead of ``M × N`` — the payoff of
-    index pruning at scale.
+    index pruning at scale.  The gather runs in slices of
+    ``MATRIX_BLOCK_ELEMENTS // n`` columns, so one row's copy of the
+    candidate series stays a bounded, cache-sized block however many
+    candidates survive.
     """
+    width = max(1, MATRIX_BLOCK_ELEMENTS // max(matrix.shape[1], 1))
     refined = 0
     for row in np.flatnonzero(undecided.any(axis=1)):
         columns = np.flatnonzero(undecided[row])
-        out[row, columns] = euclidean_matrix(
-            query_matrix[row:row + 1], matrix[columns]
-        )[0]
+        for start in range(0, columns.size, width):
+            block = columns[start:start + width]
+            out[row, block] = euclidean_matrix(
+                query_matrix[row:row + 1], matrix[block]
+            )[0]
         refined += columns.size
     return refined
 
@@ -350,24 +354,18 @@ class Technique(abc.ABC):
         ``tau`` may be a scalar decision threshold or a tuple of grid
         thresholds — Monte Carlo techniques then bracket the whole grid
         in one adaptive pass.  ``policy`` (default: the process-wide
-        :func:`~repro.queries.planner.get_default_policy`) governs the
-        cost-based chooser; the chosen plan's
-        :class:`~repro.queries.planner.PlanExplanation` rides back on
-        the returned stats.
+        :func:`~repro.queries.planner.get_default_policy`) decides
+        whether the index stage may be prepended to the cascade.
         """
         policy = resolve_policy(policy)
         tau = normalize_tau(tau)
-        plan = self.build_plan(kind, tau=tau)
-        plan = self._indexed_plan(plan, kind, epsilon, knn_k, policy)
-        plan, explanation = plan_for_workload(
-            self, plan, kind, queries, collection, epsilon, tau, knn_k,
-            policy,
+        plan = self._indexed_plan(
+            self.build_plan(kind, tau=tau), kind, epsilon, knn_k, policy
         )
-        values, stats = plan.execute(
+        return plan.execute(
             self, kind, queries, collection, epsilon=epsilon, tau=tau,
             knn_k=knn_k, exclude=exclude, policy=policy,
         )
-        return values, dataclasses.replace(stats, explanation=explanation)
 
     def _indexed_plan(
         self,
@@ -384,8 +382,8 @@ class Technique(abc.ABC):
         probability workloads qualify when the technique already plans a
         bound stage (the index is that stage's cheap summary-resolution
         pre-filter — a technique that opted out of pruning keeps its
-        pure-refine plan).  A ``never_index`` policy (or
-        ``use_index=False``) keeps the stage out of the plan entirely.
+        pure-refine plan).  A ``mode="fixed"`` policy keeps the stage
+        out of the plan: ``build_plan`` runs exactly as authored.
         """
         if not effective_index_enabled(policy):
             return plan

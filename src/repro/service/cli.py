@@ -30,6 +30,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..queries.planner import POLICY_MODES, PlanPolicy
 from .catalog import ServiceCatalog
 from .client import ServiceClient
 from .daemon import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY, SimilarityDaemon
@@ -229,11 +230,11 @@ def query_main(argv: Optional[List[str]] = None) -> int:
 def build_explain_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli explain",
-        description="Show the cost-based plan the chooser would run for "
-        "a workload — chosen stages, estimated vs. actual per-stage "
-        "selectivity, and the decision rationale.  Works against every "
-        "deployment shape connect() accepts: a saved collection "
-        "directory, a catalog (sharded or not), or tcp://host:port.",
+        description="Run one workload and print the plan that executed — "
+        "every stage in order with the cells it decided and its wall "
+        "time.  Works against every deployment shape connect() accepts: "
+        "a saved collection directory, a catalog (sharded or not), or "
+        "tcp://host:port.",
     )
     parser.add_argument(
         "address",
@@ -266,29 +267,16 @@ def build_explain_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mode",
         default=None,
-        choices=("auto", "fixed", "never_index"),
-        help="plan policy mode (default: the process default, 'auto')",
-    )
-    parser.add_argument(
-        "--pilot-floor",
-        type=int,
-        default=None,
-        metavar="CELLS",
-        help="workloads below this many cells keep the authored cascade",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the per-workload plan cache",
+        choices=POLICY_MODES,
+        help="plan policy mode: 'auto' may prepend the index stage, "
+        "'fixed' runs the technique's cascade as authored (default: the "
+        "process default, 'auto')",
     )
     return parser
 
 
 def explain_main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``python -m repro.cli explain``."""
-    import dataclasses
-
-    from ..queries.planner import PlanPolicy, resolve_policy
     from .cluster import connect
     from .registry import build_technique
 
@@ -299,16 +287,7 @@ def explain_main(argv: Optional[List[str]] = None) -> int:
         technique_spec = json.loads(technique_spec)
     technique = build_technique(technique_spec)
 
-    policy: Optional[PlanPolicy] = None
-    overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.pilot_floor is not None:
-        overrides["pilot_floor_cells"] = args.pilot_floor
-    if args.no_cache:
-        overrides["cost_cache"] = False
-    if overrides:
-        policy = dataclasses.replace(resolve_policy(None), **overrides)
+    policy = None if args.mode is None else PlanPolicy(mode=args.mode)
 
     indices = None
     if args.queries is not None:
@@ -318,17 +297,15 @@ def explain_main(argv: Optional[List[str]] = None) -> int:
     try:
         query_set = session.queries(indices).using(technique)
         if args.knn is not None:
-            report = query_set.explain(k=int(args.knn))
+            stats = query_set.explain(k=int(args.knn))
         elif args.range_ is not None:
-            report = query_set.explain(epsilon=float(args.range_))
+            stats = query_set.explain(epsilon=float(args.range_))
         else:
             epsilon, tau = args.prob_range
-            report = query_set.explain(
-                epsilon=float(epsilon), tau=float(tau)
-            )
+            stats = query_set.explain(epsilon=float(epsilon), tau=float(tau))
     finally:
         session.close()
-    print(report.summary())
+    print(stats.summary())
     return 0
 
 

@@ -1165,7 +1165,7 @@ def connect(
 
     with identical result structures and validation errors.  A
     ``policy=PlanPolicy(...)`` rides along to whichever session shape
-    comes back, steering the cost-based plan chooser uniformly.
+    comes back, switching the index stage on or off uniformly.
     """
     import os
 

@@ -47,7 +47,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from ..queries.planner import PlanExplanation, PruningStats, StageStats
+from ..queries.planner import PruningStats, StageStats
 from .registry import (  # noqa: F401  (canonical home; re-exported API)
     TECHNIQUE_NAMES,
     ProtocolError,
@@ -258,9 +258,6 @@ def stats_payload(stats: Optional[PruningStats]) -> Optional[Dict[str, Any]]:
     selectivity = stats.index_selectivity
     if selectivity is not None:
         payload["index_selectivity"] = selectivity
-    explanation = stats.explanation
-    if explanation is not None:
-        payload["explanation"] = explanation.to_payload()
     return payload
 
 
@@ -297,9 +294,6 @@ def stats_from_payload(
             n_queries=int(payload.get("n_queries", 0)),
             n_candidates=int(payload.get("n_candidates", 0)),
             stages=stages,
-            explanation=PlanExplanation.from_payload(
-                payload.get("explanation")
-            ),
         )
     except (TypeError, ValueError) as error:
         raise ProtocolError(

@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import Collection, ErrorModel, TimeSeries, make_rng, znormalize
 from repro.distributions import NormalError
 from repro.perturbation import perturb, perturb_multisample
+
+
+@pytest.fixture
+def subprocess_env():
+    """An environment that makes ``repro`` importable from a fresh
+    interpreter (subprocess tests)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    return env
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from repro.cli import _COMMANDS, build_parser, main, run_command
 from repro.core import InvalidParameterError
 from repro.evaluation import get_default_workers, set_default_workers
 from repro.queries.planner import (
+    PlanPolicy,
     effective_index_enabled,
     get_default_policy,
     set_default_policy,
@@ -132,7 +133,7 @@ class TestNoIndexFlag:
 
     def test_no_index_disables_index_stage(self, capsys):
         assert main(["uniformity", "--scale", "tiny", "--no-index"]) == 0
-        assert get_default_policy().use_index is False
+        assert get_default_policy() == PlanPolicy(mode="fixed")
         assert not effective_index_enabled(None)
 
     def test_default_keeps_index_enabled(self, capsys):

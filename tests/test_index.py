@@ -20,8 +20,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.queries.techniques as techniques_module
 from repro.core import (
     InvalidParameterError,
+    TimeSeries,
     make_rng,
     spawn,
 )
@@ -63,7 +65,7 @@ from repro.queries import (
 )
 
 TOL = 1e-9
-NO_INDEX = PlanPolicy(use_index=False)
+NO_INDEX = PlanPolicy(mode="fixed")
 SHARDED = SessionConfig(backend="serial", row_block=4, col_block=5)
 
 N_SERIES = 13
@@ -414,6 +416,111 @@ class TestParity:
         result = session.queries().using(technique).profile_matrix()
         stages = [s.stage for s in result.pruning_stats.stages]
         assert stages == ["refine"]
+
+
+class TestChunkedGather:
+    """The sparse Euclidean refine gathers each row's surviving
+    candidates in ``MATRIX_BLOCK_ELEMENTS // n``-column slices."""
+
+    GATHER_LENGTH = 16
+    #: Gather-slice width under the patched block budget.
+    WIDTH = 2
+
+    @pytest.fixture()
+    def separated(self):
+        # Offset copies of one curve: the PAA bounds are tight, so a
+        # 3-NN or a narrow range keeps a handful of candidates per row
+        # and the index prunes most of the grid.
+        rng = np.random.default_rng(2012)
+        curve = np.sin(np.linspace(0.0, 3.0 * np.pi, self.GATHER_LENGTH))
+        exact = [
+            TimeSeries(
+                curve + 0.1 * index + rng.normal(scale=0.1, size=curve.size)
+            )
+            for index in range(64)
+        ]
+        scenario = ConstantScenario("normal", 0.1)
+        return [
+            scenario.apply(series, spawn(2012, "gather", index))
+            for index, series in enumerate(exact)
+        ]
+
+    @pytest.fixture()
+    def gathers(self, monkeypatch):
+        """Run every sparse refine with its cells pre-poisoned to NaN and
+        record ``(max row survivors, cells refined, cells left NaN)``."""
+        monkeypatch.setattr(
+            techniques_module,
+            "MATRIX_BLOCK_ELEMENTS",
+            self.WIDTH * self.GATHER_LENGTH,
+        )
+        original = techniques_module._sparse_euclidean_refine
+        calls = []
+
+        def spy(query_matrix, matrix, out, undecided):
+            out[undecided] = np.nan
+            refined = original(query_matrix, matrix, out, undecided)
+            calls.append(
+                (
+                    int(undecided.sum(axis=1).max()),
+                    refined,
+                    int(np.isnan(out[undecided]).sum()),
+                )
+            )
+            return refined
+
+        monkeypatch.setattr(
+            techniques_module, "_sparse_euclidean_refine", spy
+        )
+        return calls
+
+    def _check_gathers(self, calls, cells):
+        assert calls, "the sparse refine did not run"
+        for widest, refined, unfilled in calls:
+            # One row's candidates span at least three gather slices.
+            assert widest > 2 * self.WIDTH
+            # The index pruned more than half of the grid.
+            assert 2 * refined < cells
+            assert unfilled == 0
+        calls.clear()
+
+    @pytest.mark.parametrize(
+        "technique", [EuclideanTechnique(), FilteredTechnique.uma()],
+        ids=["euclidean", "uma"],
+    )
+    def test_knn_and_range_match_fixed_plan(
+        self, technique, separated, gathers
+    ):
+        cells = len(separated) ** 2
+        session = SimilaritySession(separated, engine=QueryEngine())
+        indexed = session.queries().using(technique)
+        fixed = indexed.with_policy(NO_INDEX)
+
+        knn = indexed.knn(3)
+        self._check_gathers(gathers, cells)
+        reference = fixed.knn(3)
+        assert not gathers
+        np.testing.assert_array_equal(knn.indices, reference.indices)
+        np.testing.assert_allclose(
+            knn.scores, reference.scores, rtol=0, atol=TOL
+        )
+
+        dense = fixed.profile_matrix().values
+        epsilon = float(np.quantile(dense, 0.1))
+        matches = indexed.range(epsilon)
+        self._check_gathers(gathers, cells)
+        for got, want in zip(matches.matches, fixed.range(epsilon).matches):
+            np.testing.assert_array_equal(got, want)
+        values, stats = technique.matrix_with_stats(
+            "distance", separated, separated, epsilon=epsilon
+        )
+        self._check_gathers(gathers, cells)
+        assert [entry.stage for entry in stats.stages] == ["index", "refine"]
+        within = dense <= epsilon
+        np.testing.assert_array_equal(values <= epsilon, within)
+        np.testing.assert_allclose(
+            values[within], dense[within], rtol=0, atol=TOL
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,23 @@
-"""Cost-based plan policy: chooser, cache, τ-grid rule, API surface.
+"""Plan policy: the one-field :class:`PlanPolicy`, τ-grid rule, API surface.
 
 The contracts under test:
 
-* :class:`PlanPolicy` validates its knobs and round-trips the wire form;
-* the pinned-seed pilot keeps/drops filter stages deterministically and
-  never changes decisions (filters are sound — cost only);
-* chosen plans are cached per ``(technique, workload-shape, policy)``:
-  reused on an identical workload, invalidated by a shape or policy
-  change;
+* :class:`PlanPolicy` has one field, ``mode``; it validates it and
+  round-trips the wire form, rejecting every other field name;
+* ``mode="auto"`` lets the planner prepend the index stage and
+  ``mode="fixed"`` runs the authored cascade — decisions never differ
+  (filters are sound: cost only);
 * one τ-grid bracketing pass reproduces the fixed-sample decisions at
-  every grid threshold, across seeds, cached plans included;
+  every grid threshold, across seeds and repeated runs;
 * ``QuerySet.with_policy`` / ``SimilaritySession(config=...)`` /
   ``connect(policy=...)`` accept the policy uniformly and ``explain()``
-  reports the same chosen plan on every backend;
+  returns the executed plan's :class:`PruningStats` on every backend;
 * executor knobs live only on :class:`SessionConfig`.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -32,13 +33,11 @@ from repro.queries import (
     SimilaritySession,
 )
 from repro.queries.planner import (
-    ExplainReport,
     PlanPolicy,
-    clear_plan_cache,
+    PruningStats,
     effective_index_enabled,
     get_default_policy,
     normalize_tau,
-    plan_cache_size,
     sequential_mc_grid_decision,
     set_default_policy,
 )
@@ -48,12 +47,10 @@ SEED = 2012
 
 
 @pytest.fixture(autouse=True)
-def _clean_planner_state():
+def _restore_default_policy():
     saved = get_default_policy()
-    clear_plan_cache()
     yield
     set_default_policy(saved)
-    clear_plan_cache()
 
 
 @pytest.fixture(scope="module")
@@ -74,21 +71,23 @@ def multisample():
     ]
 
 
+def _stage_names(stats):
+    return [entry.stage for entry in stats.stages]
+
+
 class TestPlanPolicy:
     def test_defaults(self):
-        policy = PlanPolicy()
-        assert policy.mode == "auto"
-        assert policy.cost_cache is True
-        assert policy.use_index is None
+        assert PlanPolicy().mode == "auto"
+        assert [f.name for f in dataclasses.fields(PlanPolicy)] == ["mode"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"mode": "sometimes"},
-            {"pilot_queries": 0},
-            {"pilot_candidates": 0},
-            {"pilot_floor_cells": -1},
-            {"min_selectivity": 1.5},
+            {"mode": "never_index"},
+            {"mode": ""},
+            {"mode": "Fixed"},
+            {"mode": None},
         ],
     )
     def test_validation(self, kwargs):
@@ -96,15 +95,8 @@ class TestPlanPolicy:
             PlanPolicy(**kwargs)
 
     def test_wire_roundtrip(self):
-        policy = PlanPolicy(
-            mode="never_index",
-            pilot_queries=2,
-            pilot_candidates=8,
-            pilot_floor_cells=0,
-            min_selectivity=0.25,
-            cost_cache=False,
-            use_index=False,
-        )
+        policy = PlanPolicy(mode="fixed")
+        assert policy.to_wire() == {"mode": "fixed"}
         assert PlanPolicy.from_wire(policy.to_wire()) == policy
         # Defaults ship as an empty payload.
         assert PlanPolicy().to_wire() == {}
@@ -115,24 +107,37 @@ class TestPlanPolicy:
             {"warp": 9},
             {"precision": "float64"},
             {"backend": "numpy"},
+            {"use_index": False},
+            {"pilot_floor_cells": 1},
+            {"cost_cache": False},
         ):
             with pytest.raises(InvalidParameterError, match="unknown policy"):
                 PlanPolicy.from_wire({"mode": "auto", **extra})
+        with pytest.raises(InvalidParameterError, match="never_index"):
+            PlanPolicy.from_wire({"mode": "never_index"})
 
     def test_policies_are_hashable(self):
         assert len({PlanPolicy(), PlanPolicy(), PlanPolicy(mode="fixed")}) == 2
 
 
 class TestIndexRouting:
-    def test_never_index_trumps_use_index(self):
-        assert not effective_index_enabled(
-            PlanPolicy(mode="never_index", use_index=True)
-        )
-
-    def test_explicit_use_index_wins_over_default(self):
-        set_default_policy(PlanPolicy(use_index=False))
-        assert effective_index_enabled(PlanPolicy(use_index=True))
+    def test_explicit_policy_wins_over_default(self):
+        set_default_policy(PlanPolicy(mode="fixed"))
+        assert effective_index_enabled(PlanPolicy())
+        assert not effective_index_enabled(PlanPolicy(mode="fixed"))
         assert not effective_index_enabled(None)
+
+    def test_modes_differ_in_cost_only(self, noise):
+        with SimilaritySession(noise) as session:
+            query_set = session.queries().using(EuclideanTechnique())
+            indexed = query_set.with_policy(PlanPolicy()).knn(3)
+            authored = query_set.with_policy(PlanPolicy(mode="fixed")).knn(3)
+        assert _stage_names(indexed.pruning_stats) == ["index", "refine"]
+        assert _stage_names(authored.pruning_stats) == ["refine"]
+        np.testing.assert_array_equal(indexed.indices, authored.indices)
+        np.testing.assert_allclose(
+            indexed.scores, authored.scores, rtol=0, atol=1e-9
+        )
 
 
 class TestTauGrid:
@@ -184,7 +189,7 @@ class TestTauGrid:
 
     def test_cached_plan_keeps_never_flips(self, multisample):
         grid = (0.3, 0.7)
-        policy = PlanPolicy(pilot_floor_cells=1, pilot_queries=2, pilot_candidates=8)
+        policy = PlanPolicy()
         for seed in (3, 11):
             technique = MunichTechnique(
                 Munich(tau=0.5, method="montecarlo", n_samples=48, rng=seed)
@@ -208,118 +213,14 @@ class TestTauGrid:
                 tau=grid,
                 policy=policy,
             )
-            assert stats_again.explanation.cache_hit
+            assert _stage_names(stats_again) == _stage_names(stats_first)
             np.testing.assert_array_equal(first, again)
             for tau in grid:
                 np.testing.assert_array_equal(first >= tau, full >= tau)
 
 
-class TestPlanCache:
-    def _knn(self, session, technique, policy, k=3, n_queries=None):
-        queries = session.queries(
-            list(range(n_queries)) if n_queries else None
-        )
-        return queries.using(technique).with_policy(policy).knn(k)
-
-    def test_cache_reuse_on_same_workload_shape(self, noise):
-        policy = PlanPolicy(
-            pilot_floor_cells=1, pilot_queries=2, pilot_candidates=8
-        )
-        technique = EuclideanTechnique()
-        with SimilaritySession(noise) as session:
-            first = self._knn(session, technique, policy)
-            assert not first.pruning_stats.explanation.cache_hit
-            size = plan_cache_size()
-            again = self._knn(session, technique, policy)
-            assert again.pruning_stats.explanation.cache_hit
-            assert plan_cache_size() == size
-            np.testing.assert_array_equal(first.indices, again.indices)
-
-    def test_fresh_technique_instance_does_not_share_plans(self, noise):
-        policy = PlanPolicy(
-            pilot_floor_cells=1, pilot_queries=2, pilot_candidates=8
-        )
-        with SimilaritySession(noise) as session:
-            self._knn(session, EuclideanTechnique(), policy)
-            result = self._knn(session, EuclideanTechnique(), policy)
-            assert not result.pruning_stats.explanation.cache_hit
-
-    def test_cache_invalidated_by_shape_change(self, noise):
-        policy = PlanPolicy(
-            pilot_floor_cells=1, pilot_queries=2, pilot_candidates=8
-        )
-        technique = EuclideanTechnique()
-        with SimilaritySession(noise) as session:
-            self._knn(session, technique, policy)
-            size = plan_cache_size()
-            result = self._knn(session, technique, policy, n_queries=10)
-            assert not result.pruning_stats.explanation.cache_hit
-            assert plan_cache_size() == size + 1
-
-    def test_cache_invalidated_by_policy_change(self, noise):
-        policy = PlanPolicy(
-            pilot_floor_cells=1, pilot_queries=2, pilot_candidates=8
-        )
-        sibling = PlanPolicy(
-            pilot_floor_cells=1,
-            pilot_queries=2,
-            pilot_candidates=8,
-            min_selectivity=0.5,
-        )
-        technique = EuclideanTechnique()
-        with SimilaritySession(noise) as session:
-            self._knn(session, technique, policy)
-            size = plan_cache_size()
-            result = self._knn(session, technique, sibling)
-            assert not result.pruning_stats.explanation.cache_hit
-            assert plan_cache_size() == size + 1
-
-    def test_fixed_mode_bypasses_cache(self, noise):
-        with SimilaritySession(noise) as session:
-            result = self._knn(
-                session, EuclideanTechnique(), PlanPolicy(mode="fixed")
-            )
-            assert plan_cache_size() == 0
-            explanation = result.pruning_stats.explanation
-            assert explanation.mode == "fixed"
-            assert not explanation.cache_hit
-
-
 class TestChooser:
-    def test_chooser_drops_dead_index_and_keeps_parity(self, noise):
-        auto = PlanPolicy(
-            pilot_floor_cells=1, pilot_queries=4, pilot_candidates=16
-        )
-        fixed = PlanPolicy(mode="fixed")
-        with SimilaritySession(noise) as session:
-            query_set = session.queries().using(EuclideanTechnique())
-            tuned = query_set.with_policy(auto).knn(3)
-            authored = query_set.with_policy(fixed).knn(3)
-            # i.i.d. noise collapses every PAA lower bound: the pilot
-            # sees a dead index stage and drops it.
-            assert "index" not in tuned.pruning_stats.explanation.chosen_stages
-            assert any(
-                stage.stage == "index"
-                for stage in authored.pruning_stats.stages
-            )
-            np.testing.assert_array_equal(
-                tuned.indices, authored.indices
-            )
-            np.testing.assert_allclose(
-                tuned.scores, authored.scores, rtol=0, atol=1e-9
-            )
-
-    def test_small_workload_stays_on_authored_cascade(self, noise):
-        with SimilaritySession(noise) as session:
-            result = (
-                session.queries()
-                .using(EuclideanTechnique())
-                .with_policy(PlanPolicy())
-                .knn(3)
-            )
-            explanation = result.pruning_stats.explanation
-            assert "below the pilot floor" in explanation.rationale
-            assert "index" in explanation.chosen_stages
+    """How a policy binds to query sets and sessions."""
 
     def test_with_policy_returns_new_query_set(self, noise):
         with SimilaritySession(noise) as session:
@@ -331,63 +232,43 @@ class TestChooser:
                 base.with_policy("auto")
 
     def test_session_policy_flows_to_query_sets(self, noise):
-        policy = PlanPolicy(mode="never_index")
+        policy = PlanPolicy(mode="fixed")
         with SimilaritySession(noise, policy=policy) as session:
             query_set = session.queries().using(EuclideanTechnique())
             assert query_set.policy == policy
             result = query_set.knn(3)
-            stages = [s.stage for s in result.pruning_stats.stages]
-            assert "index" not in stages
+            assert _stage_names(result.pruning_stats) == ["refine"]
 
 
 class TestExplain:
-    def test_explain_reports_estimated_vs_actual(self, noise):
-        policy = PlanPolicy(
-            pilot_floor_cells=1, pilot_queries=4, pilot_candidates=16
-        )
+    def test_explain_returns_executed_stats(self, noise):
         with SimilaritySession(noise) as session:
-            report = (
-                session.queries()
-                .using(EuclideanTechnique())
-                .with_policy(policy)
-                .explain(k=3)
-            )
-        assert isinstance(report, ExplainReport)
-        assert report.mode == "auto"
-        assert report.plan  # at least the refine stage
-        by_stage = {record["stage"]: record for record in report.records}
-        assert by_stage["refine"]["actual_selectivity"] == 1.0
-        # The dropped index stage still shows its pilot estimate.
-        assert "index" in by_stage
-        assert by_stage["index"]["estimated_selectivity"] is not None
-        assert by_stage["index"]["actual_selectivity"] is None
-        assert "pilot scored" in report.rationale
-        assert "refine" in report.summary()
+            stats = session.queries().using(EuclideanTechnique()).explain(k=3)
+        assert isinstance(stats, PruningStats)
+        assert _stage_names(stats) == ["index", "refine"]
+        assert stats.n_queries == stats.n_candidates == len(noise)
+        assert "index" in stats.summary()
+        assert "refine" in stats.summary()
 
     def test_explain_sharded_merges_consistently(self, noise):
-        config = SessionConfig(n_workers=2)
+        config = SessionConfig(n_workers=2, policy=PlanPolicy(mode="fixed"))
         with SimilaritySession(noise, config=config) as sharded:
             with SimilaritySession(noise) as serial:
                 technique = EuclideanTechnique()
-                shard_report = (
-                    sharded.queries().using(technique).explain(k=3)
+                shard_stats = sharded.queries().using(technique).explain(k=3)
+                serial_stats = (
+                    serial.queries()
+                    .using(technique)
+                    .with_policy(PlanPolicy(mode="fixed"))
+                    .explain(k=3)
                 )
-                serial_report = (
-                    serial.queries().using(technique).explain(k=3)
-                )
-        assert shard_report.plan == serial_report.plan
-        assert shard_report.mode == serial_report.mode
-        assert shard_report.executor["n_workers"] == 2
-        # Sound filters: merged shard counts equal the serial counts.
-        shard_totals = {
-            record["stage"]: record["decided"]
-            for record in shard_report.records
-        }
-        serial_totals = {
-            record["stage"]: record["decided"]
-            for record in serial_report.records
-        }
-        assert set(shard_totals) == set(serial_totals)
+        assert _stage_names(shard_stats) == ["refine"]
+        assert _stage_names(serial_stats) == ["refine"]
+        assert shard_stats.executor["n_workers"] == 2
+        # Merged shard counts equal the serial counts.
+        assert [entry.decided for entry in shard_stats.stages] == [
+            entry.decided for entry in serial_stats.stages
+        ]
 
 
 class TestSessionConfig:

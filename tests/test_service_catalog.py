@@ -26,7 +26,6 @@ import sys
 import numpy as np
 import pytest
 
-import repro
 from repro.core import build_index, save_collection, spawn
 from repro.core.mmapio import MANIFEST_NAME
 from repro.datasets import generate_dataset
@@ -52,16 +51,6 @@ def saved(pdf, tmp_path_factory):
     """One saved pdf collection directory (manifest path returned)."""
     directory = tmp_path_factory.mktemp("saved-collection")
     return save_collection(pdf, str(directory))
-
-
-def _subprocess_env():
-    """Make ``repro`` importable from a fresh interpreter."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        part for part in (src, env.get("PYTHONPATH")) if part
-    )
-    return env
 
 
 class TestRegistration:
@@ -168,7 +157,7 @@ class TestPersistence:
             assert catalog.schema_version() == SCHEMA_VERSION
             assert len(catalog.open_collection("gp")) == 10
 
-    def test_reopen_fresh_process(self, saved, tmp_path):
+    def test_reopen_fresh_process(self, saved, tmp_path, subprocess_env):
         """Register here; a brand-new interpreter sees and serves it."""
         path = str(tmp_path / "catalog.db")
         with ServiceCatalog(path) as catalog:
@@ -186,12 +175,14 @@ class TestPersistence:
             capture_output=True,
             text=True,
             timeout=120,
-            env=_subprocess_env(),
+            env=subprocess_env,
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.split() == ["pdf", "10", "16"]
 
-    def test_concurrent_reader_processes(self, saved, tmp_path):
+    def test_concurrent_reader_processes(
+        self, saved, tmp_path, subprocess_env
+    ):
         """Several readers share the WAL catalog at once, all consistent."""
         path = str(tmp_path / "catalog.db")
         with ServiceCatalog(path) as catalog:
@@ -204,14 +195,13 @@ class TestPersistence:
             "    n = len(catalog.open_collection('gp'))\n"
             "print(','.join(names), n)\n"
         )
-        env = _subprocess_env()
         readers = [
             subprocess.Popen(
                 [sys.executable, "-c", script, path],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
-                env=env,
+                env=subprocess_env,
             )
             for _ in range(4)
         ]

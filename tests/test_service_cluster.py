@@ -10,9 +10,11 @@ contracts under test:
   unchanged against an in-process session, one remote daemon, and the
   shard fleet, returning the same structured results with populated
   pruning statistics;
-* killing a shard daemon mid-fleet either raises (strict) or returns a
-  partial result *tagged* with the failed shard set whose survivor
-  merge is exactly the survivor-restricted reference ranking;
+* killing a shard daemon mid-fleet — stopped between queries, or
+  SIGKILLed while a request waits in its batch queue — either raises
+  (strict) or returns a partial result *tagged* with the failed shard
+  set whose survivor merge is exactly the survivor-restricted
+  reference ranking;
 * hedged retries fire only past the latency threshold, reuse the
   primary's request id, and duplicate replies are discarded by id;
 * the shard map lives in the catalog (schema v3) behind strict tiling
@@ -22,8 +24,12 @@ contracts under test:
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 import socket
 import sqlite3
+import subprocess
+import sys
 import threading
 import time
 
@@ -39,7 +45,12 @@ from repro.core.mmapio import load_collection
 from repro.datasets import generate_dataset
 from repro.perturbation import ConstantScenario
 from repro.queries import SimilaritySession
-from repro.queries.techniques import DustTechnique, ProudTechnique
+from repro.queries.planner import PlanPolicy
+from repro.queries.techniques import (
+    DustTechnique,
+    EuclideanTechnique,
+    ProudTechnique,
+)
 from repro.service import ServiceCatalog
 from repro.service.catalog import SCHEMA_VERSION, CatalogError, ShardEntry
 from repro.service.cluster import (
@@ -48,6 +59,7 @@ from repro.service.cluster import (
     ClusterError,
     RemoteBackend,
     RemoteSession,
+    _ShardChannel,
     connect,
 )
 from repro.service.daemon import SimilarityDaemon
@@ -153,6 +165,27 @@ def _spawn_fleet(collections, tmp_path, count):
                 catalog.register(name, manifest)
         fleet.append(DaemonHarness(catalog_path, max_delay=0.001))
     return fleet
+
+
+def _stage_names(stats):
+    return [entry.stage for entry in stats.stages]
+
+
+def _assert_survivor_ranking(degraded, pdf, start, stop, k):
+    """``degraded`` is the DUST kNN reference restricted to the columns
+    outside the failed ``[start, stop)`` slice, exactly."""
+    columns = np.asarray(
+        [column for column in range(N_SERIES) if not start <= column < stop]
+    )
+    restricted = DustTechnique().distance_matrix(pdf, pdf)[:, columns]
+    for row in range(N_SERIES):
+        scores = restricted[row].astype(float).copy()
+        own = np.where(columns == row)[0]
+        if own.size:
+            scores[own[0]] = np.inf
+        order = np.lexsort((columns, scores))[:k]
+        np.testing.assert_array_equal(degraded.indices[row], columns[order])
+        np.testing.assert_array_equal(degraded.scores[row], scores[order])
 
 
 def _tile(n_series, count):
@@ -332,22 +365,31 @@ class TestUnifiedFluentSurface:
     def test_explain_identical_across_backends(
         self, fleet, cluster_catalog, sessions
     ):
-        """``explain()`` reports one chosen plan, whatever the backend."""
+        """``explain()`` reports one executed plan, whatever the backend."""
+        fixed = PlanPolicy(mode="fixed")
         reference = (
-            sessions["pdf"].queries().using(DustTechnique()).explain(k=3)
+            sessions["pdf"]
+            .queries()
+            .using(DustTechnique())
+            .with_policy(fixed)
+            .explain(k=3)
         )
+        assert _stage_names(reference) == ["refine"]
         remote = connect(f"tcp://127.0.0.1:{fleet[0].port}/pdf")
         clustered = connect(cluster_catalog, collection="pdf")
         try:
             for session in (remote, clustered):
-                report = (
-                    session.queries().using(DustTechnique()).explain(k=3)
+                stats = (
+                    session.queries()
+                    .using(DustTechnique())
+                    .with_policy(fixed)
+                    .explain(k=3)
                 )
-                assert report.plan == reference.plan
-                assert report.mode == reference.mode
-                assert report.technique_name == reference.technique_name
-                assert [r["stage"] for r in report.records] == [
-                    r["stage"] for r in reference.records
+                assert _stage_names(stats) == ["refine"]
+                assert stats.technique_name == reference.technique_name
+                assert stats.n_queries == reference.n_queries
+                assert [entry.decided for entry in stats.stages] == [
+                    entry.decided for entry in reference.stages
                 ]
         finally:
             remote.close()
@@ -356,37 +398,40 @@ class TestUnifiedFluentSurface:
     def test_policy_ships_to_every_backend(
         self, fleet, cluster_catalog, sessions
     ):
-        """``never_index`` bound via ``connect(policy=...)`` reaches the
-        daemon and every shard: no backend plans an index stage."""
-        from repro.queries.planner import PlanPolicy
-
-        policy = PlanPolicy(mode="never_index")
-        remote = connect(
-            f"tcp://127.0.0.1:{fleet[0].port}/pdf", policy=policy
+        """``mode="fixed"`` bound via ``connect(policy=...)`` reaches the
+        daemon and every shard.  Euclidean kNN plans an index stage by
+        default, so a backend (or any one shard) that lost the policy
+        would report an ``index`` stage."""
+        policy = PlanPolicy(mode="fixed")
+        address = f"tcp://127.0.0.1:{fleet[0].port}/pdf"
+        default_sessions = (
+            connect(address),
+            connect(cluster_catalog, collection="pdf"),
         )
-        clustered = connect(
-            cluster_catalog, collection="pdf", policy=policy
+        fixed_sessions = (
+            connect(address, policy=policy),
+            connect(cluster_catalog, collection="pdf", policy=policy),
         )
         try:
-            local_report = (
-                sessions["pdf"]
-                .queries()
-                .using(DustTechnique())
-                .with_policy(policy)
-                .explain(k=3)
-            )
-            assert "index" not in local_report.plan
-            assert local_report.mode == "never_index"
-            for session in (remote, clustered):
-                assert session.policy == policy
-                report = (
-                    session.queries().using(DustTechnique()).explain(k=3)
+            local = sessions["pdf"].queries().using(EuclideanTechnique())
+            assert _stage_names(local.explain(k=3)) == ["index", "refine"]
+            assert _stage_names(
+                local.with_policy(policy).explain(k=3)
+            ) == ["refine"]
+            for session in default_sessions:
+                stats = session.queries().using(EuclideanTechnique()).explain(
+                    k=3
                 )
-                assert report.plan == local_report.plan
-                assert report.mode == "never_index"
+                assert _stage_names(stats) == ["index", "refine"]
+            for session in fixed_sessions:
+                assert session.policy == policy
+                stats = session.queries().using(EuclideanTechnique()).explain(
+                    k=3
+                )
+                assert _stage_names(stats) == ["refine"]
         finally:
-            remote.close()
-            clustered.close()
+            for session in default_sessions + fixed_sessions:
+                session.close()
 
     def test_remote_session_reports_shape(self, fleet):
         remote = connect(f"tcp://127.0.0.1:{fleet[0].port}/pdf")
@@ -456,26 +501,7 @@ class TestPartialShardFailure:
             assert not degraded.complete
             # The merge over the survivors is the survivor-restricted
             # reference ranking, exactly.
-            survivors = [
-                column
-                for column in range(N_SERIES)
-                if not (start <= column < stop)
-            ]
-            matrix = DustTechnique().distance_matrix(pdf, pdf)
-            columns = np.asarray(survivors)
-            restricted = matrix[:, columns]
-            for row in range(N_SERIES):
-                scores = restricted[row].astype(float).copy()
-                own = np.where(columns == row)[0]
-                if own.size:
-                    scores[own[0]] = np.inf
-                order = np.lexsort((columns, scores))[:3]
-                np.testing.assert_array_equal(
-                    degraded.indices[row], columns[order]
-                )
-                np.testing.assert_array_equal(
-                    degraded.scores[row], scores[order]
-                )
+            _assert_survivor_ranking(degraded, pdf, start, stop, 3)
             # Degradation is visible in the merged stats too.
             assert degraded.pruning_stats.executor["failed_shards"] == [
                 f"127.0.0.1:{dead_port}"
@@ -507,6 +533,128 @@ class TestPartialShardFailure:
                     if not (start <= index < stop)
                 ]
                 assert list(degraded.matches[row]) == expected
+
+
+class TestShardKilledMidQuery:
+    """A shard daemon SIGKILLed while a query waits in its batch queue.
+
+    The middle shard runs as a ``repro.cli serve`` subprocess with a
+    5 s batch window, so a lone request sits in its queue; the test
+    kills the process once the coordinator has sent that request.
+    """
+
+    #: The killed shard's column slice.
+    VICTIM = _tile(N_SERIES, 3)[1]
+
+    @pytest.fixture()
+    def victim(self, collections, tmp_path, subprocess_env):
+        catalog_path = str(tmp_path / "victim.db")
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--catalog", catalog_path,
+                "--port", "0",
+                "--max-delay", "5",
+                "--register", f"pdf={collections['pdf']}",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=subprocess_env,
+        )
+        watchdog = threading.Timer(120.0, process.kill)
+        watchdog.start()
+        try:
+            port = None
+            for line in process.stdout:
+                if "listening on" in line:
+                    port = int(line.split()[3].rsplit(":", 1)[1])
+                    break
+            assert port is not None, "shard daemon did not come up"
+            yield process, port
+        finally:
+            watchdog.cancel()
+            process.kill()
+            process.wait(timeout=60)
+            process.stdout.close()
+
+    @pytest.fixture()
+    def catalog(self, collections, victim, tmp_path):
+        live = _spawn_fleet({"pdf": collections["pdf"]}, tmp_path, 2)
+        ports = [live[0].port, victim[1], live[1].port]
+        path = str(tmp_path / "killed-cluster.db")
+        with ServiceCatalog(path) as catalog:
+            catalog.register("pdf", collections["pdf"])
+            catalog.set_shard_map(
+                "pdf",
+                [
+                    ("127.0.0.1", port, start, stop)
+                    for port, (start, stop) in zip(ports, _tile(N_SERIES, 3))
+                ],
+            )
+        yield path
+        for daemon in live:
+            daemon.stop()
+
+    def _knn_while_killing(self, catalog, victim, monkeypatch, allow_partial):
+        """Run a DUST 3-NN, SIGKILL the victim once its request is sent;
+        returns the knn result or the exception it raised."""
+        process, port = victim
+        sent = threading.Event()
+        original = _ShardChannel.request
+
+        def request(channel, *args, **kwargs):
+            if channel.port == port:
+                sent.set()
+            return original(channel, *args, **kwargs)
+
+        monkeypatch.setattr(_ShardChannel, "request", request)
+        outcome = {}
+        with ClusterCoordinator.from_catalog(
+            catalog,
+            allow_partial=allow_partial,
+            timeout=60,
+            connect_timeout=3,
+            hedge_after=float("inf"),
+        ) as coordinator:
+
+            def run():
+                try:
+                    outcome["result"] = coordinator.knn("pdf", 3, "dust")
+                except Exception as error:  # noqa: BLE001 — asserted below
+                    outcome["error"] = error
+
+            worker = threading.Thread(target=run)
+            worker.start()
+            assert sent.wait(timeout=60), "the victim never got its request"
+            time.sleep(0.5)
+            # Still inside the victim's 5 s batch window: no reply yet.
+            assert worker.is_alive()
+            os.kill(process.pid, signal.SIGKILL)
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        return outcome.get("result", outcome.get("error"))
+
+    def test_partial_result_names_the_killed_shard(
+        self, catalog, victim, monkeypatch, pdf
+    ):
+        degraded = self._knn_while_killing(
+            catalog, victim, monkeypatch, allow_partial=True
+        )
+        assert not isinstance(degraded, Exception), degraded
+        assert degraded.failed_shards == (f"127.0.0.1:{victim[1]}",)
+        assert not degraded.complete
+        _assert_survivor_ranking(degraded, pdf, *self.VICTIM, 3)
+
+    def test_strict_mode_raises_naming_the_killed_shard(
+        self, catalog, victim, monkeypatch
+    ):
+        error = self._knn_while_killing(
+            catalog, victim, monkeypatch, allow_partial=False
+        )
+        assert isinstance(error, ClusterError), error
+        assert f"127.0.0.1:{victim[1]}" in str(error)
+        assert error.failed_shards == (f"127.0.0.1:{victim[1]}",)
 
 
 class FlakyShard:

@@ -236,11 +236,18 @@ class TestQueryParity:
         assert answer.stats["stages"]
 
     def test_stats_parse_ignores_retired_fields(self, harness):
-        """An older daemon's payload may still carry ``backend`` and
-        ``bound_dtype``; parsing drops them and keeps everything else."""
+        """An older daemon's payload may still carry ``backend``,
+        ``bound_dtype`` and ``explanation``; parsing drops them and keeps
+        everything else."""
         with harness.client() as client:
             answer = client.query("knn", "pdf", {"k": 3}, technique="dust")
-        legacy = dict(answer.stats, backend="numpy", bound_dtype="float32")
+        assert "explanation" not in answer.stats
+        legacy = dict(
+            answer.stats,
+            backend="numpy",
+            bound_dtype="float32",
+            explanation={"mode": "auto", "chosen_stages": ["refine"]},
+        )
         parsed = stats_from_payload(legacy)
         assert parsed == stats_from_payload(answer.stats)
         assert parsed.n_queries == N_SERIES
@@ -397,9 +404,30 @@ class TestStructuredErrors:
         assert "frobnicate" in response["error"]["message"]
 
     @pytest.mark.parametrize(
-        "policy", [{"precision": "float64"}, {"backend": "numpy"}]
+        "policy",
+        [
+            {"precision": "float64"},
+            {"backend": "numpy"},
+            {"use_index": False},
+            {"pilot_floor_cells": 1},
+            {"cost_cache": False},
+        ],
     )
     def test_unknown_policy_fields(self, harness, policy):
+        response = self._knn_with_policy(harness, policy)
+        assert response["ok"] is False
+        assert response["error"]["type"] == "ProtocolError"
+        assert "unknown policy fields" in response["error"]["message"]
+        assert next(iter(policy)) in response["error"]["message"]
+
+    def test_retired_policy_mode(self, harness):
+        response = self._knn_with_policy(harness, {"mode": "never_index"})
+        assert response["ok"] is False
+        assert response["error"]["type"] == "ProtocolError"
+        assert "never_index" in response["error"]["message"]
+
+    @staticmethod
+    def _knn_with_policy(harness, policy):
         request = json.dumps(
             {
                 "v": PROTOCOL_VERSION,
@@ -409,11 +437,7 @@ class TestStructuredErrors:
                 "params": {"k": 3, "policy": policy},
             }
         ).encode() + b"\n"
-        response = _raw_exchange(harness, request)
-        assert response["ok"] is False
-        assert response["error"]["type"] == "ProtocolError"
-        assert "unknown policy fields" in response["error"]["message"]
-        assert next(iter(policy)) in response["error"]["message"]
+        return _raw_exchange(harness, request)
 
     def test_errors_do_not_kill_the_daemon(self, harness):
         with harness.client() as client:
