@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Batched MUNICH convolution + banded vectorized DTW kernels vs per-pair.
 
-Three workloads, each timed against the exact per-pair path the batch
-kernels replace:
+Three kernel workloads, each timed against the exact per-pair path the
+batch kernels replace, plus one decision-mode row:
 
 * **MUNICH (convolution)** — an *undecided-heavy* probabilistic range
   workload: ε sits at the median pairwise distance, so the minimal-
@@ -19,13 +19,19 @@ kernels replace:
   Before: one Python DP per drawn materialization pair.  After: the
   seeded draw stack through the LB_Kim/LB_Keogh/upper-bound pruning
   cascade + wavefront DP.
+* **MUNICH (prob_range)** — the convolution workload's decision query
+  `prob_range(ε, 0.5)`, whose refine stage decides most cells from a
+  Hoeffding bound, against the τ-free `profile_matrix(ε)` thresholded
+  at 0.5.  Its match sets must be identical (`decisions_identical`);
+  the speedup is reported without a floor.
 
 Every batch result is asserted to match its per-pair reference to
-**1e-9** (DTW paths are bit-identical), and the full run additionally
-enforces the ≥3× speedup floor per workload; the exit code is non-zero
-on any violation.  Results land in ``BENCH_munich.json`` at the repo
-root; CI smoke-runs ``--quick`` (parity + regression gate only — tiny
-workloads are all jitter, so no floor there).
+**1e-9** (DTW paths are bit-identical), the decision row's match sets
+must equal the thresholded matrix's, and the full run additionally
+enforces the ≥3× speedup floor per kernel workload; the exit code is
+non-zero on any violation.  Results land in ``BENCH_munich.json`` at the
+repo root; CI smoke-runs ``--quick`` (parity + regression gate only —
+tiny workloads are all jitter, so no floor there).
 
 All workloads are seeded (SEED=2012): reruns are deterministic.
 
@@ -58,6 +64,7 @@ from repro.queries import (
 SEED = 2012
 PARITY_TOL = 1e-9
 SPEEDUP_FLOOR = 3.0
+DECISION_TAU = 0.5
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_munich.json",
@@ -203,6 +210,55 @@ def _bench_munich_convolution(
     )
 
 
+def _bench_munich_decision(
+    multisample, n_queries: int, n_bins: int, repeats: int
+) -> Dict:
+    """``prob_range(ε, 0.5)`` vs the τ-free matrix thresholded at 0.5."""
+    technique = MunichTechnique(Munich(tau=0.5, n_bins=n_bins))
+    column0 = np.vstack([series.samples[:, 0] for series in multisample])
+    pairwise = np.sqrt(
+        ((column0[:, None, :] - column0[None, :, :]) ** 2).sum(-1)
+    )
+    epsilon = float(np.median(pairwise[pairwise > 0]))
+    session = SimilaritySession(multisample)
+    query_set = session.queries(list(range(n_queries))).using(technique)
+
+    def full_dp():
+        return query_set.profile_matrix(epsilon=epsilon).result_sets(
+            DECISION_TAU
+        )
+
+    def decision():
+        return query_set.prob_range(epsilon, DECISION_TAU).matches
+
+    identical = all(
+        np.array_equal(expected, got)
+        for expected, got in zip(full_dp(), decision())
+    )
+    full_seconds = _best_of(full_dp, repeats)
+    decision_seconds = _best_of(decision, repeats)
+    session.close()
+    row = {
+        "technique": "MUNICH",
+        "kind": "prob_range",
+        "full_dp_seconds_per_query": full_seconds / n_queries,
+        "decision_seconds_per_query": decision_seconds / n_queries,
+        "speedup": full_seconds / decision_seconds,
+        "decisions_identical": bool(identical),
+        "parity_ok": bool(identical),
+        "epsilon": epsilon,
+        "tau": DECISION_TAU,
+        "n_bins": n_bins,
+    }
+    print(
+        f"  {'MUNICH':14s} (prob_range): full DP "
+        f"{row['full_dp_seconds_per_query'] * 1e3:9.3f} ms/q   decision "
+        f"{row['decision_seconds_per_query'] * 1e3:9.3f} ms/q   "
+        f"speedup {row['speedup']:6.1f}x   identical {identical}"
+    )
+    return row
+
+
 def _bench_dust_dtw_knn(pdf, n_queries: int, k: int, window: int, repeats: int) -> Dict:
     """kNN under DUST-DTW: per-pair Python DP vs wavefront matrix kernel."""
     technique = DustDtwTechnique(window=window)
@@ -324,7 +380,7 @@ def main(argv=None) -> int:
         f"normal sigma=0.4, {munich_samples} samples/timestamp, "
         f"band half-width {window}"
     )
-    results = [
+    kernel_rows = [
         _bench_munich_convolution(
             multisample, args.munich_queries, args.n_bins, args.repeats
         ),
@@ -339,10 +395,15 @@ def main(argv=None) -> int:
             args.repeats,
         ),
     ]
+    results = kernel_rows + [
+        _bench_munich_decision(
+            multisample, args.munich_queries, args.n_bins, args.repeats
+        ),
+    ]
 
     parity_ok = all(row["parity_ok"] for row in results)
     floor_ok = args.quick or all(
-        row["speedup"] >= SPEEDUP_FLOOR for row in results
+        row["speedup"] >= SPEEDUP_FLOOR for row in kernel_rows
     )
     payload = {
         "benchmark": "batched MUNICH convolution + banded DTW kernels "
@@ -380,7 +441,8 @@ def main(argv=None) -> int:
     if not parity_ok:
         print(
             f"FAIL: batch kernels deviate from the per-pair paths beyond "
-            f"{PARITY_TOL}",
+            f"{PARITY_TOL}, or decision-mode match sets differ from the "
+            f"thresholded matrix",
             file=sys.stderr,
         )
         return 1

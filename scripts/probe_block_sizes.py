@@ -6,8 +6,8 @@ The engine's hot loops are tiled by six hand-tuned element budgets:
   broadcast blocks of the tensor matrix kernels;
 * ``repro.queries.techniques.MC_BATCH_ELEMENTS`` — Monte Carlo
   refinement batches;
-* ``repro.distances.dtw_batch.DTW_BLOCK_ELEMENTS`` — stacked DTW cost
-  blocks;
+* ``repro.distances.dtw_batch.DTW_BLOCK_ELEMENTS`` — rolling DTW
+  blocks, charged per pair by ``rolling_stack_blocks``;
 * ``repro.queries.index.KNN_BLOCK_COLUMNS`` — the index stage's
   summary-scan column blocks;
 * ``repro.munich.batch.BATCH_BLOCK_ELEMENTS`` / ``DP_CHUNK_ELEMENTS`` —
@@ -16,8 +16,9 @@ The engine's hot loops are tiled by six hand-tuned element budgets:
 This probe times a proxy of each loop across a sweep of block sizes on
 the current machine and prints effective GB/s per size, so the committed
 constants can be audited against measured bandwidth instead of folklore.
-It also measures the raw single-thread stream bandwidth the planner's
-``STREAM_BYTES_PER_SECOND = 8e9`` cost constant models.
+It also measures the raw single-thread stream bandwidth (a triad of one
+read and one write per element): the ceiling the end-to-end benchmark's
+``plan.<stage>.gbps`` per-layer metrics are read against.
 
 Usage::
 
@@ -58,14 +59,14 @@ def _report(title: str, current: int, rows) -> None:
 
 
 def probe_stream(quick: bool) -> None:
-    """Raw streamed triad bandwidth — the planner cost model's 8 GB/s."""
+    """Raw streamed triad bandwidth — the ceiling for ``plan.*.gbps``."""
     n = 1 << (24 if quick else 26)
     a = np.random.default_rng(0).random(n)
     b = np.empty_like(a)
     seconds = _best_of(lambda: np.multiply(a, 2.0, out=b))
     rate = 2 * 8 * n / seconds / 1e9
     print(f"raw stream (read+write float64): {rate:.2f} GB/s "
-          f"(planner STREAM_BYTES_PER_SECOND models 8.0)")
+          f"(the ceiling for the e2e benchmark's plan.<stage>.gbps)")
 
 
 def probe_matrix_block(quick: bool) -> None:
@@ -118,27 +119,41 @@ def probe_knn_columns(quick: bool) -> None:
 
 
 def probe_dtw_block(quick: bool) -> None:
-    """Stacked-DTW proxy: pairwise cost tensors in element-bounded blocks."""
+    """Rolling-DTW proxy: per-diagonal state updates over pair blocks.
+
+    Blocks are sized the way ``rolling_stack_blocks`` charges the
+    budget — three ``(n + 1)`` state rows plus one cost row per pair —
+    and each diagonal reads two state rows, computes one cost row and
+    writes one state row, as the rolling kernel does.
+    """
     from repro.distances.dtw_batch import DTW_BLOCK_ELEMENTS
 
     n = 128
-    pairs = 1 << (7 if quick else 9)
+    pairs = 1 << (9 if quick else 11)
     xs = np.random.default_rng(5).random((pairs, n))
     ys = np.random.default_rng(6).random((pairs, n))
+    per_pair = 3 * (n + 1) + n + 1
     rows = []
     for exponent in (16, 18, 20, 22):
         block_elements = 1 << exponent
-        per_pair = n * n
         block = max(1, block_elements // per_pair)
 
         def run() -> None:
             for start in range(0, pairs, block):
                 stop = min(start + block, pairs)
-                diff = xs[start:stop, :, None] - ys[start:stop, None, :]
-                np.square(diff, out=diff)
+                state = np.zeros((3, stop - start, n + 1))
+                for diagonal in range(2 * n - 1):
+                    cost = xs[start:stop] - ys[start:stop, ::-1]
+                    np.square(cost, out=cost)
+                    best = np.minimum(
+                        state[(diagonal + 1) % 3, :, :n],
+                        state[(diagonal + 2) % 3, :, 1:],
+                    )
+                    state[diagonal % 3, :, 1:] = cost + best
 
         seconds = _best_of(run)
-        rows.append((block_elements, 8 * 2 * pairs * n * n / seconds / 1e9))
+        streamed = 8 * 5 * pairs * n * (2 * n - 1)
+        rows.append((block_elements, streamed / seconds / 1e9))
     _report("DTW_BLOCK_ELEMENTS proxy", DTW_BLOCK_ELEMENTS, rows)
 
 

@@ -18,7 +18,6 @@ from .dtw import (
     lb_kim,
 )
 from .dtw_batch import (
-    ROLLING_MIN_LENGTH,
     banded_dtw_from_costs,
     dtw_distance_matrix,
     dtw_distance_paired,
@@ -74,7 +73,6 @@ __all__ = [
     "rolling_dtw_from_cost_fn",
     "rolling_dtw_paired",
     "rolling_dtw_stack",
-    "ROLLING_MIN_LENGTH",
     "lb_kim",
     "lb_keogh",
     "keogh_envelope",

@@ -7,7 +7,9 @@ every Lp-based technique.  This module removes it by restructuring the DP
 around two axes of data parallelism:
 
 * **candidate stacking** — a whole stack of ``B`` candidate alignments
-  advances through one shared DP state ``(B, n+1, m+1)``;
+  advances through one shared DP state (three rolling ``(B, n+1)``
+  diagonals in every production kernel; the full ``(B, n+1, m+1)``
+  state of :func:`banded_dtw_from_costs` is the reference);
 * **anti-diagonal wavefronts** — cells on anti-diagonal ``d = i + j``
   depend only on diagonals ``d-1`` and ``d-2``, so each wavefront is one
   vectorized ``min``/``add`` over every stacked candidate at once.  The
@@ -37,23 +39,14 @@ import numpy as np
 from ..core.errors import InvalidParameterError
 from .dtw import _band_limits
 
-#: Element budget for one stacked ``(B, n, m)`` cost tensor (~32 MB of
-#: float64).  The wavefront's per-diagonal NumPy dispatch dominates the
-#: kernel, so wider blocks win even past L3: a measured sweep of the
-#: real kernels (scripts/probe_block_sizes.py machine) put ``1 << 22``
-#: 17% ahead of ``1 << 20`` on the rolling long-series path (n=1024:
-#: 600 ms vs 722 ms) and 2% ahead on short series (n=96).
+#: Element budget for one rolling-kernel block (~32 MB of float64),
+#: charged per pair by :func:`rolling_stack_blocks`.  The wavefront's
+#: per-diagonal NumPy dispatch dominates the kernel, so wider blocks
+#: win even past L3: a measured sweep of the real kernels
+#: (scripts/probe_block_sizes.py machine) put ``1 << 22`` 17% ahead of
+#: ``1 << 20`` on long series (n=1024: 600 ms vs 722 ms) and 2% ahead
+#: on short series (n=96).
 DTW_BLOCK_ELEMENTS = 1 << 22
-
-#: Series length at which cost-tensor consumers (DUST-DTW's grouped
-#: ``dust²`` stacks) switch to the rolling three-diagonal state with
-#: per-diagonal cost callbacks: beyond ~512 timestamps the
-#: ``(B, n, m)`` cost tensor spills L2 even at ``B = 1``, outweighing
-#: the benefit of one bulk table application.  The plain
-#: squared-difference kernels (``dtw_distance_paired`` /
-#: ``dtw_distance_stack``) run on the rolling state unconditionally —
-#: it measured faster at every stack shape.
-ROLLING_MIN_LENGTH = 512
 
 #: Relative slack on bound-based verdicts: a bound only decides a row when
 #: it clears the threshold by more than this margin, so batched float
@@ -71,7 +64,9 @@ def banded_dtw_from_costs(
     with ``y_b[j]`` (squared difference for classic DTW, ``dust²`` for
     DUST-DTW).  Returns the ``(B,)`` square-rooted accumulated costs,
     bit-identical to running :func:`~repro.distances.dtw.dtw_distance`
-    per pair with the same band.
+    per pair with the same band.  No production path builds the cost
+    tensor any more; this full-state kernel is the reference the
+    rolling kernel is tested against.
     """
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 3:
@@ -115,31 +110,14 @@ def banded_dtw_from_costs(
     return np.sqrt(totals)
 
 
-def stack_blocks(n_pairs: int, n: int, m: int):
-    """Yield ``(start, stop)`` candidate blocks within the element budget."""
-    per_pair = max(1, n * m)
-    block = max(1, DTW_BLOCK_ELEMENTS // per_pair)
-    for start in range(0, n_pairs, block):
-        yield start, min(start + block, n_pairs)
-
-
-def _use_rolling(n: int, m: int) -> bool:
-    """Whether per-diagonal cost callbacks beat a bulk cost tensor.
-
-    Consulted by cost-tensor consumers (DUST-DTW); the plain
-    squared-difference kernels always roll.
-    """
-    return max(n, m) >= ROLLING_MIN_LENGTH
-
-
 def rolling_stack_blocks(n_pairs: int, n: int, m: int):
     """Candidate blocks for the rolling kernel.
 
     The rolling state is ``O(B · n)`` — independent of ``m`` — so the
     budget is charged per pair as three state rows of width ``n + 1``
     plus one per-diagonal cost row (at most ``min(n, m) + 1`` wide),
-    not per full cost tensor; long series get *wider* blocks than
-    :func:`stack_blocks` would allow.
+    not per full ``(n, m)`` cost tensor, so long series still get wide
+    blocks.
     """
     per_pair = 3 * (n + 1) + min(n, m) + 1
     block = max(1, DTW_BLOCK_ELEMENTS // per_pair)

@@ -27,9 +27,15 @@ The computed quantity is the same integer-offset CDF the per-pair
 evaluator produces — identical binning rules, identical edge handling at
 ``ε²`` — so results agree to accumulated float rounding (~1e-12), far
 inside the engine's 1e-9 batch-kernel tolerance.
+
+When the decision threshold ``τ`` is known, most rows never reach the
+DP: a Hoeffding bound on the binned distance sum already puts them on
+one side of ``τ`` (see :func:`convolved_probability_batch`).
 """
 
 from __future__ import annotations
+
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +53,11 @@ BATCH_BLOCK_ELEMENTS = 1 << 20
 #: the per-pair loop's L1-sized slices on memory traffic as well as call
 #: overhead.
 DP_CHUNK_ELEMENTS = 1 << 15
+
+#: Least margin a Hoeffding bound must clear ``τ`` by before it decides
+#: a row in decision mode: at least the DP's rounding bound (derived in
+#: :func:`convolved_probability_batch`).
+DECISION_SLACK = 1e-9
 
 
 def stack_candidate_samples(candidates) -> np.ndarray:
@@ -74,6 +85,7 @@ def convolved_probability_batch(
     candidate_samples: np.ndarray,
     epsilon: float,
     n_bins: int = DEFAULT_BINS,
+    tau=None,
 ) -> np.ndarray:
     """``Pr(L2(X, Y_b) <= ε)`` for a stacked block of candidates.
 
@@ -82,11 +94,44 @@ def convolved_probability_batch(
     sample tensor).  Equivalent to calling
     :func:`~repro.munich.exact.convolved_probability` per candidate with
     the same ``n_bins``; returns the ``(B,)`` probability vector.
+
+    **Decision mode.** ``tau`` (a scalar or a τ-grid tuple, as
+    :func:`~repro.queries.planner.normalize_tau` returns it) says the
+    caller reads only each row's side of ``τ``.  After binning and the
+    min-offset shift, row ``b``'s DP result is exactly
+    ``P = Pr(Σ_t X_t <= cutoff)`` with independent ``X_t`` uniform over
+    timestamp ``t``'s integer residual atoms, each in ``[0, span_t]``.
+    With ``μ = Σ_t mean(atoms_t)``, ``s² = Σ_t span_t²`` and
+    ``g = μ − cutoff``, Hoeffding's inequality gives
+    ``P <= exp(−2g²/s²)`` when ``g > 0`` and ``P >= 1 − exp(−2g²/s²)``
+    when ``g < 0``.  A row whose upper bound is below ``min τ − slack``
+    is a miss and one whose lower bound is at least ``max τ + slack`` a
+    hit; its recorded value is that bound, which sits on the verdict's
+    side of every grid ``τ`` (the contract adaptive Monte Carlo keeps).
+    Every other row runs the DP and keeps its exact probability.
+
+    The slack is the DP's rounding bound.  Every DP quantity is a sum
+    of non-negative products; one timestamp adds at most ``K + 2``
+    roundings (``K = s_q·s_c`` atoms, the ``1/K`` weight, the
+    product), and the closing cumulative sum at most ``n_bins``.  So
+    the DP's ``P̂`` obeys ``|P̂ − P| <= γ_m`` with
+    ``m = n·(K + 2) + n_bins`` and ``γ_m = m·u / (1 − m·u)``,
+    ``u = 2⁻⁵³``.  The slack is ``max(1e-9, 4·m·u) >= 2·γ_m``
+    (:data:`DECISION_SLACK` is the floor; 32 timestamps of 3 × 3
+    samples on 4,096 bins give ``m`` ≈ 4,500), and the bound itself is
+    evaluated from exact integer sums to a few ``u``.  So a decided
+    row's verdict is the one the DP would have reached.  The DP's
+    rounding also depends on which rows share its chunk, so a refined
+    row whose ``P̂`` lies within the slack of a threshold is re-run in
+    the chunk the τ-free call would put it in: every verdict equals
+    that of the τ-free result thresholded at ``τ``, and with
+    ``tau=None`` the result is unchanged.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
     if n_bins < 2:
         raise InvalidParameterError(f"n_bins must be >= 2, got {n_bins}")
+    thresholds = _tau_grid(tau)
     candidate_samples = np.asarray(candidate_samples, dtype=np.float64)
     if candidate_samples.ndim != 3:
         raise InvalidParameterError(
@@ -105,9 +150,28 @@ def convolved_probability_batch(
     for start in range(0, n_candidates, block):
         stop = min(start + block, n_candidates)
         out[start:stop] = _block_probabilities(
-            x.samples, candidate_samples[start:stop], epsilon, n_bins
+            x.samples, candidate_samples[start:stop], epsilon, n_bins,
+            thresholds,
         )
     return out
+
+
+def _tau_grid(tau) -> Optional[np.ndarray]:
+    """The sorted thresholds of a decision target, validated like
+    :func:`~repro.queries.planner.normalize_tau`; ``None`` without one."""
+    if tau is None:
+        return None
+    if not isinstance(tau, (list, tuple, np.ndarray)):
+        return np.array([float(tau)])
+    grid = np.unique(np.asarray(tau, dtype=np.float64))
+    if grid.size == 0:
+        raise InvalidParameterError("a tau grid needs >= 1 threshold")
+    if not (0.0 <= grid[0] and grid[-1] <= 1.0):
+        raise InvalidParameterError(
+            f"tau grid values must be within [0, 1], got "
+            f"[{grid[0]:g}, {grid[-1]:g}]"
+        )
+    return grid
 
 
 def _block_probabilities(
@@ -115,6 +179,7 @@ def _block_probabilities(
     candidate_block: np.ndarray,
     epsilon: float,
     n_bins: int,
+    thresholds: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One bounded block of the batched convolution (see module docstring)."""
     n_rows, length, s_candidate = candidate_block.shape
@@ -151,25 +216,82 @@ def _block_probabilities(
     probabilities[cutoffs < 0] = 0.0
     probabilities[(cutoffs >= 0) & (total_spans <= cutoffs)] = 1.0
     live = np.flatnonzero((cutoffs >= 0) & (total_spans > cutoffs))
-    if live.size == 0:
-        return probabilities
+    needed = np.minimum(total_spans, cutoffs)
+    n_atoms = s_query * s_candidate
+    refine = live
+    if thresholds is not None and live.size:
+        # max(1e-9, 4·m·u) with m = n·(K + 2) + n_bins: at least twice
+        # the DP's rounding bound (derived in convolved_probability_batch).
+        rounding_steps = length * (n_atoms + 2) + n_bins
+        slack = max(
+            DECISION_SLACK, 2.0 * rounding_steps * np.finfo(np.float64).eps
+        )
+        bounds, decided = _hoeffding_decisions(
+            residuals[live], cutoffs[live], spans[live], thresholds, slack
+        )
+        probabilities[live[decided]] = bounds[decided]
+        refine = live[~decided]
+    for rows in _width_chunks(refine, needed[refine]):
+        probabilities[rows] = _dp_chunk(
+            residuals[rows], cutoffs[rows], n_atoms
+        )
+    if thresholds is not None and refine.size:
+        # A DP value within rounding of a threshold can land on either
+        # side of it depending on which rows share its chunk.  Re-run
+        # such rows in the chunks the τ-free path forms, so every
+        # verdict equals the τ-free matrix's bit for bit.
+        near = refine[np.any(
+            np.abs(probabilities[refine, None] - thresholds) <= slack,
+            axis=1,
+        )]
+        for rows in _width_chunks(live, needed[live]):
+            if np.isin(rows, near).any():
+                probabilities[rows] = _dp_chunk(
+                    residuals[rows], cutoffs[rows], n_atoms
+                )
+    return probabilities
 
-    # Width-sorted chunks: rows needing similar DP state widths run
-    # together, and each chunk is sized so its state stays cache-resident
-    # instead of streaming a (B, n_bins) block through DRAM per pass.
-    needed = np.minimum(total_spans[live], cutoffs[live])
+
+def _width_chunks(rows: np.ndarray, needed: np.ndarray):
+    """Yield width-sorted DP chunks of ``rows`` (``needed`` aligned).
+
+    Rows needing similar DP state widths run together, and each chunk is
+    sized so its state stays cache-resident instead of streaming a
+    ``(B, n_bins)`` block through DRAM per pass.
+    """
     order = np.argsort(needed, kind="stable")
     position = 0
-    while position < live.size:
+    while position < rows.size:
         width = int(needed[order[position]]) + 1
         chunk_rows = max(4, DP_CHUNK_ELEMENTS // width)
-        chunk = order[position:position + chunk_rows]
+        yield rows[order[position:position + chunk_rows]]
         position += chunk_rows
-        rows = live[chunk]
-        probabilities[rows] = _dp_chunk(
-            residuals[rows], cutoffs[rows], s_query * s_candidate
-        )
-    return probabilities
+
+
+def _hoeffding_decisions(
+    residuals: np.ndarray,
+    cutoffs: np.ndarray,
+    spans: np.ndarray,
+    thresholds: np.ndarray,
+    slack: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Hoeffding bounds on ``P = Pr(Σ_t X_t <= cutoff)`` for live rows.
+
+    Returns ``(values, decided)``: rows whose bound clears every ``τ``
+    by ``slack`` are decided, and ``values`` holds the deciding bound
+    (the upper bound for misses, the lower bound for hits).  The mean
+    gap is formed from exact integer sums, ``K·g = Σ atoms − K·cutoff``,
+    so only the final divisions and ``exp`` round.
+    """
+    n_atoms = residuals.shape[2]
+    scaled_gap = (
+        residuals.sum(axis=(1, 2)) - n_atoms * cutoffs
+    ).astype(np.float64)
+    spread = np.square(spans.astype(np.float64)).sum(axis=1)
+    tail = np.exp(-2.0 * np.square(scaled_gap / n_atoms) / spread)
+    misses = (scaled_gap > 0) & (tail < thresholds[0] - slack)
+    hits = (scaled_gap < 0) & (1.0 - tail >= thresholds[-1] + slack)
+    return np.where(misses, tail, 1.0 - tail), misses | hits
 
 
 def _dp_chunk(

@@ -67,7 +67,7 @@ def convolved_probability(
     with the default 4096 bins the bias is ~``n/4096`` of ``ε²``, negligible
     for the paper's settings (tests compare against exhaustive enumeration).
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
     if n_bins < 2:
         raise InvalidParameterError(f"n_bins must be >= 2, got {n_bins}")
@@ -181,7 +181,7 @@ def sampled_probability(
     the default Euclidean distance the computation is fully vectorized;
     pass ``distance`` (e.g. a DTW lambda) for non-factorizing measures.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
     x_values, y_values = draw_materialization_pairs(x, y, n_samples, rng)
     if distance is None:

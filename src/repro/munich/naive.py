@@ -54,7 +54,7 @@ def naive_probability(
         Override the pair distance (default ``Lp`` with exponent ``p``).
         :func:`naive_dtw_probability` uses this hook.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
     if len(x) != len(y):
         raise InvalidParameterError(

@@ -570,16 +570,17 @@ class RefineStage(PlanStage):
     Delegates to
     :meth:`~repro.queries.techniques.Technique.refine_matrix`, which
     must fill every still-undecided cell; a refine stage therefore
-    always terminates the plan's undecided set.
+    always terminates the plan's undecided set.  The context's decision
+    threshold ``τ`` is always forwarded: kernels that can stop at the
+    verdict use it (MUNICH's convolution decides most cells from a
+    Hoeffding bound), and the rest ignore it.  A cell refined against
+    ``τ`` keeps a value on the same side of every ``τ`` as its exact
+    score; with ``τ = None`` every value is exact.
     """
 
     name = "refine"
-    #: Whether the context's τ is forwarded to the refine kernel
-    #: (enables the adaptive stopping rule in the subclass).
-    forward_tau = False
 
     def run(self, context: PlanContext) -> Tuple[int, int]:
-        tau = context.tau if self.forward_tau else None
         refined, samples = context.technique.refine_matrix(
             context.kind,
             context.queries,
@@ -587,7 +588,7 @@ class RefineStage(PlanStage):
             context.epsilons,
             context.values,
             context.undecided,
-            tau=tau,
+            tau=context.tau,
         )
         context.undecided[:] = False
         return int(refined), int(samples)
@@ -596,8 +597,8 @@ class RefineStage(PlanStage):
 class AdaptiveMCStage(RefineStage):
     """Monte Carlo refinement with the sequential stopping rule.
 
-    Identical to :class:`RefineStage` except that the decision
-    threshold ``τ`` is forwarded to the technique's refine kernel, which
+    A :class:`RefineStage` under its own name, planned by Monte Carlo
+    techniques when ``τ`` is known: the technique's refine kernel
     evaluates the seeded draw stack in escalating rounds
     (:func:`adaptive_mc_schedule`) and stops as soon as
     :func:`sequential_mc_decision` settles the cell.  Reported values
@@ -607,7 +608,6 @@ class AdaptiveMCStage(RefineStage):
     """
 
     name = "adaptive-mc"
-    forward_tau = True
 
 
 class QueryPlan:

@@ -424,12 +424,13 @@ class QuerySet:
 
         ``tau`` (probabilistic only) is an optional decision threshold —
         a scalar, or a sequence bracketing a whole τ *grid* — that lets
-        adaptive Monte Carlo stages stop sampling as soon as every
-        threshold's verdict is determined.  Cell values then remain
-        exact probabilities where fully evaluated and a
-        verdict-equivalent hit fraction where sampling stopped early:
-        thresholding the matrix at any grid τ matches the full
-        evaluation exactly.
+        adaptive Monte Carlo stages stop sampling, and MUNICH's
+        convolution skip its DP, as soon as every threshold's verdict is
+        determined.  Cell values then remain exact probabilities where
+        fully evaluated and a verdict-equivalent bound (a hit fraction
+        where sampling stopped early, a Hoeffding bound where the DP
+        was skipped) elsewhere: thresholding the matrix at any grid τ
+        matches the full evaluation exactly.
         """
         technique = self._require_technique()
         if technique.kind == "distance":
@@ -566,8 +567,10 @@ class QuerySet:
         *decision* mode: Monte Carlo techniques (MUNICH / MUNICH-DTW
         with ``method="montecarlo"``) refine through the adaptive
         sample-size stage, which stops drawing as soon as the hit
-        fraction is decided against ``τ``.  The resulting match sets
-        are guaranteed identical to the fixed-sample path's.
+        fraction is decided against ``τ``, and MUNICH's convolution
+        runs its exact DP only on cells a Hoeffding bound leaves
+        undecided.  The resulting match sets are guaranteed identical
+        to thresholding the τ-free :meth:`profile_matrix` at ``τ``.
         """
         technique = self._require_technique()
         if technique.kind != "probabilistic":

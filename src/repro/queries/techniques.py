@@ -63,7 +63,9 @@ prepends a :class:`~repro.queries.planner.BoundStage` over its cached
 bounding-interval stacks, MUNICH-DTW a slack-guarded one over its
 band-inflated envelope stacks, and both swap the fixed-sample Monte Carlo
 refinement for an :class:`~repro.queries.planner.AdaptiveMCStage` when a
-decision threshold ``τ`` is known (``prob_range``).  The exact kernels
+decision threshold ``τ`` is known (``prob_range``); MUNICH's convolution
+refine reads ``τ`` too and runs the exact DP only on cells a Hoeffding
+bound leaves undecided.  The exact kernels
 the plans refine with live in ``distance_kernel`` /
 ``probability_kernel`` / ``calibration_kernel`` / ``refine_matrix``;
 :meth:`Technique.matrix_with_stats` returns the score matrix together
@@ -93,12 +95,9 @@ from ..core.uncertain import (
 )
 from ..distances.dtw_batch import (
     PRUNE_SLACK,
-    _use_rolling as _use_rolling_dtw,
-    banded_dtw_from_costs,
     dtw_hits_paired,
     rolling_dtw_from_cost_fn,
     rolling_stack_blocks,
-    stack_blocks,
 )
 from ..distances.filtered import FilteredEuclidean
 from ..distances.lp import (
@@ -1065,14 +1064,16 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         epsilon: float,
         out: np.ndarray,
         undecided: np.ndarray,
+        tau=None,
     ) -> None:
         """Probability evaluation for the bound-undecided candidates.
 
         Convolution mode runs the whole undecided set through the
         stacked batch evaluator on the collection's materialized sample
-        tensor (shared bin grid per query); the Monte Carlo and naive
-        evaluators — and ragged-sample collections the tensor cannot
-        represent — keep the per-pair path.
+        tensor (shared bin grid per query), in decision mode when
+        ``tau`` is known; the Monte Carlo and naive evaluators — and
+        ragged-sample collections the tensor cannot represent — keep
+        the per-pair path.
         """
         if undecided.size == 0:
             return
@@ -1084,6 +1085,7 @@ class MunichTechnique(_MultisampleCalibration, Technique):
                     tensor[undecided],
                     epsilon,
                     n_bins=self._munich.n_bins,
+                    tau=tau,
                 )
                 return
         for index in undecided:
@@ -1106,8 +1108,11 @@ class MunichTechnique(_MultisampleCalibration, Technique):
 
         With ``method="montecarlo"`` and a known decision threshold the
         refinement runs adaptively (escalating sample rounds, sequential
-        stopping); the exact convolution/naive evaluators always refine
-        in full.
+        stopping).  The convolution refine stage receives ``τ`` too and
+        decides most cells from a Hoeffding bound, running the exact DP
+        only on the rest (see
+        :func:`~repro.munich.batch.convolved_probability_batch`); the
+        naive evaluator always refines in full.
         """
         if kind != "probability":
             return super().build_plan(kind, tau=tau)
@@ -1207,7 +1212,8 @@ class MunichTechnique(_MultisampleCalibration, Technique):
                 )
             else:
                 self._evaluate_undecided(
-                    queries[row], collection, row_epsilon, out[row], columns
+                    queries[row], collection, row_epsilon, out[row], columns,
+                    tau=tau,
                 )
                 if self._munich.method == "montecarlo":
                     samples += columns.size * self._munich.n_samples
@@ -1263,7 +1269,7 @@ class DustDtwTechnique(Technique):
     The per-pair anchor is :meth:`~repro.dust.Dust.dtw_distance`; the
     batch kernels lift it onto the anti-diagonal wavefront DP of
     :mod:`repro.distances.dtw_batch`, grouping candidates by their error
-    distribution so a homogeneous collection is one stacked cost-tensor
+    distribution so a homogeneous collection is one stacked rolling
     pass per block.  Results are bit-identical to the per-pair program.
     """
 
@@ -1294,12 +1300,12 @@ class DustDtwTechnique(Technique):
     def distance_kernel(
         self, queries: Sequence, collection: Sequence
     ) -> np.ndarray:
-        """Stacked wavefront DTW over grouped ``dust²`` cost tensors.
+        """Stacked wavefront DTW with grouped per-diagonal ``dust²`` costs.
 
         Per query, candidates sharing an error distribution (read off
         the cached code matrix's first timestamp, the same distribution
-        the per-pair path keys its table on) advance through one DP
-        together; blocks bound the ``(B, n, m)`` cost tensors.
+        the per-pair path keys its table on) advance through one rolling
+        DP together, in blocks of the rolling state's budget.
         """
         if len(queries) == 0:
             return np.empty((0, len(collection)))
@@ -1330,35 +1336,24 @@ def _dust_dtw_stack(
 ) -> np.ndarray:
     """Banded DTW of one query against a value stack under one DUST table.
 
-    Long series (length ≥
-    :data:`~repro.distances.dtw_batch.ROLLING_MIN_LENGTH`) advance
-    through the rolling three-diagonal state with ``dust²`` costs
-    produced per diagonal, so neither the ``(B, n, m)`` cost tensor nor
-    the full DP state is ever materialized.
+    The stack advances through the rolling three-diagonal state with
+    ``dust²`` costs produced per diagonal for the in-band cells only,
+    so neither the ``(B, n, m)`` cost tensor nor the full DP state is
+    ever materialized.
     """
     n = query_values.size
     n_pairs, m = candidate_values.shape
     out = np.empty(n_pairs)
-    if _use_rolling_dtw(n, m):
-        for start, stop in rolling_stack_blocks(n_pairs, n, m):
-            block = candidate_values[start:stop]
+    for start, stop in rolling_stack_blocks(n_pairs, n, m):
+        block = candidate_values[start:stop]
 
-            def cost_fn(rows, cols, block=block):
-                return table.dust_squared(
-                    np.abs(query_values[rows][None, :] - block[:, cols])
-                )
-
-            out[start:stop] = rolling_dtw_from_cost_fn(
-                stop - start, n, m, cost_fn, window
+        def cost_fn(rows, cols, block=block):
+            return table.dust_squared(
+                np.abs(query_values[rows][None, :] - block[:, cols])
             )
-        return out
-    for start, stop in stack_blocks(n_pairs, n, m):
-        differences = np.abs(
-            query_values[None, :, None]
-            - candidate_values[start:stop, None, :]
-        )
-        out[start:stop] = banded_dtw_from_costs(
-            table.dust_squared(differences), window
+
+        out[start:stop] = rolling_dtw_from_cost_fn(
+            stop - start, n, m, cost_fn, window
         )
     return out
 

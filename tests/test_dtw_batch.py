@@ -19,9 +19,7 @@ from repro.core import (
     spawn,
 )
 from repro.datasets import generate_dataset
-from repro.distances import dtw_batch
 from repro.distances import (
-    ROLLING_MIN_LENGTH,
     banded_dtw_from_costs,
     dtw_distance,
     dtw_distance_matrix,
@@ -289,21 +287,15 @@ class TestDustDtwTechnique:
         )
         assert np.array_equal(profile, reference)
 
-    @pytest.mark.parametrize(
-        "rolling", [False, True], ids=["stacked", "rolling"]
-    )
-    def test_kernel_many_queries_mixed_models(
-        self, workload, monkeypatch, rolling
-    ):
+    @pytest.mark.parametrize("dp", ["stacked", "rolling"])
+    def test_kernel_many_queries_mixed_models(self, workload, dp):
         """M > 1 queries with different error distributions against a
-        mixed collection: every cell equals per-pair ``dtw_distance`` on
-        both the stacked and the rolling (long-series) DP."""
+        mixed collection: every cell equals per-pair ``dtw_distance``, for
+        the rolling kernel the technique runs and for the full-state DP
+        (``banded_dtw_from_costs``) over each query's stacked ``dust²``
+        tensor, the reference that kernel is held to."""
         pdf, _ = workload
-        if rolling:
-            # Lower the long-series threshold so these short series roll.
-            monkeypatch.setattr(dtw_batch, "ROLLING_MIN_LENGTH", 8)
         length = len(pdf[0])
-        assert dtw_batch._use_rolling(length, length) == rolling
         models = [NormalError(0.4), UniformError(0.8), NormalError(1.0)]
         mixed = [
             UncertainTimeSeries(
@@ -314,7 +306,26 @@ class TestDustDtwTechnique:
         ]
         queries = mixed[:3]
         technique = DustDtwTechnique(window=4)
-        matrix = technique.distance_matrix(queries, mixed)
+        if dp == "rolling":
+            matrix = technique.distance_matrix(queries, mixed)
+        else:
+            matrix = np.array([
+                banded_dtw_from_costs(
+                    np.stack([
+                        technique.dust.cache.get(
+                            query.error_model[0], candidate.error_model[0]
+                        ).dust_squared(
+                            np.abs(
+                                query.observations[:, None]
+                                - candidate.observations[None, :]
+                            )
+                        )
+                        for candidate in mixed
+                    ]),
+                    4,
+                )
+                for query in queries
+            ])
         reference = np.array(
             [
                 [
@@ -334,6 +345,50 @@ class TestDustDtwTechnique:
             [technique.distance(pdf[0], c) for c in pdf[:6]]
         )
         assert np.array_equal(profile, reference)
+
+    @pytest.mark.parametrize("window", [0, 3, None])
+    @pytest.mark.parametrize("n_candidates", [1, 5, 70])
+    def test_rolling_kernel_parity(self, n_candidates, window):
+        """The rolling ``dust²`` kernel is bit-identical to the per-pair
+        program and to the full-state reference on the whole ``dust²``
+        tensor — for a query shorter than its candidates, whose error
+        models split the stack into two table groups."""
+        rng = np.random.default_rng(100 + n_candidates)
+        query_length, candidate_length = 12, 15
+        query = UncertainTimeSeries(
+            rng.normal(size=query_length),
+            ErrorModel.constant(NormalError(1.0), query_length),
+        )
+        models = [NormalError(0.4), UniformError(0.8)]
+        candidates = [
+            UncertainTimeSeries(
+                rng.normal(size=candidate_length),
+                ErrorModel.constant(models[index % 2], candidate_length),
+            )
+            for index in range(n_candidates)
+        ]
+        technique = DustDtwTechnique(window=window)
+        row = technique.distance_matrix([query], candidates)[0]
+        per_pair = np.array([
+            technique.dust.dtw_distance(query, candidate, window=window)
+            for candidate in candidates
+        ])
+        full_state = np.array([
+            banded_dtw_from_costs(
+                technique.dust.cache.get(
+                    query.error_model[0], candidate.error_model[0]
+                ).dust_squared(
+                    np.abs(
+                        query.observations[:, None]
+                        - candidate.observations[None, :]
+                    )
+                )[None],
+                window,
+            )[0]
+            for candidate in candidates
+        ])
+        assert np.array_equal(row, per_pair)
+        assert np.array_equal(row, full_state)
 
     def test_negative_window_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -555,20 +610,11 @@ class TestRollingDiagonalKernel:
         # spot-check a long pair (where the full state would be at its
         # most expensive) against the per-pair Python DP.
         rng = np.random.default_rng(5)
-        length = ROLLING_MIN_LENGTH
+        length = 512
         x = rng.normal(size=(1, length))
         y = rng.normal(size=(1, length))
         rolled = dtw_distance_paired(x, y, window=8)
         assert rolled[0] == dtw_distance(x[0], y[0], window=8)
-
-    def test_auto_selection_threshold(self):
-        from repro.distances.dtw_batch import _use_rolling
-
-        assert not _use_rolling(
-            ROLLING_MIN_LENGTH - 1, ROLLING_MIN_LENGTH - 1
-        )
-        assert _use_rolling(ROLLING_MIN_LENGTH, 4)
-        assert _use_rolling(4, ROLLING_MIN_LENGTH)
 
     def test_empty_series_raises(self):
         with pytest.raises(InvalidParameterError):
@@ -595,21 +641,16 @@ class TestRollingDiagonalKernel:
         reference = dtw_distance_paired(x, y, window=2)
         assert np.array_equal(rolled, reference)
 
-    def test_dust_dtw_profile_long_series_parity(self, monkeypatch):
-        # DUST-DTW's stacked kernel takes the rolling path for long
-        # series; verify against the per-pair anchor on a small stack.
-        # GunPoint tops out at 150 timestamps, so the threshold is lowered
-        # to that length (per-pair DTW at 512 takes seconds per pair).
-        exact = generate_dataset(
-            "GunPoint", seed=29, n_series=3, length=ROLLING_MIN_LENGTH
-        )
+    def test_dust_dtw_profile_long_series_parity(self):
+        # DUST-DTW's rolling kernel on the longest series GunPoint
+        # generates (it tops out at 150 timestamps; per-pair DTW at 512
+        # takes seconds per pair), against the per-pair anchor.
+        exact = generate_dataset("GunPoint", seed=29, n_series=3, length=512)
         scenario = ConstantScenario("normal", 0.4)
         pdf = [
             scenario.apply(series, spawn(29, "pdf", index))
             for index, series in enumerate(exact)
         ]
-        monkeypatch.setattr(dtw_batch, "ROLLING_MIN_LENGTH", len(pdf[0]))
-        assert dtw_batch._use_rolling(len(pdf[0]), len(pdf[0]))
         technique = DustDtwTechnique(window=6)
         profile = technique.distance_matrix([pdf[0]], pdf)[0]
         expected = np.array(

@@ -84,6 +84,8 @@ class TestNaiveProbability:
         x, y = tiny_pair
         with pytest.raises(InvalidParameterError):
             naive_probability(x, y, -0.1)
+        with pytest.raises(InvalidParameterError):
+            naive_probability(x, y, float("nan"))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidParameterError):
@@ -122,6 +124,10 @@ class TestConvolvedProbability:
         x, y = tiny_pair
         with pytest.raises(InvalidParameterError):
             convolved_probability(x, y, 1.0, n_bins=1)
+        with pytest.raises(InvalidParameterError):
+            convolved_probability(x, y, float("nan"))
+        with pytest.raises(InvalidParameterError):
+            Munich().probability(x, y, float("nan"))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -163,6 +169,8 @@ class TestSampledProbability:
         x, y = tiny_pair
         with pytest.raises(InvalidParameterError):
             sampled_probability(x, y, 1.0, n_samples=0)
+        with pytest.raises(InvalidParameterError):
+            sampled_probability(x, y, float("nan"), n_samples=10)
 
 
 class TestPerTimestampDifferences:

@@ -21,7 +21,12 @@ from repro.munich import (
     stack_candidate_samples,
 )
 from repro.perturbation import ConstantScenario
-from repro.queries import MunichTechnique, ShardedExecutor
+from repro.queries import (
+    MunichTechnique,
+    SessionConfig,
+    ShardedExecutor,
+    SimilaritySession,
+)
 
 PARITY_TOL = 1e-9
 
@@ -127,6 +132,11 @@ class TestBatchedConvolution:
             convolved_probability_batch(query, np.zeros((4, 2)), 1.0)
         with pytest.raises(InvalidParameterError):
             convolved_probability_batch(query, np.zeros((1, 5, 2)), 1.0)
+        with pytest.raises(InvalidParameterError):
+            convolved_probability_batch(query, stacked, float("nan"))
+        for tau in ((), (0.2, 1.5), [-0.1, 0.5], (0.5, float("nan"))):
+            with pytest.raises(InvalidParameterError):
+                convolved_probability_batch(query, stacked, 1.0, tau=tau)
 
     def test_ragged_stacking_rejected(self):
         ragged = [
@@ -135,6 +145,139 @@ class TestBatchedConvolution:
         ]
         with pytest.raises(InvalidParameterError):
             stack_candidate_samples(ragged)
+
+
+# ---------------------------------------------------------------------------
+# Decision mode: Hoeffding-decided rows, τ-free verdicts
+# ---------------------------------------------------------------------------
+
+#: The decision thresholds every parity sweep covers.
+TAUS = (0.0, 0.05, 0.5, 0.95, 1.0)
+
+
+@pytest.fixture(scope="module")
+def error_collections():
+    """One seeded multisample collection per error distribution."""
+    exact = generate_dataset("GunPoint", seed=71, n_series=14, length=12)
+    collections = {}
+    for kind in ("normal", "uniform", "exponential"):
+        scenario = ConstantScenario(kind, 0.6)
+        collections[kind] = [
+            scenario.apply_multisample(series, 3, spawn(71, kind, index))
+            for index, series in enumerate(exact)
+        ]
+    return collections
+
+
+def _neighbour_epsilons(collection):
+    """Per-query ε: the distance (over sample means) to a neighbour of
+    rank 2–8, so rows span sparse to dense match sets."""
+    means = np.vstack([series.samples.mean(axis=1) for series in collection])
+    distances = np.sqrt(
+        ((means[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    )
+    ranks = 2 + np.arange(len(collection)) % 7
+    return np.sort(distances, axis=1)[np.arange(len(collection)), ranks]
+
+
+class TestDecisionMode:
+    def test_hoeffding_bound_encloses_exact_probability(self):
+        """Property: the recorded bound brackets the DP's probability.
+
+        At each of 32 timestamps the query samples (0, 0, 0) meet the
+        candidate samples (0, 0, 1): six zero atoms and three at 1, so
+        the DP computes a binomial CDF.  ``τ = 1`` makes every row the
+        upper bound can rule out a recorded miss (value = upper bound),
+        ``τ = 0`` every row the lower bound settles a recorded hit
+        (value = lower bound).
+        """
+        length = 32
+        query = MultisampleUncertainTimeSeries(np.zeros((length, 3)))
+        candidate = np.tile([0.0, 0.0, 1.0], (1, length, 1))
+        bounded = {"upper": 0, "lower": 0}
+        for epsilon in np.sqrt(np.linspace(0.5, 31.5, 41)):
+            exact = convolved_probability_batch(query, candidate, epsilon)[0]
+            upper = convolved_probability_batch(
+                query, candidate, epsilon, tau=1.0
+            )[0]
+            lower = convolved_probability_batch(
+                query, candidate, epsilon, tau=0.0
+            )[0]
+            assert lower <= exact <= upper
+            bounded["upper"] += upper != exact
+            bounded["lower"] += lower != exact
+        assert bounded["upper"] >= 10 and bounded["lower"] >= 10
+
+    @pytest.mark.parametrize("n_bins", [256, 4096])
+    @pytest.mark.parametrize("kind", ["normal", "uniform", "exponential"])
+    def test_prob_range_parity_sweep(
+        self, error_collections, kind, n_bins, monkeypatch
+    ):
+        """``prob_range`` match sets equal the τ-free matrix thresholded
+        at τ, in-process and through a 2-shard session, and a τ grid
+        brackets every grid point."""
+        import repro.munich.batch as batch_module
+
+        decided = {"hits": 0, "misses": 0}
+        hoeffding = batch_module._hoeffding_decisions
+
+        def counting(residuals, cutoffs, spans, thresholds, slack):
+            values, rows = hoeffding(
+                residuals, cutoffs, spans, thresholds, slack
+            )
+            hits = rows & (values >= thresholds[-1])
+            decided["hits"] += int(np.count_nonzero(hits))
+            decided["misses"] += int(np.count_nonzero(rows & ~hits))
+            return values, rows
+
+        monkeypatch.setattr(batch_module, "_hoeffding_decisions", counting)
+        collection = error_collections[kind]
+        epsilons = _neighbour_epsilons(collection)
+        technique = MunichTechnique(Munich(tau=0.5, n_bins=n_bins))
+        two_shards = SessionConfig(
+            backend="serial", col_block=(len(collection) + 1) // 2
+        )
+        grid = (0.2, 0.5, 0.8)
+        for config in (None, two_shards):
+            with SimilaritySession(collection, config=config) as session:
+                query_set = session.queries().using(technique)
+                full = query_set.profile_matrix(epsilon=epsilons)
+                for tau in TAUS:
+                    ranged = query_set.prob_range(epsilons, tau)
+                    for got, want in zip(
+                        ranged.matches, full.result_sets(tau)
+                    ):
+                        np.testing.assert_array_equal(got, want)
+                gridded = query_set.profile_matrix(
+                    epsilon=epsilons, tau=grid
+                )
+                for tau in grid:
+                    np.testing.assert_array_equal(
+                        gridded.values >= tau, full.values >= tau
+                    )
+        assert decided["hits"] > 0 and decided["misses"] > 0
+
+    def test_near_threshold_rows_match_tau_free_chunks(self):
+        """A refined row within rounding of τ keeps the τ-free verdict.
+
+        Column 23 of this query has ``P̂ = 1`` in the τ-free DP chunk
+        but ``1 − 2⁻⁵³`` in the smaller decision-mode chunk; only the
+        re-run in its τ-free chunk keeps it a hit at ``τ = 1``.
+        """
+        exact = generate_dataset("GunPoint", seed=1, n_series=40, length=24)
+        scenario = ConstantScenario("uniform", 0.5)
+        collection = [
+            scenario.apply_multisample(series, 3, spawn(1, "ms", index))
+            for index, series in enumerate(exact)
+        ]
+        stacked = stack_candidate_samples(collection)
+        epsilon = 7.574880283241908
+        full = convolved_probability_batch(collection[10], stacked, epsilon)
+        decided = convolved_probability_batch(
+            collection[10], stacked, epsilon, tau=1.0
+        )
+        assert abs(full[23] - 1.0) <= 1e-12
+        np.testing.assert_array_equal(full >= 1.0, decided >= 1.0)
 
 
 # ---------------------------------------------------------------------------

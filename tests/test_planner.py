@@ -14,10 +14,16 @@ The acceptance bar for the planner refactor:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core import InvalidParameterError, spawn
+from repro.core import (
+    InvalidParameterError,
+    MultisampleUncertainTimeSeries,
+    spawn,
+)
 from repro.datasets import generate_dataset
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario
@@ -398,21 +404,54 @@ class TestAdaptiveMC:
         np.testing.assert_array_equal(fixed >= tau, adaptive >= tau)
         assert adaptive_stats.samples_drawn <= fixed_stats.samples_drawn
 
-    def test_exact_methods_ignore_tau(self, multisample):
-        """Convolution MUNICH must not plan an adaptive stage."""
+    def test_convolution_decides_at_tau(self, multisample):
+        """Convolution MUNICH plans no adaptive stage; its refine stage
+        decides against τ with the τ-free verdicts, recording bounds on
+        the verdict's side, and leaves τ-free output untouched."""
         technique = MunichTechnique(Munich(tau=0.5, n_bins=256))
         plan = technique.build_plan("probability", tau=0.5)
         assert not any(
             isinstance(stage, AdaptiveMCStage) for stage in plan.stages
         )
+        epsilons = np.linspace(2.0, 4.0, 5)
         fixed = technique.probability_matrix(
-            multisample[:3], multisample, 3.0
+            multisample[:5], multisample, epsilons
         )
-        with_tau, _ = technique.matrix_with_stats(
-            "probability", multisample[:3], multisample, epsilon=3.0,
-            tau=0.5,
+        tau = 0.5
+        with_tau, stats = technique.matrix_with_stats(
+            "probability", multisample[:5], multisample, epsilon=epsilons,
+            tau=tau,
         )
-        assert np.array_equal(fixed, with_tau)
+        assert stats.stage("refine") is not None
+        np.testing.assert_array_equal(fixed >= tau, with_tau >= tau)
+        # Cells the Hoeffding bound decided hold that bound: an upper
+        # bound below τ for misses, a lower bound at or above τ for hits.
+        bounded = np.abs(with_tau - fixed) > 1e-12
+        misses = bounded & (fixed < tau)
+        hits = bounded & (fixed >= tau)
+        assert misses.any() and hits.any()
+        assert np.all(with_tau[misses] >= fixed[misses])
+        assert np.all(with_tau[misses] < tau)
+        assert np.all(with_tau[hits] <= fixed[hits])
+        assert np.all(with_tau[hits] >= tau)
+
+        # τ = None keeps the full DP's bits.  The digest was recorded
+        # from the kernel before decision mode existed; dyadic samples
+        # keep every input bit platform-independent.
+        rng = np.random.default_rng(17)
+        base = rng.integers(-4, 5, size=(13, 12, 1))
+        noise = rng.integers(-4, 5, size=(13, 12, 3))
+        dyadic = [
+            MultisampleUncertainTimeSeries((base[i] + noise[i]) / 8.0)
+            for i in range(13)
+        ]
+        values, _ = technique.matrix_with_stats(
+            "probability", dyadic[:5], dyadic,
+            epsilon=np.linspace(1.0, 2.0, 5), tau=None,
+        )
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "4bbf64cc85527a89234e085b0e05355bfddab05df5e6d396331c6a812cfee92a"
+        )
 
     def test_prob_range_matches_fixed_sets(self, multisample):
         munich = Munich(tau=0.5, method="montecarlo", n_samples=40, rng=2)
