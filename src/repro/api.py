@@ -103,8 +103,6 @@ from .queries import (
     QueryPlan,
     QuerySet,
     RangeResult,
-    SessionConfig,
-    ShardedExecutor,
     SimilaritySession,
     StageStats,
     Technique,
@@ -150,8 +148,8 @@ __all__ = [
     "ProudTechnique", "MunichTechnique", "DustDtwTechnique",
     "MunichDtwTechnique",
     # queries
-    "QueryEngine", "SimilaritySession", "SessionConfig", "QuerySet",
-    "MatrixResult", "KnnResult", "RangeResult", "ShardedExecutor",
+    "QueryEngine", "SimilaritySession", "QuerySet",
+    "MatrixResult", "KnnResult", "RangeResult",
     "QueryPlan", "PruningStats", "StageStats",
     # plan policy
     "PlanPolicy", "get_default_policy", "set_default_policy", "knn_table",

@@ -5,7 +5,6 @@ Usage::
     python -m repro.cli list
     python -m repro.cli fig05 --scale tiny
     python -m repro.cli fig16 --seed 7 --out results.txt
-    python -m repro.cli fig11 --workers 2
     python -m repro.cli uniformity
     python -m repro.cli all --scale reduced
 
@@ -146,14 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"experiment seed (default {EXPERIMENT_SEED})",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the harness (default 1; "
-        "N>1 shards the all-pairs kernels across a process pool)",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
         help="after each figure, print the query planner's pruning "
@@ -251,11 +242,6 @@ def main(argv=None) -> int:
         return explain_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.workers is not None:
-        from .evaluation.harness import set_default_workers
-
-        set_default_workers(args.workers)
 
     if args.no_index:
         from .queries.planner import PlanPolicy, set_default_policy

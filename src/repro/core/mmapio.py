@@ -1,13 +1,12 @@
 """Memory-mapped collection storage: out-of-core similarity workloads.
 
-The parallel scale-up (see :mod:`repro.queries.parallel`) shards an
-``(M, N)`` workload across worker processes.  Shipping a collection to a
-worker by pickling every series object copies the whole dataset once per
-worker; for collections larger than RAM it is not possible at all.  This
-module stores a collection as flat ``.npy`` matrices plus a small JSON
-manifest, so any process — a pool worker, a later session, a different
-machine sharing a filesystem — re-opens the values **zero-copy** through
-``numpy``'s memory mapping and lets the OS page data in on demand.
+A collection larger than RAM cannot be held as series objects, and
+shipping one to another process by pickling every series copies the
+whole dataset.  This module stores a collection as flat ``.npy``
+matrices plus a small JSON manifest, so any process — a shard daemon, a
+later session, a different machine sharing a filesystem — re-opens the
+values **zero-copy** through ``numpy``'s memory mapping and lets the OS
+page data in on demand.
 
 On-disk layout (``save_collection(collection, directory)``)::
 
@@ -241,9 +240,8 @@ class MappedCollection(Collection):
     adopt the maps directly (zero copies, OS-paged).
 
     Pickling a mapped collection transfers only the manifest path and the
-    shard range: the receiving process re-opens the maps itself, which is
-    what keeps worker dispatch zero-copy in
-    :class:`~repro.queries.parallel.ShardedExecutor`.
+    shard range: the receiving process re-opens the maps itself, so
+    handing one to another process copies no series data.
     """
 
     #: The item list is fixed at load time and the maps are read-only:

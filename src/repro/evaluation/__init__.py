@@ -7,9 +7,7 @@ from .harness import (
     ExperimentResult,
     QueryOutcome,
     TechniqueOutcome,
-    get_default_workers,
     run_similarity_experiment,
-    set_default_workers,
 )
 from .metrics import (
     MeanWithCI,
@@ -30,8 +28,6 @@ __all__ = [
     "TechniqueOutcome",
     "QueryOutcome",
     "DEFAULT_MUNICH_SAMPLES",
-    "set_default_workers",
-    "get_default_workers",
     "PrecisionRecall",
     "score_result_set",
     "MeanWithCI",

@@ -38,7 +38,7 @@ from ..core.rng import SeedLike, spawn
 from ..core.series import TimeSeries
 from ..perturbation.scenarios import PerturbationScenario
 from ..queries.planner import PruningStats
-from ..queries.session import SessionConfig, SimilaritySession
+from ..queries.session import SimilaritySession
 from ..queries.techniques import Technique
 from ..queries.thresholds import (
     PAPER_K,
@@ -53,7 +53,6 @@ from .tau import DEFAULT_TAU_GRID, optimal_tau, results_at_tau
 #: paper's Figure 4 setting ("for each timestamp, we have 5 samples").
 DEFAULT_MUNICH_SAMPLES = 5
 
-_default_workers = 1
 _stats_log: Optional[List] = None
 
 
@@ -80,26 +79,6 @@ def drain_stats_log() -> List:
 def _log_stats(name: str, stats: Optional[PruningStats]) -> None:
     if _stats_log is not None and stats is not None:
         _stats_log.append((name, stats))
-
-
-def set_default_workers(n_workers: int) -> None:
-    """Set the process-wide default worker count (the CLI's ``--workers``).
-
-    ``1`` keeps the harness single-process; ``> 1`` shards the
-    all-pairs kernels across a
-    :class:`~repro.queries.parallel.ShardedExecutor` worker pool.
-    """
-    global _default_workers
-    if n_workers < 1:
-        raise InvalidParameterError(
-            f"n_workers must be >= 1, got {n_workers}"
-        )
-    _default_workers = int(n_workers)
-
-
-def get_default_workers() -> int:
-    """The worker count used when ``run_similarity_experiment`` gets none."""
-    return _default_workers
 
 
 @dataclass(frozen=True)
@@ -180,7 +159,6 @@ def run_similarity_experiment(
     munich_samples: int = DEFAULT_MUNICH_SAMPLES,
     tau_grid: Sequence[float] = DEFAULT_TAU_GRID,
     fixed_tau: Optional[float] = None,
-    n_workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Run the full comparison protocol; see the module docstring.
 
@@ -199,18 +177,7 @@ def run_similarity_experiment(
         Number of query series (sampled deterministically); default all.
     munich_samples:
         Repeated observations per timestamp for multisample techniques.
-    n_workers:
-        Worker processes for the all-pairs kernels (``None`` uses
-        :func:`get_default_workers`; ``1`` stays single-process).  The
-        sharded results match single-process scoring to 1e-9, so F1
-        numbers are unchanged.
     """
-    if n_workers is None:
-        n_workers = _default_workers
-    if n_workers < 1:
-        raise InvalidParameterError(
-            f"n_workers must be >= 1, got {n_workers}"
-        )
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     if len(exact) <= k:
@@ -248,7 +215,6 @@ def run_similarity_experiment(
             query_indices,
             tau_grid=tau_grid,
             fixed_tau=fixed_tau,
-            n_workers=n_workers,
         )
 
     return ExperimentResult(
@@ -301,7 +267,6 @@ def _evaluate_technique_matrix(
     query_indices: np.ndarray,
     tau_grid: Sequence[float],
     fixed_tau: Optional[float],
-    n_workers: int = 1,
 ) -> TechniqueOutcome:
     """Score every query in one all-pairs kernel (the session API path).
 
@@ -309,11 +274,9 @@ def _evaluate_technique_matrix(
     result sets (distance techniques) or of the calibration matrix
     (probabilistic ones, the paper's ε_eucl).  Per-query elapsed time is
     the amortized matrix-kernel time — the ``(M, N)`` kernel has no
-    meaningful per-row clock.  With ``n_workers > 1`` the kernels run
-    sharded on the session's worker pool (identical scores to 1e-9).
+    meaningful per-row clock.
     """
-    config = SessionConfig(n_workers=n_workers)
-    with SimilaritySession(collection, config=config) as session:
+    with SimilaritySession(collection) as session:
         return _score_matrix_session(
             session,
             technique,

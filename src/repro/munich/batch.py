@@ -157,21 +157,15 @@ def convolved_probability_batch(
 
 
 def _tau_grid(tau) -> Optional[np.ndarray]:
-    """The sorted thresholds of a decision target, validated like
+    """The sorted thresholds of a decision target, validated by
     :func:`~repro.queries.planner.normalize_tau`; ``None`` without one."""
-    if tau is None:
+    # Deferred: repro.queries imports this module.
+    from ..queries.planner import normalize_tau
+
+    target = normalize_tau(tau)
+    if target is None:
         return None
-    if not isinstance(tau, (list, tuple, np.ndarray)):
-        return np.array([float(tau)])
-    grid = np.unique(np.asarray(tau, dtype=np.float64))
-    if grid.size == 0:
-        raise InvalidParameterError("a tau grid needs >= 1 threshold")
-    if not (0.0 <= grid[0] and grid[-1] <= 1.0):
-        raise InvalidParameterError(
-            f"tau grid values must be within [0, 1], got "
-            f"[{grid[0]:g}, {grid[-1]:g}]"
-        )
-    return grid
+    return np.atleast_1d(np.asarray(target, dtype=np.float64))
 
 
 def _block_probabilities(

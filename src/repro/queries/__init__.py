@@ -30,15 +30,9 @@ from .knn import (
     euclidean_knn_table,
     knn_indices,
     knn_table,
-    sparse_knn_table,
-)
-from .parallel import (
-    BACKENDS,
-    ShardedExecutor,
-    ShardPlan,
     local_topk_rows,
     merge_knn_rows,
-    plan_blocks,
+    sparse_knn_table,
 )
 from .planner import (
     ADAPTIVE_MC_FIRST_FRACTION,
@@ -66,7 +60,6 @@ from .session import (
     MatrixResult,
     QuerySet,
     RangeResult,
-    SessionConfig,
     SimilarityBackend,
     SimilaritySession,
 )
@@ -94,16 +87,9 @@ __all__ = [
     "SHARED_ENGINE",
     "DEFAULT_MAX_COLLECTIONS",
     "SimilaritySession",
-    "SessionConfig",
     "QuerySet",
     "SimilarityBackend",
     "InProcessBackend",
-    "ShardedExecutor",
-    "ShardPlan",
-    "plan_blocks",
-    "merge_knn_rows",
-    "local_topk_rows",
-    "BACKENDS",
     "MatrixResult",
     "KnnResult",
     "RangeResult",
@@ -139,6 +125,8 @@ __all__ = [
     "knn_table",
     "sparse_knn_table",
     "euclidean_knn_table",
+    "local_topk_rows",
+    "merge_knn_rows",
     "QueryCalibration",
     "calibrate_queries",
     "technique_epsilon",

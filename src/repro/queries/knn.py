@@ -1,16 +1,20 @@
 """k-nearest-neighbor queries.
 
-The top-k ranking helpers behind two uses: DUST-style top-k search
+The top-k ranking helpers behind three uses: DUST-style top-k search
 (Section 3.3 — "DUST being a distance measure, it can be used to answer
 top-k nearest neighbor queries"), which the session's ``knn`` verb ranks
-with :func:`knn_table` / :func:`sparse_knn_table`, and the evaluation
+with :func:`knn_table` / :func:`sparse_knn_table`; the evaluation
 protocol's ground-truth construction (the 10 nearest neighbors under
-exact Euclidean define the true answer set).
+exact Euclidean define the true answer set); and the distributed kNN
+contract of the service tier — each column shard ranks its own block
+with :func:`local_topk_rows` and the coordinator reassembles the global
+ranking with :func:`merge_knn_rows`.  All three break ties by candidate
+index, so a sharded ranking equals the single-process one bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,3 +159,81 @@ def euclidean_knn_table(values: np.ndarray, k: int) -> np.ndarray:
     np.fill_diagonal(pairwise, np.inf)
     order = np.argsort(pairwise, axis=1, kind="stable")
     return order[:, :k]
+
+
+def local_topk_rows(
+    block: np.ndarray,
+    k: int,
+    local_exclude: Optional[np.ndarray],
+    col_offset: int = 0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row local top-``k`` of one column-shard score block.
+
+    The shard half of the distributed kNN contract (the other half is
+    :func:`merge_knn_rows`): returns ``(indices, scores)`` with shapes
+    ``(rows, k')`` where ``k' = min(k, width)``; indices are **global**
+    column positions (``col_offset`` added), rows short of ``k'``
+    eligible candidates are padded with ``-1`` / ``+inf`` (only
+    possible when the shard is narrower than ``k`` after excluding a
+    self-match).  ``local_exclude`` holds one shard-local column to
+    skip per row (``-1`` for none).  Every column-sliced daemon
+    execution ranks its block through this function, so every shard
+    produces candidates under the same rule.
+    """
+    width = block.shape[1]
+    limit = min(k, width)
+    indices = np.full((block.shape[0], limit), -1, dtype=np.intp)
+    scores = np.full((block.shape[0], limit), np.inf)
+    for offset in range(block.shape[0]):
+        skipped = None
+        if local_exclude is not None and local_exclude[offset] >= 0:
+            skipped = int(local_exclude[offset])
+        take = min(limit, width - (1 if skipped is not None else 0))
+        if take < 1:
+            continue
+        local = knn_indices(block[offset], take, exclude=skipped)
+        indices[offset, :take] = np.asarray(local, dtype=np.intp) + col_offset
+        scores[offset, :take] = block[offset, local]
+    return indices, scores
+
+
+def merge_knn_rows(
+    n_queries: int,
+    k: int,
+    shards: Sequence[Tuple[int, np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Global stable-by-index merge of per-shard top-``k`` candidates.
+
+    Candidates from every column shard are pooled per query row and
+    ordered by ``(score, global index)`` — the same tie-breaking rule as
+    :func:`knn_indices`' stable argsort, so the merged ranking is
+    identical to a single-process top-``k`` of the full row.  Each shard
+    entry is ``(row_offset, indices, scores)`` with **global** candidate
+    indices and ``-1`` / ``+inf`` padding for rows short of candidates
+    (narrow shards).  This is the single merge rule of the system: the
+    distributed :class:`~repro.service.cluster.ClusterCoordinator`
+    reassembles its shards' answers through it.
+    """
+    index_pool: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
+    score_pool: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
+    for r0, indices, scores in shards:
+        for offset in range(indices.shape[0]):
+            index_pool[r0 + offset].append(indices[offset])
+            score_pool[r0 + offset].append(scores[offset])
+    merged_indices = np.empty((n_queries, k), dtype=np.intp)
+    merged_scores = np.empty((n_queries, k))
+    for row in range(n_queries):
+        candidates = np.concatenate(index_pool[row])
+        scores = np.concatenate(score_pool[row])
+        real = candidates >= 0  # drop narrow-shard padding
+        candidates = candidates[real]
+        scores = scores[real]
+        if candidates.size < k:
+            raise InvalidParameterError(
+                f"k={k} exceeds the {candidates.size} eligible candidates "
+                f"of query row {row}"
+            )
+        order = np.lexsort((candidates, scores))[:k]
+        merged_indices[row] = candidates[order]
+        merged_scores[row] = scores[order]
+    return merged_indices, merged_scores

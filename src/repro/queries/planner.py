@@ -175,23 +175,23 @@ def sequential_mc_verdict(
 def normalize_tau(tau) -> Union[None, float, Tuple[float, ...]]:
     """Canonical decision target: ``None``, a float, or a sorted tuple.
 
-    Sequences (lists, arrays, tuples) become the τ-grid form — sorted,
-    deduplicated, validated to ``[0, 1]`` — so plans, caches and wire
-    payloads all key on one representation.
+    Sequences (lists, arrays, tuples) become the τ-grid form — sorted and
+    deduplicated — so plans, caches and wire payloads all key on one
+    representation.  Every threshold, scalar or grid, must lie within
+    ``[0, 1]``; NaN and ±inf are rejected.
     """
     if tau is None:
         return None
-    if isinstance(tau, (list, tuple, np.ndarray)):
-        grid = tuple(sorted({float(value) for value in np.asarray(tau).ravel()}))
-        if not grid:
-            raise InvalidParameterError("a tau grid needs >= 1 threshold")
-        if grid[0] < 0.0 or grid[-1] > 1.0:
+    grid = isinstance(tau, (list, tuple, np.ndarray))
+    values = [float(value) for value in np.asarray(tau).ravel()]
+    if not values:
+        raise InvalidParameterError("a tau grid needs >= 1 threshold")
+    for value in values:
+        if not 0.0 <= value <= 1.0:
             raise InvalidParameterError(
-                f"tau grid values must be within [0, 1], got "
-                f"[{grid[0]:g}, {grid[-1]:g}]"
+                f"tau values must be within [0, 1], got {value:g}"
             )
-        return grid
-    return float(tau)
+    return tuple(sorted(set(values))) if grid else values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +325,10 @@ class StageStats:
 class PruningStats:
     """Filter-and-refine effectiveness of one executed plan.
 
-    ``stages`` preserves execution order; on a sharded run the per-shard
-    stats are merged stage-by-stage and the executor's chosen shard plan
-    is logged in ``executor``.
+    ``stages`` preserves execution order.  On a cluster query the
+    coordinator merges the shards' stats stage by stage and records the
+    shard layout in ``executor`` (backend, shard count, failed shards);
+    in-process plans leave it ``None``.
     """
 
     technique_name: str
@@ -420,7 +421,7 @@ class PruningStats:
 
         Stage counters sum stage-by-stage, so the executed plan —
         hence ``explain()`` output — reads the same whether it ran
-        in-process, sharded, or on a cluster.
+        in-process or scattered across a cluster's shards.
         """
         shards = [s for s in shards if s is not None]
         if not shards:

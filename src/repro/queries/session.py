@@ -37,8 +37,6 @@ rankings exclude the self-match, exactly like the free-function protocol.
 from __future__ import annotations
 
 import abc
-import dataclasses
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -49,7 +47,6 @@ import numpy as np
 from ..core.errors import InvalidParameterError, UnsupportedQueryError
 from .engine import SHARED_ENGINE, QueryEngine
 from .knn import knn_table, sparse_knn_table
-from .parallel import ShardedExecutor
 from .planner import (
     PlanPolicy,
     PruningStats,
@@ -57,54 +54,6 @@ from .planner import (
     normalize_tau,
 )
 from .techniques import Technique, _epsilon_vector
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Every session knob in one declarative object.
-
-    Holds the executor knobs (``n_workers``, ``backend``, ``row_block``,
-    ``col_block``) plus the :class:`~repro.queries.planner.PlanPolicy`
-    that decides whether plans get the index stage, so a deployment's
-    execution shape is one value that can be stored, compared, and
-    passed through ``connect()`` unchanged.
-
-    ``n_workers=1`` keeps kernels in-process; ``> 1`` (or ``None`` for
-    all cores) shards the ``(M, N)`` grid over a worker pool.
-    ``backend`` (``"process"`` / ``"serial"``) forces the sharded path;
-    ``row_block``/``col_block`` override the executor's shard sizes.
-    ``policy=None`` defers to the process-wide default policy at query
-    time.
-    """
-
-    n_workers: Optional[int] = 1
-    backend: Optional[str] = None
-    row_block: Optional[int] = None
-    col_block: Optional[int] = None
-    policy: Optional[PlanPolicy] = None
-
-    def __post_init__(self) -> None:
-        if self.n_workers is not None and self.n_workers < 1:
-            raise InvalidParameterError(
-                f"n_workers must be >= 1 (or None for all cores), got "
-                f"{self.n_workers}"
-            )
-        if self.policy is not None and not isinstance(
-            self.policy, PlanPolicy
-        ):
-            raise InvalidParameterError(
-                f"policy must be a PlanPolicy, got "
-                f"{type(self.policy).__name__}"
-            )
-
-    @property
-    def parallel(self) -> bool:
-        """Whether this config shards kernels over a worker pool."""
-        return (
-            self.backend is not None
-            or self.n_workers is None
-            or self.n_workers > 1
-        )
 
 
 @dataclass(frozen=True)
@@ -117,9 +66,8 @@ class MatrixResult:
     ``-1`` when the query is not a member (no self-match to exclude).
     ``pruning_stats`` carries the executed query plan's filter-and-refine
     accounting — candidates decided per stage, refinements run, Monte
-    Carlo samples evaluated, per-stage wall time (so bound-evaluation
-    time is visible, not folded into an opaque total), and, on a
-    parallel session, the executor's chosen shard plan.
+    Carlo samples evaluated, and per-stage wall time (so bound-evaluation
+    time is visible, not folded into an opaque total).
     """
 
     technique_name: str
@@ -464,10 +412,11 @@ class QuerySet:
     def knn(self, k: int) -> KnnResult:
         """Row-wise k-nearest neighbors (distance techniques only).
 
-        On a parallel session the rankings are computed shard-wise — each
-        column shard contributes its local top-``k`` and the executor
-        merges them stable-by-index — so the full matrix is never
-        materialized; results are identical to the single-process path.
+        Rankings break ties by candidate index.  A cluster backend ranks
+        each column shard on its own daemon and merges the shards'
+        candidates under the same rule
+        (:func:`~repro.queries.knn.merge_knn_rows`), so its rankings are
+        identical to the in-process ones.
         """
         technique = self._require_technique()
         if technique.kind != "distance":
@@ -480,41 +429,18 @@ class QuerySet:
     def _local_knn(self, k: int) -> KnnResult:
         """The in-process kNN execution (post-validation)."""
         technique = self._require_technique()
-        executor = self._session.executor
-        if executor is None:
-            if technique.index_segments is None or not (
-                effective_index_enabled(self.policy)
-            ):
-                return self.profile_matrix().top_k(k)
-            # Indexed path: the plan runs in kNN decision mode, so the
-            # summarization index retires certain non-neighbors as +inf
-            # before refinement, and the sparse top-k ranks only the
-            # surviving candidates.  Rankings are identical to
-            # profile_matrix().top_k(k) — the index prunes only cells
-            # strictly beaten by >= k candidates.
-            values, elapsed, stats = self._run_matrix("distance", knn_k=k)
-            indices, scores = sparse_knn_table(
-                values, k, exclude=self._positions
-            )
-            return KnnResult(
-                technique_name=technique.name,
-                indices=indices,
-                scores=scores,
-                query_positions=self._positions.copy(),
-                elapsed_seconds=elapsed,
-                pruning_stats=stats,
-            )
-        with self._session.bound(technique):
-            started = time.perf_counter()
-            indices, scores, stats = executor.knn_with_stats(
-                technique,
-                self._queries,
-                self._session.collection,
-                k,
-                exclude=self._positions,
-                policy=self.policy,
-            )
-            elapsed = time.perf_counter() - started
+        if technique.index_segments is None or not (
+            effective_index_enabled(self.policy)
+        ):
+            return self.profile_matrix().top_k(k)
+        # Indexed path: the plan runs in kNN decision mode, so the
+        # summarization index retires certain non-neighbors as +inf
+        # before refinement, and the sparse top-k ranks only the
+        # surviving candidates.  Rankings are identical to
+        # profile_matrix().top_k(k) — the index prunes only cells
+        # strictly beaten by >= k candidates.
+        values, elapsed, stats = self._run_matrix("distance", knn_k=k)
+        indices, scores = sparse_knn_table(values, k, exclude=self._positions)
         return KnnResult(
             technique_name=technique.name,
             indices=indices,
@@ -671,41 +597,26 @@ class QuerySet:
         return self._technique
 
     def _run_matrix(self, kind: str, epsilon=None, tau=None, knn_k=None):
-        """One timed ``(M, N)`` plan execution — sharded when the
-        session is parallel, the technique's own plan otherwise.
+        """One timed ``(M, N)`` execution of the technique's query plan.
 
         Returns ``(values, elapsed, pruning_stats)``; ``tau`` forwards
         the decision threshold so adaptive Monte Carlo stages can stop
         early, ``knn_k`` marks a top-k decision workload for the index
-        stage (single-process path only — the sharded executor's kNN
-        entry point threads its own per-shard thresholds).
+        stage.
         """
         technique = self._require_technique()
-        executor = self._session.executor
-        policy = self.policy
         with self._session.bound(technique):
             started = time.perf_counter()
-            if executor is not None:
-                values, stats = executor.matrix_with_stats(
-                    technique,
-                    kind,
-                    self._queries,
-                    self._session.collection,
-                    epsilon,
-                    tau=tau,
-                    policy=policy,
-                )
-            else:
-                values, stats = technique.matrix_with_stats(
-                    kind,
-                    self._queries,
-                    self._session.collection,
-                    epsilon=epsilon,
-                    tau=tau,
-                    knn_k=knn_k,
-                    exclude=self._positions if knn_k is not None else None,
-                    policy=policy,
-                )
+            values, stats = technique.matrix_with_stats(
+                kind,
+                self._queries,
+                self._session.collection,
+                epsilon=epsilon,
+                tau=tau,
+                knn_k=knn_k,
+                exclude=self._positions if knn_k is not None else None,
+                policy=self.policy,
+            )
             elapsed = time.perf_counter() - started
         return np.asarray(values, dtype=np.float64), elapsed, stats
 
@@ -785,7 +696,7 @@ class SimilarityBackend(abc.ABC):
         )
 
     def close(self) -> None:
-        """Release backend resources (connections, pools). Idempotent."""
+        """Release backend resources (connections). Idempotent."""
 
 
 class InProcessBackend(SimilarityBackend):
@@ -833,78 +744,44 @@ class SimilaritySession:
         defaults to the process-shared engine (techniques compared side by
         side reuse one values matrix).  Pass a private engine to isolate
         the session's caches.
-    config:
-        A :class:`SessionConfig` consolidating the execution knobs —
-        worker count, executor backend, shard block sizes, and the
-        session-level :class:`~repro.queries.planner.PlanPolicy`.
     policy:
-        Shorthand for ``config`` with only the plan policy set (the
-        common case); combining it with a ``config`` that also sets a
-        policy is an error.
+        The session-level :class:`~repro.queries.planner.PlanPolicy`
+        every query set inherits (``None`` defers to the process-wide
+        default at query time).
 
-    Parallel sessions own a worker pool: call :meth:`close` (or use the
-    session as a context manager) to release it deterministically.
+    Every verb runs the technique's ``(M, N)`` query plan in this
+    process; sharding across processes is the service cluster's job
+    (:func:`repro.api.connect` on a catalog with a shard map).
     """
 
-    __slots__ = (
-        "_collection",
-        "_engine",
-        "_executor",
-        "_parallel",
-        "_backend",
-        "_closed",
-        "_close_lock",
-        "_config",
-    )
+    __slots__ = ("_collection", "_engine", "_backend", "_closed", "_policy")
 
     def __init__(
         self,
         collection: Sequence,
         engine: Optional[QueryEngine] = None,
         *,
-        config: Optional[SessionConfig] = None,
         policy: Optional[PlanPolicy] = None,
     ) -> None:
         if len(collection) == 0:
             raise InvalidParameterError(
                 "a similarity session needs a non-empty collection"
             )
-        if config is None:
-            config = SessionConfig()
-        if policy is not None:
-            if config.policy is not None:
-                raise InvalidParameterError(
-                    "policy= conflicts with config.policy; set it in "
-                    "one place"
-                )
-            config = dataclasses.replace(config, policy=policy)
+        if policy is not None and not isinstance(policy, PlanPolicy):
+            raise InvalidParameterError(
+                f"policy must be a PlanPolicy, got {type(policy).__name__}"
+            )
         self._collection = collection
         self._engine = engine if engine is not None else SHARED_ENGINE
-        self._config = config
-        self._parallel = config.parallel
-        if self._parallel:
-            self._executor = ShardedExecutor(
-                n_workers=config.n_workers,
-                backend=config.backend,
-                row_block=config.row_block,
-                col_block=config.col_block,
-            )
-        else:
-            self._executor = None
+        self._policy = policy
         self._backend = InProcessBackend()
         self._closed = False
-        self._close_lock = threading.Lock()
         self._engine.materialize(collection)
-
-    @property
-    def config(self) -> SessionConfig:
-        """The session's effective :class:`SessionConfig`."""
-        return self._config
 
     @property
     def policy(self) -> Optional[PlanPolicy]:
         """The session-level plan policy (``None`` → process default)."""
-        return self._config.policy
+        return self._policy
 
     @property
     def collection(self) -> Sequence:
@@ -917,11 +794,6 @@ class SimilaritySession:
         return self._engine
 
     @property
-    def executor(self):
-        """The session's :class:`ShardedExecutor` (``None`` single-process)."""
-        return self._executor
-
-    @property
     def backend(self) -> SimilarityBackend:
         """The :class:`SimilarityBackend` query sets execute against."""
         return self._backend
@@ -932,21 +804,15 @@ class SimilaritySession:
         return self._closed
 
     def close(self) -> None:
-        """Release the executor's worker pool (no-op single-process).
+        """Mark the session closed.
 
-        Idempotent and safe under concurrent callers: the daemon's
-        shutdown path may close a session from a signal handler while a
-        draining request still holds a reference, so exactly one caller
-        tears the pool down and every later (or simultaneous) call
-        returns immediately instead of racing pool internals.
+        An in-process session holds no pool or connection, so closing
+        releases nothing; it exists so every session shape (in-process,
+        daemon, cluster) closes the same way.  Idempotent and safe under
+        concurrent callers: the daemon closes its sessions while
+        draining, possibly while a request still holds a reference.
         """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-            executor = self._executor
-        if executor is not None:
-            executor.close()
+        self._closed = True
 
     def __enter__(self) -> "SimilaritySession":
         return self

@@ -24,7 +24,7 @@ service subsystem turns that library into a long-lived system:
   catalog shard map routes contiguous candidate slices of one
   collection to shard daemons, and :class:`ClusterCoordinator` scatters
   each query, hedges slow shards, and merges replies bit-identically to
-  the in-process executor.  :func:`connect` is the one entry point over
+  an in-process session.  :func:`connect` is the one entry point over
   every deployment shape.
 
 Start a daemon and query it through the unified fluent surface::

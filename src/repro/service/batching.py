@@ -39,7 +39,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tup
 import numpy as np
 
 from ..core.errors import InvalidParameterError
-from ..queries.parallel import local_topk_rows
+from ..queries.knn import local_topk_rows
 from ..queries.planner import PlanPolicy
 from ..queries.session import (
     KnnResult,
@@ -170,11 +170,11 @@ def execute_shard_batch(
     """Run one coalesced batch against a column-shard session.
 
     ``session`` holds only the collection columns ``[col_offset,
-    col_offset + width)``; the jobs' positions stay global.  Semantics
-    mirror :class:`~repro.queries.parallel.ShardedExecutor`'s shard
-    tasks exactly, so a coordinator merging shard replies with the
-    executor's stable-by-index rule reproduces the single-host answer
-    bit for bit:
+    col_offset + width)``; the jobs' positions stay global.  This is the
+    shard half of the cluster's sharding: a coordinator merging the
+    shard replies with :func:`~repro.queries.knn.merge_knn_rows`'s
+    stable-by-index rule reproduces the single-host answer bit for
+    bit:
 
     * **knn** returns the shard's per-row local top-``k`` (global
       indices, ``-1`` / ``+inf`` padded when the shard is narrower than

@@ -8,11 +8,11 @@ field), so re-sharding never moves data — only the shard map in the
 
 :class:`ClusterCoordinator` is the client half: it scatters each
 kNN / range / prob-range request to every shard over the versioned JSON
-protocol, then merges the replies with the exact global
-stable-by-index rule the in-process
-:class:`~repro.queries.parallel.ShardedExecutor` uses
-(:func:`~repro.queries.parallel.merge_knn_rows`), so a 4-shard cluster
-answers bit-identically to a single process.  Robustness:
+protocol, then merges the replies with the global stable-by-index rule
+of :func:`~repro.queries.knn.merge_knn_rows`, so a 4-shard cluster
+answers bit-identically to a single process.  This is the system's one
+sharding path: an in-process session always runs the whole ``(M, N)``
+workload in its own process.  Robustness:
 
 * **hedged retries** — when a shard's reply is slower than a latency
   percentile of its own history, a duplicate request (same request id)
@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.errors import InvalidParameterError, ReproError
-from ..queries.parallel import merge_knn_rows
+from ..queries.knn import merge_knn_rows
 from ..queries.planner import PlanPolicy, PruningStats
 from ..queries.session import (
     KnnResult,
@@ -596,7 +596,7 @@ class ClusterCoordinator:
     ) -> KnnResult:
         """Scattered k-nearest neighbors, merged stable-by-index.
 
-        Bit-identical to the in-process executor when every shard
+        Bit-identical to an in-process session when every shard
         answers.  With ``allow_partial`` and failed shards, the merge
         runs over the survivors' candidates only and ``k`` degrades to
         the deepest rank every query row can still support.

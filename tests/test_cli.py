@@ -7,22 +7,12 @@ import os
 import pytest
 
 from repro.cli import _COMMANDS, build_parser, main, run_command
-from repro.core import InvalidParameterError
-from repro.evaluation import get_default_workers, set_default_workers
 from repro.queries.planner import (
     PlanPolicy,
     effective_index_enabled,
     get_default_policy,
     set_default_policy,
 )
-
-
-@pytest.fixture
-def restore_harness_defaults():
-    """Snapshot and restore the process-wide workers default."""
-    workers = get_default_workers()
-    yield
-    set_default_workers(workers)
 
 
 class TestParser:
@@ -40,14 +30,9 @@ class TestParser:
         expected = {f"fig{n:02d}" for n in range(4, 18)} | {"uniformity"}
         assert set(_COMMANDS) == expected
 
-    def test_workers_and_scoring_default_to_none(self):
+    def test_no_scoring_switch(self):
         args = build_parser().parse_args(["fig05"])
-        assert args.workers is None
         assert not hasattr(args, "scoring")  # one scoring path, no switch
-
-    def test_workers_parses_int(self):
-        args = build_parser().parse_args(["fig05", "--workers", "4"])
-        assert args.workers == 4
 
 
 class TestExecution:
@@ -79,16 +64,6 @@ class TestExecution:
         text = run_command("uniformity", "tiny", seed=3)
         assert "uniformity" in text
         assert "seed=3" in text
-
-    def test_workers_passthrough_sets_harness_default(
-        self, restore_harness_defaults, capsys
-    ):
-        assert main(["uniformity", "--scale", "tiny", "--workers", "2"]) == 0
-        assert get_default_workers() == 2
-
-    def test_invalid_workers_rejected(self, restore_harness_defaults):
-        with pytest.raises(InvalidParameterError):
-            main(["uniformity", "--scale", "tiny", "--workers", "0"])
 
     def test_seed_changes_nothing_for_fixed_seed(self):
         a = run_command("uniformity", "tiny", seed=5)

@@ -43,9 +43,9 @@ from repro.perturbation import ConstantScenario
 from repro.queries import (
     DustDtwTechnique,
     MunichDtwTechnique,
-    ShardedExecutor,
     SimilaritySession,
 )
+from shard_blocks import sharded_knn, sharded_matrix
 
 PARITY_TOL = 1e-9
 
@@ -527,7 +527,7 @@ class TestMunichDtwTechnique:
 
 
 # ---------------------------------------------------------------------------
-# Shard-boundary parity under ShardedExecutor
+# Shard-boundary parity: row/column blocks and the kNN merge
 # ---------------------------------------------------------------------------
 
 
@@ -536,8 +536,9 @@ class TestShardParity:
         pdf, _ = workload
         technique = DustDtwTechnique(window=2)
         full = technique.distance_matrix(pdf, pdf)
-        with ShardedExecutor(n_workers=1, row_block=5, col_block=4) as serial:
-            sharded = serial.matrix(technique, "distance", pdf, pdf)
+        sharded, _ = sharded_matrix(
+            technique, "distance", pdf, pdf, row_block=5, col_block=4
+        )
         assert np.max(np.abs(sharded - full)) <= PARITY_TOL
 
     def test_munich_dtw_sharded_matrix(self, workload):
@@ -550,18 +551,15 @@ class TestShardParity:
         full = technique.probability_matrix(
             multisample, multisample, epsilons
         )
-        with ShardedExecutor(n_workers=1, row_block=4, col_block=5) as serial:
-            sharded = serial.matrix(
-                technique, "probability", multisample, multisample, epsilons
-            )
-        assert np.max(np.abs(sharded - full)) <= PARITY_TOL
-
-    def test_dust_dtw_process_pool(self, workload):
-        pdf, _ = workload
-        technique = DustDtwTechnique(window=2)
-        full = technique.distance_matrix(pdf[:6], pdf)
-        with ShardedExecutor(n_workers=2, backend="process") as pool:
-            sharded = pool.matrix(technique, "distance", pdf[:6], pdf)
+        sharded, _ = sharded_matrix(
+            technique,
+            "probability",
+            multisample,
+            multisample,
+            row_block=4,
+            col_block=5,
+            epsilon=epsilons,
+        )
         assert np.max(np.abs(sharded - full)) <= PARITY_TOL
 
     def test_dust_dtw_sharded_knn(self, workload):
@@ -569,14 +567,15 @@ class TestShardParity:
         technique = DustDtwTechnique(window=2)
         session = SimilaritySession(pdf)
         expected = session.queries().using(technique).knn(4).indices
-        with ShardedExecutor(n_workers=1, row_block=5, col_block=3) as serial:
-            indices, _ = serial.knn(
-                technique,
-                pdf,
-                pdf,
-                4,
-                exclude=np.arange(len(pdf), dtype=np.intp),
-            )
+        indices, _, _ = sharded_knn(
+            technique,
+            pdf,
+            pdf,
+            4,
+            row_block=5,
+            col_block=3,
+            exclude=np.arange(len(pdf), dtype=np.intp),
+        )
         assert np.array_equal(indices, expected)
 
 

@@ -57,16 +57,17 @@ from repro.queries import (
     PlanPolicy,
     ProudTechnique,
     QueryEngine,
-    SessionConfig,
     SimilaritySession,
     knn_candidate_thresholds,
     knn_table,
     sparse_knn_table,
 )
+from shard_blocks import sharded_knn, sharded_matrix
 
 TOL = 1e-9
 NO_INDEX = PlanPolicy(mode="fixed")
-SHARDED = SessionConfig(backend="serial", row_block=4, col_block=5)
+#: Row/column shard sizes of the sharded-parity tests.
+SHARDED = {"row_block": 4, "col_block": 5}
 
 N_SERIES = 13
 LENGTH = 12
@@ -390,23 +391,23 @@ class TestParity:
         technique = EuclideanTechnique()
         single = SimilaritySession(multisample, engine=QueryEngine())
         reference = single.queries().using(technique).knn(4)
-        with SimilaritySession(
-            multisample, engine=QueryEngine(), config=SHARDED
-        ) as sharded:
-            result = sharded.queries().using(technique).knn(4)
-        assert np.array_equal(result.indices, reference.indices)
-        assert np.allclose(result.scores, reference.scores, atol=TOL)
+        positions = np.arange(len(multisample), dtype=np.intp)
+        indices, scores, _ = sharded_knn(
+            technique, multisample, multisample, 4, exclude=positions, **SHARDED
+        )
+        assert np.array_equal(indices, reference.indices)
+        assert np.allclose(scores, reference.scores, atol=TOL)
 
     def test_sharded_range_matches_single_process(self, multisample):
         technique = EuclideanTechnique()
         single = SimilaritySession(multisample, engine=QueryEngine())
         reference = single.queries().using(technique).range(3.0)
-        with SimilaritySession(
-            multisample, engine=QueryEngine(), config=SHARDED
-        ) as sharded:
-            result = sharded.queries().using(technique).range(3.0)
-        for a, b in zip(result.matches, reference.matches):
-            assert np.array_equal(a, b)
+        values, _ = sharded_matrix(
+            technique, "distance", multisample, multisample, epsilon=3.0, **SHARDED
+        )
+        for row, (found, expected) in enumerate(zip(values, reference.matches)):
+            matches = np.flatnonzero(found <= 3.0)
+            assert np.array_equal(matches[matches != row], expected)
 
     def test_profile_matrix_has_no_index_stage(self, multisample):
         """Plain distance matrices carry no decision information, so the

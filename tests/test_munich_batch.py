@@ -21,12 +21,8 @@ from repro.munich import (
     stack_candidate_samples,
 )
 from repro.perturbation import ConstantScenario
-from repro.queries import (
-    MunichTechnique,
-    SessionConfig,
-    ShardedExecutor,
-    SimilaritySession,
-)
+from repro.queries import MunichTechnique, SimilaritySession
+from shard_blocks import sharded_matrix
 
 PARITY_TOL = 1e-9
 
@@ -214,8 +210,8 @@ class TestDecisionMode:
         self, error_collections, kind, n_bins, monkeypatch
     ):
         """``prob_range`` match sets equal the τ-free matrix thresholded
-        at τ, in-process and through a 2-shard session, and a τ grid
-        brackets every grid point."""
+        at τ, in-process and on two column shards, and a τ grid brackets
+        every grid point."""
         import repro.munich.batch as batch_module
 
         decided = {"hits": 0, "misses": 0}
@@ -234,27 +230,40 @@ class TestDecisionMode:
         collection = error_collections[kind]
         epsilons = _neighbour_epsilons(collection)
         technique = MunichTechnique(Munich(tau=0.5, n_bins=n_bins))
-        two_shards = SessionConfig(
-            backend="serial", col_block=(len(collection) + 1) // 2
-        )
         grid = (0.2, 0.5, 0.8)
-        for config in (None, two_shards):
-            with SimilaritySession(collection, config=config) as session:
-                query_set = session.queries().using(technique)
-                full = query_set.profile_matrix(epsilon=epsilons)
-                for tau in TAUS:
-                    ranged = query_set.prob_range(epsilons, tau)
-                    for got, want in zip(
-                        ranged.matches, full.result_sets(tau)
-                    ):
-                        np.testing.assert_array_equal(got, want)
-                gridded = query_set.profile_matrix(
-                    epsilon=epsilons, tau=grid
+        with SimilaritySession(collection) as session:
+            query_set = session.queries().using(technique)
+            full = query_set.profile_matrix(epsilon=epsilons)
+            for tau in TAUS:
+                ranged = query_set.prob_range(epsilons, tau)
+                for got, want in zip(ranged.matches, full.result_sets(tau)):
+                    np.testing.assert_array_equal(got, want)
+            gridded = query_set.profile_matrix(epsilon=epsilons, tau=grid)
+            for tau in grid:
+                np.testing.assert_array_equal(
+                    gridded.values >= tau, full.values >= tau
                 )
-                for tau in grid:
-                    np.testing.assert_array_equal(
-                        gridded.values >= tau, full.values >= tau
-                    )
+
+        # Two column shards, as a 2-shard cluster splits the collection:
+        # each half's verdicts equal its own τ-free half.
+        def two_shards(tau=None):
+            values, _ = sharded_matrix(
+                technique,
+                "probability",
+                collection,
+                collection,
+                col_block=(len(collection) + 1) // 2,
+                epsilon=epsilons,
+                tau=tau,
+            )
+            return values
+
+        halves = two_shards()
+        for tau in TAUS:
+            np.testing.assert_array_equal(two_shards(tau) >= tau, halves >= tau)
+        gridded = two_shards(grid)
+        for tau in grid:
+            np.testing.assert_array_equal(gridded >= tau, halves >= tau)
         assert decided["hits"] > 0 and decided["misses"] > 0
 
     def test_near_threshold_rows_match_tau_free_chunks(self):
@@ -364,24 +373,13 @@ class TestMunichTechniqueBatch:
         full = technique.probability_matrix(
             multisample, multisample, epsilons
         )
-        with ShardedExecutor(n_workers=1, row_block=5, col_block=7) as serial:
-            sharded = serial.matrix(
-                technique, "probability", multisample, multisample, epsilons
-            )
-        assert np.max(np.abs(sharded - full)) <= PARITY_TOL
-
-    def test_process_pool_parity(self, multisample):
-        technique = MunichTechnique(Munich(tau=0.5, n_bins=128))
-        epsilons = np.full(6, 2.5)
-        full = technique.probability_matrix(
-            multisample[:6], multisample, epsilons
+        sharded, _ = sharded_matrix(
+            technique,
+            "probability",
+            multisample,
+            multisample,
+            row_block=5,
+            col_block=7,
+            epsilon=epsilons,
         )
-        with ShardedExecutor(n_workers=2, backend="process") as pool:
-            sharded = pool.matrix(
-                technique,
-                "probability",
-                multisample[:6],
-                multisample,
-                epsilons,
-            )
         assert np.max(np.abs(sharded - full)) <= PARITY_TOL

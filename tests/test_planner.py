@@ -3,13 +3,13 @@
 The acceptance bar for the planner refactor:
 
 * planner-executed matrices match the pre-refactor cascades to 1e-9 for
-  every technique family — including under ``ShardedExecutor`` shard
+  every technique family — including across row/column shard
   boundaries;
 * the adaptive Monte Carlo stage **never** flips a hit/miss decision
   versus the fixed-sample path, across randomized ε / τ / seeds;
 * ``PruningStats`` accounting is complete: every cell is decided by
   exactly one stage, per-stage wall time is recorded, and sharded runs
-  merge shard stats and log the executor's chosen plan.
+  merge shard stats stage by stage.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ from repro.queries import (
     PruningStats,
     QueryPlan,
     RefineStage,
-    SessionConfig,
-    ShardedExecutor,
     SimilaritySession,
     StageStats,
     Technique,
     adaptive_mc_schedule,
     sequential_mc_decision,
 )
+from shard_blocks import sharded_matrix
 
 PARITY_TOL = 1e-9
 
@@ -273,20 +272,19 @@ class TestPlanParity:
         direct, direct_stats = technique.matrix_with_stats(
             "probability", multisample, multisample, epsilon=3.0
         )
-        with ShardedExecutor(
-            n_workers=1, row_block=row_block, col_block=col_block
-        ) as executor:
-            sharded, stats = executor.matrix_with_stats(
-                technique, "probability", multisample, multisample, 3.0
-            )
+        sharded, stats = sharded_matrix(
+            technique,
+            "probability",
+            multisample,
+            multisample,
+            row_block=row_block,
+            col_block=col_block,
+            epsilon=3.0,
+        )
         assert np.max(np.abs(sharded - direct)) <= PARITY_TOL
         decided = sum(entry.decided for entry in stats.stages)
         assert decided == len(multisample) ** 2
         assert stats.n_queries == len(multisample)
-        assert stats.executor is not None
-        for key in ("n_workers", "backend", "cpu_count", "row_block",
-                    "n_shards"):
-            assert key in stats.executor
         # Shard boundaries change nothing about what the bound stage can
         # decide: per-cell verdicts are identical.
         assert stats.decided_by("bounds") == direct_stats.decided_by("bounds")
@@ -295,12 +293,15 @@ class TestPlanParity:
         munich = Munich(tau=0.5, method="montecarlo", n_samples=30, rng=9)
         technique = MunichDtwTechnique(window=2, munich=munich)
         direct = technique.probability_matrix(multisample, multisample, 3.5)
-        with ShardedExecutor(
-            n_workers=1, row_block=4, col_block=5
-        ) as executor:
-            sharded, stats = executor.matrix_with_stats(
-                technique, "probability", multisample, multisample, 3.5
-            )
+        sharded, stats = sharded_matrix(
+            technique,
+            "probability",
+            multisample,
+            multisample,
+            row_block=4,
+            col_block=5,
+            epsilon=3.5,
+        )
         assert np.array_equal(sharded, direct)
         assert sum(e.decided for e in stats.stages) == len(multisample) ** 2
 
@@ -486,26 +487,6 @@ class TestSessionStats:
             ranged = query_set.range(epsilon=4.0)
             assert ranged.pruning_stats is not None
 
-    def test_parallel_session_logs_executor_plan(self, pdf):
-        config = SessionConfig(backend="serial", row_block=4)
-        with SimilaritySession(pdf, config=config) as session:
-            result = (
-                session.queries().using(DustTechnique()).profile_matrix()
-            )
-        stats = result.pruning_stats
-        assert stats is not None
-        assert stats.executor["row_block"] == 4
-        assert stats.executor["backend"] == "serial"
-        assert stats.executor["cpu_count"] >= 1
-        knn = (
-            SimilaritySession(pdf, config=config)
-            .queries()
-            .using(EuclideanTechnique())
-            .knn(3)
-        )
-        assert knn.pruning_stats is not None
-        assert knn.pruning_stats.executor is not None
-
     def test_harness_outcomes_carry_stats(self, exact):
         from repro.evaluation import run_similarity_experiment
         from repro.perturbation import ConstantScenario
@@ -548,35 +529,6 @@ class TestCustomTechniqueMigration:
         plan = EuclideanTechnique().build_plan("distance")
         assert len(plan.stages) == 1
         assert isinstance(plan.stages[0], RefineStage)
-
-
-class TestCpuAwareHeuristic:
-    def test_single_core_floor(self):
-        assert ShardedExecutor._blocks_per_worker(1) == 2
-
-    def test_monotone_and_capped(self):
-        values = [
-            ShardedExecutor._blocks_per_worker(cpus)
-            for cpus in (1, 2, 4, 8, 16, 64, 1024)
-        ]
-        assert values == sorted(values)
-        assert values[-1] == 8
-        assert values[1] > values[0]  # multi-core shards finer
-
-    def test_default_plan_uses_heuristic(self):
-        import math
-        import os
-
-        executor = ShardedExecutor(n_workers=2, backend="serial")
-        plan = executor.plan(100, 50)
-        cpus = os.cpu_count() or 1
-        expected = max(
-            1,
-            math.ceil(100 / (ShardedExecutor._blocks_per_worker(cpus) * 2)),
-        )
-        sizes = {stop - start for start, stop in plan.row_blocks[:-1]}
-        assert sizes == {expected} or len(plan.row_blocks) == 1
-        executor.close()
 
 
 class TestNaiveDtwPlan:

@@ -9,15 +9,16 @@ The contracts under test:
   (filters are sound: cost only);
 * one τ-grid bracketing pass reproduces the fixed-sample decisions at
   every grid threshold, across seeds and repeated runs;
-* ``QuerySet.with_policy`` / ``SimilaritySession(config=...)`` /
+* ``QuerySet.with_policy`` / ``SimilaritySession(policy=...)`` /
   ``connect(policy=...)`` accept the policy uniformly and ``explain()``
   returns the executed plan's :class:`PruningStats` on every backend;
-* executor knobs live only on :class:`SessionConfig`.
+* a session has one keyword, ``policy``: no executor knobs remain.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.munich import Munich
 from repro.perturbation import ConstantScenario
 from repro.queries import (
     EuclideanTechnique,
+    MunichDtwTechnique,
     MunichTechnique,
     SimilaritySession,
 )
@@ -41,7 +43,7 @@ from repro.queries.planner import (
     sequential_mc_grid_decision,
     set_default_policy,
 )
-from repro.queries.session import SessionConfig
+from shard_blocks import sharded_knn
 
 SEED = 2012
 
@@ -149,6 +151,17 @@ class TestTauGrid:
             normalize_tau([])
         with pytest.raises(InvalidParameterError):
             normalize_tau([0.5, 1.5])
+        for bad in (1.5, -0.2, math.nan, (0.5, math.nan), math.inf):
+            with pytest.raises(InvalidParameterError):
+                normalize_tau(bad)
+
+    def test_profile_matrix_rejects_nan_tau(self, multisample):
+        with SimilaritySession(multisample) as session:
+            query_set = session.queries([0, 1]).using(
+                MunichDtwTechnique(window=2)
+            )
+            with pytest.raises(InvalidParameterError):
+                query_set.profile_matrix(2.0, tau=math.nan)
 
     def test_grid_decision_open_while_any_tau_bracketed(self):
         # hits/s in [2/10, 7/10]: tau=0.5 is inside the open bracket.
@@ -251,47 +264,50 @@ class TestExplain:
         assert "refine" in stats.summary()
 
     def test_explain_sharded_merges_consistently(self, noise):
-        config = SessionConfig(n_workers=2, policy=PlanPolicy(mode="fixed"))
-        with SimilaritySession(noise, config=config) as sharded:
-            with SimilaritySession(noise) as serial:
-                technique = EuclideanTechnique()
-                shard_stats = sharded.queries().using(technique).explain(k=3)
-                serial_stats = (
-                    serial.queries()
-                    .using(technique)
-                    .with_policy(PlanPolicy(mode="fixed"))
-                    .explain(k=3)
-                )
+        fixed = PlanPolicy(mode="fixed")
+        technique = EuclideanTechnique()
+        _, _, shard_stats = sharded_knn(
+            technique,
+            noise,
+            noise,
+            3,
+            row_block=7,
+            col_block=20,
+            exclude=np.arange(len(noise), dtype=np.intp),
+            policy=fixed,
+        )
+        with SimilaritySession(noise) as serial:
+            serial_stats = (
+                serial.queries().using(technique).with_policy(fixed).explain(k=3)
+            )
         assert _stage_names(shard_stats) == ["refine"]
         assert _stage_names(serial_stats) == ["refine"]
-        assert shard_stats.executor["n_workers"] == 2
         # Merged shard counts equal the serial counts.
         assert [entry.decided for entry in shard_stats.stages] == [
             entry.decided for entry in serial_stats.stages
         ]
 
 
-class TestSessionConfig:
-    def test_config_object_replaces_loose_kwargs(self, noise):
-        config = SessionConfig(n_workers=2, row_block=8)
-        with SimilaritySession(noise, config=config) as session:
-            assert session.config == config
-            assert session.policy is None
-
-    def test_executor_knobs_only_through_config(self, noise):
-        with pytest.raises(TypeError):
-            SimilaritySession(noise, n_workers=2)
-        with pytest.raises(TypeError):
-            SimilaritySession(noise, None, 2)
-
-    def test_policy_kwarg_merges_into_config(self, noise):
+class TestSessionPolicy:
+    def test_policy_round_trip(self, noise):
         policy = PlanPolicy(mode="fixed")
         with SimilaritySession(noise, policy=policy) as session:
             assert session.policy == policy
-            assert session.config.policy == policy
+            assert session.queries().policy == policy
+        with SimilaritySession(noise) as session:
+            assert session.policy is None
 
-    def test_config_validation(self):
+    def test_policy_must_be_a_plan_policy(self, noise):
         with pytest.raises(InvalidParameterError):
-            SessionConfig(n_workers=0)
-        with pytest.raises(InvalidParameterError):
-            SessionConfig(policy="auto")
+            SimilaritySession(noise, policy="auto")
+
+    def test_config_and_third_positional_rejected(self, noise):
+        with pytest.raises(TypeError):
+            SimilaritySession(noise, config=None)
+        with pytest.raises(TypeError):
+            SimilaritySession(noise, None, PlanPolicy())
+
+    def test_cli_has_no_workers_option(self):
+        from repro.cli import build_parser
+
+        assert not hasattr(build_parser().parse_args(["fig05"]), "workers")
