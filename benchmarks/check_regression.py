@@ -49,8 +49,6 @@ def _rows_by_key(payload: Dict) -> Dict[Tuple[str, str], Dict]:
 #: may record; a present flag that is false always fails the gate.
 CORRECTNESS_FLAGS = (
     ("parity", "all_ok"),
-    ("knn_merge", "identical"),
-    ("mmap", "parity_ok"),
     ("index", "all_ok"),
     ("service", "all_ok"),
     ("cluster", "all_ok"),

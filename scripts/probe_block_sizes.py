@@ -119,19 +119,22 @@ def probe_knn_columns(quick: bool) -> None:
 
 
 def probe_dtw_block(quick: bool) -> None:
-    """Rolling-DTW proxy: per-diagonal state updates over pair blocks.
+    """Rolling-DTW proxy: banded per-diagonal updates over pair blocks.
 
     Blocks are sized the way ``rolling_stack_blocks`` charges the
-    budget — three ``(n + 1)`` state rows plus one cost row per pair —
-    and each diagonal reads two state rows, computes one cost row and
-    writes one state row, as the rolling kernel does.
+    budget — three ``(n + 1)`` state rows plus one cost row per pair.
+    The state is ``(3, n + 1, B)`` with the pair axis innermost, as in
+    the rolling kernel: each diagonal reads three contiguous ``(k, B)``
+    slices of the two previous diagonals, computes a ``(k, B)`` cost
+    slice from the transposed ``(n, B)`` stacks and writes one slice,
+    for a band of ``k`` rows sliding down the diagonal.
     """
     from repro.distances.dtw_batch import DTW_BLOCK_ELEMENTS
 
-    n = 128
-    pairs = 1 << (9 if quick else 11)
-    xs = np.random.default_rng(5).random((pairs, n))
-    ys = np.random.default_rng(6).random((pairs, n))
+    n, band = 128, 4
+    pairs = 1 << (12 if quick else 14)
+    xs = np.random.default_rng(5).random((n, pairs))
+    ys = np.random.default_rng(6).random((n, pairs))
     per_pair = 3 * (n + 1) + n + 1
     rows = []
     for exponent in (16, 18, 20, 22):
@@ -141,18 +144,24 @@ def probe_dtw_block(quick: bool) -> None:
         def run() -> None:
             for start in range(0, pairs, block):
                 stop = min(start + block, pairs)
-                state = np.zeros((3, stop - start, n + 1))
-                for diagonal in range(2 * n - 1):
-                    cost = xs[start:stop] - ys[start:stop, ::-1]
-                    np.square(cost, out=cost)
-                    best = np.minimum(
-                        state[(diagonal + 1) % 3, :, :n],
-                        state[(diagonal + 2) % 3, :, 1:],
-                    )
-                    state[diagonal % 3, :, 1:] = cost + best
+                x = np.ascontiguousarray(xs[:, start:stop])
+                y = np.ascontiguousarray(ys[:, start:stop])
+                state = np.zeros((3, n + 1, stop - start))
+                for diagonal in range(2, 2 * n + 1):
+                    low = min(max(1, diagonal // 2 - band // 2), n + 1 - band)
+                    high = low + band - 1
+                    prev1 = state[(diagonal - 1) % 3]
+                    prev2 = state[(diagonal - 2) % 3]
+                    best = state[diagonal % 3, low:high + 1]
+                    np.minimum(prev1[low - 1:high], prev1[low:high + 1], out=best)
+                    np.minimum(prev2[low - 1:high], best, out=best)
+                    cost = x[low - 1:high] - y[high - 1::-1][:band]
+                    np.multiply(cost, cost, out=cost)
+                    np.add(cost, best, out=best)
 
         seconds = _best_of(run)
-        streamed = 8 * 5 * pairs * n * (2 * n - 1)
+        # Per band cell: three state reads, two stack reads, one write.
+        streamed = 8 * 6 * pairs * band * (2 * n - 1)
         rows.append((block_elements, streamed / seconds / 1e9))
     _report("DTW_BLOCK_ELEMENTS proxy", DTW_BLOCK_ELEMENTS, rows)
 

@@ -48,9 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..distributions import FAMILIES, make_distribution
 from ..distributions.base import ErrorDistribution
-from ..distributions.mixture import MixtureError
 from .collection import Collection
 from .errors import InvalidParameterError, InvalidSeriesError
 from .series import TimeSeries
@@ -78,6 +76,10 @@ class MappedCollectionError(InvalidSeriesError):
 
 def _distribution_spec(distribution: ErrorDistribution) -> Dict:
     """JSON-serializable spec of one error distribution."""
+    # Imported here: ``repro.distributions`` imports ``repro.core``, so a
+    # module-level import would cycle when it is imported first.
+    from ..distributions import FAMILIES, MixtureError
+
     if isinstance(distribution, MixtureError):
         return {
             "family": "mixture",
@@ -97,6 +99,8 @@ def _distribution_spec(distribution: ErrorDistribution) -> Dict:
 
 def _distribution_from_spec(spec: Dict) -> ErrorDistribution:
     """Rebuild an error distribution from its manifest spec."""
+    from ..distributions import FAMILIES, MixtureError, make_distribution
+
     family = spec.get("family")
     if family == "mixture":
         components = [

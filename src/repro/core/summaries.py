@@ -35,13 +35,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from ..distances.lp import GEMM_REFINE_THRESHOLD
 
 #: Default number of PAA segments techniques index with.  Eight segments
 #: keep the summary table ``n/8``-fold smaller than the raw values while
 #: leaving the lower bound tight enough to prune most candidates on
 #: smooth series; techniques may override per instance.
 DEFAULT_SEGMENTS = 8
+
+#: Entries of a GEMM-identity squared matrix below this fraction of the
+#: norm scale are recomputed exactly: the ``||r||² + ||c||² − 2 r·c``
+#: expansion cancels catastrophically for near-duplicate pairs, and the
+#: final square root amplifies that absolute error.  Shared with
+#: :func:`repro.distances.lp.squared_euclidean_matrix`.
+GEMM_REFINE_THRESHOLD = 1e-8
 
 
 def effective_segments(n_segments: int, length: int) -> int:

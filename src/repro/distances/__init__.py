@@ -24,8 +24,6 @@ from .dtw_batch import (
     dtw_distance_stack,
     dtw_hits_paired,
     keogh_envelope_stack,
-    lb_keogh_stack,
-    lb_kim_paired,
     rolling_dtw_from_cost_fn,
     rolling_dtw_paired,
     rolling_dtw_stack,
@@ -76,8 +74,6 @@ __all__ = [
     "lb_kim",
     "lb_keogh",
     "keogh_envelope",
-    "lb_kim_paired",
-    "lb_keogh_stack",
     "keogh_envelope_stack",
     "moving_average",
     "exponential_moving_average",

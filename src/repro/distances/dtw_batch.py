@@ -7,32 +7,32 @@ every Lp-based technique.  This module removes it by restructuring the DP
 around two axes of data parallelism:
 
 * **candidate stacking** — a whole stack of ``B`` candidate alignments
-  advances through one shared DP state (three rolling ``(B, n+1)``
-  diagonals in every production kernel; the full ``(B, n+1, m+1)``
-  state of :func:`banded_dtw_from_costs` is the reference);
+  advances through one shared DP state (three rolling diagonals of a
+  contiguous ``(3, n+1, B)`` array in every production kernel; the full
+  ``(B, n+1, m+1)`` state of :func:`banded_dtw_from_costs` is the
+  reference);
 * **anti-diagonal wavefronts** — cells on anti-diagonal ``d = i + j``
   depend only on diagonals ``d-1`` and ``d-2``, so each wavefront is one
   vectorized ``min``/``add`` over every stacked candidate at once.  The
   interpreter loop shrinks from ``B·n·m`` iterations to ``n + m - 1``.
 
-Within a Sakoe–Chiba band only in-band cells are touched (the wavefront is
-clipped to the band per diagonal), and cell-level arithmetic matches the
-per-pair program operation for operation, so distances are bit-identical
-to :func:`~repro.distances.dtw.dtw_distance` — not merely close.
+Within a Sakoe–Chiba band only in-band cells are touched: the in-band
+rows of every diagonal form one contiguous range, so with the pair axis
+innermost each wavefront step reads and writes contiguous slices of
+``(rows, B)`` — memory traffic proportional to the band, not to the
+series length.  Cell-level arithmetic matches the per-pair program
+operation for operation, so distances are bit-identical to
+:func:`~repro.distances.dtw.dtw_distance` — not merely close.
 
-The pruning cascade (:func:`dtw_hits_paired`) answers the cheaper
-question "is ``dtw(x, y) <= ε``?" for stacks of *paired* rows: LB_Kim,
-then an LB_Keogh envelope bound, then the diagonal-path upper bound
-decide most rows without touching the DP; only the undecided middle pays
-the exact wavefront kernel.  Bound verdicts are guarded by a relative
-slack so a float reordering can never flip a verdict away from the exact
-per-pair decision — which is what lets MUNICH-DTW's Monte Carlo
-evaluation prune aggressively while staying bit-compatible.
+:func:`dtw_hits_paired` answers "is ``dtw(x, y) <= ε``?" for stacks of
+*paired* rows (MUNICH-DTW's Monte Carlo draws) with the exact DP
+verdict.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -40,18 +40,18 @@ from ..core.errors import InvalidParameterError
 from .dtw import _band_limits
 
 #: Element budget for one rolling-kernel block (~32 MB of float64),
-#: charged per pair by :func:`rolling_stack_blocks`.  The wavefront's
-#: per-diagonal NumPy dispatch dominates the kernel, so wider blocks
-#: win even past L3: a measured sweep of the real kernels
-#: (scripts/probe_block_sizes.py machine) put ``1 << 22`` 17% ahead of
-#: ``1 << 20`` on long series (n=1024: 600 ms vs 722 ms) and 2% ahead
-#: on short series (n=96).
+#: charged per pair by :func:`rolling_stack_blocks`.  Re-swept for the
+#: ``(3, n+1, B)`` layout on a 2-vCPU VM: the banded proxy of
+#: ``scripts/probe_block_sizes.py`` put ``1 << 20`` 14% ahead
+#: (15.3 vs 13.4 GB/s, under its 20% retune bar), and MUNICH-DTW's
+#: prob-range ops ran no faster at ``1 << 20``.
 DTW_BLOCK_ELEMENTS = 1 << 22
 
-#: Relative slack on bound-based verdicts: a bound only decides a row when
+#: Relative slack on bound-based verdicts: a bound only decides a cell when
 #: it clears the threshold by more than this margin, so batched float
 #: reorderings (GEMM-style sums vs ``np.dot``) cannot flip a decision the
-#: exact DP would have made the other way.
+#: exact DP would have made the other way.  MUNICH-DTW's collection-level
+#: bound and index stages run with it.
 PRUNE_SLACK = 1e-12
 
 
@@ -125,6 +125,28 @@ def rolling_stack_blocks(n_pairs: int, n: int, m: int):
         yield start, min(start + block, n_pairs)
 
 
+@lru_cache(maxsize=64)
+def _diagonal_rows(
+    n: int, m: int, window: Optional[int]
+) -> Tuple[List[int], List[int]]:
+    """In-band DP rows ``[low[d], high[d]]`` of every anti-diagonal ``d``.
+
+    DP cell ``(i, j)`` (1-based, on diagonal ``d = i + j``) is in band
+    when ``starts[i-1] + i + 1 <= d <= stops[i-1] + i``.  Both ends
+    strictly increase in ``i``, so each diagonal's in-band rows are one
+    contiguous range, found by two ``searchsorted`` calls; ``low > high``
+    marks a diagonal with no in-band cell.
+    """
+    starts, stops = _band_limits(n, m, window)
+    rows = np.arange(1, n + 1)
+    first = starts + rows + 1
+    last = stops + rows
+    diagonals = np.arange(n + m + 1)
+    low = np.searchsorted(last, diagonals, side="left") + 1
+    high = np.searchsorted(first, diagonals, side="right")
+    return low.tolist(), high.tolist()
+
+
 def rolling_dtw_from_cost_fn(
     n_pairs: int,
     n: int,
@@ -136,11 +158,19 @@ def rolling_dtw_from_cost_fn(
 
     A wavefront cell on anti-diagonal ``d`` reads only diagonals
     ``d-1`` and ``d-2``, so the full ``(B, n+1, m+1)`` accumulator of
-    :func:`banded_dtw_from_costs` collapses to three ``(B, n+1)`` rows
-    reused cyclically — ``O(B·n)`` memory however long the series.
+    :func:`banded_dtw_from_costs` collapses to three diagonals of a
+    contiguous ``(3, n+1, B)`` array reused cyclically — ``O(B·n)``
+    memory however long the series.  With the pair axis innermost, a
+    diagonal's in-band rows ``[a, b]`` (one range, computed once per
+    ``(n, m, window)``) are read as the slices ``prev1[a-1:b]``,
+    ``prev1[a:b+1]`` and ``prev2[a-1:b]`` and written as
+    ``current[a:b+1]``; only rows ``a-1`` and ``b+1`` — the cells the
+    next two diagonals read beyond it — are reset to +inf.
+
     Point costs are produced per diagonal by
-    ``cost_fn(rows, cols) -> (B, len(rows))`` (0-based series indices),
-    so the ``(B, n, m)`` cost tensor is never materialized either.
+    ``cost_fn(rows, cols) -> (len(rows), B)`` (0-based series indices:
+    ``rows`` ascends and ``cols`` descends in steps of one), so the
+    ``(B, n, m)`` cost tensor is never materialized either.
     Cell arithmetic and min-nesting match the full-state kernel
     operation for operation: distances are bit-identical to it (and
     therefore to the per-pair program).
@@ -149,29 +179,31 @@ def rolling_dtw_from_cost_fn(
         raise InvalidParameterError("DTW requires non-empty series")
     if n_pairs == 0:
         return np.empty(0)
-    starts, stops = _band_limits(n, m, window)
-    state = np.full((3, n_pairs, n + 1), np.inf)
-    state[0, :, 0] = 0.0  # diagonal 0: the (0, 0) origin cell
+    lows, highs = _diagonal_rows(n, m, window)
+    # Only the cells the first wavefronts read need a value: the (0, 0)
+    # origin and diagonal 1's rows 0 and 1 (no in-band cell).  Every
+    # later read lands on a row the diagonal wrote or reset.
+    state = np.empty((3, n + 1, n_pairs))
+    state[0, 0] = 0.0
+    state[1, :2] = np.inf
     all_rows = np.arange(n + 1)
     for diagonal in range(2, n + m + 1):
-        prev2 = state[(diagonal - 2) % 3]
-        prev1 = state[(diagonal - 1) % 3]
         current = state[diagonal % 3]
-        current[:] = np.inf
-        rows = all_rows[max(1, diagonal - m): min(n, diagonal - 1) + 1]
-        cols = diagonal - rows
-        in_band = (cols - 1 >= starts[rows - 1]) & (cols - 1 < stops[rows - 1])
-        if not np.all(in_band):
-            rows = rows[in_band]
-            cols = cols[in_band]
-            if rows.size == 0:
-                continue
-        best = np.minimum(
-            prev2[:, rows - 1],
-            np.minimum(prev1[:, rows - 1], prev1[:, rows]),
-        )
-        current[:, rows] = cost_fn(rows - 1, cols - 1) + best
-    totals = state[(n + m) % 3][:, n]
+        low, high = lows[diagonal], highs[diagonal]
+        if low > high:
+            current.fill(np.inf)
+            continue
+        prev1 = state[(diagonal - 1) % 3]
+        prev2 = state[(diagonal - 2) % 3]
+        best = current[low:high + 1]
+        np.minimum(prev1[low - 1:high], prev1[low:high + 1], out=best)
+        np.minimum(prev2[low - 1:high], best, out=best)
+        rows = all_rows[low - 1:high]
+        np.add(cost_fn(rows, diagonal - 2 - rows), best, out=best)
+        current[low - 1] = np.inf
+        if high < n:
+            current[high + 1] = np.inf
+    totals = state[(n + m) % 3, n]
     if np.any(np.isinf(totals)):
         raise InvalidParameterError(
             f"no warping path exists within window={window} "
@@ -180,15 +212,45 @@ def rolling_dtw_from_cost_fn(
     return np.sqrt(totals)
 
 
+def diagonal_slices(rows: np.ndarray, cols: np.ndarray) -> Tuple[slice, slice]:
+    """Slices for one wavefront's ``(rows, cols)`` index runs.
+
+    Returns ``(row_slice, col_slice)``: for the runs a wavefront passes
+    (``rows`` ascending, ``cols`` descending), ``values[row_slice]`` and
+    ``values[col_slice]`` equal ``values[rows]`` and ``values[cols]`` as
+    views, without the gather copy — what a ``cost_fn`` over ``(n, B)``
+    stacks reads.
+    """
+    low, high = cols[-1], cols[0]
+    return (
+        slice(rows[0], rows[-1] + 1),
+        slice(high, low - 1 if low > 0 else None, -1),
+    )
+
+
+def _squared_residual_fn(x_rows: np.ndarray, y_rows: np.ndarray):
+    """``cost_fn`` of squared differences over ``(n, B)`` / ``(m, B)``
+    transposed stacks (the pair axis innermost, like the state)."""
+
+    def cost_fn(rows, cols):
+        row_slice, col_slice = diagonal_slices(rows, cols)
+        residual = x_rows[row_slice] - y_rows[col_slice]
+        return np.multiply(residual, residual, out=residual)
+
+    return cost_fn
+
+
 def rolling_dtw_paired(
     x_stack: np.ndarray, y_stack: np.ndarray, window: Optional[int] = None
 ) -> np.ndarray:
     """Row-wise DTW of two aligned stacks via the rolling-diagonal state.
 
-    What :func:`dtw_distance_paired` runs on (unconditionally — the
-    rolling state measured faster at every stack shape): peak memory is
-    ``O(B·n)`` instead of ``O(B·n·m)``, results are bit-identical to
-    the full-state wavefront.
+    What :func:`dtw_distance_paired` runs on: each block of pairs is
+    transposed once so the cost rows come out in the state's
+    ``(rows, B)`` layout — a no-op for a single-block stack handed over
+    as the transposed view of an ``(n, B)`` array, which is how
+    MUNICH-DTW passes its draws.  Peak memory is ``O(B·n)`` instead of
+    ``O(B·n·m)``, results are bit-identical to the full-state wavefront.
     """
     x_stack = np.atleast_2d(np.asarray(x_stack, dtype=np.float64))
     y_stack = np.atleast_2d(np.asarray(y_stack, dtype=np.float64))
@@ -200,13 +262,10 @@ def rolling_dtw_paired(
     m = y_stack.shape[1]
     out = np.empty(n_pairs)
     for start, stop in rolling_stack_blocks(n_pairs, n, m):
-        x_block = x_stack[start:stop]
-        y_block = y_stack[start:stop]
-
-        def cost_fn(rows, cols, x_block=x_block, y_block=y_block):
-            residual = x_block[:, rows] - y_block[:, cols]
-            return residual * residual
-
+        cost_fn = _squared_residual_fn(
+            np.ascontiguousarray(x_stack[start:stop].T),
+            np.ascontiguousarray(y_stack[start:stop].T),
+        )
         out[start:stop] = rolling_dtw_from_cost_fn(
             stop - start, n, m, cost_fn, window
         )
@@ -225,14 +284,12 @@ def rolling_dtw_stack(
         )
     n_pairs, m = candidates.shape
     n = x.size
+    query_rows = x[:, None]
     out = np.empty(n_pairs)
     for start, stop in rolling_stack_blocks(n_pairs, n, m):
-        block = candidates[start:stop]
-
-        def cost_fn(rows, cols, block=block):
-            residual = x[rows][None, :] - block[:, cols]
-            return residual * residual
-
+        cost_fn = _squared_residual_fn(
+            query_rows, np.ascontiguousarray(candidates[start:stop].T)
+        )
         out[start:stop] = rolling_dtw_from_cost_fn(
             stop - start, n, m, cost_fn, window
         )
@@ -252,12 +309,6 @@ def dtw_distance_stack(
     ``(B, n+1, m+1)`` accumulator survives only as the cost-tensor
     reference (:func:`banded_dtw_from_costs`).
     """
-    x = np.asarray(x, dtype=np.float64)
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    if x.ndim != 1:
-        raise InvalidParameterError(
-            f"query must be one-dimensional, got shape {x.shape}"
-        )
     return rolling_dtw_stack(x, candidates, window=window)
 
 
@@ -295,29 +346,8 @@ def dtw_distance_paired(
 
 
 # ---------------------------------------------------------------------------
-# Lower/upper bound stacks (the pruning cascade's cheap stages)
+# Envelopes and verdicts
 # ---------------------------------------------------------------------------
-
-
-def lb_kim_paired(x_stack: np.ndarray, y_stack: np.ndarray) -> np.ndarray:
-    """Row-wise LB_Kim over two aligned stacks (first/last/min/max features)."""
-    x_stack = np.atleast_2d(np.asarray(x_stack, dtype=np.float64))
-    y_stack = np.atleast_2d(np.asarray(y_stack, dtype=np.float64))
-    if x_stack.shape[1] == 0 or y_stack.shape[1] == 0:
-        raise InvalidParameterError("LB_Kim requires non-empty series")
-    features = np.abs(x_stack[:, 0] - y_stack[:, 0])
-    np.maximum(features, np.abs(x_stack[:, -1] - y_stack[:, -1]), out=features)
-    np.maximum(
-        features,
-        np.abs(x_stack.max(axis=1) - y_stack.max(axis=1)),
-        out=features,
-    )
-    np.maximum(
-        features,
-        np.abs(x_stack.min(axis=1) - y_stack.min(axis=1)),
-        out=features,
-    )
-    return features
 
 
 def keogh_envelope_stack(
@@ -351,48 +381,19 @@ def keogh_envelope_stack(
     return lower, upper
 
 
-def lb_keogh_stack(
-    x_stack: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> np.ndarray:
-    """Row-wise LB_Keogh overshoot of a stack against envelope stacks.
-
-    ``lower`` / ``upper`` broadcast against ``x_stack``: one envelope per
-    row, or one shared envelope (e.g. the band-inflated bounding-interval
-    envelope of a candidate, valid for *every* materialization of it).
-    """
-    x_stack = np.atleast_2d(np.asarray(x_stack, dtype=np.float64))
-    above = np.maximum(x_stack - upper, 0.0)
-    below = np.maximum(lower - x_stack, 0.0)
-    overshoot = above + below
-    return np.sqrt(np.einsum("ij,ij->i", overshoot, overshoot))
-
-
 def dtw_hits_paired(
     x_stack: np.ndarray,
     y_stack: np.ndarray,
     epsilon: float,
     window: Optional[int] = None,
-    envelope: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
-    """``dtw(x_stack[s], y_stack[s], window) <= epsilon`` per row, pruned.
+    """``dtw(x_stack[s], y_stack[s], window) <= epsilon`` per row.
 
-    The cascade decides rows cheapest-first:
-
-    1. **LB_Kim** — constant-time lower bound; a clear exceedance is a
-       certain miss.
-    2. **LB_Keogh** (when ``envelope`` is given) — overshoot of each
-       ``x`` row against a ``(lower, upper)`` candidate envelope: one
-       shared envelope, or stacks with one envelope row per pair (how
-       the planner's refine stage batches many candidates' draw stacks
-       through a single call).
-    3. **Diagonal upper bound** — for equal lengths the band always
-       contains the diagonal, so the Euclidean distance bounds DTW from
-       above: a clear clearance is a certain hit.
-    4. The surviving middle pays the exact wavefront DP, whose verdict is
-       bit-identical to the per-pair program.
-
-    Every bound verdict is guarded by :data:`PRUNE_SLACK`, so the result
-    equals evaluating the exact DTW on every row.
+    The exact DP verdict of :func:`dtw_distance_paired`, hence
+    bit-identical to the per-pair program.  No per-row bound runs
+    first: MUNICH-DTW's draws sit near ε, where LB_Kim, LB_Keogh and
+    the diagonal-path bound settle under a tenth of the rows and cost
+    more than the wavefront they would skip.
 
     ``epsilon`` is a scalar, or an ``(n_pairs,)`` vector with one
     threshold per row — how the planner's refine stage pushes cells of
@@ -401,8 +402,7 @@ def dtw_hits_paired(
     """
     x_stack = np.atleast_2d(np.asarray(x_stack, dtype=np.float64))
     y_stack = np.atleast_2d(np.asarray(y_stack, dtype=np.float64))
-    n_pairs, n = x_stack.shape
-    m = y_stack.shape[1]
+    n_pairs = x_stack.shape[0]
     eps = np.asarray(epsilon, dtype=np.float64)
     if eps.ndim not in (0, 1) or (eps.ndim == 1 and eps.shape != (n_pairs,)):
         raise InvalidParameterError(
@@ -411,40 +411,4 @@ def dtw_hits_paired(
         )
     if np.any(eps < 0.0):
         raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
-
-    def _per_row(values, rows):
-        return values[rows] if values.ndim else values
-
-    hits = np.zeros(n_pairs, dtype=bool)
-    guard_hi = eps * (1.0 + PRUNE_SLACK)
-    guard_lo = eps * (1.0 - PRUNE_SLACK)
-
-    undecided = lb_kim_paired(x_stack, y_stack) <= guard_hi
-    if envelope is not None and np.any(undecided):
-        lower, upper = envelope
-        lower = np.asarray(lower, dtype=np.float64)
-        upper = np.asarray(upper, dtype=np.float64)
-        alive = np.flatnonzero(undecided)
-        if lower.ndim == 2 and lower.shape[0] == n_pairs:
-            # Per-row envelope stacks: keep each alive row paired with
-            # its own candidate envelope.
-            keogh = lb_keogh_stack(
-                x_stack[alive], lower[alive], upper[alive]
-            )
-        else:
-            keogh = lb_keogh_stack(x_stack[alive], lower, upper)
-        undecided[alive[keogh > _per_row(guard_hi, alive)]] = False
-    if n == m and np.any(undecided):
-        alive = np.flatnonzero(undecided)
-        residual = x_stack[alive] - y_stack[alive]
-        euclid = np.sqrt(np.einsum("ij,ij->i", residual, residual))
-        sure = euclid <= _per_row(guard_lo, alive)
-        hits[alive[sure]] = True
-        undecided[alive[sure]] = False
-    if np.any(undecided):
-        alive = np.flatnonzero(undecided)
-        distances = dtw_distance_paired(
-            x_stack[alive], y_stack[alive], window=window
-        )
-        hits[alive] = distances <= _per_row(eps, alive)
-    return hits
+    return dtw_distance_paired(x_stack, y_stack, window=window) <= eps

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.errors import InvalidParameterError
+from ..core.summaries import GEMM_REFINE_THRESHOLD
 from .base import check_aligned
 
 
@@ -75,13 +76,6 @@ def euclidean_profile(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         )
     difference = matrix - query[None, :]
     return np.sqrt(np.einsum("ij,ij->i", difference, difference))
-
-
-#: Entries of the GEMM-identity squared matrix below this fraction of the
-#: norm scale are recomputed exactly: the ``||r||² + ||c||² − 2 r·c``
-#: expansion cancels catastrophically for near-duplicate pairs, and the
-#: final square root amplifies that absolute error.
-GEMM_REFINE_THRESHOLD = 1e-8
 
 
 def squared_euclidean_matrix(

@@ -135,6 +135,30 @@ def _convolve_with_overflow(
     return out
 
 
+def draw_choices(
+    length: int,
+    x_width: int,
+    y_width: int,
+    n_samples: int,
+    rng: SeedLike = None,
+) -> tuple:
+    """The sample-choice indices behind :func:`draw_materialization_pairs`.
+
+    ``(x_choices, y_choices)``, each ``(n_samples, length)``: one uniform
+    pick among ``x_width`` / ``y_width`` samples per timestamp.  A seed
+    (int or ``None``) restarts its generator on every call, so every pair
+    of one shape draws the same indices — which lets the batched
+    MUNICH-DTW refine draw them once and gather every cell's
+    materializations in one go.
+    """
+    if n_samples < 1:
+        raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
+    generator = make_rng(rng)
+    x_choices = generator.integers(0, x_width, size=(n_samples, length))
+    y_choices = generator.integers(0, y_width, size=(n_samples, length))
+    return x_choices, y_choices
+
+
 def draw_materialization_pairs(
     x: MultisampleUncertainTimeSeries,
     y: MultisampleUncertainTimeSeries,
@@ -149,17 +173,15 @@ def draw_materialization_pairs(
     batched MUNICH-DTW kernel), so a seeded ``rng`` yields identical
     materializations regardless of which evaluator consumes them.
     """
-    if n_samples < 1:
-        raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
     if len(x) != len(y):
         raise InvalidParameterError(
             f"series lengths differ: {len(x)} != {len(y)}"
         )
-    generator = make_rng(rng)
-    n = len(x)
-    x_choices = generator.integers(0, x.samples_per_timestamp, size=(n_samples, n))
-    y_choices = generator.integers(0, y.samples_per_timestamp, size=(n_samples, n))
-    rows = np.arange(n)
+    x_choices, y_choices = draw_choices(
+        len(x), x.samples_per_timestamp, y.samples_per_timestamp,
+        n_samples, rng,
+    )
+    rows = np.arange(len(x))
     return (
         x.samples[rows[None, :], x_choices],
         y.samples[rows[None, :], y_choices],

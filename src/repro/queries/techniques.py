@@ -95,6 +95,7 @@ from ..core.uncertain import (
 )
 from ..distances.dtw_batch import (
     PRUNE_SLACK,
+    diagonal_slices,
     dtw_hits_paired,
     rolling_dtw_from_cost_fn,
     rolling_stack_blocks,
@@ -110,7 +111,7 @@ from ..dust.distance import Dust
 from ..dust.tables import DustTableCache
 from ..munich.batch import convolved_probability_batch
 from ..munich.bounds import interval_gap_and_span
-from ..munich.exact import draw_materialization_pairs
+from ..munich.exact import draw_choices, draw_materialization_pairs
 from ..munich.query import Munich
 from ..proud.query import Proud
 from ..stats.normal import std_normal_cdf
@@ -141,7 +142,7 @@ MATRIX_BLOCK_ELEMENTS = 1 << 16
 
 #: Element budget for one batched Monte Carlo refinement block: bounds
 #: the ``(cells · s, n)`` stacked draw tensors the MUNICH-DTW refine
-#: stage pushes through one pruning-cascade call.
+#: stage pushes through one DP call.
 MC_BATCH_ELEMENTS = 1 << 20
 
 
@@ -1336,20 +1337,22 @@ def _dust_dtw_stack(
 ) -> np.ndarray:
     """Banded DTW of one query against a value stack under one DUST table.
 
-    The stack advances through the rolling three-diagonal state with
-    ``dust²`` costs produced per diagonal for the in-band cells only,
-    so neither the ``(B, n, m)`` cost tensor nor the full DP state is
-    ever materialized.
+    Each block of the stack is transposed once into the rolling state's
+    ``(rows, B)`` layout, and ``dust²`` costs are produced per diagonal
+    for the in-band cells only, so neither the ``(B, n, m)`` cost tensor
+    nor the full DP state is ever materialized.
     """
     n = query_values.size
     n_pairs, m = candidate_values.shape
+    query_rows = query_values[:, None]
     out = np.empty(n_pairs)
     for start, stop in rolling_stack_blocks(n_pairs, n, m):
-        block = candidate_values[start:stop]
+        block = np.ascontiguousarray(candidate_values[start:stop].T)
 
         def cost_fn(rows, cols, block=block):
+            row_slice, col_slice = diagonal_slices(rows, cols)
             return table.dust_squared(
-                np.abs(query_values[rows][None, :] - block[:, cols])
+                np.abs(query_rows[row_slice] - block[col_slice])
             )
 
         out[start:stop] = rolling_dtw_from_cost_fn(
@@ -1365,17 +1368,20 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
     :meth:`~repro.munich.Munich.dtw_probability` counts matching
     materialization pairs by Monte Carlo — per pair, one full Python DP
     per drawn sample.  The batch path draws the *same* seeded
-    materializations and pushes the whole draw stack through the pruning
-    cascade + wavefront DP of :func:`~repro.distances.dtw_batch.dtw_hits_paired`,
-    with two collection-level stages reusing cached engine stacks:
+    materializations (a seed makes every cell's choice indices equal, so
+    they are drawn once per refine call) and pushes the whole draw stack
+    through the rolling wavefront DP of
+    :func:`~repro.distances.dtw_batch.dtw_hits_paired`, after two
+    collection-level stages that reuse cached engine stacks:
 
     * a band-inflated bounding-interval envelope lower bound — candidates
       no materialization can reach are 0.0 without sampling;
     * the diagonal-path interval span upper bound — candidates every
       materialization matches are 1.0 without sampling.
 
-    Both stages and the per-sample cascade are slack-guarded, so a seeded
-    technique returns exactly the per-pair probabilities.
+    Both stages are slack-guarded and every draw's verdict is the exact
+    DP's, so a seeded technique returns exactly the per-pair
+    probabilities.
     """
 
     name = "MUNICH-DTW"
@@ -1525,10 +1531,9 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
 
         Every undecided pair draws its full seeded materialization
         stack; with ``tau`` given the stack is evaluated in escalating
-        rounds through the DTW pruning cascade and stops at the first
-        round whose hit count settles the ``>= τ`` verdict, otherwise
-        the whole stack is evaluated (the fixed-``s`` path, exact
-        per-pair parity).
+        rounds and stops at the first round whose hit count settles the
+        ``>= τ`` verdict, otherwise the whole stack is evaluated (the
+        fixed-``s`` path, exact per-pair parity).
         """
         if kind != "probability":
             return super().refine_matrix(
@@ -1546,124 +1551,131 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
                     )
                     refined += 1
             return refined, 0
-        materialized = self.engine.materialize(collection)
-        envelopes = materialized.dtw_envelopes(self.window)
         n_samples = self._munich.n_samples
         length = max(1, len(collection[0]) if len(collection) else 1)
         cell_block = max(1, MC_BATCH_ELEMENTS // (n_samples * length))
+        draw_cells = self._cell_draws(queries, collection)
         # Row-major cell order — identical to the per-pair path, so
         # seeded streams line up draw for draw.
         cell_rows, cell_cols = np.nonzero(undecided)
         for start in range(0, cell_rows.size, cell_block):
             rows = cell_rows[start:start + cell_block]
             cols = cell_cols[start:start + cell_block]
-            if tau is None:
-                samples += self._mc_fixed_cells(
-                    queries, collection, rows, cols, epsilon, envelopes,
-                    out,
-                )
-            else:
-                samples += self._mc_adaptive_cells(
-                    queries, collection, rows, cols, epsilon, tau,
-                    envelopes, out,
-                )
+            samples += self._mc_cells(
+                draw_cells(rows, cols), rows, cols, epsilon, tau, out
+            )
             refined += rows.size
         return refined, samples
 
-    def _draw_cells(self, queries, collection, rows, cols):
-        """Seeded draw stacks for a batch of ``(row, col)`` cells.
+    def _cell_draws(self, queries, collection):
+        """A ``(rows, cols) -> (x, y)`` source of seeded draws per cell.
 
-        One :func:`draw_materialization_pairs` call per cell, in cell
-        order — exactly the per-pair evaluator's consumption pattern,
-        so a seeded technique materializes identical draws.
+        Each side is a :func:`_draw_stack` source ``(values, slots,
+        offsets)``: cell ``c``'s draw ``k`` at timestamp ``t`` is
+        ``values[slots[c]].flat[offsets[t, k]]``, equal to what
+        :func:`draw_materialization_pairs` gives the per-pair evaluator
+        of ``(queries[rows[c]], collection[cols[c]])``.
+
+        * A seed (int or ``None``) restarts its generator for every cell,
+          so all cells of one shape share their choice indices.  They are
+          drawn once per refine call and turned into offsets into the
+          engine's cached samples tensor (candidates) and into the
+          batch's distinct query rows — nothing is materialized until a
+          round gathers exactly the draws it evaluates.
+        * A :class:`numpy.random.Generator` is consumed cell by cell in
+          row-major cell order, the stream order the per-pair path
+          defines; ragged collections (no samples tensor) and query rows
+          of mixed shapes also draw per cell.
         """
-        x_parts = []
-        y_parts = []
-        for row, col in zip(rows, cols):
-            x_values, y_values = draw_materialization_pairs(
-                queries[row],
-                collection[col],
-                self._munich.n_samples,
-                self._munich.rng,
+        rng = self._munich.rng
+        n_samples = self._munich.n_samples
+        tensor = self.engine.materialize(collection).samples_tensor()
+        offsets: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+
+        def per_cell(rows, cols):
+            pairs = [
+                draw_materialization_pairs(
+                    queries[row], collection[col], n_samples, rng
+                )
+                for row, col in zip(rows, cols)
+            ]
+            # Row c holds cell c's draws timestamp-major: t·S + k.
+            length = pairs[0][0].shape[1]
+            slots = np.arange(len(pairs))
+            drawn = np.arange(length * n_samples).reshape(length, n_samples)
+            x_values = np.stack([x.T.ravel() for x, _ in pairs])
+            y_values = np.stack([y.T.ravel() for _, y in pairs])
+            return (x_values, slots, drawn), (y_values, slots, drawn)
+
+        if tensor is None or isinstance(rng, np.random.Generator):
+            return per_cell
+        length, width = tensor.shape[1], tensor.shape[2]
+        candidates = tensor.reshape(tensor.shape[0], -1)
+        timestamps = np.arange(length)[:, None]
+
+        def gathered(rows, cols):
+            unique_rows, inverse = np.unique(rows, return_inverse=True)
+            batch = [queries[row] for row in unique_rows]
+            shapes = {query.samples.shape for query in batch}
+            if len(shapes) != 1 or len(batch[0]) != length:
+                return per_cell(rows, cols)
+            shape = shapes.pop()
+            if shape not in offsets:
+                x_choices, y_choices = draw_choices(
+                    length, shape[1], width, n_samples, rng
+                )
+                offsets[shape] = (
+                    timestamps * shape[1] + x_choices.T,
+                    timestamps * width + y_choices.T,
+                )
+            x_offsets, y_offsets = offsets[shape]
+            query_values = np.stack([query.samples.ravel() for query in batch])
+            return (
+                (query_values, inverse, x_offsets),
+                (candidates, cols, y_offsets),
             )
-            x_parts.append(x_values)
-            y_parts.append(y_values)
-        return x_parts, y_parts
 
-    def _mc_fixed_cells(
-        self, queries, collection, rows, cols, epsilon, envelopes, out
-    ) -> int:
-        """Full-``s`` Monte Carlo for a cell batch, one stacked cascade.
+        return gathered
 
-        All cells' draw stacks advance through one
-        :func:`~repro.distances.dtw_batch.dtw_hits_paired` call —
-        per-row envelope stacks pair each draw with its candidate's
-        envelope, and the per-row ε vector pairs it with its query's
-        threshold.  Per-row verdicts are independent, so the per-cell
-        hit fractions are bit-identical to evaluating each cell alone.
+    def _mc_cells(self, draws, rows, cols, epsilon, tau, out) -> int:
+        """Monte Carlo hit counting for a cell batch.
+
+        Each round gathers the still-active cells' next draw chunks into
+        one :func:`~repro.distances.dtw_batch.dtw_hits_paired` call, the
+        per-row ε vector pairing each draw with its query's threshold.
+        Without ``tau`` one round evaluates every draw (the fixed-``s``
+        path: per-cell hit fractions bit-identical to each cell alone).
+        With ``tau`` the rounds escalate geometrically and
+        :func:`~repro.queries.planner.sequential_mc_verdict` retires
+        every cell whose ``>= τ`` verdict is already determined (for a
+        grid ``tau`` tuple: whose verdict is the same at every grid
+        threshold).  Returns the number of draws evaluated.
         """
-        env_lower, env_upper = envelopes
         n_samples = self._munich.n_samples
-        x_parts, y_parts = self._draw_cells(queries, collection, rows, cols)
-        hits = dtw_hits_paired(
-            np.concatenate(x_parts),
-            np.concatenate(y_parts),
-            np.repeat(epsilon[rows], n_samples),
-            window=self.window,
-            envelope=(
-                np.repeat(env_lower[cols], n_samples, axis=0),
-                np.repeat(env_upper[cols], n_samples, axis=0),
-            ),
-        )
-        out[rows, cols] = hits.reshape(rows.size, n_samples).mean(axis=1)
-        return rows.size * n_samples
-
-    def _mc_adaptive_cells(
-        self, queries, collection, rows, cols, epsilon, tau, envelopes, out
-    ) -> int:
-        """Adaptive Monte Carlo for a cell batch (sequential stopping).
-
-        The same seeded draws as :meth:`_mc_fixed_cells`, evaluated in
-        geometrically escalating rounds; each round stacks the
-        still-active cells' next draw chunks through one cascade call,
-        then :func:`~repro.queries.planner.sequential_mc_verdict`
-        retires every cell whose ``>= τ`` verdict is already
-        determined (for a grid ``tau`` tuple: whose verdict is the same
-        at every grid threshold).  Returns the number of draws actually
-        evaluated.
-        """
-        env_lower, env_upper = envelopes
-        n_samples = self._munich.n_samples
-        schedule = adaptive_mc_schedule(n_samples)
-        x_parts, y_parts = self._draw_cells(queries, collection, rows, cols)
+        x_side, y_side = draws
         hit_counts = np.zeros(rows.size, dtype=np.intp)
         active = np.arange(rows.size)
         evaluated = 0
         total = 0
+        schedule = (
+            [n_samples] if tau is None else adaptive_mc_schedule(n_samples)
+        )
         for target in schedule:
             if active.size == 0:
                 break
             chunk = target - evaluated
-            x_stack = np.concatenate(
-                [x_parts[i][evaluated:target] for i in active]
-            )
-            y_stack = np.concatenate(
-                [y_parts[i][evaluated:target] for i in active]
-            )
-            chunk_cols = cols[active]
             chunk_hits = dtw_hits_paired(
-                x_stack,
-                y_stack,
+                _draw_stack(x_side, active, evaluated, target).T,
+                _draw_stack(y_side, active, evaluated, target).T,
                 np.repeat(epsilon[rows[active]], chunk),
                 window=self.window,
-                envelope=(
-                    np.repeat(env_lower[chunk_cols], chunk, axis=0),
-                    np.repeat(env_upper[chunk_cols], chunk, axis=0),
-                ),
             ).reshape(active.size, chunk)
             hit_counts[active] += chunk_hits.sum(axis=1)
             total += active.size * chunk
             evaluated = target
+            if tau is None:
+                out[rows, cols] = hit_counts / n_samples
+                break
             survivors = []
             for i in active:
                 verdict = sequential_mc_verdict(
@@ -1675,3 +1687,19 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
                     out[rows[i], cols[i]] = verdict
             active = np.asarray(survivors, dtype=np.intp)
         return total
+
+
+def _draw_stack(side, cells: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Draws ``start:stop`` of ``cells`` as one ``(n, cells · draws)`` stack.
+
+    ``side`` is ``(values, slots, offsets)``: cell ``c``'s draws live in
+    row ``slots[c]`` of the 2-D ``values`` at the ``(n, S)`` flat
+    ``offsets``.  One ``np.take`` gathers the stack C-contiguous with
+    the pair axis innermost — the rolling DP state's layout, so its
+    transposed view reaches the kernel with nothing left to copy.
+    """
+    values, slots, offsets = side
+    index = (slots[cells] * values.shape[1])[None, :, None] + offsets[
+        :, None, start:stop
+    ]
+    return np.take(values, index).reshape(offsets.shape[0], -1)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ErrorModel,
@@ -29,9 +31,7 @@ from repro.distances import (
     keogh_envelope,
     keogh_envelope_stack,
     lb_keogh,
-    lb_keogh_stack,
     lb_kim,
-    lb_kim_paired,
     rolling_dtw_from_cost_fn,
     rolling_dtw_paired,
     rolling_dtw_stack,
@@ -129,15 +129,6 @@ class TestWavefrontKernel:
 
 
 class TestBoundStacks:
-    def test_lb_kim_paired_matches(self):
-        rng = np.random.default_rng(5)
-        x_stack = rng.normal(size=(9, 14))
-        y_stack = rng.normal(size=(9, 14))
-        reference = np.array(
-            [lb_kim(a, b) for a, b in zip(x_stack, y_stack)]
-        )
-        assert np.array_equal(lb_kim_paired(x_stack, y_stack), reference)
-
     def test_envelope_stack_matches_per_series(self):
         rng = np.random.default_rng(6)
         stack = rng.normal(size=(5, 17))
@@ -152,15 +143,6 @@ class TestBoundStacks:
         with pytest.raises(InvalidParameterError):
             keogh_envelope_stack(np.zeros((2, 5)), -1)
 
-    def test_lb_keogh_stack_matches(self):
-        rng = np.random.default_rng(7)
-        x_stack = rng.normal(size=(8, 21))
-        y = rng.normal(size=21)
-        lower, upper = keogh_envelope_stack(y[None, :], 3)
-        batch = lb_keogh_stack(x_stack, lower, upper)
-        reference = np.array([lb_keogh(x, y, 3) for x in x_stack])
-        np.testing.assert_allclose(batch, reference, atol=1e-12)
-
     def test_bounds_bracket_dtw(self):
         """LB_Kim and LB_Keogh never exceed the banded DTW distance."""
         rng = np.random.default_rng(8)
@@ -169,9 +151,8 @@ class TestBoundStacks:
         y_stack = np.broadcast_to(y, x_stack.shape)
         for window in (1, 4):
             distances = dtw_distance_paired(x_stack, y_stack, window=window)
-            kim = lb_kim_paired(x_stack, y_stack)
-            lower, upper = keogh_envelope_stack(y[None, :], window)
-            keogh = lb_keogh_stack(x_stack, lower, upper)
+            kim = np.array([lb_kim(x, y) for x in x_stack])
+            keogh = np.array([lb_keogh(x, y, window) for x in x_stack])
             assert np.all(kim <= distances + 1e-12)
             assert np.all(keogh <= distances + 1e-12)
 
@@ -195,25 +176,16 @@ class TestPrunedHits:
                 assert np.array_equal(hits, distances <= epsilon)
 
     def test_hits_with_shared_envelope(self):
-        """A bounding-interval envelope prunes without changing verdicts."""
+        """Draws scattered around one candidate — the shape MUNICH-DTW
+        evaluates — get the exact DTW's verdicts."""
         rng = np.random.default_rng(10)
         window = 3
         base = rng.normal(size=22)
         y_stack = base + 0.2 * rng.normal(size=(30, 22))
         x_stack = rng.normal(size=(30, 22))
-        interval_low = y_stack.min(axis=0)
-        interval_high = y_stack.max(axis=0)
-        lower, _ = keogh_envelope_stack(interval_low[None, :], window)
-        _, upper = keogh_envelope_stack(interval_high[None, :], window)
         distances = dtw_distance_paired(x_stack, y_stack, window=window)
         epsilon = float(np.median(distances))
-        hits = dtw_hits_paired(
-            x_stack,
-            y_stack,
-            epsilon,
-            window=window,
-            envelope=(lower, upper),
-        )
+        hits = dtw_hits_paired(x_stack, y_stack, epsilon, window=window)
         assert np.array_equal(hits, distances <= epsilon)
 
     def test_negative_epsilon_rejected(self):
@@ -488,6 +460,90 @@ class TestMunichDtwTechnique:
                 )[0],
             )
 
+    def test_generator_stream_matches_per_pair_loop(self, workload):
+        """A Generator rng is consumed per cell in row-major cell order:
+        the matrix equals a per-pair loop over a fresh generator of the
+        same seed."""
+        _, multisample = workload
+        queries = multisample[:3]
+        epsilons = np.array([2.0, 2.5, 3.0])
+
+        def technique():
+            return MunichDtwTechnique(
+                window=2,
+                munich=Munich(
+                    tau=0.5,
+                    method="montecarlo",
+                    n_samples=25,
+                    rng=np.random.default_rng(5),
+                ),
+                use_bounds=False,
+                index_segments=None,
+            )
+
+        matrix = technique().probability_matrix(
+            queries, multisample, epsilons
+        )
+        reference_technique = technique()
+        reference = np.array([
+            [
+                reference_technique.probability(
+                    query, candidate, float(epsilon)
+                )
+                for candidate in multisample
+            ]
+            for query, epsilon in zip(queries, epsilons)
+        ])
+        assert np.array_equal(matrix, reference)
+
+    def test_ragged_collection_matches_per_pair(self):
+        """Mixed samples per timestamp leave the engine without a
+        samples tensor; the per-cell draws still equal the per-pair
+        path."""
+        rng = np.random.default_rng(12)
+        series = [
+            MultisampleUncertainTimeSeries(
+                rng.normal(size=(10, 2 + index % 3))
+            )
+            for index in range(7)
+        ]
+        technique = MunichDtwTechnique(
+            window=2,
+            munich=Munich(tau=0.5, method="montecarlo", n_samples=30, rng=6),
+        )
+        assert technique.engine.materialize(series).samples_tensor() is None
+        matrix = technique.probability_matrix(series[:3], series, 2.5)
+        reference = np.array([
+            [technique.probability(query, candidate, 2.5)
+             for candidate in series]
+            for query in series[:3]
+        ])
+        assert np.array_equal(matrix, reference)
+
+    def test_mixed_query_shapes_match_per_pair(self, workload):
+        """Queries with another sample count than the collection (and
+        than each other) draw other choice indices; the gathered draws
+        follow each query's shape."""
+        _, multisample = workload
+        rng = np.random.default_rng(13)
+        length = len(multisample[0])
+        queries = [
+            MultisampleUncertainTimeSeries(rng.normal(size=(length, width)))
+            for width in (3, 5, 5)
+        ]
+        technique = MunichDtwTechnique(
+            window=2,
+            munich=Munich(tau=0.5, method="montecarlo", n_samples=30, rng=8),
+        )
+        for batch in (queries[:1], queries[1:], queries):
+            matrix = technique.probability_matrix(batch, multisample, 3.0)
+            reference = np.array([
+                [technique.probability(query, candidate, 3.0)
+                 for candidate in multisample]
+                for query in batch
+            ])
+            assert np.array_equal(matrix, reference)
+
     def test_naive_method_falls_back(self):
         rng = np.random.default_rng(11)
         series = [
@@ -627,18 +683,54 @@ class TestRollingDiagonalKernel:
 
     def test_cost_fn_form_supports_custom_costs(self):
         # The generic entry point reproduces squared-difference DTW when
-        # handed the same per-diagonal costs.
+        # handed the same per-diagonal costs in the (len(rows), B) layout.
         rng = np.random.default_rng(23)
         x = rng.normal(size=(3, 9))
         y = rng.normal(size=(3, 9))
 
         def cost_fn(rows, cols):
-            residual = x[:, rows] - y[:, cols]
+            residual = x.T[rows] - y.T[cols]
+            assert residual.shape == (rows.size, 3)
             return residual * residual
 
         rolled = rolling_dtw_from_cost_fn(3, 9, 9, cost_fn, window=2)
         reference = dtw_distance_paired(x, y, window=2)
         assert np.array_equal(rolled, reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rolling_equals_full_state_property(self, data):
+        """Property: for any stack size, unequal lengths and a band that
+        is absent, zero-width or wider than both series, the rolling
+        kernel is ``array_equal`` to the full-state reference, and
+        ``dtw_hits_paired`` is the exact DP verdict per row."""
+        n_pairs = data.draw(st.integers(min_value=1, max_value=40))
+        n = data.draw(st.integers(min_value=1, max_value=24))
+        m = data.draw(
+            st.integers(min_value=1, max_value=24).filter(lambda v: v != n)
+        )
+        window = data.draw(
+            st.one_of(
+                st.none(),
+                st.just(0),
+                st.integers(min_value=max(n, m), max_value=max(n, m) + 4),
+            )
+        )
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n_pairs, n))
+        y = rng.normal(size=(n_pairs, m))
+        reference = banded_dtw_from_costs(
+            (x[:, :, None] - y[:, None, :]) ** 2, window
+        )
+        rolled = rolling_dtw_paired(x, y, window=window)
+        assert np.array_equal(rolled, reference)
+        epsilon = rng.uniform(0.0, 1.2, size=n_pairs) * reference
+        epsilon[::3] = reference[::3]  # ties sit exactly on the threshold
+        hits = dtw_hits_paired(x, y, epsilon, window=window)
+        assert np.array_equal(
+            hits, dtw_distance_paired(x, y, window=window) <= epsilon
+        )
 
     def test_dust_dtw_profile_long_series_parity(self):
         # DUST-DTW's rolling kernel on the longest series GunPoint

@@ -7,12 +7,21 @@ import importlib
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
 import repro
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+SUBPACKAGES = sorted(
+    info.name
+    for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
+)
 
 
 def _walk_modules():
@@ -45,6 +54,18 @@ class TestPublicSurface:
                 if callable(obj) and not getattr(obj, "__doc__", None):
                     undocumented.append(f"{module_name}.{name}")
         assert not undocumented, undocumented
+
+    @pytest.mark.parametrize("subpackage", SUBPACKAGES)
+    def test_subpackage_imports_first(self, subpackage, subprocess_env):
+        """Every subpackage imports on its own in a fresh interpreter,
+        with no other ``repro`` module loaded before it."""
+        result = subprocess.run(
+            [sys.executable, "-c", f"import repro.{subpackage}"],
+            env=subprocess_env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_version_consistent_with_pyproject(self):
         with open(os.path.join(REPO_ROOT, "pyproject.toml")) as handle:
