@@ -51,7 +51,6 @@ CORRECTNESS_FLAGS = (
     ("parity", "all_ok"),
     ("index", "all_ok"),
     ("service", "all_ok"),
-    ("cluster", "all_ok"),
 )
 
 

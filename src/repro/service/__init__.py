@@ -16,14 +16,16 @@ service subsystem turns that library into a long-lived system:
   and draining in-flight work on shutdown;
 * :mod:`repro.service.batching` — admission control that coalesces
   compatible queued requests (same collection / technique / parameters)
-  into one planner ``(M, N)`` matrix execution per tick and scatters
-  the per-query results;
+  into one planner ``(M, N)`` matrix execution and scatters the
+  per-query results; a batch key with nothing executing dispatches at
+  once, and later requests coalesce behind the running batch;
 * :mod:`repro.service.client` — a blocking :class:`ServiceClient` for
   scripts and the ``python -m repro.cli query`` command;
 * :mod:`repro.service.cluster` — distributed scatter-gather serving: a
   catalog shard map routes contiguous candidate slices of one
   collection to shard daemons, and :class:`ClusterCoordinator` scatters
-  each query, hedges slow shards, and merges replies bit-identically to
+  each query, retries a failed shard once (and hedges a slow one only
+  under a fixed ``hedge_after``), and merges replies bit-identically to
   an in-process session.  :func:`connect` is the one entry point over
   every deployment shape.
 

@@ -5,12 +5,11 @@ the engine materializations, bound stacks and GEMM blocks are all batch
 structures.  The batcher exploits that: queued requests that would
 execute *identically* (same collection, same technique key, same
 decision parameters) are coalesced into one planner ``(M, N)`` matrix
-execution per tick, then the per-query rows are scattered back to their
-requests.  Two knobs bound the added latency:
-
-* ``max_batch`` — a full batch dispatches immediately;
-* ``max_delay`` — a partial batch dispatches when its oldest request
-  has waited this long (seconds).
+execution, then the per-query rows are scattered back to their
+requests.  Nothing waits on a timer: a batch key with nothing executing
+dispatches on the next event-loop tick, and requests that arrive while
+its batch executes coalesce into the batch that starts when it
+finishes (at most :data:`MAX_BATCH` jobs).
 
 The module is split so the semantics are testable without a daemon:
 
@@ -18,9 +17,9 @@ The module is split so the semantics are testable without a daemon:
   :func:`merge_requests` (stack the query rows + per-query ε) and
   :func:`scatter_rows` (slice a batch result back per request) — that
   works on any :class:`~repro.queries.session.SimilaritySession`;
-* an **asyncio queue** — :class:`BatchQueue` — that owns the timers and
-  futures; the daemon supplies the dispatch coroutine (which runs the
-  merged kernel in its thread pool).
+* an **asyncio queue** — :class:`BatchQueue` — that owns the waiting
+  jobs and their futures; the daemon supplies the dispatch coroutine
+  (which runs the merged kernel in its thread pool).
 
 Coalescing never changes results: the planner's matrix kernels are
 row-independent (per-query ε vectors, row-wise kNN merges, per-row
@@ -49,6 +48,9 @@ from ..queries.session import (
 )
 from ..queries.techniques import Technique
 from .registry import batch_key  # noqa: F401  (canonical home; re-exported)
+
+#: Most jobs one batch takes; a longer backlog runs as consecutive batches.
+MAX_BATCH = 32
 
 
 def _batch_policy(jobs: Sequence[QueryJob]) -> Optional[PlanPolicy]:
@@ -295,18 +297,8 @@ class BatchInfo:
         }
 
 
-class _PendingBatch:
-    __slots__ = ("jobs", "futures", "timer", "dispatched")
-
-    def __init__(self) -> None:
-        self.jobs: List[QueryJob] = []
-        self.futures: List[asyncio.Future] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
-        self.dispatched = False
-
-
 class BatchQueue:
-    """Coalesce submitted jobs per key; dispatch full or expired batches.
+    """Coalesce submitted jobs per key; one batch per key runs at a time.
 
     ``dispatch(key, jobs)`` is awaited off the queue's internal task and
     must return one result per job (the daemon runs the merged kernel in
@@ -314,35 +306,20 @@ class BatchQueue:
     exception is delivered to every member request's future — one bad
     batch never wedges the queue.
 
-    ``max_batch`` jobs dispatch immediately; otherwise the batch waits
-    at most ``max_delay`` seconds from its *first* admission (a
-    timeout-expired partial batch runs with whatever coalesced by then).
+    A key with nothing executing dispatches on the next event-loop tick,
+    so jobs admitted in the same tick share one batch.  Jobs submitted
+    while the key's batch executes wait behind it and start together
+    when it finishes, :data:`MAX_BATCH` at a time.
     """
 
     def __init__(
         self,
         dispatch: Callable[[Tuple, List[QueryJob]], Awaitable[List[Any]]],
-        max_batch: int = 32,
-        max_delay: float = 0.002,
     ) -> None:
-        if max_batch < 1:
-            raise InvalidParameterError(
-                f"max_batch must be >= 1, got {max_batch}"
-            )
-        if max_delay < 0:
-            raise InvalidParameterError(
-                f"max_delay must be >= 0, got {max_delay}"
-            )
         self._dispatch = dispatch
-        self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay)
-        self._pending: Dict[Tuple, _PendingBatch] = {}
+        self._waiting: Dict[Tuple, List[Tuple[QueryJob, asyncio.Future]]] = {}
+        self._busy: set = set()
         self._tasks: set = set()
-
-    @property
-    def in_flight(self) -> int:
-        """Dispatched batches still executing."""
-        return len(self._tasks)
 
     async def submit(self, key: Tuple, job: QueryJob) -> Tuple[Any, BatchInfo]:
         """Admit one job; resolves to ``(result, batch_info)``.
@@ -353,64 +330,61 @@ class BatchQueue:
         """
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        pending = self._pending.get(key)
-        if pending is None or pending.dispatched:
-            pending = _PendingBatch()
-            self._pending[key] = pending
-            if self.max_batch > 1 and self.max_delay > 0:
-                pending.timer = loop.call_later(
-                    self.max_delay, self._flush, key, pending
-                )
-        pending.jobs.append(job)
-        pending.futures.append(future)
-        if len(pending.jobs) >= self.max_batch or pending.timer is None:
-            self._flush(key, pending)
+        self._waiting.setdefault(key, []).append((job, future))
+        if key not in self._busy:
+            self._busy.add(key)
+            loop.call_soon(self._start, key)
         return await future
 
-    def _flush(self, key: Tuple, pending: _PendingBatch) -> None:
-        if pending.dispatched:
+    def _start(self, key: Tuple) -> None:
+        """Dispatch the key's waiting jobs, or mark the key idle."""
+        waiting = self._waiting.get(key)
+        if not waiting:
+            self._waiting.pop(key, None)
+            self._busy.discard(key)
             return
-        pending.dispatched = True
-        if pending.timer is not None:
-            pending.timer.cancel()
-        if self._pending.get(key) is pending:
-            del self._pending[key]
-        task = asyncio.get_running_loop().create_task(
-            self._run(key, pending)
-        )
+        batch = waiting[:MAX_BATCH]
+        del waiting[:MAX_BATCH]
+        task = asyncio.get_running_loop().create_task(self._run(key, batch))
         self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(lambda done: self._finish(key, done))
 
-    async def _run(self, key: Tuple, pending: _PendingBatch) -> None:
+    def _finish(self, key: Tuple, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        self._start(key)
+
+    async def _run(
+        self, key: Tuple, batch: List[Tuple[QueryJob, asyncio.Future]]
+    ) -> None:
         dispatched_at = time.monotonic()
-        n_queries = sum(job.n_queries for job in pending.jobs)
+        jobs = [job for job, _ in batch]
+        n_queries = sum(job.n_queries for job in jobs)
         try:
-            results = await self._dispatch(key, pending.jobs)
-            if len(results) != len(pending.jobs):
+            results = await self._dispatch(key, jobs)
+            if len(results) != len(jobs):
                 raise InvalidParameterError(
                     f"dispatch returned {len(results)} results for "
-                    f"{len(pending.jobs)} jobs"
+                    f"{len(jobs)} jobs"
                 )
         except BaseException as error:  # delivered, never swallowed
-            for future in pending.futures:
+            for _, future in batch:
                 if not future.done():
                     future.set_exception(error)
             return
-        for job, future, result in zip(
-            pending.jobs, pending.futures, results
-        ):
+        for (job, future), result in zip(batch, results):
             if future.done():
                 continue  # requester gave up (per-request timeout)
             info = BatchInfo(
-                size=len(pending.jobs),
+                size=len(jobs),
                 n_queries=n_queries,
                 waited_ms=(dispatched_at - job.enqueued) * 1e3,
             )
             future.set_result((result, info))
 
     async def drain(self) -> None:
-        """Dispatch every pending batch and wait for all work to finish."""
-        for key, pending in list(self._pending.items()):
-            self._flush(key, pending)
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        """Wait until no batch runs and no job waits."""
+        while self._busy:
+            if self._tasks:
+                await asyncio.gather(*list(self._tasks), return_exceptions=True)
+            else:
+                await asyncio.sleep(0)  # a dispatch is scheduled this tick

@@ -33,7 +33,7 @@ from typing import List, Optional
 from ..queries.planner import POLICY_MODES, PlanPolicy
 from .catalog import ServiceCatalog
 from .client import ServiceClient
-from .daemon import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY, SimilarityDaemon
+from .daemon import SimilarityDaemon
 from .protocol import TECHNIQUE_NAMES
 
 
@@ -60,21 +60,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="NAME=PATH",
         help="register a saved collection before serving (repeatable)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=DEFAULT_MAX_BATCH,
-        help="coalesce at most this many compatible requests per kernel "
-        f"run (default {DEFAULT_MAX_BATCH})",
-    )
-    parser.add_argument(
-        "--max-delay",
-        type=float,
-        default=DEFAULT_MAX_DELAY,
-        metavar="SECONDS",
-        help="hold a partial batch at most this long "
-        f"(default {DEFAULT_MAX_DELAY})",
     )
     parser.add_argument(
         "--timeout",
@@ -119,8 +104,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         announce=announce,
         host=args.host,
         port=args.port,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay,
         default_timeout=args.timeout,
         preload=not args.no_preload,
     )

@@ -14,10 +14,11 @@ answers bit-identically to a single process.  This is the system's one
 sharding path: an in-process session always runs the whole ``(M, N)``
 workload in its own process.  Robustness:
 
-* **hedged retries** — when a shard's reply is slower than a latency
-  percentile of its own history, a duplicate request (same request id)
-  is fired on a second connection; the first reply wins and the late
-  one is discarded by id;
+* **hedged retries** — with a fixed ``hedge_after`` (off by default),
+  a shard reply slower than that fires a duplicate request (same
+  request id) on a second connection; the first reply wins and the
+  late one is discarded by id.  A failed attempt is retried
+  immediately, once, whether or not hedging is on;
 * **deadline budgets** — every shard attempt inherits the remaining
   per-request budget, so one stuck shard cannot absorb the whole
   timeout;
@@ -41,7 +42,6 @@ import queue
 import socket
 import threading
 import time
-from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -68,12 +68,6 @@ from .protocol import (
 
 #: Default per-request wall-clock budget (seconds).
 DEFAULT_TIMEOUT = 60.0
-#: Hedge when a reply is slower than this percentile of the endpoint's
-#: recent latency history (and at least HEDGE_MIN_SAMPLES completed).
-DEFAULT_HEDGE_PERCENTILE = 95.0
-HEDGE_MIN_SAMPLES = 8
-#: Latency history window per endpoint.
-LATENCY_WINDOW = 64
 
 
 class ClusterError(ReproError):
@@ -171,11 +165,9 @@ class ClusterCoordinator:
     connect_timeout:
         TCP connect budget per channel.
     hedge_after:
-        Fixed hedge delay in seconds.  ``None`` (default) derives the
-        delay per endpoint from its own latency history —
-        ``hedge_percentile`` of the last :data:`LATENCY_WINDOW`
-        completions, once :data:`HEDGE_MIN_SAMPLES` are recorded.
-        ``float("inf")`` disables hedging.
+        Fixed hedge delay in seconds: a shard attempt unanswered after
+        this long gets one duplicate.  ``None`` (default) or
+        ``float("inf")`` never hedges.
     allow_partial:
         When a shard fails every attempt, return the survivors' merged
         answer tagged with ``failed_shards`` instead of raising
@@ -188,7 +180,6 @@ class ClusterCoordinator:
         timeout: Optional[float] = DEFAULT_TIMEOUT,
         connect_timeout: Optional[float] = 10.0,
         hedge_after: Optional[float] = None,
-        hedge_percentile: float = DEFAULT_HEDGE_PERCENTILE,
         allow_partial: bool = False,
     ) -> None:
         if not shard_maps:
@@ -202,14 +193,12 @@ class ClusterCoordinator:
         self.timeout = timeout
         self.connect_timeout = connect_timeout
         self.hedge_after = hedge_after
-        self.hedge_percentile = float(hedge_percentile)
         self.allow_partial = bool(allow_partial)
         self._ids = itertools.count()
         self._lock = threading.Lock()
         self._pools: Dict[Tuple[str, int], List[_ShardChannel]] = {}
-        self._latencies: Dict[Tuple[str, int], deque] = {}
         self._closed = False
-        #: Latency-triggered duplicate attempts fired (monotonic).
+        #: Duplicate attempts fired past ``hedge_after`` (monotonic).
         self.hedges_fired = 0
         #: Replies that lost their race and were discarded by id.
         self.duplicates_discarded = 0
@@ -292,27 +281,11 @@ class ClusterCoordinator:
                 return
         channel.close()
 
-    def _record_latency(self, shard: ShardEntry, seconds: float) -> None:
-        key = (shard.host, shard.port)
-        with self._lock:
-            history = self._latencies.setdefault(
-                key, deque(maxlen=LATENCY_WINDOW)
-            )
-            history.append(seconds)
-
-    def _hedge_delay(self, shard: ShardEntry) -> Optional[float]:
+    def _hedge_delay(self) -> Optional[float]:
         """Seconds to wait before hedging, or ``None`` (never hedge)."""
-        if self.hedge_after is not None:
-            if self.hedge_after == float("inf"):
-                return None
-            return float(self.hedge_after)
-        key = (shard.host, shard.port)
-        with self._lock:
-            history = self._latencies.get(key)
-            if history is None or len(history) < HEDGE_MIN_SAMPLES:
-                return None
-            samples = list(history)
-        return float(np.percentile(samples, self.hedge_percentile))
+        if self.hedge_after is None or not np.isfinite(self.hedge_after):
+            return None
+        return float(self.hedge_after)
 
     def close(self) -> None:
         """Close every pooled connection (idempotent)."""
@@ -356,9 +329,7 @@ class ClusterCoordinator:
                         f"shard {shard.endpoint} budget exhausted before "
                         f"send"
                     )
-            started = time.perf_counter()
             response = channel.request(request_id, payload, remaining)
-            self._record_latency(shard, time.perf_counter() - started)
             # The reply is well-formed for *this* request id; whether it
             # wins is decided by the gather loop.  A reply landing after
             # the group resolved is the hedge loser: discard by id.
@@ -412,7 +383,7 @@ class ClusterCoordinator:
             return deadline - time.monotonic()
 
         launch()
-        hedge_delay = self._hedge_delay(shard)
+        hedge_delay = self._hedge_delay()
         errors: List[BaseException] = []
         finished = 0
         while True:
@@ -430,8 +401,8 @@ class ClusterCoordinator:
                 kind, value = outcomes.get(timeout=wait)
             except queue.Empty:
                 if launched == 1 and hedge_delay is not None:
-                    # Primary is slower than its latency percentile:
-                    # fire the duplicate (same request id).
+                    # Primary is slower than hedge_after: fire the
+                    # duplicate (same request id).
                     with self._lock:
                         self.hedges_fired += 1
                     launch()
@@ -1166,6 +1137,9 @@ def connect(
     with identical result structures and validation errors.  A
     ``policy=PlanPolicy(...)`` rides along to whichever session shape
     comes back, switching the index stage on or off uniformly.
+    ``allow_partial`` and ``hedge_after`` configure the shard-fleet
+    shape only (see :class:`ClusterCoordinator`); hedging stays off
+    unless ``hedge_after`` is a finite number of seconds.
     """
     import os
 

@@ -8,7 +8,8 @@ parses and routes: every kernel executes in a thread pool
 (`numpy` releases the GIL inside the GEMM/DP kernels), and compatible
 concurrent requests coalesce through the
 :class:`~repro.service.batching.BatchQueue` into one planner ``(M, N)``
-execution per tick.
+execution.  A batch key with nothing executing dispatches at once;
+requests that arrive while its batch runs coalesce into the next one.
 
 Lifecycle::
 
@@ -44,8 +45,13 @@ from ..core.series import TimeSeries
 from ..queries.engine import QueryEngine
 from ..queries.planner import PlanPolicy
 from ..queries.session import SimilaritySession
-from ..queries.techniques import EuclideanTechnique, Technique
+from ..queries.techniques import (
+    EuclideanTechnique,
+    Technique,
+    _epsilon_vector,
+)
 from .batching import (
+    MAX_BATCH,
     BatchQueue,
     QueryJob,
     batch_key,
@@ -68,12 +74,9 @@ from .protocol import (
     parse_request,
     stats_payload,
     technique_key,
+    wire_number,
 )
 
-#: Default admission knobs: a full batch of 32 dispatches immediately,
-#: a partial batch waits at most 2 ms for company.
-DEFAULT_MAX_BATCH = 32
-DEFAULT_MAX_DELAY = 0.002
 #: How long stop() waits for in-flight work before force-closing.
 DRAIN_TIMEOUT = 30.0
 
@@ -88,8 +91,6 @@ class SimilarityDaemon:
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (read
         :attr:`port` after :meth:`start`).
-    max_batch / max_delay:
-        Admission-control knobs forwarded to :class:`BatchQueue`.
     pool_size:
         Kernel worker threads (default: ``min(8, cpu)``).
     default_timeout:
@@ -106,8 +107,6 @@ class SimilarityDaemon:
         catalog: Union[ServiceCatalog, str],
         host: str = "127.0.0.1",
         port: int = 0,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        max_delay: float = DEFAULT_MAX_DELAY,
         pool_size: Optional[int] = None,
         default_timeout: Optional[float] = None,
         preload: bool = True,
@@ -129,9 +128,7 @@ class SimilarityDaemon:
         self._pool = ThreadPoolExecutor(
             max_workers=pool_size, thread_name_prefix="repro-service"
         )
-        self._queue = BatchQueue(
-            self._dispatch, max_batch=max_batch, max_delay=max_delay
-        )
+        self._queue = BatchQueue(self._dispatch)
         self._sessions: Dict[str, SimilaritySession] = {}
         self._session_locks: Dict[Any, asyncio.Lock] = {}
         # Column-shard serving: the full mmap per collection (query items
@@ -401,11 +398,18 @@ class SimilarityDaemon:
         items = [TimeSeries(row) for row in values]
         return items, np.full(len(items), -1, dtype=np.intp)
 
-    def _validate_params(self, request: Request) -> Dict[str, Any]:
+    def _validate_params(
+        self, request: Request, n_queries: int
+    ) -> Dict[str, Any]:
+        """The request's params, each checked against its own rows.
+
+        Validated before admission: a malformed request is rejected
+        alone instead of failing every request it would coalesce with.
+        """
         params = dict(request.params)
         if request.op == "knn":
-            k = params.get("k")
-            if not isinstance(k, int) or k < 1:
+            k = wire_number(params.get("k"), "params.k", integer=True)
+            if k < 1:
                 raise ProtocolError(
                     f"knn requires integer params.k >= 1, got {k!r}"
                 )
@@ -414,11 +418,18 @@ class SimilarityDaemon:
                 raise ProtocolError(
                     f"{request.op} requires params.epsilon"
                 )
+            epsilon = params["epsilon"]
+            for value in epsilon if isinstance(epsilon, list) else [epsilon]:
+                wire_number(value, "params.epsilon")
+            try:
+                _epsilon_vector(epsilon, n_queries)
+            except InvalidParameterError as error:
+                raise ProtocolError(
+                    f"invalid params.epsilon: {error}"
+                ) from error
             if request.op == "prob_range":
-                tau = params.get("tau")
-                if not isinstance(tau, (int, float)) or not (
-                    0.0 <= float(tau) <= 1.0
-                ):
+                tau = wire_number(params.get("tau"), "params.tau")
+                if not 0.0 <= tau <= 1.0:
                     raise ProtocolError(
                         f"prob_range requires params.tau in [0, 1], "
                         f"got {tau!r}"
@@ -482,7 +493,7 @@ class SimilarityDaemon:
             await self._get_shard_session(request.collection, start, stop)
             source = self._collection_map(request.collection)
         items, positions = self._resolve_queries(request, source)
-        params = self._validate_params(request)
+        params = self._validate_params(request, len(items))
         job = QueryJob(
             request_id=request.request_id,
             op=request.op,
@@ -540,10 +551,7 @@ class SimilarityDaemon:
                         time.monotonic() - self._started_at, 3
                     ),
                     "requests_served": self._requests_served,
-                    "batching": {
-                        "max_batch": self._queue.max_batch,
-                        "max_delay": self._queue.max_delay,
-                    },
+                    "batching": {"max_batch": MAX_BATCH},
                 },
             )
         if request.op == "list":

@@ -44,6 +44,7 @@ re-exports its spec helpers so existing imports keep working.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -111,19 +112,33 @@ class Request:
     candidates: Optional[Tuple[int, int]] = None
 
 
+def wire_number(value: Any, name: str, integer: bool = False) -> Any:
+    """``value`` if it is a finite JSON number, else :class:`ProtocolError`.
+
+    Nothing is coerced: ``true``/``false``, strings, lists, the
+    ``NaN``/``Infinity`` literals Python's parser accepts and integers
+    too large for a float are all rejected, and ``integer=True`` also
+    rejects fractional numbers.  The error names the field.
+    """
+    kinds = int if integer else (int, float)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kinds)
+        or not (integer or abs(value) <= sys.float_info.max)
+    ):
+        kind = "an integer" if integer else "a finite number"
+        raise ProtocolError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 def _parse_candidates(payload: Any) -> Tuple[int, int]:
     """Validate a request's ``candidates`` column slice."""
     if not isinstance(payload, dict) or set(payload) - {"start", "stop"}:
         raise ProtocolError(
             f"'candidates' must be {{'start', 'stop'}}, got {payload!r}"
         )
-    try:
-        start = int(payload["start"])
-        stop = int(payload["stop"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise ProtocolError(
-            f"'candidates' start/stop must be integers: {error}"
-        ) from error
+    start = wire_number(payload.get("start"), "candidates.start", integer=True)
+    stop = wire_number(payload.get("stop"), "candidates.stop", integer=True)
     if start < 0 or stop <= start:
         raise ProtocolError(
             f"'candidates' needs 0 <= start < stop, got [{start}, {stop})"
@@ -173,7 +188,7 @@ def parse_request(payload: Dict[str, Any]) -> Request:
         candidates = _parse_candidates(candidates)
     timeout = payload.get("timeout")
     if timeout is not None:
-        timeout = float(timeout)
+        timeout = float(wire_number(timeout, "timeout"))
         if timeout <= 0:
             raise ProtocolError(f"timeout must be > 0, got {timeout}")
     params = payload.get("params") or {}

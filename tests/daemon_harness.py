@@ -1,0 +1,106 @@
+"""A live in-thread daemon for service tests, and a gate that holds its batches.
+
+:class:`DaemonHarness` runs a :class:`SimilarityDaemon` on a background
+thread with its own event loop, bound to an ephemeral port.
+:class:`BatchGate` makes batching deterministic: it holds the daemon's
+kernel executions until released, so requests sent meanwhile queue
+behind the held batch instead of racing it.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import threading
+import time
+
+import repro.service.daemon as daemon_module
+from repro.service import ServiceClient
+from repro.service.daemon import SimilarityDaemon
+
+
+class DaemonHarness:
+    """A live daemon on a background thread with its own event loop."""
+
+    def __init__(self, catalog_path: str, **kwargs) -> None:
+        self.daemon: SimilarityDaemon = None  # type: ignore[assignment]
+        self.loop: asyncio.AbstractEventLoop = None  # type: ignore
+        ready = threading.Event()
+
+        def _serve() -> None:
+            async def _main() -> None:
+                self.daemon = SimilarityDaemon(catalog_path, **kwargs)
+                await self.daemon.start()
+                self.loop = asyncio.get_running_loop()
+                ready.set()
+                await self.daemon.serve_forever()
+
+            asyncio.run(_main())
+
+        self.thread = threading.Thread(target=_serve, daemon=True)
+        self.thread.start()
+        if not ready.wait(timeout=120.0):
+            raise RuntimeError("daemon did not come up")
+
+    @property
+    def port(self) -> int:
+        return self.daemon.port
+
+    def client(self, **kwargs) -> ServiceClient:
+        return ServiceClient("127.0.0.1", self.port, **kwargs)
+
+    def queued(self) -> int:
+        """Jobs admitted to the batch queue and not yet dispatched."""
+        return sum(len(jobs) for jobs in self.daemon._queue._waiting.values())
+
+    def stop(self, timeout: float = 60.0) -> None:
+        if self.thread.is_alive():
+            self.loop.call_soon_threadsafe(
+                lambda: asyncio.ensure_future(self.daemon.stop())
+            )
+        self.thread.join(timeout=timeout)
+        assert not self.thread.is_alive(), "daemon failed to drain"
+
+
+class BatchGate:
+    """Hold every in-thread daemon batch until :meth:`release`.
+
+    Patches ``repro.service.daemon.execute_batch`` and
+    ``execute_shard_batch`` with wrappers that block the kernel thread
+    on an event.  While the first batch of a key is held, later
+    requests with that key wait in the queue; :meth:`wait_queued`
+    blocks until they are there.
+    """
+
+    TIMEOUT = 30.0
+
+    def __init__(self, monkeypatch) -> None:
+        self.entered = threading.Event()
+        self._released = threading.Event()
+        for name in ("execute_batch", "execute_shard_batch"):
+            original = getattr(daemon_module, name)
+            monkeypatch.setattr(daemon_module, name, self._held(original))
+
+    def _held(self, original):
+        def execute(*args, **kwargs):
+            self.entered.set()
+            if not self._released.wait(timeout=self.TIMEOUT):
+                raise RuntimeError("batch gate was never released")
+            return original(*args, **kwargs)
+
+        return execute
+
+    def wait_entered(self) -> None:
+        """Block until a batch is held inside the kernel call."""
+        assert self.entered.wait(timeout=self.TIMEOUT), "no batch started"
+
+    def wait_queued(self, harness: DaemonHarness, count: int) -> None:
+        """Block until ``count`` jobs wait behind the held batch."""
+        deadline = time.monotonic() + self.TIMEOUT
+        while harness.queued() < count:
+            assert time.monotonic() < deadline, (
+                f"{harness.queued()} of {count} jobs queued"
+            )
+            time.sleep(0.005)
+
+    def release(self) -> None:
+        self._released.set()

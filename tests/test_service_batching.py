@@ -4,9 +4,10 @@ The central contract — a query row executed inside a coalesced batch is
 identical to the same query executed alone — is asserted for every
 servable technique family (Euclidean, MA/EMA filters, DUST, PROUD,
 MUNICH, DUST-DTW, MUNICH-DTW), for kNN, range and probabilistic range
-verbs.  The :class:`BatchQueue` admission tests cover the two knobs:
-full batches dispatch immediately, partial batches dispatch with
-whatever coalesced when ``max_delay`` expires.
+verbs.  The :class:`BatchQueue` tests cover dispatch-when-idle
+admission: an idle key dispatches on the next event-loop tick, jobs
+that arrive while its batch executes form the next batch (at most
+:data:`MAX_BATCH` jobs), and other keys never wait on a busy one.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.datasets import generate_dataset
 from repro.perturbation import ConstantScenario
 from repro.queries import SimilaritySession
 from repro.service.batching import (
+    MAX_BATCH,
     BatchQueue,
     QueryJob,
     batch_key,
@@ -287,9 +289,28 @@ def _queue_job(request_id="q"):
     )
 
 
+def _held_dispatch(batches, release, fail_first=False):
+    """A dispatch that records each batch and holds it until ``release``.
+
+    Returns ``(dispatch, entered)``; ``entered`` is set once a batch is
+    executing.  With ``fail_first`` the first batch raises on release.
+    """
+    entered = asyncio.Event()
+
+    async def dispatch(key, jobs):
+        batches.append((key, [job.request_id for job in jobs]))
+        entered.set()
+        await release.wait()
+        if fail_first and len(batches) == 1:
+            raise RuntimeError("kernel exploded")
+        return [f"result:{job.request_id}" for job in jobs]
+
+    return dispatch, entered
+
+
 class TestBatchQueue:
     def test_full_batch_dispatches_immediately(self):
-        """max_batch admissions dispatch without waiting for the timer."""
+        """Jobs admitted in one tick share one batch, dispatched at once."""
         batches = []
 
         async def scenario():
@@ -297,9 +318,7 @@ class TestBatchQueue:
                 batches.append([job.request_id for job in jobs])
                 return [f"result:{job.request_id}" for job in jobs]
 
-            # max_delay far beyond the test timeout: only the size
-            # trigger can dispatch.
-            queue = BatchQueue(dispatch, max_batch=3, max_delay=60.0)
+            queue = BatchQueue(dispatch)
             results = await asyncio.wait_for(
                 asyncio.gather(
                     queue.submit(("k",), _queue_job("a")),
@@ -308,7 +327,7 @@ class TestBatchQueue:
                 ),
                 timeout=5.0,
             )
-            await queue.drain()
+            await asyncio.wait_for(queue.drain(), timeout=5.0)
             return results
 
         results = asyncio.run(scenario())
@@ -319,29 +338,92 @@ class TestBatchQueue:
             assert info.n_queries == 3
             assert info.waited_ms >= 0.0
 
-    def test_partial_batch_dispatches_on_expiry(self):
-        """A timeout-expired partial batch runs with what coalesced."""
+    def test_job_submitted_while_key_executes_joins_next_batch(self):
+        """Jobs arriving mid-execution wait, then run together — never
+        concurrently with the batch ahead of them."""
         batches = []
 
         async def scenario():
+            release = asyncio.Event()
+            dispatch, entered = _held_dispatch(batches, release)
+            queue = BatchQueue(dispatch)
+            first = asyncio.ensure_future(queue.submit(("k",), _queue_job("a")))
+            await asyncio.wait_for(entered.wait(), timeout=5.0)
+            later = asyncio.gather(
+                queue.submit(("k",), _queue_job("b")),
+                queue.submit(("k",), _queue_job("c")),
+            )
+            for _ in range(5):
+                await asyncio.sleep(0)  # any concurrent dispatch would start
+            assert batches == [(("k",), ["a"])]
+            release.set()
+            results = await asyncio.wait_for(
+                asyncio.gather(first, later), timeout=5.0
+            )
+            await asyncio.wait_for(queue.drain(), timeout=5.0)
+            return results
+
+        (first, later) = asyncio.run(scenario())
+        assert batches == [(("k",), ["a"]), (("k",), ["b", "c"])]
+        assert first[1].size == 1
+        assert [info.size for _, info in later] == [2, 2]
+        assert [payload for payload, _ in later] == ["result:b", "result:c"]
+
+    def test_other_key_dispatches_while_first_is_busy(self):
+        batches = []
+
+        async def scenario():
+            release = asyncio.Event()
+            held, entered = _held_dispatch(batches, release)
+
             async def dispatch(key, jobs):
-                batches.append([job.request_id for job in jobs])
+                if key == ("slow",):
+                    return await held(key, jobs)
+                return ["fast"] * len(jobs)
+
+            queue = BatchQueue(dispatch)
+            slow = asyncio.ensure_future(
+                queue.submit(("slow",), _queue_job("a"))
+            )
+            await asyncio.wait_for(entered.wait(), timeout=5.0)
+            payload, info = await asyncio.wait_for(
+                queue.submit(("fast",), _queue_job("b")), timeout=5.0
+            )
+            assert not slow.done()
+            release.set()
+            await asyncio.wait_for(slow, timeout=5.0)
+            await asyncio.wait_for(queue.drain(), timeout=5.0)
+            return payload, info
+
+        payload, info = asyncio.run(scenario())
+        assert payload == "fast"
+        assert info.size == 1
+
+    def test_backlog_beyond_max_batch_runs_as_consecutive_batches(self):
+        sizes = []
+
+        async def scenario():
+            async def dispatch(key, jobs):
+                sizes.append(len(jobs))
                 return ["ok"] * len(jobs)
 
-            queue = BatchQueue(dispatch, max_batch=64, max_delay=0.02)
+            queue = BatchQueue(dispatch)
             results = await asyncio.wait_for(
                 asyncio.gather(
-                    queue.submit(("k",), _queue_job("a")),
-                    queue.submit(("k",), _queue_job("b")),
+                    *(
+                        queue.submit(("k",), _queue_job(f"j{index}"))
+                        for index in range(MAX_BATCH + 1)
+                    )
                 ),
                 timeout=5.0,
             )
-            await queue.drain()
+            await asyncio.wait_for(queue.drain(), timeout=5.0)
             return results
 
         results = asyncio.run(scenario())
-        assert batches == [["a", "b"]]
-        assert all(info.size == 2 for _, info in results)
+        assert MAX_BATCH == 32
+        assert sizes == [MAX_BATCH, 1]
+        assert [info.size for _, info in results] == [MAX_BATCH] * MAX_BATCH + [1]
 
     def test_distinct_keys_never_coalesce(self):
         batches = []
@@ -351,37 +433,22 @@ class TestBatchQueue:
                 batches.append((key, [job.request_id for job in jobs]))
                 return ["ok"] * len(jobs)
 
-            queue = BatchQueue(dispatch, max_batch=8, max_delay=0.01)
+            queue = BatchQueue(dispatch)
             await asyncio.gather(
                 queue.submit(("k1",), _queue_job("a")),
                 queue.submit(("k2",), _queue_job("b")),
             )
-            await queue.drain()
+            await asyncio.wait_for(queue.drain(), timeout=5.0)
 
         asyncio.run(scenario())
         assert sorted(batches) == [(("k1",), ["a"]), (("k2",), ["b"])]
-
-    def test_max_batch_one_is_serial(self):
-        async def scenario():
-            async def dispatch(key, jobs):
-                return ["ok"] * len(jobs)
-
-            queue = BatchQueue(dispatch, max_batch=1, max_delay=60.0)
-            _, info = await asyncio.wait_for(
-                queue.submit(("k",), _queue_job()), timeout=5.0
-            )
-            await queue.drain()
-            return info
-
-        info = asyncio.run(scenario())
-        assert info.size == 1
 
     def test_dispatch_error_reaches_every_member(self):
         async def scenario():
             async def dispatch(key, jobs):
                 raise RuntimeError("kernel exploded")
 
-            queue = BatchQueue(dispatch, max_batch=2, max_delay=60.0)
+            queue = BatchQueue(dispatch)
             return await asyncio.gather(
                 queue.submit(("k",), _queue_job("a")),
                 queue.submit(("k",), _queue_job("b")),
@@ -396,12 +463,42 @@ class TestBatchQueue:
             for error in results
         )
 
+    def test_error_does_not_strand_the_next_batch(self):
+        """A failed batch still hands its key to the jobs queued behind it."""
+        batches = []
+
+        async def scenario():
+            release = asyncio.Event()
+            dispatch, entered = _held_dispatch(
+                batches, release, fail_first=True
+            )
+            queue = BatchQueue(dispatch)
+            first = asyncio.ensure_future(queue.submit(("k",), _queue_job("a")))
+            await asyncio.wait_for(entered.wait(), timeout=5.0)
+            second = asyncio.ensure_future(
+                queue.submit(("k",), _queue_job("b"))
+            )
+            await asyncio.sleep(0)
+            release.set()
+            results = await asyncio.wait_for(
+                asyncio.gather(first, second, return_exceptions=True),
+                timeout=5.0,
+            )
+            await asyncio.wait_for(queue.drain(), timeout=5.0)
+            return results
+
+        failed, (payload, info) = asyncio.run(scenario())
+        assert isinstance(failed, RuntimeError)
+        assert batches == [(("k",), ["a"]), (("k",), ["b"])]
+        assert payload == "result:b"
+        assert info.size == 1
+
     def test_wrong_result_cardinality_is_an_error(self):
         async def scenario():
             async def dispatch(key, jobs):
                 return ["only one"]
 
-            queue = BatchQueue(dispatch, max_batch=2, max_delay=60.0)
+            queue = BatchQueue(dispatch)
             return await asyncio.gather(
                 queue.submit(("k",), _queue_job("a")),
                 queue.submit(("k",), _queue_job("b")),
@@ -414,32 +511,28 @@ class TestBatchQueue:
         )
 
     def test_drain_flushes_pending_batches(self):
-        """Shutdown must not strand requests waiting on the delay timer."""
+        """Drain waits for a job queued behind a running batch."""
         batches = []
 
         async def scenario():
-            async def dispatch(key, jobs):
-                batches.append(len(jobs))
-                return ["ok"] * len(jobs)
-
-            queue = BatchQueue(dispatch, max_batch=64, max_delay=60.0)
-            waiter = asyncio.ensure_future(
-                queue.submit(("k",), _queue_job())
+            release = asyncio.Event()
+            dispatch, entered = _held_dispatch(batches, release)
+            queue = BatchQueue(dispatch)
+            first = asyncio.ensure_future(queue.submit(("k",), _queue_job("a")))
+            await asyncio.wait_for(entered.wait(), timeout=5.0)
+            queued = asyncio.ensure_future(
+                queue.submit(("k",), _queue_job("b"))
             )
-            await asyncio.sleep(0)  # admitted, timer armed far away
-            await queue.drain()
-            payload, info = await asyncio.wait_for(waiter, timeout=5.0)
-            return payload, info
+            await asyncio.sleep(0)  # admitted behind the running batch
+            drained = asyncio.ensure_future(queue.drain())
+            await asyncio.sleep(0)
+            assert not drained.done()
+            release.set()
+            await asyncio.wait_for(drained, timeout=5.0)
+            assert first.done() and queued.done()
+            return queued.result()
 
         payload, info = asyncio.run(scenario())
-        assert payload == "ok"
-        assert batches == [1]
-
-    def test_knob_validation(self):
-        async def dispatch(key, jobs):
-            return []
-
-        with pytest.raises(InvalidParameterError, match="max_batch"):
-            BatchQueue(dispatch, max_batch=0)
-        with pytest.raises(InvalidParameterError, match="max_delay"):
-            BatchQueue(dispatch, max_delay=-1.0)
+        assert payload == "result:b"
+        assert batches == [(("k",), ["a"]), (("k",), ["b"])]
+        assert info.waited_ms >= 0.0

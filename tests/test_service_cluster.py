@@ -11,19 +11,18 @@ contracts under test:
   shard fleet, returning the same structured results with populated
   pruning statistics;
 * killing a shard daemon mid-fleet — stopped between queries, or
-  SIGKILLed while a request waits in its batch queue — either raises
-  (strict) or returns a partial result *tagged* with the failed shard
-  set whose survivor merge is exactly the survivor-restricted
-  reference ranking;
-* hedged retries fire only past the latency threshold, reuse the
-  primary's request id, and duplicate replies are discarded by id;
+  SIGKILLed while it executes a request — either raises (strict) or
+  returns a partial result *tagged* with the failed shard set whose
+  survivor merge is exactly the survivor-restricted reference ranking;
+* hedged retries fire only past a fixed ``hedge_after`` (never by
+  default), reuse the primary's request id, and duplicate replies are
+  discarded by id;
 * the shard map lives in the catalog (schema v3) behind strict tiling
   validation, and v2 catalogs migrate in place on open.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import signal
 import socket
@@ -35,6 +34,7 @@ import time
 
 import numpy as np
 import pytest
+from daemon_harness import DaemonHarness
 
 from repro.core import save_collection, spawn
 from repro.core.errors import (
@@ -62,7 +62,6 @@ from repro.service.cluster import (
     _ShardChannel,
     connect,
 )
-from repro.service.daemon import SimilarityDaemon
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     build_technique,
@@ -119,42 +118,6 @@ def collections(pdf, multisample, exact, tmp_path_factory):
     }
 
 
-class DaemonHarness:
-    """A live daemon on a background thread with its own event loop."""
-
-    def __init__(self, catalog_path: str, **kwargs) -> None:
-        self.daemon: SimilarityDaemon = None  # type: ignore[assignment]
-        self.loop: asyncio.AbstractEventLoop = None  # type: ignore
-        ready = threading.Event()
-
-        def _serve() -> None:
-            async def _main() -> None:
-                self.daemon = SimilarityDaemon(catalog_path, **kwargs)
-                await self.daemon.start()
-                self.loop = asyncio.get_running_loop()
-                ready.set()
-                await self.daemon.serve_forever()
-
-            asyncio.run(_main())
-
-        self.thread = threading.Thread(target=_serve, daemon=True)
-        self.thread.start()
-        if not ready.wait(timeout=120.0):
-            raise RuntimeError("daemon did not come up")
-
-    @property
-    def port(self) -> int:
-        return self.daemon.port
-
-    def stop(self, timeout: float = 60.0) -> None:
-        if self.thread.is_alive():
-            self.loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self.daemon.stop())
-            )
-        self.thread.join(timeout=timeout)
-        assert not self.thread.is_alive(), "daemon failed to drain"
-
-
 def _spawn_fleet(collections, tmp_path, count):
     """``count`` daemons, each cataloging every saved collection."""
     fleet = []
@@ -163,7 +126,7 @@ def _spawn_fleet(collections, tmp_path, count):
         with ServiceCatalog(catalog_path) as catalog:
             for name, manifest in collections.items():
                 catalog.register(name, manifest)
-        fleet.append(DaemonHarness(catalog_path, max_delay=0.001))
+        fleet.append(DaemonHarness(catalog_path))
     return fleet
 
 
@@ -535,12 +498,35 @@ class TestPartialShardFailure:
                 assert list(degraded.matches[row]) == expected
 
 
-class TestShardKilledMidQuery:
-    """A shard daemon SIGKILLed while a query waits in its batch queue.
+#: ``repro.cli serve`` with every shard batch stalled before its kernel,
+#: so a request the victim receives stays unanswered until it is killed.
+STALLED_SERVE = """
+import sys
+import time
 
-    The middle shard runs as a ``repro.cli serve`` subprocess with a
-    5 s batch window, so a lone request sits in its queue; the test
-    kills the process once the coordinator has sent that request.
+import repro.service.daemon as daemon
+from repro.service.cli import serve_main
+
+execute_shard_batch = daemon.execute_shard_batch
+
+
+def stalled(*args, **kwargs):
+    time.sleep(30.0)
+    return execute_shard_batch(*args, **kwargs)
+
+
+daemon.execute_shard_batch = stalled
+sys.exit(serve_main(sys.argv[1:]))
+"""
+
+
+class TestShardKilledMidQuery:
+    """A shard daemon SIGKILLed while it executes a query.
+
+    The middle shard runs ``repro.cli serve`` in a subprocess whose
+    shard batches stall before their kernel (:data:`STALLED_SERVE`);
+    the test kills the process once the coordinator has sent it a
+    request.
     """
 
     #: The killed shard's column slice.
@@ -551,10 +537,9 @@ class TestShardKilledMidQuery:
         catalog_path = str(tmp_path / "victim.db")
         process = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "serve",
+                sys.executable, "-c", STALLED_SERVE,
                 "--catalog", catalog_path,
                 "--port", "0",
-                "--max-delay", "5",
                 "--register", f"pdf={collections['pdf']}",
             ],
             stdout=subprocess.PIPE,
@@ -615,7 +600,6 @@ class TestShardKilledMidQuery:
             allow_partial=allow_partial,
             timeout=60,
             connect_timeout=3,
-            hedge_after=float("inf"),
         ) as coordinator:
 
             def run():
@@ -628,7 +612,7 @@ class TestShardKilledMidQuery:
             worker.start()
             assert sent.wait(timeout=60), "the victim never got its request"
             time.sleep(0.5)
-            # Still inside the victim's 5 s batch window: no reply yet.
+            # The victim's batch is stalled: no reply yet.
             assert worker.is_alive()
             os.kill(process.pid, signal.SIGKILL)
             worker.join(timeout=60)
@@ -789,16 +773,18 @@ class TestHedgedRetries:
             coordinator.close()
             shard.close()
 
-    def test_latency_percentile_needs_history(self):
-        shard = FlakyShard()
+    def test_default_coordinator_never_hedges_a_lagging_shard(self):
+        """Without ``hedge_after`` no reply is ever duplicated, however
+        much slower it is than the shard's earlier replies."""
+        shard = FlakyShard(delays=[0.0] * 8 + [0.5])
         coordinator = _single_shard_coordinator(shard, timeout=30)
         try:
-            entry = coordinator.shard_map("fake")[0]
-            assert coordinator._hedge_delay(entry) is None
-            for _ in range(8):
-                coordinator._record_latency(entry, 0.010)
-            delay = coordinator._hedge_delay(entry)
-            assert delay == pytest.approx(0.010)
+            for _ in range(9):
+                coordinator.knn("fake", 1, "euclidean")
+            assert coordinator.hedges_fired == 0
+            assert coordinator.duplicates_discarded == 0
+            assert len(shard.request_ids) == 9
+            assert len(set(shard.request_ids)) == 9
         finally:
             coordinator.close()
             shard.close()

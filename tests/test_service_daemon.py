@@ -6,36 +6,42 @@ The contracts under test:
 
 * client answers match the in-process :class:`SimilaritySession` for
   every servable verb and technique family;
-* concurrent same-plan requests coalesce into one batch, and the
-  coalesced answers still match serial execution;
+* same-plan requests queued behind a running batch coalesce into the
+  next one, and the coalesced answers still match serial execution;
 * failures cross the wire as structured ``{"type", "message"}`` errors
-  — bad collection, bad technique, bad params, version mismatch,
-  malformed JSON, an over-limit line — and never kill the daemon, nor
-  does a client that hangs up mid-line;
+  — bad collection, bad technique, bad params, wire fields that are not
+  finite JSON numbers of the right kind, version mismatch, malformed
+  JSON, an over-limit line — and never kill the daemon, nor does a
+  client that hangs up mid-line or mid-batch;
+* a malformed request is rejected alone, never failing the batch it
+  would have joined;
 * a per-request timeout returns a ``Timeout`` error while the daemon
   keeps serving;
-* shutdown drains: a request in flight when ``shutdown`` arrives still
-  completes with its real answer.
+* shutdown drains: a request executing and one queued behind it when
+  ``shutdown`` arrives both complete with their real answers.
+
+Batches are held with :class:`~daemon_harness.BatchGate`, so requests
+queue behind a running batch deterministically, not by timing.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import threading
 
 import numpy as np
 import pytest
+from daemon_harness import BatchGate, DaemonHarness
 
 from repro.core import TimeSeries, save_collection, spawn
 from repro.datasets import generate_dataset
 from repro.perturbation import ConstantScenario
 from repro.queries import SimilaritySession
-from repro.service import ServiceCatalog, ServiceClient, ServiceError
+from repro.service import ServiceCatalog, ServiceError
+from repro.service.batching import MAX_BATCH
 from repro.service.client import ServiceResult
 from repro.service.cli import query_main
-from repro.service.daemon import SimilarityDaemon
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     build_technique,
@@ -85,45 +91,6 @@ def multisample(exact):
     ]
 
 
-class DaemonHarness:
-    """A live daemon on a background thread with its own event loop."""
-
-    def __init__(self, catalog_path: str, **kwargs) -> None:
-        self.daemon: SimilarityDaemon = None  # type: ignore[assignment]
-        self.loop: asyncio.AbstractEventLoop = None  # type: ignore
-        ready = threading.Event()
-
-        def _serve() -> None:
-            async def _main() -> None:
-                self.daemon = SimilarityDaemon(catalog_path, **kwargs)
-                await self.daemon.start()
-                self.loop = asyncio.get_running_loop()
-                ready.set()
-                await self.daemon.serve_forever()
-
-            asyncio.run(_main())
-
-        self.thread = threading.Thread(target=_serve, daemon=True)
-        self.thread.start()
-        if not ready.wait(timeout=120.0):
-            raise RuntimeError("daemon did not come up")
-
-    @property
-    def port(self) -> int:
-        return self.daemon.port
-
-    def client(self, **kwargs) -> ServiceClient:
-        return ServiceClient("127.0.0.1", self.port, **kwargs)
-
-    def stop(self, timeout: float = 60.0) -> None:
-        if self.thread.is_alive():
-            self.loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self.daemon.stop())
-            )
-        self.thread.join(timeout=timeout)
-        assert not self.thread.is_alive(), "daemon failed to drain"
-
-
 @pytest.fixture(scope="module")
 def collections(pdf, multisample, exact, tmp_path_factory):
     base = tmp_path_factory.mktemp("daemon-collections")
@@ -142,7 +109,7 @@ def harness(collections, tmp_path_factory):
     with ServiceCatalog(catalog_path) as catalog:
         for name, manifest in collections.items():
             catalog.register(name, manifest)
-    live = DaemonHarness(catalog_path, max_delay=0.001)
+    live = DaemonHarness(catalog_path)
     yield live
     live.stop()
 
@@ -253,78 +220,149 @@ class TestQueryParity:
         assert parsed.n_queries == N_SERIES
 
 
+def _single_collection_daemon(collections, path, name="pdf"):
+    catalog_path = str(path / "catalog.db")
+    with ServiceCatalog(catalog_path) as catalog:
+        catalog.register(name, collections[name])
+    return DaemonHarness(catalog_path)
+
+
+def _queue_behind_held_batch(live, gate, send, rows):
+    """``send(client, row)`` for every row, one client thread each.
+
+    The first row's batch is held until every later row's request waits
+    behind it; then the gate opens.  Returns the answers by row.
+    """
+    answers: dict = {}
+
+    def worker(row) -> None:
+        with live.client(timeout=120.0) as client:
+            answers[row] = send(client, row)
+
+    threads = []
+    for position, row in enumerate(rows):
+        thread = threading.Thread(target=worker, args=(row,))
+        thread.start()
+        threads.append(thread)
+        if position == 0:
+            gate.wait_entered()
+    gate.wait_queued(live, len(rows) - 1)
+    gate.release()
+    for thread in threads:
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+    return answers
+
+
 class TestBatchingOverTheWire:
     def test_concurrent_same_plan_requests_coalesce(
-        self, collections, tmp_path_factory
+        self, collections, tmp_path, monkeypatch
     ):
-        """Same-key requests issued together share one kernel run."""
-        catalog_path = str(
-            tmp_path_factory.mktemp("batch-catalog") / "catalog.db"
-        )
-        with ServiceCatalog(catalog_path) as catalog:
-            catalog.register("pdf", collections["pdf"])
-        live = DaemonHarness(catalog_path, max_delay=0.25)
+        """Same-key requests queued behind a batch share one kernel run."""
+        live = _single_collection_daemon(collections, tmp_path)
+        gate = BatchGate(monkeypatch)
         try:
-            barrier = threading.Barrier(3)
-            answers: list = [None] * 3
-
-            def worker(slot: int) -> None:
-                with live.client() as client:
-                    barrier.wait(timeout=30.0)
-                    answers[slot] = client.query(
-                        "knn", "pdf", {"k": 3}, "dust", [slot]
-                    )
-
-            threads = [
-                threading.Thread(target=worker, args=(slot,))
-                for slot in range(3)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-            assert all(answer is not None for answer in answers)
-            assert max(a.batch["size"] for a in answers) >= 2
+            answers = _queue_behind_held_batch(
+                live,
+                gate,
+                lambda client, row: client.query(
+                    "knn", "pdf", {"k": 3}, "dust", [row]
+                ),
+                rows=[0, 1, 2, 3],
+            )
+            assert sorted(answers) == [0, 1, 2, 3]
+            assert answers[0].batch["size"] == 1
+            assert [answers[row].batch["size"] for row in (1, 2, 3)] == [3] * 3
+            assert all(
+                answers[row].batch["n_queries"] == 3 for row in (1, 2, 3)
+            )
         finally:
+            gate.release()
             live.stop()
 
     def test_coalesced_answers_still_match_serial(
-        self, pdf, collections, tmp_path_factory
+        self, pdf, collections, tmp_path, monkeypatch
     ):
-        catalog_path = str(
-            tmp_path_factory.mktemp("batch-parity") / "catalog.db"
-        )
-        with ServiceCatalog(catalog_path) as catalog:
-            catalog.register("pdf", collections["pdf"])
-        live = DaemonHarness(catalog_path, max_delay=0.25)
+        live = _single_collection_daemon(collections, tmp_path)
+        gate = BatchGate(monkeypatch)
         try:
-            barrier = threading.Barrier(3)
-            answers: list = [None] * 3
-
-            def worker(slot: int) -> None:
-                with live.client() as client:
-                    barrier.wait(timeout=30.0)
-                    answers[slot] = client.query(
-                        "knn", "pdf", {"k": 3}, "euclidean", [slot]
-                    )
-
-            threads = [
-                threading.Thread(target=worker, args=(slot,))
-                for slot in range(3)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
+            answers = _queue_behind_held_batch(
+                live,
+                gate,
+                lambda client, row: client.query(
+                    "knn", "pdf", {"k": 3}, "euclidean", [row]
+                ),
+                rows=[0, 1, 2, 3],
+            )
+            assert [answers[row].batch["size"] for row in (1, 2, 3)] == [3] * 3
             with SimilaritySession(pdf) as session:
-                for slot, answer in enumerate(answers):
+                for row, answer in answers.items():
                     expected = (
-                        session.queries([slot])
+                        session.queries([row])
                         .using(build_technique("euclidean"))
                         .knn(3)
                     )
                     assert answer.indices == expected.indices.tolist()
         finally:
+            gate.release()
+            live.stop()
+
+    def test_malformed_epsilon_is_rejected_alone(
+        self, pdf, collections, tmp_path, monkeypatch
+    ):
+        """A bad ε fails only its own request, not the batch it shares a
+        key with."""
+        live = _single_collection_daemon(collections, tmp_path)
+        gate = BatchGate(monkeypatch)
+
+        def range_request(request_id, row, epsilon) -> bytes:
+            return json.dumps(
+                {
+                    "v": PROTOCOL_VERSION,
+                    "id": request_id,
+                    "op": "range",
+                    "collection": "pdf",
+                    "params": {"epsilon": epsilon},
+                    "technique": "euclidean",
+                    "queries": {"indices": [row]},
+                }
+            ).encode() + b"\n"
+
+        address = ("127.0.0.1", live.port)
+        try:
+            with socket.create_connection(
+                address, timeout=30.0
+            ) as held, socket.create_connection(
+                address, timeout=30.0
+            ) as valid, socket.create_connection(
+                address, timeout=30.0
+            ) as bad:
+                held.sendall(range_request("held", 0, 4.0))
+                gate.wait_entered()
+                valid.sendall(range_request("valid", 1, 4.0))
+                gate.wait_queued(live, 1)
+                bad.sendall(range_request("bad", 2, [1.0, 2.0]))
+                # Rejected at admission, while the gate is still shut.
+                rejected = json.loads(bad.makefile("rb").readline())
+                assert live.queued() == 1
+                gate.release()
+                answer = json.loads(valid.makefile("rb").readline())
+                assert json.loads(held.makefile("rb").readline())["ok"]
+            assert rejected["ok"] is False
+            assert rejected["error"]["type"] == "ProtocolError"
+            assert "params.epsilon" in rejected["error"]["message"]
+            assert answer["ok"] is True
+            with SimilaritySession(pdf) as session:
+                expected = (
+                    session.queries([1])
+                    .using(build_technique("euclidean"))
+                    .range(4.0)
+                )
+            assert answer["result"]["matches"] == [
+                [int(i) for i in found] for found in expected.matches
+            ]
+        finally:
+            gate.release()
             live.stop()
 
 
@@ -439,6 +477,90 @@ class TestStructuredErrors:
         ).encode() + b"\n"
         return _raw_exchange(harness, request)
 
+    @pytest.mark.parametrize(
+        "field,overrides",
+        [
+            pytest.param("timeout", {"timeout": "soon"}, id="timeout-str"),
+            pytest.param("timeout", {"timeout": [1]}, id="timeout-list"),
+            pytest.param(
+                "timeout", {"timeout": float("nan")}, id="timeout-nan"
+            ),
+            pytest.param(
+                "timeout", {"timeout": float("inf")}, id="timeout-inf"
+            ),
+            pytest.param("timeout", {"timeout": True}, id="timeout-bool"),
+            pytest.param("timeout", {"timeout": 10**400}, id="timeout-huge"),
+            pytest.param(
+                "candidates.start",
+                {"candidates": {"start": 1.7, "stop": 6}},
+                id="start-fraction",
+            ),
+            pytest.param(
+                "candidates.start",
+                {"candidates": {"start": True, "stop": 6}},
+                id="start-bool",
+            ),
+            pytest.param(
+                "candidates.stop",
+                {"candidates": {"start": 0, "stop": "2"}},
+                id="stop-str",
+            ),
+            pytest.param("params.k", {"params": {"k": True}}, id="k-bool"),
+            pytest.param(
+                "params.tau",
+                {
+                    "op": "prob_range",
+                    "technique": "proud",
+                    "params": {"epsilon": 4.0, "tau": True},
+                },
+                id="tau-bool",
+            ),
+            pytest.param(
+                "params.epsilon",
+                {"op": "range", "params": {"epsilon": "4.0"}},
+                id="epsilon-str",
+            ),
+            pytest.param(
+                "params.epsilon",
+                {"op": "range", "params": {"epsilon": float("nan")}},
+                id="epsilon-nan",
+            ),
+            pytest.param(
+                "params.epsilon",
+                {"op": "range", "params": {"epsilon": -1.0}},
+                id="epsilon-negative",
+            ),
+            pytest.param(
+                "params.epsilon",
+                {"op": "range", "params": {"epsilon": [1.0, 2.0]}},
+                id="epsilon-shape",
+            ),
+        ],
+    )
+    def test_wire_fields_are_validated_not_coerced(
+        self, harness, field, overrides
+    ):
+        """Each field must be a finite JSON number of the right kind;
+        anything else is a ``ProtocolError`` naming the field."""
+        request = {
+            "v": PROTOCOL_VERSION,
+            "id": "x",
+            "op": "knn",
+            "collection": "pdf",
+            "technique": "euclidean",
+            "params": {"k": 3},
+            "queries": {"indices": [0]},
+            **overrides,
+        }
+        response = _raw_exchange(
+            harness, json.dumps(request).encode() + b"\n"
+        )
+        assert response["ok"] is False
+        assert response["error"]["type"] == "ProtocolError"
+        assert field in response["error"]["message"]
+        with harness.client() as client:
+            assert client.ping()
+
     def test_errors_do_not_kill_the_daemon(self, harness):
         with harness.client() as client:
             with pytest.raises(ServiceError):
@@ -457,7 +579,7 @@ class TestWireFaults:
         catalog_path = str(tmp_path / "catalog.db")
         with ServiceCatalog(catalog_path) as catalog:
             catalog.register("pdf", collections["pdf"])
-        live = DaemonHarness(catalog_path, max_delay=0.001)
+        live = DaemonHarness(catalog_path)
         try:
             request = json.dumps(
                 {
@@ -490,15 +612,13 @@ class TestWireFaults:
         assert len(answer.indices) == N_SERIES
 
     def test_client_gone_mid_batch_does_not_poison_batch(
-        self, pdf, collections, tmp_path
+        self, pdf, collections, tmp_path, monkeypatch
     ):
         """One member of a coalesced batch hangs up before its reply; the
         other member still gets the in-process answer and the daemon
         keeps serving."""
-        catalog_path = str(tmp_path / "catalog.db")
-        with ServiceCatalog(catalog_path) as catalog:
-            catalog.register("pdf", collections["pdf"])
-        live = DaemonHarness(catalog_path, max_delay=0.5)
+        live = _single_collection_daemon(collections, tmp_path)
+        gate = BatchGate(monkeypatch)
         try:
             def knn_request(row: int) -> bytes:
                 return json.dumps(
@@ -514,13 +634,21 @@ class TestWireFaults:
                 ).encode() + b"\n"
 
             address = ("127.0.0.1", live.port)
-            with socket.create_connection(address, timeout=30.0) as stays:
-                with socket.create_connection(address, timeout=30.0) as gone:
-                    gone.sendall(knn_request(0))
-                    stays.sendall(knn_request(1))
-                # ``gone`` is closed while the batch still waits out
-                # max_delay, so its reply goes to a dead socket.
-                response = json.loads(stays.makefile("rb").readline())
+            with socket.create_connection(address, timeout=30.0) as held:
+                held.sendall(knn_request(2))
+                gate.wait_entered()
+                with socket.create_connection(address, timeout=30.0) as stays:
+                    with socket.create_connection(
+                        address, timeout=30.0
+                    ) as gone:
+                        gone.sendall(knn_request(0))
+                        stays.sendall(knn_request(1))
+                        gate.wait_queued(live, 2)
+                    # ``gone`` is closed while its job waits behind the
+                    # held batch, so its reply goes to a dead socket.
+                    gate.release()
+                    response = json.loads(stays.makefile("rb").readline())
+                assert json.loads(held.makefile("rb").readline())["ok"]
             assert response["ok"] is True
             assert response["batch"]["size"] == 2
             with SimilaritySession(pdf) as session:
@@ -531,6 +659,7 @@ class TestWireFaults:
             with live.client() as client:
                 assert client.ping()
         finally:
+            gate.release()
             live.stop()
 
 
@@ -561,7 +690,7 @@ class TestControlOps:
         assert set(status["collections"]) == {"pdf", "ms", "exact"}
         assert set(status["warm"]) == {"pdf", "ms", "exact"}  # preloaded
         assert status["uptime_seconds"] >= 0.0
-        assert status["batching"]["max_batch"] >= 1
+        assert status["batching"] == {"max_batch": MAX_BATCH}
 
     def test_list_reports_entries_and_warmth(self, harness):
         with harness.client() as client:
@@ -625,41 +754,49 @@ class TestControlOps:
 
 class TestGracefulShutdown:
     def test_in_flight_request_completes_through_shutdown(
-        self, pdf, collections, tmp_path_factory
+        self, pdf, collections, tmp_path, monkeypatch
     ):
-        catalog_path = str(
-            tmp_path_factory.mktemp("drain-catalog") / "catalog.db"
-        )
-        with ServiceCatalog(catalog_path) as catalog:
-            catalog.register("pdf", collections["pdf"])
-        # A long delay window keeps the request in the admission queue
-        # when shutdown arrives — the drain must still execute it.
-        live = DaemonHarness(catalog_path, max_batch=64, max_delay=5.0)
-        answer_box: dict = {}
+        """One batch executes and one request waits behind it when
+        ``shutdown`` arrives: the drain must answer both."""
+        live = _single_collection_daemon(collections, tmp_path)
+        gate = BatchGate(monkeypatch)
+        answers: dict = {}
 
-        def slow_query() -> None:
+        def query(slot, indices) -> None:
             with live.client(timeout=120.0) as client:
-                answer_box["answer"] = client.query(
-                    "knn", "pdf", {"k": 3}, "dust"
+                answers[slot] = client.query(
+                    "knn", "pdf", {"k": 3}, "dust", indices
                 )
 
-        worker = threading.Thread(target=slow_query)
-        worker.start()
+        workers = [
+            threading.Thread(target=query, args=("running", None)),
+            threading.Thread(target=query, args=("queued", [3, 7])),
+        ]
         try:
-            import time
-
-            time.sleep(0.3)  # the request is parked in the batch queue
+            workers[0].start()
+            gate.wait_entered()
+            workers[1].start()
+            gate.wait_queued(live, 1)
             with live.client() as control:
                 assert control.shutdown()
-            worker.join(timeout=60.0)
-            assert not worker.is_alive()
+            gate.release()
+            for worker in workers:
+                worker.join(timeout=60.0)
+                assert not worker.is_alive()
             live.thread.join(timeout=60.0)
             assert not live.thread.is_alive()
-            answer = answer_box.get("answer")
-            assert isinstance(answer, ServiceResult)
+            assert all(
+                isinstance(answers.get(slot), ServiceResult)
+                for slot in ("running", "queued")
+            )
             expected = _serial(pdf, "dust", lambda q: q.knn(3))
-            assert answer.indices == expected.indices.tolist()
+            assert answers["running"].indices == expected.indices.tolist()
+            assert answers["queued"].indices == [
+                expected.indices[3].tolist(),
+                expected.indices[7].tolist(),
+            ]
         finally:
+            gate.release()
             live.stop()
 
     def test_new_connections_refused_after_shutdown(
