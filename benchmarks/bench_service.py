@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Similarity-service benchmark: warm-start vs cold, batched vs serial.
+"""Similarity-service benchmark: warm-start vs cold, plus answer parity.
 
-Measures the two promises the serving tier makes on top of the library:
+Measures the promise the serving tier makes on top of the library:
 
 * **warm start** — a daemon restarted over a persistent catalog answers
   its first query from a preloaded, kernel-primed session, so the
@@ -10,14 +10,13 @@ Measures the two promises the serving tier makes on top of the library:
   (``load_collection`` + ``SimilaritySession`` + the same query) on the
   same manifest; the full (non ``--quick``) run **fails** unless the
   warm first query is at least :data:`WARM_SPEEDUP_FLOOR` x faster.
-* **batching** — concurrent same-plan requests coalesce into one
-  ``(M, N)`` kernel execution; throughput is compared against the same
-  requests issued serially over one connection.
 
-Every timed answer is also checked for parity against the in-process
+Daemon answers are also checked for parity against the in-process
 session (kNN neighbor sets, range and prob-range match sets); the
 result lands under the payload's ``service`` key, which
-``check_regression.py`` treats as fatal when false.
+``check_regression.py`` treats as fatal when false.  Concurrent serving
+is measured end to end by ``benchmarks/e2e`` (workload
+``serve-daemon``).
 
 Results are written to ``BENCH_service.json`` at the repository root.
 
@@ -54,9 +53,6 @@ DEFAULT_OUT = os.path.join(
 #: The serving-tier contract: a preloaded daemon answers its first
 #: query at least this many times faster than a cold library start.
 WARM_SPEEDUP_FLOOR = 5.0
-#: Queries issued per throughput measurement (serial and batched).
-THROUGHPUT_QUERIES = 32
-BATCH_CLIENTS = 8
 
 
 class _DaemonThread:
@@ -141,57 +137,6 @@ def _measure_warm(
     finally:
         service.stop()
     return {"first": first, "steady": float(steady)}
-
-
-def _measure_throughput(
-    catalog_path: str, n_series: int, k: int
-) -> Dict[str, float]:
-    """Wall-clock per query: serial requests vs coalescing clients."""
-    indices = np.linspace(
-        0, n_series - 1, THROUGHPUT_QUERIES, dtype=int
-    ).tolist()
-    service = _DaemonThread(catalog_path)
-    try:
-        with service.client() as client:
-            client.query("knn", "main", {"k": k}, "euclidean", [0])
-            started = time.perf_counter()
-            for index in indices:
-                client.query("knn", "main", {"k": k}, "euclidean", [index])
-            serial = (time.perf_counter() - started) / len(indices)
-
-        per_client = [
-            indices[slot::BATCH_CLIENTS] for slot in range(BATCH_CLIENTS)
-        ]
-        barrier = threading.Barrier(BATCH_CLIENTS + 1)
-        sizes: List[int] = []
-
-        def worker(rows: List[int]) -> None:
-            with service.client() as client:
-                barrier.wait(timeout=120.0)
-                for index in rows:
-                    answer = client.query(
-                        "knn", "main", {"k": k}, "euclidean", [index]
-                    )
-                    sizes.append(answer.batch["size"])
-
-        threads = [
-            threading.Thread(target=worker, args=(rows,))
-            for rows in per_client
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait(timeout=120.0)
-        started = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        batched = (time.perf_counter() - started) / len(indices)
-    finally:
-        service.stop()
-    return {
-        "serial": serial,
-        "batched": batched,
-        "mean_batch_size": float(np.mean(sizes)) if sizes else 1.0,
-    }
 
 
 def _check_parity(
@@ -296,19 +241,6 @@ def main(argv=None) -> int:
             f"speedup {warm_speedup:6.1f}x"
         )
 
-        throughput = _measure_throughput(catalog_path, args.n_series, args.k)
-        batched_speedup = (
-            throughput["serial"] / throughput["batched"]
-            if throughput["batched"] > 0
-            else float("inf")
-        )
-        print(
-            f"  serial {throughput['serial'] * 1e3:9.3f} ms/query   "
-            f"batched {throughput['batched'] * 1e3:9.3f} ms/query   "
-            f"(mean batch {throughput['mean_batch_size']:.1f})   "
-            f"speedup {batched_speedup:5.2f}x"
-        )
-
         parity = _check_parity(
             catalog_path, main_manifest, pdf_manifest, args.k
         )
@@ -323,24 +255,14 @@ def main(argv=None) -> int:
             "warm_steady_seconds_per_query": warm["steady"],
             "warm_speedup": warm_speedup,
         },
-        {
-            "technique": "Euclidean",
-            "kind": "throughput",
-            "serial_seconds_per_query": throughput["serial"],
-            "batched_seconds_per_query": throughput["batched"],
-            "mean_batch_size": throughput["mean_batch_size"],
-            "batched_speedup": batched_speedup,
-        },
     ]
     payload = {
-        "benchmark": "similarity service: warm-start + request batching",
+        "benchmark": "similarity service: warm-start + answer parity",
         "workload": {
             "n_series": args.n_series,
             "length": args.length,
             "k": args.k,
             "n_pdf": n_pdf,
-            "throughput_queries": THROUGHPUT_QUERIES,
-            "batch_clients": BATCH_CLIENTS,
             "seed": SEED,
         },
         "environment": {

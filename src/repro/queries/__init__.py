@@ -32,7 +32,6 @@ from .knn import (
     knn_table,
     local_topk_rows,
     merge_knn_rows,
-    sparse_knn_table,
 )
 from .planner import (
     ADAPTIVE_MC_FIRST_FRACTION,
@@ -123,7 +122,6 @@ __all__ = [
     "MunichDtwTechnique",
     "knn_indices",
     "knn_table",
-    "sparse_knn_table",
     "euclidean_knn_table",
     "local_topk_rows",
     "merge_knn_rows",

@@ -3,13 +3,14 @@
 The top-k ranking helpers behind three uses: DUST-style top-k search
 (Section 3.3 — "DUST being a distance measure, it can be used to answer
 top-k nearest neighbor queries"), which the session's ``knn`` verb ranks
-with :func:`knn_table` / :func:`sparse_knn_table`; the evaluation
+with :func:`knn_table` / :func:`local_topk_rows`; the evaluation
 protocol's ground-truth construction (the 10 nearest neighbors under
 exact Euclidean define the true answer set); and the distributed kNN
-contract of the service tier — each column shard ranks its own block
-with :func:`local_topk_rows` and the coordinator reassembles the global
-ranking with :func:`merge_knn_rows`.  All three break ties by candidate
-index, so a sharded ranking equals the single-process one bit for bit.
+contract of the service tier — a daemon ranks the column slice it
+serves with :func:`local_topk_rows` and the coordinator reassembles the
+global ranking with :func:`merge_knn_rows`.  All three break ties by
+candidate index, so a sharded ranking equals the single-process one bit
+for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +46,24 @@ def knn_indices(
     return result
 
 
+def check_knn_k(
+    k: int, n_candidates: int, exclude: Optional[np.ndarray] = None
+) -> None:
+    """Reject a ``k`` deeper than the workload's eligible candidates.
+
+    Every one of ``n_candidates`` columns is eligible unless some query
+    row is itself a member (``exclude`` holds a position ``>= 0``): its
+    self-match never counts, so ``k`` may be at most ``N - 1``.
+    """
+    excluding = exclude is not None and bool(np.any(np.asarray(exclude) >= 0))
+    eligible = n_candidates - (1 if excluding else 0)
+    if k > eligible:
+        raise InvalidParameterError(
+            f"k={k} must be at most the number of eligible candidates "
+            f"({eligible})"
+        )
+
+
 def knn_table(
     matrix: np.ndarray, k: int, exclude: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -65,12 +84,7 @@ def knn_table(
                 f"exclude must hold one index per query row, got shape "
                 f"{exclude.shape} for {n_queries} rows"
             )
-    excluding = exclude is not None and bool(np.any(exclude >= 0))
-    if k > n_candidates - (1 if excluding else 0):
-        raise InvalidParameterError(
-            f"k={k} must be at most the number of eligible candidates "
-            f"({n_candidates - (1 if excluding else 0)})"
-        )
+    check_knn_k(k, n_candidates, exclude)
     table = np.empty((n_queries, k), dtype=np.intp)
     for row in range(n_queries):
         skipped = None
@@ -78,65 +92,6 @@ def knn_table(
             skipped = int(exclude[row])
         table[row] = knn_indices(matrix[row], k, exclude=skipped)
     return table
-
-
-def sparse_knn_table(
-    matrix: np.ndarray, k: int, exclude: Optional[np.ndarray] = None
-) -> tuple:
-    """Row-wise top-k of a score matrix whose pruned cells are ``+inf``.
-
-    The summarization index records certain non-candidates as ``+inf``;
-    ranking only each row's *finite* cells keeps the sort cost
-    proportional to the kept candidate set instead of ``N``, while
-    returning exactly :func:`knn_table`'s rankings
-    (``np.flatnonzero`` walks columns in ascending order, so the stable
-    break-ties-by-index rule is preserved).  Returns ``(indices,
-    scores)``.  Rows must keep at least ``k`` eligible finite cells —
-    the index stage's pruning-threshold guarantee.
-    """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    n_queries, n_candidates = matrix.shape
-    if exclude is not None:
-        exclude = np.asarray(exclude, dtype=np.intp)
-        if exclude.shape != (n_queries,):
-            raise InvalidParameterError(
-                f"exclude must hold one index per query row, got shape "
-                f"{exclude.shape} for {n_queries} rows"
-            )
-    excluding = exclude is not None and bool(np.any(exclude >= 0))
-    if k > n_candidates - (1 if excluding else 0):
-        raise InvalidParameterError(
-            f"k={k} must be at most the number of eligible candidates "
-            f"({n_candidates - (1 if excluding else 0)})"
-        )
-    indices = np.empty((n_queries, k), dtype=np.intp)
-    scores = np.empty((n_queries, k))
-    for row in range(n_queries):
-        row_values = matrix[row]
-        skipped = None
-        if exclude is not None and exclude[row] >= 0:
-            skipped = int(exclude[row])
-        finite = np.flatnonzero(np.isfinite(row_values))
-        if finite.size == n_candidates:
-            chosen = knn_indices(row_values, k, exclude=skipped)
-        else:
-            local_skip = None
-            if skipped is not None:
-                hit = int(np.searchsorted(finite, skipped))
-                if hit < finite.size and finite[hit] == skipped:
-                    local_skip = hit
-            eligible = finite.size - (1 if local_skip is not None else 0)
-            if eligible < k:
-                raise InvalidParameterError(
-                    f"k={k} exceeds the {eligible} finite candidates of "
-                    f"row {row}; sparse top-k requires an admissibly "
-                    f"pruned matrix"
-                )
-            local = knn_indices(row_values[finite], k, exclude=local_skip)
-            chosen = [int(finite[i]) for i in local]
-        indices[row] = chosen
-        scores[row] = row_values[indices[row]]
-    return indices, scores
 
 
 def euclidean_knn_table(values: np.ndarray, k: int) -> np.ndarray:
@@ -164,36 +119,54 @@ def euclidean_knn_table(values: np.ndarray, k: int) -> np.ndarray:
 def local_topk_rows(
     block: np.ndarray,
     k: int,
-    local_exclude: Optional[np.ndarray],
+    local_exclude: Optional[np.ndarray] = None,
     col_offset: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row local top-``k`` of one column-shard score block.
+    """Per-row top-``k`` of a score block whose pruned cells are ``+inf``.
 
-    The shard half of the distributed kNN contract (the other half is
-    :func:`merge_knn_rows`): returns ``(indices, scores)`` with shapes
+    The one ranking rule of a kNN execution, whole collection or column
+    slice (the other half of the distributed contract is
+    :func:`merge_knn_rows`).  Returns ``(indices, scores)`` with shapes
     ``(rows, k')`` where ``k' = min(k, width)``; indices are **global**
-    column positions (``col_offset`` added), rows short of ``k'``
+    column positions (``col_offset`` added), and rows short of ``k'``
     eligible candidates are padded with ``-1`` / ``+inf`` (only
-    possible when the shard is narrower than ``k`` after excluding a
-    self-match).  ``local_exclude`` holds one shard-local column to
-    skip per row (``-1`` for none).  Every column-sliced daemon
-    execution ranks its block through this function, so every shard
-    produces candidates under the same rule.
+    possible when the block is narrower than ``k`` after excluding a
+    self-match).  ``local_exclude`` holds one block-local column to
+    skip per row (``-1`` for none).
+
+    The summarization index records certain non-neighbors as ``+inf``,
+    so a row is ranked over its cells below ``+inf`` alone whenever at
+    least ``k'`` eligible ones remain — the sort then costs the kept
+    candidate set, not the block width.  Pruned cells are strictly
+    beaten, and ``np.flatnonzero`` keeps column order, so the ranking
+    (ties broken by index) equals ranking the whole row; a row with too
+    few kept cells is ranked whole.
     """
-    width = block.shape[1]
+    block = np.atleast_2d(np.asarray(block, dtype=np.float64))
+    n_rows, width = block.shape
     limit = min(k, width)
-    indices = np.full((block.shape[0], limit), -1, dtype=np.intp)
-    scores = np.full((block.shape[0], limit), np.inf)
-    for offset in range(block.shape[0]):
+    indices = np.full((n_rows, limit), -1, dtype=np.intp)
+    scores = np.full((n_rows, limit), np.inf)
+    for row in range(n_rows):
+        values = block[row]
         skipped = None
-        if local_exclude is not None and local_exclude[offset] >= 0:
-            skipped = int(local_exclude[offset])
+        if local_exclude is not None and local_exclude[row] >= 0:
+            skipped = int(local_exclude[row])
         take = min(limit, width - (1 if skipped is not None else 0))
         if take < 1:
             continue
-        local = knn_indices(block[offset], take, exclude=skipped)
-        indices[offset, :take] = np.asarray(local, dtype=np.intp) + col_offset
-        scores[offset, :take] = block[offset, local]
+        kept = np.flatnonzero(values < np.inf)
+        kept_skip = None
+        if skipped is not None:
+            hit = int(np.searchsorted(kept, skipped))
+            if hit < kept.size and kept[hit] == skipped:
+                kept_skip = hit
+        if kept.size < width and kept.size - (kept_skip is not None) >= take:
+            chosen = kept[knn_indices(values[kept], take, exclude=kept_skip)]
+        else:
+            chosen = np.asarray(knn_indices(values, take, exclude=skipped))
+        indices[row, :take] = chosen + col_offset
+        scores[row, :take] = values[chosen]
     return indices, scores
 
 

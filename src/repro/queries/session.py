@@ -46,7 +46,7 @@ import numpy as np
 
 from ..core.errors import InvalidParameterError, UnsupportedQueryError
 from .engine import SHARED_ENGINE, QueryEngine
-from .knn import knn_table, sparse_knn_table
+from .knn import check_knn_k, knn_table, local_topk_rows
 from .planner import (
     PlanPolicy,
     PruningStats,
@@ -435,12 +435,13 @@ class QuerySet:
             return self.profile_matrix().top_k(k)
         # Indexed path: the plan runs in kNN decision mode, so the
         # summarization index retires certain non-neighbors as +inf
-        # before refinement, and the sparse top-k ranks only the
-        # surviving candidates.  Rankings are identical to
+        # before refinement, and the top-k ranks only the surviving
+        # candidates.  Rankings are identical to
         # profile_matrix().top_k(k) — the index prunes only cells
         # strictly beaten by >= k candidates.
+        check_knn_k(k, len(self._session.collection), self._positions)
         values, elapsed, stats = self._run_matrix("distance", knn_k=k)
-        indices, scores = sparse_knn_table(values, k, exclude=self._positions)
+        indices, scores = local_topk_rows(values, k, self._positions)
         return KnnResult(
             technique_name=technique.name,
             indices=indices,

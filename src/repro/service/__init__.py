@@ -12,21 +12,17 @@ service subsystem turns that library into a long-lived system:
   :class:`~repro.queries.session.SimilaritySession` objects over mapped
   collections, answering concurrent kNN / range / prob-range requests
   over the versioned JSON protocol of :mod:`repro.service.protocol`,
-  executing kernels in a thread pool so the event loop never blocks,
-  and draining in-flight work on shutdown;
-* :mod:`repro.service.batching` — admission control that coalesces
-  compatible queued requests (same collection / technique / parameters)
-  into one planner ``(M, N)`` matrix execution and scatters the
-  per-query results; a batch key with nothing executing dispatches at
-  once, and later requests coalesce behind the running batch;
+  running each request as exactly one planner execution in a thread
+  pool so the event loop never blocks, and draining in-flight work on
+  shutdown;
 * :mod:`repro.service.client` — a blocking :class:`ServiceClient` for
   scripts and the ``python -m repro.cli query`` command;
 * :mod:`repro.service.cluster` — distributed scatter-gather serving: a
   catalog shard map routes contiguous candidate slices of one
   collection to shard daemons, and :class:`ClusterCoordinator` scatters
-  each query, retries a failed shard once (and hedges a slow one only
-  under a fixed ``hedge_after``), and merges replies bit-identically to
-  an in-process session.  :func:`connect` is the one entry point over
+  each query as one request per shard, retries a shard once after a
+  transport failure, and merges replies bit-identically to an
+  in-process session.  :func:`connect` is the one entry point over
   every deployment shape.
 
 Start a daemon and query it through the unified fluent surface::
@@ -43,7 +39,6 @@ Start a daemon and query it through the unified fluent surface::
 
 from __future__ import annotations
 
-from .batching import BatchQueue, batch_key, merge_requests, scatter_rows
 from .catalog import CatalogEntry, CatalogError, ServiceCatalog, ShardEntry
 from .client import ServiceClient, ServiceError, ServiceResult
 from .cluster import (
@@ -65,10 +60,6 @@ from .protocol import (
 )
 
 __all__ = [
-    "BatchQueue",
-    "batch_key",
-    "merge_requests",
-    "scatter_rows",
     "CatalogEntry",
     "CatalogError",
     "ServiceCatalog",

@@ -200,13 +200,6 @@ def query_main(argv: Optional[List[str]] = None) -> int:
         else:
             for row, found in enumerate(result.matches):
                 print(f"query {row}: {found}")
-        if result.batch:
-            print(
-                f"[batch size {result.batch['size']}, "
-                f"{result.batch['n_queries']} query rows, waited "
-                f"{result.batch['waited_ms']:.2f} ms; kernel "
-                f"{result.elapsed_ms:.2f} ms]"
-            )
     return 0
 
 

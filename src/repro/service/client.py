@@ -12,8 +12,8 @@ One TCP connection, one request at a time, structured results::
                             technique="dust", indices=[0, 1, 2])
         hits.indices      # (3, 10) ranked neighbor lists
         hits.scores       # matching distances
-        hits.batch        # {"size": ..., "n_queries": ..., "waited_ms": ...}
         hits.stats        # the plan's pruning statistics, if recorded
+        hits.elapsed_ms   # the daemon's execution time
 
         prq = client.query("prob_range", "sensors",
                            {"epsilon": 4.0, "tau": 0.4},
@@ -54,6 +54,34 @@ class ServiceError(ReproError):
         self.error_type = error_type
 
 
+def checked_response(
+    response: Dict[str, Any], request_id: str
+) -> Dict[str, Any]:
+    """``response`` if it is a success reply to ``request_id``.
+
+    A reply in another protocol version or for another request id is a
+    :class:`ProtocolError`; an ``ok: false`` reply raises the daemon's
+    structured error as :class:`ServiceError` with its ``error_type``.
+    """
+    if response.get("v") != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"peer answered protocol v{response.get('v')!r}, this end "
+            f"speaks v{PROTOCOL_VERSION}"
+        )
+    if response.get("id") not in (request_id, None):
+        raise ProtocolError(
+            f"response id {response.get('id')!r} does not match "
+            f"request id {request_id!r}"
+        )
+    if not response.get("ok"):
+        error = response.get("error") or {}
+        raise ServiceError(
+            error.get("type", "UnknownError"),
+            error.get("message", "daemon reported an error"),
+        )
+    return response
+
+
 @dataclass(frozen=True)
 class ServiceResult:
     """One query response: row-wise payload + service-side metadata."""
@@ -61,7 +89,6 @@ class ServiceResult:
     op: str
     result: Dict[str, Any]
     stats: Optional[Dict[str, Any]] = None
-    batch: Optional[Dict[str, Any]] = None
     elapsed_ms: Optional[float] = None
 
     @property
@@ -80,10 +107,7 @@ class ServiceResult:
         return self.result["matches"]
 
     def __repr__(self) -> str:
-        batch = (
-            f", batch={self.batch['size']}" if self.batch else ""
-        )
-        return f"ServiceResult(op={self.op!r}{batch})"
+        return f"ServiceResult(op={self.op!r}, elapsed_ms={self.elapsed_ms})"
 
 
 @dataclass
@@ -125,36 +149,26 @@ class ServiceClient:
     # -- transport ---------------------------------------------------------
 
     def _request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """One round trip.  A transport failure (timeout, ``OSError``,
+        EOF) closes the connection, so the next request reconnects and
+        a late reply is never read as its answer."""
         self.connect()
         request_id = f"c{next(self._ids)}"
         payload = {"v": PROTOCOL_VERSION, "id": request_id, **payload}
         assert self._sock is not None
-        self._sock.sendall(encode_message(payload))
-        line = self._reader.readline()
+        try:
+            self._sock.sendall(encode_message(payload))
+            line = self._reader.readline()
+        except OSError:
+            self.close()
+            raise
         if not line:
             self.close()
             raise ServiceError(
                 "ConnectionClosed",
                 f"daemon at {self.host}:{self.port} closed the connection",
             )
-        response = decode_message(line)
-        if response.get("v") != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"server answered protocol v{response.get('v')!r}, "
-                f"client speaks v{PROTOCOL_VERSION}"
-            )
-        if response.get("id") not in (request_id, None):
-            raise ProtocolError(
-                f"response id {response.get('id')!r} does not match "
-                f"request id {request_id!r}"
-            )
-        if not response.get("ok"):
-            error = response.get("error") or {}
-            raise ServiceError(
-                error.get("type", "UnknownError"),
-                error.get("message", "daemon reported an error"),
-            )
-        return response
+        return checked_response(decode_message(line), request_id)
 
     # -- query op ---------------------------------------------------------
 
@@ -200,7 +214,6 @@ class ServiceClient:
             op=op,
             result=response.get("result", {}),
             stats=response.get("stats"),
-            batch=response.get("batch"),
             elapsed_ms=response.get("elapsed_ms"),
         )
 
@@ -211,7 +224,7 @@ class ServiceClient:
         return bool(self._request({"op": "ping"})["result"]["pong"])
 
     def status(self) -> Dict[str, Any]:
-        """Daemon status: collections, warm sessions, batching knobs."""
+        """Daemon status: collections, warm sessions, uptime, load."""
         return self._request({"op": "status"})["result"]
 
     def list_collections(self) -> List[Dict[str, Any]]:

@@ -12,18 +12,17 @@ protocol, then merges the replies with the global stable-by-index rule
 of :func:`~repro.queries.knn.merge_knn_rows`, so a 4-shard cluster
 answers bit-identically to a single process.  This is the system's one
 sharding path: an in-process session always runs the whole ``(M, N)``
-workload in its own process.  Robustness:
+workload in its own process.  Each shard is asked exactly once per
+request.  Robustness:
 
-* **hedged retries** — with a fixed ``hedge_after`` (off by default),
-  a shard reply slower than that fires a duplicate request (same
-  request id) on a second connection; the first reply wins and the
-  late one is discarded by id.  A failed attempt is retried
-  immediately, once, whether or not hedging is on;
+* **one immediate retry** — an attempt that fails in transport (refused
+  connection, reset, EOF, socket timeout) is retried once, at once; an
+  ``ok: false`` reply is the shard's answer and is never retried;
 * **deadline budgets** — every shard attempt inherits the remaining
-  per-request budget, so one stuck shard cannot absorb the whole
-  timeout;
-* **graceful degradation** — with ``allow_partial``, a dead shard
-  yields a partial result *tagged* with the failed shard set
+  per-request budget as its socket timeout, so one stuck shard cannot
+  absorb the whole timeout;
+* **graceful degradation** — with ``allow_partial``, a dead or failing
+  shard yields a partial result *tagged* with the failed shard set
   (``result.failed_shards``) instead of an exception.
 
 The unified surface: :func:`connect` returns a session whose fluent
@@ -38,7 +37,6 @@ shard fleet (:class:`ClusterBackend`) — returning the same
 from __future__ import annotations
 
 import itertools
-import queue
 import socket
 import threading
 import time
@@ -47,7 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.errors import InvalidParameterError, ReproError
-from ..queries.knn import merge_knn_rows
+from ..queries.knn import check_knn_k, merge_knn_rows
 from ..queries.planner import PlanPolicy, PruningStats
 from ..queries.session import (
     KnnResult,
@@ -56,7 +54,7 @@ from ..queries.session import (
     SimilarityBackend,
 )
 from .catalog import ServiceCatalog, ShardEntry
-from .client import ServiceClient, _epsilon_param
+from .client import ServiceClient, _epsilon_param, checked_response
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -81,7 +79,7 @@ class ClusterError(ReproError):
 
 
 # ---------------------------------------------------------------------------
-# Transport: one blocking channel per in-flight attempt
+# Transport: one blocking channel per in-flight shard request
 # ---------------------------------------------------------------------------
 
 
@@ -89,9 +87,9 @@ class _ShardChannel:
     """One blocking TCP connection to a shard daemon.
 
     Unlike :class:`ServiceClient`, request ids are supplied by the
-    caller — the coordinator gives a hedge duplicate the *same* id as
-    its primary attempt, so replies dedupe by id no matter which
-    connection they arrive on.
+    caller — the coordinator names every shard request after its
+    logical request (``x<n>.s<shard>``), so a shard's reply says which
+    scatter it answers.
     """
 
     __slots__ = ("host", "port", "_sock", "_reader")
@@ -112,27 +110,21 @@ class _ShardChannel:
         payload: Dict[str, Any],
         timeout: Optional[float],
     ) -> Dict[str, Any]:
-        """One request/response round trip with a hard read deadline."""
+        """One request/response round trip with a hard read deadline.
+
+        An ``ok: false`` reply raises the daemon's structured error as
+        :class:`~repro.service.client.ServiceError`; transport failures
+        raise ``OSError`` (EOF as :class:`ConnectionError`).
+        """
         message = {"v": PROTOCOL_VERSION, "id": request_id, **payload}
         self._sock.settimeout(timeout)
         self._sock.sendall(encode_message(message))
         line = self._reader.readline()
         if not line:
-            raise ClusterError(
+            raise ConnectionError(
                 f"shard {self.host}:{self.port} closed the connection"
             )
-        response = decode_message(line)
-        if response.get("v") != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"shard answered protocol v{response.get('v')!r}, "
-                f"coordinator speaks v{PROTOCOL_VERSION}"
-            )
-        if response.get("id") not in (request_id, None):
-            raise ProtocolError(
-                f"response id {response.get('id')!r} does not match "
-                f"request id {request_id!r}"
-            )
-        return response
+        return checked_response(decode_message(line), request_id)
 
     def close(self) -> None:
         try:
@@ -164,14 +156,10 @@ class ClusterCoordinator:
         inherits the *remaining* budget at its send time.
     connect_timeout:
         TCP connect budget per channel.
-    hedge_after:
-        Fixed hedge delay in seconds: a shard attempt unanswered after
-        this long gets one duplicate.  ``None`` (default) or
-        ``float("inf")`` never hedges.
     allow_partial:
-        When a shard fails every attempt, return the survivors' merged
-        answer tagged with ``failed_shards`` instead of raising
-        :class:`ClusterError`.
+        When a shard fails (transport failure after its retry, or an
+        error reply), return the survivors' merged answer tagged with
+        ``failed_shards`` instead of raising :class:`ClusterError`.
     """
 
     def __init__(
@@ -179,7 +167,6 @@ class ClusterCoordinator:
         shard_maps: Dict[str, Sequence[ShardEntry]],
         timeout: Optional[float] = DEFAULT_TIMEOUT,
         connect_timeout: Optional[float] = 10.0,
-        hedge_after: Optional[float] = None,
         allow_partial: bool = False,
     ) -> None:
         if not shard_maps:
@@ -192,16 +179,11 @@ class ClusterCoordinator:
         }
         self.timeout = timeout
         self.connect_timeout = connect_timeout
-        self.hedge_after = hedge_after
         self.allow_partial = bool(allow_partial)
         self._ids = itertools.count()
         self._lock = threading.Lock()
         self._pools: Dict[Tuple[str, int], List[_ShardChannel]] = {}
         self._closed = False
-        #: Duplicate attempts fired past ``hedge_after`` (monotonic).
-        self.hedges_fired = 0
-        #: Replies that lost their race and were discarded by id.
-        self.duplicates_discarded = 0
 
     @classmethod
     def from_catalog(
@@ -251,12 +233,13 @@ class ClusterCoordinator:
                 if shard.endpoint in alive:
                     continue
                 try:
-                    channel = self._checkout(shard)
-                    response = channel.request(
-                        f"p{next(self._ids)}", {"op": "ping"}, self.timeout
+                    self._attempt(
+                        shard,
+                        f"p{next(self._ids)}",
+                        {"op": "ping"},
+                        self._deadline(),
                     )
-                    self._checkin(shard, channel)
-                    alive[shard.endpoint] = bool(response.get("ok"))
+                    alive[shard.endpoint] = True
                 except (OSError, ReproError):
                     alive[shard.endpoint] = False
         return alive
@@ -281,11 +264,11 @@ class ClusterCoordinator:
                 return
         channel.close()
 
-    def _hedge_delay(self) -> Optional[float]:
-        """Seconds to wait before hedging, or ``None`` (never hedge)."""
-        if self.hedge_after is None or not np.isfinite(self.hedge_after):
+    def _deadline(self) -> Optional[float]:
+        """The monotonic deadline of a request starting now."""
+        if self.timeout is None:
             return None
-        return float(self.hedge_after)
+        return time.monotonic() + self.timeout
 
     def close(self) -> None:
         """Close every pooled connection (idempotent)."""
@@ -306,7 +289,7 @@ class ClusterCoordinator:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- scatter / hedge -----------------------------------------------------
+    # -- scatter ---------------------------------------------------------------
 
     def _attempt(
         self,
@@ -314,120 +297,38 @@ class ClusterCoordinator:
         request_id: str,
         payload: Dict[str, Any],
         deadline: Optional[float],
-        outcomes: "queue.Queue",
-        resolved: threading.Event,
-    ) -> None:
-        """One connection-level attempt; runs on its own daemon thread."""
-        channel: Optional[_ShardChannel] = None
+    ) -> Dict[str, Any]:
+        """One round trip; the remaining budget is its socket timeout."""
+        budget = None
+        if deadline is not None:
+            budget = deadline - time.monotonic()
+            if budget <= 0:
+                raise ClusterError(
+                    f"shard {shard.endpoint} did not answer within the "
+                    f"deadline budget"
+                )
+        channel = self._checkout(shard)
         try:
-            channel = self._checkout(shard)
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ClusterError(
-                        f"shard {shard.endpoint} budget exhausted before "
-                        f"send"
-                    )
-            response = channel.request(request_id, payload, remaining)
-            # The reply is well-formed for *this* request id; whether it
-            # wins is decided by the gather loop.  A reply landing after
-            # the group resolved is the hedge loser: discard by id.
-            if resolved.is_set():
-                with self._lock:
-                    self.duplicates_discarded += 1
-                self._checkin(shard, channel)
-                return
-            self._checkin(shard, channel)
-            outcomes.put(("ok", response))
-        except BaseException as error:  # noqa: BLE001 — reported, not lost
-            if channel is not None:
-                channel.close()
-            if resolved.is_set():
-                return
-            outcomes.put(("err", error))
+            response = channel.request(request_id, payload, budget)
+        except BaseException:
+            channel.close()
+            raise
+        self._checkin(shard, channel)
+        return response
 
     def _query_shard(
         self,
         shard: ShardEntry,
+        request_id: str,
         payload: Dict[str, Any],
         deadline: Optional[float],
     ) -> Dict[str, Any]:
-        """Scatter to one shard with hedging; first good reply wins."""
-        request_id = payload.pop("__rid__")
-        outcomes: "queue.Queue" = queue.Queue()
-        resolved = threading.Event()
-        launched = 0
-
-        def launch() -> None:
-            nonlocal launched
-            launched += 1
-            thread = threading.Thread(
-                target=self._attempt,
-                args=(
-                    shard,
-                    request_id,
-                    dict(payload),
-                    deadline,
-                    outcomes,
-                    resolved,
-                ),
-                name=f"repro-cluster-{shard.endpoint}-{request_id}",
-                daemon=True,
-            )
-            thread.start()
-
-        def remaining() -> Optional[float]:
-            if deadline is None:
-                return None
-            return deadline - time.monotonic()
-
-        launch()
-        hedge_delay = self._hedge_delay()
-        errors: List[BaseException] = []
-        finished = 0
-        while True:
-            budget = remaining()
-            if budget is not None and budget <= 0:
-                break
-            wait = budget
-            if (
-                launched == 1
-                and hedge_delay is not None
-                and (wait is None or hedge_delay < wait)
-            ):
-                wait = hedge_delay
-            try:
-                kind, value = outcomes.get(timeout=wait)
-            except queue.Empty:
-                if launched == 1 and hedge_delay is not None:
-                    # Primary is slower than hedge_after: fire the
-                    # duplicate (same request id).
-                    with self._lock:
-                        self.hedges_fired += 1
-                    launch()
-                    continue
-                break  # deadline exhausted
-            if kind == "ok":
-                resolved.set()
-                return value
-            finished += 1
-            errors.append(value)
-            if launched == 1:
-                # The primary *failed* (it did not merely lag): retry
-                # once immediately — waiting out the hedge delay would
-                # only burn budget.
-                launch()
-                continue
-            if finished >= launched:
-                break
-        resolved.set()
-        if errors:
-            raise errors[-1]
-        raise ClusterError(
-            f"shard {shard.endpoint} did not answer within the deadline "
-            f"budget"
-        )
+        """Ask one shard once; retry at once, once, after a transport
+        failure.  An error reply raises without a retry."""
+        try:
+            return self._attempt(shard, request_id, payload, deadline)
+        except OSError:
+            return self._attempt(shard, request_id, payload, deadline)
 
     def _scatter(
         self,
@@ -439,27 +340,20 @@ class ClusterCoordinator:
     ) -> Tuple[
         List[Optional[Dict[str, Any]]], Tuple[ShardEntry, ...], Tuple[str, ...]
     ]:
-        """One request per shard, hedged; returns per-shard responses.
+        """One request per shard, each on its own thread; returns the
+        per-shard responses.
 
         Failed shards are ``None`` in the response list (allowed only
         with ``allow_partial``); the failed endpoints are returned so
         results can carry the tag.
         """
         shards = self.shard_map(collection)
-        deadline = (
-            time.monotonic() + self.timeout
-            if self.timeout is not None
-            else None
-        )
+        deadline = self._deadline()
         logical = next(self._ids)
-        replies: List[Optional[Dict[str, Any]]] = [None] * len(shards)
-        failures: List[Tuple[ShardEntry, BaseException]] = []
-        threads: List[threading.Thread] = []
-        results: "queue.Queue" = queue.Queue()
+        outcomes: List[Any] = [None] * len(shards)
 
         def run(index: int, shard: ShardEntry) -> None:
             payload: Dict[str, Any] = {
-                "__rid__": f"x{logical}.s{shard.shard_index}",
                 "op": op,
                 "collection": collection,
                 "params": params,
@@ -475,28 +369,36 @@ class ClusterCoordinator:
             if deadline is not None:
                 budget = deadline - time.monotonic()
                 payload["timeout"] = max(budget, 1e-3)
+            request_id = f"x{logical}.s{shard.shard_index}"
             try:
-                results.put(
-                    (index, self._query_shard(shard, payload, deadline))
+                outcomes[index] = self._query_shard(
+                    shard, request_id, payload, deadline
                 )
-            except BaseException as error:  # noqa: BLE001
-                results.put((index, error))
+            except BaseException as error:  # noqa: BLE001 — reported below
+                outcomes[index] = error
 
-        for index, shard in enumerate(shards):
-            thread = threading.Thread(
+        threads = [
+            threading.Thread(
                 target=run,
                 args=(index, shard),
                 name=f"repro-gather-{collection}-s{shard.shard_index}",
                 daemon=True,
             )
+            for index, shard in enumerate(shards)
+        ]
+        for thread in threads:
             thread.start()
-            threads.append(thread)
-        for _ in shards:
-            index, outcome = results.get()
-            if isinstance(outcome, BaseException):
-                failures.append((shards[index], outcome))
-            else:
-                replies[index] = outcome
+        for thread in threads:
+            thread.join()
+        failures = [
+            (shard, outcome)
+            for shard, outcome in zip(shards, outcomes)
+            if isinstance(outcome, BaseException)
+        ]
+        replies: List[Optional[Dict[str, Any]]] = [
+            None if isinstance(outcome, BaseException) else outcome
+            for outcome in outcomes
+        ]
         failed = tuple(shard.endpoint for shard, _ in failures)
         if failures and not self.allow_partial:
             shard, error = failures[0]
@@ -575,17 +477,11 @@ class ClusterCoordinator:
         if int(k) < 1:
             raise InvalidParameterError(f"k must be >= 1, got {k}")
         queries = _wire_queries(indices, values)
-        # Member queries (all / by-index) exclude their own column; raw
-        # value rows compete against every candidate.  Validated here so
-        # a too-deep k fails like the in-process kernel would, and the
-        # degraded-merge clamp below only ever reflects *failed shards*.
-        excluding = queries is None or "indices" in queries
-        eligible = self.n_series(collection) - (1 if excluding else 0)
-        if int(k) > eligible:
-            raise InvalidParameterError(
-                f"k={int(k)} must be at most the number of eligible "
-                f"candidates ({eligible})"
-            )
+        n_queries, positions = self._query_meta(collection, queries)
+        # Validated here so a too-deep k fails like the in-process kernel
+        # would, and the degraded-merge clamp below only ever reflects
+        # *failed shards*.
+        check_knn_k(int(k), self.n_series(collection), positions)
         params: Dict[str, Any] = {"k": int(k)}
         if policy is not None:
             params["policy"] = policy.to_wire()
@@ -593,7 +489,6 @@ class ClusterCoordinator:
         replies, shards, failed = self._scatter(
             collection, "knn", params, technique, queries
         )
-        n_queries, positions = self._query_meta(collection, queries)
         shard_blocks = []
         pooled = np.zeros(n_queries, dtype=np.intp)
         for reply in replies:
@@ -1114,7 +1009,6 @@ def connect(
     collection: Optional[str] = None,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     allow_partial: bool = False,
-    hedge_after: Optional[float] = None,
     policy: Optional[PlanPolicy] = None,
 ):
     """One entry point for every deployment shape.
@@ -1137,9 +1031,8 @@ def connect(
     with identical result structures and validation errors.  A
     ``policy=PlanPolicy(...)`` rides along to whichever session shape
     comes back, switching the index stage on or off uniformly.
-    ``allow_partial`` and ``hedge_after`` configure the shard-fleet
-    shape only (see :class:`ClusterCoordinator`); hedging stays off
-    unless ``hedge_after`` is a finite number of seconds.
+    ``allow_partial`` configures the shard-fleet shape only (see
+    :class:`ClusterCoordinator`).
     """
     import os
 
@@ -1151,7 +1044,11 @@ def connect(
         host, port, url_name = _parse_tcp_address(address)
         requested = collection if collection is not None else url_name
         client = ServiceClient(host, port, timeout=timeout)
-        name, n_series = _resolve_remote_collection(client, requested)
+        try:
+            name, n_series = _resolve_remote_collection(client, requested)
+        except BaseException:
+            client.close()
+            raise
         return RemoteSession(
             RemoteBackend(client, name), name, n_series, policy=policy
         )
@@ -1177,7 +1074,6 @@ def connect(
                 {name: shard_map},
                 timeout=timeout,
                 allow_partial=allow_partial,
-                hedge_after=hedge_after,
             )
             return RemoteSession(
                 ClusterBackend(coordinator, name),

@@ -1,15 +1,18 @@
 """The similarity daemon: warmed sessions behind an asyncio socket server.
 
 One long-lived process holds a :class:`~repro.service.catalog.ServiceCatalog`
-plus one warmed :class:`~repro.queries.session.SimilaritySession` per
-registered collection, so clients pay the kernel — never collection
-load, materialization warmup or index adoption.  The event loop only
-parses and routes: every kernel executes in a thread pool
-(`numpy` releases the GIL inside the GEMM/DP kernels), and compatible
-concurrent requests coalesce through the
-:class:`~repro.service.batching.BatchQueue` into one planner ``(M, N)``
-execution.  A batch key with nothing executing dispatches at once;
-requests that arrive while its batch runs coalesce into the next one.
+plus warmed :class:`~repro.queries.session.SimilaritySession` objects, so
+clients pay the kernel — never collection load, materialization warmup
+or index adoption.  The event loop only parses, validates and routes:
+each query request becomes exactly one planner execution
+(:func:`execute_query`) in a thread pool (`numpy` releases the GIL
+inside the GEMM/DP kernels).  Requests for one technique run one at a
+time on its lock; requests for different techniques run side by side.
+
+Every query runs against a column slice of its collection — a request
+without ``candidates`` is the slice ``[0, N)`` — and the daemon keeps one
+session table keyed by ``(collection, start, stop)``, every session built
+from the collection's single memory map.
 
 Lifecycle::
 
@@ -20,8 +23,8 @@ Lifecycle::
     SimilarityDaemon.run(...)     # blocking entry with signal handlers
 
 Shutdown is graceful: the listener closes first (no new connections),
-in-flight batches drain to completion and their responses flush, then
-sessions close (idempotent — see
+in-flight executions drain to completion and their responses flush,
+then sessions close (idempotent — see
 :meth:`~repro.queries.session.SimilaritySession.close`) and the pool
 shuts down.
 """
@@ -43,21 +46,13 @@ from ..core.errors import InvalidParameterError, ReproError
 from ..core.mmapio import MappedCollection
 from ..core.series import TimeSeries
 from ..queries.engine import QueryEngine
-from ..queries.planner import PlanPolicy
-from ..queries.session import SimilaritySession
+from ..queries.knn import check_knn_k, local_topk_rows
+from ..queries.planner import PlanPolicy, PruningStats
+from ..queries.session import QuerySet, SimilaritySession
 from ..queries.techniques import (
     EuclideanTechnique,
     Technique,
     _epsilon_vector,
-)
-from .batching import (
-    MAX_BATCH,
-    BatchQueue,
-    QueryJob,
-    batch_key,
-    execute_batch,
-    execute_shard_batch,
-    scatter_rows,
 )
 from .catalog import CatalogError, ServiceCatalog
 from .protocol import (
@@ -79,6 +74,73 @@ from .protocol import (
 
 #: How long stop() waits for in-flight work before force-closing.
 DRAIN_TIMEOUT = 30.0
+
+
+def execute_query(
+    session: SimilaritySession,
+    technique: Technique,
+    op: str,
+    items: Sequence,
+    positions: np.ndarray,
+    params: Dict[str, Any],
+    col_offset: int = 0,
+) -> Tuple[Dict[str, Any], Optional[PruningStats]]:
+    """Run one query request through a column-slice session's planner.
+
+    ``session`` holds the collection columns ``[col_offset, col_offset +
+    width)`` — the whole collection is the slice ``[0, N)``.  ``items``
+    are the query series and ``positions`` their **global** collection
+    positions (``-1`` for raw-value rows).  Returns the reply's
+    ``result`` payload, in global indices, and the plan's pruning
+    statistics:
+
+    * **knn** — each row's top-``k`` of the slice, ranked by
+      :func:`~repro.queries.knn.local_topk_rows`.  A slice narrower than
+      ``k`` gives ragged rows (the ``-1`` / ``+inf`` padding never
+      reaches the wire); a coordinator merging slice replies with
+      :func:`~repro.queries.knn.merge_knn_rows` reproduces the
+      whole-collection answer bit for bit;
+    * **range** / **prob_range** — match sets offset back to global
+      indices (ascending, so shard-ordered concatenation stays sorted),
+      with the ε vector and τ echoed.
+    """
+    width = len(session.collection)
+    local = np.where(
+        (positions >= col_offset) & (positions < col_offset + width),
+        positions - col_offset,
+        -1,
+    ).astype(np.intp)
+    policy = params.get("policy")
+    query_set = QuerySet(
+        session,
+        items,
+        local,
+        technique,
+        policy=None if policy is None else PlanPolicy.from_wire(policy),
+    )
+    if op == "knn":
+        k = int(params["k"])
+        values, _, stats = query_set._run_matrix("distance", knn_k=k)
+        indices, scores = local_topk_rows(values, k, local, col_offset)
+        real = indices >= 0
+        return {
+            "indices": [row[keep].tolist() for row, keep in zip(indices, real)],
+            "scores": [row[keep].tolist() for row, keep in zip(scores, real)],
+        }, stats
+    if op == "range":
+        result = query_set.range(params["epsilon"])
+    else:
+        result = query_set.prob_range(params["epsilon"], float(params["tau"]))
+    payload: Dict[str, Any] = {
+        "matches": [
+            (np.asarray(found, dtype=np.intp) + col_offset).tolist()
+            for found in result.matches
+        ],
+        "epsilons": result.epsilons.tolist(),
+    }
+    if result.tau is not None:
+        payload["tau"] = result.tau
+    return payload, result.pruning_stats
 
 
 class SimilarityDaemon:
@@ -128,17 +190,14 @@ class SimilarityDaemon:
         self._pool = ThreadPoolExecutor(
             max_workers=pool_size, thread_name_prefix="repro-service"
         )
-        self._queue = BatchQueue(self._dispatch)
-        self._sessions: Dict[str, SimilaritySession] = {}
-        self._session_locks: Dict[Any, asyncio.Lock] = {}
-        # Column-shard serving: the full mmap per collection (query items
-        # resolve by *global* index) plus one warmed session per served
-        # slice — a shard daemon never materializes columns outside its
-        # slice, which is the whole point of scattering.
+        # One full mmap per collection (query items resolve by *global*
+        # index) plus one warmed session per served column slice — a
+        # shard daemon never materializes columns outside its slice,
+        # which is the whole point of scattering.
         self._maps: Dict[str, MappedCollection] = {}
-        self._shard_sessions: Dict[
-            Tuple[str, int, int], SimilaritySession
-        ] = {}
+        self._sessions: Dict[Tuple[str, int, int], SimilaritySession] = {}
+        self._session_locks: Dict[Tuple[str, int, int], asyncio.Lock] = {}
+        self._inflight: set = set()
         self._techniques: Dict[
             Tuple[str, str], Tuple[Technique, threading.Lock]
         ] = {}
@@ -159,8 +218,8 @@ class SimilarityDaemon:
 
     @property
     def warm_collections(self) -> List[str]:
-        """Names of collections with a warmed session."""
-        return sorted(self._sessions)
+        """Names of collections with a warmed session over any slice."""
+        return sorted({name for name, _, _ in self._sessions})
 
     async def start(self) -> None:
         """Bind the listener and (by default) preload cataloged sessions."""
@@ -198,9 +257,13 @@ class SimilarityDaemon:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(self._queue.drain(), DRAIN_TIMEOUT)
-        # Batches resolved; let connection handlers flush their final
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + DRAIN_TIMEOUT
+        while self._inflight and loop.time() < deadline:
+            await asyncio.wait(
+                list(self._inflight), timeout=deadline - loop.time()
+            )
+        # Executions resolved; let connection handlers flush their final
         # responses (they exit after the current request because
         # _stopping is set), then close lingering idle connections —
         # their readline sees EOF and the handler returns.
@@ -213,10 +276,7 @@ class SimilarityDaemon:
         self._pool.shutdown(wait=True)
         for session in self._sessions.values():
             session.close()
-        for session in self._shard_sessions.values():
-            session.close()
         self._sessions.clear()
-        self._shard_sessions.clear()
         self._maps.clear()
         self._techniques.clear()
         if self._owns_catalog:
@@ -271,70 +331,52 @@ class SimilarityDaemon:
                 session.queries([0]).using(EuclideanTechnique()).knn(1)
         return session
 
-    def _build_session(self, name: str) -> SimilaritySession:
-        return self._warm_session(self._catalog.open_collection(name))
-
-    async def _get_session(self, name: str) -> SimilaritySession:
-        session = self._sessions.get(name)
-        if session is not None:
-            return session
-        lock = self._session_locks.setdefault(name, asyncio.Lock())
-        async with lock:
-            session = self._sessions.get(name)
-            if session is None:
-                loop = asyncio.get_running_loop()
-                session = await loop.run_in_executor(
-                    self._pool, self._build_session, name
-                )
-                self._sessions[name] = session
-            return session
-
     def _collection_map(self, name: str) -> MappedCollection:
-        """The full mmap of ``name`` (cached; O(1) — pages fault lazily)."""
+        """The full mmap of ``name``, opened once (O(1) — pages fault lazily).
+
+        Called on the event loop only, so two first-seen slices of one
+        collection can never open it twice.
+        """
         mapped = self._maps.get(name)
         if mapped is None:
-            mapped = self._catalog.open_collection(name)
-            self._maps[name] = mapped
+            mapped = self._maps[name] = self._catalog.open_collection(name)
         return mapped
 
-    def _build_shard_session(
-        self, name: str, start: int, stop: int
+    async def _get_session(
+        self, name: str, candidates: Optional[Tuple[int, int]] = None
     ) -> SimilaritySession:
-        """A warmed session over the column slice ``[start, stop)``.
+        """The warmed session over the column slice ``candidates`` of
+        ``name`` (default: the whole collection, ``[0, N)``).
 
-        The slice is a zero-copy view of the same full manifest every
-        peer daemon maps — only the sliced columns materialize, so a
-        4-shard daemon fleet holds each column's dense matrices exactly
-        once between them.
+        Every slice is a zero-copy view of the collection's one map —
+        the whole collection is the map itself, so all-series queries
+        keep the self-join identity — and only the sliced columns
+        materialize, so a 4-shard daemon fleet holds each column's
+        dense matrices exactly once between them.
         """
         mapped = self._collection_map(name)
+        start, stop = candidates or (0, len(mapped))
         if stop > len(mapped):
             raise ProtocolError(
                 f"candidates [{start}, {stop}) exceed collection "
                 f"{name!r} with {len(mapped)} series"
             )
-        return self._warm_session(mapped.shard(start, stop))
-
-    async def _get_shard_session(
-        self, name: str, start: int, stop: int
-    ) -> SimilaritySession:
         key = (name, start, stop)
-        session = self._shard_sessions.get(key)
+        session = self._sessions.get(key)
         if session is not None:
             return session
-        lock = self._session_locks.setdefault(key, asyncio.Lock())
-        async with lock:
-            session = self._shard_sessions.get(key)
+        async with self._session_locks.setdefault(key, asyncio.Lock()):
+            session = self._sessions.get(key)
             if session is None:
-                loop = asyncio.get_running_loop()
-                session = await loop.run_in_executor(
-                    self._pool,
-                    self._build_shard_session,
-                    name,
-                    start,
-                    stop,
+                view = (
+                    mapped
+                    if (start, stop) == (0, len(mapped))
+                    else mapped.shard(start, stop)
                 )
-                self._shard_sessions[key] = session
+                session = await asyncio.get_running_loop().run_in_executor(
+                    self._pool, self._warm_session, view
+                )
+                self._sessions[key] = session
             return session
 
     def _technique_for(
@@ -399,12 +441,15 @@ class SimilarityDaemon:
         return items, np.full(len(items), -1, dtype=np.intp)
 
     def _validate_params(
-        self, request: Request, n_queries: int
+        self, request: Request, positions: np.ndarray, n_series: int
     ) -> Dict[str, Any]:
-        """The request's params, each checked against its own rows.
+        """The request's params, checked against its query rows and the
+        full collection before anything executes.
 
-        Validated before admission: a malformed request is rejected
-        alone instead of failing every request it would coalesce with.
+        ``k`` is bounded by the whole collection's eligible candidates
+        even for a column-sliced request: a slice narrower than ``k``
+        answers with ragged rows, but no merge can rank deeper than the
+        collection itself.
         """
         params = dict(request.params)
         if request.op == "knn":
@@ -413,6 +458,7 @@ class SimilarityDaemon:
                 raise ProtocolError(
                     f"knn requires integer params.k >= 1, got {k!r}"
                 )
+            check_knn_k(k, n_series, positions)
         elif request.op in ("range", "prob_range"):
             if "epsilon" not in params:
                 raise ProtocolError(
@@ -422,7 +468,7 @@ class SimilarityDaemon:
             for value in epsilon if isinstance(epsilon, list) else [epsilon]:
                 wire_number(value, "params.epsilon")
             try:
-                _epsilon_vector(epsilon, n_queries)
+                _epsilon_vector(epsilon, len(positions))
             except InvalidParameterError as error:
                 raise ProtocolError(
                     f"invalid params.epsilon: {error}"
@@ -449,83 +495,49 @@ class SimilarityDaemon:
                 ) from error
         return params
 
-    async def _dispatch(
-        self, key: Tuple, jobs: List[QueryJob]
-    ) -> List[Tuple[Dict, Optional[Dict], float]]:
-        """BatchQueue dispatch: one merged kernel run in the thread pool."""
-        collection_name, spec_key, op = key[0], key[1], key[2]
-        candidates = jobs[0].candidates
-        if candidates is None:
-            session = await self._get_session(collection_name)
-        else:
-            session = await self._get_shard_session(
-                collection_name, candidates[0], candidates[1]
-            )
-        technique, lock = self._technique_for(collection_name, spec_key)
+    async def _execute_query(self, request: Request) -> Dict[str, Any]:
+        """One request, one planner execution in the thread pool."""
+        session = await self._get_session(
+            request.collection, request.candidates
+        )
+        mapped = self._collection_map(request.collection)
+        items, positions = self._resolve_queries(request, mapped)
+        params = self._validate_params(request, positions, len(mapped))
+        technique, lock = self._technique_for(
+            request.collection, technique_key(request.technique)
+        )
+        col_offset = request.candidates[0] if request.candidates else 0
 
-        def _run() -> List[Tuple[Dict, Optional[Dict], float]]:
+        def run() -> Tuple[Dict[str, Any], Optional[Dict[str, Any]], float]:
             with lock:
                 started = time.perf_counter()
-                if candidates is None:
-                    result, slices = execute_batch(
-                        session, technique, op, jobs
-                    )
-                else:
-                    result, slices = execute_shard_batch(
-                        session, technique, op, jobs, candidates[0]
-                    )
+                payload, stats = execute_query(
+                    session,
+                    technique,
+                    request.op,
+                    items,
+                    positions,
+                    params,
+                    col_offset,
+                )
                 elapsed = time.perf_counter() - started
-            stats = stats_payload(result.pruning_stats)
-            return [
-                (scatter_rows(result, job_slice), stats, elapsed)
-                for job_slice in slices
-            ]
+            return payload, stats_payload(stats), elapsed
 
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._pool, _run)
-
-    async def _execute_query(self, request: Request) -> Dict[str, Any]:
-        if request.candidates is None:
-            session = await self._get_session(request.collection)
-            source = session.collection
-        else:
-            start, stop = request.candidates
-            await self._get_shard_session(request.collection, start, stop)
-            source = self._collection_map(request.collection)
-        items, positions = self._resolve_queries(request, source)
-        params = self._validate_params(request, len(items))
-        job = QueryJob(
-            request_id=request.request_id,
-            op=request.op,
-            items=items,
-            positions=positions,
-            params=params,
-            candidates=request.candidates,
+        execution = asyncio.get_running_loop().run_in_executor(
+            self._pool, run
         )
-        key = batch_key(
-            request.collection,
-            technique_key(request.technique),
-            request.op,
-            params,
-            candidates=request.candidates,
-        )
-        waiter = self._queue.submit(key, job)
+        self._inflight.add(execution)
+        execution.add_done_callback(self._inflight.discard)
         timeout = (
             request.timeout
             if request.timeout is not None
             else self.default_timeout
         )
-        if timeout is not None:
-            (payload, stats, elapsed), info = await asyncio.wait_for(
-                waiter, timeout
-            )
-        else:
-            (payload, stats, elapsed), info = await waiter
+        payload, stats, elapsed = await asyncio.wait_for(execution, timeout)
         return ok_response(
             request.request_id,
             payload,
             stats=stats,
-            batch=info.payload(),
             elapsed_ms=elapsed * 1e3,
         )
 
@@ -543,19 +555,19 @@ class SimilarityDaemon:
                     "protocol": PROTOCOL_VERSION,
                     "collections": self._catalog.names(),
                     "warm": self.warm_collections,
-                    "shard_sessions": [
+                    "sessions": [
                         {"collection": name, "start": start, "stop": stop}
-                        for name, start, stop in sorted(self._shard_sessions)
+                        for name, start, stop in sorted(self._sessions)
                     ],
                     "uptime_seconds": round(
                         time.monotonic() - self._started_at, 3
                     ),
                     "requests_served": self._requests_served,
-                    "batching": {"max_batch": MAX_BATCH},
                 },
             )
         if request.op == "list":
             entries = self._catalog.entries()
+            warm = set(self.warm_collections)
             return ok_response(
                 request.request_id,
                 {
@@ -568,7 +580,7 @@ class SimilarityDaemon:
                             "length": entry.length,
                             "indexed": entry.indexed,
                             "registered_at": entry.registered_at,
-                            "warm": entry.name in self._sessions,
+                            "warm": entry.name in warm,
                         }
                         for entry in entries
                     ]
@@ -588,13 +600,10 @@ class SimilarityDaemon:
                     name, path, replace=bool(request.params.get("replace"))
                 ),
             )
-            # A replaced manifest may differ from the warmed session.
-            stale = self._sessions.pop(name, None)
-            if stale is not None:
-                stale.close()
+            # A replaced manifest may differ from the warmed sessions.
+            for key in [key for key in self._sessions if key[0] == name]:
+                self._sessions.pop(key).close()
             self._maps.pop(name, None)
-            for key in [k for k in self._shard_sessions if k[0] == name]:
-                self._shard_sessions.pop(key).close()
             await self._get_session(name)
             return ok_response(
                 request.request_id,

@@ -30,15 +30,14 @@ Response::
     {"v": 1, "id": "q-0", "ok": true,
      "result": {"indices": [[...]], "scores": [[...]]},
      "stats": {...},                            # PruningStats, optional
-     "batch": {"size": 4, "n_queries": 64, "waited_ms": 1.7},
      "elapsed_ms": 12.4}
 
     {"v": 1, "id": "q-0", "ok": false,
      "error": {"type": "UnknownCollection", "message": "..."}}
 
 The technique registry lives in :mod:`repro.service.registry` (one
-canonical table shared with the batcher's coalescing keys); this module
-re-exports its spec helpers so existing imports keep working.
+canonical table of servable families); this module re-exports its spec
+helpers so existing imports keep working.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ PROTOCOL_VERSION = 1
 #: workloads (10⁴ raw queries of length 1024 fit comfortably).
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
-#: Query operations (executed through a session; batchable).
+#: Query operations (each one planner execution through a session).
 QUERY_OPS = ("knn", "range", "prob_range")
 #: Control operations (answered on the event loop).
 CONTROL_OPS = ("ping", "status", "list", "register", "shutdown")
@@ -215,7 +214,6 @@ def ok_response(
     request_id: str,
     result: Dict[str, Any],
     stats: Optional[Dict[str, Any]] = None,
-    batch: Optional[Dict[str, Any]] = None,
     elapsed_ms: Optional[float] = None,
 ) -> Dict[str, Any]:
     """A success payload ready for :func:`encode_message`."""
@@ -227,8 +225,6 @@ def ok_response(
     }
     if stats is not None:
         payload["stats"] = stats
-    if batch is not None:
-        payload["batch"] = batch
     if elapsed_ms is not None:
         payload["elapsed_ms"] = round(float(elapsed_ms), 3)
     return payload

@@ -1,20 +1,18 @@
-"""Canonical technique registry and coalescing keys for the service tier.
+"""Canonical technique registry for the service tier.
 
 One table maps wire names to :class:`~repro.queries.techniques.Technique`
-constructors.  Before this module the table lived twice — the protocol
-validated specs against one copy while the batcher coalesced on another —
-so a technique added to one could silently miss the other.  Everything
-that names a servable technique now imports from here:
+constructors, so a technique the protocol validates is exactly one the
+daemon can build.  Everything that names a servable technique imports
+from here:
 
 * :func:`normalize_technique_spec` / :func:`build_technique` /
   :func:`technique_key` — wire spec → validated spec → instance → the
-  canonical coalescing string (:mod:`repro.service.protocol` re-exports
-  them unchanged);
+  canonical spec string the daemon keys its long-lived technique
+  instances by (:mod:`repro.service.protocol` re-exports them
+  unchanged);
 * :func:`technique_spec` — the *reverse* mapping, a local technique
   instance → its wire spec, so remote backends can ship the technique a
-  fluent :class:`~repro.queries.session.QuerySet` was built with;
-* :func:`batch_key` — what may share one planner execution
-  (:mod:`repro.service.batching` re-exports it).
+  fluent :class:`~repro.queries.session.QuerySet` was built with.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..core.errors import InvalidParameterError, ReproError
+from ..core.errors import ReproError
 from ..queries.techniques import (
     DustDtwTechnique,
     DustTechnique,
@@ -152,10 +150,10 @@ def build_technique(spec: Any) -> Technique:
 
 
 def technique_key(spec: Any) -> str:
-    """Canonical string of a technique spec (the batcher's coalescing key).
+    """Canonical string of a technique spec.
 
-    Two requests with equal keys execute through one technique instance
-    and may share one ``(M, N)`` matrix execution.
+    Two requests with equal keys execute through one long-lived
+    technique instance on the daemon (and so share its warm caches).
     """
     normalized = normalize_technique_spec(spec)
     return json.dumps(normalized, sort_keys=True, separators=(",", ":"))
@@ -265,46 +263,3 @@ def technique_spec(technique: Technique) -> Dict[str, Any]:
         f"family ({', '.join(TECHNIQUE_NAMES)}); remote backends can "
         f"only ship registered techniques"
     )
-
-
-# ---------------------------------------------------------------------------
-# Coalescing
-# ---------------------------------------------------------------------------
-
-
-def batch_key(
-    collection: str,
-    technique: str,
-    op: str,
-    params: Dict[str, Any],
-    candidates: Optional[Tuple[int, int]] = None,
-) -> Tuple:
-    """The coalescing key: requests with equal keys share one execution.
-
-    ``technique`` is the canonical spec string from
-    :func:`technique_key`.  Row-independent parameters stay *out* of
-    the key — range ε is per-query (merged into one ε vector) — while
-    parameters that shape the whole plan are part of it: ``k`` (the kNN
-    pruning threshold cascade), ``τ`` (the decision threshold steering
-    adaptive Monte Carlo stages), the request's plan policy (different
-    policies may choose different stage cascades), and the candidate
-    column slice a cluster coordinator scoped the request to (a sliced
-    request and a full-collection request never share a kernel).
-    """
-    if op == "knn":
-        key: Tuple = (collection, technique, op, int(params["k"]))
-    elif op == "range":
-        key = (collection, technique, op)
-    elif op == "prob_range":
-        key = (collection, technique, op, float(params["tau"]))
-    else:
-        raise InvalidParameterError(f"op {op!r} is not batchable")
-    policy = params.get("policy")
-    if policy is not None:
-        key = key + (
-            ("policy",)
-            + tuple(sorted((str(k), str(v)) for k, v in policy.items())),
-        )
-    if candidates is not None:
-        key = key + (("cols", int(candidates[0]), int(candidates[1])),)
-    return key

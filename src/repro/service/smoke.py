@@ -141,9 +141,6 @@ def main() -> int:
                 print("FAIL: PROUD prob-range differs from in-process "
                       "result")
                 return 1
-            if not euclid.batch or euclid.batch["size"] < 1:
-                print("FAIL: response carries no batch occupancy report")
-                return 1
 
             process.send_signal(signal.SIGTERM)
             try:

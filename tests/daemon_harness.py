@@ -1,10 +1,10 @@
-"""A live in-thread daemon for service tests, and a gate that holds its batches.
+"""A live in-thread daemon for service tests, and a gate that holds its executions.
 
 :class:`DaemonHarness` runs a :class:`SimilarityDaemon` on a background
 thread with its own event loop, bound to an ephemeral port.
-:class:`BatchGate` makes batching deterministic: it holds the daemon's
-kernel executions until released, so requests sent meanwhile queue
-behind the held batch instead of racing it.
+:class:`ExecutionGate` makes concurrency deterministic: it holds the
+daemon's query executions until released, so same-technique requests
+sent meanwhile wait behind the held one instead of racing it.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class DaemonHarness:
         return ServiceClient("127.0.0.1", self.port, **kwargs)
 
     def queued(self) -> int:
-        """Jobs admitted to the batch queue and not yet dispatched."""
-        return sum(len(jobs) for jobs in self.daemon._queue._waiting.values())
+        """In-flight requests behind the one execution a gate holds."""
+        return max(0, len(self.daemon._inflight) - 1)
 
     def stop(self, timeout: float = 60.0) -> None:
         if self.thread.is_alive():
@@ -61,13 +61,13 @@ class DaemonHarness:
         assert not self.thread.is_alive(), "daemon failed to drain"
 
 
-class BatchGate:
-    """Hold every in-thread daemon batch until :meth:`release`.
+class ExecutionGate:
+    """Hold every in-thread daemon query execution until :meth:`release`.
 
-    Patches ``repro.service.daemon.execute_batch`` and
-    ``execute_shard_batch`` with wrappers that block the kernel thread
-    on an event.  While the first batch of a key is held, later
-    requests with that key wait in the queue; :meth:`wait_queued`
+    Patches ``repro.service.daemon.execute_query`` with a wrapper that
+    blocks the kernel thread on an event.  The daemon runs it under the
+    technique's lock, so while one execution is held, later requests
+    for that technique wait in flight behind it; :meth:`wait_queued`
     blocks until they are there.
     """
 
@@ -76,29 +76,26 @@ class BatchGate:
     def __init__(self, monkeypatch) -> None:
         self.entered = threading.Event()
         self._released = threading.Event()
-        for name in ("execute_batch", "execute_shard_batch"):
-            original = getattr(daemon_module, name)
-            monkeypatch.setattr(daemon_module, name, self._held(original))
+        original = daemon_module.execute_query
 
-    def _held(self, original):
         def execute(*args, **kwargs):
             self.entered.set()
             if not self._released.wait(timeout=self.TIMEOUT):
-                raise RuntimeError("batch gate was never released")
+                raise RuntimeError("execution gate was never released")
             return original(*args, **kwargs)
 
-        return execute
+        monkeypatch.setattr(daemon_module, "execute_query", execute)
 
     def wait_entered(self) -> None:
-        """Block until a batch is held inside the kernel call."""
-        assert self.entered.wait(timeout=self.TIMEOUT), "no batch started"
+        """Block until an execution is held inside the kernel call."""
+        assert self.entered.wait(timeout=self.TIMEOUT), "nothing executed"
 
     def wait_queued(self, harness: DaemonHarness, count: int) -> None:
-        """Block until ``count`` jobs wait behind the held batch."""
+        """Block until ``count`` requests wait behind the held one."""
         deadline = time.monotonic() + self.TIMEOUT
         while harness.queued() < count:
             assert time.monotonic() < deadline, (
-                f"{harness.queued()} of {count} jobs queued"
+                f"{harness.queued()} of {count} requests queued"
             )
             time.sleep(0.005)
 

@@ -1,9 +1,9 @@
 """Shard an ``(M, N)`` workload by hand, the way the service tier does.
 
-A daemon answers a row batch of coalesced requests against a column
-slice of the collection; the cluster coordinator merges the shards'
-stats with :meth:`PruningStats.merge_shards` and their kNN candidates
-with :func:`merge_knn_rows`.  These helpers rebuild that decomposition
+A daemon answers one request's query rows against a column slice of
+the collection; the cluster coordinator merges the shards' stats with
+:meth:`PruningStats.merge_shards` and their kNN candidates with
+:func:`merge_knn_rows`.  These helpers rebuild that decomposition
 from direct :meth:`Technique.matrix_with_stats` calls, so tests can pin
 shard invariance without starting daemons.
 """
@@ -40,7 +40,7 @@ def sharded_matrix(
 
     ``queries`` and ``collection`` are lists of series.  ``epsilon`` is a
     scalar or one value per query row; each row block gets its own
-    slice, as a daemon's coalesced batch does.
+    slice of it.
     """
     n_queries, n_candidates = len(queries), len(collection)
     eps = None

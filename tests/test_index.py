@@ -60,7 +60,7 @@ from repro.queries import (
     SimilaritySession,
     knn_candidate_thresholds,
     knn_table,
-    sparse_knn_table,
+    local_topk_rows,
 )
 from shard_blocks import sharded_knn, sharded_matrix
 
@@ -298,7 +298,7 @@ class TestThresholds:
         np.put_along_axis(
             pruned, keep, np.take_along_axis(matrix, keep, axis=1), axis=1
         )
-        indices, scores = sparse_knn_table(pruned, 4)
+        indices, scores = local_topk_rows(pruned, 4)
         assert np.array_equal(indices, reference)
         assert np.allclose(
             scores, np.take_along_axis(matrix, reference, axis=1)
@@ -308,17 +308,18 @@ class TestThresholds:
         matrix = np.array(
             [[np.inf, 2.0, 2.0, 1.0, np.inf, 2.0]],
         )
-        indices, scores = sparse_knn_table(
-            matrix, 3, exclude=np.array([3])
-        )
+        indices, scores = local_topk_rows(matrix, 3, np.array([3]))
         # Self-match 3 skipped; ties broken by ascending index.
         assert indices.tolist() == [[1, 2, 5]]
         assert scores.tolist() == [[2.0, 2.0, 2.0]]
 
-    def test_sparse_knn_raises_when_overpruned(self):
-        matrix = np.array([[1.0, np.inf, np.inf]])
-        with pytest.raises(InvalidParameterError):
-            sparse_knn_table(matrix, 2)
+    def test_sparse_knn_overpruned_row_ranks_whole_row(self):
+        # One kept cell for k=2: the row is ranked whole, pruned cells
+        # last and by index, exactly as a dense ranking would.
+        matrix = np.array([[np.inf, 1.0, np.inf]])
+        indices, scores = local_topk_rows(matrix, 2)
+        assert indices.tolist() == [[1, 0]]
+        assert scores.tolist() == [[1.0, np.inf]]
 
 
 # ---------------------------------------------------------------------------

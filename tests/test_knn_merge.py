@@ -1,14 +1,15 @@
 """Shard invariance of the matrix kernels and the distributed kNN merge.
 
-The service tier shards an ``(M, N)`` workload two ways: a daemon answers
-a row batch of coalesced requests, and a cluster splits the collection
-into column shards whose kNN candidates come back through
-:func:`~repro.queries.knn.local_topk_rows` and are reassembled by
+The service tier shards an ``(M, N)`` workload by columns: each daemon
+ranks the column slice it serves with
+:func:`~repro.queries.knn.local_topk_rows` and a cluster coordinator
+reassembles the global ranking with
 :func:`~repro.queries.knn.merge_knn_rows`.  The acceptance bar: any
 row/column decomposition matches the single ``(M, N)`` kernel to 1e-9
-for every technique family, and the merge reproduces ``knn_table``'s
+for every technique family, the merge reproduces ``knn_table``'s
 stable-by-index rankings exactly, including across shards narrower
-than ``k``.
+than ``k``, and ranking only a row's cells below ``+inf`` (the
+summarization index's pruned cells) equals ranking the whole row.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.queries import (
     MunichTechnique,
     ProudTechnique,
     knn_table,
+    local_topk_rows,
 )
 from shard_blocks import sharded_knn, sharded_matrix
 
@@ -189,3 +191,79 @@ class TestKnnMerge:
             sharded_knn(
                 technique, pdf, pdf, len(pdf), col_block=5, exclude=positions
             )
+
+
+def _pruned(matrix, keep):
+    """``matrix`` with all but each row's ``keep`` smallest cells +inf."""
+    pruned = np.full_like(matrix, np.inf)
+    kept = np.argsort(matrix, axis=1, kind="stable")[:, :keep]
+    np.put_along_axis(
+        pruned, kept, np.take_along_axis(matrix, kept, axis=1), axis=1
+    )
+    return pruned
+
+
+def _topk_inputs():
+    """``(block, k, local_exclude, col_offset)`` per case."""
+    rng = np.random.default_rng(7)
+    dense = rng.uniform(size=(6, 30))
+    pruned = _pruned(dense, 8)
+    best = np.argmin(dense, axis=1)
+    worst = np.argmax(dense, axis=1)
+    ties = np.round(pruned * 4) / 4  # many equal scores among kept cells
+    few = _pruned(dense, 2)
+    narrow = dense[:, :3]
+    return {
+        "dense": (dense, 4, None, 0),
+        "pruned": (pruned, 4, None, 0),
+        "exclude-kept": (pruned, 4, best, 0),
+        "exclude-pruned": (pruned, 4, worst, 0),
+        "ties-offset": (ties, 5, best, 40),
+        "fewer-than-k-kept": (few, 4, np.array([0, -1, 2, -1, 4, -1]), 0),
+        "narrower-than-k": (narrow, 5, np.array([0, 1, 2, -1, -1, 0]), 12),
+        "all-pruned": (np.full((2, 4), np.inf), 3, np.array([1, -1]), 0),
+    }
+
+
+def _dense_ranking(block, k, local_exclude, col_offset):
+    """Rank every cell of each row by (score, column) — the reference."""
+    n_rows, width = block.shape
+    limit = min(k, width)
+    indices = np.full((n_rows, limit), -1, dtype=np.intp)
+    scores = np.full((n_rows, limit), np.inf)
+    for row in range(n_rows):
+        columns = np.arange(width)
+        if local_exclude is not None and local_exclude[row] >= 0:
+            columns = columns[columns != local_exclude[row]]
+        order = np.lexsort((columns, block[row, columns]))[:limit]
+        chosen = columns[order]
+        indices[row, : chosen.size] = chosen + col_offset
+        scores[row, : chosen.size] = block[row, chosen]
+    return indices, scores
+
+
+class TestLocalTopk:
+    """Ranking cells below ``+inf`` only equals ranking the whole row."""
+
+    @pytest.mark.parametrize("case", sorted(_topk_inputs()))
+    def test_equals_dense_ranking(self, case):
+        block, k, local_exclude, col_offset = _topk_inputs()[case]
+        indices, scores = local_topk_rows(block, k, local_exclude, col_offset)
+        expected_indices, expected_scores = _dense_ranking(
+            block, k, local_exclude, col_offset
+        )
+        np.testing.assert_array_equal(indices, expected_indices)
+        np.testing.assert_array_equal(scores, expected_scores)
+
+    def test_pruned_rows_rank_like_the_unpruned_matrix(self):
+        """Admissible pruning (the top-k survive) leaves rankings and
+        scores exactly those of the unpruned matrix."""
+        block, k, local_exclude, _ = _topk_inputs()["exclude-kept"]
+        dense, _, _, _ = _topk_inputs()["dense"]
+        indices, scores = local_topk_rows(block, k, local_exclude)
+        assert np.array_equal(
+            indices, knn_table(dense, k, exclude=local_exclude)
+        )
+        assert np.array_equal(
+            scores, np.take_along_axis(dense, indices, axis=1)
+        )

@@ -14,15 +14,20 @@ contracts under test:
   SIGKILLed while it executes a request — either raises (strict) or
   returns a partial result *tagged* with the failed shard set whose
   survivor merge is exactly the survivor-restricted reference ranking;
-* hedged retries fire only past a fixed ``hedge_after`` (never by
-  default), reuse the primary's request id, and duplicate replies are
-  discarded by id;
+* each shard is asked exactly once per request: a transport failure is
+  retried once, at once, and a shard's error reply is its answer —
+  raised as a structured error naming the shard (strict) or tagged as a
+  failed shard (partial), never retried;
+* ``connect("tcp://...")`` closes its connection when it cannot resolve
+  the collection;
 * the shard map lives in the catalog (schema v3) behind strict tiling
   validation, and v2 catalogs migrate in place on open.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import os
 import signal
 import socket
@@ -31,6 +36,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +59,7 @@ from repro.queries.techniques import (
 )
 from repro.service import ServiceCatalog
 from repro.service.catalog import SCHEMA_VERSION, CatalogError, ShardEntry
+from repro.service.client import ServiceError
 from repro.service.cluster import (
     ClusterBackend,
     ClusterCoordinator,
@@ -325,6 +332,31 @@ class TestUnifiedFluentSurface:
         finally:
             remote.close()
 
+    def test_shard_error_reply_raises_like_one_daemon(
+        self, fleet, cluster_catalog
+    ):
+        """A shard's structured error reaches the caller as a
+        :class:`ClusterError` naming the shard, with the error type and
+        message one daemon would have raised."""
+        row = [0.0] * LENGTH
+        remote = connect(f"tcp://127.0.0.1:{fleet[0].port}/pdf")
+        clustered = connect(cluster_catalog, collection="pdf")
+        try:
+            with pytest.raises(ServiceError) as single:
+                remote.queries([row]).using(DustTechnique()).knn(3)
+            with pytest.raises(ClusterError) as fleet_error:
+                clustered.queries([row]).using(DustTechnique()).knn(3)
+        finally:
+            remote.close()
+            clustered.close()
+        assert single.value.error_type == "ProtocolError"
+        message = str(fleet_error.value)
+        assert str(single.value) in message
+        assert message.startswith(
+            f"shard {fleet_error.value.failed_shards[0]} failed"
+        )
+        assert len(fleet_error.value.failed_shards) == len(fleet)
+
     def test_explain_identical_across_backends(
         self, fleet, cluster_catalog, sessions
     ):
@@ -498,8 +530,9 @@ class TestPartialShardFailure:
                 assert list(degraded.matches[row]) == expected
 
 
-#: ``repro.cli serve`` with every shard batch stalled before its kernel,
-#: so a request the victim receives stays unanswered until it is killed.
+#: ``repro.cli serve`` with every query execution stalled before its
+#: kernel, so a request the victim receives stays unanswered until it is
+#: killed.
 STALLED_SERVE = """
 import sys
 import time
@@ -507,15 +540,15 @@ import time
 import repro.service.daemon as daemon
 from repro.service.cli import serve_main
 
-execute_shard_batch = daemon.execute_shard_batch
+execute_query = daemon.execute_query
 
 
 def stalled(*args, **kwargs):
     time.sleep(30.0)
-    return execute_shard_batch(*args, **kwargs)
+    return execute_query(*args, **kwargs)
 
 
-daemon.execute_shard_batch = stalled
+daemon.execute_query = stalled
 sys.exit(serve_main(sys.argv[1:]))
 """
 
@@ -524,7 +557,7 @@ class TestShardKilledMidQuery:
     """A shard daemon SIGKILLed while it executes a query.
 
     The middle shard runs ``repro.cli serve`` in a subprocess whose
-    shard batches stall before their kernel (:data:`STALLED_SERVE`);
+    query executions stall before their kernel (:data:`STALLED_SERVE`);
     the test kills the process once the coordinator has sent it a
     request.
     """
@@ -612,7 +645,7 @@ class TestShardKilledMidQuery:
             worker.start()
             assert sent.wait(timeout=60), "the victim never got its request"
             time.sleep(0.5)
-            # The victim's batch is stalled: no reply yet.
+            # The victim's execution is stalled: no reply yet.
             assert worker.is_alive()
             os.kill(process.pid, signal.SIGKILL)
             worker.join(timeout=60)
@@ -647,11 +680,14 @@ class FlakyShard:
     Speaks just enough of the versioned JSON protocol for the
     coordinator: echoes the request id, answers ``knn`` with fixed
     2-series rankings.  ``delays`` is consumed once per request in
-    arrival order; requests beyond the script answer instantly.
+    arrival order; requests beyond the script answer instantly.  With
+    ``error`` (a ``{"type", "message"}`` mapping) every reply is that
+    structured ``ok: false`` error instead.
     """
 
-    def __init__(self, delays=()):
+    def __init__(self, delays=(), error=None):
         self.delays = list(delays)
+        self.error = error
         self.request_ids = []
         self._lock = threading.Lock()
         self._listener = socket.socket(
@@ -689,12 +725,15 @@ class FlakyShard:
                 reply = {
                     "v": PROTOCOL_VERSION,
                     "id": request["id"],
-                    "ok": True,
-                    "result": {
+                    "ok": self.error is None,
+                }
+                if self.error is None:
+                    reply["result"] = {
                         "indices": [[1], [0]],
                         "scores": [[1.0], [1.0]],
-                    },
-                }
+                    }
+                else:
+                    reply["error"] = self.error
                 try:
                     connection.sendall(encode_message(reply))
                 except OSError:
@@ -713,81 +752,54 @@ def _single_shard_coordinator(shard, **kwargs):
     return ClusterCoordinator({"fake": entries}, **kwargs)
 
 
-class TestHedgedRetries:
-    def test_hedge_fires_past_threshold_and_dedupes_by_id(self):
-        shard = FlakyShard(delays=[1.5])  # primary lags; hedge is instant
-        coordinator = _single_shard_coordinator(
-            shard, hedge_after=0.1, timeout=30
-        )
-        try:
-            started = time.perf_counter()
-            result = coordinator.knn("fake", 1, "euclidean")
-            elapsed = time.perf_counter() - started
-            assert elapsed < 1.4, "winner must be the hedge, not the lag"
-            np.testing.assert_array_equal(result.indices, [[1], [0]])
-            assert coordinator.hedges_fired == 1
-            # Both attempts carried the SAME request id — that is what
-            # makes the late primary reply a discardable duplicate.
-            deadline = time.monotonic() + 10
-            while (
-                len(shard.request_ids) < 2
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.02)
-            assert len(shard.request_ids) == 2
-            assert shard.request_ids[0] == shard.request_ids[1]
-            while (
-                coordinator.duplicates_discarded < 1
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.02)
-            assert coordinator.duplicates_discarded == 1
-        finally:
-            coordinator.close()
-            shard.close()
-
-    def test_no_hedge_below_threshold(self):
-        shard = FlakyShard()
-        coordinator = _single_shard_coordinator(
-            shard, hedge_after=5.0, timeout=30
-        )
-        try:
-            coordinator.knn("fake", 1, "euclidean")
-            coordinator.knn("fake", 1, "euclidean")
-            assert coordinator.hedges_fired == 0
-            assert coordinator.duplicates_discarded == 0
-            assert len(set(shard.request_ids)) == 2
-        finally:
-            coordinator.close()
-            shard.close()
-
-    def test_hedging_disabled_with_infinite_threshold(self):
-        shard = FlakyShard(delays=[0.3])
-        coordinator = _single_shard_coordinator(
-            shard, hedge_after=float("inf"), timeout=30
-        )
-        try:
-            coordinator.knn("fake", 1, "euclidean")
-            assert coordinator.hedges_fired == 0
-        finally:
-            coordinator.close()
-            shard.close()
-
-    def test_default_coordinator_never_hedges_a_lagging_shard(self):
-        """Without ``hedge_after`` no reply is ever duplicated, however
-        much slower it is than the shard's earlier replies."""
+class TestShardRetries:
+    def test_lagging_shard_is_asked_once(self):
+        """However much slower a reply is than the shard's earlier ones,
+        the coordinator waits for it and never asks again."""
         shard = FlakyShard(delays=[0.0] * 8 + [0.5])
         coordinator = _single_shard_coordinator(shard, timeout=30)
         try:
             for _ in range(9):
                 coordinator.knn("fake", 1, "euclidean")
-            assert coordinator.hedges_fired == 0
-            assert coordinator.duplicates_discarded == 0
             assert len(shard.request_ids) == 9
             assert len(set(shard.request_ids)) == 9
         finally:
             coordinator.close()
             shard.close()
+
+    @pytest.mark.parametrize("allow_partial", [False, True])
+    def test_error_reply_is_the_shards_answer(self, allow_partial):
+        """An ``ok: false`` reply is never retried: strict mode raises it
+        naming the shard, its type and message; partial mode tags the
+        shard as failed and merges the survivor."""
+        healthy = FlakyShard()
+        failing = FlakyShard(
+            error={"type": "CatalogError", "message": "manifest is gone"}
+        )
+        entries = (
+            ShardEntry(0, "127.0.0.1", healthy.port, 0, 1),
+            ShardEntry(1, "127.0.0.1", failing.port, 1, 2),
+        )
+        coordinator = ClusterCoordinator(
+            {"fake": entries}, timeout=30, allow_partial=allow_partial
+        )
+        try:
+            if allow_partial:
+                result = coordinator.knn("fake", 1, "euclidean")
+                assert result.failed_shards == (entries[1].endpoint,)
+                np.testing.assert_array_equal(result.indices, [[1], [0]])
+            else:
+                with pytest.raises(ClusterError) as excinfo:
+                    coordinator.knn("fake", 1, "euclidean")
+                message = str(excinfo.value)
+                assert entries[1].endpoint in message
+                assert "[CatalogError] manifest is gone" in message
+                assert excinfo.value.failed_shards == (entries[1].endpoint,)
+            assert len(failing.request_ids) == 1
+        finally:
+            coordinator.close()
+            healthy.close()
+            failing.close()
 
     def test_connection_error_retries_immediately(self):
         # A dead primary endpoint: with allow_partial off and a healthy
@@ -808,6 +820,22 @@ class TestHedgedRetries:
             assert time.perf_counter() - started < 15
         finally:
             coordinator.close()
+
+
+@contextlib.contextmanager
+def _no_resource_warnings():
+    """Fail if the block leaves an unclosed socket (or other resource)
+    for the garbage collector."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaked = [
+        str(warning.message)
+        for warning in caught
+        if issubclass(warning.category, ResourceWarning)
+    ]
+    assert not leaked, leaked
 
 
 def _free_port() -> int:
@@ -959,12 +987,14 @@ class TestConnectDispatch:
             session.close()
 
     def test_tcp_requires_a_name_when_daemon_serves_many(self, fleet):
-        with pytest.raises(InvalidParameterError, match="name one"):
-            connect(f"tcp://127.0.0.1:{fleet[0].port}")
+        with _no_resource_warnings():
+            with pytest.raises(InvalidParameterError, match="name one"):
+                connect(f"tcp://127.0.0.1:{fleet[0].port}")
 
     def test_tcp_unknown_collection_lists_served(self, fleet):
-        with pytest.raises(InvalidParameterError, match="serves no"):
-            connect(f"tcp://127.0.0.1:{fleet[0].port}/ghost")
+        with _no_resource_warnings():
+            with pytest.raises(InvalidParameterError, match="serves no"):
+                connect(f"tcp://127.0.0.1:{fleet[0].port}/ghost")
 
     def test_bad_tcp_addresses_rejected(self):
         with pytest.raises(InvalidParameterError, match="host:port"):

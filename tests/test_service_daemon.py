@@ -6,41 +6,46 @@ The contracts under test:
 
 * client answers match the in-process :class:`SimilaritySession` for
   every servable verb and technique family;
-* same-plan requests queued behind a running batch coalesce into the
-  next one, and the coalesced answers still match serial execution;
 * failures cross the wire as structured ``{"type", "message"}`` errors
-  — bad collection, bad technique, bad params, wire fields that are not
+  — bad collection, bad technique, bad params (a ``k`` deeper than the
+  collection's eligible candidates included), wire fields that are not
   finite JSON numbers of the right kind, version mismatch, malformed
   JSON, an over-limit line — and never kill the daemon, nor does a
-  client that hangs up mid-line or mid-batch;
-* a malformed request is rejected alone, never failing the batch it
-  would have joined;
+  client that hangs up mid-line or mid-request;
+* a malformed request is rejected alone, before it executes, while a
+  valid same-technique request waits behind a running one;
 * a per-request timeout returns a ``Timeout`` error while the daemon
-  keeps serving;
-* shutdown drains: a request executing and one queued behind it when
+  keeps serving, and a client whose read timed out reconnects for its
+  next request;
+* every column slice, the whole collection included, is one session
+  built from the collection's single memory map;
+* shutdown drains: a request executing and one waiting behind it when
   ``shutdown`` arrives both complete with their real answers.
 
-Batches are held with :class:`~daemon_harness.BatchGate`, so requests
-queue behind a running batch deterministically, not by timing.
+Executions are held with :class:`~daemon_harness.ExecutionGate`, so
+requests wait behind a running one deterministically, not by timing.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
-from daemon_harness import BatchGate, DaemonHarness
+from daemon_harness import DaemonHarness, ExecutionGate
 
 from repro.core import TimeSeries, save_collection, spawn
 from repro.datasets import generate_dataset
 from repro.perturbation import ConstantScenario
 from repro.queries import SimilaritySession
 from repro.service import ServiceCatalog, ServiceError
-from repro.service.batching import MAX_BATCH
+from repro.service.catalog import ShardEntry
 from repro.service.client import ServiceResult
+from repro.service.cluster import ClusterCoordinator
 from repro.service.cli import query_main
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -129,7 +134,6 @@ class TestQueryParity:
         np.testing.assert_allclose(
             answer.scores, expected.scores, atol=1e-9
         )
-        assert answer.batch is not None and answer.batch["size"] >= 1
         assert answer.elapsed_ms is not None
 
     def test_range_with_per_query_epsilons(self, pdf, harness):
@@ -227,93 +231,14 @@ def _single_collection_daemon(collections, path, name="pdf"):
     return DaemonHarness(catalog_path)
 
 
-def _queue_behind_held_batch(live, gate, send, rows):
-    """``send(client, row)`` for every row, one client thread each.
-
-    The first row's batch is held until every later row's request waits
-    behind it; then the gate opens.  Returns the answers by row.
-    """
-    answers: dict = {}
-
-    def worker(row) -> None:
-        with live.client(timeout=120.0) as client:
-            answers[row] = send(client, row)
-
-    threads = []
-    for position, row in enumerate(rows):
-        thread = threading.Thread(target=worker, args=(row,))
-        thread.start()
-        threads.append(thread)
-        if position == 0:
-            gate.wait_entered()
-    gate.wait_queued(live, len(rows) - 1)
-    gate.release()
-    for thread in threads:
-        thread.join(timeout=60.0)
-        assert not thread.is_alive()
-    return answers
-
-
-class TestBatchingOverTheWire:
-    def test_concurrent_same_plan_requests_coalesce(
-        self, collections, tmp_path, monkeypatch
-    ):
-        """Same-key requests queued behind a batch share one kernel run."""
-        live = _single_collection_daemon(collections, tmp_path)
-        gate = BatchGate(monkeypatch)
-        try:
-            answers = _queue_behind_held_batch(
-                live,
-                gate,
-                lambda client, row: client.query(
-                    "knn", "pdf", {"k": 3}, "dust", [row]
-                ),
-                rows=[0, 1, 2, 3],
-            )
-            assert sorted(answers) == [0, 1, 2, 3]
-            assert answers[0].batch["size"] == 1
-            assert [answers[row].batch["size"] for row in (1, 2, 3)] == [3] * 3
-            assert all(
-                answers[row].batch["n_queries"] == 3 for row in (1, 2, 3)
-            )
-        finally:
-            gate.release()
-            live.stop()
-
-    def test_coalesced_answers_still_match_serial(
-        self, pdf, collections, tmp_path, monkeypatch
-    ):
-        live = _single_collection_daemon(collections, tmp_path)
-        gate = BatchGate(monkeypatch)
-        try:
-            answers = _queue_behind_held_batch(
-                live,
-                gate,
-                lambda client, row: client.query(
-                    "knn", "pdf", {"k": 3}, "euclidean", [row]
-                ),
-                rows=[0, 1, 2, 3],
-            )
-            assert [answers[row].batch["size"] for row in (1, 2, 3)] == [3] * 3
-            with SimilaritySession(pdf) as session:
-                for row, answer in answers.items():
-                    expected = (
-                        session.queries([row])
-                        .using(build_technique("euclidean"))
-                        .knn(3)
-                    )
-                    assert answer.indices == expected.indices.tolist()
-        finally:
-            gate.release()
-            live.stop()
-
+class TestGatedRequests:
     def test_malformed_epsilon_is_rejected_alone(
         self, pdf, collections, tmp_path, monkeypatch
     ):
-        """A bad ε fails only its own request, not the batch it shares a
-        key with."""
+        """A bad ε fails only its own request, at validation, while a
+        valid same-technique request waits behind a running one."""
         live = _single_collection_daemon(collections, tmp_path)
-        gate = BatchGate(monkeypatch)
+        gate = ExecutionGate(monkeypatch)
 
         def range_request(request_id, row, epsilon) -> bytes:
             return json.dumps(
@@ -342,7 +267,7 @@ class TestBatchingOverTheWire:
                 valid.sendall(range_request("valid", 1, 4.0))
                 gate.wait_queued(live, 1)
                 bad.sendall(range_request("bad", 2, [1.0, 2.0]))
-                # Rejected at admission, while the gate is still shut.
+                # Rejected before executing, while the gate is still shut.
                 rejected = json.loads(bad.makefile("rb").readline())
                 assert live.queued() == 1
                 gate.release()
@@ -410,6 +335,58 @@ class TestStructuredErrors:
                 client.query("prob_range", "pdf", {"epsilon": 4.0, "tau": 1.5})
             with pytest.raises(ServiceError, match=r"\[0, 11\]"):
                 client.query("knn", "pdf", {"k": 3}, indices=[99])
+
+    @pytest.mark.parametrize(
+        "collection,queries,candidates,eligible,row_length",
+        [
+            pytest.param(
+                "pdf", {"indices": [0, 1]}, None, N_SERIES - 1,
+                N_SERIES - 1, id="whole",
+            ),
+            pytest.param(
+                "pdf", {"indices": [0, 1]}, {"start": 0, "stop": 6},
+                N_SERIES - 1, 5, id="slice",
+            ),
+            pytest.param(
+                "exact", {"values": [[0.0] * LENGTH]}, None, N_SERIES,
+                N_SERIES, id="raw-values",
+            ),
+        ],
+    )
+    def test_knn_k_bounded_by_eligible_candidates(
+        self, harness, collection, queries, candidates, eligible, row_length
+    ):
+        """``k`` is checked against the whole collection before anything
+        executes — ``N - 1`` for member rows, ``N`` for raw-value rows —
+        for a column slice too, however narrow (its reply is then its
+        ragged share)."""
+        request = {
+            "v": PROTOCOL_VERSION,
+            "id": "deep",
+            "op": "knn",
+            "collection": collection,
+            "technique": "euclidean",
+            "queries": queries,
+        }
+        if candidates is not None:
+            request["candidates"] = candidates
+        for k in (eligible + 1, eligible):
+            request["params"] = {"k": k}
+            response = _raw_exchange(
+                harness, json.dumps(request).encode() + b"\n"
+            )
+            if k > eligible:
+                assert response["ok"] is False
+                assert response["error"]["type"] == "InvalidParameterError"
+                assert (
+                    f"eligible candidates ({eligible})"
+                    in response["error"]["message"]
+                )
+            else:
+                assert response["ok"] is True
+                assert {
+                    len(row) for row in response["result"]["indices"]
+                } == {row_length}
 
     def test_raw_values_rejected_on_uncertain_kind(self, harness):
         with harness.client() as client:
@@ -611,14 +588,14 @@ class TestWireFaults:
             answer = client.query("knn", "pdf", {"k": 2}, "euclidean")
         assert len(answer.indices) == N_SERIES
 
-    def test_client_gone_mid_batch_does_not_poison_batch(
+    def test_client_gone_mid_request_leaves_others_served(
         self, pdf, collections, tmp_path, monkeypatch
     ):
-        """One member of a coalesced batch hangs up before its reply; the
-        other member still gets the in-process answer and the daemon
-        keeps serving."""
+        """One of two requests waiting behind a running one hangs up
+        before its reply; the other still gets the in-process answer and
+        the daemon keeps serving."""
         live = _single_collection_daemon(collections, tmp_path)
-        gate = BatchGate(monkeypatch)
+        gate = ExecutionGate(monkeypatch)
         try:
             def knn_request(row: int) -> bytes:
                 return json.dumps(
@@ -644,13 +621,12 @@ class TestWireFaults:
                         gone.sendall(knn_request(0))
                         stays.sendall(knn_request(1))
                         gate.wait_queued(live, 2)
-                    # ``gone`` is closed while its job waits behind the
-                    # held batch, so its reply goes to a dead socket.
+                    # ``gone`` is closed while its request waits behind
+                    # the held one, so its reply goes to a dead socket.
                     gate.release()
                     response = json.loads(stays.makefile("rb").readline())
                 assert json.loads(held.makefile("rb").readline())["ok"]
             assert response["ok"] is True
-            assert response["batch"]["size"] == 2
             with SimilaritySession(pdf) as session:
                 expected = (
                     session.queries([1]).using(build_technique("dust")).knn(3)
@@ -661,6 +637,65 @@ class TestWireFaults:
         finally:
             gate.release()
             live.stop()
+
+
+class TestConcurrentServing:
+    def test_many_clients_mixing_techniques_match_in_process(
+        self, pdf, harness
+    ):
+        """More client threads than cores, each mixing verbs that share a
+        technique instance (Euclidean kNN and range) with one that does
+        not (DUST kNN), under a short switch interval: every answer is
+        still the in-process one."""
+        plans = [
+            ("knn", {"k": 3}, "euclidean"),
+            ("range", {"epsilon": 4.0}, "euclidean"),
+            ("knn", {"k": 3}, "dust"),
+        ]
+        expected = {}
+        with SimilaritySession(pdf) as session:
+            for op, params, spec in plans:
+                queries = session.queries().using(build_technique(spec))
+                if op == "knn":
+                    expected[op, spec] = queries.knn(3).indices.tolist()
+                else:
+                    expected[op, spec] = [
+                        [int(i) for i in found]
+                        for found in queries.range(4.0).matches
+                    ]
+        answers: list = []
+        errors: list = []
+
+        def client_loop(slot: int) -> None:
+            try:
+                with harness.client(timeout=120.0) as client:
+                    for step in range(6):
+                        op, params, spec = plans[(slot + step) % len(plans)]
+                        row = (slot + step) % N_SERIES
+                        answer = client.query(op, "pdf", params, spec, [row])
+                        rows = answer.indices if op == "knn" else answer.matches
+                        answers.append((op, spec, row, rows[0]))
+            except Exception as error:  # noqa: BLE001 — asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=client_loop, args=(slot,))
+                for slot in range(8)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(answers) == 8 * 6
+        for op, spec, row, found in answers:
+            assert found == expected[op, spec][row]
 
 
 class TestTimeouts:
@@ -682,6 +717,30 @@ class TestTimeouts:
             assert client.ping()
 
 
+    def test_client_reconnects_after_read_timeout(
+        self, pdf, collections, tmp_path, monkeypatch
+    ):
+        """A read that timed out closes the client's connection: the late
+        reply is never read as the next request's answer, and the next
+        request reconnects and gets its own."""
+        live = _single_collection_daemon(collections, tmp_path)
+        gate = ExecutionGate(monkeypatch)
+        try:
+            with live.client(timeout=0.5) as client:
+                with pytest.raises(OSError):
+                    client.query("knn", "pdf", {"k": 3}, "dust", [1])
+                gate.release()
+                answer = client.query("knn", "pdf", {"k": 3}, "dust", [2])
+            with SimilaritySession(pdf) as session:
+                expected = (
+                    session.queries([2]).using(build_technique("dust")).knn(3)
+                )
+            assert answer.indices == expected.indices.tolist()
+        finally:
+            gate.release()
+            live.stop()
+
+
 class TestControlOps:
     def test_status(self, harness):
         with harness.client() as client:
@@ -690,7 +749,10 @@ class TestControlOps:
         assert set(status["collections"]) == {"pdf", "ms", "exact"}
         assert set(status["warm"]) == {"pdf", "ms", "exact"}  # preloaded
         assert status["uptime_seconds"] >= 0.0
-        assert status["batching"] == {"max_batch": MAX_BATCH}
+        assert {
+            (entry["collection"], entry["start"], entry["stop"])
+            for entry in status["sessions"]
+        } >= {("pdf", 0, N_SERIES), ("ms", 0, N_SERIES), ("exact", 0, N_SERIES)}
 
     def test_list_reports_entries_and_warmth(self, harness):
         with harness.client() as client:
@@ -709,7 +771,7 @@ class TestControlOps:
         assert len(answer.indices) == 6
 
     def test_query_cli_round_trip(self, pdf, harness, capsys):
-        """The ``cli query`` surface prints rows + the batch footer."""
+        """The ``cli query`` surface prints one line per query row."""
         code = query_main(
             [
                 "--port",
@@ -730,7 +792,6 @@ class TestControlOps:
             line for line in out.splitlines() if line.startswith("query ")
         ]
         assert len(rows) == 2
-        assert "[batch size" in out
         base = ["--port", str(harness.port), "--collection", "pdf",
                 "--queries", "0,1"]
         for verb in (
@@ -756,10 +817,11 @@ class TestGracefulShutdown:
     def test_in_flight_request_completes_through_shutdown(
         self, pdf, collections, tmp_path, monkeypatch
     ):
-        """One batch executes and one request waits behind it when
-        ``shutdown`` arrives: the drain must answer both."""
+        """One request executes and one waits behind it when
+        ``shutdown`` arrives: the drain must answer both, however long
+        the execution outlasts the daemon's closing of its listener."""
         live = _single_collection_daemon(collections, tmp_path)
-        gate = BatchGate(monkeypatch)
+        gate = ExecutionGate(monkeypatch)
         answers: dict = {}
 
         def query(slot, indices) -> None:
@@ -779,6 +841,13 @@ class TestGracefulShutdown:
             gate.wait_queued(live, 1)
             with live.client() as control:
                 assert control.shutdown()
+            deadline = time.monotonic() + 30.0
+            while live.daemon._server is not None:
+                assert time.monotonic() < deadline, "listener never closed"
+                time.sleep(0.01)
+            # Hold past the daemon's 1 s grace for flushing replies: only
+            # the drain keeps both connections open that long.
+            time.sleep(1.5)
             gate.release()
             for worker in workers:
                 worker.join(timeout=60.0)
@@ -835,3 +904,74 @@ class TestLazyWarming:
                 assert client.status()["warm"] == ["pdf"]
         finally:
             live.stop()
+
+
+class TestSessionTable:
+    def test_preloaded_daemon_opens_each_collection_once(
+        self, pdf, collections, tmp_path, monkeypatch
+    ):
+        """Preload plus a 2-shard query whose two first-seen slices race
+        on the pool: one open of the collection serves all three
+        sessions."""
+        opened = []
+        original = ServiceCatalog.open_collection
+
+        def counting(catalog, name, *args, **kwargs):
+            opened.append(name)
+            return original(catalog, name, *args, **kwargs)
+
+        monkeypatch.setattr(ServiceCatalog, "open_collection", counting)
+        live = _single_collection_daemon(collections, tmp_path)
+        half = N_SERIES // 2
+        shards = (
+            ShardEntry(0, "127.0.0.1", live.port, 0, half),
+            ShardEntry(1, "127.0.0.1", live.port, half, N_SERIES),
+        )
+        try:
+            with ClusterCoordinator({"pdf": shards}) as coordinator:
+                merged = coordinator.knn("pdf", 3, "dust")
+            with live.client() as client:
+                status = client.status()
+        finally:
+            live.stop()
+        assert opened == ["pdf"]
+        assert [
+            (entry["start"], entry["stop"]) for entry in status["sessions"]
+        ] == [(0, half), (0, N_SERIES), (half, N_SERIES)]
+        expected = _serial(pdf, "dust", lambda q: q.knn(3))
+        np.testing.assert_array_equal(merged.indices, expected.indices)
+
+    def test_a_served_slice_makes_its_collection_warm(
+        self, collections, tmp_path
+    ):
+        catalog_path = str(tmp_path / "catalog.db")
+        with ServiceCatalog(catalog_path) as catalog:
+            catalog.register("pdf", collections["pdf"])
+        live = DaemonHarness(catalog_path, preload=False)
+        try:
+            with live.client() as client:
+                response = _raw_exchange(
+                    live,
+                    json.dumps(
+                        {
+                            "v": PROTOCOL_VERSION,
+                            "id": "slice",
+                            "op": "knn",
+                            "collection": "pdf",
+                            "params": {"k": 2},
+                            "queries": {"indices": [0]},
+                            "candidates": {"start": 0, "stop": 6},
+                        }
+                    ).encode()
+                    + b"\n",
+                )
+                assert response["ok"] is True
+                status = client.status()
+                (entry,) = client.list_collections()
+        finally:
+            live.stop()
+        assert status["warm"] == ["pdf"]
+        assert status["sessions"] == [
+            {"collection": "pdf", "start": 0, "stop": 6}
+        ]
+        assert entry["warm"] is True
