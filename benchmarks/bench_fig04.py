@@ -12,12 +12,15 @@ from __future__ import annotations
 from repro.experiments import format_figure4, get_scale, run_figure4
 
 
-def bench_figure4(benchmark, record):
+def bench_figure4(benchmark, record, seed):
     scale = get_scale()
     results = benchmark.pedantic(
-        run_figure4, kwargs={"scale": scale}, rounds=1, iterations=1
+        run_figure4,
+        kwargs={"scale": scale, "seed": seed},
+        rounds=1,
+        iterations=1,
     )
-    record("fig04", format_figure4(results))
+    record(f"fig04_seed{seed}", format_figure4(results))
 
     for family, per_sigma in results.items():
         sigmas = list(per_sigma)

@@ -11,12 +11,15 @@ from __future__ import annotations
 from repro.experiments import FIG5_TECHNIQUES, format_figure5, get_scale, run_figure5
 
 
-def bench_figure5(benchmark, record):
+def bench_figure5(benchmark, record, seed):
     scale = get_scale()
     results = benchmark.pedantic(
-        run_figure5, kwargs={"scale": scale}, rounds=1, iterations=1
+        run_figure5,
+        kwargs={"scale": scale, "seed": seed},
+        rounds=1,
+        iterations=1,
     )
-    record("fig05", format_figure5(results))
+    record(f"fig05_seed{seed}", format_figure5(results))
 
     if scale.name == "tiny":
         return  # shapes only stabilize from the reduced scale upward

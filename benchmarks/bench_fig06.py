@@ -9,12 +9,15 @@ from __future__ import annotations
 from repro.experiments import format_precision_recall, get_scale, run_figure6
 
 
-def bench_figure6(benchmark, record):
+def bench_figure6(benchmark, record, seed):
     scale = get_scale()
     curves = benchmark.pedantic(
-        run_figure6, kwargs={"scale": scale}, rounds=1, iterations=1
+        run_figure6,
+        kwargs={"scale": scale, "seed": seed},
+        rounds=1,
+        iterations=1,
     )
-    record("fig06", format_precision_recall("Figure 6", "PROUD", curves))
+    record(f"fig06_seed{seed}", format_precision_recall("Figure 6", "PROUD", curves))
 
     if scale.name == "tiny":
         return  # shapes only stabilize from the reduced scale upward

@@ -9,12 +9,15 @@ from __future__ import annotations
 from repro.experiments import format_precision_recall, get_scale, run_figure7
 
 
-def bench_figure7(benchmark, record):
+def bench_figure7(benchmark, record, seed):
     scale = get_scale()
     curves = benchmark.pedantic(
-        run_figure7, kwargs={"scale": scale}, rounds=1, iterations=1
+        run_figure7,
+        kwargs={"scale": scale, "seed": seed},
+        rounds=1,
+        iterations=1,
     )
-    record("fig07", format_precision_recall("Figure 7", "DUST", curves))
+    record(f"fig07_seed{seed}", format_precision_recall("Figure 7", "DUST", curves))
 
     if scale.name == "tiny":
         return  # shapes only stabilize from the reduced scale upward

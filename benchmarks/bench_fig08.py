@@ -15,13 +15,16 @@ from repro.experiments import (
 )
 
 
-def bench_figure8(benchmark, record):
+def bench_figure8(benchmark, record, seed):
     scale = get_scale()
     rows = benchmark.pedantic(
-        run_figure8, kwargs={"scale": scale}, rounds=1, iterations=1
+        run_figure8,
+        kwargs={"scale": scale, "seed": seed},
+        rounds=1,
+        iterations=1,
     )
     record(
-        "fig08",
+        f"fig08_seed{seed}",
         format_per_dataset_f1(
             "Figure 8 — F1 per dataset, mixed normal error "
             "(20% σ=1.0, 80% σ=0.4); PROUD at σ=0.7",

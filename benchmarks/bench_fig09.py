@@ -15,13 +15,16 @@ from repro.experiments import (
 )
 
 
-def bench_figure9(benchmark, record):
+def bench_figure9(benchmark, record, seed):
     scale = get_scale()
     rows = benchmark.pedantic(
-        run_figure9, kwargs={"scale": scale}, rounds=1, iterations=1
+        run_figure9,
+        kwargs={"scale": scale, "seed": seed},
+        rounds=1,
+        iterations=1,
     )
     record(
-        "fig09",
+        f"fig09_seed{seed}",
         format_per_dataset_f1(
             "Figure 9 — F1 per dataset, mixed uniform+normal+exponential "
             "error (20% σ=1.0, 80% σ=0.4)",

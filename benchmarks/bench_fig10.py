@@ -15,13 +15,16 @@ from repro.experiments import (
 )
 
 
-def bench_figure10(benchmark, record):
+def bench_figure10(benchmark, record, seed):
     scale = get_scale()
     rows = benchmark.pedantic(
-        run_figure10, kwargs={"scale": scale}, rounds=1, iterations=1
+        run_figure10,
+        kwargs={"scale": scale, "seed": seed},
+        rounds=1,
+        iterations=1,
     )
     record(
-        "fig10",
+        f"fig10_seed{seed}",
         format_per_dataset_f1(
             "Figure 10 — F1 per dataset, mixed normal error misreported "
             "as constant σ=0.7",

@@ -13,13 +13,16 @@ import numpy as np
 from repro.experiments import format_parameter_sweep, get_scale, run_figure13
 
 
-def bench_figure13(benchmark, record):
+def bench_figure13(benchmark, record, seed):
     scale = get_scale()
     rows = benchmark.pedantic(
-        run_figure13, kwargs={"scale": scale}, rounds=1, iterations=1
+        run_figure13,
+        kwargs={"scale": scale, "seed": seed},
+        rounds=1,
+        iterations=1,
     )
     record(
-        "fig13",
+        f"fig13_seed{seed}",
         format_parameter_sweep(
             "Figure 13 — F1 vs window size w (mixed normal error)", "w", rows
         ),

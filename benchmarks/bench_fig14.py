@@ -9,13 +9,16 @@ from __future__ import annotations
 from repro.experiments import format_parameter_sweep, get_scale, run_figure14
 
 
-def bench_figure14(benchmark, record):
+def bench_figure14(benchmark, record, seed):
     scale = get_scale()
     rows = benchmark.pedantic(
-        run_figure14, kwargs={"scale": scale}, rounds=1, iterations=1
+        run_figure14,
+        kwargs={"scale": scale, "seed": seed},
+        rounds=1,
+        iterations=1,
     )
     record(
-        "fig14",
+        f"fig14_seed{seed}",
         format_parameter_sweep(
             "Figure 14 — F1 vs decaying factor λ (mixed normal error)",
             "lambda",

@@ -15,12 +15,15 @@ from repro.experiments import (
 )
 
 
-def bench_figure15(benchmark, record):
+def bench_figure15(benchmark, record, seed):
     scale = get_scale()
     rows = benchmark.pedantic(
-        run_figure15, kwargs={"scale": scale}, rounds=1, iterations=1
+        run_figure15,
+        kwargs={"scale": scale, "seed": seed},
+        rounds=1,
+        iterations=1,
     )
-    record("fig15", format_moving_average_figure(15, rows))
+    record(f"fig15_seed{seed}", format_moving_average_figure(15, rows))
     means = summarize_means(rows)
     assert means["UMA(w=2)"] > means["Euclidean"], means
     assert means["UEMA(w=2, lambda=1)"] > means["Euclidean"], means

@@ -14,12 +14,15 @@ from repro.experiments import (
 )
 
 
-def bench_figure16(benchmark, record):
+def bench_figure16(benchmark, record, seed):
     scale = get_scale()
     rows = benchmark.pedantic(
-        run_figure16, kwargs={"scale": scale}, rounds=1, iterations=1
+        run_figure16,
+        kwargs={"scale": scale, "seed": seed},
+        rounds=1,
+        iterations=1,
     )
-    record("fig16", format_moving_average_figure(16, rows))
+    record(f"fig16_seed{seed}", format_moving_average_figure(16, rows))
     means = summarize_means(rows)
     assert means["UMA(w=2)"] > means["Euclidean"], means
     assert means["UEMA(w=2, lambda=1)"] > means["Euclidean"], means

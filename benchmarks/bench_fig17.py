@@ -15,12 +15,15 @@ from repro.experiments import (
 )
 
 
-def bench_figure17(benchmark, record):
+def bench_figure17(benchmark, record, seed):
     scale = get_scale()
     rows = benchmark.pedantic(
-        run_figure17, kwargs={"scale": scale}, rounds=1, iterations=1
+        run_figure17,
+        kwargs={"scale": scale, "seed": seed},
+        rounds=1,
+        iterations=1,
     )
-    record("fig17", format_moving_average_figure(17, rows))
+    record(f"fig17_seed{seed}", format_moving_average_figure(17, rows))
     means = summarize_means(rows)
     assert means["UMA(w=2)"] > means["Euclidean"], means
     assert means["UEMA(w=2, lambda=1)"] > means["Euclidean"], means

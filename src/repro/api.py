@@ -70,7 +70,7 @@ from .distributions import (
     make_distribution,
     with_tails,
 )
-from .dust import Dust, DustTable, DustTableCache
+from .dust import Dust, DustTable, dust_table
 from .evaluation import (
     ExperimentResult,
     mean_with_ci,
@@ -143,7 +143,7 @@ __all__ = [
     "dtw_distance_matrix", "FilteredEuclidean",
     "uma_distance", "uema_distance",
     # techniques
-    "Munich", "Proud", "Dust", "DustTable", "DustTableCache",
+    "Munich", "Proud", "Dust", "DustTable", "dust_table",
     "Technique", "EuclideanTechnique", "DustTechnique", "FilteredTechnique",
     "ProudTechnique", "MunichTechnique", "DustDtwTechnique",
     "MunichDtwTechnique",

@@ -31,7 +31,7 @@ class ErrorDistribution(abc.ABC):
 
     Concrete subclasses are immutable value objects: two instances with the
     same family and parameters compare equal and hash equal, which lets the
-    DUST lookup-table cache key on them directly.
+    process-wide DUST lookup-table store key on them directly.
     """
 
     #: Short family name, e.g. ``"normal"``; set by subclasses.

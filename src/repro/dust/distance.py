@@ -18,35 +18,52 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.errors import LengthMismatchError
+from ..core.errors import LengthMismatchError, UnsupportedQueryError
 from ..core.uncertain import UncertainTimeSeries
 from ..distances.dtw import dtw_distance
 from ..distributions.base import ErrorDistribution
-from .tables import DEFAULT_TABLE_POINTS, DustTableCache
+from .tables import DEFAULT_TABLE_POINTS, DustTable, dust_table
+
+#: What both DUST-DTW paths (per pair and batch) raise for a series
+#: whose timestamps report different error distributions.
+HETEROGENEOUS_DTW_MESSAGE = (
+    "DUST-DTW requires homogeneous error models: every timestamp of a "
+    "series must report the same error distribution"
+)
 
 
 class Dust:
-    """DUST distance with cached lookup tables.
+    """DUST distance over the process-wide lookup-table store.
+
+    Tables come from :func:`~repro.dust.tables.dust_table`, so every
+    ``Dust`` with the same settings shares them: each error pair is
+    built once per process.
 
     Parameters
     ----------
-    cache:
-        Shared :class:`DustTableCache`; pass one cache across queries so
-        tables are built once per error-distribution pair.
-    table_points / tail_workaround:
-        Forwarded to table construction when ``cache`` is not given.
+    table_points:
+        Grid samples per lookup table.
+    tail_workaround:
+        Mix the paper's wide-normal tails into bounded error supports
+        before integrating φ (Section 4.2.1).
     """
 
     name = "DUST"
 
     def __init__(
         self,
-        cache: Optional[DustTableCache] = None,
         table_points: int = DEFAULT_TABLE_POINTS,
         tail_workaround: bool = True,
     ) -> None:
-        self.cache = cache if cache is not None else DustTableCache(
-            n_points=table_points, tail_workaround=tail_workaround
+        self.table_points = table_points
+        self.tail_workaround = tail_workaround
+
+    def table(
+        self, error_x: ErrorDistribution, error_y: ErrorDistribution
+    ) -> DustTable:
+        """The lookup table for one ordered error pair."""
+        return dust_table(
+            error_x, error_y, self.table_points, self.tail_workaround
         )
 
     def point_dust(
@@ -57,7 +74,7 @@ class Dust:
         error_y: ErrorDistribution,
     ) -> float:
         """Per-point ``dust(x, y)`` for one observation pair."""
-        table = self.cache.get(error_x, error_y)
+        table = self.table(error_x, error_y)
         return float(table.dust(abs(x_value - y_value)))
 
     def dust_squared_profile(
@@ -69,7 +86,7 @@ class Dust:
         differences = np.abs(x.observations - y.observations)
         x_model, y_model = x.error_model, y.error_model
         if x_model.is_homogeneous and y_model.is_homogeneous:
-            table = self.cache.get(x_model[0], y_model[0])
+            table = self.table(x_model[0], y_model[0])
             return table.dust_squared(differences)
         # Heterogeneous: group timestamps by their (error_x, error_y) pair
         # so each distinct table is applied vectorized.
@@ -78,7 +95,7 @@ class Dust:
         for index, (dist_x, dist_y) in enumerate(zip(x_model, y_model)):
             pair_positions.setdefault((dist_x, dist_y), []).append(index)
         for (dist_x, dist_y), positions in pair_positions.items():
-            table = self.cache.get(dist_x, dist_y)
+            table = self.table(dist_x, dist_y)
             idx = np.asarray(positions, dtype=np.intp)
             out[idx] = table.dust_squared(differences[idx])
         return out
@@ -98,13 +115,21 @@ class Dust:
         """DTW with ``dust²`` as the per-point cost (Section 3.2 extension).
 
         Requires homogeneous error models (one table), since under warping
-        a point may align with any timestamp of the other series.
+        a point may align with any timestamp of the other series; a
+        heterogeneous model raises
+        :class:`~repro.core.errors.UnsupportedQueryError`.
         """
-        table = self.cache.get(x.error_model[0], y.error_model[0])
+        x_model, y_model = x.error_model, y.error_model
+        if not (x_model.is_homogeneous and y_model.is_homogeneous):
+            raise UnsupportedQueryError(HETEROGENEOUS_DTW_MESSAGE)
+        table = self.table(x_model[0], y_model[0])
         cost = lambda a, b: float(table.dust_squared(abs(a - b)))  # noqa: E731
         return dtw_distance(
             x.observations, y.observations, window=window, point_cost=cost
         )
 
     def __repr__(self) -> str:
-        return f"Dust(cached_tables={len(self.cache)})"
+        return (
+            f"Dust(table_points={self.table_points}, "
+            f"tail_workaround={self.tail_workaround})"
+        )

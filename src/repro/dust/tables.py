@@ -5,7 +5,8 @@ integral for every point pair — far too slow to recompute per comparison.
 The original DUST implementation precomputes *lookup tables*; we do the
 same: a :class:`DustTable` holds ``dust`` values sampled on a dense grid of
 observed differences for one ``(error_x, error_y)`` pair, with linear
-interpolation in between and linear-slope extrapolation beyond.
+interpolation in between and linear-slope extrapolation beyond, and
+:func:`dust_table` builds each pair's table once per process.
 
 Degenerate φ (paper Section 4.2.1): for bounded error supports (uniform),
 ``φ(d) = 0`` for large ``d`` and the logarithm blows up.  Two mitigations,
@@ -22,7 +23,7 @@ both from the paper, are applied:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import functools
 
 import numpy as np
 
@@ -70,10 +71,13 @@ class DustTable:
         # instead of np.interp's per-point binary search (the hot path of
         # the batch DUST kernels — see dust_squared()).
         self._step = radius / (n_points - 1)
-        # A 4001-point integration grid keeps the table values within
-        # ~0.3% even at pdf discontinuities, at a quarter of the default
-        # cost — tables are built once per distribution pair but for many
-        # pairs under mixed-error scenarios.
+        # A 4,001-point integration grid costs a quarter of phi()'s
+        # default: mixed-error scenarios build tables for many pairs.
+        # Against a 400,001-point reference (cells where it exceeds 1e-12
+        # of its maximum) its φ is off by at most 17–18% on tailed-uniform
+        # pairs (median 0.07–0.6%), 1.6–2.8% on tailed exponential and
+        # 0.9–2.1% on tailed uniform × normal.  The committed figure
+        # tables carry this error; converging φ is item 2 of ROADMAP.md.
         phi_values = np.maximum(
             phi(self._grid, effective_x, effective_y, grid_points=4001),
             PHI_FLOOR,
@@ -85,6 +89,9 @@ class DustTable:
         # values from numeric integration noise.
         self._dust_squared = np.maximum(dust_squared, 0.0)
         self._slope = self._tail_slope()
+        # dust_table() hands one table to every caller in the process.
+        self._grid.flags.writeable = False
+        self._dust_squared.flags.writeable = False
 
     def _tail_slope(self) -> float:
         """Slope of dust² per unit d at the end of the grid (extrapolation)."""
@@ -175,53 +182,33 @@ class DustTable:
         )
 
 
-class DustTableCache:
-    """Keyed cache of :class:`DustTable` objects.
+#: Most tables :func:`dust_table` keeps.  A default table is ~33 KB, so a
+#: full store holds ~8.5 MB; a paper-figures pass meets 43–49 distinct keys.
+#: The cap bounds a long process that meets many distinct error models.
+TABLE_STORE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=TABLE_STORE_SIZE)
+def dust_table(
+    error_x: ErrorDistribution,
+    error_y: ErrorDistribution,
+    n_points: int,
+    tail_workaround: bool,
+    /,
+) -> DustTable:
+    """The process-wide :class:`DustTable` for one ordered error pair.
 
     Error distributions are value objects (equal by family+parameters), so
     a table built for ``(normal σ=0.4, normal σ=0.4)`` is shared by every
-    timestamp and every series using that error model — the dominant case
-    in the paper's experiments, where at most a handful of distinct
-    distributions appear per run.
+    timestamp, series, technique and session that uses that error model —
+    the dominant case in the paper's experiments, where a handful of
+    distinct distributions appear per run.  The arguments are
+    positional-only because ``lru_cache`` keys keyword calls apart from
+    positional ones.  Concurrent callers are safe: two threads that miss
+    the same key may both build it, and since a build is a pure function
+    of its key either result serves.
     """
-
-    def __init__(
-        self,
-        n_points: int = DEFAULT_TABLE_POINTS,
-        tail_workaround: bool = True,
-    ) -> None:
-        self.n_points = n_points
-        self.tail_workaround = tail_workaround
-        self._tables: Dict[
-            Tuple[ErrorDistribution, ErrorDistribution], DustTable
-        ] = {}
-
-    def get(
-        self, error_x: ErrorDistribution, error_y: ErrorDistribution
-    ) -> DustTable:
-        """Fetch (building on first use) the table for an error pair."""
-        key = (error_x, error_y)
-        table = self._tables.get(key)
-        if table is None:
-            table = DustTable(
-                error_x,
-                error_y,
-                n_points=self.n_points,
-                tail_workaround=self.tail_workaround,
-            )
-            self._tables[key] = table
-            # dust is symmetric in the pair for identical families; the
-            # reversed key reuses the same table when distributions match.
-            if error_x == error_y:
-                self._tables[(error_y, error_x)] = table
-        return table
-
-    def __len__(self) -> int:
-        return len(self._tables)
-
-    def clear(self) -> None:
-        """Drop all cached tables."""
-        self._tables.clear()
+    return DustTable(error_x, error_y, n_points, tail_workaround)
 
 
 def _maybe_add_tails(distribution: ErrorDistribution) -> ErrorDistribution:

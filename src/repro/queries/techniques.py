@@ -79,6 +79,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core import MATRIX_BLOCK_ELEMENTS
 from ..core.errors import InvalidParameterError, UnsupportedQueryError
 from ..core.summaries import (
     DEFAULT_SEGMENTS,
@@ -107,8 +108,7 @@ from ..distances.lp import (
     squared_euclidean_matrix,
 )
 from ..distributions import make_distribution
-from ..dust.distance import Dust
-from ..dust.tables import DustTableCache
+from ..dust.distance import HETEROGENEOUS_DTW_MESSAGE, Dust
 from ..munich.batch import convolved_probability_batch
 from ..munich.bounds import interval_gap_and_span
 from ..munich.exact import draw_choices, draw_materialization_pairs
@@ -131,14 +131,6 @@ from .planner import (
     sequential_mc_decision,
     sequential_mc_verdict,
 )
-
-#: Element budget for one broadcast ``(B, N, n)`` block of a tensor matrix
-#: kernel: 2^16 float64s ≈ 512 KB per temporary, so the dozen elementwise
-#: passes of a DUST/PROUD/MUNICH block stay resident in L2 instead of
-#: streaming the whole ``(M, N, n)`` tensor through DRAM once per pass
-#: (measured ~2× faster than 8 MB blocks on the full-protocol workload),
-#: while still amortizing per-block NumPy call overhead thousands of ways.
-MATRIX_BLOCK_ELEMENTS = 1 << 16
 
 #: Element budget for one batched Monte Carlo refinement block: bounds
 #: the ``(cells · s, n)`` stacked draw tensors the MUNICH-DTW refine
@@ -627,14 +619,18 @@ class EuclideanTechnique(Technique):
 
 
 class DustTechnique(Technique):
-    """DUST distance using each series' *reported* error model."""
+    """DUST distance using each series' *reported* error model.
+
+    Lookup tables come from the process-wide
+    :func:`~repro.dust.tables.dust_table` store through
+    :meth:`~repro.dust.Dust.table`; the technique keeps no table cache.
+    """
 
     name = "DUST"
     kind = "distance"
 
-    def __init__(self, cache: Optional[DustTableCache] = None,
-                 tail_workaround: bool = True) -> None:
-        self._dust = Dust(cache=cache, tail_workaround=tail_workaround)
+    def __init__(self, tail_workaround: bool = True) -> None:
+        self._dust = Dust(tail_workaround=tail_workaround)
 
     @property
     def dust(self) -> Dust:
@@ -678,12 +674,11 @@ class DustTechnique(Technique):
         )
         all_distinct = list(mapping)
         n_codes = len(all_distinct)
-        table_cache = self._dust.cache
         length = values.shape[1]
         out = np.empty((n_queries, len(collection)))
 
         if n_codes == 1:
-            table = table_cache.get(all_distinct[0], all_distinct[0])
+            table = self._dust.table(all_distinct[0], all_distinct[0])
             # The full protocol queries the collection against itself; with
             # one shared error model DUST is symmetric, so only the upper
             # triangle (plus the small in-block overlap) is computed and
@@ -719,7 +714,7 @@ class DustTechnique(Technique):
             dust_squared = np.empty_like(differences)
             for pair in np.unique(pair_codes):
                 query_index, candidate_index = divmod(int(pair), n_codes)
-                table = table_cache.get(
+                table = self._dust.table(
                     all_distinct[query_index], all_distinct[candidate_index]
                 )
                 cells = pair_codes == pair
@@ -1272,6 +1267,11 @@ class DustDtwTechnique(Technique):
     :mod:`repro.distances.dtw_batch`, grouping candidates by their error
     distribution so a homogeneous collection is one stacked rolling
     pass per block.  Results are bit-identical to the per-pair program.
+    One table prices a warped pair, so every query and candidate must
+    report one error distribution for all its timestamps; both paths
+    raise :class:`~repro.core.errors.UnsupportedQueryError` otherwise.
+    Tables come from the process-wide store, as for
+    :class:`DustTechnique`.
     """
 
     name = "DUST-DTW"
@@ -1280,13 +1280,12 @@ class DustDtwTechnique(Technique):
     def __init__(
         self,
         window: Optional[int] = None,
-        cache: Optional[DustTableCache] = None,
         tail_workaround: bool = True,
     ) -> None:
         if window is not None and window < 0:
             raise InvalidParameterError(f"window must be >= 0, got {window}")
         self.window = window
-        self._dust = Dust(cache=cache, tail_workaround=tail_workaround)
+        self._dust = Dust(tail_workaround=tail_workaround)
 
     @property
     def dust(self) -> Dust:
@@ -1304,9 +1303,9 @@ class DustDtwTechnique(Technique):
         """Stacked wavefront DTW with grouped per-diagonal ``dust²`` costs.
 
         Per query, candidates sharing an error distribution (read off
-        the cached code matrix's first timestamp, the same distribution
-        the per-pair path keys its table on) advance through one rolling
-        DP together, in blocks of the rolling state's budget.
+        the cached code matrix, whose rows must each hold one code)
+        advance through one rolling DP together, in blocks of the
+        rolling state's budget.
         """
         if len(queries) == 0:
             return np.empty((0, len(collection)))
@@ -1314,6 +1313,11 @@ class DustDtwTechnique(Technique):
         values = materialized.values_matrix()
         codes, distincts = materialized.model_codes()
         first_codes = codes[:, 0]
+        homogeneous = (codes == first_codes[:, None]).all() and all(
+            query.error_model.is_homogeneous for query in queries
+        )
+        if not homogeneous:
+            raise UnsupportedQueryError(HETEROGENEOUS_DTW_MESSAGE)
         groups = [
             (distincts[int(code)], np.flatnonzero(first_codes == code))
             for code in np.unique(first_codes)
@@ -1322,7 +1326,7 @@ class DustDtwTechnique(Technique):
         for row, query in enumerate(queries):
             query_distribution = query.error_model[0]
             for distribution, columns in groups:
-                table = self._dust.cache.get(query_distribution, distribution)
+                table = self._dust.table(query_distribution, distribution)
                 out[row, columns] = _dust_dtw_stack(
                     query.observations, values[columns], table, self.window
                 )

@@ -18,6 +18,7 @@ from repro.core import (
     InvalidParameterError,
     MultisampleUncertainTimeSeries,
     UncertainTimeSeries,
+    UnsupportedQueryError,
     spawn,
 )
 from repro.datasets import generate_dataset
@@ -226,7 +227,7 @@ class TestDustDtwTechnique:
     def test_profile_matches_dust_engine(self, workload):
         pdf, _ = workload
         technique = DustDtwTechnique(window=3)
-        dust = Dust(cache=technique.dust.cache)
+        dust = Dust()
         profile = technique.distance_matrix([pdf[1]], pdf)[0]
         reference = np.array([
             dust.dtw_distance(pdf[1], candidate, window=3)
@@ -284,7 +285,7 @@ class TestDustDtwTechnique:
             matrix = np.array([
                 banded_dtw_from_costs(
                     np.stack([
-                        technique.dust.cache.get(
+                        technique.dust.table(
                             query.error_model[0], candidate.error_model[0]
                         ).dust_squared(
                             np.abs(
@@ -347,7 +348,7 @@ class TestDustDtwTechnique:
         ])
         full_state = np.array([
             banded_dtw_from_costs(
-                technique.dust.cache.get(
+                technique.dust.table(
                     query.error_model[0], candidate.error_model[0]
                 ).dust_squared(
                     np.abs(
@@ -365,6 +366,32 @@ class TestDustDtwTechnique:
     def test_negative_window_rejected(self):
         with pytest.raises(InvalidParameterError):
             DustDtwTechnique(window=-1)
+
+    @pytest.mark.parametrize(
+        "path", ["per-pair", "batch", "batch-query", "batch-candidate"]
+    )
+    def test_heterogeneous_error_models_rejected(self, path):
+        """One table prices a DUST-DTW pair, so a series whose timestamps
+        report different error distributions is refused on every path
+        instead of being scored under timestamp 0's distribution alone."""
+        rng = np.random.default_rng(16)
+        split = ErrorModel([NormalError(0.2)] * 8 + [UniformError(2.0)] * 8)
+        x = UncertainTimeSeries(rng.normal(size=16), split)
+        y = UncertainTimeSeries(rng.normal(size=16), split)
+        plain = UncertainTimeSeries(
+            y.observations, ErrorModel.constant(NormalError(0.2), 16)
+        )
+        technique = DustDtwTechnique(window=3)
+        calls = {
+            "per-pair": lambda: Dust().dtw_distance(x, y, window=3),
+            "batch": lambda: technique.distance_matrix([x], [x, y]),
+            "batch-query": lambda: technique.distance_matrix([x], [plain]),
+            "batch-candidate": lambda: technique.distance_matrix(
+                [plain], [plain, y]
+            ),
+        }
+        with pytest.raises(UnsupportedQueryError, match="homogeneous"):
+            calls[path]()
 
     def test_session_knn(self, workload):
         pdf, _ = workload

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,16 +19,19 @@ from repro.distributions import (
     ExponentialError,
     NormalError,
     UniformError,
+    with_tails,
 )
 from repro.dust import (
+    DEFAULT_TABLE_POINTS,
     Dust,
     DustTable,
-    DustTableCache,
+    dust_table,
     phi,
     phi_normal_closed_form,
     phi_numeric,
     phi_support_radius,
 )
+from repro.queries import DustDtwTechnique, DustTechnique
 
 
 def _uncertain(values, distribution):
@@ -80,6 +86,29 @@ class TestPhi:
         radius = phi_support_radius(UniformError(1.0), ExponentialError(0.5))
         assert radius > UniformError(1.0).half_width
 
+    @pytest.mark.parametrize(
+        "error_x, error_y",
+        [
+            (UniformError(1.0), UniformError(0.4)),
+            (ExponentialError(1.0), ExponentialError(0.4)),
+            (UniformError(1.0), NormalError(0.4)),
+        ],
+        ids=["uniform", "exponential", "uniform-normal"],
+    )
+    def test_blocked_quadrature_equals_row_by_row(self, error_x, error_y):
+        """φ over a table's d-grid does not depend on how the d-values are
+        blocked: the figure tables stay exact whatever the block budget."""
+        tailed_x, tailed_y = with_tails(error_x), with_tails(error_y)
+        d = np.linspace(
+            0.0, phi_support_radius(tailed_x, tailed_y), DEFAULT_TABLE_POINTS
+        )
+        blocked = phi_numeric(d, tailed_x, tailed_y, grid_points=4001)
+        rows = np.concatenate([
+            phi_numeric(d[i:i + 1], tailed_x, tailed_y, grid_points=4001)
+            for i in range(d.size)
+        ])
+        assert np.array_equal(blocked, rows)
+
 
 class TestDustTable:
     def test_zero_difference_is_zero_distance(self):
@@ -126,25 +155,92 @@ class TestDustTable:
         assert np.allclose(table.dust(d), table.dust(-d))
 
 
-class TestDustTableCache:
+class TestDustTableStore:
     def test_tables_shared_by_value(self):
-        cache = DustTableCache()
-        a = cache.get(NormalError(0.4), NormalError(0.4))
-        b = cache.get(NormalError(0.4), NormalError(0.4))
+        a = dust_table(NormalError(0.4), NormalError(0.4), 2048, True)
+        b = dust_table(NormalError(0.4), NormalError(0.4), 2048, True)
         assert a is b
-        assert len(cache) >= 1
+        assert dust_table.cache_info().currsize >= 1
 
     def test_distinct_pairs_distinct_tables(self):
-        cache = DustTableCache()
-        a = cache.get(NormalError(0.4), NormalError(0.4))
-        b = cache.get(NormalError(0.4), NormalError(0.8))
+        a = dust_table(NormalError(0.4), NormalError(0.4), 2048, True)
+        b = dust_table(NormalError(0.4), NormalError(0.8), 2048, True)
         assert a is not b
 
     def test_clear(self):
-        cache = DustTableCache()
-        cache.get(NormalError(0.4), NormalError(0.4))
-        cache.clear()
-        assert len(cache) == 0
+        dust_table(NormalError(0.4), NormalError(0.4), 2048, True)
+        dust_table.cache_clear()
+        assert dust_table.cache_info().currsize == 0
+        misses = dust_table.cache_info().misses
+        dust_table(NormalError(0.4), NormalError(0.4), 2048, True)
+        assert dust_table.cache_info().misses == misses + 1
+
+    def test_one_table_per_pair_across_dust_and_techniques(self):
+        pair = (UniformError(0.6), ExponentialError(0.3))
+        tables = [
+            Dust().table(*pair),
+            Dust().table(*pair),
+            DustTechnique().dust.table(*pair),
+            DustDtwTechnique(window=2).dust.table(*pair),
+        ]
+        assert all(table is tables[0] for table in tables)
+
+    def test_settings_key_their_own_tables(self):
+        pair = (UniformError(0.6), UniformError(0.6))
+        default = Dust().table(*pair)
+        assert Dust(tail_workaround=False).table(*pair) is not default
+        assert Dust(table_points=1024).table(*pair) is not default
+
+    def test_stored_table_equals_direct_build(self):
+        """The store keys the *ordered* pair: its table is the one a direct
+        build of that pair gives, value for value."""
+        error_x, error_y = UniformError(1.0), NormalError(0.4)
+        d = np.linspace(0.0, 8.0, 301)
+        stored = Dust().table(error_x, error_y)
+        assert np.array_equal(
+            stored.dust_squared(d), DustTable(error_x, error_y).dust_squared(d)
+        )
+        assert not np.array_equal(
+            stored.dust_squared(d), DustTable(error_y, error_x).dust_squared(d)
+        )
+
+    def test_stored_table_is_read_only(self):
+        table = Dust().table(NormalError(0.4), NormalError(0.4))
+        with pytest.raises(ValueError):
+            table._dust_squared[0] = 1.0
+
+    def test_concurrent_misses_agree(self):
+        """8 threads that miss one key at once all get equal tables, and
+        the key is a hit afterwards."""
+        key = (UniformError(0.8137), ExponentialError(0.2917), 64, True)
+        results = [None] * 8
+        barrier = threading.Barrier(len(results))
+
+        def ask(slot):
+            barrier.wait(timeout=30)
+            results[slot] = dust_table(*key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=ask, args=(slot,))
+                for slot in range(len(results))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        d = np.linspace(0.0, 6.0, 97)
+        reference = DustTable(*key[:2], n_points=64).dust_squared(d)
+        for table in results:
+            assert np.array_equal(table.dust_squared(d), reference)
+        hits = dust_table.cache_info().hits
+        assert dust_table(*key) in results
+        assert dust_table.cache_info().hits == hits + 1
 
 
 class TestDustDistance:
@@ -230,7 +326,7 @@ class TestDustDistance:
         x, _ = uncertain_pair
         assert Dust().dtw_distance(x, x) == pytest.approx(0.0, abs=1e-9)
 
-    def test_repr_counts_tables(self):
-        dust = Dust()
-        dust.point_dust(0.0, 1.0, NormalError(0.3), NormalError(0.3))
-        assert "cached_tables" in repr(dust)
+    def test_repr_names_table_settings(self):
+        assert repr(Dust(tail_workaround=False)) == (
+            "Dust(table_points=2048, tail_workaround=False)"
+        )

@@ -414,7 +414,7 @@ class TestQueryEngine:
         technique = DustTechnique()
         from repro.distributions import NormalError
 
-        table = technique.dust.cache.get(NormalError(0.4), NormalError(0.4))
+        table = technique.dust.table(NormalError(0.4), NormalError(0.4))
         out = table.dust_squared(np.array([0.5, np.nan, 1.0]))
         assert np.isnan(out[1])
         assert np.isfinite(out[0]) and np.isfinite(out[2])

@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.distances import euclidean
 from repro.distributions import NormalError
+from repro.dust import dust_table
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario, perturb_multisample
 from repro.queries import (
@@ -63,9 +64,9 @@ class TestDustTechnique:
     def test_tables_shared_across_calls(self, perturbed_collection):
         technique = DustTechnique()
         technique.distance(perturbed_collection[0], perturbed_collection[1])
-        tables_after_first = len(technique.dust.cache)
+        misses_after_first = dust_table.cache_info().misses
         technique.distance(perturbed_collection[1], perturbed_collection[2])
-        assert len(technique.dust.cache) == tables_after_first
+        assert dust_table.cache_info().misses == misses_after_first
 
 
 class TestFilteredTechnique:
