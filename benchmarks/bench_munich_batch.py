@@ -55,6 +55,7 @@ from repro.core import spawn
 from repro.datasets import generate_dataset
 from repro.munich import Munich, interval_gap_and_span
 from repro.queries import (
+    SHARED_ENGINE,
     DustDtwTechnique,
     MunichDtwTechnique,
     MunichTechnique,
@@ -152,7 +153,7 @@ def _bench_munich_convolution(
     )
     epsilon = float(np.median(pairwise[pairwise > 0]))
 
-    materialized = technique.engine.materialize(multisample)
+    materialized = SHARED_ENGINE.materialize(multisample)
     low, high = materialized.bounding_matrices()
 
     def per_pair():

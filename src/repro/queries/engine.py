@@ -21,17 +21,21 @@ batch engine removes that overhead in two pieces:
   can never be silently reused after garbage collection (the stale-cache
   hazard).  Capacity is bounded: the least recently used collection is
   evicted — together with its strong reference — once the bound is hit.
+  Lookup, insert and eviction run under one lock.
 
 Consumers reach the engine through the ``(M, N)`` kernels of
 :class:`repro.queries.techniques.Technique` (``distance_kernel`` /
-``probability_kernel`` / ``calibration_kernel``), which every concrete
-technique overrides with a vectorized kernel; the default
-implementations loop over the per-pair methods, so third-party
+``probability_kernel`` / ``calibration_kernel``), which take it as a
+call argument: a session passes its own, and a direct
+``technique.distance_matrix(q, c)`` runs on :data:`SHARED_ENGINE`.
+Every concrete technique overrides them with a vectorized kernel; the
+default implementations loop over the per-pair methods, so third-party
 techniques keep working unchanged.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,6 +82,12 @@ class CollectionMaterialization:
     built from (``self.collection``), which is what makes identity-keyed
     caching sound: the key ``id(collection)`` cannot be recycled while the
     entry is alive.
+
+    The lazy fills take no lock.  Each one is a pure function of the
+    snapshotted items (and of its key, for the per-filter, per-window and
+    per-geometry dicts), so two threads that miss one fill concurrently
+    build equal arrays; whichever is stored last serves later calls, and
+    the double fill only wastes work.
     """
 
     __slots__ = (
@@ -410,6 +420,11 @@ class CollectionMaterialization:
 class QueryEngine:
     """Identity-keyed cache of :class:`CollectionMaterialization` objects.
 
+    A caller passes its engine to every plan it runs
+    (``technique.matrix_with_stats(..., engine=...)``); no technique holds
+    one.  :meth:`materialize` is atomic and the lazy fills are pure, so
+    any number of threads may share an engine.
+
     Parameters
     ----------
     max_collections:
@@ -426,6 +441,7 @@ class QueryEngine:
             )
         self.max_collections = max_collections
         self._entries: Dict[int, CollectionMaterialization] = {}
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -438,26 +454,22 @@ class QueryEngine:
         the same object that was keyed.
         """
         key = id(collection)
-        entry = self._entries.get(key)
-        if entry is not None:
-            if entry.is_current():
-                # Move to the back of the (insertion-ordered) dict: LRU.
-                del self._entries[key]
-                self._entries[key] = entry
-                return entry
-            # The collection was mutated in place since materialization;
-            # drop the stale entry and rebuild below.
-            del self._entries[key]
-        entry = CollectionMaterialization(collection)
-        if len(self._entries) >= self.max_collections:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-        self._entries[key] = entry
-        return entry
+        with self._lock:
+            # Popping and re-inserting moves a hit to the back of the
+            # (insertion-ordered) dict: LRU.
+            entry = self._entries.pop(key, None)
+            if entry is None or not entry.is_current():
+                # New, or mutated in place since materialization: rebuild.
+                entry = CollectionMaterialization(collection)
+                if len(self._entries) >= self.max_collections:
+                    del self._entries[next(iter(self._entries))]
+            self._entries[key] = entry
+            return entry
 
     def clear(self) -> None:
         """Drop every materialization (and its collection reference)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def __repr__(self) -> str:
         return (
@@ -466,6 +478,6 @@ class QueryEngine:
         )
 
 
-#: Engine shared by techniques that are not given their own (one per
-#: process keeps Euclidean / PROUD / UMA reusing the same values matrix).
+#: The engine a plan runs on when its caller passes none (one per process
+#: keeps Euclidean / PROUD / UMA reusing the same values matrix).
 SHARED_ENGINE = QueryEngine()

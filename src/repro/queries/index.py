@@ -111,6 +111,7 @@ def _blocked_knn_prune(context: PlanContext) -> bool:
             "distance",
             context.queries,
             shard(start, stop),
+            context.engine,
             need_upper=True,
         )
         if bounds is None:
@@ -161,7 +162,11 @@ class IndexStage(PlanStage):
         if need_upper and _blocked_knn_prune(context):
             return 0, 0
         bounds = context.technique.index_bounds(
-            kind, context.queries, context.collection, need_upper=need_upper
+            kind,
+            context.queries,
+            context.collection,
+            context.engine,
+            need_upper=need_upper,
         )
         if bounds is None:
             return 0, 0

@@ -57,6 +57,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.errors import InvalidParameterError
+from .engine import SHARED_ENGINE, QueryEngine
 
 #: Kinds of score matrices a plan can produce.
 PLAN_KINDS = ("distance", "probability", "calibration")
@@ -482,6 +483,8 @@ class PlanContext:
     kind: str
     queries: Sequence
     collection: Sequence
+    #: The engine every stage's kernels materialize on.
+    engine: QueryEngine
     epsilons: Optional[np.ndarray]
     #: Decision target — a scalar τ or a τ-grid tuple (one bracketing
     #: pass covers the whole optimal-τ sweep).
@@ -527,7 +530,7 @@ class PlanStage(abc.ABC):
 class BoundStage(PlanStage):
     """Decide cells whose lower/upper distance bounds clear ε.
 
-    The technique supplies ``matrix_bounds(queries, collection)`` —
+    The technique supplies ``matrix_bounds(queries, collection, engine)`` —
     ``(lower, upper)`` stacks valid for *every* materialization of each
     pair, computed from engine-cached stacks (bounding intervals,
     band-inflated envelopes).  Cells with ``lower > ε`` are certain
@@ -550,7 +553,7 @@ class BoundStage(PlanStage):
                 "BoundStage requires a probability workload with epsilons"
             )
         lower, upper = context.technique.matrix_bounds(
-            context.queries, context.collection
+            context.queries, context.collection, context.engine
         )
         guard_hi = (context.epsilons * (1.0 + self.slack))[:, None]
         guard_lo = (context.epsilons * (1.0 - self.slack))[:, None]
@@ -589,6 +592,7 @@ class RefineStage(PlanStage):
             context.epsilons,
             context.values,
             context.undecided,
+            context.engine,
             tau=context.tau,
         )
         context.undecided[:] = False
@@ -632,6 +636,7 @@ class QueryPlan:
         knn_k: Optional[int] = None,
         exclude: Optional[np.ndarray] = None,
         policy: Optional[PlanPolicy] = None,
+        engine: Optional[QueryEngine] = None,
     ) -> Tuple[np.ndarray, PruningStats]:
         """Run the cascade; returns ``(values, stats)``.
 
@@ -642,7 +647,9 @@ class QueryPlan:
         ``tau`` is the optional decision threshold adaptive stages stop
         against; ``knn_k``/``exclude`` describe a top-k workload the
         same way (pruned cells become ``+inf``; ``exclude`` holds each
-        row's self-match column, ``-1`` for none).
+        row's self-match column, ``-1`` for none).  ``engine`` is the
+        :class:`~repro.queries.engine.QueryEngine` every stage
+        materializes on (default :data:`~repro.queries.engine.SHARED_ENGINE`).
         """
         from .techniques import _epsilon_vector
 
@@ -692,6 +699,7 @@ class QueryPlan:
             kind=kind,
             queries=queries,
             collection=collection,
+            engine=SHARED_ENGINE if engine is None else engine,
             epsilons=epsilons,
             tau=tau,
             values=values,

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import abc
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -606,19 +605,19 @@ class QuerySet:
         stage.
         """
         technique = self._require_technique()
-        with self._session.bound(technique):
-            started = time.perf_counter()
-            values, stats = technique.matrix_with_stats(
-                kind,
-                self._queries,
-                self._session.collection,
-                epsilon=epsilon,
-                tau=tau,
-                knn_k=knn_k,
-                exclude=self._positions if knn_k is not None else None,
-                policy=self.policy,
-            )
-            elapsed = time.perf_counter() - started
+        started = time.perf_counter()
+        values, stats = technique.matrix_with_stats(
+            kind,
+            self._queries,
+            self._session.collection,
+            epsilon=epsilon,
+            tau=tau,
+            knn_k=knn_k,
+            exclude=self._positions if knn_k is not None else None,
+            policy=self.policy,
+            engine=self._session.engine,
+        )
+        elapsed = time.perf_counter() - started
         return np.asarray(values, dtype=np.float64), elapsed, stats
 
     def _matrix_result(
@@ -751,8 +750,12 @@ class SimilaritySession:
         default at query time).
 
     Every verb runs the technique's ``(M, N)`` query plan in this
-    process; sharding across processes is the service cluster's job
-    (:func:`repro.api.connect` on a catalog with a shard map).
+    process, passing the session's engine to
+    :meth:`~repro.queries.techniques.Technique.matrix_with_stats`; the
+    technique itself is never modified, so one instance may serve many
+    sessions and threads at once.  Sharding across processes is the
+    service cluster's job (:func:`repro.api.connect` on a catalog with a
+    shard map).
     """
 
     __slots__ = ("_collection", "_engine", "_backend", "_closed", "_policy")
@@ -869,16 +872,6 @@ class SimilaritySession:
             count=len(items),
         )
         return QuerySet(self, items, positions)
-
-    @contextmanager
-    def bound(self, technique: Technique):
-        """Attach this session's engine to ``technique`` for one kernel run."""
-        previous = technique._engine
-        technique._engine = self._engine
-        try:
-            yield technique
-        finally:
-            technique._engine = previous
 
     def materialization(self):
         """The collection's :class:`CollectionMaterialization` (pinned)."""

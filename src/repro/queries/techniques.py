@@ -21,7 +21,9 @@ The per-pair methods (``distance`` / ``probability`` /
 compare against them and a custom technique implements only them.
 Everything collection-level runs through one ``(M, N)`` kernel per
 kind, backed by the :class:`~repro.queries.engine.QueryEngine`
-materialization cache; a single query is the ``M = 1`` row.
+materialization cache the caller passes in; a single query is the
+``M = 1`` row.  A technique holds its parameters only, so one instance
+may serve any number of sessions and threads at once.
 
 Matrix API
 ----------
@@ -115,7 +117,7 @@ from ..munich.exact import draw_choices, draw_materialization_pairs
 from ..munich.query import Munich
 from ..proud.query import Proud
 from ..stats.normal import std_normal_cdf
-from .engine import SHARED_ENGINE, QueryEngine, _point_estimate
+from .engine import QueryEngine, _point_estimate
 from .index import IndexStage
 from .planner import (
     AdaptiveMCStage,
@@ -244,7 +246,15 @@ def _sparse_euclidean_refine(
 
 
 class Technique(abc.ABC):
-    """A similarity-matching method under the common evaluation protocol."""
+    """A similarity-matching method under the common evaluation protocol.
+
+    An instance holds its parameters only.  The
+    :class:`~repro.queries.engine.QueryEngine` its kernels materialize on
+    is an argument of every call (:meth:`matrix_with_stats` defaults it
+    to :data:`~repro.queries.engine.SHARED_ENGINE`), never an attribute,
+    so concurrent runs of one instance on different engines cannot see
+    each other's collections.
+    """
 
     #: Display name used in result tables.
     name: str = "abstract"
@@ -257,33 +267,14 @@ class Technique(abc.ABC):
     #: technique has no admissible summary bound (DUST's table costs are
     #: not Euclidean; PROUD's probabilities never reach exactly 0).
     index_segments: Optional[int] = None
-    #: Materialization cache; instances may attach their own.
-    _engine: Optional[QueryEngine] = None
-
-    @property
-    def engine(self) -> QueryEngine:
-        """The :class:`QueryEngine` backing this technique's batch kernels.
-
-        Defaults to the process-wide shared engine so techniques compared
-        side by side reuse one values matrix per collection.
-        """
-        if self._engine is None:
-            return SHARED_ENGINE
-        return self._engine
-
-    def attach_engine(self, engine: QueryEngine) -> None:
-        """Use ``engine`` for this technique's collection materializations."""
-        self._engine = engine
 
     def reset(self) -> None:
-        """Drop any per-collection caches (called between datasets).
+        """Drop any per-series memos (called between datasets).
 
-        A privately attached engine is cleared; the shared engine is left
-        alone (it is identity-keyed with strong references, so entries can
-        never go stale — eviction is purely a capacity concern).
+        The base technique keeps none; collection-level caches live in
+        the engine a caller passes in, which is identity-keyed with strong
+        references, so its entries never go stale.
         """
-        if self._engine is not None:
-            self._engine.clear()
 
     def distance(self, query, candidate) -> float:
         """Distance value (distance techniques only)."""
@@ -330,6 +321,7 @@ class Technique(abc.ABC):
         knn_k: Optional[int] = None,
         exclude: Optional[np.ndarray] = None,
         policy: Optional[PlanPolicy] = None,
+        engine: Optional[QueryEngine] = None,
     ) -> Tuple[np.ndarray, PruningStats]:
         """Execute this technique's plan over an ``(M, N)`` workload.
 
@@ -348,6 +340,9 @@ class Technique(abc.ABC):
         in one adaptive pass.  ``policy`` (default: the process-wide
         :func:`~repro.queries.planner.get_default_policy`) decides
         whether the index stage may be prepended to the cascade.
+        ``engine`` (default:
+        :data:`~repro.queries.engine.SHARED_ENGINE`) holds the
+        materializations every stage's kernels read.
         """
         policy = resolve_policy(policy)
         tau = normalize_tau(tau)
@@ -356,7 +351,7 @@ class Technique(abc.ABC):
         )
         return plan.execute(
             self, kind, queries, collection, epsilon=epsilon, tau=tau,
-            knn_k=knn_k, exclude=exclude, policy=policy,
+            knn_k=knn_k, exclude=exclude, policy=policy, engine=engine,
         )
 
     def _indexed_plan(
@@ -432,7 +427,7 @@ class Technique(abc.ABC):
     # -- plan building blocks (what concrete techniques override) ----------
 
     def matrix_bounds(
-        self, queries: Sequence, collection: Sequence
+        self, queries: Sequence, collection: Sequence, engine: QueryEngine
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(lower, upper)`` distance-bound stacks for a ``BoundStage``.
 
@@ -448,6 +443,7 @@ class Technique(abc.ABC):
         kind: str,
         queries: Sequence,
         collection: Sequence,
+        engine: QueryEngine,
         need_upper: bool = False,
     ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray], float]]:
         """Summarization-index bounds for an :class:`IndexStage`.
@@ -469,6 +465,7 @@ class Technique(abc.ABC):
         epsilon: Optional[np.ndarray],
         out: np.ndarray,
         undecided: np.ndarray,
+        engine: QueryEngine,
         tau: Optional[float] = None,
     ) -> Tuple[int, int]:
         """Exact kernel over the surviving candidate mask.
@@ -481,11 +478,13 @@ class Technique(abc.ABC):
         to touch only the undecided cells.
         """
         if kind == "distance":
-            dense = self.distance_kernel(queries, collection)
+            dense = self.distance_kernel(queries, collection, engine)
         elif kind == "calibration":
-            dense = self.calibration_kernel(queries, collection)
+            dense = self.calibration_kernel(queries, collection, engine)
         else:
-            dense = self.probability_kernel(queries, collection, epsilon)
+            dense = self.probability_kernel(
+                queries, collection, epsilon, engine
+            )
         dense = np.asarray(dense, dtype=np.float64)
         if undecided.all():
             # No bound stage ran (or nothing was decided): plain copy
@@ -496,7 +495,7 @@ class Technique(abc.ABC):
         return int(np.count_nonzero(undecided)), 0
 
     def distance_kernel(
-        self, queries: Sequence, collection: Sequence
+        self, queries: Sequence, collection: Sequence, engine: QueryEngine
     ) -> np.ndarray:
         """The exact all-pairs distance kernel the refine stage runs.
 
@@ -505,7 +504,11 @@ class Technique(abc.ABC):
         return _per_pair_matrix(self.distance, queries, collection)
 
     def probability_kernel(
-        self, queries: Sequence, collection: Sequence, epsilon
+        self,
+        queries: Sequence,
+        collection: Sequence,
+        epsilon,
+        engine: QueryEngine,
     ) -> np.ndarray:
         """The exact all-pairs probability kernel the refine stage runs.
 
@@ -515,7 +518,7 @@ class Technique(abc.ABC):
         return _per_pair_matrix(self.probability, queries, collection, eps)
 
     def calibration_kernel(
-        self, queries: Sequence, collection: Sequence
+        self, queries: Sequence, collection: Sequence, engine: QueryEngine
     ) -> np.ndarray:
         """The exact calibration-distance kernel the refine stage runs.
 
@@ -525,7 +528,7 @@ class Technique(abc.ABC):
         override with a Euclidean GEMM).
         """
         if self.kind == "distance":
-            return self.distance_kernel(queries, collection)
+            return self.distance_kernel(queries, collection, engine)
         return _per_pair_matrix(
             self.calibration_distance, queries, collection
         )
@@ -551,13 +554,13 @@ class EuclideanTechnique(Technique):
         return euclidean(query.observations, candidate.observations)
 
     def distance_kernel(
-        self, queries: Sequence, collection: Sequence
+        self, queries: Sequence, collection: Sequence, engine: QueryEngine
     ) -> np.ndarray:
         """All-pairs Euclidean in one GEMM over the cached values matrices."""
         if len(queries) == 0:
             return np.empty((0, len(collection)))
-        matrix = self.engine.materialize(collection).values_matrix()
-        query_matrix = self.engine.materialize(queries).values_matrix()
+        matrix = engine.materialize(collection).values_matrix()
+        query_matrix = engine.materialize(queries).values_matrix()
         return euclidean_matrix(query_matrix, matrix)
 
     def index_bounds(
@@ -565,6 +568,7 @@ class EuclideanTechnique(Technique):
         kind: str,
         queries: Sequence,
         collection: Sequence,
+        engine: QueryEngine,
         need_upper: bool = False,
     ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray], float]]:
         """PAA projection bounds over the cached values summaries.
@@ -581,11 +585,11 @@ class EuclideanTechnique(Technique):
             or len(collection) == 0
         ):
             return None
-        summary = self.engine.materialize(collection).paa_summary(
+        summary = engine.materialize(collection).paa_summary(
             self.index_segments
         )
         query_summary = _query_point_summary(
-            self.engine, queries, summary.n_segments
+            engine, queries, summary.n_segments
         )
         lower = paa_lower_bound(query_summary, summary)
         upper = (
@@ -603,16 +607,18 @@ class EuclideanTechnique(Technique):
         epsilon: Optional[np.ndarray],
         out: np.ndarray,
         undecided: np.ndarray,
+        engine: QueryEngine,
         tau: Optional[float] = None,
     ) -> Tuple[int, int]:
         """Dense GEMM normally; candidate-gather refinement when the
         index pruned most of the grid (sub-linear at scale)."""
         if undecided.all() or 2 * np.count_nonzero(undecided) >= undecided.size:
             return super().refine_matrix(
-                kind, queries, collection, epsilon, out, undecided, tau=tau
+                kind, queries, collection, epsilon, out, undecided, engine,
+                tau=tau,
             )
-        matrix = self.engine.materialize(collection).values_matrix()
-        query_matrix = self.engine.materialize(queries).values_matrix()
+        matrix = engine.materialize(collection).values_matrix()
+        query_matrix = engine.materialize(queries).values_matrix()
         return _sparse_euclidean_refine(
             query_matrix, matrix, out, undecided
         ), 0
@@ -643,7 +649,7 @@ class DustTechnique(Technique):
         return self._dust.distance(query, candidate)
 
     def distance_kernel(
-        self, queries: Sequence, collection: Sequence
+        self, queries: Sequence, collection: Sequence, engine: QueryEngine
     ) -> np.ndarray:
         """DUST lifted to the full ``(M, N, n)`` difference tensor.
 
@@ -656,10 +662,10 @@ class DustTechnique(Technique):
         n_queries = len(queries)
         if n_queries == 0:
             return np.empty((0, len(collection)))
-        materialized = self.engine.materialize(collection)
+        materialized = engine.materialize(collection)
         values = materialized.values_matrix()
         codes, distincts = materialized.model_codes()
-        query_side = self.engine.materialize(queries)
+        query_side = engine.materialize(queries)
         query_values = query_side.values_matrix()
         query_codes, query_distincts = query_side.model_codes()
 
@@ -726,11 +732,11 @@ class DustTechnique(Technique):
 class FilteredTechnique(Technique):
     """UMA / UEMA / MA / EMA: Euclidean over filtered sequences.
 
-    Filtered versions of each series are cached so a full query workload
-    filters every series exactly once: collection-level matrices live in
-    the query engine, and the per-pair path memoizes per series while
-    holding a strong reference (object identity stays valid for exactly as
-    long as the entry exists).
+    A full query workload filters every series exactly once: the filtered
+    matrices live in the engine's collection materializations, keyed by
+    the :class:`~repro.distances.filtered.FilteredEuclidean` value object.
+    The per-pair reference and a single-query index probe filter their
+    series directly and keep nothing.
     """
 
     kind = "distance"
@@ -744,7 +750,6 @@ class FilteredTechnique(Technique):
         self.filtered = filtered
         self.name = filtered.name
         self.index_segments = index_segments
-        self._cache: Dict[int, Tuple[UncertainTimeSeries, np.ndarray]] = {}
 
     @classmethod
     def uma(cls, window: int = 2) -> "FilteredTechnique":
@@ -756,36 +761,19 @@ class FilteredTechnique(Technique):
         """UEMA with the paper's defaults ``w=2, λ=1``."""
         return cls(FilteredEuclidean("uema", window=window, decay=decay))
 
-    def reset(self) -> None:
-        self._cache.clear()
-        super().reset()
-
-    def _filtered_values(self, series: UncertainTimeSeries) -> np.ndarray:
-        key = id(series)
-        entry = self._cache.get(key)
-        if entry is None:
-            values = self.filtered.filter_uncertain(series)
-            self._cache[key] = (series, values)
-            return values
-        return entry[1]
-
     def distance(
         self, query: UncertainTimeSeries, candidate: UncertainTimeSeries
     ) -> float:
-        return euclidean(
-            self._filtered_values(query), self._filtered_values(candidate)
-        )
+        return self.filtered.distance(query, candidate)
 
     def distance_kernel(
-        self, queries: Sequence, collection: Sequence
+        self, queries: Sequence, collection: Sequence, engine: QueryEngine
     ) -> np.ndarray:
         """All-pairs filtered Euclidean: one GEMM over two filtered stacks."""
         if len(queries) == 0:
             return np.empty((0, len(collection)))
-        matrix = self.engine.materialize(collection).filtered_matrix(
-            self.filtered
-        )
-        query_matrix = self.engine.materialize(queries).filtered_matrix(
+        matrix = engine.materialize(collection).filtered_matrix(self.filtered)
+        query_matrix = engine.materialize(queries).filtered_matrix(
             self.filtered
         )
         return euclidean_matrix(query_matrix, matrix)
@@ -795,6 +783,7 @@ class FilteredTechnique(Technique):
         kind: str,
         queries: Sequence,
         collection: Sequence,
+        engine: QueryEngine,
         need_upper: bool = False,
     ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray], float]]:
         """PAA bounds over the *filtered* matrices.
@@ -810,16 +799,16 @@ class FilteredTechnique(Technique):
             or len(collection) == 0
         ):
             return None
-        summary = self.engine.materialize(collection).filtered_paa_summary(
+        summary = engine.materialize(collection).filtered_paa_summary(
             self.filtered, self.index_segments
         )
         if len(queries) == 1:
             query_summary = summarize_values(
-                self._filtered_values(queries[0])[None, :],
+                self.filtered.filter_uncertain(queries[0])[None, :],
                 summary.n_segments,
             )
         else:
-            query_summary = self.engine.materialize(
+            query_summary = engine.materialize(
                 queries
             ).filtered_paa_summary(self.filtered, summary.n_segments)
         lower = paa_lower_bound(query_summary, summary)
@@ -838,18 +827,18 @@ class FilteredTechnique(Technique):
         epsilon: Optional[np.ndarray],
         out: np.ndarray,
         undecided: np.ndarray,
+        engine: QueryEngine,
         tau: Optional[float] = None,
     ) -> Tuple[int, int]:
         """Dense GEMM normally; candidate-gather refinement when the
         index pruned most of the grid."""
         if undecided.all() or 2 * np.count_nonzero(undecided) >= undecided.size:
             return super().refine_matrix(
-                kind, queries, collection, epsilon, out, undecided, tau=tau
+                kind, queries, collection, epsilon, out, undecided, engine,
+                tau=tau,
             )
-        matrix = self.engine.materialize(collection).filtered_matrix(
-            self.filtered
-        )
-        query_matrix = self.engine.materialize(queries).filtered_matrix(
+        matrix = engine.materialize(collection).filtered_matrix(self.filtered)
+        query_matrix = engine.materialize(queries).filtered_matrix(
             self.filtered
         )
         return _sparse_euclidean_refine(
@@ -924,7 +913,11 @@ class ProudTechnique(Technique):
         )
 
     def probability_kernel(
-        self, queries: Sequence, collection: Sequence, epsilon
+        self,
+        queries: Sequence,
+        collection: Sequence,
+        epsilon,
+        engine: QueryEngine,
     ) -> np.ndarray:
         """PROUD's moment algebra broadcast over the query axis.
 
@@ -942,10 +935,12 @@ class ProudTechnique(Technique):
         if n_queries == 0:
             return np.empty((0, len(collection)))
         if self._proud.synopsis is not None:
-            return super().probability_kernel(queries, collection, eps)
-        materialized = self.engine.materialize(collection)
+            return super().probability_kernel(
+                queries, collection, eps, engine
+            )
+        materialized = engine.materialize(collection)
         values = materialized.values_matrix()
-        query_side = self.engine.materialize(queries)
+        query_side = engine.materialize(queries)
         query_values = query_side.values_matrix()
         n_series, length = values.shape
 
@@ -993,13 +988,13 @@ class ProudTechnique(Technique):
         return euclidean(query.observations, candidate.observations)
 
     def calibration_kernel(
-        self, queries: Sequence, collection: Sequence
+        self, queries: Sequence, collection: Sequence, engine: QueryEngine
     ) -> np.ndarray:
         """All-pairs ε_eucl in one GEMM over the cached values matrices."""
         if len(queries) == 0:
             return np.empty((0, len(collection)))
-        matrix = self.engine.materialize(collection).values_matrix()
-        query_matrix = self.engine.materialize(queries).values_matrix()
+        matrix = engine.materialize(collection).values_matrix()
+        query_matrix = engine.materialize(queries).values_matrix()
         return euclidean_matrix(query_matrix, matrix)
 
 
@@ -1022,13 +1017,13 @@ class _MultisampleCalibration:
         return euclidean(query.samples[:, 0], candidate.samples[:, 0])
 
     def calibration_kernel(
-        self, queries: Sequence, collection: Sequence
+        self, queries: Sequence, collection: Sequence, engine: QueryEngine
     ) -> np.ndarray:
         """All-pairs ε_eucl in one GEMM over the column-0 sample matrices."""
         if len(queries) == 0:
             return np.empty((0, len(collection)))
-        matrix = self.engine.materialize(collection).sample_column_matrix(0)
-        query_matrix = self.engine.materialize(queries).sample_column_matrix(0)
+        matrix = engine.materialize(collection).sample_column_matrix(0)
+        query_matrix = engine.materialize(queries).sample_column_matrix(0)
         return euclidean_matrix(query_matrix, matrix)
 
 
@@ -1060,6 +1055,7 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         epsilon: float,
         out: np.ndarray,
         undecided: np.ndarray,
+        engine: QueryEngine,
         tau=None,
     ) -> None:
         """Probability evaluation for the bound-undecided candidates.
@@ -1074,7 +1070,7 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         if undecided.size == 0:
             return
         if self._munich.method == "convolution":
-            tensor = self.engine.materialize(collection).samples_tensor()
+            tensor = engine.materialize(collection).samples_tensor()
             if tensor is not None:
                 out[undecided] = convolved_probability_batch(
                     query,
@@ -1122,7 +1118,7 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         return QueryPlan(stages)
 
     def matrix_bounds(
-        self, queries: Sequence, collection: Sequence
+        self, queries: Sequence, collection: Sequence, engine: QueryEngine
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Minimal-bounding-interval distance bounds for every pair.
 
@@ -1131,9 +1127,9 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         interval stacks; sums run along the timestamp axis exactly as in
         the per-row path, so the bounds are bit-identical to it.
         """
-        materialized = self.engine.materialize(collection)
+        materialized = engine.materialize(collection)
         low, high = materialized.bounding_matrices()
-        query_low, query_high = _query_bound_stacks(self.engine, queries)
+        query_low, query_high = _query_bound_stacks(engine, queries)
         n_queries = len(queries)
         n_series = len(collection)
         length = low.shape[1]
@@ -1155,6 +1151,7 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         kind: str,
         queries: Sequence,
         collection: Sequence,
+        engine: QueryEngine,
         need_upper: bool = False,
     ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray], float]]:
         """Segment-coarsened bounding-interval gap bound.
@@ -1172,11 +1169,11 @@ class MunichTechnique(_MultisampleCalibration, Technique):
             or len(collection) == 0
         ):
             return None
-        summary = self.engine.materialize(collection).interval_paa_summary(
+        summary = engine.materialize(collection).interval_paa_summary(
             self.index_segments
         )
         query_summary = _query_interval_summary(
-            self.engine, queries, summary.n_segments
+            engine, queries, summary.n_segments
         )
         return interval_lower_bound(query_summary, summary), None, 0.0
 
@@ -1188,12 +1185,14 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         epsilon: Optional[np.ndarray],
         out: np.ndarray,
         undecided: np.ndarray,
+        engine: QueryEngine,
         tau: Optional[float] = None,
     ) -> Tuple[int, int]:
         """Per-row batched probability evaluation of the undecided cells."""
         if kind != "probability":
             return super().refine_matrix(
-                kind, queries, collection, epsilon, out, undecided, tau=tau
+                kind, queries, collection, epsilon, out, undecided, engine,
+                tau=tau,
             )
         adaptive = tau is not None and self._munich.method == "montecarlo"
         refined = 0
@@ -1209,7 +1208,7 @@ class MunichTechnique(_MultisampleCalibration, Technique):
             else:
                 self._evaluate_undecided(
                     queries[row], collection, row_epsilon, out[row], columns,
-                    tau=tau,
+                    engine, tau=tau,
                 )
                 if self._munich.method == "montecarlo":
                     samples += columns.size * self._munich.n_samples
@@ -1298,7 +1297,7 @@ class DustDtwTechnique(Technique):
         return self._dust.dtw_distance(query, candidate, window=self.window)
 
     def distance_kernel(
-        self, queries: Sequence, collection: Sequence
+        self, queries: Sequence, collection: Sequence, engine: QueryEngine
     ) -> np.ndarray:
         """Stacked wavefront DTW with grouped per-diagonal ``dust²`` costs.
 
@@ -1309,7 +1308,7 @@ class DustDtwTechnique(Technique):
         """
         if len(queries) == 0:
             return np.empty((0, len(collection)))
-        materialized = self.engine.materialize(collection)
+        materialized = engine.materialize(collection)
         values = materialized.values_matrix()
         codes, distincts = materialized.model_codes()
         first_codes = codes[:, 0]
@@ -1447,7 +1446,7 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         return QueryPlan(stages)
 
     def matrix_bounds(
-        self, queries: Sequence, collection: Sequence
+        self, queries: Sequence, collection: Sequence, engine: QueryEngine
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Envelope lower bounds and interval-span upper bounds per pair.
 
@@ -1460,10 +1459,10 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
           materialization pair stays within it — clearing ε means
           probability 1.
         """
-        materialized = self.engine.materialize(collection)
+        materialized = engine.materialize(collection)
         env_lower, env_upper = materialized.dtw_envelopes(self.window)
         low, high = materialized.bounding_matrices()
-        query_low, query_high = _query_bound_stacks(self.engine, queries)
+        query_low, query_high = _query_bound_stacks(engine, queries)
         n_queries = len(queries)
         n_series = len(collection)
         length = low.shape[1]
@@ -1489,6 +1488,7 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         kind: str,
         queries: Sequence,
         collection: Sequence,
+        engine: QueryEngine,
         need_upper: bool = False,
     ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray], float]]:
         """Segment-coarsened envelope bound (banded-DTW admissible).
@@ -1509,11 +1509,11 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
             or len(collection) == 0
         ):
             return None
-        summary = self.engine.materialize(collection).envelope_paa_summary(
+        summary = engine.materialize(collection).envelope_paa_summary(
             self.window, self.index_segments
         )
         query_summary = _query_interval_summary(
-            self.engine, queries, summary.n_segments
+            engine, queries, summary.n_segments
         )
         return (
             interval_lower_bound(query_summary, summary),
@@ -1529,6 +1529,7 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         epsilon: Optional[np.ndarray],
         out: np.ndarray,
         undecided: np.ndarray,
+        engine: QueryEngine,
         tau: Optional[float] = None,
     ) -> Tuple[int, int]:
         """Seeded Monte Carlo refinement of the undecided cells.
@@ -1541,7 +1542,8 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         """
         if kind != "probability":
             return super().refine_matrix(
-                kind, queries, collection, epsilon, out, undecided, tau=tau
+                kind, queries, collection, epsilon, out, undecided, engine,
+                tau=tau,
             )
         refined = 0
         samples = 0
@@ -1558,7 +1560,7 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         n_samples = self._munich.n_samples
         length = max(1, len(collection[0]) if len(collection) else 1)
         cell_block = max(1, MC_BATCH_ELEMENTS // (n_samples * length))
-        draw_cells = self._cell_draws(queries, collection)
+        draw_cells = self._cell_draws(queries, collection, engine)
         # Row-major cell order — identical to the per-pair path, so
         # seeded streams line up draw for draw.
         cell_rows, cell_cols = np.nonzero(undecided)
@@ -1571,7 +1573,7 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
             refined += rows.size
         return refined, samples
 
-    def _cell_draws(self, queries, collection):
+    def _cell_draws(self, queries, collection, engine):
         """A ``(rows, cols) -> (x, y)`` source of seeded draws per cell.
 
         Each side is a :func:`_draw_stack` source ``(values, slots,
@@ -1593,7 +1595,7 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         """
         rng = self._munich.rng
         n_samples = self._munich.n_samples
-        tensor = self.engine.materialize(collection).samples_tensor()
+        tensor = engine.materialize(collection).samples_tensor()
         offsets: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
         def per_cell(rows, cols):

@@ -55,7 +55,6 @@ from .protocol import (
     ProtocolError,
     TECHNIQUE_NAMES,
     build_technique,
-    technique_key,
     technique_spec,
 )
 
@@ -78,6 +77,5 @@ __all__ = [
     "ProtocolError",
     "TECHNIQUE_NAMES",
     "build_technique",
-    "technique_key",
     "technique_spec",
 ]

@@ -4,10 +4,13 @@ One long-lived process holds a :class:`~repro.service.catalog.ServiceCatalog`
 plus warmed :class:`~repro.queries.session.SimilaritySession` objects, so
 clients pay the kernel — never collection load, materialization warmup
 or index adoption.  The event loop only parses, validates and routes:
-each query request becomes exactly one planner execution
-(:func:`execute_query`) in a thread pool (`numpy` releases the GIL
-inside the GEMM/DP kernels).  Requests for one technique run one at a
-time on its lock; requests for different techniques run side by side.
+each query request builds its own technique from its spec and becomes
+exactly one planner execution (:func:`execute_query`) in a thread pool
+(`numpy` releases the GIL inside the GEMM/DP kernels).  A technique
+holds parameters only, so any requests — same technique or not — run
+side by side on the pool; their warm state lives in the session's
+engine (materialized matrices, filtered stacks, summaries) and in the
+process-wide DUST table store, neither of which a request owns.
 
 Every query runs against a column slice of its collection — a request
 without ``candidates`` is the slice ``[0, N)`` — and the daemon keeps one
@@ -33,9 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import signal
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -68,7 +69,6 @@ from .protocol import (
     ok_response,
     parse_request,
     stats_payload,
-    technique_key,
     wire_number,
 )
 
@@ -198,9 +198,6 @@ class SimilarityDaemon:
         self._sessions: Dict[Tuple[str, int, int], SimilaritySession] = {}
         self._session_locks: Dict[Tuple[str, int, int], asyncio.Lock] = {}
         self._inflight: set = set()
-        self._techniques: Dict[
-            Tuple[str, str], Tuple[Technique, threading.Lock]
-        ] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._writers: set = set()
         self._conn_tasks: set = set()
@@ -278,7 +275,6 @@ class SimilarityDaemon:
             session.close()
         self._sessions.clear()
         self._maps.clear()
-        self._techniques.clear()
         if self._owns_catalog:
             self._catalog.close()
 
@@ -311,7 +307,7 @@ class SimilarityDaemon:
 
         asyncio.run(_main())
 
-    # -- sessions and techniques -------------------------------------------
+    # -- sessions -----------------------------------------------------------
 
     @staticmethod
     def _warm_session(collection: MappedCollection) -> SimilaritySession:
@@ -378,23 +374,6 @@ class SimilarityDaemon:
                 )
                 self._sessions[key] = session
             return session
-
-    def _technique_for(
-        self, collection: str, spec_key: str
-    ) -> Tuple[Technique, threading.Lock]:
-        """One long-lived technique instance per (collection, spec).
-
-        Reusing the instance keeps its engine-side caches (DUST tables,
-        filtered stacks) warm across requests; the paired lock
-        serializes executions because :meth:`SimilaritySession.bound`
-        temporarily rebinds the technique's engine.
-        """
-        entry = self._techniques.get((collection, spec_key))
-        if entry is None:
-            technique = build_technique(json.loads(spec_key))
-            entry = (technique, threading.Lock())
-            self._techniques[(collection, spec_key)] = entry
-        return entry
 
     # -- request execution --------------------------------------------------
 
@@ -503,24 +482,21 @@ class SimilarityDaemon:
         mapped = self._collection_map(request.collection)
         items, positions = self._resolve_queries(request, mapped)
         params = self._validate_params(request, positions, len(mapped))
-        technique, lock = self._technique_for(
-            request.collection, technique_key(request.technique)
-        )
+        technique = build_technique(request.technique)
         col_offset = request.candidates[0] if request.candidates else 0
 
         def run() -> Tuple[Dict[str, Any], Optional[Dict[str, Any]], float]:
-            with lock:
-                started = time.perf_counter()
-                payload, stats = execute_query(
-                    session,
-                    technique,
-                    request.op,
-                    items,
-                    positions,
-                    params,
-                    col_offset,
-                )
-                elapsed = time.perf_counter() - started
+            started = time.perf_counter()
+            payload, stats = execute_query(
+                session,
+                technique,
+                request.op,
+                items,
+                positions,
+                params,
+                col_offset,
+            )
+            elapsed = time.perf_counter() - started
             return payload, stats_payload(stats), elapsed
 
         execution = asyncio.get_running_loop().run_in_executor(

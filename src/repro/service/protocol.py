@@ -53,7 +53,6 @@ from .registry import (  # noqa: F401  (canonical home; re-exported API)
     ProtocolError,
     build_technique,
     normalize_technique_spec,
-    technique_key,
     technique_spec,
 )
 

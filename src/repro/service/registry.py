@@ -5,11 +5,11 @@ constructors, so a technique the protocol validates is exactly one the
 daemon can build.  Everything that names a servable technique imports
 from here:
 
-* :func:`normalize_technique_spec` / :func:`build_technique` /
-  :func:`technique_key` — wire spec → validated spec → instance → the
-  canonical spec string the daemon keys its long-lived technique
-  instances by (:mod:`repro.service.protocol` re-exports them
-  unchanged);
+* :func:`normalize_technique_spec` / :func:`build_technique` — wire
+  spec → validated spec → a fresh instance; the daemon builds one per
+  request (a technique holds parameters only, so building costs a few
+  microseconds and loses no warm state), and
+  :mod:`repro.service.protocol` re-exports both unchanged;
 * :func:`technique_spec` — the *reverse* mapping, a local technique
   instance → its wire spec, so remote backends can ship the technique a
   fluent :class:`~repro.queries.session.QuerySet` was built with.
@@ -17,7 +17,6 @@ from here:
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.errors import ReproError
@@ -147,16 +146,6 @@ def build_technique(spec: Any) -> Technique:
     """A fresh :class:`Technique` instance for a (normalized) spec."""
     normalized = normalize_technique_spec(spec)
     return _TECHNIQUES[normalized["name"]][0](normalized["params"])
-
-
-def technique_key(spec: Any) -> str:
-    """Canonical string of a technique spec.
-
-    Two requests with equal keys execute through one long-lived
-    technique instance on the daemon (and so share its warm caches).
-    """
-    normalized = normalize_technique_spec(spec)
-    return json.dumps(normalized, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

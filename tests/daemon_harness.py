@@ -2,9 +2,9 @@
 
 :class:`DaemonHarness` runs a :class:`SimilarityDaemon` on a background
 thread with its own event loop, bound to an ephemeral port.
-:class:`ExecutionGate` makes concurrency deterministic: it holds the
-daemon's query executions until released, so same-technique requests
-sent meanwhile wait behind the held one instead of racing it.
+:class:`ExecutionGate` makes concurrency deterministic: it holds every
+query execution the daemon starts until released, so requests sent
+meanwhile stay in flight instead of racing to completion.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class DaemonHarness:
         return ServiceClient("127.0.0.1", self.port, **kwargs)
 
     def queued(self) -> int:
-        """In-flight requests behind the one execution a gate holds."""
+        """In-flight requests besides the first one a gate holds."""
         return max(0, len(self.daemon._inflight) - 1)
 
     def stop(self, timeout: float = 60.0) -> None:
@@ -65,10 +65,11 @@ class ExecutionGate:
     """Hold every in-thread daemon query execution until :meth:`release`.
 
     Patches ``repro.service.daemon.execute_query`` with a wrapper that
-    blocks the kernel thread on an event.  The daemon runs it under the
-    technique's lock, so while one execution is held, later requests
-    for that technique wait in flight behind it; :meth:`wait_queued`
-    blocks until they are there.
+    blocks its pool thread on one shared event.  The gate itself does
+    the holding: the daemon takes no lock around an execution, so every
+    request sent while the gate is shut stays in flight — blocked in
+    the wrapper, or queued for a pool thread when all of them are held —
+    and :meth:`wait_queued` blocks until they are there.
     """
 
     TIMEOUT = 30.0
@@ -91,7 +92,8 @@ class ExecutionGate:
         assert self.entered.wait(timeout=self.TIMEOUT), "nothing executed"
 
     def wait_queued(self, harness: DaemonHarness, count: int) -> None:
-        """Block until ``count`` requests wait behind the held one."""
+        """Block until ``count`` more requests are in flight besides the
+        first held one."""
         deadline = time.monotonic() + self.TIMEOUT
         while harness.queued() < count:
             assert time.monotonic() < deadline, (

@@ -44,6 +44,7 @@ from repro.perturbation import ConstantScenario
 from repro.queries import (
     DustDtwTechnique,
     MunichDtwTechnique,
+    QueryEngine,
     SimilaritySession,
 )
 from shard_blocks import sharded_knn, sharded_matrix
@@ -538,7 +539,7 @@ class TestMunichDtwTechnique:
             window=2,
             munich=Munich(tau=0.5, method="montecarlo", n_samples=30, rng=6),
         )
-        assert technique.engine.materialize(series).samples_tensor() is None
+        assert QueryEngine().materialize(series).samples_tensor() is None
         matrix = technique.probability_matrix(series[:3], series, 2.5)
         reference = np.array([
             [technique.probability(query, candidate, 2.5)

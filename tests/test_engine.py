@@ -10,6 +10,8 @@ the vectorized kernels without changing any result.
 from __future__ import annotations
 
 import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.distances.lp import euclidean, euclidean_profile
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario, MixedStdScenario
 from repro.queries import (
+    SHARED_ENGINE,
     CollectionMaterialization,
     DustTechnique,
     EuclideanTechnique,
@@ -364,18 +367,23 @@ class TestQueryEngine:
         assert first is materialized.filtered_matrix(uma)
         assert materialized.filtered_matrix(uema) is not first
 
-    def test_attach_engine_and_reset(self, homogeneous):
+    def test_engine_argument_and_clear(self, homogeneous):
+        """A plan materializes on the engine its caller passes, and the
+        technique keeps no handle on it: ``reset()`` leaves it alone."""
         technique = EuclideanTechnique()
         private = QueryEngine()
-        technique.attach_engine(private)
-        technique.distance_matrix(homogeneous, homogeneous)
-        assert len(private) == 1
+        collection = list(homogeneous)
+        technique.matrix_with_stats(
+            "distance", collection, collection, engine=private
+        )
+        assert list(private._entries) == [id(collection)]
+        assert id(collection) not in SHARED_ENGINE._entries
         technique.reset()
+        assert len(private) == 1
+        private.clear()
         assert len(private) == 0
 
     def test_shared_engine_not_cleared_by_reset(self, homogeneous):
-        from repro.queries import SHARED_ENGINE
-
         technique = EuclideanTechnique()
         technique.distance_matrix(homogeneous, homogeneous)
         before = len(SHARED_ENGINE)
@@ -400,14 +408,20 @@ class TestQueryEngine:
         """Replacing or appending members of a keyed collection must not
         serve stale arrays (identity of the list alone is not enough)."""
         technique = EuclideanTechnique()
-        technique.attach_engine(QueryEngine())
+        engine = QueryEngine()
         collection = list(homogeneous)
-        before = technique.distance_matrix([collection[0]], collection)[0]
+
+        def profile():
+            return technique.matrix_with_stats(
+                "distance", [collection[0]], collection, engine=engine
+            )[0][0]
+
+        before = profile()
         collection[5] = homogeneous[6]  # replace a member in place
-        after = technique.distance_matrix([collection[0]], collection)[0]
+        after = profile()
         assert after[5] == pytest.approx(before[6], abs=1e-12)
         collection.append(homogeneous[7])  # grow in place
-        grown = technique.distance_matrix([collection[0]], collection)[0]
+        grown = profile()
         assert grown.shape == (len(homogeneous) + 1,)
 
     def test_dust_table_propagates_nan(self):
@@ -425,3 +439,84 @@ class TestQueryEngine:
         assert technique._proud.synopsis._cache
         technique.reset()
         assert not technique._proud.synopsis._cache
+
+
+def _run_threads(target, n_threads: int, switch_interval: float) -> list:
+    """Run ``target(slot)`` on ``n_threads`` threads under a short switch
+    interval; returns the exceptions they raised (joins are bounded)."""
+    errors: list = []
+    start = threading.Barrier(n_threads)
+
+    def guarded(slot: int) -> None:
+        try:
+            start.wait(timeout=30.0)
+            target(slot)
+        except Exception as error:  # noqa: BLE001 — asserted by callers
+            errors.append(error)
+
+    workers = [
+        threading.Thread(target=guarded, args=(slot,))
+        for slot in range(n_threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(switch_interval)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120.0)
+            assert not worker.is_alive(), "a worker thread never finished"
+    finally:
+        sys.setswitchinterval(interval)
+    return errors
+
+
+class TestEngineConcurrency:
+    def test_concurrent_materialize_keeps_the_lru_consistent(self):
+        """Threads sharing one engine, each touching a shared collection
+        and a throwaway one-item list per call (a single-row session op's
+        query side): lookup, insert and evict never race."""
+        engine = QueryEngine()
+        shared = [np.zeros(4), np.ones(4)]
+        row = np.arange(4.0)
+
+        def hammer(slot: int) -> None:
+            for _ in range(20_000):
+                assert engine.materialize(shared).collection is shared
+                engine.materialize([row])
+
+        assert _run_threads(hammer, 4, 1e-6) == []
+        assert len(engine) <= engine.max_collections
+        assert engine.materialize(shared) is engine._entries[id(shared)]
+
+    def test_concurrent_lazy_fills_build_equal_arrays(self, heterogeneous):
+        """Eight threads filling one fresh materialization's caches at
+        once: every thread gets arrays equal to a serial build."""
+        uma = FilteredTechnique.uma().filtered
+        materialized = CollectionMaterialization(heterogeneous)
+        reference = CollectionMaterialization(heterogeneous)
+        results: dict = {}
+
+        def fill(slot: int) -> None:
+            results[slot] = (
+                materialized.filtered_matrix(uma),
+                materialized.model_codes(),
+                materialized.paa_summary(4),
+            )
+
+        assert _run_threads(fill, 8, 1e-6) == []
+        codes, distincts = reference.model_codes()
+        summary = reference.paa_summary(4)
+        assert len(results) == 8
+        for filtered, (got_codes, got_distincts), got_summary in (
+            results.values()
+        ):
+            np.testing.assert_array_equal(
+                filtered, reference.filtered_matrix(uma)
+            )
+            np.testing.assert_array_equal(got_codes, codes)
+            assert got_distincts == distincts
+            np.testing.assert_array_equal(got_summary.means, summary.means)
+            np.testing.assert_array_equal(
+                got_summary.residuals, summary.residuals
+            )

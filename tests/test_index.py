@@ -229,12 +229,9 @@ class TestAdmissibility:
         """The envelope-summary bound lower-bounds banded DTW of every
         sampled materialization pair (the MUNICH-DTW soundness claim)."""
         technique = MunichDtwTechnique(window=2)
-        engine = QueryEngine()
-        technique._engine = engine
         lower, _, slack = technique.index_bounds(
-            "probability", multisample, multisample
+            "probability", multisample, multisample, QueryEngine()
         )
-        technique._engine = None
         assert slack == PRUNE_SLACK
         rng = make_rng(5)
         n = len(multisample)

@@ -74,16 +74,6 @@ class TestFilteredTechnique:
         assert FilteredTechnique.uma().name == "UMA(w=2)"
         assert FilteredTechnique.uema().name == "UEMA(w=2, lambda=1)"
 
-    def test_cache_reused_and_reset(self, perturbed_collection):
-        technique = FilteredTechnique.uma()
-        x, y = perturbed_collection[0], perturbed_collection[1]
-        technique.distance(x, y)
-        assert len(technique._cache) == 2
-        technique.distance(x, perturbed_collection[2])
-        assert len(technique._cache) == 3
-        technique.reset()
-        assert len(technique._cache) == 0
-
     def test_distance_matches_direct_filtering(self, perturbed_collection):
         technique = FilteredTechnique.uema()
         x, y = perturbed_collection[0], perturbed_collection[1]

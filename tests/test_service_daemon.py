@@ -13,7 +13,10 @@ The contracts under test:
   JSON, an over-limit line — and never kill the daemon, nor does a
   client that hangs up mid-line or mid-request;
 * a malformed request is rejected alone, before it executes, while a
-  valid same-technique request waits behind a running one;
+  valid same-technique request is in flight beside a held one;
+* same-spec requests run side by side on the pool: one answers while
+  another is held, and many on two pool threads each equal a serial
+  in-process run;
 * a per-request timeout returns a ``Timeout`` error while the daemon
   keeps serving, and a client whose read timed out reconnects for its
   next request;
@@ -22,12 +25,14 @@ The contracts under test:
 * shutdown drains: a request executing and one waiting behind it when
   ``shutdown`` arrives both complete with their real answers.
 
-Executions are held with :class:`~daemon_harness.ExecutionGate`, so
-requests wait behind a running one deterministically, not by timing.
+Executions are held with :class:`~daemon_harness.ExecutionGate` (or a
+test's own wrapper of ``execute_query``), so requests overlap
+deterministically, not by timing.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
 import sys
@@ -38,6 +43,7 @@ import numpy as np
 import pytest
 from daemon_harness import DaemonHarness, ExecutionGate
 
+import repro.service.daemon as daemon_module
 from repro.core import TimeSeries, save_collection, spawn
 from repro.datasets import generate_dataset
 from repro.perturbation import ConstantScenario
@@ -224,11 +230,11 @@ class TestQueryParity:
         assert parsed.n_queries == N_SERIES
 
 
-def _single_collection_daemon(collections, path, name="pdf"):
+def _single_collection_daemon(collections, path, name="pdf", **kwargs):
     catalog_path = str(path / "catalog.db")
     with ServiceCatalog(catalog_path) as catalog:
         catalog.register(name, collections[name])
-    return DaemonHarness(catalog_path)
+    return DaemonHarness(catalog_path, **kwargs)
 
 
 class TestGatedRequests:
@@ -236,7 +242,8 @@ class TestGatedRequests:
         self, pdf, collections, tmp_path, monkeypatch
     ):
         """A bad ε fails only its own request, at validation, while a
-        valid same-technique request waits behind a running one."""
+        valid same-technique request is held in flight beside a running
+        one."""
         live = _single_collection_daemon(collections, tmp_path)
         gate = ExecutionGate(monkeypatch)
 
@@ -643,10 +650,10 @@ class TestConcurrentServing:
     def test_many_clients_mixing_techniques_match_in_process(
         self, pdf, harness
     ):
-        """More client threads than cores, each mixing verbs that share a
-        technique instance (Euclidean kNN and range) with one that does
-        not (DUST kNN), under a short switch interval: every answer is
-        still the in-process one."""
+        """More client threads than cores, each mixing verbs of one spec
+        (Euclidean kNN and range) with another spec (DUST kNN), under a
+        short switch interval: every answer is still the in-process
+        one."""
         plans = [
             ("knn", {"k": 3}, "euclidean"),
             ("range", {"epsilon": 4.0}, "euclidean"),
@@ -696,6 +703,135 @@ class TestConcurrentServing:
         assert len(answers) == 8 * 6
         for op, spec, row, found in answers:
             assert found == expected[op, spec][row]
+
+
+class TestSameSpecConcurrency:
+    """Nothing serializes requests of one technique spec: each request
+    builds its own technique, and the engine they share is safe to use
+    from every pool thread."""
+
+    def test_same_spec_request_answers_while_another_is_held(
+        self, pdf, collections, tmp_path, monkeypatch
+    ):
+        """Two pool threads: a Euclidean kNN answers while another
+        Euclidean kNN on the same collection is held mid-execution."""
+        live = _single_collection_daemon(collections, tmp_path, pool_size=2)
+        held = threading.Event()
+        release = threading.Event()
+        original = daemon_module.execute_query
+
+        def execute(session, technique, op, items, positions, *args):
+            if positions.tolist() == [0]:
+                held.set()
+                release.wait(timeout=60.0)
+            return original(session, technique, op, items, positions, *args)
+
+        monkeypatch.setattr(daemon_module, "execute_query", execute)
+        request = {
+            "v": PROTOCOL_VERSION,
+            "id": "held",
+            "op": "knn",
+            "collection": "pdf",
+            "params": {"k": 3},
+            "technique": "euclidean",
+            "queries": {"indices": [0]},
+        }
+        expected = _serial(pdf, "euclidean", lambda q: q.knn(3))
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", live.port), timeout=60.0
+            ) as held_socket:
+                held_socket.sendall(json.dumps(request).encode() + b"\n")
+                assert held.wait(timeout=30.0), "nothing executed"
+                with live.client(timeout=20.0) as client:
+                    answer = client.query(
+                        "knn", "pdf", {"k": 3}, "euclidean", [1]
+                    )
+                assert not release.is_set()
+                assert answer.indices == [expected.indices[1].tolist()]
+                release.set()
+                reply = json.loads(held_socket.makefile("rb").readline())
+            assert reply["ok"] is True
+            assert reply["result"]["indices"] == [
+                expected.indices[0].tolist()
+            ]
+        finally:
+            release.set()
+            live.stop()
+
+    def test_same_spec_requests_on_two_pool_threads_match_serial(
+        self, pdf, collections, tmp_path, monkeypatch
+    ):
+        """Four clients send same-spec requests to a two-thread pool; the
+        first two executions are made to overlap, and every answer
+        equals a serial in-process run."""
+        live = _single_collection_daemon(collections, tmp_path, pool_size=2)
+        overlap = threading.Barrier(2, timeout=30.0)
+        calls = itertools.count()
+        threads_seen: set = set()
+        original = daemon_module.execute_query
+
+        def execute(*args):
+            threads_seen.add(threading.current_thread().name)
+            if next(calls) < 2:
+                overlap.wait()
+            return original(*args)
+
+        monkeypatch.setattr(daemon_module, "execute_query", execute)
+        uma = {"name": "uma", "params": {"window": 2}}
+        plans = [
+            ("knn", {"k": 3}, "euclidean"),
+            ("range", {"epsilon": 4.0}, "euclidean"),
+            ("knn", {"k": 3}, uma),
+        ]
+        expected = {}
+        for index, (op, params, spec) in enumerate(plans):
+            if op == "knn":
+                answer = _serial(pdf, spec, lambda q: q.knn(3))
+                expected[index] = answer.indices.tolist()
+            else:
+                answer = _serial(pdf, spec, lambda q: q.range(4.0))
+                expected[index] = [
+                    [int(i) for i in found] for found in answer.matches
+                ]
+        answers: list = []
+        errors: list = []
+
+        def client_loop(slot: int) -> None:
+            try:
+                with live.client(timeout=60.0) as client:
+                    for step in range(6):
+                        # Every client opens with the same Euclidean kNN,
+                        # so the two overlapping executions share a spec.
+                        index = 0 if step == 0 else (slot + step) % len(plans)
+                        op, params, spec = plans[index]
+                        row = (slot * 5 + step) % N_SERIES
+                        answer = client.query(op, "pdf", params, spec, [row])
+                        rows = answer.indices if op == "knn" else answer.matches
+                        answers.append((index, row, rows[0]))
+            except Exception as error:  # noqa: BLE001 — asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=client_loop, args=(slot,))
+                for slot in range(4)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            live.stop()
+        assert errors == []
+        assert len(threads_seen) == 2
+        assert len(answers) == 4 * 6
+        for index, row, found in answers:
+            assert found == expected[index][row]
 
 
 class TestTimeouts:

@@ -21,7 +21,7 @@ from repro.datasets import generate_dataset
 from repro.perturbation import ConstantScenario
 from repro.queries import SimilaritySession, knn_table
 from repro.service.daemon import execute_query
-from repro.service.protocol import build_technique, technique_key
+from repro.service.protocol import build_technique
 
 SEED = 515
 N_SERIES = 14
@@ -198,16 +198,3 @@ class TestExecuteParity:
             for own, row in zip(QUERY_ROWS, payload["indices"])
             for index in row
         )
-
-
-class TestTechniqueKey:
-    def test_technique_key_is_canonical(self):
-        assert technique_key("dust") == technique_key(
-            {"name": "DUST", "params": {}}
-        )
-        assert technique_key(
-            {"name": "uema", "params": {"decay": 0.8, "window": 2}}
-        ) == technique_key(
-            {"name": "uema", "params": {"window": 2, "decay": 0.8}}
-        )
-        assert technique_key("dust") != technique_key("euclidean")

@@ -13,10 +13,15 @@ The contracts under test:
 * the fluent ``SimilaritySession`` / ``QuerySet`` surface matches
   per-pair references, including self-match exclusion;
 * the harness's F1, τ and result sizes match a per-pair reference of
-  the same protocol.
+  the same protocol;
+* a technique holds parameters only: running it through sessions leaves
+  its state untouched, and one instance serves two sessions on two
+  engines from two threads at once.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -39,11 +44,14 @@ from repro.evaluation import (
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario, MixedStdScenario
 from repro.queries import (
+    SHARED_ENGINE,
+    DustDtwTechnique,
     DustTechnique,
     EuclideanTechnique,
     FilteredTechnique,
     KnnResult,
     MatrixResult,
+    MunichDtwTechnique,
     MunichTechnique,
     ProudTechnique,
     QueryEngine,
@@ -407,9 +415,12 @@ class TestSimilaritySession:
         session = SimilaritySession(homogeneous, engine=engine)
         assert len(engine) == 1
         technique = EuclideanTechnique()
+        before = dict(vars(technique))
         session.queries().using(technique).profile_matrix()
-        # The technique's own engine was only borrowed, not replaced.
-        assert technique._engine is None
+        # The engine reached the kernels as an argument: the technique
+        # is unchanged and the session's engine holds the collection.
+        assert vars(technique) == before
+        assert list(engine._entries) == [id(homogeneous)]
         assert session.materialization().values_matrix().shape == (
             len(homogeneous),
             LENGTH,
@@ -686,3 +697,110 @@ class TestHarnessPerPairReference:
             np.testing.assert_allclose(
                 [q.f1 for q in outcome.queries], f1s, atol=1e-12, rtol=0.0
             )
+
+
+def _every_family():
+    """One instance of each of the eight technique families."""
+    return [
+        EuclideanTechnique(),
+        DustTechnique(),
+        FilteredTechnique.uma(),
+        FilteredTechnique.uema(),
+        ProudTechnique(assumed_std=0.4),
+        MunichTechnique(),
+        DustDtwTechnique(window=2),
+        MunichDtwTechnique(
+            window=2,
+            munich=Munich(tau=0.5, method="montecarlo", n_samples=16, rng=0),
+        ),
+    ]
+
+
+def _state(technique: Technique) -> dict:
+    """Each attribute's identity and, for containers, its size."""
+    return {
+        name: (id(value), len(value) if hasattr(value, "__len__") else None)
+        for name, value in vars(technique).items()
+    }
+
+
+class _GatedEuclidean(EuclideanTechnique):
+    """Euclidean whose kernel waits until ``parties`` runs are inside it."""
+
+    def __init__(self, parties: int) -> None:
+        super().__init__()
+        self.gate = threading.Barrier(parties, timeout=30.0)
+
+    def distance_kernel(self, queries, collection, engine):
+        self.gate.wait()
+        return super().distance_kernel(queries, collection, engine)
+
+
+class TestTechniquesHoldParametersOnly:
+    @pytest.mark.parametrize(
+        "technique", _every_family(), ids=lambda t: t.name
+    )
+    def test_session_runs_leave_the_technique_unchanged(
+        self, technique, homogeneous, multisample
+    ):
+        """kNN, range and prob-range batches, full-protocol and
+        single-row, change no attribute of the technique: same keys,
+        same objects, same container sizes."""
+        collection = (
+            multisample if technique.input_kind == "multisample"
+            else homogeneous
+        )
+        before = _state(technique)
+        session = SimilaritySession(collection, engine=QueryEngine())
+        for rows in (None, [3], [0, 5, 9]):
+            queries = session.queries(rows).using(technique)
+            if technique.kind == "distance":
+                queries.knn(3)
+                queries.range(4.0)
+            else:
+                queries.prob_range(4.0, 0.5)
+        assert _state(technique) == before
+
+    def test_one_technique_serves_two_engines_from_two_threads(
+        self, homogeneous, heterogeneous
+    ):
+        """Two sessions on private engines run one shared technique at
+        the same time (both kernels are entered before either returns):
+        each engine holds only its own collection, and both answers
+        equal serial runs."""
+        technique = _GatedEuclidean(parties=2)
+        collections = {"a": list(homogeneous), "b": list(heterogeneous)}
+        engines = {key: QueryEngine() for key in collections}
+        sessions = {
+            key: SimilaritySession(collections[key], engine=engines[key])
+            for key in collections
+        }
+        answers: dict = {}
+        errors: list = []
+
+        def run(key: str) -> None:
+            try:
+                query_set = sessions[key].queries().using(technique)
+                answers[key] = query_set.profile_matrix().values
+            except Exception as error:  # noqa: BLE001 — asserted below
+                errors.append(error)
+
+        workers = [
+            threading.Thread(target=run, args=(key,)) for key in collections
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+            assert not worker.is_alive()
+        assert errors == []
+        for key, collection in collections.items():
+            assert list(engines[key]._entries) == [id(collection)]
+            assert id(collection) not in SHARED_ENGINE._entries
+            serial = (
+                SimilaritySession(collection, engine=QueryEngine())
+                .queries()
+                .using(EuclideanTechnique())
+                .profile_matrix()
+            )
+            np.testing.assert_array_equal(answers[key], serial.values)
