@@ -115,7 +115,6 @@ from .service import (
     ClusterBackend,
     ClusterCoordinator,
     ClusterError,
-    RemoteBackend,
     RemoteSession,
     ServiceCatalog,
     ServiceClient,
@@ -163,6 +162,6 @@ __all__ = [
     "ServiceCatalog", "CatalogError", "SimilarityDaemon", "ServiceClient",
     "ServiceError",
     # distributed serving
-    "connect", "ClusterCoordinator", "ClusterBackend", "RemoteBackend",
-    "RemoteSession", "ClusterError", "ShardEntry",
+    "connect", "ClusterCoordinator", "ClusterBackend", "RemoteSession",
+    "ClusterError", "ShardEntry",
 ]

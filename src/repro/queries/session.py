@@ -651,9 +651,9 @@ class SimilarityBackend(abc.ABC):
     The seam of the unified query surface: the fluent chain
     ``session.queries(...).using(technique).knn(k)`` validates locally
     and then hands itself to the session's backend, which may run the
-    kernel in this process (:class:`InProcessBackend`), on one daemon
-    (``repro.service.cluster.RemoteBackend``), or scattered across a
-    shard fleet (``repro.service.cluster.ClusterBackend``).  Every
+    kernel in this process (:class:`InProcessBackend`) or on daemons
+    (``repro.service.cluster.ClusterBackend``: a shard fleet, or one
+    daemon as a one-shard map).  Every
     backend returns the same :class:`KnnResult` / :class:`RangeResult`
     structures with populated :class:`~repro.queries.planner.
     PruningStats`, so callers never branch on deployment shape.

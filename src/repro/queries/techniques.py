@@ -130,7 +130,6 @@ from .planner import (
     effective_index_enabled,
     normalize_tau,
     resolve_policy,
-    sequential_mc_decision,
     sequential_mc_verdict,
 )
 

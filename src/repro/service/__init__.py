@@ -16,14 +16,16 @@ service subsystem turns that library into a long-lived system:
   pool so the event loop never blocks, and draining in-flight work on
   shutdown;
 * :mod:`repro.service.client` — a blocking :class:`ServiceClient` for
-  scripts and the ``python -m repro.cli query`` command;
+  scripts and the ``python -m repro.cli query`` command, and the one
+  connection class every client path sends through;
 * :mod:`repro.service.cluster` — distributed scatter-gather serving: a
   catalog shard map routes contiguous candidate slices of one
   collection to shard daemons, and :class:`ClusterCoordinator` scatters
   each query as one request per shard, retries a shard once after a
   transport failure, and merges replies bit-identically to an
   in-process session.  :func:`connect` is the one entry point over
-  every deployment shape.
+  every deployment shape; a ``tcp://`` address is one daemon as a
+  one-shard map, so every remote session runs this path.
 
 Start a daemon and query it through the unified fluent surface::
 
@@ -45,7 +47,6 @@ from .cluster import (
     ClusterBackend,
     ClusterCoordinator,
     ClusterError,
-    RemoteBackend,
     RemoteSession,
     connect,
 )
@@ -70,7 +71,6 @@ __all__ = [
     "ClusterCoordinator",
     "ClusterBackend",
     "ClusterError",
-    "RemoteBackend",
     "RemoteSession",
     "connect",
     "PROTOCOL_VERSION",

@@ -23,11 +23,16 @@ One TCP connection, one request at a time, structured results::
 
 Most callers want the fluent surface instead —
 ``repro.api.connect("tcp://host:port/name").queries().using(t).knn(k)`` —
-which returns the same result types as an in-process session;
-:meth:`ServiceClient.query` is the raw wire verb underneath it.
+which returns the same result types as an in-process session.  It runs
+through the cluster coordinator over a one-shard map, not through this
+client; :meth:`ServiceClient.query` is the raw wire verb for scripts and
+the ``query`` CLI.  Both send through this module's one connection
+class.
 
 Server-side errors raise :class:`ServiceError` carrying the structured
-``error.type`` — the daemon never ships tracebacks.
+``error.type`` — the daemon never ships tracebacks.  Transport failures
+raise ``OSError`` (a closed connection as :class:`ConnectionError`) and
+close the client's connection, so the next request reconnects.
 """
 
 from __future__ import annotations
@@ -110,6 +115,60 @@ class ServiceResult:
         return f"ServiceResult(op={self.op!r}, elapsed_ms={self.elapsed_ms})"
 
 
+class Channel:
+    """One blocking newline-JSON connection to a daemon.
+
+    The service layer's one socket: :class:`ServiceClient` sends through
+    one, and the cluster coordinator pools them per shard endpoint.  The
+    caller names every request (``c<n>`` from a client, ``x<n>.s<shard>``
+    from the coordinator), so a reply says which request it answers.
+    """
+
+    __slots__ = ("host", "port", "_sock", "_reader")
+
+    def __init__(
+        self, host: str, port: int, connect_timeout: Optional[float]
+    ) -> None:
+        self.host = host
+        self.port = port
+        self._sock = socket.create_connection(
+            (host, port), timeout=connect_timeout
+        )
+        self._reader = self._sock.makefile("rb")
+
+    def request(
+        self,
+        request_id: str,
+        payload: Dict[str, Any],
+        timeout: Optional[float],
+    ) -> Dict[str, Any]:
+        """One request/response round trip with a hard read deadline.
+
+        An ``ok: false`` reply raises the daemon's structured error as
+        :class:`ServiceError`; transport failures raise ``OSError`` (EOF
+        as :class:`ConnectionError`).
+        """
+        message = {"v": PROTOCOL_VERSION, "id": request_id, **payload}
+        self._sock.settimeout(timeout)
+        self._sock.sendall(encode_message(message))
+        line = self._reader.readline()
+        if not line:
+            raise ConnectionError(
+                f"daemon at {self.host}:{self.port} closed the connection"
+            )
+        return checked_response(decode_message(line), request_id)
+
+    def close(self) -> None:
+        try:
+            self._reader.close()
+        except OSError:
+            pass
+        try:
+            self._sock.close()
+        except OSError:
+            pass
+
+
 @dataclass
 class ServiceClient:
     """A blocking newline-JSON client for one daemon endpoint."""
@@ -117,28 +176,20 @@ class ServiceClient:
     host: str = "127.0.0.1"
     port: int = 7791
     timeout: Optional[float] = 60.0
-    _sock: Optional[socket.socket] = field(default=None, repr=False)
-    _reader: Any = field(default=None, repr=False)
-    _ids: Any = field(default=None, repr=False)
+    _channel: Optional[Channel] = field(default=None, repr=False)
+    _ids: Any = field(default_factory=itertools.count, repr=False)
 
     def connect(self) -> "ServiceClient":
         """Open the connection (lazy — every request path calls this)."""
-        if self._sock is None:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
-            self._reader = self._sock.makefile("rb")
-            self._ids = itertools.count()
+        if self._channel is None:
+            self._channel = Channel(self.host, self.port, self.timeout)
         return self
 
     def close(self) -> None:
         """Close the connection (idempotent)."""
-        if self._reader is not None:
-            self._reader.close()
-            self._reader = None
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
+        if self._channel is not None:
+            self._channel.close()
+            self._channel = None
 
     def __enter__(self) -> "ServiceClient":
         return self.connect()
@@ -152,23 +203,13 @@ class ServiceClient:
         """One round trip.  A transport failure (timeout, ``OSError``,
         EOF) closes the connection, so the next request reconnects and
         a late reply is never read as its answer."""
-        self.connect()
+        channel = self.connect()._channel
         request_id = f"c{next(self._ids)}"
-        payload = {"v": PROTOCOL_VERSION, "id": request_id, **payload}
-        assert self._sock is not None
         try:
-            self._sock.sendall(encode_message(payload))
-            line = self._reader.readline()
+            return channel.request(request_id, payload, self.timeout)
         except OSError:
             self.close()
             raise
-        if not line:
-            self.close()
-            raise ServiceError(
-                "ConnectionClosed",
-                f"daemon at {self.host}:{self.port} closed the connection",
-            )
-        return checked_response(decode_message(line), request_id)
 
     # -- query op ---------------------------------------------------------
 
@@ -247,10 +288,3 @@ class ServiceClient:
         return bool(
             self._request({"op": "shutdown"})["result"]["stopping"]
         )
-
-
-def _epsilon_param(epsilon: Union[float, Sequence[float]]):
-    """ε as a JSON-safe scalar or flat list."""
-    if hasattr(epsilon, "__len__"):
-        return [float(value) for value in epsilon]
-    return float(epsilon)

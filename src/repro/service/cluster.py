@@ -16,28 +16,31 @@ workload in its own process.  Each shard is asked exactly once per
 request.  Robustness:
 
 * **one immediate retry** — an attempt that fails in transport (refused
-  connection, reset, EOF, socket timeout) is retried once, at once; an
-  ``ok: false`` reply is the shard's answer and is never retried;
+  connection, reset, EOF, socket timeout) is retried once, at once, on
+  a new connection; an ``ok: false`` reply is the shard's answer, is
+  never retried and leaves its connection pooled;
 * **deadline budgets** — every shard attempt inherits the remaining
-  per-request budget as its socket timeout, so one stuck shard cannot
-  absorb the whole timeout;
+  per-request budget as its socket timeout and ships it as the
+  request's ``timeout``, so the daemon drops an overrun request itself;
+  an attempt whose budget is already spent raises :class:`TimeoutError`;
 * **graceful degradation** — with ``allow_partial``, a dead or failing
   shard yields a partial result *tagged* with the failed shard set
   (``result.failed_shards``) instead of an exception.
 
 The unified surface: :func:`connect` returns a session whose fluent
 ``queries().using(technique).knn(k)`` chain executes against an
-in-process engine, one remote daemon (:class:`RemoteBackend`), or a
-shard fleet (:class:`ClusterBackend`) — returning the same
-:class:`~repro.queries.session.KnnResult` /
+in-process engine or, through :class:`ClusterBackend`, against daemons —
+a shard fleet, or one daemon as a one-shard map over ``[0, N)`` —
+returning the same :class:`~repro.queries.session.KnnResult` /
 :class:`~repro.queries.session.RangeResult` structures with merged
-:class:`~repro.queries.planner.PruningStats` everywhere.
+:class:`~repro.queries.planner.PruningStats` everywhere.  A one-shard
+map keeps one daemon's error types: its failure raises as the shard's
+own exception, where a fleet wraps it in :class:`ClusterError`.
 """
 
 from __future__ import annotations
 
 import itertools
-import socket
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -54,87 +57,21 @@ from ..queries.session import (
     SimilarityBackend,
 )
 from .catalog import ServiceCatalog, ShardEntry
-from .client import ServiceClient, _epsilon_param, checked_response
-from .protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    decode_message,
-    encode_message,
-    stats_from_payload,
-    technique_spec,
-)
+from .client import Channel, ServiceClient, ServiceError
+from .protocol import ProtocolError, stats_from_payload, technique_spec
 
 #: Default per-request wall-clock budget (seconds).
 DEFAULT_TIMEOUT = 60.0
 
 
 class ClusterError(ReproError):
-    """A scatter-gather execution failed (and partials were not allowed)."""
+    """A multi-shard execution failed (and partials were not allowed)."""
 
     def __init__(
         self, message: str, failed_shards: Tuple[str, ...] = ()
     ) -> None:
         super().__init__(message)
         self.failed_shards = failed_shards
-
-
-# ---------------------------------------------------------------------------
-# Transport: one blocking channel per in-flight shard request
-# ---------------------------------------------------------------------------
-
-
-class _ShardChannel:
-    """One blocking TCP connection to a shard daemon.
-
-    Unlike :class:`ServiceClient`, request ids are supplied by the
-    caller — the coordinator names every shard request after its
-    logical request (``x<n>.s<shard>``), so a shard's reply says which
-    scatter it answers.
-    """
-
-    __slots__ = ("host", "port", "_sock", "_reader")
-
-    def __init__(
-        self, host: str, port: int, connect_timeout: Optional[float]
-    ) -> None:
-        self.host = host
-        self.port = port
-        self._sock = socket.create_connection(
-            (host, port), timeout=connect_timeout
-        )
-        self._reader = self._sock.makefile("rb")
-
-    def request(
-        self,
-        request_id: str,
-        payload: Dict[str, Any],
-        timeout: Optional[float],
-    ) -> Dict[str, Any]:
-        """One request/response round trip with a hard read deadline.
-
-        An ``ok: false`` reply raises the daemon's structured error as
-        :class:`~repro.service.client.ServiceError`; transport failures
-        raise ``OSError`` (EOF as :class:`ConnectionError`).
-        """
-        message = {"v": PROTOCOL_VERSION, "id": request_id, **payload}
-        self._sock.settimeout(timeout)
-        self._sock.sendall(encode_message(message))
-        line = self._reader.readline()
-        if not line:
-            raise ConnectionError(
-                f"shard {self.host}:{self.port} closed the connection"
-            )
-        return checked_response(decode_message(line), request_id)
-
-    def close(self) -> None:
-        try:
-            self._reader.close()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +90,15 @@ class ClusterCoordinator:
         ``[0, n_series)`` (the catalog enforces this at install time).
     timeout:
         Per-request wall-clock budget (seconds); every shard attempt
-        inherits the *remaining* budget at its send time.
+        inherits the *remaining* budget at its send time, as its socket
+        timeout and as the request's ``timeout`` field.
     connect_timeout:
         TCP connect budget per channel.
     allow_partial:
         When a shard fails (transport failure after its retry, or an
         error reply), return the survivors' merged answer tagged with
-        ``failed_shards`` instead of raising :class:`ClusterError`.
+        ``failed_shards`` instead of raising :class:`ClusterError`.  A
+        one-shard map raises its shard's own error either way.
     """
 
     def __init__(
@@ -182,7 +121,7 @@ class ClusterCoordinator:
         self.allow_partial = bool(allow_partial)
         self._ids = itertools.count()
         self._lock = threading.Lock()
-        self._pools: Dict[Tuple[str, int], List[_ShardChannel]] = {}
+        self._pools: Dict[Tuple[str, int], List[Channel]] = {}
         self._closed = False
 
     @classmethod
@@ -246,7 +185,7 @@ class ClusterCoordinator:
 
     # -- connection pool -----------------------------------------------------
 
-    def _checkout(self, shard: ShardEntry) -> _ShardChannel:
+    def _checkout(self, shard: ShardEntry) -> Channel:
         key = (shard.host, shard.port)
         with self._lock:
             if self._closed:
@@ -254,9 +193,9 @@ class ClusterCoordinator:
             pool = self._pools.setdefault(key, [])
             if pool:
                 return pool.pop()
-        return _ShardChannel(shard.host, shard.port, self.connect_timeout)
+        return Channel(shard.host, shard.port, self.connect_timeout)
 
-    def _checkin(self, shard: ShardEntry, channel: _ShardChannel) -> None:
+    def _checkin(self, shard: ShardEntry, channel: Channel) -> None:
         key = (shard.host, shard.port)
         with self._lock:
             if not self._closed:
@@ -303,13 +242,17 @@ class ClusterCoordinator:
         if deadline is not None:
             budget = deadline - time.monotonic()
             if budget <= 0:
-                raise ClusterError(
+                raise TimeoutError(
                     f"shard {shard.endpoint} did not answer within the "
                     f"deadline budget"
                 )
         channel = self._checkout(shard)
         try:
             response = channel.request(request_id, payload, budget)
+        except ServiceError:
+            # A whole error reply leaves the connection in step.
+            self._checkin(shard, channel)
+            raise
         except BaseException:
             channel.close()
             raise
@@ -340,12 +283,15 @@ class ClusterCoordinator:
     ) -> Tuple[
         List[Optional[Dict[str, Any]]], Tuple[ShardEntry, ...], Tuple[str, ...]
     ]:
-        """One request per shard, each on its own thread; returns the
-        per-shard responses.
+        """One request per shard; returns the per-shard responses.
 
+        The last shard is asked on the caller's thread and every other
+        one on a thread of its own, so a one-shard map starts no thread.
         Failed shards are ``None`` in the response list (allowed only
         with ``allow_partial``); the failed endpoints are returned so
-        results can carry the tag.
+        results can carry the tag.  A one-shard map's failure raises as
+        the shard's own exception: with no survivors there is nothing to
+        tag, and a lone daemon's error keeps its type.
         """
         shards = self.shard_map(collection)
         deadline = self._deadline()
@@ -384,10 +330,11 @@ class ClusterCoordinator:
                 name=f"repro-gather-{collection}-s{shard.shard_index}",
                 daemon=True,
             )
-            for index, shard in enumerate(shards)
+            for index, shard in enumerate(shards[:-1])
         ]
         for thread in threads:
             thread.start()
+        run(len(shards) - 1, shards[-1])
         for thread in threads:
             thread.join()
         failures = [
@@ -395,6 +342,11 @@ class ClusterCoordinator:
             for shard, outcome in zip(shards, outcomes)
             if isinstance(outcome, BaseException)
         ]
+        for _, error in failures:
+            # A lone shard's error is the caller's as raised, and so is
+            # an interrupt of the inline call.
+            if len(shards) == 1 or not isinstance(error, Exception):
+                raise error
         replies: List[Optional[Dict[str, Any]]] = [
             None if isinstance(outcome, BaseException) else outcome
             for outcome in outcomes
@@ -596,7 +548,7 @@ class ClusterCoordinator:
             if reply is None:
                 continue
             for row, found in enumerate(reply["result"]["matches"]):
-                merged[row].extend(int(i) for i in found)
+                merged[row].extend(found)
             if epsilons is None and "epsilons" in reply["result"]:
                 epsilons = np.asarray(
                     reply["result"]["epsilons"], dtype=np.float64
@@ -641,6 +593,13 @@ def _wire_queries(
     return None
 
 
+def _epsilon_param(epsilon: Union[float, Sequence[float]]):
+    """ε as a JSON-safe scalar or flat list."""
+    if hasattr(epsilon, "__len__"):
+        return [float(value) for value in epsilon]
+    return float(epsilon)
+
+
 def _reply_technique(
     technique: Union[str, Dict[str, Any], None],
 ) -> str:
@@ -652,7 +611,7 @@ def _reply_technique(
 
 
 # ---------------------------------------------------------------------------
-# Backends: the fluent surface over remote executions
+# The backend: the fluent surface over daemon executions
 # ---------------------------------------------------------------------------
 
 
@@ -674,108 +633,15 @@ def _selector_to_wire(
     return None, payload
 
 
-def _knn_result_from_reply(
-    query_set: QuerySet, result, started: float
-) -> KnnResult:
-    indices = np.asarray(result.indices, dtype=np.intp)
-    scores = np.asarray(result.scores, dtype=np.float64)
-    return KnnResult(
-        technique_name=query_set.technique.name,
-        indices=indices,
-        scores=scores,
-        query_positions=query_set.query_positions,
-        elapsed_seconds=time.perf_counter() - started,
-        pruning_stats=stats_from_payload(result.stats),
-    )
-
-
-def _range_result_from_reply(
-    query_set: QuerySet, result, kind: str, tau: Optional[float],
-    started: float,
-) -> RangeResult:
-    return RangeResult(
-        technique_name=query_set.technique.name,
-        kind=kind,
-        matches=tuple(
-            np.asarray(found, dtype=np.intp) for found in result.matches
-        ),
-        epsilons=np.asarray(
-            result.result.get("epsilons", []), dtype=np.float64
-        ),
-        tau=tau,
-        query_positions=query_set.query_positions,
-        elapsed_seconds=time.perf_counter() - started,
-        pruning_stats=stats_from_payload(result.stats),
-    )
-
-
-class RemoteBackend(SimilarityBackend):
-    """Execute fluent verbs against one similarity daemon.
+class ClusterBackend(SimilarityBackend):
+    """Execute fluent verbs on daemons: a shard fleet, or one daemon as
+    a one-shard map.
 
     The technique bound with ``using()`` is shipped as its wire spec
-    (:func:`~repro.service.registry.technique_spec`) and rebuilt on the
+    (:func:`~repro.service.registry.technique_spec`) and rebuilt on every
     daemon, so kernels — including seeded Monte Carlo draws — replay
     identically to an in-process run.
     """
-
-    def __init__(self, client: ServiceClient, collection: str) -> None:
-        self._client = client
-        self._collection = collection
-
-    @property
-    def collection_name(self) -> str:
-        """The served collection this backend queries."""
-        return self._collection
-
-    def _execute(self, op: str, query_set: QuerySet, params: Dict[str, Any]):
-        indices, values = _selector_to_wire(query_set)
-        spec = technique_spec(query_set.technique)
-        policy = query_set.policy
-        if policy is not None:
-            params = {**params, "policy": policy.to_wire()}
-        return self._client.query(
-            op, self._collection, params, spec, indices, values
-        )
-
-    def knn(self, query_set: QuerySet, k: int) -> KnnResult:
-        started = time.perf_counter()
-        result = self._execute("knn", query_set, {"k": int(k)})
-        return _knn_result_from_reply(query_set, result, started)
-
-    def range(self, query_set: QuerySet, eps: np.ndarray) -> RangeResult:
-        started = time.perf_counter()
-        result = self._execute(
-            "range", query_set, {"epsilon": _epsilon_param(eps)}
-        )
-        return _range_result_from_reply(
-            query_set, result, "distance", None, started
-        )
-
-    def prob_range(
-        self, query_set: QuerySet, eps: np.ndarray, tau: float
-    ) -> RangeResult:
-        started = time.perf_counter()
-        result = self._execute(
-            "prob_range",
-            query_set,
-            {"epsilon": _epsilon_param(eps), "tau": float(tau)},
-        )
-        return _range_result_from_reply(
-            query_set, result, "probabilistic", float(tau), started
-        )
-
-    def close(self) -> None:
-        self._client.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"RemoteBackend({self._client.host}:{self._client.port}, "
-            f"collection={self._collection!r})"
-        )
-
-
-class ClusterBackend(SimilarityBackend):
-    """Execute fluent verbs scattered across a shard fleet."""
 
     def __init__(
         self, coordinator: ClusterCoordinator, collection: str
@@ -858,7 +724,7 @@ def _rebrand(result, query_set: QuerySet):
 
 
 class RemoteSession:
-    """A session-shaped handle over a remote or cluster backend.
+    """A session-shaped handle over a :class:`ClusterBackend`.
 
     Mirrors :class:`~repro.queries.session.SimilaritySession`'s fluent
     surface — ``queries(...)`` → ``using(...)`` → verb — with identical
@@ -1014,7 +880,8 @@ def connect(
     """One entry point for every deployment shape.
 
     * ``connect("tcp://host:port")`` / ``"tcp://host:port/name"`` — a
-      :class:`RemoteSession` over one daemon (:class:`RemoteBackend`);
+      :class:`RemoteSession` over one daemon: a :class:`ClusterBackend`
+      whose shard map is the single entry ``[0, N)``;
     * ``connect("catalog.db")`` — if the named collection has a shard
       map, a :class:`RemoteSession` scattering across the fleet
       (:class:`ClusterBackend`); otherwise an in-process
@@ -1031,8 +898,13 @@ def connect(
     with identical result structures and validation errors.  A
     ``policy=PlanPolicy(...)`` rides along to whichever session shape
     comes back, switching the index stage on or off uniformly.
-    ``allow_partial`` configures the shard-fleet shape only (see
-    :class:`ClusterCoordinator`).
+    ``timeout`` is the per-request budget of both daemon shapes (see
+    :class:`ClusterCoordinator`); ``allow_partial`` only changes a
+    fleet's answers, since one daemon's failure leaves no survivors.
+    From one daemon, an error reply raises as
+    :class:`~repro.service.client.ServiceError` with the daemon's
+    ``error_type``, and a transport failure that survives the one retry
+    as the ``OSError`` it raised.
     """
     import os
 
@@ -1043,45 +915,35 @@ def connect(
     if address.startswith("tcp://"):
         host, port, url_name = _parse_tcp_address(address)
         requested = collection if collection is not None else url_name
-        client = ServiceClient(host, port, timeout=timeout)
-        try:
+        with ServiceClient(host, port, timeout=timeout) as client:
             name, n_series = _resolve_remote_collection(client, requested)
-        except BaseException:
-            client.close()
-            raise
-        return RemoteSession(
-            RemoteBackend(client, name), name, n_series, policy=policy
-        )
-    if os.path.isdir(address) or address.endswith(".json"):
+        # The daemon answers [0, N) from its whole-collection session.
+        shard_map = (ShardEntry(0, host, port, 0, n_series),)
+    elif os.path.isdir(address) or address.endswith(".json"):
         return SimilaritySession(load_collection(address), policy=policy)
-    catalog = ServiceCatalog(address, readonly=True)
-    try:
-        names = catalog.names()
-        if collection is not None:
-            name = collection
-            entry = catalog.get(name)
-        elif len(names) == 1:
-            name = names[0]
-            entry = catalog.get(name)
-        else:
-            raise InvalidParameterError(
-                f"catalog {address!r} holds {len(names)} collections "
-                f"({', '.join(names) or 'none'}); pass collection=..."
-            )
-        shard_map = catalog.shard_map(name)
-        if shard_map:
-            coordinator = ClusterCoordinator(
-                {name: shard_map},
-                timeout=timeout,
-                allow_partial=allow_partial,
-            )
-            return RemoteSession(
-                ClusterBackend(coordinator, name),
-                name,
-                entry.n_series,
-                policy=policy,
-            )
-        mapped = catalog.open_collection(name)
-    finally:
-        catalog.close()
-    return SimilaritySession(mapped, policy=policy)
+    else:
+        catalog = ServiceCatalog(address, readonly=True)
+        try:
+            names = catalog.names()
+            if collection is not None:
+                name = collection
+            elif len(names) == 1:
+                name = names[0]
+            else:
+                raise InvalidParameterError(
+                    f"catalog {address!r} holds {len(names)} collections "
+                    f"({', '.join(names) or 'none'}); pass collection=..."
+                )
+            n_series = catalog.get(name).n_series
+            shard_map = catalog.shard_map(name)
+            mapped = None if shard_map else catalog.open_collection(name)
+        finally:
+            catalog.close()
+        if mapped is not None:
+            return SimilaritySession(mapped, policy=policy)
+    coordinator = ClusterCoordinator(
+        {name: shard_map}, timeout=timeout, allow_partial=allow_partial
+    )
+    return RemoteSession(
+        ClusterBackend(coordinator, name), name, n_series, policy=policy
+    )

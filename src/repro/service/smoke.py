@@ -4,11 +4,13 @@ CI's serving-tier gate.  Builds a temp collection, registers it in a
 fresh catalog, starts a real daemon subprocess through ``python -m
 repro.cli serve``, then:
 
-1. answers kNN (Euclidean + DUST) and prob-range (PROUD) through
-   :class:`~repro.service.client.ServiceClient`;
+1. answers kNN (Euclidean + DUST) and prob-range (PROUD) through the raw
+   :class:`~repro.service.client.ServiceClient` verb, and DUST kNN and
+   PROUD prob-range again through the session users call,
+   ``repro.api.connect("tcp://127.0.0.1:PORT/smoke")``;
 2. asserts the responses are **identical** to the in-process
    :class:`~repro.queries.session.SimilaritySession` answers over the
-   same manifest;
+   same manifest (kNN scores within 1e-9 on the session leg);
 3. sends SIGTERM and verifies the daemon drains and exits cleanly.
 
 Exits non-zero (with a message) on any failure; prints ``service smoke
@@ -60,28 +62,25 @@ def build_collection(directory: str) -> str:
 def expected_answers(manifest_path: str):
     """The library-path answers the daemon must reproduce exactly."""
     from ..core import load_collection
-    from ..queries import (
-        DustTechnique,
-        EuclideanTechnique,
-        ProudTechnique,
-        SimilaritySession,
-    )
+    from ..queries import EuclideanTechnique, SimilaritySession
 
     with SimilaritySession(load_collection(manifest_path)) as session:
         euclid = session.queries().using(EuclideanTechnique()).knn(5)
-        dust = session.queries().using(DustTechnique()).knn(5)
-        prq = session.queries().using(ProudTechnique()).prob_range(
-            4.0, 0.4
-        )
-    return (
-        euclid.indices.tolist(),
-        dust.indices.tolist(),
-        prq.sets(),
-    )
+        return euclid, *session_answers(session)
+
+
+def session_answers(session):
+    """DUST kNN and PROUD prob-range through ``session``'s fluent chain."""
+    from ..queries import DustTechnique, ProudTechnique
+
+    dust = session.queries().using(DustTechnique()).knn(5)
+    prq = session.queries().using(ProudTechnique()).prob_range(4.0, 0.4)
+    return dust, prq
 
 
 def main() -> int:
     from .client import ServiceClient
+    from .cluster import connect
 
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
         manifest = build_collection(os.path.join(tmp, "collection"))
@@ -131,15 +130,31 @@ def main() -> int:
                     "prob_range", "smoke", {"epsilon": 4.0, "tau": 0.4},
                     "proud",
                 )
-            if euclid.indices != euclid_expected:
+            with connect(f"tcp://127.0.0.1:{port}/smoke") as session:
+                dust_session, prq_session = session_answers(session)
+            if euclid.indices != euclid_expected.indices.tolist():
                 print("FAIL: Euclidean kNN differs from in-process result")
                 return 1
-            if dust.indices != dust_expected:
+            if dust.indices != dust_expected.indices.tolist():
                 print("FAIL: DUST kNN differs from in-process result")
                 return 1
-            if prq.matches != prq_expected:
+            if prq.matches != prq_expected.sets():
                 print("FAIL: PROUD prob-range differs from in-process "
                       "result")
+                return 1
+            if not (
+                np.array_equal(dust_session.indices, dust_expected.indices)
+                and np.allclose(
+                    dust_session.scores, dust_expected.scores,
+                    rtol=0.0, atol=1e-9,
+                )
+            ):
+                print("FAIL: DUST kNN through connect() differs from "
+                      "in-process result")
+                return 1
+            if prq_session.sets() != prq_expected.sets():
+                print("FAIL: PROUD prob-range through connect() differs "
+                      "from in-process result")
                 return 1
 
             process.send_signal(signal.SIGTERM)
@@ -164,7 +179,8 @@ def main() -> int:
             if process.poll() is None:
                 process.kill()
                 process.wait()
-    print("service smoke ok: kNN + prob-range parity, graceful shutdown")
+    print("service smoke ok: kNN + prob-range parity (raw verb and "
+          "connect() session), graceful shutdown")
     return 0
 
 

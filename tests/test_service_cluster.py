@@ -1,4 +1,4 @@
-"""Distributed scatter-gather: parity, degradation, hedging, connect().
+"""Distributed scatter-gather: parity, degradation, retries, connect().
 
 A real 4-daemon localhost fleet column-shards one collection; the
 contracts under test:
@@ -18,8 +18,13 @@ contracts under test:
   retried once, at once, and a shard's error reply is its answer —
   raised as a structured error naming the shard (strict) or tagged as a
   failed shard (partial), never retried;
-* ``connect("tcp://...")`` closes its connection when it cannot resolve
-  the collection;
+* ``connect("tcp://...")`` is one daemon as a one-shard map on the same
+  coordinator: it keeps one daemon's error types (a structured error,
+  or the ``OSError`` of a dead daemon), retries a dropped pooled
+  connection once, holds to its ``timeout`` budget, and closes its
+  resolution connection when it cannot resolve the collection;
+* a scatter asks its last shard on the caller's thread, so a one-shard
+  map starts no thread;
 * the shard map lives in the catalog (schema v3) behind strict tiling
   validation, and v2 catalogs migrate in place on open.
 """
@@ -40,14 +45,13 @@ import warnings
 
 import numpy as np
 import pytest
-from daemon_harness import DaemonHarness
+from daemon_harness import DaemonHarness, ExecutionGate
 
 from repro.core import save_collection, spawn
 from repro.core.errors import (
     InvalidParameterError,
     UnsupportedQueryError,
 )
-from repro.core.mmapio import load_collection
 from repro.datasets import generate_dataset
 from repro.perturbation import ConstantScenario
 from repro.queries import SimilaritySession
@@ -59,14 +63,12 @@ from repro.queries.techniques import (
 )
 from repro.service import ServiceCatalog
 from repro.service.catalog import SCHEMA_VERSION, CatalogError, ShardEntry
-from repro.service.client import ServiceError
+from repro.service.client import Channel, ServiceError
 from repro.service.cluster import (
     ClusterBackend,
     ClusterCoordinator,
     ClusterError,
-    RemoteBackend,
     RemoteSession,
-    _ShardChannel,
     connect,
 )
 from repro.service.protocol import (
@@ -290,8 +292,11 @@ class TestUnifiedFluentSurface:
         )
         clustered = connect(cluster_catalog, collection="pdf")
         try:
-            assert isinstance(remote.backend, RemoteBackend)
+            assert isinstance(remote.backend, ClusterBackend)
             assert isinstance(clustered.backend, ClusterBackend)
+            assert remote.backend.coordinator.shard_map("pdf") == (
+                ShardEntry(0, "127.0.0.1", fleet[0].port, 0, N_SERIES),
+            )
             for session in (remote, clustered):
                 result = (
                     session.queries().using(DustTechnique()).knn(5)
@@ -325,6 +330,8 @@ class TestUnifiedFluentSurface:
                 remote.queries([0, 99])
             with pytest.raises(InvalidParameterError, match="at least"):
                 remote.queries([])
+            with pytest.raises(InvalidParameterError, match="eligible"):
+                remote.queries().using(DustTechnique()).knn(N_SERIES)
             with pytest.raises(UnsupportedQueryError, match="matrices"):
                 remote.queries().using(
                     DustTechnique()
@@ -335,9 +342,10 @@ class TestUnifiedFluentSurface:
     def test_shard_error_reply_raises_like_one_daemon(
         self, fleet, cluster_catalog
     ):
-        """A shard's structured error reaches the caller as a
-        :class:`ClusterError` naming the shard, with the error type and
-        message one daemon would have raised."""
+        """One daemon's structured error reaches the caller as its own
+        :class:`ServiceError`; a fleet's as a :class:`ClusterError`
+        naming the shard, with the error type and message one daemon
+        would have raised."""
         row = [0.0] * LENGTH
         remote = connect(f"tcp://127.0.0.1:{fleet[0].port}/pdf")
         clustered = connect(cluster_catalog, collection="pdf")
@@ -435,6 +443,127 @@ class TestUnifiedFluentSurface:
             assert remote.collection_name == "pdf"
         finally:
             remote.close()
+
+
+def _gather_threads(monkeypatch):
+    """The names of the scatter threads started from now on."""
+    started = []
+    original = threading.Thread.start
+
+    def start(thread):
+        if thread.name.startswith("repro-gather-"):
+            started.append(thread.name)
+        return original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+class TestOneDaemonIsOneShard:
+    """``connect("tcp://...")`` runs the fleet's coordinator over one
+    ``[0, N)`` shard and keeps one daemon's error types and budget."""
+
+    @pytest.fixture()
+    def lone(self, collections, tmp_path):
+        [daemon] = _spawn_fleet({"pdf": collections["pdf"]}, tmp_path, 1)
+        yield daemon
+        daemon.stop()
+
+    def test_scatter_threads_spare_the_last_shard(
+        self, fleet, cluster_catalog, sessions, monkeypatch
+    ):
+        """The last shard is asked on the caller's thread: a one-shard
+        map starts no thread, a 4-shard map three, and both answer like
+        the in-process session."""
+        chain = sessions["pdf"].queries().using(DustTechnique())
+        reference_knn, reference_range = chain.knn(5), chain.range(4.0)
+        started = _gather_threads(monkeypatch)
+        for address, kwargs, threads in (
+            (f"tcp://127.0.0.1:{fleet[0].port}/pdf", {}, 0),
+            (cluster_catalog, {"collection": "pdf"}, 3),
+        ):
+            with connect(address, **kwargs) as session:
+                chain = session.queries().using(DustTechnique())
+                del started[:]
+                knn = chain.knn(5)
+                assert len(started) == threads
+                del started[:]
+                found = chain.range(4.0)
+                assert len(started) == threads
+            np.testing.assert_array_equal(knn.indices, reference_knn.indices)
+            np.testing.assert_allclose(
+                knn.scores, reference_knn.scores, atol=1e-9
+            )
+            assert [list(row) for row in found.matches] == [
+                list(row) for row in reference_range.matches
+            ]
+
+    def test_partial_mode_keeps_one_daemons_error(self, fleet):
+        """A one-shard partial result would have no survivors, so
+        ``allow_partial`` still raises the daemon's own error."""
+        row = [0.0] * LENGTH
+        with connect(
+            f"tcp://127.0.0.1:{fleet[0].port}/pdf", allow_partial=True
+        ) as remote:
+            with pytest.raises(ServiceError) as excinfo:
+                remote.queries([row]).using(DustTechnique()).knn(3)
+        assert excinfo.value.error_type == "ProtocolError"
+
+    def test_stopped_daemon_raises_its_os_error(self, lone):
+        """A daemon gone after ``connect()`` surfaces as the transport's
+        ``OSError`` (not :class:`ClusterError`), at once."""
+        session = connect(f"tcp://127.0.0.1:{lone.port}/pdf", timeout=30)
+        try:
+            lone.stop()
+            started = time.perf_counter()
+            with pytest.raises(OSError):
+                session.queries([0]).using(DustTechnique()).knn(3)
+            assert time.perf_counter() - started < 10
+        finally:
+            session.close()
+
+    def test_dropped_pooled_connection_is_retried_once(
+        self, fleet, sessions
+    ):
+        """A pooled connection that died while idle costs one immediate
+        retry on a fresh connection, not the answer."""
+        reference = sessions["pdf"].queries([3]).using(DustTechnique()).knn(3)
+        key = ("127.0.0.1", fleet[0].port)
+        with connect(f"tcp://127.0.0.1:{fleet[0].port}/pdf") as session:
+            chain = session.queries([3]).using(DustTechnique())
+            chain.knn(3)
+            [dropped] = session.backend.coordinator._pools[key]
+            dropped._sock.shutdown(socket.SHUT_RDWR)
+            answer = chain.knn(3)
+            [pooled] = session.backend.coordinator._pools[key]
+        assert pooled is not dropped
+        np.testing.assert_array_equal(answer.indices, reference.indices)
+        np.testing.assert_allclose(
+            answer.scores, reference.scores, atol=1e-9
+        )
+
+    def test_timeout_is_the_request_budget(self, lone, pdf, monkeypatch):
+        """A held execution fails the request within its 0.5 s budget,
+        by the daemon's ``Timeout`` reply or the socket's
+        ``TimeoutError``; the session's next query gets its own answer."""
+        gate = ExecutionGate(monkeypatch)
+        session = connect(f"tcp://127.0.0.1:{lone.port}/pdf", timeout=0.5)
+        try:
+            started = time.perf_counter()
+            with pytest.raises((ServiceError, TimeoutError)) as excinfo:
+                session.queries([1]).using(DustTechnique()).knn(3)
+            # The budget plus scheduling slack on a busy box.
+            assert time.perf_counter() - started < 3.0
+            if isinstance(excinfo.value, ServiceError):
+                assert excinfo.value.error_type == "Timeout"
+            gate.release()
+            answer = session.queries([2]).using(DustTechnique()).knn(3)
+        finally:
+            gate.release()
+            session.close()
+        with SimilaritySession(pdf) as local:
+            expected = local.queries([2]).using(DustTechnique()).knn(3)
+        np.testing.assert_array_equal(answer.indices, expected.indices)
 
 
 class TestPartialShardFailure:
@@ -619,14 +748,14 @@ class TestShardKilledMidQuery:
         returns the knn result or the exception it raised."""
         process, port = victim
         sent = threading.Event()
-        original = _ShardChannel.request
+        original = Channel.request
 
         def request(channel, *args, **kwargs):
             if channel.port == port:
                 sent.set()
             return original(channel, *args, **kwargs)
 
-        monkeypatch.setattr(_ShardChannel, "request", request)
+        monkeypatch.setattr(Channel, "request", request)
         outcome = {}
         with ClusterCoordinator.from_catalog(
             catalog,
@@ -796,10 +925,42 @@ class TestShardRetries:
                 assert "[CatalogError] manifest is gone" in message
                 assert excinfo.value.failed_shards == (entries[1].endpoint,)
             assert len(failing.request_ids) == 1
+            # A whole error reply keeps its connection pooled.
+            assert len(coordinator._pools[("127.0.0.1", failing.port)]) == 1
         finally:
             coordinator.close()
             healthy.close()
             failing.close()
+
+    def test_spent_budget_raises_timeout_error(self):
+        """A shard slower than the budget times out: a lone shard raises
+        ``TimeoutError`` naming it (the retry finds the budget spent and
+        asks no second time); a fleet wraps it in :class:`ClusterError`."""
+        slow = FlakyShard(delays=[2.0, 2.0])
+        fast = FlakyShard()
+        lone = _single_shard_coordinator(slow, timeout=0.3)
+        fleet = ClusterCoordinator(
+            {
+                "fake": (
+                    ShardEntry(0, "127.0.0.1", fast.port, 0, 1),
+                    ShardEntry(1, "127.0.0.1", slow.port, 1, 2),
+                )
+            },
+            timeout=0.3,
+        )
+        try:
+            with pytest.raises(TimeoutError, match="deadline budget"):
+                lone.knn("fake", 1, "euclidean")
+            assert len(slow.request_ids) == 1
+            with pytest.raises(ClusterError) as excinfo:
+                fleet.knn("fake", 1, "euclidean")
+            assert isinstance(excinfo.value.__cause__, TimeoutError)
+            assert f"127.0.0.1:{slow.port}" in str(excinfo.value)
+        finally:
+            lone.close()
+            fleet.close()
+            slow.close()
+            fast.close()
 
     def test_connection_error_retries_immediately(self):
         # A dead primary endpoint: with allow_partial off and a healthy
