@@ -17,13 +17,16 @@ batch kernels replace, plus one decision-mode row:
   `DustDtwTechnique.distance_matrix`.
 * **MUNICH-DTW (probability)** — Monte Carlo `Pr(DTW <= ε)` profiles.
   Before: one Python DP per drawn materialization pair.  After: the
-  seeded draw stack through the LB_Kim/LB_Keogh/upper-bound pruning
-  cascade + wavefront DP.
+  collection-level envelope and span bounds, then the seeded draws,
+  gathered once per refine call, through one rolling wavefront DP.
 * **MUNICH (prob_range)** — the convolution workload's decision query
-  `prob_range(ε, 0.5)`, whose refine stage decides most cells from a
-  Hoeffding bound, against the τ-free `profile_matrix(ε)` thresholded
-  at 0.5.  Its match sets must be identical (`decisions_identical`);
-  the speedup is reported without a floor.
+  `prob_range(ε, τ)` against the τ-free `profile_matrix(ε)`
+  thresholded at τ.  Its refine stage decides most cells from a
+  Hoeffding bound, then a Berry–Esseen bound from each cell's exact
+  atoms, and runs the DP on the rest.  The match sets must be
+  identical (`decisions_identical`) at τ = 0.1, 0.5 and 0.9, so both
+  bounds are checked against low, central and high thresholds; the
+  timings and speedup are at τ = 0.5, reported without a floor.
 
 Every batch result is asserted to match its per-pair reference to
 **1e-9** (DTW paths are bit-identical), the decision row's match sets
@@ -66,6 +69,8 @@ SEED = 2012
 PARITY_TOL = 1e-9
 SPEEDUP_FLOOR = 3.0
 DECISION_TAU = 0.5
+#: Every τ whose decision-mode match sets must equal the τ-free matrix's.
+DECISION_TAUS = (0.1, DECISION_TAU, 0.9)
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_munich.json",
@@ -214,7 +219,11 @@ def _bench_munich_convolution(
 def _bench_munich_decision(
     multisample, n_queries: int, n_bins: int, repeats: int
 ) -> Dict:
-    """``prob_range(ε, 0.5)`` vs the τ-free matrix thresholded at 0.5."""
+    """``prob_range(ε, τ)`` vs the τ-free matrix thresholded at τ.
+
+    Match sets are compared at every :data:`DECISION_TAUS`; the timings
+    are at :data:`DECISION_TAU`.
+    """
     technique = MunichTechnique(Munich(tau=0.5, n_bins=n_bins))
     column0 = np.vstack([series.samples[:, 0] for series in multisample])
     pairwise = np.sqrt(
@@ -224,17 +233,16 @@ def _bench_munich_decision(
     session = SimilaritySession(multisample)
     query_set = session.queries(list(range(n_queries))).using(technique)
 
-    def full_dp():
-        return query_set.profile_matrix(epsilon=epsilon).result_sets(
-            DECISION_TAU
-        )
+    def full_dp(tau=DECISION_TAU):
+        return query_set.profile_matrix(epsilon=epsilon).result_sets(tau)
 
-    def decision():
-        return query_set.prob_range(epsilon, DECISION_TAU).matches
+    def decision(tau=DECISION_TAU):
+        return query_set.prob_range(epsilon, tau).matches
 
     identical = all(
         np.array_equal(expected, got)
-        for expected, got in zip(full_dp(), decision())
+        for tau in DECISION_TAUS
+        for expected, got in zip(full_dp(tau), decision(tau))
     )
     full_seconds = _best_of(full_dp, repeats)
     decision_seconds = _best_of(decision, repeats)
@@ -249,6 +257,7 @@ def _bench_munich_decision(
         "parity_ok": bool(identical),
         "epsilon": epsilon,
         "tau": DECISION_TAU,
+        "identity_taus": list(DECISION_TAUS),
         "n_bins": n_bins,
     }
     print(

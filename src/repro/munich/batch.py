@@ -29,8 +29,9 @@ evaluator produces — identical binning rules, identical edge handling at
 inside the engine's 1e-9 batch-kernel tolerance.
 
 When the decision threshold ``τ`` is known, most rows never reach the
-DP: a Hoeffding bound on the binned distance sum already puts them on
-one side of ``τ`` (see :func:`convolved_probability_batch`).
+DP: a Hoeffding bound on the binned distance sum, then a Berry–Esseen
+bound from its exact atoms, already puts them on one side of ``τ`` (see
+:func:`convolved_probability_batch`).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 
 from ..core.errors import InvalidParameterError
 from ..core.uncertain import MultisampleUncertainTimeSeries
+from ..stats.normal import std_normal_cdf
 from .exact import DEFAULT_BINS
 
 #: Element budget for one block's ``(B, n, s_q·s_c)`` difference tensor.
@@ -54,10 +56,15 @@ BATCH_BLOCK_ELEMENTS = 1 << 20
 #: overhead.
 DP_CHUNK_ELEMENTS = 1 << 15
 
-#: Least margin a Hoeffding bound must clear ``τ`` by before it decides
-#: a row in decision mode: at least the DP's rounding bound (derived in
-#: :func:`convolved_probability_batch`).
+#: Least margin a bound must clear ``τ`` by before it decides a row in
+#: decision mode: the floor of a slack that covers the DP's rounding and
+#: the bound's own (derived in :func:`convolved_probability_batch`).
 DECISION_SLACK = 1e-9
+
+#: Berry–Esseen constant for independent, non-identically distributed
+#: summands (Shevtsova 2010): ``sup_x |F(x) − Φ((x − μ)/σ)| <= C₀·Σ_t
+#: E|X_t − μ_t|³ / σ³``.
+BERRY_ESSEEN_CONSTANT = 0.5600
 
 
 def stack_candidate_samples(candidates) -> np.ndarray:
@@ -99,33 +106,49 @@ def convolved_probability_batch(
     :func:`~repro.queries.planner.normalize_tau` returns it) says the
     caller reads only each row's side of ``τ``.  After binning and the
     min-offset shift, row ``b``'s DP result is exactly
-    ``P = Pr(Σ_t X_t <= cutoff)`` with independent ``X_t`` uniform over
-    timestamp ``t``'s integer residual atoms, each in ``[0, span_t]``.
-    With ``μ = Σ_t mean(atoms_t)``, ``s² = Σ_t span_t²`` and
-    ``g = μ − cutoff``, Hoeffding's inequality gives
-    ``P <= exp(−2g²/s²)`` when ``g > 0`` and ``P >= 1 − exp(−2g²/s²)``
-    when ``g < 0``.  A row whose upper bound is below ``min τ − slack``
-    is a miss and one whose lower bound is at least ``max τ + slack`` a
-    hit; its recorded value is that bound, which sits on the verdict's
-    side of every grid ``τ`` (the contract adaptive Monte Carlo keeps).
-    Every other row runs the DP and keeps its exact probability.
+    ``P = Pr(S <= c)``, ``S = Σ_t X_t``, with independent ``X_t``
+    uniform over timestamp ``t``'s ``K = s_q·s_c`` integer residual
+    atoms, each in ``[0, span_t]``, and ``c`` the row's cutoff.  Two
+    stages bound ``P`` before the DP, cheapest first:
 
-    The slack is the DP's rounding bound.  Every DP quantity is a sum
-    of non-negative products; one timestamp adds at most ``K + 2``
-    roundings (``K = s_q·s_c`` atoms, the ``1/K`` weight, the
-    product), and the closing cumulative sum at most ``n_bins``.  So
-    the DP's ``P̂`` obeys ``|P̂ − P| <= γ_m`` with
-    ``m = n·(K + 2) + n_bins`` and ``γ_m = m·u / (1 − m·u)``,
-    ``u = 2⁻⁵³``.  The slack is ``max(1e-9, 4·m·u) >= 2·γ_m``
+    1. *Hoeffding*, from the spans alone.  With ``μ = E S``,
+       ``s² = Σ_t span_t²`` and ``g = μ − c``, ``P <= exp(−2g²/s²)``
+       when ``g > 0`` and ``P >= 1 − exp(−2g²/s²)`` when ``g < 0``.
+    2. *Berry–Esseen*, from the exact atoms, on the rows Hoeffding
+       leaves open.  With ``σ² = Var S`` and
+       ``β = C₀·Σ_t E|X_t − E X_t|³ / σ³``
+       (:data:`BERRY_ESSEEN_CONSTANT`), ``P <= Φ((c − μ)/σ) + β`` and,
+       because ``S`` is integer, ``P >= Φ((c + 1 − μ)/σ) − β``.  It
+       settles rows nearer the centre, whose ``P`` is well inside
+       ``(0, 1)`` but still clear of ``τ``.
+
+    A row whose upper bound is below ``min τ − slack`` is a miss and one
+    whose lower bound is at least ``max τ + slack`` a hit; its recorded
+    value is that bound, which sits on the verdict's side of every grid
+    ``τ`` (the contract adaptive Monte Carlo keeps).  Every other row
+    runs the DP and keeps its exact probability.
+
+    The slack covers the DP's rounding and the bounds' own.  Every DP
+    quantity is a sum of non-negative products; one timestamp adds at
+    most ``K + 2`` roundings (the atoms, the ``1/K`` weight, the
+    product), and the closing cumulative sum at most ``n_bins``.  So the
+    DP's ``P̂`` obeys ``|P̂ − P| <= γ_m`` with ``m = n·(K + 2) + n_bins``
+    and ``γ_m = m·u / (1 − m·u)``, ``u = 2⁻⁵³``.  Hoeffding's gap comes
+    from exact integer sums, so its bound is good to a few ``u``.
+    Berry–Esseen's ``K·(c − μ)``, ``K²·Var X_t`` and ``K·(a − E X_t)``
+    are exact integers, so only the ``n·K`` cubes and their sum, the
+    square root, the divisions and ``Φ`` round: a decided row's
+    evaluated bound is within ``m_B·u`` of the exact one,
+    ``m_B = n·K + 16``.  The slack ``max(1e-9, 4·(m + m_B)·u)`` is at
+    least ``2·γ_m`` and at least ``γ_m + m_B·u``
     (:data:`DECISION_SLACK` is the floor; 32 timestamps of 3 × 3
-    samples on 4,096 bins give ``m`` ≈ 4,500), and the bound itself is
-    evaluated from exact integer sums to a few ``u``.  So a decided
-    row's verdict is the one the DP would have reached.  The DP's
-    rounding also depends on which rows share its chunk, so a refined
-    row whose ``P̂`` lies within the slack of a threshold is re-run in
-    the chunk the τ-free call would put it in: every verdict equals
-    that of the τ-free result thresholded at ``τ``, and with
-    ``tau=None`` the result is unchanged.
+    samples on 4,096 bins give ``m + m_B`` ≈ 4,800), so a decided row's
+    verdict is the one the DP would have reached.  The DP's rounding
+    also depends on which rows share its chunk, so a refined row whose
+    ``P̂`` lies within the slack of a threshold is re-run in the chunk
+    the τ-free call would put it in: every verdict equals that of the
+    τ-free result thresholded at ``τ``, and with ``tau=None`` the
+    result is unchanged.
     """
     if not epsilon >= 0.0:
         raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
@@ -214,9 +237,10 @@ def _block_probabilities(
     n_atoms = s_query * s_candidate
     refine = live
     if thresholds is not None and live.size:
-        # max(1e-9, 4·m·u) with m = n·(K + 2) + n_bins: at least twice
-        # the DP's rounding bound (derived in convolved_probability_batch).
-        rounding_steps = length * (n_atoms + 2) + n_bins
+        # max(1e-9, 4·(m + m_B)·u) with m = n·(K + 2) + n_bins and
+        # m_B = n·K + 16: covers the DP's rounding and the bounds' own
+        # (derived in convolved_probability_batch).
+        rounding_steps = n_bins + length * (2 * n_atoms + 2) + 16
         slack = max(
             DECISION_SLACK, 2.0 * rounding_steps * np.finfo(np.float64).eps
         )
@@ -225,6 +249,11 @@ def _block_probabilities(
         )
         probabilities[live[decided]] = bounds[decided]
         refine = live[~decided]
+        bounds, decided = _berry_esseen_decisions(
+            residuals[refine], cutoffs[refine], thresholds, slack
+        )
+        probabilities[refine[decided]] = bounds[decided]
+        refine = refine[~decided]
     for rows in _width_chunks(refine, needed[refine]):
         probabilities[rows] = _dp_chunk(
             residuals[rows], cutoffs[rows], n_atoms
@@ -286,6 +315,38 @@ def _hoeffding_decisions(
     misses = (scaled_gap > 0) & (tail < thresholds[0] - slack)
     hits = (scaled_gap < 0) & (1.0 - tail >= thresholds[-1] + slack)
     return np.where(misses, tail, 1.0 - tail), misses | hits
+
+
+def _berry_esseen_decisions(
+    residuals: np.ndarray,
+    cutoffs: np.ndarray,
+    thresholds: np.ndarray,
+    slack: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Berry–Esseen bounds on ``P = Pr(S <= c)`` from the exact atoms.
+
+    Same contract as :func:`_hoeffding_decisions` (the bounds are
+    derived in :func:`convolved_probability_batch`).  ``K·(c − μ)``,
+    each timestamp's ``K²·Var X_t`` and the deviations ``K·a − Σ_k a``
+    are exact integers, so only the cubes, the closing sums and the
+    divisions round; ``variance`` is ``Q = K²σ²``.
+    """
+    n_atoms = residuals.shape[2]
+    sums = residuals.sum(axis=2)
+    scaled_gap = sums.sum(axis=1) - n_atoms * cutoffs
+    variance = (
+        n_atoms * np.square(residuals).sum(axis=2) - np.square(sums)
+    ).astype(np.float64).sum(axis=1)
+    deviations = np.abs(n_atoms * residuals - sums[:, :, None])
+    third = (deviations.astype(np.float64) ** 3).sum(axis=(1, 2))
+    scale = np.sqrt(variance)
+    # C₀·Σ_t E|X_t − μ_t|³ / σ³ = C₀·Σ|K·a − Σ_k a|³ / (K·Q^{3/2}).
+    drift = BERRY_ESSEEN_CONSTANT * third / (n_atoms * variance * scale)
+    upper = std_normal_cdf(-scaled_gap / scale) + drift
+    lower = std_normal_cdf((n_atoms - scaled_gap) / scale) - drift
+    misses = upper < thresholds[0] - slack
+    hits = lower >= thresholds[-1] + slack
+    return np.where(misses, upper, lower), misses | hits
 
 
 def _dp_chunk(

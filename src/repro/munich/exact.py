@@ -98,17 +98,7 @@ def convolved_probability(
         )
         step = np.bincount(bins, minlength=n_bins + 1) / values.size
         pmf = _convolve_with_overflow(pmf, step, n_bins)
-    return float(pmf[:n_bins].sum() + _edge_mass(pmf, n_bins))
-
-
-def _edge_mass(pmf: np.ndarray, n_bins: int) -> float:
-    """Mass sitting exactly in the last in-range bin's upper edge region.
-
-    The bin covering ``[ε² - δ, ε²)`` is already counted in-range; the
-    overflow bucket is not.  Nothing extra to add — kept as a named helper
-    so the accounting is explicit and testable.
-    """
-    return 0.0
+    return float(pmf[:n_bins].sum())
 
 
 def _convolve_with_overflow(

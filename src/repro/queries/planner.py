@@ -576,10 +576,10 @@ class RefineStage(PlanStage):
     must fill every still-undecided cell; a refine stage therefore
     always terminates the plan's undecided set.  The context's decision
     threshold ``τ`` is always forwarded: kernels that can stop at the
-    verdict use it (MUNICH's convolution decides most cells from a
-    Hoeffding bound), and the rest ignore it.  A cell refined against
-    ``τ`` keeps a value on the same side of every ``τ`` as its exact
-    score; with ``τ = None`` every value is exact.
+    verdict use it (MUNICH's convolution decides most cells from
+    Hoeffding and Berry–Esseen bounds), and the rest ignore it.  A cell
+    refined against ``τ`` keeps a value on the same side of every ``τ``
+    as its exact score; with ``τ = None`` every value is exact.
     """
 
     name = "refine"

@@ -375,9 +375,10 @@ class QuerySet:
         convolution skip its DP, as soon as every threshold's verdict is
         determined.  Cell values then remain exact probabilities where
         fully evaluated and a verdict-equivalent bound (a hit fraction
-        where sampling stopped early, a Hoeffding bound where the DP
-        was skipped) elsewhere: thresholding the matrix at any grid τ
-        matches the full evaluation exactly.
+        where sampling stopped early, the deciding Hoeffding or
+        Berry–Esseen bound where the DP was skipped) elsewhere:
+        thresholding the matrix at any grid τ matches the full
+        evaluation exactly.
         """
         technique = self._require_technique()
         if technique.kind == "distance":
@@ -494,9 +495,10 @@ class QuerySet:
         with ``method="montecarlo"``) refine through the adaptive
         sample-size stage, which stops drawing as soon as the hit
         fraction is decided against ``τ``, and MUNICH's convolution
-        runs its exact DP only on cells a Hoeffding bound leaves
-        undecided.  The resulting match sets are guaranteed identical
-        to thresholding the τ-free :meth:`profile_matrix` at ``τ``.
+        runs its exact DP only on cells its Hoeffding and Berry–Esseen
+        bounds leave undecided.  The resulting match sets are guaranteed
+        identical to thresholding the τ-free :meth:`profile_matrix` at
+        ``τ``.
         """
         technique = self._require_technique()
         if technique.kind != "probabilistic":

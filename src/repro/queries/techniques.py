@@ -66,9 +66,9 @@ bounding-interval stacks, MUNICH-DTW a slack-guarded one over its
 band-inflated envelope stacks, and both swap the fixed-sample Monte Carlo
 refinement for an :class:`~repro.queries.planner.AdaptiveMCStage` when a
 decision threshold ``τ`` is known (``prob_range``); MUNICH's convolution
-refine reads ``τ`` too and runs the exact DP only on cells a Hoeffding
-bound leaves undecided.  The exact kernels
-the plans refine with live in ``distance_kernel`` /
+refine reads ``τ`` too and runs the exact DP only on cells its
+Hoeffding and Berry–Esseen bounds leave undecided.  The exact
+kernels the plans refine with live in ``distance_kernel`` /
 ``probability_kernel`` / ``calibration_kernel`` / ``refine_matrix``;
 :meth:`Technique.matrix_with_stats` returns the score matrix together
 with the executed plan's :class:`~repro.queries.planner.PruningStats`.
@@ -1100,8 +1100,8 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         With ``method="montecarlo"`` and a known decision threshold the
         refinement runs adaptively (escalating sample rounds, sequential
         stopping).  The convolution refine stage receives ``τ`` too and
-        decides most cells from a Hoeffding bound, running the exact DP
-        only on the rest (see
+        decides most cells from Hoeffding and Berry–Esseen bounds,
+        running the exact DP only on the rest (see
         :func:`~repro.munich.batch.convolved_probability_batch`); the
         naive evaluator always refines in full.
         """

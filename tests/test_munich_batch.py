@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.munich.batch as batch_module
 from repro.core import InvalidParameterError, MultisampleUncertainTimeSeries, spawn
 from repro.datasets import generate_dataset
 from repro.munich import (
@@ -88,8 +91,6 @@ class TestBatchedConvolution:
 
     def test_blocked_rows_match_single_block(self, monkeypatch):
         """Row blocking (memory bound) must not change any probability."""
-        import repro.munich.batch as batch_module
-
         rng = np.random.default_rng(6)
         query, candidates = _random_workload(rng, n_candidates=9)
         stacked = stack_candidate_samples(candidates)
@@ -103,8 +104,6 @@ class TestBatchedConvolution:
 
     def test_chunked_dp_matches_per_pair(self, monkeypatch):
         """Tiny DP chunks (forced splits) keep per-pair parity."""
-        import repro.munich.batch as batch_module
-
         monkeypatch.setattr(batch_module, "DP_CHUNK_ELEMENTS", 8)
         rng = np.random.default_rng(7)
         query, candidates = _random_workload(rng, n_candidates=8)
@@ -144,7 +143,8 @@ class TestBatchedConvolution:
 
 
 # ---------------------------------------------------------------------------
-# Decision mode: Hoeffding-decided rows, τ-free verdicts
+# Decision mode: rows decided by Hoeffding, then Berry–Esseen bounds
+# before the DP; τ-free verdicts
 # ---------------------------------------------------------------------------
 
 #: The decision thresholds every parity sweep covers.
@@ -204,6 +204,95 @@ class TestDecisionMode:
             bounded["lower"] += lower != exact
         assert bounded["upper"] >= 10 and bounded["lower"] >= 10
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        max_span=st.sampled_from([1, 3, 40, 4095]),
+        sparse=st.booleans(),
+    )
+    def test_bound_cascade_matches_dp_on_random_atoms(
+        self, seed, max_span, sparse
+    ):
+        """Property: rows the bound cascade decides have the DP's verdict.
+
+        Random ``(L, n, K)`` residual atoms (each timestamp's minimum
+        at 0; ``sparse`` pushes most atoms to 0, a skewed sum) with
+        cutoffs in ``(0, Σ span)``.  Hoeffding runs on every row and
+        Berry–Esseen on the rows it leaves open, as in decision mode.
+        At every τ and the τ grid, a decided row's recorded bound has
+        the DP's verdict and brackets the DP's value on that side.
+        """
+        rng = np.random.default_rng(seed)
+        shape = (
+            int(rng.integers(1, 9)),
+            int(rng.integers(1, 33)),
+            int(rng.integers(2, 10)),
+        )
+        atoms = rng.integers(0, max_span + 1, size=shape)
+        if sparse:
+            atoms *= rng.random(shape) < 0.2
+        # Timestamp 0 spans at least 2, so every row has a cutoff.
+        atoms[:, 0, :2] = (0, max_span + 1)
+        residuals = atoms - atoms.min(axis=2, keepdims=True)
+        spans = residuals.max(axis=2)
+        cutoffs = rng.integers(1, spans.sum(axis=1))
+        exact = batch_module._dp_chunk(residuals, cutoffs, shape[2])
+        slack = batch_module.DECISION_SLACK
+        for tau in (0.05, 0.5, 0.95, (0.2, 0.5, 0.8)):
+            thresholds = np.atleast_1d(tau)
+            values, decided = batch_module._hoeffding_decisions(
+                residuals, cutoffs, spans, thresholds, slack
+            )
+            rest = np.flatnonzero(~decided)
+            values[rest], decided[rest] = batch_module._berry_esseen_decisions(
+                residuals[rest], cutoffs[rest], thresholds, slack
+            )
+            for threshold in thresholds:
+                np.testing.assert_array_equal(
+                    values[decided] >= threshold,
+                    exact[decided] >= threshold,
+                )
+            hits = decided & (values >= thresholds[-1])
+            misses = decided & ~hits
+            assert np.all(values[misses] >= exact[misses] - 1e-12)
+            assert np.all(values[hits] <= exact[hits] + 1e-12)
+
+    def test_berry_esseen_decides_rows_hoeffding_leaves(self, monkeypatch):
+        """The second stage is not redundant: at τ = 0.5 a row near the
+        centre of its sum is open to Hoeffding and decided without the DP.
+
+        As above, each of 32 timestamps has six zero atoms and three at
+        ``b = ⌊4096/ε²⌋``; at ``ε² = 12.5`` the DP's ``P`` is
+        ``Pr(Bin(32, 1/3) <= 12)`` ≈ 0.73.
+        """
+        length = 32
+        query = MultisampleUncertainTimeSeries(np.zeros((length, 3)))
+        candidate = np.tile([0.0, 0.0, 1.0], (1, length, 1))
+        epsilon = np.sqrt(12.5)
+        exact = convolved_probability_batch(query, candidate, epsilon)[0]
+        rows = {"open": 0, "dp": 0}
+        hoeffding = batch_module._hoeffding_decisions
+        dp_chunk = batch_module._dp_chunk
+
+        def counting_hoeffding(*arguments):
+            values, decided = hoeffding(*arguments)
+            rows["open"] += int(np.count_nonzero(~decided))
+            return values, decided
+
+        def counting_dp(residuals, cutoffs, n_atoms):
+            rows["dp"] += len(cutoffs)
+            return dp_chunk(residuals, cutoffs, n_atoms)
+
+        monkeypatch.setattr(
+            batch_module, "_hoeffding_decisions", counting_hoeffding
+        )
+        monkeypatch.setattr(batch_module, "_dp_chunk", counting_dp)
+        decided = convolved_probability_batch(
+            query, candidate, epsilon, tau=0.5
+        )[0]
+        assert rows == {"open": 1, "dp": 0}
+        assert 0.5 <= decided <= exact
+
     @pytest.mark.parametrize("n_bins", [256, 4096])
     @pytest.mark.parametrize("kind", ["normal", "uniform", "exponential"])
     def test_prob_range_parity_sweep(
@@ -212,8 +301,6 @@ class TestDecisionMode:
         """``prob_range`` match sets equal the τ-free matrix thresholded
         at τ, in-process and on two column shards, and a τ grid brackets
         every grid point."""
-        import repro.munich.batch as batch_module
-
         decided = {"hits": 0, "misses": 0}
         hoeffding = batch_module._hoeffding_decisions
 

@@ -425,8 +425,9 @@ class TestAdaptiveMC:
         )
         assert stats.stage("refine") is not None
         np.testing.assert_array_equal(fixed >= tau, with_tau >= tau)
-        # Cells the Hoeffding bound decided hold that bound: an upper
-        # bound below τ for misses, a lower bound at or above τ for hits.
+        # Cells a bound decided (Hoeffding or Berry–Esseen) hold that
+        # bound: an upper bound below τ for misses, a lower bound at or
+        # above τ for hits.
         bounded = np.abs(with_tau - fixed) > 1e-12
         misses = bounded & (fixed < tau)
         hits = bounded & (fixed >= tau)
