@@ -8,9 +8,10 @@ Two halves:
   index tables next to the mmap manifest (:func:`repro.core.build_index`),
   and answers the same k-nearest-neighbour workload (8 query rows,
   k=10) at growing prefixes N ∈ {10⁴, 10⁵, 10⁶} of the *same* mapped
-  collection, indexed vs ``--no-index``.  The indexed path must (a) beat
-  the unindexed path by ≥5× at the largest N and (b) grow sub-linearly
-  across the whole measured range: from the smallest to the largest N,
+  collection, indexed vs a ``PlanPolicy(mode="fixed")`` session.  The
+  indexed path must (a) beat the unindexed path by ≥5× at the largest N
+  and (b) grow sub-linearly across the whole measured range: from the
+  smallest to the largest N,
   indexed wall time may grow by at most ``0.8 ×`` the N growth.  The
   unindexed path scans every candidate row, so its growth is the linear
   yardstick the index is measured against.
@@ -360,7 +361,7 @@ def main(argv=None) -> int:
 
     print(
         f"parity workload: all technique families, "
-        f"{args.parity_series} series, indexed vs --no-index"
+        f"{args.parity_series} series, indexed vs mode='fixed'"
     )
     parity_rows = _parity_suite(args.parity_series, 24)
     parity_ok = all(row["ok"] for row in parity_rows)

@@ -108,11 +108,9 @@ from .queries import (
     Technique,
     get_default_policy,
     knn_table,
-    set_default_policy,
 )
 from .service import (
     CatalogError,
-    ClusterBackend,
     ClusterCoordinator,
     ClusterError,
     RemoteSession,
@@ -151,7 +149,7 @@ __all__ = [
     "MatrixResult", "KnnResult", "RangeResult",
     "QueryPlan", "PruningStats", "StageStats",
     # plan policy
-    "PlanPolicy", "get_default_policy", "set_default_policy", "knn_table",
+    "PlanPolicy", "get_default_policy", "knn_table",
     # datasets
     "generate_dataset", "load_ucr_directory", "UCR_SPECS",
     "PAPER_DATASET_NAMES", "stream_fourier_collection",
@@ -162,6 +160,6 @@ __all__ = [
     "ServiceCatalog", "CatalogError", "SimilarityDaemon", "ServiceClient",
     "ServiceError",
     # distributed serving
-    "connect", "ClusterCoordinator", "ClusterBackend", "RemoteSession",
+    "connect", "ClusterCoordinator", "RemoteSession",
     "ClusterError", "ShardEntry",
 ]

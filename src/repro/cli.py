@@ -153,13 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "samples evaluated, per-stage wall time)",
     )
     parser.add_argument(
-        "--no-index",
-        action="store_true",
-        help="disable the PAA summarization-index stage: installs "
-        "PlanPolicy(mode='fixed') as the process default, so every plan "
-        "runs its technique's cascade as authored",
-    )
-    parser.add_argument(
         "--out",
         default=None,
         help="also write the rendered tables to this file",
@@ -242,11 +235,6 @@ def main(argv=None) -> int:
         return explain_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.no_index:
-        from .queries.planner import PlanPolicy, set_default_policy
-
-        set_default_policy(PlanPolicy(mode="fixed"))
 
     if args.stats:
         from .evaluation.harness import enable_stats_log

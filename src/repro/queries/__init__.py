@@ -51,7 +51,6 @@ from .planner import (
     sequential_mc_decision,
     sequential_mc_grid_decision,
     sequential_mc_verdict,
-    set_default_policy,
 )
 from .session import (
     InProcessBackend,
@@ -104,7 +103,6 @@ __all__ = [
     "PlanPolicy",
     "POLICY_MODES",
     "get_default_policy",
-    "set_default_policy",
     "effective_index_enabled",
     "normalize_tau",
     "ADAPTIVE_MC_FIRST_FRACTION",

@@ -21,11 +21,12 @@ cells the summary alone already decides:
 
 Pruned cells never reach the refine kernels, which is what turns the
 planner's O(M·N) scans into candidate-set scans.  The stage is a no-op
-— sound but useless — whenever the technique has no index, the workload
-carries no decision information (plain ``distance_matrix``), or index
-pruning is switched off by the governing
-:class:`~repro.queries.planner.PlanPolicy` (``mode="fixed"`` — what the
-CLI's ``--no-index`` installs as the process default).
+— sound but useless — whenever the technique has no index or the
+workload carries no decision information (plain ``distance_matrix``).
+It enters a plan only through
+:meth:`~repro.queries.techniques.Technique._indexed_plan`, which leaves
+it out under a session's ``PlanPolicy(mode="fixed")``; a plan that holds
+the stage runs it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.errors import InvalidParameterError
-from .planner import PlanContext, PlanStage, effective_index_enabled
+from .planner import PlanContext, PlanStage
 
 
 def knn_candidate_thresholds(
@@ -147,8 +148,6 @@ class IndexStage(PlanStage):
     name = "index"
 
     def run(self, context: PlanContext) -> Tuple[int, int]:
-        if not effective_index_enabled(context.policy):
-            return 0, 0
         kind = context.kind
         if kind == "probability":
             if context.epsilons is None:

@@ -49,12 +49,15 @@ def knn_indices(
 def check_knn_k(
     k: int, n_candidates: int, exclude: Optional[np.ndarray] = None
 ) -> None:
-    """Reject a ``k`` deeper than the workload's eligible candidates.
+    """Reject a ``k`` below 1 or deeper than the workload's eligible
+    candidates.
 
     Every one of ``n_candidates`` columns is eligible unless some query
     row is itself a member (``exclude`` holds a position ``>= 0``): its
     self-match never counts, so ``k`` may be at most ``N - 1``.
     """
+    if k < 1:
+        raise InvalidParameterError(f"k must be >= 1, got {k}")
     excluding = exclude is not None and bool(np.any(np.asarray(exclude) >= 0))
     eligible = n_candidates - (1 if excluding else 0)
     if k > eligible:

@@ -27,6 +27,15 @@ the default plan is a single :class:`RefineStage`, which is exactly the
 pre-planner behaviour — custom :class:`Technique` subclasses keep
 working unchanged.
 
+A :class:`PlanPolicy` holds the one switch on top of the authored
+cascade: whether the summarization-index stage may be prepended.  A
+session carries it (``SimilaritySession(policy=...)``,
+``connect(policy=...)``; a remote session ships it with each request)
+and hands it to
+:meth:`~repro.queries.techniques.Technique.matrix_with_stats`, which
+reads it once, when it builds the plan — a built plan runs every stage
+it holds.
+
 The adaptive stopping rule
 --------------------------
 
@@ -49,7 +58,6 @@ from __future__ import annotations
 
 import abc
 import math
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -242,45 +250,24 @@ class PlanPolicy:
         return cls(**{name: str(value) for name, value in payload.items()})
 
 
-_DEFAULT_POLICY = PlanPolicy()
-_POLICY_LOCK = threading.Lock()
-
-
 def get_default_policy() -> PlanPolicy:
-    """The process-wide policy used when none is passed explicitly."""
-    return _DEFAULT_POLICY
+    """The policy a session without one plans under: ``PlanPolicy()``.
 
-
-def set_default_policy(policy: PlanPolicy) -> None:
-    """Replace the process-wide default policy.
-
-    This is the one piece of planner-global state; the CLI's
-    ``--no-index`` installs ``PlanPolicy(mode="fixed")`` here.
+    A constant; a session picks another with ``policy=``.
     """
-    global _DEFAULT_POLICY
-    if not isinstance(policy, PlanPolicy):
-        raise InvalidParameterError(
-            f"expected a PlanPolicy, got {type(policy).__name__}"
-        )
-    with _POLICY_LOCK:
-        _DEFAULT_POLICY = policy
-
-
-def resolve_policy(policy: Optional[PlanPolicy]) -> PlanPolicy:
-    """``policy`` itself, or the process default when ``None``."""
-    if policy is None:
-        return _DEFAULT_POLICY
-    if not isinstance(policy, PlanPolicy):
-        raise InvalidParameterError(
-            f"expected a PlanPolicy, got {type(policy).__name__}"
-        )
-    return policy
+    return PlanPolicy()
 
 
 def effective_index_enabled(policy: Optional[PlanPolicy] = None) -> bool:
     """Whether plans may include an index stage under ``policy`` (or,
-    when ``None``, the process default)."""
-    return resolve_policy(policy).mode == "auto"
+    when ``None``, the default policy)."""
+    if policy is None:
+        policy = get_default_policy()
+    if not isinstance(policy, PlanPolicy):
+        raise InvalidParameterError(
+            f"expected a PlanPolicy, got {type(policy).__name__}"
+        )
+    return policy.mode == "auto"
 
 
 @dataclass(frozen=True)
@@ -497,9 +484,6 @@ class PlanContext:
     knn_k: Optional[int] = None
     exclude: Optional[np.ndarray] = None
     stage_stats: List[StageStats] = field(default_factory=list)
-    #: The policy this execution runs under (stages consult it — the
-    #: index stage's enable switch lives here, not in module state).
-    policy: Optional[PlanPolicy] = None
 
     @property
     def n_undecided(self) -> int:
@@ -635,7 +619,6 @@ class QueryPlan:
         tau: Union[None, float, Tuple[float, ...]] = None,
         knn_k: Optional[int] = None,
         exclude: Optional[np.ndarray] = None,
-        policy: Optional[PlanPolicy] = None,
         engine: Optional[QueryEngine] = None,
     ) -> Tuple[np.ndarray, PruningStats]:
         """Run the cascade; returns ``(values, stats)``.
@@ -706,7 +689,6 @@ class QueryPlan:
             undecided=np.ones((n_queries, n_candidates), dtype=bool),
             knn_k=knn_k,
             exclude=exclude,
-            policy=policy,
         )
         total_cells = n_queries * n_candidates
         for stage in self.stages:

@@ -39,20 +39,70 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.errors import InvalidParameterError, UnsupportedQueryError
 from .engine import SHARED_ENGINE, QueryEngine
 from .knn import check_knn_k, knn_table, local_topk_rows
-from .planner import (
-    PlanPolicy,
-    PruningStats,
-    effective_index_enabled,
-    normalize_tau,
-)
+from .planner import PlanPolicy, PruningStats, normalize_tau
 from .techniques import Technique, _epsilon_vector
+
+#: The technique kind each query verb needs, and the error its absence
+#: raises — in a query set's verb, and on a daemon's event loop before a
+#: request runs.
+_VERB_KINDS = {
+    "knn": (
+        "distance",
+        "top-k requires a distance technique; {name} is probabilistic "
+        "and its ranking depends on epsilon",
+    ),
+    "range": (
+        "distance",
+        "range() requires a distance technique; use prob_range() for "
+        "{name}",
+    ),
+    "prob_range": (
+        "probabilistic",
+        "prob_range() requires a probabilistic technique; use range() "
+        "for {name}",
+    ),
+}
+
+
+def check_verb_kind(op: str, technique: Technique) -> None:
+    """Raise :class:`UnsupportedQueryError` unless ``technique`` is of
+    the kind the query verb ``op`` needs (``knn`` and ``range``:
+    distance; ``prob_range``: probabilistic)."""
+    kind, message = _VERB_KINDS[op]
+    if technique.kind != kind:
+        raise UnsupportedQueryError(message.format(name=technique.name))
+
+
+def match_sets(
+    values: np.ndarray, kind: str, threshold, query_positions: np.ndarray
+) -> List[np.ndarray]:
+    """Per-row result sets of an ``(M, N)`` score matrix.
+
+    ``threshold`` is a scalar or one value per row.  Probability scores
+    select ``score >= threshold``, distance and calibration scores
+    ``score <= threshold``; a row's own column (``query_positions[i] >=
+    0``) is excluded.  Indices are ascending.
+    """
+    cutoff = _epsilon_vector(threshold, values.shape[0])
+    sets: List[np.ndarray] = []
+    for position, row in enumerate(values):
+        if kind == "probability":
+            mask = row >= cutoff[position]
+        else:
+            mask = row <= cutoff[position]
+        indices = np.flatnonzero(mask)
+        own = query_positions[position]
+        if own >= 0:
+            indices = indices[indices != own]
+        sets.append(indices)
+    return sets
 
 
 @dataclass(frozen=True)
@@ -122,22 +172,11 @@ class MatrixResult:
 
         Distance/calibration matrices select ``score <= threshold``;
         probability matrices select ``score >= threshold``.  Self-matches
-        are excluded.
+        are excluded (see :func:`match_sets`).
         """
-        cutoff = _epsilon_vector(threshold, self.n_queries)
-        sets: List[np.ndarray] = []
-        for position in range(self.n_queries):
-            row = self.values[position]
-            if self.kind == "probability":
-                mask = row >= cutoff[position]
-            else:
-                mask = row <= cutoff[position]
-            indices = np.flatnonzero(mask)
-            own = self.query_positions[position]
-            if own >= 0:
-                indices = indices[indices != own]
-            sets.append(indices)
-        return sets
+        return match_sets(
+            self.values, self.kind, threshold, self.query_positions
+        )
 
     def __repr__(self) -> str:
         return (
@@ -256,11 +295,13 @@ class QuerySet:
     through the session's :class:`SimilarityBackend`, so the same fluent
     chain runs unchanged in-process, against one daemon, or scattered
     across a cluster — with identical validation errors on all three.
+    The backend receives the validated set whole and reads what it
+    needs off it: rows, positions, technique and the session's policy.
 
-    ``selector`` preserves *how* the query rows were selected (``("all",
-    None)`` / ``("indices", [...])`` / ``("values", rows)``) so a remote
-    backend can ship the selection in wire form instead of serializing
-    resolved series objects.
+    ``selector`` is the selection in the protocol's ``queries`` form
+    (``None`` for every series, ``{"indices": [...]}`` or ``{"values":
+    rows}``), set by a remote session so its backend ships the selection
+    instead of serializing resolved series objects.
     """
 
     __slots__ = (
@@ -269,7 +310,6 @@ class QuerySet:
         "_positions",
         "_technique",
         "_selector",
-        "_policy",
     )
 
     def __init__(
@@ -278,15 +318,13 @@ class QuerySet:
         queries: Sequence,
         positions: np.ndarray,
         technique: Optional[Technique] = None,
-        selector: Optional[Tuple[str, Any]] = None,
-        policy: Optional[PlanPolicy] = None,
+        selector: Optional[Dict[str, Any]] = None,
     ) -> None:
         self._session = session
         self._queries = queries
         self._positions = positions
         self._technique = technique
         self._selector = selector
-        self._policy = policy
 
     def __len__(self) -> int:
         return len(self._queries)
@@ -307,20 +345,16 @@ class QuerySet:
         return self._positions.copy()
 
     @property
-    def selector(self) -> Optional[Tuple[str, Any]]:
-        """The wire-form selection, when built through ``queries()``."""
+    def selector(self) -> Optional[Dict[str, Any]]:
+        """The protocol's ``queries`` field for this selection (remote
+        sessions; ``None`` selects every series)."""
         return self._selector
 
     @property
     def policy(self) -> Optional[PlanPolicy]:
-        """The governing plan policy: this set's, else the session's.
-
-        ``None`` means the terminal verbs resolve the process-wide
-        default policy at execution time.
-        """
-        if self._policy is not None:
-            return self._policy
-        return getattr(self._session, "policy", None)
+        """The session's plan policy, which every verb plans under
+        (``None``: the default ``PlanPolicy()``)."""
+        return self._session.policy
 
     def using(self, technique: Technique) -> "QuerySet":
         """Bind a technique, returning a new query set."""
@@ -334,30 +368,6 @@ class QuerySet:
             self._positions,
             technique,
             selector=self._selector,
-            policy=self._policy,
-        )
-
-    def with_policy(self, policy: Optional[PlanPolicy]) -> "QuerySet":
-        """Bind a :class:`~repro.queries.planner.PlanPolicy`.
-
-        Returns a new query set whose terminal verbs plan under
-        ``policy`` instead of the session's (or the process default);
-        ``None`` clears a previous binding.  Accepted uniformly by
-        every backend — the wire protocols ship the policy with the
-        request.
-        """
-        if policy is not None and not isinstance(policy, PlanPolicy):
-            raise InvalidParameterError(
-                f"with_policy() expects a PlanPolicy or None, got "
-                f"{type(policy).__name__}"
-            )
-        return QuerySet(
-            self._session,
-            self._queries,
-            self._positions,
-            self._technique,
-            selector=self._selector,
-            policy=policy,
         )
 
     # -- terminal verbs ----------------------------------------------------
@@ -416,34 +426,29 @@ class QuerySet:
         each column shard on its own daemon and merges the shards'
         candidates under the same rule
         (:func:`~repro.queries.knn.merge_knn_rows`), so its rankings are
-        identical to the in-process ones.
+        identical to the in-process ones.  ``k`` is checked here, once
+        for every backend: at least 1 and at most the eligible
+        candidates.
         """
-        technique = self._require_technique()
-        if technique.kind != "distance":
-            raise UnsupportedQueryError(
-                f"top-k requires a distance technique; {technique.name} is "
-                f"probabilistic and its ranking depends on epsilon"
-            )
-        return self._session.backend.knn(self, int(k))
+        check_verb_kind("knn", self._require_technique())
+        k = int(k)
+        check_knn_k(k, len(self._session), self._positions)
+        return self._session.backend.knn(self, k)
 
     def _local_knn(self, k: int) -> KnnResult:
-        """The in-process kNN execution (post-validation)."""
-        technique = self._require_technique()
-        if technique.index_segments is None or not (
-            effective_index_enabled(self.policy)
-        ):
-            return self.profile_matrix().top_k(k)
-        # Indexed path: the plan runs in kNN decision mode, so the
-        # summarization index retires certain non-neighbors as +inf
-        # before refinement, and the top-k ranks only the surviving
-        # candidates.  Rankings are identical to
-        # profile_matrix().top_k(k) — the index prunes only cells
-        # strictly beaten by >= k candidates.
-        check_knn_k(k, len(self._session.collection), self._positions)
+        """The in-process kNN execution (post-validation).
+
+        The plan runs in kNN decision mode, so a summarization index (when
+        the technique has one and the policy allows it) retires certain
+        non-neighbors as +inf before refinement, and the top-k ranks only
+        the surviving candidates.  Rankings are identical to
+        ``profile_matrix().top_k(k)`` — the index prunes only cells
+        strictly beaten by >= k candidates.
+        """
         values, elapsed, stats = self._run_matrix("distance", knn_k=k)
         indices, scores = local_topk_rows(values, k, self._positions)
         return KnnResult(
-            technique_name=technique.name,
+            technique_name=self._technique.name,
             indices=indices,
             scores=scores,
             query_positions=self._positions.copy(),
@@ -461,29 +466,24 @@ class QuerySet:
         exact distances.  Match sets are identical to thresholding the
         full ``profile_matrix()``.
         """
-        technique = self._require_technique()
-        if technique.kind != "distance":
-            raise UnsupportedQueryError(
-                f"range() requires a distance technique; use prob_range() "
-                f"for {technique.name}"
-            )
+        check_verb_kind("range", self._require_technique())
         eps = _epsilon_vector(epsilon, len(self._queries))
         return self._session.backend.range(self, eps)
 
     def _local_range(self, eps: np.ndarray) -> RangeResult:
         """The in-process range execution (post-validation)."""
-        technique = self._require_technique()
         values, elapsed, stats = self._run_matrix("distance", eps)
-        result = self._matrix_result("distance", values, elapsed, stats, eps)
         return RangeResult(
-            technique_name=technique.name,
+            technique_name=self._technique.name,
             kind="distance",
-            matches=tuple(result.result_sets(eps)),
+            matches=tuple(
+                match_sets(values, "distance", eps, self._positions)
+            ),
             epsilons=eps,
             tau=None,
             query_positions=self._positions.copy(),
-            elapsed_seconds=result.elapsed_seconds,
-            pruning_stats=result.pruning_stats,
+            elapsed_seconds=elapsed,
+            pruning_stats=stats,
         )
 
     def prob_range(self, epsilon, tau: float) -> RangeResult:
@@ -500,12 +500,7 @@ class QuerySet:
         identical to thresholding the τ-free :meth:`profile_matrix` at
         ``τ``.
         """
-        technique = self._require_technique()
-        if technique.kind != "probabilistic":
-            raise UnsupportedQueryError(
-                f"prob_range() requires a probabilistic technique; use "
-                f"range() for {technique.name}"
-            )
+        check_verb_kind("prob_range", self._require_technique())
         if not 0.0 <= tau <= 1.0:
             raise InvalidParameterError(
                 f"tau must be within [0, 1], got {tau}"
@@ -515,22 +510,20 @@ class QuerySet:
 
     def _local_prob_range(self, eps: np.ndarray, tau: float) -> RangeResult:
         """The in-process probabilistic-range execution (post-validation)."""
-        technique = self._require_technique()
         values, elapsed, stats = self._run_matrix(
             "probability", eps, tau=float(tau)
         )
-        result = self._matrix_result(
-            "probability", values, elapsed, stats, eps
-        )
         return RangeResult(
-            technique_name=technique.name,
+            technique_name=self._technique.name,
             kind="probabilistic",
-            matches=tuple(result.result_sets(tau)),
-            epsilons=result.epsilons,
+            matches=tuple(
+                match_sets(values, "probability", tau, self._positions)
+            ),
+            epsilons=eps,
             tau=float(tau),
             query_positions=self._positions.copy(),
-            elapsed_seconds=result.elapsed_seconds,
-            pruning_stats=result.pruning_stats,
+            elapsed_seconds=elapsed,
+            pruning_stats=stats,
         )
 
     def explain(self, k=None, epsilon=None, tau=None) -> PruningStats:
@@ -652,9 +645,10 @@ class SimilarityBackend(abc.ABC):
 
     The seam of the unified query surface: the fluent chain
     ``session.queries(...).using(technique).knn(k)`` validates locally
-    and then hands itself to the session's backend, which may run the
-    kernel in this process (:class:`InProcessBackend`) or on daemons
-    (``repro.service.cluster.ClusterBackend``: a shard fleet, or one
+    and then hands the validated query set, whole, to the session's
+    backend, which may run the kernel in this process
+    (:class:`InProcessBackend`) or on daemons
+    (``repro.service.cluster.ClusterCoordinator``: a shard fleet, or one
     daemon as a one-shard map).  Every
     backend returns the same :class:`KnnResult` / :class:`RangeResult`
     structures with populated :class:`~repro.queries.planner.
@@ -747,9 +741,9 @@ class SimilaritySession:
         side reuse one values matrix).  Pass a private engine to isolate
         the session's caches.
     policy:
-        The session-level :class:`~repro.queries.planner.PlanPolicy`
-        every query set inherits (``None`` defers to the process-wide
-        default at query time).
+        The :class:`~repro.queries.planner.PlanPolicy` every query set
+        of the session plans under (``None``: the default
+        ``PlanPolicy()``).  The session is the one place it is set.
 
     Every verb runs the technique's ``(M, N)`` query plan in this
     process, passing the session's engine to
@@ -786,7 +780,7 @@ class SimilaritySession:
 
     @property
     def policy(self) -> Optional[PlanPolicy]:
-        """The session-level plan policy (``None`` → process default)."""
+        """The session's plan policy (``None``: ``PlanPolicy()``)."""
         return self._policy
 
     @property
@@ -839,9 +833,7 @@ class SimilaritySession:
         """
         if queries is None:
             positions = np.arange(len(self._collection), dtype=np.intp)
-            return QuerySet(
-                self, self._collection, positions, selector=("all", None)
-            )
+            return QuerySet(self, self._collection, positions)
         items = list(queries)
         if not items:
             raise InvalidParameterError(
@@ -854,17 +846,14 @@ class SimilaritySession:
                 raise InvalidParameterError(
                     f"query indices must be within [0, {n_series - 1}]"
                 )
-            selector = ("indices", [int(i) for i in positions])
             if positions.size == n_series and np.array_equal(
                 positions, np.arange(n_series)
             ):
                 # The full protocol by index: share the collection-side
                 # materialization instead of building a duplicate stack.
-                return QuerySet(
-                    self, self._collection, positions, selector=selector
-                )
+                return QuerySet(self, self._collection, positions)
             selected = [self._collection[int(i)] for i in positions]
-            return QuerySet(self, selected, positions, selector=selector)
+            return QuerySet(self, selected, positions)
         membership = {
             id(item): index for index, item in enumerate(self._collection)
         }

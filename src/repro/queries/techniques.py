@@ -129,7 +129,6 @@ from .planner import (
     adaptive_mc_schedule,
     effective_index_enabled,
     normalize_tau,
-    resolve_policy,
     sequential_mc_verdict,
 )
 
@@ -336,21 +335,19 @@ class Technique(abc.ABC):
 
         ``tau`` may be a scalar decision threshold or a tuple of grid
         thresholds — Monte Carlo techniques then bracket the whole grid
-        in one adaptive pass.  ``policy`` (default: the process-wide
-        :func:`~repro.queries.planner.get_default_policy`) decides
-        whether the index stage may be prepended to the cascade.
-        ``engine`` (default:
+        in one adaptive pass.  ``policy`` (default ``PlanPolicy()``; a
+        session passes its own) decides whether the index stage may be
+        prepended to the cascade.  ``engine`` (default:
         :data:`~repro.queries.engine.SHARED_ENGINE`) holds the
         materializations every stage's kernels read.
         """
-        policy = resolve_policy(policy)
         tau = normalize_tau(tau)
         plan = self._indexed_plan(
             self.build_plan(kind, tau=tau), kind, epsilon, knn_k, policy
         )
         return plan.execute(
             self, kind, queries, collection, epsilon=epsilon, tau=tau,
-            knn_k=knn_k, exclude=exclude, policy=policy, engine=engine,
+            knn_k=knn_k, exclude=exclude, engine=engine,
         )
 
     def _indexed_plan(

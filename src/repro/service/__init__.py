@@ -44,7 +44,6 @@ from __future__ import annotations
 from .catalog import CatalogEntry, CatalogError, ServiceCatalog, ShardEntry
 from .client import ServiceClient, ServiceError, ServiceResult
 from .cluster import (
-    ClusterBackend,
     ClusterCoordinator,
     ClusterError,
     RemoteSession,
@@ -69,7 +68,6 @@ __all__ = [
     "ServiceResult",
     "SimilarityDaemon",
     "ClusterCoordinator",
-    "ClusterBackend",
     "ClusterError",
     "RemoteSession",
     "connect",

@@ -244,9 +244,9 @@ def build_explain_parser() -> argparse.ArgumentParser:
         "--mode",
         default=None,
         choices=POLICY_MODES,
-        help="plan policy mode: 'auto' may prepend the index stage, "
-        "'fixed' runs the technique's cascade as authored (default: the "
-        "process default, 'auto')",
+        help="the session's plan policy mode: 'auto' may prepend the "
+        "index stage, 'fixed' runs the technique's cascade as authored "
+        "(default 'auto')",
     )
     return parser
 

@@ -29,13 +29,18 @@ request.  Robustness:
 
 The unified surface: :func:`connect` returns a session whose fluent
 ``queries().using(technique).knn(k)`` chain executes against an
-in-process engine or, through :class:`ClusterBackend`, against daemons —
-a shard fleet, or one daemon as a one-shard map over ``[0, N)`` —
-returning the same :class:`~repro.queries.session.KnnResult` /
+in-process engine or, with the coordinator as a :class:`RemoteSession`'s
+backend, against daemons — a shard fleet, or one daemon as a one-shard
+map over ``[0, N)`` — returning the same
+:class:`~repro.queries.session.KnnResult` /
 :class:`~repro.queries.session.RangeResult` structures with merged
-:class:`~repro.queries.planner.PruningStats` everywhere.  A one-shard
-map keeps one daemon's error types: its failure raises as the shard's
-own exception, where a fleet wraps it in :class:`ClusterError`.
+:class:`~repro.queries.planner.PruningStats` everywhere.  The
+coordinator's verbs take the validated
+:class:`~repro.queries.session.QuerySet` whole and read the request off
+it: collection, selection, technique spec, row count, positions and the
+session's plan policy.  A one-shard map keeps one daemon's error types:
+its failure raises as the shard's own exception, where a fleet wraps it
+in :class:`ClusterError`.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.errors import InvalidParameterError, ReproError
-from ..queries.knn import check_knn_k, merge_knn_rows
+from ..queries.knn import merge_knn_rows
 from ..queries.planner import PlanPolicy, PruningStats
 from ..queries.session import (
     KnnResult,
@@ -58,7 +63,7 @@ from ..queries.session import (
 )
 from .catalog import ServiceCatalog, ShardEntry
 from .client import Channel, ServiceClient, ServiceError
-from .protocol import ProtocolError, stats_from_payload, technique_spec
+from .protocol import stats_from_payload, technique_spec
 
 #: Default per-request wall-clock budget (seconds).
 DEFAULT_TIMEOUT = 60.0
@@ -79,8 +84,16 @@ class ClusterError(ReproError):
 # ---------------------------------------------------------------------------
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(SimilarityBackend):
     """Scatter queries across a shard fleet; gather and merge replies.
+
+    The :class:`~repro.queries.session.SimilarityBackend` of a
+    :class:`RemoteSession`: each verb takes a validated query set of a
+    session over one of this coordinator's collections.  The technique
+    bound with ``using()`` ships as its wire spec
+    (:func:`~repro.service.registry.technique_spec`) and is rebuilt on
+    every daemon, so kernels — including seeded Monte Carlo draws —
+    replay identically to an in-process run.
 
     Parameters
     ----------
@@ -274,16 +287,14 @@ class ClusterCoordinator:
             return self._attempt(shard, request_id, payload, deadline)
 
     def _scatter(
-        self,
-        collection: str,
-        op: str,
-        params: Dict[str, Any],
-        technique: Union[str, Dict[str, Any], None],
-        queries: Optional[Dict[str, Any]],
+        self, query_set: QuerySet, op: str, params: Dict[str, Any]
     ) -> Tuple[
         List[Optional[Dict[str, Any]]], Tuple[ShardEntry, ...], Tuple[str, ...]
     ]:
         """One request per shard; returns the per-shard responses.
+
+        The request is read off ``query_set``: its session's collection
+        and plan policy, its wire selection and its technique's spec.
 
         The last shard is asked on the caller's thread and every other
         one on a thread of its own, so a one-shard map starts no thread.
@@ -293,25 +304,30 @@ class ClusterCoordinator:
         the shard's own exception: with no survivors there is nothing to
         tag, and a lone daemon's error keeps its type.
         """
+        collection = query_set.session.collection_name
         shards = self.shard_map(collection)
+        if query_set.policy is not None:
+            params = {**params, "policy": query_set.policy.to_wire()}
+        request: Dict[str, Any] = {
+            "op": op,
+            "collection": collection,
+            "params": params,
+            "technique": technique_spec(query_set.technique),
+        }
+        if query_set.selector is not None:
+            request["queries"] = query_set.selector
         deadline = self._deadline()
         logical = next(self._ids)
         outcomes: List[Any] = [None] * len(shards)
 
         def run(index: int, shard: ShardEntry) -> None:
-            payload: Dict[str, Any] = {
-                "op": op,
-                "collection": collection,
-                "params": params,
+            payload = {
+                **request,
                 "candidates": {
                     "start": shard.row_start,
                     "stop": shard.row_stop,
                 },
             }
-            if technique is not None:
-                payload["technique"] = technique
-            if queries is not None:
-                payload["queries"] = queries
             if deadline is not None:
                 budget = deadline - time.monotonic()
                 payload["timeout"] = max(budget, 1e-3)
@@ -397,50 +413,20 @@ class ClusterCoordinator:
             },
         )
 
-    def _query_meta(
-        self, collection: str, queries: Optional[Dict[str, Any]]
-    ) -> Tuple[int, np.ndarray]:
-        """The workload's ``(M, query_positions)`` from its wire form."""
-        if queries is None:
-            n = self.n_series(collection)
-            return n, np.arange(n, dtype=np.intp)
-        if "indices" in queries:
-            positions = np.asarray(queries["indices"], dtype=np.intp)
-            return positions.size, positions
-        rows = queries["values"]
-        return len(rows), np.full(len(rows), -1, dtype=np.intp)
-
-    def knn(
-        self,
-        collection: str,
-        k: int,
-        technique: Union[str, Dict[str, Any], None] = None,
-        indices: Optional[Sequence[int]] = None,
-        values: Optional[Sequence[Sequence[float]]] = None,
-        policy: Optional[PlanPolicy] = None,
-    ) -> KnnResult:
+    def knn(self, query_set: QuerySet, k: int) -> KnnResult:
         """Scattered k-nearest neighbors, merged stable-by-index.
 
         Bit-identical to an in-process session when every shard
         answers.  With ``allow_partial`` and failed shards, the merge
         runs over the survivors' candidates only and ``k`` degrades to
-        the deepest rank every query row can still support.
+        the deepest rank every query row can still support.  ``k``
+        arrives checked by :meth:`~repro.queries.session.QuerySet.knn`
+        against the whole collection, so that clamp reflects failed
+        shards only.
         """
-        if int(k) < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
-        queries = _wire_queries(indices, values)
-        n_queries, positions = self._query_meta(collection, queries)
-        # Validated here so a too-deep k fails like the in-process kernel
-        # would, and the degraded-merge clamp below only ever reflects
-        # *failed shards*.
-        check_knn_k(int(k), self.n_series(collection), positions)
-        params: Dict[str, Any] = {"k": int(k)}
-        if policy is not None:
-            params["policy"] = policy.to_wire()
         started = time.perf_counter()
-        replies, shards, failed = self._scatter(
-            collection, "knn", params, technique, queries
-        )
+        replies, shards, failed = self._scatter(query_set, "knn", {"k": k})
+        n_queries = len(query_set)
         shard_blocks = []
         pooled = np.zeros(n_queries, dtype=np.intp)
         for reply in replies:
@@ -448,14 +434,14 @@ class ClusterCoordinator:
                 continue
             rows_i = reply["result"]["indices"]
             rows_s = reply["result"]["scores"]
-            block_i = np.full((n_queries, int(k)), -1, dtype=np.intp)
-            block_s = np.full((n_queries, int(k)), np.inf)
+            block_i = np.full((n_queries, k), -1, dtype=np.intp)
+            block_s = np.full((n_queries, k), np.inf)
             for row, (row_i, row_s) in enumerate(zip(rows_i, rows_s)):
                 block_i[row, : len(row_i)] = row_i
                 block_s[row, : len(row_s)] = row_s
                 pooled[row] += len(row_i)
             shard_blocks.append((0, block_i, block_s))
-        k_eff = int(min(int(k), pooled.min())) if len(pooled) else int(k)
+        k_eff = int(min(k, pooled.min())) if len(pooled) else k
         if k_eff < 1:
             raise ClusterError(
                 f"no candidates survive for at least one query row "
@@ -466,10 +452,10 @@ class ClusterCoordinator:
             n_queries, k_eff, shard_blocks
         )
         return KnnResult(
-            technique_name=_reply_technique(technique),
+            technique_name=query_set.technique.name,
             indices=merged_indices,
             scores=merged_scores,
-            query_positions=positions,
+            query_positions=query_set.query_positions,
             elapsed_seconds=time.perf_counter() - started,
             pruning_stats=self._merge_stats(
                 replies, shards, n_queries, failed
@@ -477,93 +463,53 @@ class ClusterCoordinator:
             failed_shards=failed,
         )
 
-    def range(
-        self,
-        collection: str,
-        epsilon: Union[float, Sequence[float]],
-        technique: Union[str, Dict[str, Any], None] = None,
-        indices: Optional[Sequence[int]] = None,
-        values: Optional[Sequence[Sequence[float]]] = None,
-        policy: Optional[PlanPolicy] = None,
-    ) -> RangeResult:
+    def range(self, query_set: QuerySet, eps: np.ndarray) -> RangeResult:
         """Scattered range query; shard-ordered concatenation merge."""
         return self._range_op(
-            collection,
-            "range",
-            {"epsilon": _epsilon_param(epsilon)},
-            technique,
-            indices,
-            values,
-            tau=None,
-            policy=policy,
+            query_set, "range", {"epsilon": eps.tolist()}, eps, tau=None
         )
 
     def prob_range(
-        self,
-        collection: str,
-        epsilon: Union[float, Sequence[float]],
-        tau: float,
-        technique: Union[str, Dict[str, Any], None] = None,
-        indices: Optional[Sequence[int]] = None,
-        values: Optional[Sequence[Sequence[float]]] = None,
-        policy: Optional[PlanPolicy] = None,
+        self, query_set: QuerySet, eps: np.ndarray, tau: float
     ) -> RangeResult:
         """Scattered probabilistic range query (Equation 2)."""
         return self._range_op(
-            collection,
+            query_set,
             "prob_range",
-            {"epsilon": _epsilon_param(epsilon), "tau": float(tau)},
-            technique,
-            indices,
-            values,
-            tau=float(tau),
-            policy=policy,
+            {"epsilon": eps.tolist(), "tau": tau},
+            eps,
+            tau=tau,
         )
 
     def _range_op(
         self,
-        collection: str,
+        query_set: QuerySet,
         op: str,
         params: Dict[str, Any],
-        technique: Union[str, Dict[str, Any], None],
-        indices: Optional[Sequence[int]],
-        values: Optional[Sequence[Sequence[float]]],
+        eps: np.ndarray,
         tau: Optional[float],
-        policy: Optional[PlanPolicy] = None,
     ) -> RangeResult:
-        queries = _wire_queries(indices, values)
-        if policy is not None:
-            params = {**params, "policy": policy.to_wire()}
         started = time.perf_counter()
-        replies, shards, failed = self._scatter(
-            collection, op, params, technique, queries
-        )
-        n_queries, positions = self._query_meta(collection, queries)
+        replies, shards, failed = self._scatter(query_set, op, params)
+        n_queries = len(query_set)
         # Shard slices are ascending and disjoint, so concatenating the
         # per-shard match sets in shard order keeps each query's result
         # set globally sorted — no re-sort, no dedupe needed.
         merged: List[List[int]] = [[] for _ in range(n_queries)]
-        epsilons: Optional[np.ndarray] = None
         for reply in replies:
             if reply is None:
                 continue
             for row, found in enumerate(reply["result"]["matches"]):
                 merged[row].extend(found)
-            if epsilons is None and "epsilons" in reply["result"]:
-                epsilons = np.asarray(
-                    reply["result"]["epsilons"], dtype=np.float64
-                )
-        if epsilons is None:
-            epsilons = np.full(n_queries, np.nan)
         return RangeResult(
-            technique_name=_reply_technique(technique),
+            technique_name=query_set.technique.name,
             kind="probabilistic" if op == "prob_range" else "distance",
             matches=tuple(
                 np.asarray(found, dtype=np.intp) for found in merged
             ),
-            epsilons=epsilons,
+            epsilons=eps,
             tau=tau,
-            query_positions=positions,
+            query_positions=query_set.query_positions,
             elapsed_seconds=time.perf_counter() - started,
             pruning_stats=self._merge_stats(
                 replies, shards, n_queries, failed
@@ -578,181 +524,46 @@ class ClusterCoordinator:
         )
 
 
-def _wire_queries(
-    indices: Optional[Sequence[int]],
-    values: Optional[Sequence[Sequence[float]]],
-) -> Optional[Dict[str, Any]]:
-    if indices is not None and values is not None:
-        raise ProtocolError("pass query 'indices' or raw 'values', not both")
-    if indices is not None:
-        return {"indices": [int(i) for i in indices]}
-    if values is not None:
-        return {
-            "values": [[float(v) for v in row] for row in values]
-        }
-    return None
-
-
-def _epsilon_param(epsilon: Union[float, Sequence[float]]):
-    """ε as a JSON-safe scalar or flat list."""
-    if hasattr(epsilon, "__len__"):
-        return [float(value) for value in epsilon]
-    return float(epsilon)
-
-
-def _reply_technique(
-    technique: Union[str, Dict[str, Any], None],
-) -> str:
-    if technique is None:
-        return "euclidean"
-    if isinstance(technique, str):
-        return technique
-    return str(technique.get("name", "?"))
-
-
-# ---------------------------------------------------------------------------
-# The backend: the fluent surface over daemon executions
-# ---------------------------------------------------------------------------
-
-
-def _selector_to_wire(
-    query_set: QuerySet,
-) -> Tuple[Optional[Sequence[int]], Optional[Sequence[Sequence[float]]]]:
-    """A query set's selection as the protocol's ``(indices, values)``."""
-    selector = query_set.selector
-    if selector is None:
-        raise InvalidParameterError(
-            "this query set was not built through a session's queries() "
-            "and carries no wire-form selection"
-        )
-    kind, payload = selector
-    if kind == "all":
-        return None, None
-    if kind == "indices":
-        return payload, None
-    return None, payload
-
-
-class ClusterBackend(SimilarityBackend):
-    """Execute fluent verbs on daemons: a shard fleet, or one daemon as
-    a one-shard map.
-
-    The technique bound with ``using()`` is shipped as its wire spec
-    (:func:`~repro.service.registry.technique_spec`) and rebuilt on every
-    daemon, so kernels — including seeded Monte Carlo draws — replay
-    identically to an in-process run.
-    """
-
-    def __init__(
-        self, coordinator: ClusterCoordinator, collection: str
-    ) -> None:
-        self._coordinator = coordinator
-        self._collection = collection
-
-    @property
-    def coordinator(self) -> ClusterCoordinator:
-        """The scatter-gather engine underneath."""
-        return self._coordinator
-
-    @property
-    def collection_name(self) -> str:
-        """The sharded collection this backend queries."""
-        return self._collection
-
-    def knn(self, query_set: QuerySet, k: int) -> KnnResult:
-        indices, values = _selector_to_wire(query_set)
-        spec = technique_spec(query_set.technique)
-        result = self._coordinator.knn(
-            self._collection,
-            k,
-            spec,
-            indices=indices,
-            values=values,
-            policy=query_set.policy,
-        )
-        return _rebrand(result, query_set)
-
-    def range(self, query_set: QuerySet, eps: np.ndarray) -> RangeResult:
-        indices, values = _selector_to_wire(query_set)
-        spec = technique_spec(query_set.technique)
-        result = self._coordinator.range(
-            self._collection,
-            eps,
-            spec,
-            indices=indices,
-            values=values,
-            policy=query_set.policy,
-        )
-        return _rebrand(result, query_set)
-
-    def prob_range(
-        self, query_set: QuerySet, eps: np.ndarray, tau: float
-    ) -> RangeResult:
-        indices, values = _selector_to_wire(query_set)
-        spec = technique_spec(query_set.technique)
-        result = self._coordinator.prob_range(
-            self._collection,
-            eps,
-            tau,
-            spec,
-            indices=indices,
-            values=values,
-            policy=query_set.policy,
-        )
-        return _rebrand(result, query_set)
-
-    def close(self) -> None:
-        self._coordinator.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"ClusterBackend(collection={self._collection!r}, "
-            f"{self._coordinator!r})"
-        )
-
-
-def _rebrand(result, query_set: QuerySet):
-    """Stamp the local technique's display name onto a merged result."""
-    from dataclasses import replace
-
-    return replace(result, technique_name=query_set.technique.name)
-
-
 # ---------------------------------------------------------------------------
 # RemoteSession + connect(): the one documented entry point
 # ---------------------------------------------------------------------------
 
 
 class RemoteSession:
-    """A session-shaped handle over a :class:`ClusterBackend`.
+    """A session-shaped handle over a :class:`ClusterCoordinator`.
 
     Mirrors :class:`~repro.queries.session.SimilaritySession`'s fluent
     surface — ``queries(...)`` → ``using(...)`` → verb — with identical
     selection validation, so code written against an in-process session
-    runs unchanged against a daemon or a shard fleet.
+    runs unchanged against a daemon or a shard fleet.  ``policy`` is
+    shipped with every request.
     """
 
     def __init__(
         self,
-        backend: SimilarityBackend,
+        coordinator: ClusterCoordinator,
         collection_name: str,
         n_series: int,
         policy: Optional[PlanPolicy] = None,
     ) -> None:
-        self._backend = backend
+        if policy is not None and not isinstance(policy, PlanPolicy):
+            raise InvalidParameterError(
+                f"policy must be a PlanPolicy, got {type(policy).__name__}"
+            )
+        self._coordinator = coordinator
         self._collection_name = collection_name
         self._n_series = int(n_series)
         self._policy = policy
         self._closed = False
 
     @property
-    def backend(self) -> SimilarityBackend:
-        """The :class:`SimilarityBackend` query sets execute against."""
-        return self._backend
+    def backend(self) -> ClusterCoordinator:
+        """The coordinator query sets execute against."""
+        return self._coordinator
 
     @property
     def policy(self) -> Optional[PlanPolicy]:
-        """The session-level plan policy query sets inherit."""
+        """The plan policy every query set of this session ships."""
         return self._policy
 
     @property
@@ -773,9 +584,7 @@ class RemoteSession:
         """
         if queries is None:
             positions = np.arange(self._n_series, dtype=np.intp)
-            return QuerySet(
-                self, range(self._n_series), positions, selector=("all", None)
-            )
+            return QuerySet(self, range(self._n_series), positions)
         items = list(queries)
         if not items:
             raise InvalidParameterError(
@@ -794,7 +603,7 @@ class RemoteSession:
                 self,
                 items,
                 positions,
-                selector=("indices", [int(i) for i in positions]),
+                selector={"indices": [int(i) for i in positions]},
             )
         rows = [np.asarray(item, dtype=np.float64).ravel() for item in items]
         positions = np.full(len(rows), -1, dtype=np.intp)
@@ -802,14 +611,14 @@ class RemoteSession:
             self,
             rows,
             positions,
-            selector=("values", [row.tolist() for row in rows]),
+            selector={"values": [row.tolist() for row in rows]},
         )
 
     def close(self) -> None:
-        """Release the backend's connections (idempotent)."""
+        """Release the coordinator's connections (idempotent)."""
         if not self._closed:
             self._closed = True
-            self._backend.close()
+            self._coordinator.close()
 
     def __enter__(self) -> "RemoteSession":
         return self
@@ -820,7 +629,7 @@ class RemoteSession:
     def __repr__(self) -> str:
         return (
             f"RemoteSession(collection={self._collection_name!r}, "
-            f"n_series={self._n_series}, backend={self._backend!r})"
+            f"n_series={self._n_series}, backend={self._coordinator!r})"
         )
 
 
@@ -880,11 +689,12 @@ def connect(
     """One entry point for every deployment shape.
 
     * ``connect("tcp://host:port")`` / ``"tcp://host:port/name"`` — a
-      :class:`RemoteSession` over one daemon: a :class:`ClusterBackend`
-      whose shard map is the single entry ``[0, N)``;
+      :class:`RemoteSession` over one daemon: a
+      :class:`ClusterCoordinator` whose shard map is the single entry
+      ``[0, N)``;
     * ``connect("catalog.db")`` — if the named collection has a shard
       map, a :class:`RemoteSession` scattering across the fleet
-      (:class:`ClusterBackend`); otherwise an in-process
+      (:class:`ClusterCoordinator`); otherwise an in-process
       :class:`~repro.queries.session.SimilaritySession` over the
       cataloged mmap;
     * ``connect("/data/my_collection")`` (a saved collection directory
@@ -944,6 +754,4 @@ def connect(
     coordinator = ClusterCoordinator(
         {name: shard_map}, timeout=timeout, allow_partial=allow_partial
     )
-    return RemoteSession(
-        ClusterBackend(coordinator, name), name, n_series, policy=policy
-    )
+    return RemoteSession(coordinator, name, n_series, policy=policy)

@@ -49,7 +49,11 @@ from ..core.series import TimeSeries
 from ..queries.engine import QueryEngine
 from ..queries.knn import check_knn_k, local_topk_rows
 from ..queries.planner import PlanPolicy, PruningStats
-from ..queries.session import QuerySet, SimilaritySession
+from ..queries.session import (
+    SimilaritySession,
+    check_verb_kind,
+    match_sets,
+)
 from ..queries.techniques import (
     EuclideanTechnique,
     Technique,
@@ -85,14 +89,18 @@ def execute_query(
     params: Dict[str, Any],
     col_offset: int = 0,
 ) -> Tuple[Dict[str, Any], Optional[PruningStats]]:
-    """Run one query request through a column-slice session's planner.
+    """Run one query request as one plan on a column-slice session.
 
     ``session`` holds the collection columns ``[col_offset, col_offset +
     width)`` — the whole collection is the slice ``[0, N)``.  ``items``
     are the query series and ``positions`` their **global** collection
-    positions (``-1`` for raw-value rows).  Returns the reply's
-    ``result`` payload, in global indices, and the plan's pruning
-    statistics:
+    positions (``-1`` for raw-value rows).  ``params`` are the request's
+    validated params: ``k``, or ``epsilon`` (and ``tau``), and an
+    optional parsed :class:`~repro.queries.planner.PlanPolicy` under
+    ``"policy"``.  The technique's plan runs on the session's engine
+    (:meth:`~repro.queries.techniques.Technique.matrix_with_stats`).
+    Returns the reply's ``result`` payload, in global indices, and the
+    plan's pruning statistics:
 
     * **knn** — each row's top-``k`` of the slice, ranked by
       :func:`~repro.queries.knn.local_topk_rows`.  A slice narrower than
@@ -110,37 +118,40 @@ def execute_query(
         positions - col_offset,
         -1,
     ).astype(np.intp)
-    policy = params.get("policy")
-    query_set = QuerySet(
-        session,
-        items,
-        local,
-        technique,
-        policy=None if policy is None else PlanPolicy.from_wire(policy),
-    )
+    kind = "probability" if op == "prob_range" else "distance"
+    k = eps = tau = None
     if op == "knn":
         k = int(params["k"])
-        values, _, stats = query_set._run_matrix("distance", knn_k=k)
+    else:
+        eps = _epsilon_vector(params["epsilon"], len(items))
+    if op == "prob_range":
+        tau = float(params["tau"])
+    values, stats = technique.matrix_with_stats(
+        kind,
+        items,
+        session.collection,
+        epsilon=eps,
+        tau=tau,
+        knn_k=k,
+        exclude=None if k is None else local,
+        policy=params.get("policy"),
+        engine=session.engine,
+    )
+    if k is not None:
         indices, scores = local_topk_rows(values, k, local, col_offset)
         real = indices >= 0
         return {
             "indices": [row[keep].tolist() for row, keep in zip(indices, real)],
             "scores": [row[keep].tolist() for row, keep in zip(scores, real)],
         }, stats
-    if op == "range":
-        result = query_set.range(params["epsilon"])
-    else:
-        result = query_set.prob_range(params["epsilon"], float(params["tau"]))
+    found = match_sets(values, kind, eps if tau is None else tau, local)
     payload: Dict[str, Any] = {
-        "matches": [
-            (np.asarray(found, dtype=np.intp) + col_offset).tolist()
-            for found in result.matches
-        ],
-        "epsilons": result.epsilons.tolist(),
+        "matches": [(rows + col_offset).tolist() for rows in found],
+        "epsilons": eps.tolist(),
     }
-    if result.tau is not None:
-        payload["tau"] = result.tau
-    return payload, result.pruning_stats
+    if tau is not None:
+        payload["tau"] = tau
+    return payload, stats
 
 
 class SimilarityDaemon:
@@ -420,15 +431,22 @@ class SimilarityDaemon:
         return items, np.full(len(items), -1, dtype=np.intp)
 
     def _validate_params(
-        self, request: Request, positions: np.ndarray, n_series: int
+        self,
+        request: Request,
+        technique: Technique,
+        positions: np.ndarray,
+        n_series: int,
     ) -> Dict[str, Any]:
-        """The request's params, checked against its query rows and the
-        full collection before anything executes.
+        """The request's params, checked against its query rows, the
+        full collection and its technique before anything executes.
 
         ``k`` is bounded by the whole collection's eligible candidates
         even for a column-sliced request: a slice narrower than ``k``
         answers with ragged rows, but no merge can rank deeper than the
-        collection itself.
+        collection itself.  A wire policy is parsed here, once, into a
+        :class:`~repro.queries.planner.PlanPolicy`.  Last, the op must
+        suit the technique's kind (``knn`` and ``range`` need a distance
+        technique, ``prob_range`` a probabilistic one).
         """
         params = dict(request.params)
         if request.op == "knn":
@@ -467,11 +485,12 @@ class SimilarityDaemon:
                     f"got {type(policy).__name__}"
                 )
             try:
-                PlanPolicy.from_wire(policy)
+                params["policy"] = PlanPolicy.from_wire(policy)
             except InvalidParameterError as error:
                 raise ProtocolError(
                     f"invalid params.policy: {error}"
                 ) from error
+        check_verb_kind(request.op, technique)
         return params
 
     async def _execute_query(self, request: Request) -> Dict[str, Any]:
@@ -481,8 +500,10 @@ class SimilarityDaemon:
         )
         mapped = self._collection_map(request.collection)
         items, positions = self._resolve_queries(request, mapped)
-        params = self._validate_params(request, positions, len(mapped))
         technique = build_technique(request.technique)
+        params = self._validate_params(
+            request, technique, positions, len(mapped)
+        )
         col_offset = request.candidates[0] if request.candidates else 0
 
         def run() -> Tuple[Dict[str, Any], Optional[Dict[str, Any]], float]:

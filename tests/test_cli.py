@@ -7,12 +7,9 @@ import os
 import pytest
 
 from repro.cli import _COMMANDS, build_parser, main, run_command
-from repro.queries.planner import (
-    PlanPolicy,
-    effective_index_enabled,
-    get_default_policy,
-    set_default_policy,
-)
+from repro.core import save_collection, spawn
+from repro.datasets import generate_dataset
+from repro.perturbation import ConstantScenario
 
 
 class TestParser:
@@ -33,6 +30,11 @@ class TestParser:
     def test_no_scoring_switch(self):
         args = build_parser().parse_args(["fig05"])
         assert not hasattr(args, "scoring")  # one scoring path, no switch
+
+    def test_no_index_switch(self):
+        # The plan policy is set on a session only (explain --mode).
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig05", "--no-index"])
 
 
 class TestExecution:
@@ -94,23 +96,32 @@ class TestStatsFlag:
         assert "pruning statistics" not in out
 
 
-class TestNoIndexFlag:
-    @pytest.fixture(autouse=True)
-    def restore_index_default(self):
-        policy = get_default_policy()
-        yield
-        set_default_policy(policy)
+class TestExplain:
+    """``python -m repro.cli explain`` on a saved collection: the
+    session's ``--mode`` decides whether a plan gets an index stage."""
 
-    def test_parser_accepts_flag(self):
-        args = build_parser().parse_args(["fig05", "--no-index"])
-        assert args.no_index is True
-        assert build_parser().parse_args(["fig05"]).no_index is False
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        exact = generate_dataset("GunPoint", seed=17, n_series=12, length=14)
+        scenario = ConstantScenario("normal", 0.4)
+        pdf = [
+            scenario.apply(series, spawn(17, "pdf", index))
+            for index, series in enumerate(exact)
+        ]
+        return save_collection(pdf, str(tmp_path_factory.mktemp("pdf")))
 
-    def test_no_index_disables_index_stage(self, capsys):
-        assert main(["uniformity", "--scale", "tiny", "--no-index"]) == 0
-        assert get_default_policy() == PlanPolicy(mode="fixed")
-        assert not effective_index_enabled(None)
+    @staticmethod
+    def _stages(capsys, manifest, *args):
+        """The first word of each summary line below the header."""
+        assert main(["explain", manifest, *args]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return [line.split()[0] for line in lines[1:]]
 
-    def test_default_keeps_index_enabled(self, capsys):
-        assert main(["uniformity", "--scale", "tiny"]) == 0
-        assert effective_index_enabled(None)
+    def test_mode_decides_the_index_stage(self, manifest, capsys):
+        assert "index" in self._stages(capsys, manifest, "--knn", "3")
+        assert "index" not in self._stages(
+            capsys, manifest, "--knn", "3", "--mode", "fixed"
+        )
+        assert "refine" in self._stages(
+            capsys, manifest, "--technique", "dust", "--knn", "3"
+        )

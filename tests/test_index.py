@@ -324,6 +324,16 @@ class TestThresholds:
 # ---------------------------------------------------------------------------
 
 
+def _indexed_and_unindexed(collection):
+    """Two sessions on one private engine: the default policy, and
+    ``NO_INDEX``."""
+    engine = QueryEngine()
+    return (
+        SimilaritySession(collection, engine=engine),
+        SimilaritySession(collection, engine=engine, policy=NO_INDEX),
+    )
+
+
 def _distance_cases(pdf, multisample):
     return [
         (EuclideanTechnique(), multisample),
@@ -336,12 +346,9 @@ def _distance_cases(pdf, multisample):
 class TestParity:
     def test_knn_matches_unindexed(self, pdf, multisample):
         for technique, collection in _distance_cases(pdf, multisample):
-            session = SimilaritySession(collection, engine=QueryEngine())
+            session, unindexed = _indexed_and_unindexed(collection)
             indexed = session.queries().using(technique).knn(4)
-            baseline = (
-                session.queries().using(technique).with_policy(NO_INDEX)
-                .knn(4)
-            )
+            baseline = unindexed.queries().using(technique).knn(4)
             assert np.array_equal(indexed.indices, baseline.indices), (
                 technique.name
             )
@@ -351,12 +358,9 @@ class TestParity:
 
     def test_range_matches_unindexed(self, pdf, multisample):
         for technique, collection in _distance_cases(pdf, multisample):
-            session = SimilaritySession(collection, engine=QueryEngine())
+            session, unindexed = _indexed_and_unindexed(collection)
             indexed = session.queries().using(technique).range(3.0)
-            baseline = (
-                session.queries().using(technique).with_policy(NO_INDEX)
-                .range(3.0)
-            )
+            baseline = unindexed.queries().using(technique).range(3.0)
             for a, b in zip(indexed.matches, baseline.matches):
                 assert np.array_equal(a, b), technique.name
 
@@ -374,13 +378,12 @@ class TestParity:
             (ProudTechnique(assumed_std=0.4), pdf),
         ]
         for technique, collection in cases:
-            session = SimilaritySession(collection, engine=QueryEngine())
+            session, unindexed = _indexed_and_unindexed(collection)
             indexed = (
                 session.queries().using(technique).prob_range(2.5, 0.3)
             )
             baseline = (
-                session.queries().using(technique).with_policy(NO_INDEX)
-                .prob_range(2.5, 0.3)
+                unindexed.queries().using(technique).prob_range(2.5, 0.3)
             )
             for a, b in zip(indexed.matches, baseline.matches):
                 assert np.array_equal(a, b), technique.name
@@ -491,9 +494,9 @@ class TestChunkedGather:
         self, technique, separated, gathers
     ):
         cells = len(separated) ** 2
-        session = SimilaritySession(separated, engine=QueryEngine())
+        session, unindexed = _indexed_and_unindexed(separated)
         indexed = session.queries().using(technique)
-        fixed = indexed.with_policy(NO_INDEX)
+        fixed = unindexed.queries().using(technique)
 
         knn = indexed.knn(3)
         self._check_gathers(gathers, cells)
@@ -558,9 +561,8 @@ class TestAccounting:
             multisample, engine=QueryEngine(), policy=NO_INDEX
         )
         result = session.queries().using(technique).knn(4)
-        # The stage still runs (as a no-op); with nothing decided the
-        # selectivity reads 1.0 — or the stage is absent entirely on the
-        # pure top_k fallback path, reading None.
+        # NO_INDEX keeps the stage out of the plan, so selectivity
+        # reads None (1.0 would mean a stage that ran and kept all).
         stats = result.pruning_stats
         selectivity = stats.index_selectivity
         assert selectivity is None or selectivity == pytest.approx(1.0)

@@ -9,9 +9,11 @@ The contracts under test:
   (filters are sound: cost only);
 * one τ-grid bracketing pass reproduces the fixed-sample decisions at
   every grid threshold, across seeds and repeated runs;
-* ``QuerySet.with_policy`` / ``SimilaritySession(policy=...)`` /
-  ``connect(policy=...)`` accept the policy uniformly and ``explain()``
-  returns the executed plan's :class:`PruningStats` on every backend;
+* the session is the one place a policy is set
+  (``SimilaritySession(policy=...)`` / ``connect(policy=...)``): every
+  query set plans under it, without one the default ``PlanPolicy()``
+  applies, and ``explain()`` returns the executed plan's
+  :class:`PruningStats` on every backend;
 * a session has one keyword, ``policy``: no executor knobs remain.
 """
 
@@ -41,18 +43,10 @@ from repro.queries.planner import (
     get_default_policy,
     normalize_tau,
     sequential_mc_grid_decision,
-    set_default_policy,
 )
 from shard_blocks import sharded_knn
 
 SEED = 2012
-
-
-@pytest.fixture(autouse=True)
-def _restore_default_policy():
-    saved = get_default_policy()
-    yield
-    set_default_policy(saved)
 
 
 @pytest.fixture(scope="module")
@@ -124,16 +118,19 @@ class TestPlanPolicy:
 
 class TestIndexRouting:
     def test_explicit_policy_wins_over_default(self):
-        set_default_policy(PlanPolicy(mode="fixed"))
+        assert get_default_policy() == PlanPolicy()
         assert effective_index_enabled(PlanPolicy())
         assert not effective_index_enabled(PlanPolicy(mode="fixed"))
-        assert not effective_index_enabled(None)
+        assert effective_index_enabled(None)
 
     def test_modes_differ_in_cost_only(self, noise):
-        with SimilaritySession(noise) as session:
-            query_set = session.queries().using(EuclideanTechnique())
-            indexed = query_set.with_policy(PlanPolicy()).knn(3)
-            authored = query_set.with_policy(PlanPolicy(mode="fixed")).knn(3)
+        technique = EuclideanTechnique()
+        with SimilaritySession(noise, policy=PlanPolicy()) as session:
+            indexed = session.queries().using(technique).knn(3)
+        with SimilaritySession(
+            noise, policy=PlanPolicy(mode="fixed")
+        ) as session:
+            authored = session.queries().using(technique).knn(3)
         assert _stage_names(indexed.pruning_stats) == ["index", "refine"]
         assert _stage_names(authored.pruning_stats) == ["refine"]
         np.testing.assert_array_equal(indexed.indices, authored.indices)
@@ -235,15 +232,6 @@ class TestTauGrid:
 class TestChooser:
     """How a policy binds to query sets and sessions."""
 
-    def test_with_policy_returns_new_query_set(self, noise):
-        with SimilaritySession(noise) as session:
-            base = session.queries().using(EuclideanTechnique())
-            bound = base.with_policy(PlanPolicy(mode="fixed"))
-            assert base.policy is None
-            assert bound.policy == PlanPolicy(mode="fixed")
-            with pytest.raises(InvalidParameterError):
-                base.with_policy("auto")
-
     def test_session_policy_flows_to_query_sets(self, noise):
         policy = PlanPolicy(mode="fixed")
         with SimilaritySession(noise, policy=policy) as session:
@@ -276,10 +264,8 @@ class TestExplain:
             exclude=np.arange(len(noise), dtype=np.intp),
             policy=fixed,
         )
-        with SimilaritySession(noise) as serial:
-            serial_stats = (
-                serial.queries().using(technique).with_policy(fixed).explain(k=3)
-            )
+        with SimilaritySession(noise, policy=fixed) as serial:
+            serial_stats = serial.queries().using(technique).explain(k=3)
         assert _stage_names(shard_stats) == ["refine"]
         assert _stage_names(serial_stats) == ["refine"]
         # Merged shard counts equal the serial counts.

@@ -74,6 +74,50 @@ class TestPublicSurface:
         assert match and match.group(1) == repro.__version__
 
 
+#: A failing property test and a test that raises a DeprecationWarning.
+HYPOTHESIS_PROBE = """
+import warnings
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(max_examples=5, database=None, deadline=None)
+@given(st.integers())
+def test_fails(value):
+    assert value != value
+
+
+def test_warns():
+    warnings.warn("project code is deprecated", DeprecationWarning)
+"""
+
+
+class TestPytestConfig:
+    def test_failing_property_prints_its_example(self, tmp_path):
+        """Under the repo's pytest config a failing ``@given`` test
+        reports its falsifying example (no INTERNALERROR), and a
+        DeprecationWarning still fails its test."""
+        pytest.importorskip("hypothesis")
+        probe = tmp_path / "test_probe.py"
+        probe.write_text(HYPOTHESIS_PROBE)
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "-c", os.path.join(REPO_ROOT, "pyproject.toml"),
+                "--rootdir", str(tmp_path), str(probe),
+            ],
+            cwd=str(tmp_path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        output = result.stdout + result.stderr
+        assert "Falsifying example" in output, output
+        assert "INTERNALERROR" not in output, output
+        assert "2 failed" in output, output
+
+
 class TestDocsConsistency:
     @pytest.fixture(scope="class")
     def design_text(self):

@@ -65,7 +65,6 @@ from repro.service import ServiceCatalog
 from repro.service.catalog import SCHEMA_VERSION, CatalogError, ShardEntry
 from repro.service.client import Channel, ServiceError
 from repro.service.cluster import (
-    ClusterBackend,
     ClusterCoordinator,
     ClusterError,
     RemoteSession,
@@ -143,6 +142,15 @@ def _stage_names(stats):
     return [entry.stage for entry in stats.stages]
 
 
+def _chain(coordinator, collection, spec, queries=None, n_series=N_SERIES):
+    """``queries(...).using(...)`` on a session over ``coordinator``.
+
+    The session is never closed: the coordinator belongs to its caller.
+    """
+    session = RemoteSession(coordinator, collection, n_series)
+    return session.queries(queries).using(build_technique(spec))
+
+
 def _assert_survivor_ranking(degraded, pdf, start, stop, k):
     """``degraded`` is the DUST kNN reference restricted to the columns
     outside the failed ``[start, stop)`` slice, exactly."""
@@ -214,7 +222,7 @@ def sessions(pdf, multisample, exact):
 class TestScatterGatherParity:
     @pytest.mark.parametrize("spec", KNN_SPECS)
     def test_knn_bit_identical(self, coordinator, sessions, spec):
-        merged = coordinator.knn("pdf", 5, spec)
+        merged = _chain(coordinator, "pdf", spec).knn(5)
         reference = (
             sessions["pdf"].queries().using(build_technique(spec)).knn(5)
         )
@@ -226,7 +234,7 @@ class TestScatterGatherParity:
 
     @pytest.mark.parametrize("spec,key", PROB_RANGE_SPECS)
     def test_prob_range_identical(self, coordinator, sessions, spec, key):
-        merged = coordinator.prob_range(key, 4.0, 0.3, spec)
+        merged = _chain(coordinator, key, spec).prob_range(4.0, 0.3)
         reference = (
             sessions[key]
             .queries()
@@ -238,7 +246,7 @@ class TestScatterGatherParity:
         ]
 
     def test_range_identical(self, coordinator, sessions):
-        merged = coordinator.range("pdf", 4.0, "dust")
+        merged = _chain(coordinator, "pdf", "dust").range(4.0)
         reference = (
             sessions["pdf"].queries().using(DustTechnique()).range(4.0)
         )
@@ -250,7 +258,7 @@ class TestScatterGatherParity:
             assert np.all(np.diff(row) > 0) if len(row) > 1 else True
 
     def test_subset_and_value_queries(self, coordinator, sessions):
-        subset = coordinator.knn("pdf", 3, "dust", indices=[0, 5, 11])
+        subset = _chain(coordinator, "pdf", "dust", [0, 5, 11]).knn(3)
         reference = (
             sessions["pdf"].queries([0, 5, 11]).using(DustTechnique()).knn(3)
         )
@@ -260,7 +268,7 @@ class TestScatterGatherParity:
         )
 
     def test_merged_stats_name_the_cluster(self, coordinator):
-        merged = coordinator.knn("pdf", 5, "dust")
+        merged = _chain(coordinator, "pdf", "dust").knn(5)
         stats = merged.pruning_stats
         assert stats is not None
         assert stats.executor["backend"] == "cluster"
@@ -269,13 +277,13 @@ class TestScatterGatherParity:
 
     def test_knn_validates_k_before_scattering(self, coordinator):
         with pytest.raises(InvalidParameterError, match="eligible"):
-            coordinator.knn("pdf", N_SERIES, "dust")
+            _chain(coordinator, "pdf", "dust").knn(N_SERIES)
         with pytest.raises(InvalidParameterError, match=">= 1"):
-            coordinator.knn("pdf", 0, "dust")
+            _chain(coordinator, "pdf", "dust").knn(0)
 
     def test_unknown_collection_names_the_shard_maps(self, coordinator):
         with pytest.raises(ClusterError, match="no shard map"):
-            coordinator.knn("nope", 3, "dust")
+            _chain(coordinator, "nope", "dust").knn(3)
 
 
 class TestUnifiedFluentSurface:
@@ -292,9 +300,9 @@ class TestUnifiedFluentSurface:
         )
         clustered = connect(cluster_catalog, collection="pdf")
         try:
-            assert isinstance(remote.backend, ClusterBackend)
-            assert isinstance(clustered.backend, ClusterBackend)
-            assert remote.backend.coordinator.shard_map("pdf") == (
+            assert isinstance(remote.backend, ClusterCoordinator)
+            assert isinstance(clustered.backend, ClusterCoordinator)
+            assert remote.backend.shard_map("pdf") == (
                 ShardEntry(0, "127.0.0.1", fleet[0].port, 0, N_SERIES),
             )
             for session in (remote, clustered):
@@ -370,24 +378,16 @@ class TestUnifiedFluentSurface:
     ):
         """``explain()`` reports one executed plan, whatever the backend."""
         fixed = PlanPolicy(mode="fixed")
-        reference = (
-            sessions["pdf"]
-            .queries()
-            .using(DustTechnique())
-            .with_policy(fixed)
-            .explain(k=3)
-        )
+        with SimilaritySession(
+            sessions["pdf"].collection, policy=fixed
+        ) as local:
+            reference = local.queries().using(DustTechnique()).explain(k=3)
         assert _stage_names(reference) == ["refine"]
-        remote = connect(f"tcp://127.0.0.1:{fleet[0].port}/pdf")
-        clustered = connect(cluster_catalog, collection="pdf")
+        remote = connect(f"tcp://127.0.0.1:{fleet[0].port}/pdf", policy=fixed)
+        clustered = connect(cluster_catalog, collection="pdf", policy=fixed)
         try:
             for session in (remote, clustered):
-                stats = (
-                    session.queries()
-                    .using(DustTechnique())
-                    .with_policy(fixed)
-                    .explain(k=3)
-                )
+                stats = session.queries().using(DustTechnique()).explain(k=3)
                 assert _stage_names(stats) == ["refine"]
                 assert stats.technique_name == reference.technique_name
                 assert stats.n_queries == reference.n_queries
@@ -418,9 +418,14 @@ class TestUnifiedFluentSurface:
         try:
             local = sessions["pdf"].queries().using(EuclideanTechnique())
             assert _stage_names(local.explain(k=3)) == ["index", "refine"]
-            assert _stage_names(
-                local.with_policy(policy).explain(k=3)
-            ) == ["refine"]
+            with SimilaritySession(
+                sessions["pdf"].collection, policy=policy
+            ) as fixed_local:
+                assert _stage_names(
+                    fixed_local.queries()
+                    .using(EuclideanTechnique())
+                    .explain(k=3)
+                ) == ["refine"]
             for session in default_sessions:
                 stats = session.queries().using(EuclideanTechnique()).explain(
                     k=3
@@ -435,6 +440,10 @@ class TestUnifiedFluentSurface:
         finally:
             for session in default_sessions + fixed_sessions:
                 session.close()
+
+    def test_remote_policy_must_be_a_plan_policy(self, coordinator):
+        with pytest.raises(InvalidParameterError, match="PlanPolicy"):
+            RemoteSession(coordinator, "pdf", N_SERIES, policy="fixed")
 
     def test_remote_session_reports_shape(self, fleet):
         remote = connect(f"tcp://127.0.0.1:{fleet[0].port}/pdf")
@@ -532,10 +541,10 @@ class TestOneDaemonIsOneShard:
         with connect(f"tcp://127.0.0.1:{fleet[0].port}/pdf") as session:
             chain = session.queries([3]).using(DustTechnique())
             chain.knn(3)
-            [dropped] = session.backend.coordinator._pools[key]
+            [dropped] = session.backend._pools[key]
             dropped._sock.shutdown(socket.SHUT_RDWR)
             answer = chain.knn(3)
-            [pooled] = session.backend.coordinator._pools[key]
+            [pooled] = session.backend._pools[key]
         assert pooled is not dropped
         np.testing.assert_array_equal(answer.indices, reference.indices)
         np.testing.assert_allclose(
@@ -601,7 +610,7 @@ class TestPartialShardFailure:
             small_catalog, timeout=30, connect_timeout=3
         ) as coordinator:
             with pytest.raises(ClusterError) as excinfo:
-                coordinator.knn("pdf", 3, "dust")
+                _chain(coordinator, "pdf", "dust").knn(3)
             assert f"127.0.0.1:{dead_port}" in str(excinfo.value)
             assert excinfo.value.failed_shards == (
                 f"127.0.0.1:{dead_port}",
@@ -620,7 +629,7 @@ class TestPartialShardFailure:
             timeout=30,
             connect_timeout=3,
         ) as coordinator:
-            degraded = coordinator.knn("pdf", 3, "dust")
+            degraded = _chain(coordinator, "pdf", "dust").knn(3)
             assert degraded.failed_shards == (f"127.0.0.1:{dead_port}",)
             assert not degraded.complete
             # The merge over the survivors is the survivor-restricted
@@ -644,7 +653,7 @@ class TestPartialShardFailure:
             timeout=30,
             connect_timeout=3,
         ) as coordinator:
-            degraded = coordinator.range("pdf", 4.0, "dust")
+            degraded = _chain(coordinator, "pdf", "dust").range(4.0)
             assert degraded.failed_shards == (f"127.0.0.1:{dead_port}",)
             with SimilaritySession(pdf) as session:
                 reference = (
@@ -766,7 +775,9 @@ class TestShardKilledMidQuery:
 
             def run():
                 try:
-                    outcome["result"] = coordinator.knn("pdf", 3, "dust")
+                    outcome["result"] = _chain(
+                        coordinator, "pdf", "dust"
+                    ).knn(3)
                 except Exception as error:  # noqa: BLE001 — asserted below
                     outcome["error"] = error
 
@@ -881,6 +892,11 @@ def _single_shard_coordinator(shard, **kwargs):
     return ClusterCoordinator({"fake": entries}, **kwargs)
 
 
+def _fake_knn(coordinator):
+    """A Euclidean 1-NN over the 2-series fake collection."""
+    return _chain(coordinator, "fake", "euclidean", n_series=2).knn(1)
+
+
 class TestShardRetries:
     def test_lagging_shard_is_asked_once(self):
         """However much slower a reply is than the shard's earlier ones,
@@ -889,7 +905,7 @@ class TestShardRetries:
         coordinator = _single_shard_coordinator(shard, timeout=30)
         try:
             for _ in range(9):
-                coordinator.knn("fake", 1, "euclidean")
+                _fake_knn(coordinator)
             assert len(shard.request_ids) == 9
             assert len(set(shard.request_ids)) == 9
         finally:
@@ -914,12 +930,12 @@ class TestShardRetries:
         )
         try:
             if allow_partial:
-                result = coordinator.knn("fake", 1, "euclidean")
+                result = _fake_knn(coordinator)
                 assert result.failed_shards == (entries[1].endpoint,)
                 np.testing.assert_array_equal(result.indices, [[1], [0]])
             else:
                 with pytest.raises(ClusterError) as excinfo:
-                    coordinator.knn("fake", 1, "euclidean")
+                    _fake_knn(coordinator)
                 message = str(excinfo.value)
                 assert entries[1].endpoint in message
                 assert "[CatalogError] manifest is gone" in message
@@ -950,10 +966,10 @@ class TestShardRetries:
         )
         try:
             with pytest.raises(TimeoutError, match="deadline budget"):
-                lone.knn("fake", 1, "euclidean")
+                _fake_knn(lone)
             assert len(slow.request_ids) == 1
             with pytest.raises(ClusterError) as excinfo:
-                fleet.knn("fake", 1, "euclidean")
+                _fake_knn(fleet)
             assert isinstance(excinfo.value.__cause__, TimeoutError)
             assert f"127.0.0.1:{slow.port}" in str(excinfo.value)
         finally:
@@ -977,7 +993,7 @@ class TestShardRetries:
         try:
             started = time.perf_counter()
             with pytest.raises((ClusterError, OSError)):
-                coordinator.knn("fake", 1, "euclidean")
+                _fake_knn(coordinator)
             assert time.perf_counter() - started < 15
         finally:
             coordinator.close()
@@ -1131,7 +1147,7 @@ class TestConnectDispatch:
         session = connect(cluster_catalog, collection="pdf")
         try:
             assert isinstance(session, RemoteSession)
-            assert isinstance(session.backend, ClusterBackend)
+            assert isinstance(session.backend, ClusterCoordinator)
             assert len(session) == N_SERIES
         finally:
             session.close()

@@ -51,7 +51,7 @@ from repro.queries import SimilaritySession
 from repro.service import ServiceCatalog, ServiceError
 from repro.service.catalog import ShardEntry
 from repro.service.client import ServiceResult
-from repro.service.cluster import ClusterCoordinator
+from repro.service.cluster import ClusterCoordinator, RemoteSession
 from repro.service.cli import query_main
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -550,6 +550,53 @@ class TestStructuredErrors:
             with pytest.raises(ServiceError):
                 client.query("knn", "ghost", {"k": 3})
             assert client.ping()
+
+
+PROUD = {"name": "proud", "params": {"assumed_std": 0.4}}
+
+
+class TestOpTechniqueKind:
+    """An op must suit its technique's kind (``knn`` and ``range``:
+    distance; ``prob_range``: probabilistic).  The daemon checks it on
+    its event loop, so a wrong pairing never reaches the pool."""
+
+    @pytest.mark.parametrize(
+        "op,params,spec,message",
+        [
+            ("range", {"epsilon": 4.0}, PROUD, "range() requires"),
+            ("range", {"epsilon": 4.0}, "munich", "range() requires"),
+            (
+                "prob_range",
+                {"epsilon": 4.0, "tau": 0.5},
+                "euclidean",
+                "prob_range() requires",
+            ),
+            ("knn", {"k": 3}, PROUD, "top-k requires"),
+        ],
+        ids=["range-proud", "range-munich", "prob_range-euclidean",
+             "knn-proud"],
+    )
+    def test_wrong_pairing_is_rejected_before_execution(
+        self, harness, pdf, monkeypatch, op, params, spec, message
+    ):
+        executed = []
+        original = daemon_module.execute_query
+
+        def execute(*args):
+            executed.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(daemon_module, "execute_query", execute)
+        with harness.client(timeout=30.0) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.query(op, "pdf", params, spec, [0, 1])
+            assert executed == []
+            answer = client.query("knn", "pdf", {"k": 3}, "euclidean", [1])
+        assert excinfo.value.error_type == "UnsupportedQueryError"
+        assert message in str(excinfo.value)
+        assert executed == ["knn"]
+        expected = _serial(pdf, "euclidean", lambda q: q.knn(3))
+        assert answer.indices == [expected.indices[1].tolist()]
 
 
 class TestWireFaults:
@@ -1064,8 +1111,10 @@ class TestSessionTable:
             ShardEntry(1, "127.0.0.1", live.port, half, N_SERIES),
         )
         try:
-            with ClusterCoordinator({"pdf": shards}) as coordinator:
-                merged = coordinator.knn("pdf", 3, "dust")
+            with RemoteSession(
+                ClusterCoordinator({"pdf": shards}), "pdf", N_SERIES
+            ) as session:
+                merged = session.queries().using(build_technique("dust")).knn(3)
             with live.client() as client:
                 status = client.status()
         finally:

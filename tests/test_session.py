@@ -356,15 +356,15 @@ class TestKnnTieBreaking:
             knn_table(matrix, 2, exclude=np.array([0]))
 
     def test_matrix_and_profile_rankings_agree_bitwise(self, homogeneous):
-        technique = DustTechnique()
         session = SimilaritySession(homogeneous)
-        result = session.queries().using(technique).knn(5)
-        for index, query in enumerate(homogeneous):
-            expected = knn_indices(
-                technique.distance_matrix([query], homogeneous)[0], 5,
-                exclude=index,
-            )
-            assert result.row(index) == expected
+        for technique in (DustTechnique(), DustDtwTechnique(window=2)):
+            result = session.queries().using(technique).knn(5)
+            for index, query in enumerate(homogeneous):
+                expected = knn_indices(
+                    technique.distance_matrix([query], homogeneous)[0], 5,
+                    exclude=index,
+                )
+                assert result.row(index) == expected, technique.name
 
 
 class TestSimilaritySession:
