@@ -1,6 +1,6 @@
 """Measure streamed bandwidth against the repo's cache-blocking constants.
 
-The engine's hot loops are tiled by six hand-tuned element budgets:
+The engine's hot loops are tiled by five hand-tuned element budgets:
 
 * ``repro.queries.techniques.MATRIX_BLOCK_ELEMENTS`` — the ``(B, N, n)``
   broadcast blocks of the tensor matrix kernels;
@@ -8,8 +8,6 @@ The engine's hot loops are tiled by six hand-tuned element budgets:
   refinement batches;
 * ``repro.distances.dtw_batch.DTW_BLOCK_ELEMENTS`` — rolling DTW
   blocks, charged per pair by ``rolling_stack_blocks``;
-* ``repro.queries.index.KNN_BLOCK_COLUMNS`` — the index stage's
-  summary-scan column blocks;
 * ``repro.munich.batch.BATCH_BLOCK_ELEMENTS`` / ``DP_CHUNK_ELEMENTS`` —
   the MUNICH convolution's difference-tensor blocks and DP state chunks.
 
@@ -95,29 +93,6 @@ def probe_matrix_block(quick: bool) -> None:
     _report("MATRIX_BLOCK_ELEMENTS proxy", MATRIX_BLOCK_ELEMENTS, rows)
 
 
-def probe_knn_columns(quick: bool) -> None:
-    """Index-stage proxy: blocked summary scan over N columns."""
-    from repro.queries.index import KNN_BLOCK_COLUMNS
-
-    segments = 8
-    n_cols = 1 << (18 if quick else 20)
-    summaries = np.random.default_rng(3).random((n_cols, segments))
-    query = np.random.default_rng(4).random(segments)
-    rows = []
-    for exponent in (13, 15, 17, 19):
-        block = 1 << exponent
-
-        def run() -> None:
-            for start in range(0, n_cols, block):
-                stop = min(start + block, n_cols)
-                gap = summaries[start:stop] - query
-                np.einsum("js,js->j", gap, gap)
-
-        seconds = _best_of(run)
-        rows.append((block, 8 * 2 * n_cols * segments / seconds / 1e9))
-    _report("KNN_BLOCK_COLUMNS proxy", KNN_BLOCK_COLUMNS, rows)
-
-
 def probe_dtw_block(quick: bool) -> None:
     """Rolling-DTW proxy: banded per-diagonal updates over pair blocks.
 
@@ -201,7 +176,6 @@ def main() -> int:
     print(f"numpy {np.__version__}")
     probe_stream(args.quick)
     probe_matrix_block(args.quick)
-    probe_knn_columns(args.quick)
     probe_dtw_block(args.quick)
     probe_dp_chunk(args.quick)
     print(

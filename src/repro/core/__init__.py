@@ -37,7 +37,6 @@ from .summaries import (
     PointSummary,
     interval_lower_bound,
     paa_lower_bound,
-    paa_upper_bound,
     summarize_intervals,
     summarize_values,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "summarize_values",
     "summarize_intervals",
     "paa_lower_bound",
-    "paa_upper_bound",
     "interval_lower_bound",
     "as_values",
     "znormalize",

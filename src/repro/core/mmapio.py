@@ -647,19 +647,22 @@ def build_index(
     key so :func:`load_collection` re-opens them zero-copy:
 
     * exact / pdf — ``index_means.npy`` (``(N, S)`` segment means of the
-      point estimates) + ``index_residuals.npy`` (``(N,)`` PAA
-      reconstruction residual norms): the Euclidean-family geometry;
+      point estimates) + ``index_norms.npy`` (``(N,)`` width-weighted
+      squared norms of those means, the query-independent half of the
+      lower bound's GEMM): the Euclidean-family geometry;
     * multisample — ``index_low_means.npy`` / ``index_high_means.npy``
       (``(N, S)`` segment means of the per-timestamp sample min/max
       envelopes): MUNICH's interval geometry.
 
     Returns the manifest path.  Rebuilding with a different segment
-    count overwrites the previous tables.
+    count overwrites the previous tables.  A manifest written before the
+    index dropped its residual norms still lists
+    ``index_residuals.npy``; it opens as before, and nothing reads the
+    table.
     """
     from .summaries import (
         DEFAULT_SEGMENTS,
         effective_segments,
-        residual_norms,
         segment_means,
         segment_widths,
     )
@@ -720,7 +723,6 @@ def build_index(
             mmap_mode="r",
         )
         means = _table("index_means.npy", (n_series, n_segments))
-        residuals = _table("index_residuals.npy", (n_series,))
         norms = _table("index_norms.npy", (n_series,))
         widths = segment_widths(length, n_segments)
         for start in range(0, n_series, chunk_rows):
@@ -728,18 +730,13 @@ def build_index(
             block = np.asarray(values[start:stop])
             chunk_means = segment_means(block, n_segments)
             means[start:stop] = chunk_means
-            residuals[start:stop] = residual_norms(
-                block, n_segments, means=chunk_means
-            )
             norms[start:stop] = np.einsum(
                 "js,s,js->j", chunk_means, widths, chunk_means
             )
         means.flush()
-        residuals.flush()
         norms.flush()
         arrays = {
             "means": "index_means.npy",
-            "residuals": "index_residuals.npy",
             "norms": "index_norms.npy",
         }
     else:

@@ -1,4 +1,4 @@
-"""PAA summarization of series collections, with admissible bounds.
+"""PAA summarization of series collections, with admissible lower bounds.
 
 Piecewise Aggregate Approximation (PAA) compresses a length-``n`` series
 into ``S`` per-segment means.  Because averaging each segment is an
@@ -16,15 +16,13 @@ Euclidean distance of **every** materialization pair (and, applied to
 Keogh envelopes, lower-bounds the banded DTW — see
 :func:`interval_lower_bound`).
 
-An upper bound comes from the triangle inequality through the PAA
-reconstructions ``q_hat`` / ``c_hat``::
-
-    ||q - c||  <=  ||q_hat - c_hat|| + ||q - q_hat|| + ||c - c_hat||
-
-so storing one *residual norm* per series alongside its segment means is
-enough to bracket every pairwise distance from the summary table alone.
-The summaries here back :class:`~repro.queries.index.IndexStage` — the
-planner's first stage — and are persisted next to the mmap manifest by
+The bounds are one-sided: a range query prunes cells whose bound
+exceeds ε, and a top-k query prunes against the ``k``-th exact score of
+a small pilot (multi-step kNN, see :mod:`repro.queries.index`).
+:func:`paa_bound_slack` is the float guard both comparisons need when a
+computed bound meets a computed distance.  The summaries here back
+:class:`~repro.queries.index.IndexStage` — the planner's first stage —
+and are persisted next to the mmap manifest by
 :func:`~repro.core.mmapio.build_index`.
 """
 
@@ -91,40 +89,15 @@ def segment_means(matrix: np.ndarray, n_segments: int) -> np.ndarray:
     return sums / np.diff(edges).astype(np.float64)
 
 
-def reconstruct(means: np.ndarray, length: int) -> np.ndarray:
-    """Expand ``(N, S)`` segment means back to ``(N, length)`` steps."""
-    means = np.atleast_2d(np.asarray(means, dtype=np.float64))
-    edges = segment_edges(length, means.shape[1])
-    return np.repeat(means, np.diff(edges), axis=1)
-
-
-def residual_norms(
-    matrix: np.ndarray, n_segments: int, means: np.ndarray = None
-) -> np.ndarray:
-    """Per-row L2 norm of the PAA reconstruction error, shape ``(N,)``.
-
-    Computed from the explicit reconstruction difference rather than the
-    ``sum(x^2) - sum(w * mean^2)`` identity: the subtractive form loses
-    precision exactly when residuals are small, and an *under*-estimated
-    residual would break the upper bound's admissibility.
-    """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    if means is None:
-        means = segment_means(matrix, n_segments)
-    expanded = reconstruct(means, matrix.shape[1])
-    return np.linalg.norm(matrix - expanded, axis=1)
-
-
 @dataclass(frozen=True)
 class PointSummary:
     """PAA summary of an exact (point-estimate) series stack.
 
-    ``means`` is ``(N, S)``, ``residuals`` the ``(N,)`` reconstruction
-    error norms, ``widths`` the ``(S,)`` per-segment point counts.
+    ``means`` is ``(N, S)``, ``widths`` the ``(S,)`` per-segment point
+    counts.
     """
 
     means: np.ndarray
-    residuals: np.ndarray
     widths: np.ndarray
     length: int
 
@@ -175,7 +148,6 @@ def summarize_values(matrix: np.ndarray, n_segments: int) -> PointSummary:
     means = segment_means(matrix, n_segments)
     return PointSummary(
         means=means,
-        residuals=residual_norms(matrix, n_segments, means=means),
         widths=segment_widths(length, n_segments),
         length=length,
     )
@@ -229,16 +201,19 @@ def paa_lower_bound(
     c = candidates.means
     # Weighted norm expansion: only the (M, S) query side is scaled, so
     # a million-row candidate table is read in place (one GEMM, one
-    # O(N*S) einsum) instead of copied.
-    q_norms = queries.weighted_norms()
-    c_norms = candidates.weighted_norms()
-    scale = q_norms[:, None] + c_norms[None, :]
-    squared = scale - 2.0 * (q * widths) @ c.T
+    # O(N*S) einsum) instead of copied.  The -2 rides on that side too:
+    # scaling by a power of two is exact, so the sum rounds exactly as
+    # ``scale - 2 q·c`` would, and the passes after the GEMM update its
+    # result in place.
+    squared = (q * (-2.0 * widths)) @ c.T
+    scale = queries.weighted_norms()[:, None] + candidates.weighted_norms()
+    squared += scale
     np.maximum(squared, 0.0, out=squared)
     # Near-duplicate pairs cancel catastrophically in the expansion; an
     # overestimated bound would break admissibility, so recompute them
     # with the exact difference formula (mirrors euclidean_matrix).
-    suspects = np.argwhere(squared <= GEMM_REFINE_THRESHOLD * scale)
+    scale *= GEMM_REFINE_THRESHOLD
+    suspects = np.argwhere(squared <= scale)
     for start in range(0, len(suspects), 1 << 16):
         block = suspects[start:start + (1 << 16)]
         diff = q[block[:, 0]] - c[block[:, 1]]
@@ -248,19 +223,49 @@ def paa_lower_bound(
     return np.sqrt(squared, out=squared)
 
 
-def paa_upper_bound(
-    lower: np.ndarray, queries: PointSummary, candidates: PointSummary
-) -> np.ndarray:
-    """Triangle-inequality upper bounds matching ``paa_lower_bound``.
+def paa_bound_slack(length: int, n_segments: int) -> float:
+    """Relative guard that keeps a computed :func:`paa_lower_bound`
+    admissible against a computed Euclidean distance.
 
-    ``lower`` is exactly ``||q_hat - c_hat||``, so adding both
-    reconstruction residual norms brackets the true distance.
+    A cell may be pruned only when its bound exceeds a threshold times
+    ``1 + slack``.  Without the guard the rule fails exactly where the
+    bound is tightest: with ``S = n`` segments the bound *equals* the
+    distance, and the two kernels round differently (on 64,000 cells of
+    length-64 random walks the computed bound exceeded the computed
+    distance in 13,958, by up to 8.2e-15 relative).
+
+    Derivation, with ``u = 2⁻⁵³`` and ``T = GEMM_REFINE_THRESHOLD``.
+    Both kernels are norm expansions ``s = ‖a‖² + ‖b‖² − 2a·b`` over
+    ``m`` terms.  Each dot product is within ``γ_m ≈ m·u`` of its
+    absolute sum, and Cauchy–Schwarz bounds ``|a·b|`` by half the
+    scale ``‖a‖² + ‖b‖²``; with the add and subtract, the computed
+    ``s`` is off by at most ``(2m + 4)u`` of the scale for the distance
+    (``m = n``) and ``(2S + 6)u`` for the width-weighted bound (two
+    more roundings per term).  An entry the expansion keeps exceeds
+    ``T`` of its scale (smaller ones are recomputed from exact
+    differences, to ``(m + 2)u`` relative), so both squares are within
+    ``(2m + c)u / T`` relative, and the square roots halve that.  The
+    segment means themselves round by ``(w + 1)u`` of the series' norm
+    (``w`` the widest segment), which is ``(w + 1)u·√(2/T)`` relative to
+    any distance the expansion keeps.  The first-order sum is doubled to
+    cover the products of these terms and the guard's own two roundings.
+    For ``n = 64, S = 8`` the slack is 1.7e-6, far below the gap
+    between a pruned bound and the threshold it is compared with.
+
+    Not covered: a pair closer than ~1e-9 of its norm that is not an
+    exact duplicate, where the means' rounding is no longer relative to
+    the distance.  Exact duplicates have equal means and a zero bound.
     """
-    return (
-        lower
-        + queries.residuals[:, None]
-        + candidates.residuals[None, :]
+    n_segments = effective_segments(n_segments, length)
+    unit = np.finfo(np.float64).eps / 2.0
+    threshold = GEMM_REFINE_THRESHOLD
+    widest = -(-length // n_segments)
+    first_order = (
+        ((2 * length + 4) + (2 * n_segments + 6)) * unit / (2.0 * threshold)
+        + (widest + 1) * unit * np.sqrt(2.0 / threshold)
+        + 3.0 * unit
     )
+    return float(2.0 * first_order)
 
 
 def interval_lower_bound(

@@ -25,7 +25,7 @@ from .engine import (
     CollectionMaterialization,
     QueryEngine,
 )
-from .index import IndexStage, knn_candidate_thresholds
+from .index import IndexStage
 from .knn import (
     euclidean_knn_table,
     knn_indices,
@@ -94,7 +94,6 @@ __all__ = [
     "QueryPlan",
     "PlanStage",
     "IndexStage",
-    "knn_candidate_thresholds",
     "BoundStage",
     "RefineStage",
     "AdaptiveMCStage",

@@ -311,8 +311,8 @@ class CollectionMaterialization:
     def _mapped_index(self, n_segments: int) -> Optional[Dict]:
         """The collection's persisted index tables, when geometry matches.
 
-        :func:`~repro.core.mmapio.build_index` stores segment-mean /
-        residual arrays next to the mmap manifest;
+        :func:`~repro.core.mmapio.build_index` stores segment-mean and
+        weighted-norm arrays next to the mmap manifest;
         :class:`~repro.core.mmapio.MappedCollection` exposes them as
         ``mapped_index``.  Adopting them here makes index pruning at
         scale zero-copy — the summary tables are never recomputed.
@@ -341,7 +341,6 @@ class CollectionMaterialization:
             if mapped is not None and "means" in mapped:
                 cached = PointSummary(
                     means=mapped["means"],
-                    residuals=mapped["residuals"],
                     widths=segment_widths(values.shape[1], n_segments),
                     length=values.shape[1],
                 )

@@ -361,16 +361,25 @@ class PruningStats:
         return None
 
     @property
+    def index_pruned(self) -> int:
+        """Cells the summarization index pruned without scoring them.
+
+        A kNN index stage also scores its pilot exactly; those cells are
+        decided but refined, so they count as kept.
+        """
+        entry = self.stage("index")
+        return 0 if entry is None else entry.decided - entry.refined
+
+    @property
     def index_selectivity(self) -> Optional[float]:
         """Fraction of cells the summarization index kept as candidates.
 
         ``None`` when no index stage ran (or the workload had no cells);
         ``1.0`` means the index pruned nothing.
         """
-        entry = self.stage("index")
-        if entry is None or self.total_cells <= 0:
+        if self.stage("index") is None or self.total_cells <= 0:
             return None
-        return 1.0 - entry.decided / self.total_cells
+        return 1.0 - self.index_pruned / self.total_cells
 
     def merged(self, other: "PruningStats") -> "PruningStats":
         """Combine with another shard of the same plan.
@@ -449,7 +458,7 @@ class PruningStats:
             lines.append(line)
         selectivity = self.index_selectivity
         if selectivity is not None:
-            kept = total - self.decided_by("index")
+            kept = total - self.index_pruned
             lines.append(
                 f"  index selectivity {kept}/{total} candidates kept "
                 f"({100.0 * selectivity:5.1f}%)"
@@ -478,8 +487,8 @@ class PlanContext:
     tau: Union[None, float, Tuple[float, ...]]
     values: np.ndarray
     undecided: np.ndarray
-    #: Top-k target for kNN workloads — lets the index stage derive
-    #: per-row pruning thresholds from upper bounds.  ``exclude`` marks
+    #: Top-k target for kNN workloads — the index stage prunes each row
+    #: against the ``k``-th exact score of its pilot.  ``exclude`` marks
     #: at most one self-match column per row (``-1`` for none).
     knn_k: Optional[int] = None
     exclude: Optional[np.ndarray] = None

@@ -86,8 +86,8 @@ from ..core.errors import InvalidParameterError, UnsupportedQueryError
 from ..core.summaries import (
     DEFAULT_SEGMENTS,
     interval_lower_bound,
+    paa_bound_slack,
     paa_lower_bound,
-    paa_upper_bound,
     summarize_intervals,
     summarize_values,
 )
@@ -440,16 +440,16 @@ class Technique(abc.ABC):
         queries: Sequence,
         collection: Sequence,
         engine: QueryEngine,
-        need_upper: bool = False,
-    ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray], float]]:
+    ) -> Optional[Tuple[np.ndarray, float]]:
         """Summarization-index bounds for an :class:`IndexStage`.
 
-        Returns ``(lower, upper, slack)`` — admissible ``(M, N)``
-        distance bounds computed from the ``S``-segment PAA summaries
-        (``upper`` may be ``None`` unless ``need_upper``, i.e. a top-k
-        workload needs pruning thresholds), or ``None`` when this
-        technique/workload has no admissible summary bound, which makes
-        the stage a sound no-op.
+        Returns ``(lower, slack)``: admissible ``(M, N)`` lower bounds
+        on the scores :meth:`refine_matrix` computes, from the
+        ``S``-segment PAA summaries, and the relative guard a pruning
+        comparison needs so a float bound never overtakes a float
+        score.  The stage owns ``lower`` and may write into it.
+        ``None`` when this technique/workload has no admissible summary
+        bound, which makes the stage a sound no-op.
         """
         return None
 
@@ -565,14 +565,12 @@ class EuclideanTechnique(Technique):
         queries: Sequence,
         collection: Sequence,
         engine: QueryEngine,
-        need_upper: bool = False,
-    ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray], float]]:
+    ) -> Optional[Tuple[np.ndarray, float]]:
         """PAA projection bounds over the cached values summaries.
 
         The lower bound is the Euclidean distance between the
         (width-scaled) segment-mean vectors — an orthogonal projection,
-        hence a contraction; the upper bound adds both reconstruction
-        residual norms (triangle inequality).
+        hence a contraction — guarded by :func:`paa_bound_slack`.
         """
         if (
             kind != "distance"
@@ -587,13 +585,10 @@ class EuclideanTechnique(Technique):
         query_summary = _query_point_summary(
             engine, queries, summary.n_segments
         )
-        lower = paa_lower_bound(query_summary, summary)
-        upper = (
-            paa_upper_bound(lower, query_summary, summary)
-            if need_upper
-            else None
+        return (
+            paa_lower_bound(query_summary, summary),
+            paa_bound_slack(summary.length, summary.n_segments),
         )
-        return lower, upper, 0.0
 
     def refine_matrix(
         self,
@@ -780,8 +775,7 @@ class FilteredTechnique(Technique):
         queries: Sequence,
         collection: Sequence,
         engine: QueryEngine,
-        need_upper: bool = False,
-    ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray], float]]:
+    ) -> Optional[Tuple[np.ndarray, float]]:
         """PAA bounds over the *filtered* matrices.
 
         UMA/UEMA distances are Euclidean on filtered values, so the
@@ -807,13 +801,10 @@ class FilteredTechnique(Technique):
             query_summary = engine.materialize(
                 queries
             ).filtered_paa_summary(self.filtered, summary.n_segments)
-        lower = paa_lower_bound(query_summary, summary)
-        upper = (
-            paa_upper_bound(lower, query_summary, summary)
-            if need_upper
-            else None
+        return (
+            paa_lower_bound(query_summary, summary),
+            paa_bound_slack(summary.length, summary.n_segments),
         )
-        return lower, upper, 0.0
 
     def refine_matrix(
         self,
@@ -1148,8 +1139,7 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         queries: Sequence,
         collection: Sequence,
         engine: QueryEngine,
-        need_upper: bool = False,
-    ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray], float]]:
+    ) -> Optional[Tuple[np.ndarray, float]]:
         """Segment-coarsened bounding-interval gap bound.
 
         The mean-interval gap per segment lower-bounds every
@@ -1171,7 +1161,7 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         query_summary = _query_interval_summary(
             engine, queries, summary.n_segments
         )
-        return interval_lower_bound(query_summary, summary), None, 0.0
+        return interval_lower_bound(query_summary, summary), 0.0
 
     def refine_matrix(
         self,
@@ -1485,8 +1475,7 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         queries: Sequence,
         collection: Sequence,
         engine: QueryEngine,
-        need_upper: bool = False,
-    ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray], float]]:
+    ) -> Optional[Tuple[np.ndarray, float]]:
         """Segment-coarsened envelope bound (banded-DTW admissible).
 
         Candidate side: PAA summary of the cached band-inflated Keogh
@@ -1511,11 +1500,7 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         query_summary = _query_interval_summary(
             engine, queries, summary.n_segments
         )
-        return (
-            interval_lower_bound(query_summary, summary),
-            None,
-            PRUNE_SLACK,
-        )
+        return interval_lower_bound(query_summary, summary), PRUNE_SLACK
 
     def refine_matrix(
         self,

@@ -517,6 +517,3 @@ class TestEngineConcurrency:
             np.testing.assert_array_equal(got_codes, codes)
             assert got_distincts == distincts
             np.testing.assert_array_equal(got_summary.means, summary.means)
-            np.testing.assert_array_equal(
-                got_summary.residuals, summary.residuals
-            )

@@ -4,12 +4,14 @@ The acceptance bar for the index stage:
 
 * **admissibility** — across randomized series, error models, and
   segment counts, the index lower bound never exceeds the true
-  distance (and the upper bound never undercuts it), including the
-  interval variant against every sampled materialization pair and the
-  band-inflated variant against banded DTW;
+  distance, including the interval variant against every sampled
+  materialization pair and the band-inflated variant against banded
+  DTW;
 * **exactness** — indexed kNN / range / prob_range answers are
   identical to the unindexed path for every technique family, single
-  process and sharded;
+  process and sharded, also where the PAA bound equals the distance;
+* **the multi-step gain** — a seeded collection's single-row kNN
+  refines a small fraction of the grid;
 * **accounting** — every cell is decided by exactly one stage,
   subset-running stages report both visited and skipped cells, and
   index selectivity lands in the stats summary.
@@ -22,8 +24,12 @@ import pytest
 
 import repro.queries.techniques as techniques_module
 from repro.core import (
+    ErrorModel,
     InvalidParameterError,
     TimeSeries,
+    UncertainTimeSeries,
+    build_index,
+    load_collection,
     make_rng,
     spawn,
 )
@@ -31,19 +37,19 @@ from repro.core.summaries import (
     DEFAULT_SEGMENTS,
     effective_segments,
     interval_lower_bound,
+    paa_bound_slack,
     paa_lower_bound,
-    paa_upper_bound,
-    reconstruct,
-    residual_norms,
     segment_edges,
     segment_means,
     segment_widths,
     summarize_intervals,
     summarize_values,
 )
-from repro.datasets import generate_dataset
+from repro.datasets import generate_dataset, stream_fourier_collection
 from repro.distances.dtw import dtw_distance
 from repro.distances.dtw_batch import PRUNE_SLACK
+from repro.distances.filtered import FilteredEuclidean
+from repro.distributions import NormalError
 from repro.distances.lp import euclidean_matrix
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario, MixedStdScenario
@@ -58,10 +64,10 @@ from repro.queries import (
     ProudTechnique,
     QueryEngine,
     SimilaritySession,
-    knn_candidate_thresholds,
     knn_table,
     local_topk_rows,
 )
+from repro.queries.index import _smallest_columns
 from shard_blocks import sharded_knn, sharded_matrix
 
 TOL = 1e-9
@@ -125,21 +131,6 @@ class TestGeometry:
                 expected = matrix[row, edges[seg]:edges[seg + 1]].mean()
                 assert means[row, seg] == pytest.approx(expected)
 
-    def test_reconstruct_and_residuals(self):
-        rng = make_rng(4)
-        matrix = rng.normal(size=(5, 16))
-        means = segment_means(matrix, 4)
-        rebuilt = reconstruct(means, 16)
-        assert rebuilt.shape == matrix.shape
-        norms = residual_norms(matrix, 4)
-        manual = np.linalg.norm(matrix - rebuilt, axis=1)
-        assert np.allclose(norms, manual, atol=TOL)
-
-    def test_piecewise_constant_series_has_zero_residual(self):
-        means = np.array([[1.0, -2.0, 3.0, 0.5]])
-        matrix = reconstruct(means, 16)
-        assert residual_norms(matrix, 4)[0] == pytest.approx(0.0, abs=TOL)
-
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             segment_edges(8, 0)
@@ -163,10 +154,25 @@ class TestAdmissibility:
         q = summarize_values(queries, segments)
         c = summarize_values(candidates, segments)
         lower = paa_lower_bound(q, c)
-        upper = paa_upper_bound(lower, q, c)
         true = euclidean_matrix(queries, candidates)
         assert np.all(lower <= true + TOL)
-        assert np.all(upper >= true - TOL)
+        # The guarded bound never overtakes the computed distance, also
+        # where segments equal the length and the bound is the distance.
+        slack = paa_bound_slack(length, segments)
+        assert np.all(lower <= true * (1.0 + slack))
+
+    def test_bound_equal_to_distance_needs_the_slack(self):
+        """With one segment per point the bound is the distance, and the
+        two kernels' rounding puts the bound above it in some cells."""
+        rng = make_rng(2012)
+        queries = rng.normal(size=(40, 32)).cumsum(axis=1)
+        candidates = rng.normal(size=(200, 32)).cumsum(axis=1)
+        lower = paa_lower_bound(
+            summarize_values(queries, 32), summarize_values(candidates, 32)
+        )
+        true = euclidean_matrix(queries, candidates)
+        assert np.any(lower > true)
+        assert np.all(lower <= true * (1.0 + paa_bound_slack(32, 32)))
 
     @pytest.mark.parametrize("n_segments", [1, 3, 8])
     def test_interval_bound_holds_for_every_materialization(
@@ -229,7 +235,7 @@ class TestAdmissibility:
         """The envelope-summary bound lower-bounds banded DTW of every
         sampled materialization pair (the MUNICH-DTW soundness claim)."""
         technique = MunichDtwTechnique(window=2)
-        lower, _, slack = technique.index_bounds(
+        lower, slack = technique.index_bounds(
             "probability", multisample, multisample, QueryEngine()
         )
         assert slack == PRUNE_SLACK
@@ -254,35 +260,13 @@ class TestAdmissibility:
 
 
 # ---------------------------------------------------------------------------
-# Threshold derivation and sparse top-k
+# Sparse top-k
 # ---------------------------------------------------------------------------
 
 
 class TestThresholds:
-    def test_kth_smallest_upper_bound(self):
-        rng = make_rng(9)
-        upper = rng.uniform(size=(5, 20))
-        thresholds = knn_candidate_thresholds(upper, 3)
-        for row in range(5):
-            assert thresholds[row] == pytest.approx(
-                np.sort(upper[row])[2]
-            )
-
-    def test_exclusion_and_narrow_rows(self):
-        upper = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        exclude = np.array([0, -1])
-        thresholds = knn_candidate_thresholds(upper, 2, exclude)
-        # Row 0: eligible {2.0, 3.0} -> eligible == k -> no pruning.
-        assert np.isinf(thresholds[0])
-        # Row 1: eligible 3 > k -> 2nd smallest of {4,5,6}.
-        assert thresholds[1] == pytest.approx(5.0)
-
-    def test_rejects_bad_parameters(self):
-        upper = np.ones((2, 4))
-        with pytest.raises(InvalidParameterError):
-            knn_candidate_thresholds(upper, 0)
-        with pytest.raises(InvalidParameterError):
-            knn_candidate_thresholds(upper, 1, np.array([0]))
+    """Top-k ranking of rows whose cells beyond a kNN pruning threshold
+    the index recorded as ``+inf``."""
 
     def test_sparse_knn_matches_dense(self):
         rng = make_rng(11)
@@ -431,8 +415,9 @@ class TestChunkedGather:
     @pytest.fixture()
     def separated(self):
         # Offset copies of one curve: the PAA bounds are tight, so a
-        # 3-NN or a narrow range keeps a handful of candidates per row
-        # and the index prunes most of the grid.
+        # 3-NN keeps little beyond its 12-cell pilot per row, a narrow
+        # range a handful of candidates, and the index prunes most of
+        # the grid.
         rng = np.random.default_rng(2012)
         curve = np.sin(np.linspace(0.0, 3.0 * np.pi, self.GATHER_LENGTH))
         exact = [
@@ -478,12 +463,13 @@ class TestChunkedGather:
 
     def _check_gathers(self, calls, cells):
         assert calls, "the sparse refine did not run"
-        for widest, refined, unfilled in calls:
-            # One row's candidates span at least three gather slices.
-            assert widest > 2 * self.WIDTH
-            # The index pruned more than half of the grid.
-            assert 2 * refined < cells
-            assert unfilled == 0
+        # The query's first sparse refine (a kNN's pilot, a range
+        # query's only refine) spans at least three gather slices in one
+        # row; a kNN's survivor refine after it may be narrow or empty.
+        assert calls[0][0] > 2 * self.WIDTH
+        # The index kept more than half of the grid from being scored.
+        assert 2 * sum(refined for _, refined, _ in calls) < cells
+        assert all(unfilled == 0 for _, _, unfilled in calls)
         calls.clear()
 
     @pytest.mark.parametrize(
@@ -525,6 +511,131 @@ class TestChunkedGather:
         )
 
 
+def _exact_series(values):
+    return UncertainTimeSeries(
+        values, ErrorModel.constant(NormalError(0.2), values.size)
+    )
+
+
+class TestTightBounds:
+    """kNN parity where the PAA bound equals the distance.
+
+    Random walks indexed with one segment per point, and step functions
+    whose steps line up with the default 8 segments: each row's pilot
+    and its survivors are then compared with bounds that meet the
+    distance in the last bits, the case the index's slack exists for.
+    """
+
+    N = 150
+
+    @pytest.fixture(scope="class")
+    def walks(self):
+        rng = make_rng(41)
+        return [
+            _exact_series(row)
+            for row in rng.normal(size=(self.N, 32)).cumsum(axis=1)
+        ]
+
+    @pytest.fixture(scope="class")
+    def steps(self):
+        rng = make_rng(43)
+        return [
+            _exact_series(np.repeat(row, 64 // DEFAULT_SEGMENTS))
+            for row in rng.normal(size=(self.N, DEFAULT_SEGMENTS))
+        ]
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["euclidean", "uma"])
+    @pytest.mark.parametrize("geometry", ["walks", "steps"])
+    def test_knn_matches_fixed_plan(self, request, geometry, filtered):
+        collection = request.getfixturevalue(geometry)
+        segments = 32 if geometry == "walks" else DEFAULT_SEGMENTS
+        technique = (
+            FilteredTechnique(
+                FilteredEuclidean("uma", window=2), index_segments=segments
+            )
+            if filtered
+            else EuclideanTechnique(index_segments=segments)
+        )
+        if geometry == "steps" and not filtered:
+            summary = QueryEngine().materialize(collection).paa_summary(
+                segments
+            )
+            lower = paa_lower_bound(summary, summary)
+            dense = technique.distance_matrix(collection, collection)
+            np.testing.assert_allclose(lower, dense, rtol=1e-12, atol=1e-12)
+        session, unindexed = _indexed_and_unindexed(collection)
+        for positions in [None] + [[row] for row in range(0, self.N, 5)]:
+            indexed = session.queries(positions).using(technique).knn(10)
+            fixed = unindexed.queries(positions).using(technique).knn(10)
+            assert indexed.pruning_stats.stage("index") is not None
+            np.testing.assert_array_equal(indexed.indices, fixed.indices)
+            np.testing.assert_allclose(
+                indexed.scores, fixed.scores, rtol=0, atol=TOL
+            )
+
+
+class TestPilotSearch:
+    """A wide row's pilot is found through its block minima."""
+
+    @pytest.mark.parametrize("width", [4900, 5000, 5040])
+    def test_two_level_search_finds_the_smallest_cells(self, width):
+        rng = make_rng(width)
+        lower = rng.uniform(size=(3, width))
+        # The smallest cell of row 1 sits in the partial last block (when
+        # there is one), the smallest of row 2 in the first.
+        lower[1, -1] = -1.0
+        lower[2, 0] = -1.0
+        # A 1-NN pilot holds 4 cells: sqrt(width) > 8 * 4 takes the
+        # two-level path.
+        chosen = _smallest_columns(lower, 4)
+        assert chosen.shape == (3, 4)
+        np.testing.assert_array_equal(
+            np.sort(np.take_along_axis(lower, chosen, axis=1), axis=1),
+            np.sort(lower, axis=1)[:, :4],
+        )
+
+    def test_knn_through_the_two_level_search_matches_fixed_plan(self):
+        rng = make_rng(7)
+        collection = [
+            _exact_series(row)
+            for row in rng.normal(size=(2000, 32)).cumsum(axis=1)
+        ]
+        session, unindexed = _indexed_and_unindexed(collection)
+        technique = EuclideanTechnique()
+        rows = [[row] for row in range(0, 2000, 100)]
+        for positions in rows:
+            indexed = session.queries(positions).using(technique).knn(1)
+            fixed = unindexed.queries(positions).using(technique).knn(1)
+            np.testing.assert_array_equal(indexed.indices, fixed.indices)
+            np.testing.assert_allclose(
+                indexed.scores, fixed.scores, rtol=0, atol=TOL
+            )
+
+
+class TestMultistepGain:
+    def test_single_row_knn_scores_few_cells(self, tmp_path):
+        """20 single-row Euclidean 10-NN over a seeded 4,000 x 64
+        Fourier collection score at most 5% of their cells, pilots
+        included.  Pruning against the k-th PAA upper bound scored a
+        median 43% of each row; the count is deterministic."""
+        manifest = stream_fourier_collection(
+            str(tmp_path), n_series=4000, length=64, seed=2012
+        )
+        build_index(manifest, n_segments=DEFAULT_SEGMENTS)
+        session = SimilaritySession(
+            load_collection(manifest), engine=QueryEngine()
+        )
+        technique = EuclideanTechnique()
+        refined = cells = 0
+        for row in range(0, 4000, 200):
+            result = session.queries([row]).using(technique).knn(10)
+            stats = result.pruning_stats
+            refined += sum(entry.refined for entry in stats.stages)
+            cells += stats.total_cells
+        assert cells == 20 * 4000
+        assert refined <= 0.05 * cells
+
+
 # ---------------------------------------------------------------------------
 # Stats accounting
 # ---------------------------------------------------------------------------
@@ -543,8 +654,12 @@ class TestAccounting:
         assert refine.visited + refine.skipped == total
         assert refine.skipped == index.decided
         assert index.decided + refine.decided == total
+        # The kNN pilot's cells are decided by scoring them, so only the
+        # rest of the index stage's decisions count as pruned.
+        assert index.refined > 0
+        assert stats.index_pruned == index.decided - index.refined
         assert stats.index_selectivity == pytest.approx(
-            1.0 - index.decided / total
+            1.0 - (index.decided - index.refined) / total
         )
 
     def test_summary_reports_selectivity(self, multisample):

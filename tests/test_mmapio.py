@@ -411,7 +411,7 @@ class TestStreamingWriter:
 class TestPersistedIndex:
     def test_exact_kind_tables(self, tmp_path):
         from repro.core import StreamingCollectionWriter, build_index, make_rng
-        from repro.core.summaries import residual_norms, segment_means
+        from repro.core.summaries import segment_means, summarize_values
 
         rng = make_rng(7)
         rows = rng.normal(size=(9, 12)).cumsum(axis=1)
@@ -421,8 +421,46 @@ class TestPersistedIndex:
         loaded = load_collection(str(tmp_path))
         index = loaded.mapped_index
         assert index is not None and index["segments"] == 4
+        assert sorted(index) == ["means", "norms", "segments"]
         assert np.allclose(index["means"], segment_means(rows, 4))
-        assert np.allclose(index["residuals"], residual_norms(rows, 4))
+        assert np.allclose(
+            index["norms"], summarize_values(rows, 4).weighted_norms()
+        )
+
+    def test_manifest_listing_residuals_still_opens(self, pdf, tmp_path):
+        """Indexes built before the residual norms were dropped list an
+        ``index_residuals.npy`` table: the collection opens and answers
+        exactly as a fresh index does."""
+        from repro.core import build_index
+        from repro.queries import SimilaritySession
+
+        save_collection(pdf, str(tmp_path))
+        manifest_path = build_index(str(tmp_path))
+        np.save(tmp_path / "index_residuals.npy", np.ones(len(pdf)))
+        with open(manifest_path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["index"]["arrays"]["residuals"] = "index_residuals.npy"
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        loaded = load_collection(str(tmp_path))
+        assert "residuals" in loaded.mapped_index
+        technique = EuclideanTechnique()
+        mapped = (
+            SimilaritySession(loaded, engine=QueryEngine())
+            .queries()
+            .using(technique)
+            .knn(3)
+        )
+        direct = (
+            SimilaritySession(pdf, engine=QueryEngine())
+            .queries()
+            .using(technique)
+            .knn(3)
+        )
+        np.testing.assert_array_equal(mapped.indices, direct.indices)
+        np.testing.assert_allclose(
+            mapped.scores, direct.scores, rtol=0, atol=1e-9
+        )
 
     def test_pdf_kind_tables(self, pdf, tmp_path):
         from repro.core import build_index
