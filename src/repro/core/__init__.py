@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from typing import Tuple, Union
+
+import numpy as np
+
 from .collection import Collection
 from .errors import (
     DatasetError,
@@ -55,6 +59,29 @@ from .uncertain import (
 #: overhead thousands of ways.
 MATRIX_BLOCK_ELEMENTS = 1 << 16
 
+
+def normalize_tau(tau) -> Union[None, float, Tuple[float, ...]]:
+    """Canonical decision target: ``None``, a float, or a sorted tuple.
+
+    Sequences (lists, arrays, tuples) become the τ-grid form — sorted and
+    deduplicated — so plans, caches and wire payloads all key on one
+    representation.  Every threshold, scalar or grid, must lie within
+    ``[0, 1]``; NaN and ±inf are rejected.
+    """
+    if tau is None:
+        return None
+    grid = isinstance(tau, (list, tuple, np.ndarray))
+    values = [float(value) for value in np.asarray(tau).ravel()]
+    if not values:
+        raise InvalidParameterError("a tau grid needs >= 1 threshold")
+    for value in values:
+        if not 0.0 <= value <= 1.0:
+            raise InvalidParameterError(
+                f"tau values must be within [0, 1], got {value:g}"
+            )
+    return tuple(sorted(set(values))) if grid else values[0]
+
+
 __all__ = [
     "Collection",
     "TimeSeries",
@@ -86,6 +113,7 @@ __all__ = [
     "spawn",
     "child_seeds",
     "DEFAULT_SEED",
+    "normalize_tau",
     "ReproError",
     "InvalidSeriesError",
     "LengthMismatchError",

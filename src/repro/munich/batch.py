@@ -40,6 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..core import normalize_tau
 from ..core.errors import InvalidParameterError
 from ..core.uncertain import MultisampleUncertainTimeSeries
 from ..stats.normal import std_normal_cdf
@@ -103,7 +104,7 @@ def convolved_probability_batch(
     the same ``n_bins``; returns the ``(B,)`` probability vector.
 
     **Decision mode.** ``tau`` (a scalar or a τ-grid tuple, as
-    :func:`~repro.queries.planner.normalize_tau` returns it) says the
+    :func:`~repro.core.normalize_tau` returns it) says the
     caller reads only each row's side of ``τ``.  After binning and the
     min-offset shift, row ``b``'s DP result is exactly
     ``P = Pr(S <= c)``, ``S = Σ_t X_t``, with independent ``X_t``
@@ -181,10 +182,7 @@ def convolved_probability_batch(
 
 def _tau_grid(tau) -> Optional[np.ndarray]:
     """The sorted thresholds of a decision target, validated by
-    :func:`~repro.queries.planner.normalize_tau`; ``None`` without one."""
-    # Deferred: repro.queries imports this module.
-    from ..queries.planner import normalize_tau
-
+    :func:`~repro.core.normalize_tau`; ``None`` without one."""
     target = normalize_tau(tau)
     if target is None:
         return None

@@ -19,6 +19,7 @@ returns the same surface for a daemon or a sharded cluster.
 
 from __future__ import annotations
 
+from ..core import normalize_tau
 from .engine import (
     DEFAULT_MAX_COLLECTIONS,
     SHARED_ENGINE,
@@ -47,7 +48,6 @@ from .planner import (
     adaptive_mc_schedule,
     effective_index_enabled,
     get_default_policy,
-    normalize_tau,
     sequential_mc_decision,
     sequential_mc_grid_decision,
     sequential_mc_verdict,

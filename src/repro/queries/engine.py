@@ -103,6 +103,7 @@ class CollectionMaterialization:
         "_samples_tensor",
         "_envelopes",
         "_summaries",
+        "_positions",
     )
 
     def __init__(self, collection: Sequence) -> None:
@@ -123,6 +124,7 @@ class CollectionMaterialization:
         self._samples_tensor: np.ndarray = None
         self._envelopes: Dict[Optional[int], Tuple[np.ndarray, np.ndarray]] = {}
         self._summaries: Dict[Hashable, object] = {}
+        self._positions: Dict[int, int] = None
 
     def __len__(self) -> int:
         return len(self.collection)
@@ -145,6 +147,22 @@ class CollectionMaterialization:
         return all(
             item is snapshot
             for item, snapshot in zip(self.collection, self._items)
+        )
+
+    def member_positions(self, items: Sequence) -> np.ndarray:
+        """Each item's collection position by identity (``-1`` for a
+        non-member).  The ``id → position`` map is built once per
+        materialization, so a lookup costs O(M); the snapshot keeps every
+        member alive, so no live item can share a member's id."""
+        if self._positions is None:
+            self._positions = {
+                id(item): index for index, item in enumerate(self._items)
+            }
+        lookup = self._positions.get
+        return np.fromiter(
+            (lookup(id(item), -1) for item in items),
+            dtype=np.intp,
+            count=len(items),
         )
 
     def _mapped(self, attribute: str) -> np.ndarray:

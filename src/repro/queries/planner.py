@@ -181,28 +181,6 @@ def sequential_mc_verdict(
     return None if verdict is None else verdict[1]
 
 
-def normalize_tau(tau) -> Union[None, float, Tuple[float, ...]]:
-    """Canonical decision target: ``None``, a float, or a sorted tuple.
-
-    Sequences (lists, arrays, tuples) become the τ-grid form — sorted and
-    deduplicated — so plans, caches and wire payloads all key on one
-    representation.  Every threshold, scalar or grid, must lie within
-    ``[0, 1]``; NaN and ±inf are rejected.
-    """
-    if tau is None:
-        return None
-    grid = isinstance(tau, (list, tuple, np.ndarray))
-    values = [float(value) for value in np.asarray(tau).ravel()]
-    if not values:
-        raise InvalidParameterError("a tau grid needs >= 1 threshold")
-    for value in values:
-        if not 0.0 <= value <= 1.0:
-            raise InvalidParameterError(
-                f"tau values must be within [0, 1], got {value:g}"
-            )
-    return tuple(sorted(set(values))) if grid else values[0]
-
-
 # ---------------------------------------------------------------------------
 # Plan policy: whether the planner may extend the authored cascade
 # ---------------------------------------------------------------------------

@@ -27,7 +27,11 @@ selects the query rows (default: every series — the full protocol),
 ``using()`` binds a technique, and the terminal verbs — ``knn``,
 ``range``, ``prob_range``, ``profile_matrix``, ``calibration_matrix`` —
 run one matrix kernel and return structured result objects carrying
-scores, rankings, and per-query timings.
+scores, rankings, and per-query timings.  ``knn``, ``range`` and
+``prob_range`` run through one executor, :func:`execute_query`, which
+a daemon runs for every request too: one plan over a column slice of a
+session's collection (the whole collection in-process), then the top-k
+ranking or the match sets, in global indices.
 
 Queries that *are* collection members (selected by index, by identity, or
 by the all-series default) are tracked positionally so result sets and
@@ -39,14 +43,15 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core import normalize_tau
 from ..core.errors import InvalidParameterError, UnsupportedQueryError
 from .engine import SHARED_ENGINE, QueryEngine
 from .knn import check_knn_k, knn_table, local_topk_rows
-from .planner import PlanPolicy, PruningStats, normalize_tau
+from .planner import PlanPolicy, PruningStats
 from .techniques import Technique, _epsilon_vector
 
 #: The technique kind each query verb needs, and the error its absence
@@ -78,6 +83,38 @@ def check_verb_kind(op: str, technique: Technique) -> None:
     kind, message = _VERB_KINDS[op]
     if technique.kind != kind:
         raise UnsupportedQueryError(message.format(name=technique.name))
+
+
+def check_policy(policy: Optional[PlanPolicy]) -> Optional[PlanPolicy]:
+    """Return ``policy`` if it is ``None`` or a :class:`PlanPolicy`, else
+    raise :class:`InvalidParameterError` (every session shape's check)."""
+    if policy is not None and not isinstance(policy, PlanPolicy):
+        raise InvalidParameterError(
+            f"policy must be a PlanPolicy, got {type(policy).__name__}"
+        )
+    return policy
+
+
+def checked_selection(
+    queries: Sequence, n_series: int
+) -> Tuple[List, Optional[np.ndarray]]:
+    """``(items, positions)`` of a selection other than every series,
+    checked as every session shape checks it: it holds at least one
+    query, and a selection of integers holds indices within ``[0,
+    n_series)``, returned as ``positions`` (``None`` for any other)."""
+    items = list(queries)
+    if not items:
+        raise InvalidParameterError(
+            "a query set must contain at least one query"
+        )
+    if not all(isinstance(item, (int, np.integer)) for item in items):
+        return items, None
+    positions = np.asarray(items, dtype=np.intp)
+    if np.any(positions < 0) or np.any(positions >= n_series):
+        raise InvalidParameterError(
+            f"query indices must be within [0, {n_series - 1}]"
+        )
+    return items, positions
 
 
 def match_sets(
@@ -422,39 +459,21 @@ class QuerySet:
     def knn(self, k: int) -> KnnResult:
         """Row-wise k-nearest neighbors (distance techniques only).
 
-        Rankings break ties by candidate index.  A cluster backend ranks
-        each column shard on its own daemon and merges the shards'
-        candidates under the same rule
-        (:func:`~repro.queries.knn.merge_knn_rows`), so its rankings are
-        identical to the in-process ones.  ``k`` is checked here, once
-        for every backend: at least 1 and at most the eligible
+        The plan runs in kNN decision mode: a summarization index (when
+        the technique has one and the policy allows it) retires cells
+        strictly beaten by ``k`` others as ``+inf`` before refinement, so
+        rankings equal ``profile_matrix().top_k(k)``.  They break ties by
+        candidate index.  A cluster backend ranks each column shard on
+        its own daemon and merges the shards' candidates under the same
+        rule (:func:`~repro.queries.knn.merge_knn_rows`), so its rankings
+        are identical to the in-process ones.  ``k`` is checked here,
+        once for every backend: at least 1 and at most the eligible
         candidates.
         """
         check_verb_kind("knn", self._require_technique())
         k = int(k)
         check_knn_k(k, len(self._session), self._positions)
         return self._session.backend.knn(self, k)
-
-    def _local_knn(self, k: int) -> KnnResult:
-        """The in-process kNN execution (post-validation).
-
-        The plan runs in kNN decision mode, so a summarization index (when
-        the technique has one and the policy allows it) retires certain
-        non-neighbors as +inf before refinement, and the top-k ranks only
-        the surviving candidates.  Rankings are identical to
-        ``profile_matrix().top_k(k)`` — the index prunes only cells
-        strictly beaten by >= k candidates.
-        """
-        values, elapsed, stats = self._run_matrix("distance", knn_k=k)
-        indices, scores = local_topk_rows(values, k, self._positions)
-        return KnnResult(
-            technique_name=self._technique.name,
-            indices=indices,
-            scores=scores,
-            query_positions=self._positions.copy(),
-            elapsed_seconds=elapsed,
-            pruning_stats=stats,
-        )
 
     def range(self, epsilon) -> RangeResult:
         """Per-query range results ``distance <= ε`` (Equation 1 batch).
@@ -469,22 +488,6 @@ class QuerySet:
         check_verb_kind("range", self._require_technique())
         eps = _epsilon_vector(epsilon, len(self._queries))
         return self._session.backend.range(self, eps)
-
-    def _local_range(self, eps: np.ndarray) -> RangeResult:
-        """The in-process range execution (post-validation)."""
-        values, elapsed, stats = self._run_matrix("distance", eps)
-        return RangeResult(
-            technique_name=self._technique.name,
-            kind="distance",
-            matches=tuple(
-                match_sets(values, "distance", eps, self._positions)
-            ),
-            epsilons=eps,
-            tau=None,
-            query_positions=self._positions.copy(),
-            elapsed_seconds=elapsed,
-            pruning_stats=stats,
-        )
 
     def prob_range(self, epsilon, tau: float) -> RangeResult:
         """Per-query probabilistic range results ``Pr(distance <= ε) >= τ``
@@ -507,24 +510,6 @@ class QuerySet:
             )
         eps = _epsilon_vector(epsilon, len(self._queries))
         return self._session.backend.prob_range(self, eps, float(tau))
-
-    def _local_prob_range(self, eps: np.ndarray, tau: float) -> RangeResult:
-        """The in-process probabilistic-range execution (post-validation)."""
-        values, elapsed, stats = self._run_matrix(
-            "probability", eps, tau=float(tau)
-        )
-        return RangeResult(
-            technique_name=self._technique.name,
-            kind="probabilistic",
-            matches=tuple(
-                match_sets(values, "probability", tau, self._positions)
-            ),
-            epsilons=eps,
-            tau=float(tau),
-            query_positions=self._positions.copy(),
-            elapsed_seconds=elapsed,
-            pruning_stats=stats,
-        )
 
     def explain(self, k=None, epsilon=None, tau=None) -> PruningStats:
         """Execute one workload and report the plan that ran.
@@ -565,25 +550,6 @@ class QuerySet:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _local_profile_matrix(
-        self, eps: Optional[np.ndarray], tau=None
-    ) -> MatrixResult:
-        """The in-process matrix execution (post-validation)."""
-        if eps is None:
-            values, elapsed, stats = self._run_matrix("distance")
-            return self._matrix_result("distance", values, elapsed, stats)
-        values, elapsed, stats = self._run_matrix(
-            "probability", eps, tau=tau
-        )
-        return self._matrix_result(
-            "probability", values, elapsed, stats, eps
-        )
-
-    def _local_calibration_matrix(self) -> MatrixResult:
-        """The in-process calibration execution (post-validation)."""
-        values, elapsed, stats = self._run_matrix("calibration")
-        return self._matrix_result("calibration", values, elapsed, stats)
-
     def _require_technique(self) -> Technique:
         if self._technique is None:
             raise InvalidParameterError(
@@ -591,53 +557,80 @@ class QuerySet:
             )
         return self._technique
 
-    def _run_matrix(self, kind: str, epsilon=None, tau=None, knn_k=None):
-        """One timed ``(M, N)`` execution of the technique's query plan.
-
-        Returns ``(values, elapsed, pruning_stats)``; ``tau`` forwards
-        the decision threshold so adaptive Monte Carlo stages can stop
-        early, ``knn_k`` marks a top-k decision workload for the index
-        stage.
-        """
-        technique = self._require_technique()
-        started = time.perf_counter()
-        values, stats = technique.matrix_with_stats(
-            kind,
-            self._queries,
-            self._session.collection,
-            epsilon=epsilon,
-            tau=tau,
-            knn_k=knn_k,
-            exclude=self._positions if knn_k is not None else None,
-            policy=self.policy,
-            engine=self._session.engine,
-        )
-        elapsed = time.perf_counter() - started
-        return np.asarray(values, dtype=np.float64), elapsed, stats
-
-    def _matrix_result(
-        self,
-        kind: str,
-        values: np.ndarray,
-        elapsed: float,
-        stats: Optional[PruningStats] = None,
-        epsilons: Optional[np.ndarray] = None,
-    ) -> MatrixResult:
-        return MatrixResult(
-            technique_name=self._require_technique().name,
-            kind=kind,
-            values=values,
-            query_positions=self._positions.copy(),
-            elapsed_seconds=elapsed,
-            epsilons=epsilons,
-            pruning_stats=stats,
-        )
-
     def __repr__(self) -> str:
         bound = (
             self._technique.name if self._technique is not None else "<none>"
         )
         return f"QuerySet(n_queries={len(self)}, technique={bound})"
+
+
+def execute_query(
+    session: "SimilaritySession",
+    technique: Technique,
+    op: str,
+    queries: Sequence,
+    positions: np.ndarray,
+    *,
+    k: Optional[int] = None,
+    epsilon: Optional[np.ndarray] = None,
+    tau: Optional[float] = None,
+    policy: Optional[PlanPolicy] = None,
+    col_offset: int = 0,
+) -> Union[KnnResult, RangeResult]:
+    """Run one validated ``knn``, ``range`` or ``prob_range`` as one plan.
+
+    The one query executor: an in-process session runs it over its whole
+    collection, and a daemon once per request over the column slice
+    ``[col_offset, col_offset + width)`` its ``session`` holds.
+    ``positions`` are the query rows' **global** collection positions
+    (``-1`` for a non-member); the verb takes ``k``, an ``(M,)`` ε
+    vector, or ε and ``tau``.  Returns, in global indices, a
+    :class:`KnnResult` — each row's top-``k`` of the slice ranked by
+    :func:`~repro.queries.knn.local_topk_rows`, padded with ``-1`` /
+    ``+inf`` where the slice is narrower than ``k`` — or a
+    :class:`RangeResult` of ascending match sets.  ``elapsed_seconds``
+    covers the plan and the ranking or match-set step.
+    """
+    width = len(session.collection)
+    local = np.where(
+        (positions >= col_offset) & (positions < col_offset + width),
+        positions - col_offset,
+        -1,
+    ).astype(np.intp)
+    kind = "probability" if op == "prob_range" else "distance"
+    started = time.perf_counter()
+    values, stats = technique.matrix_with_stats(
+        kind,
+        queries,
+        session.collection,
+        epsilon=epsilon,
+        tau=tau,
+        knn_k=k,
+        exclude=None if k is None else local,
+        policy=policy,
+        engine=session.engine,
+    )
+    if k is not None:
+        indices, scores = local_topk_rows(values, k, local, col_offset)
+        return KnnResult(
+            technique_name=technique.name,
+            indices=indices,
+            scores=scores,
+            query_positions=positions,
+            elapsed_seconds=time.perf_counter() - started,
+            pruning_stats=stats,
+        )
+    found = match_sets(values, kind, epsilon if tau is None else tau, local)
+    return RangeResult(
+        technique_name=technique.name,
+        kind="probabilistic" if op == "prob_range" else "distance",
+        matches=tuple(rows + col_offset for rows in found),
+        epsilons=epsilon,
+        tau=tau,
+        query_positions=positions,
+        elapsed_seconds=time.perf_counter() - started,
+        pruning_stats=stats,
+    )
 
 
 class SimilarityBackend(abc.ABC):
@@ -696,31 +689,69 @@ class SimilarityBackend(abc.ABC):
 
 
 class InProcessBackend(SimilarityBackend):
-    """Execute verbs through the session's own engine and kernels.
+    """Execute verbs in this process, on the session's engine.
 
-    The zero-indirection default: every verb calls straight back into
-    the query set's local execution path, preserving the pre-backend
-    behavior (and performance) of :class:`SimilaritySession` exactly.
+    The three query verbs run :func:`execute_query` over the whole
+    collection — the executor a daemon runs for every request — and the
+    two matrix verbs run the plan once and return its whole matrix.
     """
 
+    @staticmethod
+    def _execute(query_set: QuerySet, op: str, **arguments):
+        return execute_query(
+            query_set.session,
+            query_set.technique,
+            op,
+            query_set._queries,
+            query_set.query_positions,
+            policy=query_set.policy,
+            **arguments,
+        )
+
+    @staticmethod
+    def _matrix(query_set: QuerySet, kind: str, epsilon=None, tau=None):
+        """One timed run of the plan, its ``(M, N)`` scores returned whole."""
+        technique, session = query_set.technique, query_set.session
+        started = time.perf_counter()
+        values, stats = technique.matrix_with_stats(
+            kind,
+            query_set._queries,
+            session.collection,
+            epsilon=epsilon,
+            tau=tau,
+            policy=query_set.policy,
+            engine=session.engine,
+        )
+        return MatrixResult(
+            technique_name=technique.name,
+            kind=kind,
+            values=values,
+            query_positions=query_set.query_positions,
+            elapsed_seconds=time.perf_counter() - started,
+            epsilons=epsilon,
+            pruning_stats=stats,
+        )
+
     def knn(self, query_set: QuerySet, k: int) -> KnnResult:
-        return query_set._local_knn(k)
+        return self._execute(query_set, "knn", k=k)
 
     def range(self, query_set: QuerySet, eps: np.ndarray) -> RangeResult:
-        return query_set._local_range(eps)
+        return self._execute(query_set, "range", epsilon=eps)
 
     def prob_range(
         self, query_set: QuerySet, eps: np.ndarray, tau: float
     ) -> RangeResult:
-        return query_set._local_prob_range(eps, tau)
+        return self._execute(query_set, "prob_range", epsilon=eps, tau=tau)
 
     def profile_matrix(
         self, query_set: QuerySet, eps: Optional[np.ndarray], tau=None
     ) -> MatrixResult:
-        return query_set._local_profile_matrix(eps, tau=tau)
+        if eps is None:
+            return self._matrix(query_set, "distance")
+        return self._matrix(query_set, "probability", eps, tau)
 
     def calibration_matrix(self, query_set: QuerySet) -> MatrixResult:
-        return query_set._local_calibration_matrix()
+        return self._matrix(query_set, "calibration")
 
     def __repr__(self) -> str:
         return "InProcessBackend()"
@@ -746,10 +777,10 @@ class SimilaritySession:
         ``PlanPolicy()``).  The session is the one place it is set.
 
     Every verb runs the technique's ``(M, N)`` query plan in this
-    process, passing the session's engine to
-    :meth:`~repro.queries.techniques.Technique.matrix_with_stats`; the
-    technique itself is never modified, so one instance may serve many
-    sessions and threads at once.  Sharding across processes is the
+    process on the session's engine (``knn``, ``range`` and
+    ``prob_range`` through :func:`execute_query`); the technique itself
+    is never modified, so one instance may serve many sessions and
+    threads at once.  Sharding across processes is the
     service cluster's job (:func:`repro.api.connect` on a catalog with a
     shard map).
     """
@@ -767,13 +798,9 @@ class SimilaritySession:
             raise InvalidParameterError(
                 "a similarity session needs a non-empty collection"
             )
-        if policy is not None and not isinstance(policy, PlanPolicy):
-            raise InvalidParameterError(
-                f"policy must be a PlanPolicy, got {type(policy).__name__}"
-            )
         self._collection = collection
         self._engine = engine if engine is not None else SHARED_ENGINE
-        self._policy = policy
+        self._policy = check_policy(policy)
         self._backend = InProcessBackend()
         self._closed = False
         self._engine.materialize(collection)
@@ -829,40 +856,25 @@ class SimilaritySession:
         ``queries`` may be ``None`` (every collection series — the full
         protocol), a sequence of integer indices into the collection, or a
         sequence of series objects (members are recognized by identity so
-        their self-matches are excluded from result sets and rankings).
+        their self-matches are excluded from result sets and rankings;
+        the collection's materialization keeps the identity map).
         """
+        n_series = len(self._collection)
         if queries is None:
-            positions = np.arange(len(self._collection), dtype=np.intp)
+            positions = np.arange(n_series, dtype=np.intp)
             return QuerySet(self, self._collection, positions)
-        items = list(queries)
-        if not items:
-            raise InvalidParameterError(
-                "a query set must contain at least one query"
-            )
-        if all(isinstance(item, (int, np.integer)) for item in items):
-            positions = np.asarray(items, dtype=np.intp)
-            n_series = len(self._collection)
-            if np.any(positions < 0) or np.any(positions >= n_series):
-                raise InvalidParameterError(
-                    f"query indices must be within [0, {n_series - 1}]"
-                )
-            if positions.size == n_series and np.array_equal(
-                positions, np.arange(n_series)
-            ):
-                # The full protocol by index: share the collection-side
-                # materialization instead of building a duplicate stack.
-                return QuerySet(self, self._collection, positions)
-            selected = [self._collection[int(i)] for i in positions]
-            return QuerySet(self, selected, positions)
-        membership = {
-            id(item): index for index, item in enumerate(self._collection)
-        }
-        positions = np.fromiter(
-            (membership.get(id(item), -1) for item in items),
-            dtype=np.intp,
-            count=len(items),
-        )
-        return QuerySet(self, items, positions)
+        items, positions = checked_selection(queries, n_series)
+        if positions is None:
+            members = self.materialization().member_positions(items)
+            return QuerySet(self, items, members)
+        if positions.size == n_series and np.array_equal(
+            positions, np.arange(n_series)
+        ):
+            # The full protocol by index: share the collection-side
+            # materialization instead of building a duplicate stack.
+            return QuerySet(self, self._collection, positions)
+        selected = [self._collection[int(i)] for i in positions]
+        return QuerySet(self, selected, positions)
 
     def materialization(self):
         """The collection's :class:`CollectionMaterialization` (pinned)."""

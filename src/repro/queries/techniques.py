@@ -81,7 +81,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import MATRIX_BLOCK_ELEMENTS
+from ..core import MATRIX_BLOCK_ELEMENTS, normalize_tau
 from ..core.errors import InvalidParameterError, UnsupportedQueryError
 from ..core.summaries import (
     DEFAULT_SEGMENTS,
@@ -128,7 +128,6 @@ from .planner import (
     RefineStage,
     adaptive_mc_schedule,
     effective_index_enabled,
-    normalize_tau,
     sequential_mc_verdict,
 )
 

@@ -10,10 +10,12 @@ field), so re-sharding never moves data — only the shard map in the
 kNN / range / prob-range request to every shard over the versioned JSON
 protocol, then merges the replies with the global stable-by-index rule
 of :func:`~repro.queries.knn.merge_knn_rows`, so a 4-shard cluster
-answers bit-identically to a single process.  This is the system's one
-sharding path: an in-process session always runs the whole ``(M, N)``
-workload in its own process.  Each shard is asked exactly once per
-request.  Robustness:
+answers bit-identically to a single process: every shard answers its
+slice through :func:`~repro.queries.session.execute_query`, the
+executor an in-process session runs over the whole collection.  This
+is the system's one sharding path: an in-process session always runs
+the whole ``(M, N)`` workload in its own process.  Each shard is asked
+exactly once per request.  Robustness:
 
 * **one immediate retry** — an attempt that fails in transport (refused
   connection, reset, EOF, socket timeout) is retried once, at once, on
@@ -60,6 +62,8 @@ from ..queries.session import (
     QuerySet,
     RangeResult,
     SimilarityBackend,
+    check_policy,
+    checked_selection,
 )
 from .catalog import ServiceCatalog, ShardEntry
 from .client import Channel, ServiceClient, ServiceError
@@ -546,14 +550,10 @@ class RemoteSession:
         n_series: int,
         policy: Optional[PlanPolicy] = None,
     ) -> None:
-        if policy is not None and not isinstance(policy, PlanPolicy):
-            raise InvalidParameterError(
-                f"policy must be a PlanPolicy, got {type(policy).__name__}"
-            )
         self._coordinator = coordinator
         self._collection_name = collection_name
         self._n_series = int(n_series)
-        self._policy = policy
+        self._policy = check_policy(policy)
         self._closed = False
 
     @property
@@ -585,20 +585,8 @@ class RemoteSession:
         if queries is None:
             positions = np.arange(self._n_series, dtype=np.intp)
             return QuerySet(self, range(self._n_series), positions)
-        items = list(queries)
-        if not items:
-            raise InvalidParameterError(
-                "a query set must contain at least one query"
-            )
-        if all(isinstance(item, (int, np.integer)) for item in items):
-            positions = np.asarray(items, dtype=np.intp)
-            if np.any(positions < 0) or np.any(
-                positions >= self._n_series
-            ):
-                raise InvalidParameterError(
-                    f"query indices must be within [0, "
-                    f"{self._n_series - 1}]"
-                )
+        items, positions = checked_selection(queries, self._n_series)
+        if positions is not None:
             return QuerySet(
                 self,
                 items,

@@ -5,8 +5,9 @@ plus warmed :class:`~repro.queries.session.SimilaritySession` objects, so
 clients pay the kernel — never collection load, materialization warmup
 or index adoption.  The event loop only parses, validates and routes:
 each query request builds its own technique from its spec and becomes
-exactly one planner execution (:func:`execute_query`) in a thread pool
-(`numpy` releases the GIL inside the GEMM/DP kernels).  A technique
+exactly one call of :func:`~repro.queries.session.execute_query` — the
+executor an in-process session runs — in a thread pool (`numpy`
+releases the GIL inside the GEMM/DP kernels).  A technique
 holds parameters only, so any requests — same technique or not — run
 side by side on the pool; their warm state lives in the session's
 engine (materialized matrices, filtered stacks, summaries) and in the
@@ -47,12 +48,14 @@ from ..core.errors import InvalidParameterError, ReproError
 from ..core.mmapio import MappedCollection
 from ..core.series import TimeSeries
 from ..queries.engine import QueryEngine
-from ..queries.knn import check_knn_k, local_topk_rows
-from ..queries.planner import PlanPolicy, PruningStats
+from ..queries.knn import check_knn_k
+from ..queries.planner import PlanPolicy
 from ..queries.session import (
+    KnnResult,
+    RangeResult,
     SimilaritySession,
     check_verb_kind,
-    match_sets,
+    execute_query,
 )
 from ..queries.techniques import (
     EuclideanTechnique,
@@ -80,78 +83,30 @@ from .protocol import (
 DRAIN_TIMEOUT = 30.0
 
 
-def execute_query(
-    session: SimilaritySession,
-    technique: Technique,
-    op: str,
-    items: Sequence,
-    positions: np.ndarray,
-    params: Dict[str, Any],
-    col_offset: int = 0,
-) -> Tuple[Dict[str, Any], Optional[PruningStats]]:
-    """Run one query request as one plan on a column-slice session.
+def _wire_result(result: Union[KnnResult, RangeResult]) -> Dict[str, Any]:
+    """The reply's ``result`` payload of an executed query.
 
-    ``session`` holds the collection columns ``[col_offset, col_offset +
-    width)`` — the whole collection is the slice ``[0, N)``.  ``items``
-    are the query series and ``positions`` their **global** collection
-    positions (``-1`` for raw-value rows).  ``params`` are the request's
-    validated params: ``k``, or ``epsilon`` (and ``tau``), and an
-    optional parsed :class:`~repro.queries.planner.PlanPolicy` under
-    ``"policy"``.  The technique's plan runs on the session's engine
-    (:meth:`~repro.queries.techniques.Technique.matrix_with_stats`).
-    Returns the reply's ``result`` payload, in global indices, and the
-    plan's pruning statistics:
-
-    * **knn** — each row's top-``k`` of the slice, ranked by
-      :func:`~repro.queries.knn.local_topk_rows`.  A slice narrower than
-      ``k`` gives ragged rows (the ``-1`` / ``+inf`` padding never
-      reaches the wire); a coordinator merging slice replies with
-      :func:`~repro.queries.knn.merge_knn_rows` reproduces the
-      whole-collection answer bit for bit;
-    * **range** / **prob_range** — match sets offset back to global
-      indices (ascending, so shard-ordered concatenation stays sorted),
-      with the ε vector and τ echoed.
+    kNN rows drop the ``-1`` / ``+inf`` padding of a slice narrower than
+    ``k``, so a sliced reply is ragged; range replies echo the ε vector,
+    and prob-range replies τ as well.
     """
-    width = len(session.collection)
-    local = np.where(
-        (positions >= col_offset) & (positions < col_offset + width),
-        positions - col_offset,
-        -1,
-    ).astype(np.intp)
-    kind = "probability" if op == "prob_range" else "distance"
-    k = eps = tau = None
-    if op == "knn":
-        k = int(params["k"])
-    else:
-        eps = _epsilon_vector(params["epsilon"], len(items))
-    if op == "prob_range":
-        tau = float(params["tau"])
-    values, stats = technique.matrix_with_stats(
-        kind,
-        items,
-        session.collection,
-        epsilon=eps,
-        tau=tau,
-        knn_k=k,
-        exclude=None if k is None else local,
-        policy=params.get("policy"),
-        engine=session.engine,
-    )
-    if k is not None:
-        indices, scores = local_topk_rows(values, k, local, col_offset)
-        real = indices >= 0
+    if isinstance(result, KnnResult):
+        real = result.indices >= 0
         return {
-            "indices": [row[keep].tolist() for row, keep in zip(indices, real)],
-            "scores": [row[keep].tolist() for row, keep in zip(scores, real)],
-        }, stats
-    found = match_sets(values, kind, eps if tau is None else tau, local)
+            "indices": [
+                row[keep].tolist() for row, keep in zip(result.indices, real)
+            ],
+            "scores": [
+                row[keep].tolist() for row, keep in zip(result.scores, real)
+            ],
+        }
     payload: Dict[str, Any] = {
-        "matches": [(rows + col_offset).tolist() for rows in found],
-        "epsilons": eps.tolist(),
+        "matches": [found.tolist() for found in result.matches],
+        "epsilons": result.epsilons.tolist(),
     }
-    if tau is not None:
-        payload["tau"] = tau
-    return payload, stats
+    if result.tau is not None:
+        payload["tau"] = result.tau
+    return payload
 
 
 class SimilarityDaemon:
@@ -397,37 +352,49 @@ class SimilarityDaemon:
         request still names its query rows by global index (the cluster
         coordinator scatters one query set to every shard), so items
         resolve off the full mmap even when the kernel only scores a
-        slice.
+        slice.  Each index must be an integer within the collection, and
+        each value row (a flat list is one row) one finite number per
+        timestamp of the collection's series, both through
+        :func:`~repro.service.protocol.wire_number`.
         """
         spec = request.queries
         if spec is None:
             return collection, np.arange(len(collection), dtype=np.intp)
         if "indices" in spec:
-            indices = np.asarray(spec["indices"], dtype=np.intp)
-            if indices.ndim != 1 or indices.size == 0:
+            indices = spec["indices"]
+            if not isinstance(indices, list) or not indices:
                 raise ProtocolError(
                     "'queries.indices' must be a non-empty flat list"
                 )
             n_series = len(collection)
-            if np.any(indices < 0) or np.any(indices >= n_series):
-                raise ProtocolError(
-                    f"query indices must be within [0, {n_series - 1}]"
-                )
-            return [collection[int(i)] for i in indices], indices
-        values = np.asarray(spec["values"], dtype=np.float64)
-        if values.ndim == 1:
-            values = values[None, :]
-        if values.ndim != 2:
-            raise ProtocolError(
-                f"'queries.values' must be a (M, n) list of rows, got "
-                f"shape {values.shape}"
-            )
+            for index in indices:
+                value = wire_number(index, "queries.indices", integer=True)
+                if not 0 <= value < n_series:
+                    raise ProtocolError(
+                        f"query indices must be within [0, {n_series - 1}]"
+                    )
+            positions = np.asarray(indices, dtype=np.intp)
+            return [collection[int(i)] for i in positions], positions
         if getattr(collection, "kind", "exact") != "exact":
             raise ProtocolError(
                 "raw-value queries are only supported against exact-kind "
                 "collections; query by 'indices' instead"
             )
-        items = [TimeSeries(row) for row in values]
+        rows = spec["values"]
+        if isinstance(rows, list) and rows and not isinstance(rows[0], list):
+            rows = [rows]
+        length = collection.series_length
+        if not isinstance(rows, list) or not rows or any(
+            not isinstance(row, list) or len(row) != length for row in rows
+        ):
+            raise ProtocolError(
+                f"'queries.values' must be a non-empty list of rows of "
+                f"{length} numbers, the collection's series length"
+            )
+        for row in rows:
+            for value in row:
+                wire_number(value, "queries.values")
+        items = [TimeSeries(row) for row in np.asarray(rows, dtype=np.float64)]
         return items, np.full(len(items), -1, dtype=np.intp)
 
     def _validate_params(
@@ -438,7 +405,9 @@ class SimilarityDaemon:
         n_series: int,
     ) -> Dict[str, Any]:
         """The request's params, checked against its query rows, the
-        full collection and its technique before anything executes.
+        full collection and its technique before anything executes, as
+        :func:`~repro.queries.session.execute_query`'s keywords: ``k``,
+        or the parsed ε vector (and ``tau``), plus ``policy``.
 
         ``k`` is bounded by the whole collection's eligible candidates
         even for a column-sliced request: a slice narrower than ``k``
@@ -448,7 +417,8 @@ class SimilarityDaemon:
         suit the technique's kind (``knn`` and ``range`` need a distance
         technique, ``prob_range`` a probabilistic one).
         """
-        params = dict(request.params)
+        params = request.params
+        arguments: Dict[str, Any] = {}
         if request.op == "knn":
             k = wire_number(params.get("k"), "params.k", integer=True)
             if k < 1:
@@ -456,7 +426,8 @@ class SimilarityDaemon:
                     f"knn requires integer params.k >= 1, got {k!r}"
                 )
             check_knn_k(k, n_series, positions)
-        elif request.op in ("range", "prob_range"):
+            arguments["k"] = k
+        else:
             if "epsilon" not in params:
                 raise ProtocolError(
                     f"{request.op} requires params.epsilon"
@@ -465,7 +436,9 @@ class SimilarityDaemon:
             for value in epsilon if isinstance(epsilon, list) else [epsilon]:
                 wire_number(value, "params.epsilon")
             try:
-                _epsilon_vector(epsilon, len(positions))
+                arguments["epsilon"] = _epsilon_vector(
+                    epsilon, len(positions)
+                )
             except InvalidParameterError as error:
                 raise ProtocolError(
                     f"invalid params.epsilon: {error}"
@@ -477,6 +450,7 @@ class SimilarityDaemon:
                         f"prob_range requires params.tau in [0, 1], "
                         f"got {tau!r}"
                     )
+                arguments["tau"] = float(tau)
         policy = params.get("policy")
         if policy is not None:
             if not isinstance(policy, dict):
@@ -485,13 +459,13 @@ class SimilarityDaemon:
                     f"got {type(policy).__name__}"
                 )
             try:
-                params["policy"] = PlanPolicy.from_wire(policy)
+                arguments["policy"] = PlanPolicy.from_wire(policy)
             except InvalidParameterError as error:
                 raise ProtocolError(
                     f"invalid params.policy: {error}"
                 ) from error
         check_verb_kind(request.op, technique)
-        return params
+        return arguments
 
     async def _execute_query(self, request: Request) -> Dict[str, Any]:
         """One request, one planner execution in the thread pool."""
@@ -501,24 +475,29 @@ class SimilarityDaemon:
         mapped = self._collection_map(request.collection)
         items, positions = self._resolve_queries(request, mapped)
         technique = build_technique(request.technique)
-        params = self._validate_params(
+        arguments = self._validate_params(
             request, technique, positions, len(mapped)
         )
         col_offset = request.candidates[0] if request.candidates else 0
 
-        def run() -> Tuple[Dict[str, Any], Optional[Dict[str, Any]], float]:
-            started = time.perf_counter()
-            payload, stats = execute_query(
+        def run() -> Dict[str, Any]:
+            # Called through this module's global, which a wrapper may
+            # replace to hold or observe executions.
+            result = execute_query(
                 session,
                 technique,
                 request.op,
                 items,
                 positions,
-                params,
-                col_offset,
+                col_offset=col_offset,
+                **arguments,
             )
-            elapsed = time.perf_counter() - started
-            return payload, stats_payload(stats), elapsed
+            return ok_response(
+                request.request_id,
+                _wire_result(result),
+                stats=stats_payload(result.pruning_stats),
+                elapsed_ms=result.elapsed_seconds * 1e3,
+            )
 
         execution = asyncio.get_running_loop().run_in_executor(
             self._pool, run
@@ -530,13 +509,7 @@ class SimilarityDaemon:
             if request.timeout is not None
             else self.default_timeout
         )
-        payload, stats, elapsed = await asyncio.wait_for(execution, timeout)
-        return ok_response(
-            request.request_id,
-            payload,
-            stats=stats,
-            elapsed_ms=elapsed * 1e3,
-        )
+        return await asyncio.wait_for(execution, timeout)
 
     # -- control ops --------------------------------------------------------
 

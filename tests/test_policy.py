@@ -25,7 +25,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import TimeSeries, spawn
+from repro.core import TimeSeries, normalize_tau, spawn
 from repro.core.errors import InvalidParameterError
 from repro.datasets import generate_dataset
 from repro.munich import Munich
@@ -41,7 +41,6 @@ from repro.queries.planner import (
     PruningStats,
     effective_index_enabled,
     get_default_policy,
-    normalize_tau,
     sequential_mc_grid_decision,
 )
 from shard_blocks import sharded_knn

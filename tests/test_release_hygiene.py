@@ -3,7 +3,10 @@ docs reference artifacts that actually exist."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+import importlib.util
+import inspect
 import os
 import pkgutil
 import re
@@ -22,6 +25,51 @@ SUBPACKAGES = sorted(
     for info in pkgutil.iter_modules(repro.__path__)
     if info.ispkg
 )
+
+
+#: Each top-level package's layer.  A module may import from its own
+#: layer and the layers below it, never from a higher one.
+LAYER_RANKS = {
+    "core": 0,
+    "distributions": 1,
+    "stats": 1,
+    "datasets": 1,
+    "distances": 2,
+    "perturbation": 2,
+    "dust": 3,
+    "proud": 3,
+    "munich": 3,
+    "queries": 4,
+    "evaluation": 5,
+    "service": 5,
+    "experiments": 6,
+    "cli": 7,
+    "api": 7,
+}
+
+#: The sanctioned upward imports (DESIGN.md, "Layering"): the error
+#: model holds distribution values, and the mmap manifest codec
+#: (de)serializes them.
+UPWARD_IMPORTS = {
+    ("repro.core.mmapio", "distributions"),
+    ("repro.core.uncertain", "distributions"),
+}
+
+#: ``benchmarks/e2e/tracing.py`` targets that name code the library has
+#: deleted or renamed.  The tracer skips a target that does not resolve,
+#: so its per-layer metric silently reads 0; ROADMAP item 6 drops these
+#: eight.  Any other target that stops resolving is a refactor dropping
+#: a name the benchmark's per-layer metrics hang on.
+STALE_TRACER_TARGETS = {
+    ("repro.service.cluster", None, "encode_message"),
+    ("repro.service.cluster", None, "decode_message"),
+    ("repro.service.daemon", None, "execute_batch"),
+    ("repro.service.daemon", None, "execute_shard_batch"),
+    ("repro.queries.session", None, "sparse_knn_table"),
+    ("repro.service.batching", None, "local_topk_rows"),
+    ("repro.queries.techniques", None, "plan_for_workload"),
+    ("repro.queries.techniques", None, "banded_dtw_from_costs"),
+}
 
 
 def _walk_modules():
@@ -116,6 +164,80 @@ class TestPytestConfig:
         assert "Falsifying example" in output, output
         assert "INTERNALERROR" not in output, output
         assert "2 failed" in output, output
+
+
+def _repro_imports():
+    """``(module, imported package)`` for every import of a ``repro``
+    module by a module below the root package, deferred imports
+    included."""
+    source_root = os.path.dirname(repro.__file__)
+    for directory, _, files in os.walk(source_root):
+        for file_name in files:
+            if not file_name.endswith(".py"):
+                continue
+            path = os.path.join(directory, file_name)
+            module_path = os.path.relpath(path, source_root)[:-3]
+            dotted = ["repro"] + module_path.split(os.sep)
+            is_package = dotted[-1] == "__init__"
+            parts = dotted[:-1] if is_package else dotted
+            if len(parts) < 2:
+                continue
+            package = parts if is_package else parts[:-1]
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name.split(".") for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    level = node.level
+                    base = package[: len(package) + 1 - level] if level else []
+                    if node.module:
+                        base = base + node.module.split(".")
+                    # ``from repro import x`` imports the package x.
+                    targets = [base + [alias.name] for alias in node.names]
+                else:
+                    continue
+                for target in targets:
+                    if target[0] == "repro" and len(target) > 1:
+                        yield ".".join(parts), target[1]
+
+
+class TestLayering:
+    def test_every_package_has_a_layer(self):
+        assert set(SUBPACKAGES) | {"cli", "api"} == set(LAYER_RANKS)
+
+    def test_no_module_imports_a_higher_layer(self):
+        upward = sorted(
+            f"{module} -> repro.{package}"
+            for module, package in _repro_imports()
+            if LAYER_RANKS[package] > LAYER_RANKS[module.split(".")[1]]
+            and (module, package) not in UPWARD_IMPORTS
+        )
+        assert upward == []
+
+
+class TestTracerTargets:
+    def test_unresolved_targets_are_the_known_stale_ones(self):
+        """Loads the e2e tracer as it is and resolves its targets the
+        way its ``install`` does."""
+        path = os.path.join(REPO_ROOT, "benchmarks", "e2e", "tracing.py")
+        spec = importlib.util.spec_from_file_location("e2e_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        resolved, unresolved = 0, set()
+        for module_name, class_name, attribute, *_ in tracing._targets():
+            try:
+                owner = importlib.import_module(module_name)
+            except ImportError:
+                owner = None
+            if owner is not None and class_name is not None:
+                owner = getattr(owner, class_name, None)
+            if inspect.getattr_static(owner, attribute, None) is None:
+                unresolved.add((module_name, class_name, attribute))
+            else:
+                resolved += 1
+        assert unresolved == STALE_TRACER_TARGETS
+        assert resolved == 31
 
 
 class TestDocsConsistency:

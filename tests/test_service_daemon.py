@@ -519,13 +519,70 @@ class TestStructuredErrors:
                 {"op": "range", "params": {"epsilon": [1.0, 2.0]}},
                 id="epsilon-shape",
             ),
+            pytest.param(
+                "queries.indices",
+                {"queries": {"indices": [1.5]}},
+                id="index-fraction",
+            ),
+            pytest.param(
+                "queries.indices",
+                {"queries": {"indices": [True]}},
+                id="index-bool",
+            ),
+            pytest.param(
+                "queries.indices",
+                {"queries": {"indices": ["1"]}},
+                id="index-str",
+            ),
+            pytest.param(
+                "queries.values",
+                {
+                    "collection": "exact",
+                    "queries": {
+                        "values": [[0.0] * LENGTH, [0.0] * (LENGTH - 1)]
+                    },
+                },
+                id="values-ragged",
+            ),
+            pytest.param(
+                "queries.values",
+                {"collection": "exact", "queries": {"values": "abc"}},
+                id="values-str",
+            ),
+            pytest.param(
+                "queries.values",
+                {"collection": "exact", "queries": {"values": [[True] * LENGTH]}},
+                id="values-bool-row",
+            ),
+            pytest.param(
+                "queries.values",
+                {"collection": "exact", "queries": {"values": [["0"] * LENGTH]}},
+                id="values-str-row",
+            ),
+            pytest.param(
+                "queries.values",
+                {
+                    "collection": "exact",
+                    "queries": {"values": [[0.0] * (LENGTH - 1)]},
+                },
+                id="values-row-short",
+            ),
+            pytest.param(
+                "queries.values",
+                {
+                    "collection": "exact",
+                    "queries": {"values": [0.0] * (LENGTH - 1)},
+                },
+                id="values-flat-row-short",
+            ),
         ],
     )
     def test_wire_fields_are_validated_not_coerced(
         self, harness, field, overrides
     ):
-        """Each field must be a finite JSON number of the right kind;
-        anything else is a ``ProtocolError`` naming the field."""
+        """Each field must be a finite JSON number of the right kind —
+        and each value row as long as the collection's series; anything
+        else is a ``ProtocolError`` naming the field."""
         request = {
             "v": PROTOCOL_VERSION,
             "id": "x",
@@ -582,9 +639,9 @@ class TestOpTechniqueKind:
         executed = []
         original = daemon_module.execute_query
 
-        def execute(*args):
+        def execute(*args, **kwargs):
             executed.append(args[2])
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(daemon_module, "execute_query", execute)
         with harness.client(timeout=30.0) as client:
@@ -767,11 +824,13 @@ class TestSameSpecConcurrency:
         release = threading.Event()
         original = daemon_module.execute_query
 
-        def execute(session, technique, op, items, positions, *args):
+        def execute(session, technique, op, items, positions, *args, **kwargs):
             if positions.tolist() == [0]:
                 held.set()
                 release.wait(timeout=60.0)
-            return original(session, technique, op, items, positions, *args)
+            return original(
+                session, technique, op, items, positions, *args, **kwargs
+            )
 
         monkeypatch.setattr(daemon_module, "execute_query", execute)
         request = {
@@ -818,11 +877,11 @@ class TestSameSpecConcurrency:
         threads_seen: set = set()
         original = daemon_module.execute_query
 
-        def execute(*args):
+        def execute(*args, **kwargs):
             threads_seen.add(threading.current_thread().name)
             if next(calls) < 2:
                 overlap.wait()
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(daemon_module, "execute_query", execute)
         uma = {"name": "uma", "params": {"window": 2}}

@@ -1,14 +1,15 @@
 """One request, one execution: ``execute_query`` answers like a session.
 
-The daemon runs each query request as exactly one planner execution
-(:func:`~repro.service.daemon.execute_query`) against a column-slice
-session — the whole collection is the slice ``[0, N)``.  Its reply
-payload must equal the in-process :class:`SimilaritySession` answer
-for every servable technique family (Euclidean, MA/EMA filters, DUST,
-PROUD, MUNICH, DUST-DTW, MUNICH-DTW) and every verb: bit-identical kNN
-indices, scores within 1e-9, identical match sets and the same ε / τ
-echoes.  A slice with ``col_offset > 0`` answers the in-process answer
-restricted to its columns, in global indices.
+The daemon runs each query request as exactly one call of the query
+executor (:func:`~repro.queries.session.execute_query`) against a
+column-slice session — the whole collection is the slice ``[0, N)`` —
+and turns its result into the reply payload.  That payload must equal
+the in-process :class:`SimilaritySession` answer for every servable
+technique family (Euclidean, MA/EMA filters, DUST, PROUD, MUNICH,
+DUST-DTW, MUNICH-DTW) and every verb: bit-identical kNN indices, scores
+within 1e-9, identical match sets and the same ε / τ echoes.  A slice
+with ``col_offset > 0`` answers the in-process answer restricted to its
+columns, in global indices.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from repro.core import spawn
 from repro.datasets import generate_dataset
 from repro.perturbation import ConstantScenario
 from repro.queries import SimilaritySession, knn_table
-from repro.service.daemon import execute_query
+from repro.queries.session import execute_query
+from repro.queries.techniques import _epsilon_vector
+from repro.service.daemon import _wire_result
 from repro.service.protocol import build_technique
 
 SEED = 515
@@ -93,22 +96,38 @@ def multisample(exact):
     ]
 
 
-def _execute(collection, spec, op, params, window):
-    """One request through ``execute_query``, as the daemon runs it."""
+def _run(collection, spec, op, params, window):
+    """One request's ``execute_query`` result, as the daemon runs it:
+    ``params`` are the wire params the daemon validates into keywords."""
     start, stop = window or (0, len(collection))
+    arguments = {}
+    if "k" in params:
+        arguments["k"] = params["k"]
+    if "epsilon" in params:
+        arguments["epsilon"] = _epsilon_vector(
+            params["epsilon"], len(QUERY_ROWS)
+        )
+    if "tau" in params:
+        arguments["tau"] = float(params["tau"])
     positions = np.asarray(QUERY_ROWS, dtype=np.intp)
     with SimilaritySession(collection[start:stop]) as session:
-        payload, stats = execute_query(
+        result = execute_query(
             session,
             build_technique(spec),
             op,
             [collection[i] for i in QUERY_ROWS],
             positions,
-            params,
-            start,
+            col_offset=start,
+            **arguments,
         )
+    stats = result.pruning_stats
     assert stats is not None and stats.n_queries == len(QUERY_ROWS)
-    return payload
+    return result
+
+
+def _execute(collection, spec, op, params, window):
+    """One request's reply payload, as the daemon sends it."""
+    return _wire_result(_run(collection, spec, op, params, window))
 
 
 def _in_process(collection, spec):
@@ -188,9 +207,15 @@ class TestExecuteParity:
         assert payload["tau"] == tau
 
     def test_slice_narrower_than_k_answers_ragged_rows(self, pdf):
-        """Padding never reaches the payload: a row keeps only the real
-        candidates its slice has after skipping the self-match."""
-        payload = _execute(pdf, "euclidean", "knn", {"k": 5}, (3, 6))
+        """The executor pads a row short of ``k`` real candidates with
+        ``-1`` / ``+inf``; the padding never reaches the payload: a row
+        keeps only the real candidates its slice has after skipping the
+        self-match."""
+        result = _run(pdf, "euclidean", "knn", {"k": 5}, (3, 6))
+        assert result.indices.shape == (len(QUERY_ROWS), 3)
+        assert (result.indices < 0).sum(axis=1).tolist() == [1, 1, 0, 0]
+        assert np.all(np.isinf(result.scores[result.indices < 0]))
+        payload = _wire_result(result)
         assert [len(row) for row in payload["indices"]] == [2, 2, 3, 3]
         assert [len(row) for row in payload["scores"]] == [2, 2, 3, 3]
         assert all(

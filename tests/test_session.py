@@ -26,7 +26,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import spawn
+from repro.core import MappedCollection, load_collection, save_collection, spawn
 from repro.core.errors import InvalidParameterError, UnsupportedQueryError
 from repro.datasets import generate_dataset
 from repro.distances.lp import (
@@ -387,6 +387,43 @@ class TestSimilaritySession:
         session = SimilaritySession(homogeneous)
         query_set = session.queries([heterogeneous[0]])
         np.testing.assert_array_equal(query_set.query_positions, [-1])
+
+    def test_query_by_series_reads_the_collection_once(
+        self, homogeneous, tmp_path, monkeypatch
+    ):
+        """The identity map lives on the collection's materialization:
+        repeated queries by series object look members up in O(M)
+        instead of passing over the whole collection each time."""
+        mapped = load_collection(
+            save_collection(homogeneous, str(tmp_path / "mapped"))
+        )
+        session = SimilaritySession(mapped, engine=QueryEngine())
+        passes = []
+        iterate = MappedCollection.__iter__
+
+        def counting(collection):
+            passes.append(collection)
+            return iterate(collection)
+
+        monkeypatch.setattr(MappedCollection, "__iter__", counting)
+        for index in (3, 7, 3, 0):
+            query_set = session.queries([mapped[index]])
+            assert query_set.query_positions.tolist() == [index]
+        assert len(passes) <= 1
+
+    def test_query_by_series_sees_a_grown_list(
+        self, homogeneous, heterogeneous
+    ):
+        """A list collection that gains a member after a query by series
+        still recognizes the new member."""
+        members = list(homogeneous)
+        session = SimilaritySession(members, engine=QueryEngine())
+        assert session.queries([members[2]]).query_positions.tolist() == [2]
+        newcomer = heterogeneous[0]
+        assert session.queries([newcomer]).query_positions.tolist() == [-1]
+        members.append(newcomer)
+        positions = session.queries([newcomer]).query_positions
+        assert positions.tolist() == [len(members) - 1]
 
     def test_queries_validation(self, homogeneous):
         session = SimilaritySession(homogeneous)
