@@ -33,8 +33,9 @@ Manifest format (``collection.json``, version 1)::
     }
 
 :func:`load_collection` rebuilds a :class:`MappedCollection` whose series
-objects hold **row views** of the mapped matrices (no copies; the arrays
-are opened read-only) and whose materialization hooks
+objects hold **row views** of the mapped matrices (no copies; each array
+is opened read-only as a plain ``ndarray`` view of its ``np.memmap``, and
+validated once, not once per row) and whose materialization hooks
 (:attr:`MappedCollection.mapped_values` and friends) let the query
 engine's :class:`~repro.queries.engine.CollectionMaterialization` warm its
 dense matrices straight from the map instead of re-stacking rows.
@@ -43,6 +44,7 @@ dense matrices straight from the map instead of re-stacking rows.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -410,14 +412,42 @@ def load_collection(
                 f"{manifest_path!r} is truncated or corrupt ({error}); "
                 f"re-save it with save_collection()/build_index()"
             ) from error
-        if mmap_mode is None:
+        if mmap_mode is not None:
+            # A plain ndarray view of the map: zero-copy, and slicing,
+            # gathering or a ufunc on it (or on a row) skips memmap's
+            # Python-level hooks.  Its base keeps the map open.
+            array = array.view(np.ndarray)
+        elif array.base is not None:
             # np.load returns a view over a writeable buffer; re-own it
-            # so the whole base chain is read-only and series rows are
-            # adopted as views instead of being defensively copied.
-            if array.base is not None:
-                array = array.copy()
-            array.setflags(write=False)
+            # so no writeable array can change the rows viewing it.
+            array = array.copy()
+        array.setflags(write=False)
         return array
+
+    def _check_finite(payload: np.ndarray, array_name: str) -> None:
+        """One finiteness pass over a payload whose rows the series adopt
+        as already-validated views, instead of each series constructor
+        repeating the check.  A bad payload raises the
+        :class:`InvalidSeriesError` a constructor would, naming the first
+        bad row.
+        """
+        # Defined by the package after this module is imported.
+        from . import MATRIX_BLOCK_ELEMENTS
+
+        row_size = max(1, math.prod(payload.shape[1:]))
+        block = max(1, MATRIX_BLOCK_ELEMENTS // row_size)
+        for start in range(0, len(payload), block):
+            finite = np.isfinite(payload[start:start + block])
+            if not finite.all():
+                rows = finite.reshape(len(finite), -1).all(axis=1)
+                array_path = os.path.join(
+                    directory, manifest["arrays"][array_name]
+                )
+                raise InvalidSeriesError(
+                    f"collection payload {array_path!r} referenced by "
+                    f"manifest {manifest_path!r} holds non-finite values "
+                    f"in row {start + int(np.argmin(rows))}"
+                )
 
     def _open(array_name: str) -> Optional[np.ndarray]:
         file_name = manifest["arrays"].get(array_name)
@@ -441,10 +471,14 @@ def load_collection(
             raise MappedCollectionError(
                 f"samples matrix missing or mis-shaped in {manifest_path!r}"
             )
+        _check_finite(samples, "samples")
         for row in range(n_series):
             items.append(
                 MultisampleUncertainTimeSeries(
-                    samples[row], label=labels[row], name=names[row]
+                    samples[row],
+                    label=labels[row],
+                    name=names[row],
+                    _validated=True,
                 )
             )
     elif kind in ("pdf", "exact"):
@@ -452,6 +486,7 @@ def load_collection(
             raise MappedCollectionError(
                 f"values matrix missing or mis-shaped in {manifest_path!r}"
             )
+        _check_finite(values, "values")
         if kind == "pdf":
             table = [
                 _distribution_from_spec(spec)
@@ -469,13 +504,17 @@ def load_collection(
                         _decode_error_model(models[row], table, length),
                         label=labels[row],
                         name=names[row],
+                        _validated=True,
                     )
                 )
         else:
             for row in range(n_series):
                 items.append(
                     TimeSeries(
-                        values[row], label=labels[row], name=names[row]
+                        values[row],
+                        label=labels[row],
+                        name=names[row],
+                        _validated=True,
                     )
                 )
     else:
@@ -507,6 +546,7 @@ def load_collection(
         shard_range=(0, n_series),
         name=manifest.get("name"),
         mapped_index=mapped_index,
+        _validated=True,
     )
 
 

@@ -84,8 +84,12 @@ class TimeSeries:
         values: Iterable[float],
         label: Optional[int] = None,
         name: Optional[str] = None,
+        *,
+        _validated: bool = False,
     ) -> None:
-        self.values = as_values(values)
+        # ``_validated`` adopts ``values`` as is: a row view of a payload
+        # already checked whole (repro.core.mmapio), never user input.
+        self.values = values if _validated else as_values(values)
         self.label = label
         self.name = name
 

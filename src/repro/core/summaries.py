@@ -28,6 +28,7 @@ and are persisted next to the mmap manifest by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,14 @@ def effective_segments(n_segments: int, length: int) -> int:
     return min(n_segments, length)
 
 
+# The geometry helpers below are cached per ``(length, S)``: a single-row
+# plan would otherwise rebuild them on every request.  Cached arrays are
+# read-only, so no caller can change another's geometry.
+
+
+@functools.lru_cache(maxsize=256)
 def segment_edges(length: int, n_segments: int) -> np.ndarray:
-    """Segment boundary offsets, shape ``(S + 1,)``.
+    """Segment boundary offsets, shape ``(S + 1,)``, read-only.
 
     Follows :func:`numpy.array_split` geometry: when ``length`` is not a
     multiple of ``S`` the first ``length % S`` segments are one point
@@ -72,13 +79,16 @@ def segment_edges(length: int, n_segments: int) -> np.ndarray:
     lengths[:extra] += 1
     edges = np.zeros(n_segments + 1, dtype=np.intp)
     np.cumsum(lengths, out=edges[1:])
+    edges.setflags(write=False)
     return edges
 
 
+@functools.lru_cache(maxsize=256)
 def segment_widths(length: int, n_segments: int) -> np.ndarray:
-    """Points per segment as float64, shape ``(S,)``."""
-    edges = segment_edges(length, n_segments)
-    return np.diff(edges).astype(np.float64)
+    """Points per segment as float64, shape ``(S,)``, read-only."""
+    widths = np.diff(segment_edges(length, n_segments)).astype(np.float64)
+    widths.setflags(write=False)
+    return widths
 
 
 def segment_means(matrix: np.ndarray, n_segments: int) -> np.ndarray:
@@ -86,7 +96,7 @@ def segment_means(matrix: np.ndarray, n_segments: int) -> np.ndarray:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     edges = segment_edges(matrix.shape[1], n_segments)
     sums = np.add.reduceat(matrix, edges[:-1], axis=1)
-    return sums / np.diff(edges).astype(np.float64)
+    return sums / segment_widths(matrix.shape[1], n_segments)
 
 
 @dataclass(frozen=True)
@@ -213,7 +223,8 @@ def paa_lower_bound(
     # overestimated bound would break admissibility, so recompute them
     # with the exact difference formula (mirrors euclidean_matrix).
     scale *= GEMM_REFINE_THRESHOLD
-    suspects = np.argwhere(squared <= scale)
+    near = squared <= scale
+    suspects = np.argwhere(near) if near.any() else ()
     for start in range(0, len(suspects), 1 << 16):
         block = suspects[start:start + (1 << 16)]
         diff = q[block[:, 0]] - c[block[:, 1]]
@@ -223,6 +234,7 @@ def paa_lower_bound(
     return np.sqrt(squared, out=squared)
 
 
+@functools.lru_cache(maxsize=256)
 def paa_bound_slack(length: int, n_segments: int) -> float:
     """Relative guard that keeps a computed :func:`paa_lower_bound`
     admissible against a computed Euclidean distance.

@@ -152,8 +152,13 @@ class UncertainTimeSeries:
         error_model: ErrorModel,
         label: Optional[int] = None,
         name: Optional[str] = None,
+        *,
+        _validated: bool = False,
     ) -> None:
-        self.observations = as_values(observations)
+        # ``_validated``: as for :class:`~repro.core.series.TimeSeries`.
+        self.observations = (
+            observations if _validated else as_values(observations)
+        )
         if error_model.length != self.observations.size:
             raise LengthMismatchError(
                 self.observations.size, error_model.length,
@@ -208,23 +213,26 @@ class MultisampleUncertainTimeSeries:
         samples: Iterable[Iterable[float]],
         label: Optional[int] = None,
         name: Optional[str] = None,
+        *,
+        _validated: bool = False,
     ) -> None:
-        matrix = np.asarray(samples, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise InvalidSeriesError(
-                f"samples must be a 2-D (timestamps x samples) matrix, "
-                f"got shape {matrix.shape}"
-            )
-        if matrix.shape[0] == 0 or matrix.shape[1] == 0:
-            raise InvalidSeriesError("samples matrix must be non-empty")
-        if not np.all(np.isfinite(matrix)):
-            raise InvalidSeriesError("samples must be finite")
-        if not owns_readonly_buffer(matrix):
-            # Fully read-only inputs (memory-mapped sample stacks from
-            # repro.core.mmapio) are adopted without copying.
-            matrix = matrix.copy()
-            matrix.setflags(write=False)
-        self.samples = matrix
+        # ``_validated``: as for :class:`~repro.core.series.TimeSeries`.
+        if not _validated:
+            samples = np.asarray(samples, dtype=np.float64)
+            if samples.ndim != 2:
+                raise InvalidSeriesError(
+                    f"samples must be a 2-D (timestamps x samples) matrix, "
+                    f"got shape {samples.shape}"
+                )
+            if samples.shape[0] == 0 or samples.shape[1] == 0:
+                raise InvalidSeriesError("samples matrix must be non-empty")
+            if not np.all(np.isfinite(samples)):
+                raise InvalidSeriesError("samples must be finite")
+            if not owns_readonly_buffer(samples):
+                # Fully read-only inputs are adopted without copying.
+                samples = samples.copy()
+                samples.setflags(write=False)
+        self.samples = samples
         self.label = label
         self.name = name
 

@@ -103,7 +103,8 @@ def squared_euclidean_matrix(
     squared = scale - 2.0 * rows @ columns.T
     np.maximum(squared, 0.0, out=squared)
     if refine:
-        suspects = np.argwhere(squared <= GEMM_REFINE_THRESHOLD * scale)
+        near = squared <= GEMM_REFINE_THRESHOLD * scale
+        suspects = np.argwhere(near) if near.any() else ()
         # Batched exact recomputation; chunked so a degenerate input (every
         # pair near-duplicate) gathers bounded (K, n) stacks instead of one
         # huge temporary or a per-entry Python loop.

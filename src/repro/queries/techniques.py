@@ -608,7 +608,12 @@ class EuclideanTechnique(Technique):
                 tau=tau,
             )
         matrix = engine.materialize(collection).values_matrix()
-        query_matrix = engine.materialize(queries).values_matrix()
+        if len(queries) == 1:
+            # A single-row op reads its row, as _query_point_summary
+            # does, instead of materializing a throwaway one-item list.
+            query_matrix = _point_estimate(queries[0])[None, :]
+        else:
+            query_matrix = engine.materialize(queries).values_matrix()
         return _sparse_euclidean_refine(
             query_matrix, matrix, out, undecided
         ), 0

@@ -122,6 +122,8 @@ class Channel:
     one, and the cluster coordinator pools them per shard endpoint.  The
     caller names every request (``c<n>`` from a client, ``x<n>.s<shard>``
     from the coordinator), so a reply says which request it answers.
+    A request and its reply are two steps, so a caller may put requests
+    on several channels before it reads any reply.
     """
 
     __slots__ = ("host", "port", "_sock", "_reader")
@@ -136,27 +138,44 @@ class Channel:
         )
         self._reader = self._sock.makefile("rb")
 
-    def request(
+    def send(
         self,
         request_id: str,
         payload: Dict[str, Any],
         timeout: Optional[float],
+    ) -> None:
+        """Write one request line; ``timeout`` bounds the write."""
+        message = {"v": PROTOCOL_VERSION, "id": request_id, **payload}
+        self._sock.settimeout(timeout)
+        self._sock.sendall(encode_message(message))
+
+    def receive(
+        self, request_id: str, timeout: Optional[float]
     ) -> Dict[str, Any]:
-        """One request/response round trip with a hard read deadline.
+        """Read the reply to ``request_id``; ``timeout`` bounds the read.
 
         An ``ok: false`` reply raises the daemon's structured error as
         :class:`ServiceError`; transport failures raise ``OSError`` (EOF
         as :class:`ConnectionError`).
         """
-        message = {"v": PROTOCOL_VERSION, "id": request_id, **payload}
         self._sock.settimeout(timeout)
-        self._sock.sendall(encode_message(message))
         line = self._reader.readline()
         if not line:
             raise ConnectionError(
                 f"daemon at {self.host}:{self.port} closed the connection"
             )
         return checked_response(decode_message(line), request_id)
+
+    def request(
+        self,
+        request_id: str,
+        payload: Dict[str, Any],
+        timeout: Optional[float],
+    ) -> Dict[str, Any]:
+        """One round trip: :meth:`send`, then :meth:`receive`, each
+        bounded by ``timeout``."""
+        self.send(request_id, payload, timeout)
+        return self.receive(request_id, timeout)
 
     def close(self) -> None:
         try:

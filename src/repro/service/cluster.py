@@ -15,12 +15,18 @@ slice through :func:`~repro.queries.session.execute_query`, the
 executor an in-process session runs over the whole collection.  This
 is the system's one sharding path: an in-process session always runs
 the whole ``(M, N)`` workload in its own process.  Each shard is asked
-exactly once per request.  Robustness:
+exactly once per request, and all on the caller's thread: every
+request line goes out before any reply is read, so the shards execute
+side by side without a thread per shard.  Robustness:
 
 * **one immediate retry** — an attempt that fails in transport (refused
   connection, reset, EOF, socket timeout) is retried once, at once, on
   a new connection; an ``ok: false`` reply is the shard's answer, is
   never retried and leaves its connection pooled;
+* **in-step connections** — a pooled connection goes back to the pool
+  only once its reply has been read whole; one whose request was sent
+  but whose reply was not read (failure, timeout, interrupt) is closed,
+  so a stale reply never answers a later request;
 * **deadline budgets** — every shard attempt inherits the remaining
   per-request budget as its socket timeout and ships it as the
   request's ``timeout``, so the daemon drops an overrun request itself;
@@ -81,6 +87,14 @@ class ClusterError(ReproError):
     ) -> None:
         super().__init__(message)
         self.failed_shards = failed_shards
+
+
+def _outcome(call, *args) -> Any:
+    """``call(*args)``, or the exception it raised."""
+    try:
+        return call(*args)
+    except Exception as error:  # noqa: BLE001 — the shard's outcome
+        return error
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +203,7 @@ class ClusterCoordinator(SimilarityBackend):
                 if shard.endpoint in alive:
                     continue
                 try:
-                    self._attempt(
+                    self._round_trip(
                         shard,
                         f"p{next(self._ids)}",
                         {"op": "ping"},
@@ -247,27 +261,65 @@ class ClusterCoordinator(SimilarityBackend):
 
     # -- scatter ---------------------------------------------------------------
 
-    def _attempt(
+    @staticmethod
+    def _budget(
+        shard: ShardEntry, deadline: Optional[float]
+    ) -> Optional[float]:
+        """The time left before ``deadline``; a spent budget raises."""
+        if deadline is None:
+            return None
+        budget = deadline - time.monotonic()
+        if budget <= 0:
+            raise TimeoutError(
+                f"shard {shard.endpoint} did not answer within the "
+                f"deadline budget"
+            )
+        return budget
+
+    def _send(
         self,
         shard: ShardEntry,
         request_id: str,
         payload: Dict[str, Any],
         deadline: Optional[float],
-    ) -> Dict[str, Any]:
-        """One round trip; the remaining budget is its socket timeout."""
-        budget = None
-        if deadline is not None:
-            budget = deadline - time.monotonic()
-            if budget <= 0:
-                raise TimeoutError(
-                    f"shard {shard.endpoint} did not answer within the "
-                    f"deadline budget"
-                )
+    ) -> Channel:
+        """Put one request on a pooled channel and return the channel.
+
+        The remaining budget is the write's socket timeout and ships as
+        the request's ``timeout``, so the daemon drops an overrun
+        request itself.
+        """
+        budget = self._budget(shard, deadline)
+        if budget is not None:
+            payload = {**payload, "timeout": max(budget, 1e-3)}
         channel = self._checkout(shard)
         try:
-            response = channel.request(request_id, payload, budget)
+            channel.send(request_id, payload, budget)
+        except BaseException:
+            channel.close()
+            raise
+        return channel
+
+    def _receive(
+        self,
+        shard: ShardEntry,
+        channel: Channel,
+        request_id: str,
+        deadline: Optional[float],
+    ) -> Dict[str, Any]:
+        """Read the reply to a sent request within the remaining budget.
+
+        Only a reply read whole returns the channel to the pool, an
+        ``ok: false`` one included.  On any other outcome (transport
+        failure, spent budget, a reply to another request, an interrupt)
+        the channel is closed: its reply may still be on the way, and
+        must never answer a later request.
+        """
+        try:
+            response = channel.receive(
+                request_id, self._budget(shard, deadline)
+            )
         except ServiceError:
-            # A whole error reply leaves the connection in step.
             self._checkin(shard, channel)
             raise
         except BaseException:
@@ -276,19 +328,15 @@ class ClusterCoordinator(SimilarityBackend):
         self._checkin(shard, channel)
         return response
 
-    def _query_shard(
+    def _round_trip(
         self,
         shard: ShardEntry,
         request_id: str,
         payload: Dict[str, Any],
         deadline: Optional[float],
     ) -> Dict[str, Any]:
-        """Ask one shard once; retry at once, once, after a transport
-        failure.  An error reply raises without a retry."""
-        try:
-            return self._attempt(shard, request_id, payload, deadline)
-        except OSError:
-            return self._attempt(shard, request_id, payload, deadline)
+        channel = self._send(shard, request_id, payload, deadline)
+        return self._receive(shard, channel, request_id, deadline)
 
     def _scatter(
         self, query_set: QuerySet, op: str, params: Dict[str, Any]
@@ -300,8 +348,10 @@ class ClusterCoordinator(SimilarityBackend):
         The request is read off ``query_set``: its session's collection
         and plan policy, its wire selection and its technique's spec.
 
-        The last shard is asked on the caller's thread and every other
-        one on a thread of its own, so a one-shard map starts no thread.
+        Every request goes out before any reply is read, all on the
+        caller's thread, so the shards execute side by side and no
+        thread is started.  A transport failure of a send or of a
+        receive gets one immediate retry of that shard's round trip.
         Failed shards are ``None`` in the response list (allowed only
         with ``allow_partial``); the failed endpoints are returned so
         results can carry the tag.  A one-shard map's failure raises as
@@ -322,53 +372,62 @@ class ClusterCoordinator(SimilarityBackend):
             request["queries"] = query_set.selector
         deadline = self._deadline()
         logical = next(self._ids)
-        outcomes: List[Any] = [None] * len(shards)
-
-        def run(index: int, shard: ShardEntry) -> None:
-            payload = {
-                **request,
-                "candidates": {
-                    "start": shard.row_start,
-                    "stop": shard.row_stop,
+        requests = [
+            (
+                f"x{logical}.s{shard.shard_index}",
+                {
+                    **request,
+                    "candidates": {
+                        "start": shard.row_start,
+                        "stop": shard.row_stop,
+                    },
                 },
-            }
-            if deadline is not None:
-                budget = deadline - time.monotonic()
-                payload["timeout"] = max(budget, 1e-3)
-            request_id = f"x{logical}.s{shard.shard_index}"
-            try:
-                outcomes[index] = self._query_shard(
-                    shard, request_id, payload, deadline
-                )
-            except BaseException as error:  # noqa: BLE001 — reported below
-                outcomes[index] = error
-
-        threads = [
-            threading.Thread(
-                target=run,
-                args=(index, shard),
-                name=f"repro-gather-{collection}-s{shard.shard_index}",
-                daemon=True,
             )
-            for index, shard in enumerate(shards[:-1])
+            for shard in shards
         ]
-        for thread in threads:
-            thread.start()
-        run(len(shards) - 1, shards[-1])
-        for thread in threads:
-            thread.join()
+        # A shard's channel with its request on the wire, or the error
+        # its send raised; replies are read in shard order.
+        pending: List[Any] = [None] * len(shards)
+        retried = [False] * len(shards)
+        outcomes: List[Any] = [None] * len(shards)
+        try:
+            for index, shard in enumerate(shards):
+                sent = _outcome(self._send, shard, *requests[index], deadline)
+                if isinstance(sent, OSError):
+                    retried[index] = True
+                    sent = _outcome(
+                        self._send, shard, *requests[index], deadline
+                    )
+                pending[index] = sent
+            for index, shard in enumerate(shards):
+                sent, pending[index] = pending[index], None
+                request_id, payload = requests[index]
+                if isinstance(sent, Channel):
+                    outcome = _outcome(
+                        self._receive, shard, sent, request_id, deadline
+                    )
+                else:
+                    outcome = sent
+                if isinstance(outcome, OSError) and not retried[index]:
+                    outcome = _outcome(
+                        self._round_trip, shard, request_id, payload, deadline
+                    )
+                outcomes[index] = outcome
+        finally:
+            # Requests sent but never read (an interrupt): close their
+            # channels so no stale reply answers a later request.
+            for sent in pending:
+                if isinstance(sent, Channel):
+                    sent.close()
         failures = [
             (shard, outcome)
             for shard, outcome in zip(shards, outcomes)
-            if isinstance(outcome, BaseException)
+            if isinstance(outcome, Exception)
         ]
-        for _, error in failures:
-            # A lone shard's error is the caller's as raised, and so is
-            # an interrupt of the inline call.
-            if len(shards) == 1 or not isinstance(error, Exception):
-                raise error
+        if failures and len(shards) == 1:
+            raise failures[0][1]
         replies: List[Optional[Dict[str, Any]]] = [
-            None if isinstance(outcome, BaseException) else outcome
+            None if isinstance(outcome, Exception) else outcome
             for outcome in outcomes
         ]
         failed = tuple(shard.endpoint for shard, _ in failures)

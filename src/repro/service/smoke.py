@@ -11,7 +11,13 @@ repro.cli serve``, then:
 2. asserts the responses are **identical** to the in-process
    :class:`~repro.queries.session.SimilaritySession` answers over the
    same manifest (kNN scores within 1e-9 on the session leg);
-3. sends SIGTERM and verifies the daemon drains and exits cleanly.
+3. sends SIGTERM and verifies the daemon drains and exits cleanly;
+4. starts two more daemons over the same manifest, splits the
+   collection between them with a catalog shard map, and checks that
+   DUST kNN and PROUD prob-range through
+   ``repro.api.connect(catalog, collection="smoke")`` — the scatter
+   across real processes — match the in-process answers too, before
+   both daemons drain on SIGTERM.
 
 Exits non-zero (with a message) on any failure; prints ``service smoke
 ok`` on success.
@@ -25,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from typing import List, Optional
 
 import numpy as np
 
@@ -78,109 +85,162 @@ def session_answers(session):
     return dust, prq
 
 
-def main() -> int:
+def session_mismatch(answers, expected, where: str) -> Optional[str]:
+    """Why ``answers`` (DUST kNN, PROUD prob-range) differ from the
+    in-process ``expected`` ones, or ``None``."""
+    (dust, prq), (dust_expected, prq_expected) = answers, expected
+    if not (
+        np.array_equal(dust.indices, dust_expected.indices)
+        and np.allclose(
+            dust.scores, dust_expected.scores, rtol=0.0, atol=1e-9
+        )
+    ):
+        return f"DUST kNN through {where} differs from in-process result"
+    if prq.sets() != prq_expected.sets():
+        return (
+            f"PROUD prob-range through {where} differs from in-process "
+            f"result"
+        )
+    return None
+
+
+def start_daemon(
+    catalog_path: str, manifest: str, started: List[subprocess.Popen]
+) -> Optional[int]:
+    """``python -m repro.cli serve`` over ``manifest``; appends the
+    process to ``started`` and returns its port (``None`` if it never
+    announced one)."""
+    process = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.cli",
+            "serve",
+            "--catalog",
+            catalog_path,
+            "--port",
+            "0",
+            "--register",
+            f"smoke={manifest}",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"},
+    )
+    started.append(process)
+    deadline = time.monotonic() + 60.0
+    assert process.stdout is not None
+    while time.monotonic() < deadline:
+        line = process.stdout.readline()
+        if not line:
+            break
+        if "listening on" in line:
+            return int(
+                line.split("listening on")[1].split()[0].rsplit(":", 1)[1]
+            )
+    return None
+
+
+def drain(process: subprocess.Popen) -> Optional[str]:
+    """SIGTERM ``process``; why it did not drain cleanly, or ``None``."""
+    process.send_signal(signal.SIGTERM)
+    try:
+        output, _ = process.communicate(timeout=30.0)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        return "daemon did not drain within 30 s of SIGTERM"
+    if process.returncode != 0:
+        return f"daemon exited with {process.returncode}; output:\n{output}"
+    if "drained and stopped" not in output:
+        return f"no graceful-shutdown message; output:\n{output}"
+    return None
+
+
+def daemon_leg(tmp: str, manifest: str, expected, started) -> Optional[str]:
+    """One daemon: the raw verb and a ``tcp://`` session, then drain."""
     from .client import ServiceClient
     from .cluster import connect
 
+    euclid_expected, dust_expected, prq_expected = expected
+    port = start_daemon(os.path.join(tmp, "catalog.db"), manifest, started)
+    if port is None:
+        return "daemon never announced its port"
+    with ServiceClient("127.0.0.1", port) as client:
+        assert client.ping()
+        euclid = client.query("knn", "smoke", {"k": 5}, "euclidean")
+        dust = client.query("knn", "smoke", {"k": 5}, "dust")
+        prq = client.query(
+            "prob_range", "smoke", {"epsilon": 4.0, "tau": 0.4}, "proud",
+        )
+    with connect(f"tcp://127.0.0.1:{port}/smoke") as session:
+        answers = session_answers(session)
+    if euclid.indices != euclid_expected.indices.tolist():
+        return "Euclidean kNN differs from in-process result"
+    if dust.indices != dust_expected.indices.tolist():
+        return "DUST kNN differs from in-process result"
+    if prq.matches != prq_expected.sets():
+        return "PROUD prob-range differs from in-process result"
+    return (
+        session_mismatch(answers, expected[1:], "connect()")
+        or drain(started[-1])
+    )
+
+
+def cluster_leg(tmp: str, manifest: str, expected, started) -> Optional[str]:
+    """Two shard daemons over one manifest, scattered through a catalog
+    shard map, then both drained."""
+    from .catalog import ServiceCatalog
+    from .cluster import connect
+
+    ports = []
+    for index in range(2):
+        port = start_daemon(
+            os.path.join(tmp, f"shard{index}.db"), manifest, started
+        )
+        if port is None:
+            return f"shard daemon {index} never announced its port"
+        ports.append(port)
+    catalog_path = os.path.join(tmp, "cluster.db")
+    half = N_SERIES // 2
+    with ServiceCatalog(catalog_path) as catalog:
+        catalog.register("smoke", manifest)
+        catalog.set_shard_map(
+            "smoke",
+            [
+                ("127.0.0.1", ports[0], 0, half),
+                ("127.0.0.1", ports[1], half, N_SERIES),
+            ],
+        )
+    with connect(catalog_path, collection="smoke") as session:
+        answers = session_answers(session)
+    failure = session_mismatch(
+        answers, expected[1:], "a two-shard cluster"
+    )
+    for process in started[-2:]:
+        failure = failure or drain(process)
+    return failure
+
+
+def main() -> int:
+    started: List[subprocess.Popen] = []
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
         manifest = build_collection(os.path.join(tmp, "collection"))
-        catalog_path = os.path.join(tmp, "catalog.db")
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "serve",
-                "--catalog",
-                catalog_path,
-                "--port",
-                "0",
-                "--register",
-                f"smoke={manifest}",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env={**os.environ, "PYTHONUNBUFFERED": "1"},
-        )
+        expected = expected_answers(manifest)
         try:
-            port = None
-            deadline = time.monotonic() + 60.0
-            assert process.stdout is not None
-            while time.monotonic() < deadline:
-                line = process.stdout.readline()
-                if not line:
-                    break
-                if "listening on" in line:
-                    port = int(line.split("listening on")[1]
-                               .split()[0].rsplit(":", 1)[1])
-                    break
-            if port is None:
-                print("FAIL: daemon never announced its port")
-                return 1
-
-            euclid_expected, dust_expected, prq_expected = (
-                expected_answers(manifest)
-            )
-            with ServiceClient("127.0.0.1", port) as client:
-                assert client.ping()
-                euclid = client.query("knn", "smoke", {"k": 5}, "euclidean")
-                dust = client.query("knn", "smoke", {"k": 5}, "dust")
-                prq = client.query(
-                    "prob_range", "smoke", {"epsilon": 4.0, "tau": 0.4},
-                    "proud",
-                )
-            with connect(f"tcp://127.0.0.1:{port}/smoke") as session:
-                dust_session, prq_session = session_answers(session)
-            if euclid.indices != euclid_expected.indices.tolist():
-                print("FAIL: Euclidean kNN differs from in-process result")
-                return 1
-            if dust.indices != dust_expected.indices.tolist():
-                print("FAIL: DUST kNN differs from in-process result")
-                return 1
-            if prq.matches != prq_expected.sets():
-                print("FAIL: PROUD prob-range differs from in-process "
-                      "result")
-                return 1
-            if not (
-                np.array_equal(dust_session.indices, dust_expected.indices)
-                and np.allclose(
-                    dust_session.scores, dust_expected.scores,
-                    rtol=0.0, atol=1e-9,
-                )
-            ):
-                print("FAIL: DUST kNN through connect() differs from "
-                      "in-process result")
-                return 1
-            if prq_session.sets() != prq_expected.sets():
-                print("FAIL: PROUD prob-range through connect() differs "
-                      "from in-process result")
-                return 1
-
-            process.send_signal(signal.SIGTERM)
-            try:
-                output, _ = process.communicate(timeout=30.0)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                print("FAIL: daemon did not drain within 30 s of SIGTERM")
-                return 1
-            if process.returncode != 0:
-                print(
-                    f"FAIL: daemon exited with {process.returncode}; "
-                    f"output:\n{output}"
-                )
-                return 1
-            if "drained and stopped" not in output:
-                print(
-                    f"FAIL: no graceful-shutdown message; output:\n{output}"
-                )
-                return 1
+            failure = daemon_leg(
+                tmp, manifest, expected, started
+            ) or cluster_leg(tmp, manifest, expected, started)
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
-    print("service smoke ok: kNN + prob-range parity (raw verb and "
-          "connect() session), graceful shutdown")
+            for process in started:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+    if failure is not None:
+        print(f"FAIL: {failure}")
+        return 1
+    print("service smoke ok: kNN + prob-range parity (raw verb, "
+          "connect() session and two-shard cluster), graceful shutdown")
     return 0
 
 

@@ -1,10 +1,12 @@
-"""A live in-thread daemon for service tests, and a gate that holds its executions.
+"""A live in-thread daemon for service tests, and gates that hold it.
 
 :class:`DaemonHarness` runs a :class:`SimilarityDaemon` on a background
 thread with its own event loop, bound to an ephemeral port.
 :class:`ExecutionGate` makes concurrency deterministic: it holds every
 query execution the daemon starts until released, so requests sent
 meanwhile stay in flight instead of racing to completion.
+:class:`LoopGate` holds one daemon's event loop, so it answers nothing
+at all until released.
 """
 
 from __future__ import annotations
@@ -100,6 +102,32 @@ class ExecutionGate:
                 f"{harness.queued()} of {count} requests queued"
             )
             time.sleep(0.005)
+
+    def release(self) -> None:
+        self._released.set()
+
+
+class LoopGate:
+    """Hold one harness's event loop until :meth:`release`.
+
+    While held, the daemon reads no request and sends no reply, not even
+    its own ``Timeout`` reply.  A request held by an
+    :class:`ExecutionGate` gets that reply at about its budget, so it
+    races the client's socket timeout; a request sent to a held loop
+    stays unanswered past any budget.  Release before stopping the
+    harness.
+    """
+
+    def __init__(self, harness: DaemonHarness) -> None:
+        self._released = threading.Event()
+        held = threading.Event()
+
+        def hold() -> None:
+            held.set()
+            self._released.wait(timeout=ExecutionGate.TIMEOUT)
+
+        harness.loop.call_soon_threadsafe(hold)
+        assert held.wait(timeout=ExecutionGate.TIMEOUT), "loop never held"
 
     def release(self) -> None:
         self._released.set()

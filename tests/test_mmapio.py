@@ -12,6 +12,7 @@ import pytest
 from repro.core import (
     Collection,
     InvalidParameterError,
+    InvalidSeriesError,
     MappedCollection,
     MappedCollectionError,
     TimeSeries,
@@ -73,14 +74,18 @@ class TestPdfRoundtrip:
             assert reloaded.error_model == original.error_model
 
     def test_rows_are_zero_copy_views(self, pdf, tmp_path):
+        """The payload is a read-only plain ndarray over its map (its
+        base keeps the map open), and every row a plain view of it."""
         save_collection(pdf, str(tmp_path))
         loaded = load_collection(str(tmp_path))
+        payload = loaded.mapped_values
+        assert type(payload) is np.ndarray
+        assert not payload.flags.writeable
+        assert isinstance(payload.base, np.memmap)
         for row, series in enumerate(loaded):
-            assert np.shares_memory(
-                series.observations, loaded.mapped_values
-            )
+            assert type(series.observations) is np.ndarray
+            assert np.shares_memory(series.observations, payload)
             assert not series.observations.flags.writeable
-        assert isinstance(loaded.mapped_values, np.memmap)
 
     def test_distance_parity(self, pdf, tmp_path):
         save_collection(pdf, str(tmp_path))
@@ -268,6 +273,29 @@ class TestErrors:
         assert "values.npy" in message
         assert manifest_path in message
         assert "truncated" in message
+
+    @pytest.mark.parametrize("mmap_mode", ["r", None])
+    @pytest.mark.parametrize("kind", ["exact", "pdf", "multisample"])
+    def test_non_finite_payload_rejected_at_load(
+        self, exact, pdf, multisample, tmp_path, kind, mmap_mode
+    ):
+        """A payload is checked once at load, not row by row, and a NaN
+        written into a saved one still fails the load, naming the
+        payload, the manifest and the first bad row."""
+        items = {"exact": exact, "pdf": pdf, "multisample": multisample}
+        manifest_path = save_collection(items[kind], str(tmp_path))
+        name = "samples.npy" if kind == "multisample" else "values.npy"
+        payload = np.load(tmp_path / name, mmap_mode="r+")
+        payload[8, 0] = np.inf
+        payload[7, 3] = np.nan
+        payload.flush()
+        del payload
+        with pytest.raises(InvalidSeriesError) as excinfo:
+            load_collection(str(tmp_path), mmap_mode=mmap_mode)
+        message = str(excinfo.value)
+        assert name in message
+        assert manifest_path in message
+        assert message.endswith("in row 7")
 
     def test_deleted_index_table_names_manifest_and_file(
         self, pdf, tmp_path

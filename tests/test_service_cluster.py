@@ -23,8 +23,10 @@ contracts under test:
   or the ``OSError`` of a dead daemon), retries a dropped pooled
   connection once, holds to its ``timeout`` budget, and closes its
   resolution connection when it cannot resolve the collection;
-* a scatter asks its last shard on the caller's thread, so a one-shard
-  map starts no thread;
+* a scatter sends every shard's request before it reads any reply, all
+  on the caller's thread, so no shard count starts a thread; a
+  connection returns to the pool only once its reply was read whole, so
+  the next request on it gets its own reply;
 * the shard map lives in the catalog (schema v3) behind strict tiling
   validation, and v2 catalogs migrate in place on open.
 """
@@ -45,7 +47,7 @@ import warnings
 
 import numpy as np
 import pytest
-from daemon_harness import DaemonHarness, ExecutionGate
+from daemon_harness import DaemonHarness, ExecutionGate, LoopGate
 
 from repro.core import save_collection, spawn
 from repro.core.errors import (
@@ -454,13 +456,17 @@ class TestUnifiedFluentSurface:
             remote.close()
 
 
-def _gather_threads(monkeypatch):
-    """The names of the scatter threads started from now on."""
+def _threads_started_here(monkeypatch):
+    """The names of the threads this thread starts from now on.
+
+    The in-thread daemons start their own pool threads from their loop
+    threads; only the caller's starts are the coordinator's."""
+    caller = threading.current_thread()
     started = []
     original = threading.Thread.start
 
     def start(thread):
-        if thread.name.startswith("repro-gather-"):
+        if threading.current_thread() is caller:
             started.append(thread.name)
         return original(thread)
 
@@ -478,27 +484,24 @@ class TestOneDaemonIsOneShard:
         yield daemon
         daemon.stop()
 
-    def test_scatter_threads_spare_the_last_shard(
+    def test_no_scatter_thread_for_any_shard_count(
         self, fleet, cluster_catalog, sessions, monkeypatch
     ):
-        """The last shard is asked on the caller's thread: a one-shard
-        map starts no thread, a 4-shard map three, and both answer like
-        the in-process session."""
+        """Every shard is asked on the caller's thread: neither a
+        one-shard map nor a 4-shard map starts a thread, and both answer
+        like the in-process session."""
         chain = sessions["pdf"].queries().using(DustTechnique())
         reference_knn, reference_range = chain.knn(5), chain.range(4.0)
-        started = _gather_threads(monkeypatch)
-        for address, kwargs, threads in (
-            (f"tcp://127.0.0.1:{fleet[0].port}/pdf", {}, 0),
-            (cluster_catalog, {"collection": "pdf"}, 3),
+        started = _threads_started_here(monkeypatch)
+        for address, kwargs in (
+            (f"tcp://127.0.0.1:{fleet[0].port}/pdf", {}),
+            (cluster_catalog, {"collection": "pdf"}),
         ):
             with connect(address, **kwargs) as session:
                 chain = session.queries().using(DustTechnique())
-                del started[:]
                 knn = chain.knn(5)
-                assert len(started) == threads
-                del started[:]
                 found = chain.range(4.0)
-                assert len(started) == threads
+            assert started == []
             np.testing.assert_array_equal(knn.indices, reference_knn.indices)
             np.testing.assert_allclose(
                 knn.scores, reference_knn.scores, atol=1e-9
@@ -753,18 +756,18 @@ class TestShardKilledMidQuery:
             daemon.stop()
 
     def _knn_while_killing(self, catalog, victim, monkeypatch, allow_partial):
-        """Run a DUST 3-NN, SIGKILL the victim once its request is sent;
-        returns the knn result or the exception it raised."""
+        """Run a DUST 3-NN, SIGKILL the victim once its request is on
+        the wire; returns the knn result or the exception it raised."""
         process, port = victim
         sent = threading.Event()
-        original = Channel.request
+        original = Channel.send
 
-        def request(channel, *args, **kwargs):
+        def send(channel, *args, **kwargs):
+            original(channel, *args, **kwargs)
             if channel.port == port:
                 sent.set()
-            return original(channel, *args, **kwargs)
 
-        monkeypatch.setattr(Channel, "request", request)
+        monkeypatch.setattr(Channel, "send", send)
         outcome = {}
         with ClusterCoordinator.from_catalog(
             catalog,
@@ -997,6 +1000,189 @@ class TestShardRetries:
             assert time.perf_counter() - started < 15
         finally:
             coordinator.close()
+
+
+def _pooled(coordinator, daemons):
+    """The pooled channels of each daemon's endpoint, in fleet order."""
+    return [
+        list(coordinator._pools.get(("127.0.0.1", daemon.port), []))
+        for daemon in daemons
+    ]
+
+
+class TestPipelinedScatter:
+    """The scatter puts every shard's request on the wire, then reads
+    the replies, all on the caller's thread.  A channel goes back to the
+    pool only once its reply was read whole; one whose reply was not
+    read is closed, so no stale reply answers the next request."""
+
+    @pytest.fixture()
+    def trio(self, collections, tmp_path):
+        """Three in-thread daemons; the middle one does not catalog
+        ``pdf``, so it answers every ``pdf`` request with an error."""
+        daemons = []
+        for index in range(3):
+            path = str(tmp_path / f"trio{index}.db")
+            with ServiceCatalog(path) as catalog:
+                name = "exact" if index == 1 else "pdf"
+                catalog.register(name, collections[name])
+            daemons.append(DaemonHarness(path))
+        yield daemons
+        for daemon in daemons:
+            daemon.stop()
+
+    @staticmethod
+    def _fleet(daemons, **kwargs):
+        entries = tuple(
+            ShardEntry(index, "127.0.0.1", daemon.port, int(start), int(stop))
+            for index, (daemon, (start, stop)) in enumerate(
+                zip(daemons, _tile(N_SERIES, len(daemons)))
+            )
+        )
+        return ClusterCoordinator({"pdf": entries}, **kwargs)
+
+    @pytest.mark.parametrize("allow_partial", [False, True])
+    def test_error_reply_keeps_every_channel_in_step(
+        self, trio, collections, pdf, sessions, allow_partial
+    ):
+        """An error reply is its shard's answer and pools its channel;
+        the other shards' replies are read and pool theirs; the next
+        request on every pooled channel gets its own reply."""
+        failing = trio[1]
+        endpoint = f"127.0.0.1:{failing.port}"
+        start, stop = _tile(N_SERIES, 3)[1]
+        coordinator = self._fleet(
+            trio, timeout=30, allow_partial=allow_partial
+        )
+        try:
+            chain = _chain(coordinator, "pdf", "dust")
+            pooled = None
+            for _ in range(2):
+                if allow_partial:
+                    result = chain.knn(3)
+                    assert result.failed_shards == (endpoint,)
+                    _assert_survivor_ranking(result, pdf, start, stop, 3)
+                else:
+                    with pytest.raises(ClusterError) as excinfo:
+                        chain.knn(3)
+                    assert "[CatalogError]" in str(excinfo.value)
+                    assert excinfo.value.failed_shards == (endpoint,)
+                channels = _pooled(coordinator, trio)
+                assert [len(pool) for pool in channels] == [1, 1, 1]
+                # The second request reuses the very same channels.
+                assert pooled in (None, channels)
+                pooled = channels
+            with failing.client() as client:
+                client.register("pdf", collections["pdf"])
+            answer = chain.knn(3)
+            assert _pooled(coordinator, trio) == pooled
+        finally:
+            coordinator.close()
+        reference = sessions["pdf"].queries().using(DustTechnique()).knn(3)
+        np.testing.assert_array_equal(answer.indices, reference.indices)
+        np.testing.assert_allclose(
+            answer.scores, reference.scores, atol=1e-9
+        )
+
+    def test_held_shard_times_out_and_its_channel_is_closed(
+        self, collections, tmp_path
+    ):
+        """A shard whose reply does not come within the budget fails:
+        alone with the ``TimeoutError`` naming it, in a fleet as a
+        :class:`ClusterError`.  Its channel, with the reply still owed,
+        is closed; the fleet's other channel is pooled."""
+        daemons = _spawn_fleet({"pdf": collections["pdf"]}, tmp_path, 2)
+        held = daemons[1]
+        endpoint = f"127.0.0.1:{held.port}"
+        lone = ClusterCoordinator(
+            {"pdf": (ShardEntry(0, "127.0.0.1", held.port, 0, N_SERIES),)},
+            timeout=0.5,
+        )
+        fleet = self._fleet(daemons, timeout=0.5)
+        gate = LoopGate(held)
+        try:
+            started = time.perf_counter()
+            with pytest.raises(TimeoutError, match=endpoint):
+                _chain(lone, "pdf", "dust").knn(3)
+            with pytest.raises(ClusterError) as excinfo:
+                _chain(fleet, "pdf", "dust").knn(3)
+            # Two budgets plus scheduling slack on a busy box.
+            assert time.perf_counter() - started < 5.0
+            assert isinstance(excinfo.value.__cause__, TimeoutError)
+            assert excinfo.value.failed_shards == (endpoint,)
+            assert _pooled(lone, daemons) == [[], []]
+            assert [len(pool) for pool in _pooled(fleet, daemons)] == [1, 0]
+        finally:
+            gate.release()
+            lone.close()
+            fleet.close()
+            for daemon in daemons:
+                daemon.stop()
+
+    def test_callers_sharing_a_coordinator_stay_in_step(self, trio, pdf):
+        """Six caller threads share one coordinator and its pools, with
+        a short switch interval and one shard answering errors: every
+        answer is the survivor ranking, so no reply ever answered
+        another request."""
+        start, stop = _tile(N_SERIES, 3)[1]
+        coordinator = self._fleet(trio, timeout=30, allow_partial=True)
+        errors = []
+
+        def caller():
+            try:
+                for _ in range(8):
+                    result = _chain(coordinator, "pdf", "dust").knn(3)
+                    _assert_survivor_ranking(result, pdf, start, stop, 3)
+            except Exception as error:  # noqa: BLE001 — asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(6)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            coordinator.close()
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == []
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_restarted_daemon_costs_one_retry(
+        self, collections, sessions, tmp_path, n_shards
+    ):
+        """A pooled channel whose daemon restarted fails its send or its
+        receive; the one retry, on a new connection to the restarted
+        daemon, gets the answer."""
+        daemons = _spawn_fleet(
+            {"pdf": collections["pdf"]}, tmp_path, n_shards
+        )
+        coordinator = self._fleet(daemons, timeout=30)
+        reference = sessions["pdf"].queries([4]).using(DustTechnique())
+        reference = reference.knn(3)
+        try:
+            chain = _chain(coordinator, "pdf", "dust", queries=[4])
+            chain.knn(3)
+            [[dead], *_] = _pooled(coordinator, daemons[-1:])
+            port = daemons[-1].port
+            daemons[-1].stop()
+            daemons[-1] = DaemonHarness(
+                str(tmp_path / f"shard{n_shards - 1}.db"), port=port
+            )
+            answer = chain.knn(3)
+            [[pooled], *_] = _pooled(coordinator, daemons[-1:])
+        finally:
+            coordinator.close()
+            for daemon in daemons:
+                daemon.stop()
+        assert pooled is not dead
+        np.testing.assert_array_equal(answer.indices, reference.indices)
+        np.testing.assert_allclose(
+            answer.scores, reference.scores, atol=1e-9
+        )
 
 
 @contextlib.contextmanager
