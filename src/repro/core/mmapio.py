@@ -424,25 +424,37 @@ def load_collection(
         array.setflags(write=False)
         return array
 
-    def _check_finite(payload: np.ndarray, array_name: str) -> None:
-        """One finiteness pass over a payload whose rows the series adopt
-        as already-validated views, instead of each series constructor
-        repeating the check.  A bad payload raises the
-        :class:`InvalidSeriesError` a constructor would, naming the first
-        bad row.
+    def _check_payload(payload: np.ndarray, array_name: str) -> None:
+        """Check, once, a payload whose rows the series adopt as
+        already-validated views, instead of each series constructor
+        checking its row: native ``float64``, one row per series (of
+        timestamps, or of timestamps x samples), no empty row, and every
+        value finite.  A bad payload raises naming its file; a
+        non-finite one raises the :class:`InvalidSeriesError` a
+        constructor would, naming the first bad row.
         """
         # Defined by the package after this module is imported.
         from . import MATRIX_BLOCK_ELEMENTS
 
-        row_size = max(1, math.prod(payload.shape[1:]))
+        array_path = os.path.join(directory, manifest["arrays"][array_name])
+        ndim = 3 if array_name == "samples" else 2
+        if (
+            payload.dtype != np.float64
+            or payload.ndim != ndim
+            or 0 in payload.shape[1:]
+        ):
+            raise MappedCollectionError(
+                f"collection payload {array_path!r} referenced by manifest "
+                f"{manifest_path!r} must be a {ndim}-D float64 array with "
+                f"non-empty rows, got {payload.dtype} of shape "
+                f"{payload.shape}; re-save it with save_collection()"
+            )
+        row_size = math.prod(payload.shape[1:])
         block = max(1, MATRIX_BLOCK_ELEMENTS // row_size)
         for start in range(0, len(payload), block):
             finite = np.isfinite(payload[start:start + block])
             if not finite.all():
                 rows = finite.reshape(len(finite), -1).all(axis=1)
-                array_path = os.path.join(
-                    directory, manifest["arrays"][array_name]
-                )
                 raise InvalidSeriesError(
                     f"collection payload {array_path!r} referenced by "
                     f"manifest {manifest_path!r} holds non-finite values "
@@ -471,7 +483,7 @@ def load_collection(
             raise MappedCollectionError(
                 f"samples matrix missing or mis-shaped in {manifest_path!r}"
             )
-        _check_finite(samples, "samples")
+        _check_payload(samples, "samples")
         for row in range(n_series):
             items.append(
                 MultisampleUncertainTimeSeries(
@@ -486,7 +498,7 @@ def load_collection(
             raise MappedCollectionError(
                 f"values matrix missing or mis-shaped in {manifest_path!r}"
             )
-        _check_finite(values, "values")
+        _check_payload(values, "values")
         if kind == "pdf":
             table = [
                 _distribution_from_spec(spec)

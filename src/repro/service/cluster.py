@@ -30,7 +30,9 @@ side by side without a thread per shard.  Robustness:
 * **deadline budgets** — every shard attempt inherits the remaining
   per-request budget as its socket timeout and ships it as the
   request's ``timeout``, so the daemon drops an overrun request itself;
-  an attempt whose budget is already spent raises :class:`TimeoutError`;
+  an attempt whose budget is already spent raises
+  :class:`TimeoutError` naming the shard, while a reply that came in
+  time is read whatever the other shards did;
 * **graceful degradation** — with ``allow_partial``, a dead or failing
   shard yields a partial result *tagged* with the failed shard set
   (``result.failed_shards``) instead of an exception.
@@ -276,6 +278,11 @@ class ClusterCoordinator(SimilarityBackend):
             )
         return budget
 
+    def _pooled(self, shard: ShardEntry) -> bool:
+        """Whether a channel to ``shard`` waits in the pool."""
+        with self._lock:
+            return bool(self._pools.get((shard.host, shard.port)))
+
     def _send(
         self,
         shard: ShardEntry,
@@ -307,18 +314,22 @@ class ClusterCoordinator(SimilarityBackend):
         request_id: str,
         deadline: Optional[float],
     ) -> Dict[str, Any]:
-        """Read the reply to a sent request within the remaining budget.
+        """Read the reply to a sent request.
 
-        Only a reply read whole returns the channel to the pool, an
-        ``ok: false`` one included.  On any other outcome (transport
-        failure, spent budget, a reply to another request, an interrupt)
-        the channel is closed: its reply may still be on the way, and
-        must never answer a later request.
+        The remaining budget bounds the read, floored at a millisecond:
+        a reply that came before the deadline is read even when the wait
+        for another shard's reply spent the rest of the budget.  Only a
+        reply read whole returns the channel to the pool, an ``ok:
+        false`` one included.  On any other outcome (transport failure,
+        timeout, a reply to another request, an interrupt) the channel
+        is closed: its reply may still be on the way, and must never
+        answer a later request.
         """
+        timeout = None
+        if deadline is not None:
+            timeout = max(deadline - time.monotonic(), 1e-3)
         try:
-            response = channel.receive(
-                request_id, self._budget(shard, deadline)
-            )
+            response = channel.receive(request_id, timeout)
         except ServiceError:
             self._checkin(shard, channel)
             raise
@@ -350,8 +361,13 @@ class ClusterCoordinator(SimilarityBackend):
 
         Every request goes out before any reply is read, all on the
         caller's thread, so the shards execute side by side and no
-        thread is started.  A transport failure of a send or of a
-        receive gets one immediate retry of that shard's round trip.
+        thread is started.  Requests on pooled channels go first, so a
+        slow connect to one shard holds back no request that needs no
+        connect.  Replies are read in send order; a read's timeout is
+        floored (see :meth:`_receive`), so a slow shard read first
+        fails no reply that came in time behind it.  A transport
+        failure of a send or of a receive gets one immediate retry,
+        sent once every first request is out, its reply read last.
         Failed shards are ``None`` in the response list (allowed only
         with ``allow_partial``); the failed endpoints are returned so
         results can carry the tag.  A one-shard map's failure raises as
@@ -385,40 +401,45 @@ class ClusterCoordinator(SimilarityBackend):
             )
             for shard in shards
         ]
-        # A shard's channel with its request on the wire, or the error
-        # its send raised; replies are read in shard order.
-        pending: List[Any] = [None] * len(shards)
-        retried = [False] * len(shards)
         outcomes: List[Any] = [None] * len(shards)
+        attempts = [0] * len(shards)
+        outbox = sorted(
+            range(len(shards)), key=lambda index: not self._pooled(shards[index])
+        )
+        # (shard index, channel) of every request on the wire, unread.
+        unread: List[Tuple[int, Channel]] = []
         try:
-            for index, shard in enumerate(shards):
-                sent = _outcome(self._send, shard, *requests[index], deadline)
-                if isinstance(sent, OSError):
-                    retried[index] = True
+            while outbox or unread:
+                settled: List[Tuple[int, Any]] = []
+                for index in outbox:
+                    attempts[index] += 1
                     sent = _outcome(
-                        self._send, shard, *requests[index], deadline
+                        self._send, shards[index], *requests[index], deadline
                     )
-                pending[index] = sent
-            for index, shard in enumerate(shards):
-                sent, pending[index] = pending[index], None
-                request_id, payload = requests[index]
-                if isinstance(sent, Channel):
-                    outcome = _outcome(
-                        self._receive, shard, sent, request_id, deadline
+                    if isinstance(sent, Exception):
+                        settled.append((index, sent))
+                    else:
+                        unread.append((index, sent))
+                if not settled:
+                    index, channel = unread.pop(0)
+                    reply = _outcome(
+                        self._receive,
+                        shards[index],
+                        channel,
+                        requests[index][0],
+                        deadline,
                     )
-                else:
-                    outcome = sent
-                if isinstance(outcome, OSError) and not retried[index]:
-                    outcome = _outcome(
-                        self._round_trip, shard, request_id, payload, deadline
-                    )
-                outcomes[index] = outcome
+                    settled.append((index, reply))
+                outbox = []
+                for index, outcome in settled:
+                    outcomes[index] = outcome
+                    if isinstance(outcome, OSError) and attempts[index] < 2:
+                        outbox.append(index)
         finally:
             # Requests sent but never read (an interrupt): close their
             # channels so no stale reply answers a later request.
-            for sent in pending:
-                if isinstance(sent, Channel):
-                    sent.close()
+            for _, channel in unread:
+                channel.close()
         failures = [
             (shard, outcome)
             for shard, outcome in zip(shards, outcomes)

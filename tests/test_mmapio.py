@@ -297,6 +297,48 @@ class TestErrors:
         assert manifest_path in message
         assert message.endswith("in row 7")
 
+    @pytest.mark.parametrize("mmap_mode", ["r", None])
+    @pytest.mark.parametrize(
+        "kind, malform",
+        [
+            ("multisample", lambda samples: samples[:, :, 0]),
+            ("multisample", lambda samples: samples[:, :, :0]),
+            ("multisample", lambda samples: samples[..., None]),
+            ("exact", lambda values: values[:, :0]),
+            ("exact", lambda values: values.astype(np.float32)),
+            ("pdf", lambda values: values.astype(">f8")),
+        ],
+        ids=[
+            "2d-samples",
+            "no-samples",
+            "4d-samples",
+            "zero-length",
+            "float32",
+            "big-endian",
+        ],
+    )
+    def test_malformed_payload_rejected_at_load(
+        self, exact, pdf, multisample, tmp_path, kind, malform, mmap_mode
+    ):
+        """The rows a payload's series adopt unchecked are checked whole
+        at load: a payload of the wrong rank or dtype, or with empty
+        rows, fails the load naming the payload and the manifest."""
+        items = {"exact": exact, "pdf": pdf, "multisample": multisample}
+        manifest_path = save_collection(items[kind], str(tmp_path))
+        name = "samples.npy" if kind == "multisample" else "values.npy"
+        malformed = malform(np.load(tmp_path / name))
+        np.save(tmp_path / name, malformed)
+        with open(manifest_path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["length"] = malformed.shape[1]
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(MappedCollectionError) as excinfo:
+            load_collection(str(tmp_path), mmap_mode=mmap_mode)
+        message = str(excinfo.value)
+        assert name in message
+        assert manifest_path in message
+
     def test_deleted_index_table_names_manifest_and_file(
         self, pdf, tmp_path
     ):

@@ -24,7 +24,8 @@ contracts under test:
   connection once, holds to its ``timeout`` budget, and closes its
   resolution connection when it cannot resolve the collection;
 * a scatter sends every shard's request before it reads any reply, all
-  on the caller's thread, so no shard count starts a thread; a
+  on the caller's thread, so no shard count starts a thread, and reads
+  every reply that came in time, so a held shard fails no other; a
   connection returns to the pool only once its reply was read whole, so
   the next request on it gets its own reply;
 * the shard map lives in the catalog (schema v3) behind strict tiling
@@ -1012,9 +1013,9 @@ def _pooled(coordinator, daemons):
 
 class TestPipelinedScatter:
     """The scatter puts every shard's request on the wire, then reads
-    the replies, all on the caller's thread.  A channel goes back to the
-    pool only once its reply was read whole; one whose reply was not
-    read is closed, so no stale reply answers the next request."""
+    the replies in send order, all on the caller's thread.  A channel goes
+    back to the pool only once its reply was read whole; one whose reply
+    was not read is closed, so no stale reply answers the next request."""
 
     @pytest.fixture()
     def trio(self, collections, tmp_path):
@@ -1118,6 +1119,73 @@ class TestPipelinedScatter:
             fleet.close()
             for daemon in daemons:
                 daemon.stop()
+
+    @pytest.mark.parametrize("allow_partial", [False, True])
+    def test_held_first_shard_spares_the_replies_after_it(
+        self, collections, pdf, tmp_path, allow_partial
+    ):
+        """A held shard ahead of a live one does not fail the live one:
+        its reply came long before the deadline and is read, so only the
+        held shard is tagged, in partial and in strict mode."""
+        daemons = _spawn_fleet({"pdf": collections["pdf"]}, tmp_path, 2)
+        held = daemons[0]
+        endpoint = f"127.0.0.1:{held.port}"
+        start, stop = _tile(N_SERIES, 2)[0]
+        fleet = self._fleet(daemons, timeout=2.0, allow_partial=allow_partial)
+        gate = LoopGate(held)
+        try:
+            chain = _chain(fleet, "pdf", "dust")
+            if allow_partial:
+                result = chain.knn(3)
+                assert result.failed_shards == (endpoint,)
+                _assert_survivor_ranking(result, pdf, start, stop, 3)
+            else:
+                with pytest.raises(ClusterError) as excinfo:
+                    chain.knn(3)
+                assert isinstance(excinfo.value.__cause__, TimeoutError)
+                assert excinfo.value.failed_shards == (endpoint,)
+            assert [len(pool) for pool in _pooled(fleet, daemons)] == [0, 1]
+        finally:
+            gate.release()
+            fleet.close()
+            for daemon in daemons:
+                daemon.stop()
+
+    def test_hung_connect_holds_back_no_pooled_request(
+        self, collections, pdf, tmp_path, monkeypatch
+    ):
+        """Requests on pooled channels go out before any new connection
+        is opened: a first shard whose connect hangs past the budget
+        fails alone, and the second shard's pooled request is answered."""
+        daemons = _spawn_fleet({"pdf": collections["pdf"]}, tmp_path, 2)
+        hung = daemons[0]
+        endpoint = f"127.0.0.1:{hung.port}"
+        start, stop = _tile(N_SERIES, 2)[0]
+        fleet = self._fleet(
+            daemons, timeout=1.0, connect_timeout=1.2, allow_partial=True
+        )
+
+        class HungConnect(Channel):
+            """A connect to ``hung`` that runs out its connect timeout."""
+
+            def __init__(self, host, port, connect_timeout):
+                if port == hung.port:
+                    time.sleep(connect_timeout)
+                    raise TimeoutError("timed out")
+                super().__init__(host, port, connect_timeout)
+
+        try:
+            chain = _chain(fleet, "pdf", "dust")
+            chain.knn(3)
+            fleet._pools.pop(("127.0.0.1", hung.port)).pop().close()
+            monkeypatch.setattr("repro.service.cluster.Channel", HungConnect)
+            result = chain.knn(3)
+        finally:
+            fleet.close()
+            for daemon in daemons:
+                daemon.stop()
+        assert result.failed_shards == (endpoint,)
+        _assert_survivor_ranking(result, pdf, start, stop, 3)
 
     def test_callers_sharing_a_coordinator_stay_in_step(self, trio, pdf):
         """Six caller threads share one coordinator and its pools, with
