@@ -23,14 +23,18 @@ batch engine removes that overhead in two pieces:
   evicted — together with its strong reference — once the bound is hit.
   Lookup, insert and eviction run under one lock.
 
-Consumers reach the engine through the ``(M, N)`` kernels of
-:class:`repro.queries.techniques.Technique` (``distance_kernel`` /
-``probability_kernel`` / ``calibration_kernel``), which take it as a
-call argument: a session passes its own, and a direct
-``technique.distance_matrix(q, c)`` runs on :data:`SHARED_ENGINE`.
-Every concrete technique overrides them with a vectorized kernel; the
-default implementations loop over the per-pair methods, so third-party
-techniques keep working unchanged.
+Within a query one place reads the engine:
+:meth:`repro.queries.planner.QueryPlan.execute` resolves a workload's
+two sides once per plan — the collection through the engine, the query
+rows through it only when they are the collection or a loaded map, and
+otherwise as a materialization built for that plan alone — and hands
+both to the ``(M, N)`` kernels of
+:class:`repro.queries.techniques.Technique`.  A session owns its engine
+(a direct ``technique.distance_matrix(q, c)`` runs on
+:data:`SHARED_ENGINE`), so an engine holds only the collections a live
+session uses.  Every concrete technique overrides the kernels with
+vectorized ones; the default implementations loop over the per-pair
+methods, so third-party techniques keep working unchanged.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.errors import InvalidParameterError, LengthMismatchError
+from ..core.errors import LengthMismatchError
 from ..core.series import TimeSeries
 from ..core.uncertain import (
     MultisampleUncertainTimeSeries,
@@ -437,24 +441,15 @@ class QueryEngine:
 
     A caller passes its engine to every plan it runs
     (``technique.matrix_with_stats(..., engine=...)``); no technique holds
-    one.  :meth:`materialize` is atomic and the lazy fills are pure, so
-    any number of threads may share an engine.
-
-    Parameters
-    ----------
-    max_collections:
-        How many distinct collections stay materialized; the least
-        recently used entry (and its strong collection reference) is
-        dropped beyond this.  The harness touches at most two collections
-        per run (pdf and multisample forms), so the default is generous.
+    one.  At most :data:`DEFAULT_MAX_COLLECTIONS` collections stay
+    materialized: the least recently used entry (and its strong
+    collection reference) is dropped beyond that.  A session owns its
+    engine, which then holds its collection and at most one loaded-map
+    query side.  :meth:`materialize` is atomic and the lazy fills are
+    pure, so any number of threads may share an engine.
     """
 
-    def __init__(self, max_collections: int = DEFAULT_MAX_COLLECTIONS) -> None:
-        if max_collections < 1:
-            raise InvalidParameterError(
-                f"max_collections must be >= 1, got {max_collections}"
-            )
-        self.max_collections = max_collections
+    def __init__(self) -> None:
         self._entries: Dict[int, CollectionMaterialization] = {}
         self._lock = threading.Lock()
 
@@ -476,7 +471,7 @@ class QueryEngine:
             if entry is None or not entry.is_current():
                 # New, or mutated in place since materialization: rebuild.
                 entry = CollectionMaterialization(collection)
-                if len(self._entries) >= self.max_collections:
+                if len(self._entries) >= DEFAULT_MAX_COLLECTIONS:
                     del self._entries[next(iter(self._entries))]
             self._entries[key] = entry
             return entry
@@ -487,12 +482,10 @@ class QueryEngine:
             self._entries.clear()
 
     def __repr__(self) -> str:
-        return (
-            f"QueryEngine(collections={len(self._entries)}, "
-            f"max_collections={self.max_collections})"
-        )
+        return f"QueryEngine(collections={len(self._entries)})"
 
 
-#: The engine a plan runs on when its caller passes none (one per process
-#: keeps Euclidean / PROUD / UMA reusing the same values matrix).
+#: The engine a plan runs on when its caller passes none: the
+#: session-less ``technique.distance_matrix`` / ``probability_matrix`` /
+#: ``calibration_matrix`` calls.  Sessions own their engines.
 SHARED_ENGINE = QueryEngine()

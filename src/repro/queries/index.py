@@ -106,12 +106,11 @@ def _multistep_knn(
     mask &= context.undecided
     refined, samples = context.technique.refine_matrix(
         "distance",
-        context.queries,
-        context.collection,
+        context.query_side,
+        context.candidate_side,
         None,
         context.values,
         mask,
-        context.engine,
         tau=context.tau,
     )
     context.undecided &= ~mask
@@ -144,7 +143,7 @@ class IndexStage(PlanStage):
         ):
             return 0, 0
         bounds = context.technique.index_bounds(
-            kind, context.queries, context.collection, context.engine
+            kind, context.query_side, context.candidate_side
         )
         if bounds is None:
             return 0, 0

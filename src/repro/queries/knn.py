@@ -3,7 +3,8 @@
 The top-k ranking helpers behind three uses: DUST-style top-k search
 (Section 3.3 — "DUST being a distance measure, it can be used to answer
 top-k nearest neighbor queries"), which the session's ``knn`` verb ranks
-with :func:`knn_table` / :func:`local_topk_rows`; the evaluation
+with :func:`local_topk_rows` (a score matrix's ``top_k`` with
+:func:`knn_table`, a checked call of it); the evaluation
 protocol's ground-truth construction (the 10 nearest neighbors under
 exact Euclidean define the true answer set); and the distributed kNN
 contract of the service tier — a daemon ranks the column slice it
@@ -72,11 +73,12 @@ def knn_table(
 ) -> np.ndarray:
     """Row-wise top-k of an ``(M, N)`` score matrix, shape ``(M, k)``.
 
-    Every row goes through :func:`knn_indices`, so matrix rankings agree
-    bit-for-bit with ranking each score row alone (same stable
+    Ranks through :func:`local_topk_rows`, the one ranking rule, so
+    matrix rankings agree bit-for-bit with a kNN execution's (same stable
     break-ties-by-index rule).  ``exclude`` optionally gives one index to
     skip per row (``-1`` for none) — the self-match column of all-pairs
-    matrices.
+    matrices.  :func:`check_knn_k` leaves every row at least ``k``
+    eligible candidates, so no row is padded.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     n_queries, n_candidates = matrix.shape
@@ -88,13 +90,7 @@ def knn_table(
                 f"{exclude.shape} for {n_queries} rows"
             )
     check_knn_k(k, n_candidates, exclude)
-    table = np.empty((n_queries, k), dtype=np.intp)
-    for row in range(n_queries):
-        skipped = None
-        if exclude is not None and exclude[row] >= 0:
-            skipped = int(exclude[row])
-        table[row] = knn_indices(matrix[row], k, exclude=skipped)
-    return table
+    return local_topk_rows(matrix, k, exclude)[0]
 
 
 def euclidean_knn_table(values: np.ndarray, k: int) -> np.ndarray:

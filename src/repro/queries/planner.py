@@ -8,9 +8,9 @@ re-implemented that cascade by hand (MUNICH's bounding filter, the
 MUNICH-DTW envelope bounds, the DTW pruning cascade's callers); the
 planner extracts it into one composable pipeline:
 
-* :class:`BoundStage` evaluates lower/upper bound stacks (from the
-  engine-cached materializations) for every pair at once and decides the
-  cells whose bounds clear the threshold;
+* :class:`BoundStage` evaluates lower/upper bound stacks (from the two
+  sides' cached materializations) for every pair at once and decides
+  the cells whose bounds clear the threshold;
 * :class:`RefineStage` runs the technique's exact kernel on the
   surviving candidate mask;
 * :class:`AdaptiveMCStage` replaces a fixed-sample-size Monte Carlo
@@ -18,12 +18,15 @@ planner extracts it into one composable pipeline:
   rule against ``ε``/``τ`` — see :func:`sequential_mc_decision`.
 
 A :class:`QueryPlan` is an ordered tuple of stages;
-:meth:`QueryPlan.execute` runs them over one ``(M, N)`` workload and
-returns the score matrix together with :class:`PruningStats` — how many
-candidates each stage decided, how many exact refinements ran, how many
-Monte Carlo samples were evaluated, and per-stage wall time.  Techniques
-build their plans in :meth:`~repro.queries.techniques.Technique.build_plan`;
-the default plan is a single :class:`RefineStage`, which is exactly the
+:meth:`QueryPlan.execute` resolves the workload's two sides — the
+query rows and the candidate collection — into
+:class:`~repro.queries.engine.CollectionMaterialization` objects once,
+runs the stages over them, and returns the score matrix together with
+:class:`PruningStats` — how many candidates each stage decided, how
+many exact refinements ran, how many Monte Carlo samples were
+evaluated, and per-stage wall time.  Techniques build their plans in
+:meth:`~repro.queries.techniques.Technique.build_plan`; the default
+plan is a single :class:`RefineStage`, which is exactly the
 pre-planner behaviour — custom :class:`Technique` subclasses keep
 working unchanged.
 
@@ -65,7 +68,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.errors import InvalidParameterError
-from .engine import SHARED_ENGINE, QueryEngine
+from .engine import SHARED_ENGINE, CollectionMaterialization, QueryEngine
 
 #: Kinds of score matrices a plan can produce.
 PLAN_KINDS = ("distance", "probability", "calibration")
@@ -451,14 +454,22 @@ class PruningStats:
 
 @dataclass
 class PlanContext:
-    """Mutable state one plan execution threads through its stages."""
+    """Mutable state one plan execution threads through its stages.
+
+    It holds the workload's two materialized sides, its decision
+    targets (ε, τ, top-``k``), the output matrix and the ``undecided``
+    mask.  Stages never look a collection up themselves: every
+    technique hook they call takes ``(query_side, candidate_side)``.
+    """
 
     technique: "object"
     kind: str
-    queries: Sequence
-    collection: Sequence
-    #: The engine every stage's kernels materialize on.
-    engine: QueryEngine
+    #: The two sides of the ``(M, N)`` workload, resolved once per plan:
+    #: every stage's technique hooks read their arrays off these.  In
+    #: the full protocol (queries *are* the collection) they are one
+    #: object.
+    query_side: CollectionMaterialization
+    candidate_side: CollectionMaterialization
     epsilons: Optional[np.ndarray]
     #: Decision target — a scalar τ or a τ-grid tuple (one bracketing
     #: pass covers the whole optimal-τ sweep).
@@ -501,11 +512,11 @@ class PlanStage(abc.ABC):
 class BoundStage(PlanStage):
     """Decide cells whose lower/upper distance bounds clear ε.
 
-    The technique supplies ``matrix_bounds(queries, collection, engine)`` —
-    ``(lower, upper)`` stacks valid for *every* materialization of each
-    pair, computed from engine-cached stacks (bounding intervals,
-    band-inflated envelopes).  Cells with ``lower > ε`` are certain
-    misses (probability 0), cells with ``upper <= ε`` certain hits
+    The technique supplies ``matrix_bounds(query_side, candidate_side)``
+    — ``(lower, upper)`` stacks valid for *every* materialization of
+    each pair, computed from the sides' cached stacks (bounding
+    intervals, band-inflated envelopes).  Cells with ``lower > ε`` are
+    certain misses (probability 0), cells with ``upper <= ε`` certain hits
     (probability 1); ``slack`` guards the comparisons for techniques
     whose batched bound sums may reorder floats (MUNICH-DTW uses
     :data:`~repro.distances.dtw_batch.PRUNE_SLACK`).
@@ -524,7 +535,7 @@ class BoundStage(PlanStage):
                 "BoundStage requires a probability workload with epsilons"
             )
         lower, upper = context.technique.matrix_bounds(
-            context.queries, context.collection, context.engine
+            context.query_side, context.candidate_side
         )
         guard_hi = (context.epsilons * (1.0 + self.slack))[:, None]
         guard_lo = (context.epsilons * (1.0 - self.slack))[:, None]
@@ -558,12 +569,11 @@ class RefineStage(PlanStage):
     def run(self, context: PlanContext) -> Tuple[int, int]:
         refined, samples = context.technique.refine_matrix(
             context.kind,
-            context.queries,
-            context.collection,
+            context.query_side,
+            context.candidate_side,
             context.epsilons,
             context.values,
             context.undecided,
-            context.engine,
             tau=context.tau,
         )
         context.undecided[:] = False
@@ -584,6 +594,28 @@ class AdaptiveMCStage(RefineStage):
     """
 
     name = "adaptive-mc"
+
+
+def _resolve_sides(
+    engine: QueryEngine, queries: Sequence, collection: Sequence
+) -> Tuple[CollectionMaterialization, CollectionMaterialization]:
+    """The ``(query_side, candidate_side)`` materializations of one plan.
+
+    The collection comes from ``engine``, so its identity check runs once
+    per plan.  Queries that *are* the collection share its side (the full
+    protocol).  A loaded map (``immutable_items``) also comes from the
+    engine: a shard daemon's all-series request queries the whole map
+    against its slice, and each plan would otherwise re-filter or
+    re-summarize every series of the map.  Any other query sequence is
+    built for this plan and dropped with it, so a per-request list never
+    enters the engine's LRU.
+    """
+    candidate_side = engine.materialize(collection)
+    if queries is collection:
+        return candidate_side, candidate_side
+    if getattr(queries, "immutable_items", False):
+        return engine.materialize(queries), candidate_side
+    return CollectionMaterialization(queries), candidate_side
 
 
 class QueryPlan:
@@ -618,8 +650,11 @@ class QueryPlan:
         against; ``knn_k``/``exclude`` describe a top-k workload the
         same way (pruned cells become ``+inf``; ``exclude`` holds each
         row's self-match column, ``-1`` for none).  ``engine`` is the
-        :class:`~repro.queries.engine.QueryEngine` every stage
-        materializes on (default :data:`~repro.queries.engine.SHARED_ENGINE`).
+        :class:`~repro.queries.engine.QueryEngine` the collection (and a
+        loaded-map query side) materializes on (default
+        :data:`~repro.queries.engine.SHARED_ENGINE`); both sides are
+        resolved once, before the first stage, and every stage reads
+        them off the :class:`PlanContext`.
         """
         from .techniques import _epsilon_vector
 
@@ -664,12 +699,14 @@ class QueryPlan:
                     StageStats(stage=stage.name) for stage in self.stages
                 ),
             )
+        query_side, candidate_side = _resolve_sides(
+            SHARED_ENGINE if engine is None else engine, queries, collection
+        )
         context = PlanContext(
             technique=technique,
             kind=kind,
-            queries=queries,
-            collection=collection,
-            engine=SHARED_ENGINE if engine is None else engine,
+            query_side=query_side,
+            candidate_side=candidate_side,
             epsilons=epsilons,
             tau=tau,
             values=values,

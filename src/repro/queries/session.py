@@ -20,11 +20,12 @@ techniques' batch-of-queries matrix kernels
     hits = prq.prob_range(epsilon=eps_vector, tau=0.4)
 
 A :class:`SimilaritySession` pins one collection on one
-:class:`~repro.queries.engine.QueryEngine` (the process-shared engine by
-default), so every query set against it reuses the same materialization
-matrices.  :class:`QuerySet` is an immutable fluent builder: ``queries()``
-selects the query rows (default: every series — the full protocol),
-``using()`` binds a technique, and the terminal verbs — ``knn``,
+:class:`~repro.queries.engine.QueryEngine` (its own by default), so
+every query set against it reuses the same materialization matrices,
+and dropping the session frees them.  :class:`QuerySet` is an
+immutable fluent builder: ``queries()`` selects the query rows
+(default: every series — the full protocol), ``using()`` binds a
+technique, and the terminal verbs — ``knn``,
 ``range``, ``prob_range``, ``profile_matrix``, ``calibration_matrix`` —
 run one matrix kernel and return structured result objects carrying
 scores, rankings, and per-query timings.  ``knn``, ``range`` and
@@ -49,7 +50,7 @@ import numpy as np
 
 from ..core import normalize_tau
 from ..core.errors import InvalidParameterError, UnsupportedQueryError
-from .engine import SHARED_ENGINE, QueryEngine
+from .engine import QueryEngine
 from .knn import check_knn_k, knn_table, local_topk_rows
 from .planner import PlanPolicy, PruningStats
 from .techniques import Technique, _epsilon_vector
@@ -768,9 +769,11 @@ class SimilaritySession:
         set against the session shares the same dense matrices.
     engine:
         The :class:`~repro.queries.engine.QueryEngine` to materialize on;
-        defaults to the process-shared engine (techniques compared side by
-        side reuse one values matrix).  Pass a private engine to isolate
-        the session's caches.
+        defaults to a new engine the session owns, so the engine holds
+        only this session's collection (and, for a loaded-map query
+        sequence, that map).  Pass one engine to several sessions to
+        share their materializations, e.g. to compare indexed and
+        unindexed plans on one set of matrices.
     policy:
         The :class:`~repro.queries.planner.PlanPolicy` every query set
         of the session plans under (``None``: the default
@@ -799,7 +802,7 @@ class SimilaritySession:
                 "a similarity session needs a non-empty collection"
             )
         self._collection = collection
-        self._engine = engine if engine is not None else SHARED_ENGINE
+        self._engine = engine if engine is not None else QueryEngine()
         self._policy = check_policy(policy)
         self._backend = InProcessBackend()
         self._closed = False

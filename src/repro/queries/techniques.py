@@ -20,10 +20,13 @@ The per-pair methods (``distance`` / ``probability`` /
 ``calibration_distance``) are each technique's *reference*: tests
 compare against them and a custom technique implements only them.
 Everything collection-level runs through one ``(M, N)`` kernel per
-kind, backed by the :class:`~repro.queries.engine.QueryEngine`
-materialization cache the caller passes in; a single query is the
-``M = 1`` row.  A technique holds its parameters only, so one instance
-may serve any number of sessions and threads at once.
+kind.  A kernel reads two
+:class:`~repro.queries.engine.CollectionMaterialization` objects, the
+query side and the candidate side, which the plan resolves once
+(:meth:`~repro.queries.planner.QueryPlan.execute`); no technique looks
+a collection up itself.  A single query is the ``M = 1`` row.  A
+technique holds its parameters only, so one instance may serve any
+number of sessions and threads at once.
 
 Matrix API
 ----------
@@ -88,8 +91,6 @@ from ..core.summaries import (
     interval_lower_bound,
     paa_bound_slack,
     paa_lower_bound,
-    summarize_intervals,
-    summarize_values,
 )
 from ..core.uncertain import (
     ErrorModel,
@@ -117,7 +118,7 @@ from ..munich.exact import draw_choices, draw_materialization_pairs
 from ..munich.query import Munich
 from ..proud.query import Proud
 from ..stats.normal import std_normal_cdf
-from .engine import QueryEngine, _point_estimate
+from .engine import CollectionMaterialization
 from .index import IndexStage
 from .planner import (
     AdaptiveMCStage,
@@ -158,43 +159,6 @@ def _epsilon_vector(epsilon, n_queries: int) -> np.ndarray:
     if eps.size and (np.any(eps < 0.0) or np.any(np.isnan(eps))):
         raise InvalidParameterError("every epsilon must be >= 0")
     return eps
-
-
-def _query_bound_stacks(
-    engine: QueryEngine, queries: Sequence
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(M, n)`` query-side bounding-interval stacks for a bound stage.
-
-    Single-query workloads (single-row session ops build a fresh
-    one-item list per call) read the intervals directly so they don't
-    churn the engine's LRU with throwaway materializations; everything
-    larger goes through the engine and shares the cached stacks — in the
-    full protocol the query side *is* the collection.
-    """
-    if len(queries) == 1:
-        low, high = queries[0].bounding_intervals()
-        return low[None, :], high[None, :]
-    materialized = engine.materialize(queries)
-    return materialized.bounding_matrices()
-
-
-def _query_point_summary(engine: QueryEngine, queries: Sequence, n_segments: int):
-    """Query-side PAA summary, mirroring :func:`_query_bound_stacks`:
-    single-query workloads summarize the row directly instead of churning
-    a throwaway materialization through the engine's LRU."""
-    if len(queries) == 1:
-        return summarize_values(_point_estimate(queries[0])[None, :], n_segments)
-    return engine.materialize(queries).paa_summary(n_segments)
-
-
-def _query_interval_summary(
-    engine: QueryEngine, queries: Sequence, n_segments: int
-):
-    """Query-side bounding-interval PAA summary (MUNICH-family index)."""
-    if len(queries) == 1:
-        low, high = queries[0].bounding_intervals()
-        return summarize_intervals(low[None, :], high[None, :], n_segments)
-    return engine.materialize(queries).interval_paa_summary(n_segments)
 
 
 def _per_pair_matrix(
@@ -245,12 +209,17 @@ def _sparse_euclidean_refine(
 class Technique(abc.ABC):
     """A similarity-matching method under the common evaluation protocol.
 
-    An instance holds its parameters only.  The
-    :class:`~repro.queries.engine.QueryEngine` its kernels materialize on
-    is an argument of every call (:meth:`matrix_with_stats` defaults it
-    to :data:`~repro.queries.engine.SHARED_ENGINE`), never an attribute,
-    so concurrent runs of one instance on different engines cannot see
-    each other's collections.
+    An instance holds its parameters only.  Every plan hook
+    (``distance_kernel``, ``probability_kernel``, ``calibration_kernel``,
+    ``matrix_bounds``, ``index_bounds``, ``refine_matrix``) takes the
+    workload's two sides, ``(query_side, candidate_side)``: the
+    :class:`~repro.queries.engine.CollectionMaterialization` objects the
+    plan resolved for its query rows and its candidate collection.  A
+    hook reads arrays off them and looks nothing up, so concurrent runs
+    of one instance on different engines cannot see each other's
+    collections.  The base kernels loop the per-pair methods over
+    ``side.collection``, so a custom technique that implements only
+    ``distance`` or ``probability`` keeps working.
     """
 
     #: Display name used in result tables.
@@ -318,7 +287,7 @@ class Technique(abc.ABC):
         knn_k: Optional[int] = None,
         exclude: Optional[np.ndarray] = None,
         policy: Optional[PlanPolicy] = None,
-        engine: Optional[QueryEngine] = None,
+        engine=None,
     ) -> Tuple[np.ndarray, PruningStats]:
         """Execute this technique's plan over an ``(M, N)`` workload.
 
@@ -336,9 +305,9 @@ class Technique(abc.ABC):
         thresholds — Monte Carlo techniques then bracket the whole grid
         in one adaptive pass.  ``policy`` (default ``PlanPolicy()``; a
         session passes its own) decides whether the index stage may be
-        prepended to the cascade.  ``engine`` (default:
-        :data:`~repro.queries.engine.SHARED_ENGINE`) holds the
-        materializations every stage's kernels read.
+        prepended to the cascade.  ``engine`` (default: the process-wide
+        shared engine; a session passes its own) holds the collection's
+        materialization, from which the plan resolves both sides.
         """
         tau = normalize_tau(tau)
         plan = self._indexed_plan(
@@ -422,7 +391,9 @@ class Technique(abc.ABC):
     # -- plan building blocks (what concrete techniques override) ----------
 
     def matrix_bounds(
-        self, queries: Sequence, collection: Sequence, engine: QueryEngine
+        self,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(lower, upper)`` distance-bound stacks for a ``BoundStage``.
 
@@ -436,9 +407,8 @@ class Technique(abc.ABC):
     def index_bounds(
         self,
         kind: str,
-        queries: Sequence,
-        collection: Sequence,
-        engine: QueryEngine,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> Optional[Tuple[np.ndarray, float]]:
         """Summarization-index bounds for an :class:`IndexStage`.
 
@@ -455,12 +425,11 @@ class Technique(abc.ABC):
     def refine_matrix(
         self,
         kind: str,
-        queries: Sequence,
-        collection: Sequence,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
         epsilon: Optional[np.ndarray],
         out: np.ndarray,
         undecided: np.ndarray,
-        engine: QueryEngine,
         tau: Optional[float] = None,
     ) -> Tuple[int, int]:
         """Exact kernel over the surviving candidate mask.
@@ -473,12 +442,12 @@ class Technique(abc.ABC):
         to touch only the undecided cells.
         """
         if kind == "distance":
-            dense = self.distance_kernel(queries, collection, engine)
+            dense = self.distance_kernel(query_side, candidate_side)
         elif kind == "calibration":
-            dense = self.calibration_kernel(queries, collection, engine)
+            dense = self.calibration_kernel(query_side, candidate_side)
         else:
             dense = self.probability_kernel(
-                queries, collection, epsilon, engine
+                query_side, candidate_side, epsilon
             )
         dense = np.asarray(dense, dtype=np.float64)
         if undecided.all():
@@ -490,30 +459,37 @@ class Technique(abc.ABC):
         return int(np.count_nonzero(undecided)), 0
 
     def distance_kernel(
-        self, queries: Sequence, collection: Sequence, engine: QueryEngine
+        self,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> np.ndarray:
         """The exact all-pairs distance kernel the refine stage runs.
 
         Base implementation loops over the per-pair :meth:`distance`.
         """
-        return _per_pair_matrix(self.distance, queries, collection)
+        return _per_pair_matrix(
+            self.distance, query_side.collection, candidate_side.collection
+        )
 
     def probability_kernel(
         self,
-        queries: Sequence,
-        collection: Sequence,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
         epsilon,
-        engine: QueryEngine,
     ) -> np.ndarray:
         """The exact all-pairs probability kernel the refine stage runs.
 
         Base implementation loops over the per-pair :meth:`probability`.
         """
-        eps = _epsilon_vector(epsilon, len(queries))
-        return _per_pair_matrix(self.probability, queries, collection, eps)
+        eps = _epsilon_vector(epsilon, len(query_side))
+        return _per_pair_matrix(
+            self.probability, query_side.collection, candidate_side.collection, eps
+        )
 
     def calibration_kernel(
-        self, queries: Sequence, collection: Sequence, engine: QueryEngine
+        self,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> np.ndarray:
         """The exact calibration-distance kernel the refine stage runs.
 
@@ -523,9 +499,11 @@ class Technique(abc.ABC):
         override with a Euclidean GEMM).
         """
         if self.kind == "distance":
-            return self.distance_kernel(queries, collection, engine)
+            return self.distance_kernel(query_side, candidate_side)
         return _per_pair_matrix(
-            self.calibration_distance, queries, collection
+            self.calibration_distance,
+            query_side.collection,
+            candidate_side.collection,
         )
 
     def __repr__(self) -> str:
@@ -548,24 +526,31 @@ class EuclideanTechnique(Technique):
     ) -> float:
         return euclidean(query.observations, candidate.observations)
 
+    def _stack(self, side: CollectionMaterialization) -> np.ndarray:
+        """The ``(rows, n)`` matrix one side's scores compare."""
+        return side.values_matrix()
+
+    def _summary(self, side: CollectionMaterialization, n_segments: int):
+        """The PAA summary of :meth:`_stack` (the index geometry)."""
+        return side.paa_summary(n_segments)
+
     def distance_kernel(
-        self, queries: Sequence, collection: Sequence, engine: QueryEngine
+        self,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> np.ndarray:
-        """All-pairs Euclidean in one GEMM over the cached values matrices."""
-        if len(queries) == 0:
-            return np.empty((0, len(collection)))
-        matrix = engine.materialize(collection).values_matrix()
-        query_matrix = engine.materialize(queries).values_matrix()
-        return euclidean_matrix(query_matrix, matrix)
+        """All-pairs Euclidean in one GEMM over the two sides' stacks."""
+        return euclidean_matrix(
+            self._stack(query_side), self._stack(candidate_side)
+        )
 
     def index_bounds(
         self,
         kind: str,
-        queries: Sequence,
-        collection: Sequence,
-        engine: QueryEngine,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> Optional[Tuple[np.ndarray, float]]:
-        """PAA projection bounds over the cached values summaries.
+        """PAA projection bounds over the two sides' cached summaries.
 
         The lower bound is the Euclidean distance between the
         (width-scaled) segment-mean vectors — an orthogonal projection,
@@ -574,16 +559,11 @@ class EuclideanTechnique(Technique):
         if (
             kind != "distance"
             or self.index_segments is None
-            or len(queries) == 0
-            or len(collection) == 0
+            or len(candidate_side) == 0
         ):
             return None
-        summary = engine.materialize(collection).paa_summary(
-            self.index_segments
-        )
-        query_summary = _query_point_summary(
-            engine, queries, summary.n_segments
-        )
+        summary = self._summary(candidate_side, self.index_segments)
+        query_summary = self._summary(query_side, summary.n_segments)
         return (
             paa_lower_bound(query_summary, summary),
             paa_bound_slack(summary.length, summary.n_segments),
@@ -592,30 +572,23 @@ class EuclideanTechnique(Technique):
     def refine_matrix(
         self,
         kind: str,
-        queries: Sequence,
-        collection: Sequence,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
         epsilon: Optional[np.ndarray],
         out: np.ndarray,
         undecided: np.ndarray,
-        engine: QueryEngine,
         tau: Optional[float] = None,
     ) -> Tuple[int, int]:
         """Dense GEMM normally; candidate-gather refinement when the
         index pruned most of the grid (sub-linear at scale)."""
         if undecided.all() or 2 * np.count_nonzero(undecided) >= undecided.size:
             return super().refine_matrix(
-                kind, queries, collection, epsilon, out, undecided, engine,
+                kind, query_side, candidate_side, epsilon, out, undecided,
                 tau=tau,
             )
-        matrix = engine.materialize(collection).values_matrix()
-        if len(queries) == 1:
-            # A single-row op reads its row, as _query_point_summary
-            # does, instead of materializing a throwaway one-item list.
-            query_matrix = _point_estimate(queries[0])[None, :]
-        else:
-            query_matrix = engine.materialize(queries).values_matrix()
         return _sparse_euclidean_refine(
-            query_matrix, matrix, out, undecided
+            self._stack(query_side), self._stack(candidate_side), out,
+            undecided,
         ), 0
 
 
@@ -644,7 +617,9 @@ class DustTechnique(Technique):
         return self._dust.distance(query, candidate)
 
     def distance_kernel(
-        self, queries: Sequence, collection: Sequence, engine: QueryEngine
+        self,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> np.ndarray:
         """DUST lifted to the full ``(M, N, n)`` difference tensor.
 
@@ -654,13 +629,10 @@ class DustTechnique(Technique):
         one application per distinct ``(error_q, error_c)`` pair.  Blocks
         bound peak memory to a few MB regardless of ``M × N``.
         """
-        n_queries = len(queries)
-        if n_queries == 0:
-            return np.empty((0, len(collection)))
-        materialized = engine.materialize(collection)
-        values = materialized.values_matrix()
-        codes, distincts = materialized.model_codes()
-        query_side = engine.materialize(queries)
+        n_queries = len(query_side)
+        n_series = len(candidate_side)
+        values = candidate_side.values_matrix()
+        codes, distincts = candidate_side.model_codes()
         query_values = query_side.values_matrix()
         query_codes, query_distincts = query_side.model_codes()
 
@@ -676,7 +648,7 @@ class DustTechnique(Technique):
         all_distinct = list(mapping)
         n_codes = len(all_distinct)
         length = values.shape[1]
-        out = np.empty((n_queries, len(collection)))
+        out = np.empty((n_queries, n_series))
 
         if n_codes == 1:
             table = self._dust.table(all_distinct[0], all_distinct[0])
@@ -685,10 +657,8 @@ class DustTechnique(Technique):
             # triangle (plus the small in-block overlap) is computed and
             # the rest is mirrored — per-cell values are bit-identical to
             # the one-row kernel either way.
-            symmetric = queries is collection
-            for start, stop in _query_blocks(
-                n_queries, len(collection), length
-            ):
+            symmetric = query_side is candidate_side
+            for start, stop in _query_blocks(n_queries, n_series, length):
                 columns = values[start:] if symmetric else values
                 differences = np.abs(
                     columns[None, :, :] - query_values[start:stop, None, :]
@@ -704,7 +674,7 @@ class DustTechnique(Technique):
             return np.sqrt(out, out=out)
 
         joint_query_codes = translate[query_codes]
-        for start, stop in _query_blocks(n_queries, len(collection), length):
+        for start, stop in _query_blocks(n_queries, n_series, length):
             differences = np.abs(
                 values[None, :, :] - query_values[start:stop, None, :]
             )
@@ -724,27 +694,27 @@ class DustTechnique(Technique):
         return np.sqrt(out, out=out)
 
 
-class FilteredTechnique(Technique):
+class FilteredTechnique(EuclideanTechnique):
     """UMA / UEMA / MA / EMA: Euclidean over filtered sequences.
 
-    A full query workload filters every series exactly once: the filtered
-    matrices live in the engine's collection materializations, keyed by
-    the :class:`~repro.distances.filtered.FilteredEuclidean` value object.
-    The per-pair reference and a single-query index probe filter their
-    series directly and keep nothing.
+    Euclidean's kernel, index bounds and refinement, run over the
+    filtered stacks: the two accessors below swap the values matrix and
+    its PAA summary for the filtered matrix and its summary, so the index
+    summarizes the same stacks the kernel compares (summarizing raw
+    observations would not be admissible).  A full query workload filters
+    every series exactly once: the filtered matrices live in the
+    collection's materialization, keyed by the
+    :class:`~repro.distances.filtered.FilteredEuclidean` value object.
     """
-
-    kind = "distance"
-    index_segments = DEFAULT_SEGMENTS
 
     def __init__(
         self,
         filtered: FilteredEuclidean,
         index_segments: Optional[int] = DEFAULT_SEGMENTS,
     ) -> None:
+        super().__init__(index_segments)
         self.filtered = filtered
         self.name = filtered.name
-        self.index_segments = index_segments
 
     @classmethod
     def uma(cls, window: int = 2) -> "FilteredTechnique":
@@ -761,80 +731,11 @@ class FilteredTechnique(Technique):
     ) -> float:
         return self.filtered.distance(query, candidate)
 
-    def distance_kernel(
-        self, queries: Sequence, collection: Sequence, engine: QueryEngine
-    ) -> np.ndarray:
-        """All-pairs filtered Euclidean: one GEMM over two filtered stacks."""
-        if len(queries) == 0:
-            return np.empty((0, len(collection)))
-        matrix = engine.materialize(collection).filtered_matrix(self.filtered)
-        query_matrix = engine.materialize(queries).filtered_matrix(
-            self.filtered
-        )
-        return euclidean_matrix(query_matrix, matrix)
+    def _stack(self, side: CollectionMaterialization) -> np.ndarray:
+        return side.filtered_matrix(self.filtered)
 
-    def index_bounds(
-        self,
-        kind: str,
-        queries: Sequence,
-        collection: Sequence,
-        engine: QueryEngine,
-    ) -> Optional[Tuple[np.ndarray, float]]:
-        """PAA bounds over the *filtered* matrices.
-
-        UMA/UEMA distances are Euclidean on filtered values, so the
-        index must summarize the same filtered stacks its kernel
-        compares — summarizing raw observations would not be admissible.
-        """
-        if (
-            kind != "distance"
-            or self.index_segments is None
-            or len(queries) == 0
-            or len(collection) == 0
-        ):
-            return None
-        summary = engine.materialize(collection).filtered_paa_summary(
-            self.filtered, self.index_segments
-        )
-        if len(queries) == 1:
-            query_summary = summarize_values(
-                self.filtered.filter_uncertain(queries[0])[None, :],
-                summary.n_segments,
-            )
-        else:
-            query_summary = engine.materialize(
-                queries
-            ).filtered_paa_summary(self.filtered, summary.n_segments)
-        return (
-            paa_lower_bound(query_summary, summary),
-            paa_bound_slack(summary.length, summary.n_segments),
-        )
-
-    def refine_matrix(
-        self,
-        kind: str,
-        queries: Sequence,
-        collection: Sequence,
-        epsilon: Optional[np.ndarray],
-        out: np.ndarray,
-        undecided: np.ndarray,
-        engine: QueryEngine,
-        tau: Optional[float] = None,
-    ) -> Tuple[int, int]:
-        """Dense GEMM normally; candidate-gather refinement when the
-        index pruned most of the grid."""
-        if undecided.all() or 2 * np.count_nonzero(undecided) >= undecided.size:
-            return super().refine_matrix(
-                kind, queries, collection, epsilon, out, undecided, engine,
-                tau=tau,
-            )
-        matrix = engine.materialize(collection).filtered_matrix(self.filtered)
-        query_matrix = engine.materialize(queries).filtered_matrix(
-            self.filtered
-        )
-        return _sparse_euclidean_refine(
-            query_matrix, matrix, out, undecided
-        ), 0
+    def _summary(self, side: CollectionMaterialization, n_segments: int):
+        return side.filtered_paa_summary(self.filtered, n_segments)
 
 
 class ProudTechnique(Technique):
@@ -905,10 +806,9 @@ class ProudTechnique(Technique):
 
     def probability_kernel(
         self,
-        queries: Sequence,
-        collection: Sequence,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
         epsilon,
-        engine: QueryEngine,
     ) -> np.ndarray:
         """PROUD's moment algebra broadcast over the query axis.
 
@@ -921,17 +821,11 @@ class ProudTechnique(Technique):
         estimates moments per union-of-coefficients and keeps the
         per-pair path.
         """
-        n_queries = len(queries)
+        n_queries = len(query_side)
         eps = _epsilon_vector(epsilon, n_queries)
-        if n_queries == 0:
-            return np.empty((0, len(collection)))
         if self._proud.synopsis is not None:
-            return super().probability_kernel(
-                queries, collection, eps, engine
-            )
-        materialized = engine.materialize(collection)
-        values = materialized.values_matrix()
-        query_side = engine.materialize(queries)
+            return super().probability_kernel(query_side, candidate_side, eps)
+        values = candidate_side.values_matrix()
         query_values = query_side.values_matrix()
         n_series, length = values.shape
 
@@ -945,7 +839,7 @@ class ProudTechnique(Technique):
                 + 4.0 * variance_d * squared
             )
         else:
-            variances = materialized.variances_matrix()
+            variances = candidate_side.variances_matrix()
             query_variances = query_side.variances_matrix()
             mean = np.empty((n_queries, n_series))
             variance = np.empty((n_queries, n_series))
@@ -979,14 +873,14 @@ class ProudTechnique(Technique):
         return euclidean(query.observations, candidate.observations)
 
     def calibration_kernel(
-        self, queries: Sequence, collection: Sequence, engine: QueryEngine
+        self,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> np.ndarray:
         """All-pairs ε_eucl in one GEMM over the cached values matrices."""
-        if len(queries) == 0:
-            return np.empty((0, len(collection)))
-        matrix = engine.materialize(collection).values_matrix()
-        query_matrix = engine.materialize(queries).values_matrix()
-        return euclidean_matrix(query_matrix, matrix)
+        return euclidean_matrix(
+            query_side.values_matrix(), candidate_side.values_matrix()
+        )
 
 
 class _MultisampleCalibration:
@@ -1008,14 +902,15 @@ class _MultisampleCalibration:
         return euclidean(query.samples[:, 0], candidate.samples[:, 0])
 
     def calibration_kernel(
-        self, queries: Sequence, collection: Sequence, engine: QueryEngine
+        self,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> np.ndarray:
         """All-pairs ε_eucl in one GEMM over the column-0 sample matrices."""
-        if len(queries) == 0:
-            return np.empty((0, len(collection)))
-        matrix = engine.materialize(collection).sample_column_matrix(0)
-        query_matrix = engine.materialize(queries).sample_column_matrix(0)
-        return euclidean_matrix(query_matrix, matrix)
+        return euclidean_matrix(
+            query_side.sample_column_matrix(0),
+            candidate_side.sample_column_matrix(0),
+        )
 
 
 class MunichTechnique(_MultisampleCalibration, Technique):
@@ -1042,11 +937,10 @@ class MunichTechnique(_MultisampleCalibration, Technique):
     def _evaluate_undecided(
         self,
         query: MultisampleUncertainTimeSeries,
-        collection: Sequence,
+        candidate_side: CollectionMaterialization,
         epsilon: float,
         out: np.ndarray,
         undecided: np.ndarray,
-        engine: QueryEngine,
         tau=None,
     ) -> None:
         """Probability evaluation for the bound-undecided candidates.
@@ -1061,7 +955,7 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         if undecided.size == 0:
             return
         if self._munich.method == "convolution":
-            tensor = engine.materialize(collection).samples_tensor()
+            tensor = candidate_side.samples_tensor()
             if tensor is not None:
                 out[undecided] = convolved_probability_batch(
                     query,
@@ -1071,6 +965,7 @@ class MunichTechnique(_MultisampleCalibration, Technique):
                     tau=tau,
                 )
                 return
+        collection = candidate_side.collection
         for index in undecided:
             out[index] = self._munich.probability(
                 query, collection[index], epsilon
@@ -1109,7 +1004,9 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         return QueryPlan(stages)
 
     def matrix_bounds(
-        self, queries: Sequence, collection: Sequence, engine: QueryEngine
+        self,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Minimal-bounding-interval distance bounds for every pair.
 
@@ -1118,11 +1015,10 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         interval stacks; sums run along the timestamp axis exactly as in
         the per-row path, so the bounds are bit-identical to it.
         """
-        materialized = engine.materialize(collection)
-        low, high = materialized.bounding_matrices()
-        query_low, query_high = _query_bound_stacks(engine, queries)
-        n_queries = len(queries)
-        n_series = len(collection)
+        low, high = candidate_side.bounding_matrices()
+        query_low, query_high = query_side.bounding_matrices()
+        n_queries = len(query_side)
+        n_series = len(candidate_side)
         length = low.shape[1]
         lower = np.empty((n_queries, n_series))
         upper = np.empty((n_queries, n_series))
@@ -1140,9 +1036,8 @@ class MunichTechnique(_MultisampleCalibration, Technique):
     def index_bounds(
         self,
         kind: str,
-        queries: Sequence,
-        collection: Sequence,
-        engine: QueryEngine,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> Optional[Tuple[np.ndarray, float]]:
         """Segment-coarsened bounding-interval gap bound.
 
@@ -1155,35 +1050,30 @@ class MunichTechnique(_MultisampleCalibration, Technique):
         if (
             kind != "probability"
             or self.index_segments is None
-            or len(queries) == 0
-            or len(collection) == 0
+            or len(candidate_side) == 0
         ):
             return None
-        summary = engine.materialize(collection).interval_paa_summary(
-            self.index_segments
-        )
-        query_summary = _query_interval_summary(
-            engine, queries, summary.n_segments
-        )
+        summary = candidate_side.interval_paa_summary(self.index_segments)
+        query_summary = query_side.interval_paa_summary(summary.n_segments)
         return interval_lower_bound(query_summary, summary), 0.0
 
     def refine_matrix(
         self,
         kind: str,
-        queries: Sequence,
-        collection: Sequence,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
         epsilon: Optional[np.ndarray],
         out: np.ndarray,
         undecided: np.ndarray,
-        engine: QueryEngine,
         tau: Optional[float] = None,
     ) -> Tuple[int, int]:
         """Per-row batched probability evaluation of the undecided cells."""
         if kind != "probability":
             return super().refine_matrix(
-                kind, queries, collection, epsilon, out, undecided, engine,
+                kind, query_side, candidate_side, epsilon, out, undecided,
                 tau=tau,
             )
+        queries = query_side.collection
         adaptive = tau is not None and self._munich.method == "montecarlo"
         refined = 0
         samples = 0
@@ -1192,13 +1082,13 @@ class MunichTechnique(_MultisampleCalibration, Technique):
             row_epsilon = float(epsilon[row])
             if adaptive:
                 samples += self._adaptive_mc_row(
-                    queries[row], collection, columns, row_epsilon, tau,
-                    out[row],
+                    queries[row], candidate_side.collection, columns,
+                    row_epsilon, tau, out[row],
                 )
             else:
                 self._evaluate_undecided(
-                    queries[row], collection, row_epsilon, out[row], columns,
-                    engine, tau=tau,
+                    queries[row], candidate_side, row_epsilon, out[row],
+                    columns, tau=tau,
                 )
                 if self._munich.method == "montecarlo":
                     samples += columns.size * self._munich.n_samples
@@ -1287,7 +1177,9 @@ class DustDtwTechnique(Technique):
         return self._dust.dtw_distance(query, candidate, window=self.window)
 
     def distance_kernel(
-        self, queries: Sequence, collection: Sequence, engine: QueryEngine
+        self,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> np.ndarray:
         """Stacked wavefront DTW with grouped per-diagonal ``dust²`` costs.
 
@@ -1296,11 +1188,9 @@ class DustDtwTechnique(Technique):
         advance through one rolling DP together, in blocks of the
         rolling state's budget.
         """
-        if len(queries) == 0:
-            return np.empty((0, len(collection)))
-        materialized = engine.materialize(collection)
-        values = materialized.values_matrix()
-        codes, distincts = materialized.model_codes()
+        queries = query_side.collection
+        values = candidate_side.values_matrix()
+        codes, distincts = candidate_side.model_codes()
         first_codes = codes[:, 0]
         homogeneous = (codes == first_codes[:, None]).all() and all(
             query.error_model.is_homogeneous for query in queries
@@ -1311,7 +1201,7 @@ class DustDtwTechnique(Technique):
             (distincts[int(code)], np.flatnonzero(first_codes == code))
             for code in np.unique(first_codes)
         ]
-        out = np.empty((len(queries), len(collection)))
+        out = np.empty((len(queries), len(candidate_side)))
         for row, query in enumerate(queries):
             query_distribution = query.error_model[0]
             for distribution, columns in groups:
@@ -1436,7 +1326,9 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         return QueryPlan(stages)
 
     def matrix_bounds(
-        self, queries: Sequence, collection: Sequence, engine: QueryEngine
+        self,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Envelope lower bounds and interval-span upper bounds per pair.
 
@@ -1449,12 +1341,11 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
           materialization pair stays within it — clearing ε means
           probability 1.
         """
-        materialized = engine.materialize(collection)
-        env_lower, env_upper = materialized.dtw_envelopes(self.window)
-        low, high = materialized.bounding_matrices()
-        query_low, query_high = _query_bound_stacks(engine, queries)
-        n_queries = len(queries)
-        n_series = len(collection)
+        env_lower, env_upper = candidate_side.dtw_envelopes(self.window)
+        low, high = candidate_side.bounding_matrices()
+        query_low, query_high = query_side.bounding_matrices()
+        n_queries = len(query_side)
+        n_series = len(candidate_side)
         length = low.shape[1]
         lower = np.empty((n_queries, n_series))
         upper = np.empty((n_queries, n_series))
@@ -1476,9 +1367,8 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
     def index_bounds(
         self,
         kind: str,
-        queries: Sequence,
-        collection: Sequence,
-        engine: QueryEngine,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
     ) -> Optional[Tuple[np.ndarray, float]]:
         """Segment-coarsened envelope bound (banded-DTW admissible).
 
@@ -1494,27 +1384,23 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         if (
             kind != "probability"
             or self.index_segments is None
-            or len(queries) == 0
-            or len(collection) == 0
+            or len(candidate_side) == 0
         ):
             return None
-        summary = engine.materialize(collection).envelope_paa_summary(
+        summary = candidate_side.envelope_paa_summary(
             self.window, self.index_segments
         )
-        query_summary = _query_interval_summary(
-            engine, queries, summary.n_segments
-        )
+        query_summary = query_side.interval_paa_summary(summary.n_segments)
         return interval_lower_bound(query_summary, summary), PRUNE_SLACK
 
     def refine_matrix(
         self,
         kind: str,
-        queries: Sequence,
-        collection: Sequence,
+        query_side: CollectionMaterialization,
+        candidate_side: CollectionMaterialization,
         epsilon: Optional[np.ndarray],
         out: np.ndarray,
         undecided: np.ndarray,
-        engine: QueryEngine,
         tau: Optional[float] = None,
     ) -> Tuple[int, int]:
         """Seeded Monte Carlo refinement of the undecided cells.
@@ -1527,9 +1413,11 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         """
         if kind != "probability":
             return super().refine_matrix(
-                kind, queries, collection, epsilon, out, undecided, engine,
+                kind, query_side, candidate_side, epsilon, out, undecided,
                 tau=tau,
             )
+        queries = query_side.collection
+        collection = candidate_side.collection
         refined = 0
         samples = 0
         if self._munich.method == "naive":
@@ -1545,7 +1433,7 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         n_samples = self._munich.n_samples
         length = max(1, len(collection[0]) if len(collection) else 1)
         cell_block = max(1, MC_BATCH_ELEMENTS // (n_samples * length))
-        draw_cells = self._cell_draws(queries, collection, engine)
+        draw_cells = self._cell_draws(query_side, candidate_side)
         # Row-major cell order — identical to the per-pair path, so
         # seeded streams line up draw for draw.
         cell_rows, cell_cols = np.nonzero(undecided)
@@ -1558,19 +1446,20 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
             refined += rows.size
         return refined, samples
 
-    def _cell_draws(self, queries, collection, engine):
+    def _cell_draws(self, query_side, candidate_side):
         """A ``(rows, cols) -> (x, y)`` source of seeded draws per cell.
 
         Each side is a :func:`_draw_stack` source ``(values, slots,
         offsets)``: cell ``c``'s draw ``k`` at timestamp ``t`` is
         ``values[slots[c]].flat[offsets[t, k]]``, equal to what
         :func:`draw_materialization_pairs` gives the per-pair evaluator
-        of ``(queries[rows[c]], collection[cols[c]])``.
+        of ``(queries[rows[c]], collection[cols[c]])``, the two sides'
+        items.
 
         * A seed (int or ``None``) restarts its generator for every cell,
           so all cells of one shape share their choice indices.  They are
           drawn once per refine call and turned into offsets into the
-          engine's cached samples tensor (candidates) and into the
+          candidate side's cached samples tensor and into the
           batch's distinct query rows — nothing is materialized until a
           round gathers exactly the draws it evaluates.
         * A :class:`numpy.random.Generator` is consumed cell by cell in
@@ -1580,7 +1469,9 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         """
         rng = self._munich.rng
         n_samples = self._munich.n_samples
-        tensor = engine.materialize(collection).samples_tensor()
+        queries = query_side.collection
+        collection = candidate_side.collection
+        tensor = candidate_side.samples_tensor()
         offsets: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
         def per_cell(rows, cols):

@@ -47,7 +47,6 @@ import numpy as np
 from ..core.errors import InvalidParameterError, ReproError
 from ..core.mmapio import MappedCollection
 from ..core.series import TimeSeries
-from ..queries.engine import QueryEngine
 from ..queries.knn import check_knn_k
 from ..queries.planner import PlanPolicy
 from ..queries.session import (
@@ -285,9 +284,7 @@ class SimilarityDaemon:
         contract the service benchmark gates on.  Kinds without a
         distance path just skip the probe.
         """
-        session = SimilaritySession(
-            collection, engine=QueryEngine(max_collections=8)
-        )
+        session = SimilaritySession(collection)
         if len(session) > 1:
             with contextlib.suppress(ReproError):
                 session.queries([0]).using(EuclideanTechnique()).knn(1)

@@ -22,6 +22,7 @@ from repro.distances.lp import euclidean, euclidean_profile
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario, MixedStdScenario
 from repro.queries import (
+    DEFAULT_MAX_COLLECTIONS,
     SHARED_ENGINE,
     CollectionMaterialization,
     DustTechnique,
@@ -323,10 +324,10 @@ class TestQueryEngine:
         """The failure mode of the old id(series) caches: a dead object's id
         being recycled must never serve stale data.  The engine pins every
         keyed collection, so a cached id is always alive."""
-        engine = QueryEngine(max_collections=4)
+        engine = QueryEngine()
         values = np.random.default_rng(3).normal(size=(4, 8))
         collections = []
-        for _ in range(20):
+        for _ in range(DEFAULT_MAX_COLLECTIONS + 12):
             collection = [row.copy() for row in values]
             engine.materialize(collection)
             collections.append(collection)
@@ -337,17 +338,20 @@ class TestQueryEngine:
             assert id(entry.collection) in engine._entries
 
     def test_lru_eviction_bounds_memory(self):
-        engine = QueryEngine(max_collections=2)
-        a, b, c = ([np.zeros(4)], [np.ones(4)], [np.full(4, 2.0)])
-        engine.materialize(a)
-        engine.materialize(b)
-        engine.materialize(c)
-        assert len(engine) == 2
-        assert id(a) not in engine._entries
-        # b was least-recently used after c's insert; touching b keeps it.
-        engine.materialize(b)
-        engine.materialize(a)
-        assert id(c) not in engine._entries
+        engine = QueryEngine()
+        collections = [
+            [np.full(4, float(i))] for i in range(DEFAULT_MAX_COLLECTIONS + 2)
+        ]
+        for collection in collections[:DEFAULT_MAX_COLLECTIONS + 1]:
+            engine.materialize(collection)
+        assert len(engine) == DEFAULT_MAX_COLLECTIONS
+        assert id(collections[0]) not in engine._entries
+        # collections[1] is now least recently used; touching it keeps it.
+        engine.materialize(collections[1])
+        engine.materialize(collections[-1])
+        assert len(engine) == DEFAULT_MAX_COLLECTIONS
+        assert id(collections[1]) in engine._entries
+        assert id(collections[2]) not in engine._entries
 
     def test_model_codes_group_by_distribution(self, heterogeneous):
         engine = QueryEngine()
@@ -390,10 +394,6 @@ class TestQueryEngine:
         assert before >= 1
         technique.reset()
         assert len(SHARED_ENGINE) == before
-
-    def test_max_collections_validated(self):
-        with pytest.raises(Exception):
-            QueryEngine(max_collections=0)
 
     def test_euclidean_profile_matches_scalar(self):
         values = np.random.default_rng(11).normal(size=(6, 12))
@@ -474,8 +474,8 @@ def _run_threads(target, n_threads: int, switch_interval: float) -> list:
 class TestEngineConcurrency:
     def test_concurrent_materialize_keeps_the_lru_consistent(self):
         """Threads sharing one engine, each touching a shared collection
-        and a throwaway one-item list per call (a single-row session op's
-        query side): lookup, insert and evict never race."""
+        and a new one-item list per call, so every call of the second
+        kind inserts and evicts: lookup, insert and evict never race."""
         engine = QueryEngine()
         shared = [np.zeros(4), np.ones(4)]
         row = np.arange(4.0)
@@ -486,7 +486,7 @@ class TestEngineConcurrency:
                 engine.materialize([row])
 
         assert _run_threads(hammer, 4, 1e-6) == []
-        assert len(engine) <= engine.max_collections
+        assert len(engine) <= DEFAULT_MAX_COLLECTIONS
         assert engine.materialize(shared) is engine._entries[id(shared)]
 
     def test_concurrent_lazy_fills_build_equal_arrays(self, heterogeneous):

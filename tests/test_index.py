@@ -235,9 +235,8 @@ class TestAdmissibility:
         """The envelope-summary bound lower-bounds banded DTW of every
         sampled materialization pair (the MUNICH-DTW soundness claim)."""
         technique = MunichDtwTechnique(window=2)
-        lower, slack = technique.index_bounds(
-            "probability", multisample, multisample, QueryEngine()
-        )
+        side = QueryEngine().materialize(multisample)
+        lower, slack = technique.index_bounds("probability", side, side)
         assert slack == PRUNE_SLACK
         rng = make_rng(5)
         n = len(multisample)

@@ -7,6 +7,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import re
@@ -238,6 +239,86 @@ class TestTracerTargets:
                 resolved += 1
         assert unresolved == STALE_TRACER_TARGETS
         assert resolved == 31
+
+
+#: Modules whose technique hooks and stages read the two materialized
+#: sides a plan hands them, and look no collection up themselves.
+PLAN_SIDE_MODULES = ("techniques", "index")
+
+#: Runs one indexed Euclidean kNN and one MUNICH prob-range in-process
+#: under the e2e tracer (path in ``argv[1]``) and prints its counters.
+TRACED_PLANS_PROBE = """
+import importlib.util
+import json
+import sys
+
+spec = importlib.util.spec_from_file_location("e2e_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.install(tracing.Tracer())
+tracer.enable()
+
+from repro.core import spawn
+from repro.datasets import generate_dataset
+from repro.perturbation import ConstantScenario
+from repro.queries import EuclideanTechnique, MunichTechnique, SimilaritySession
+
+exact = generate_dataset("GunPoint", seed=7, n_series=24, length=32)
+scenario = ConstantScenario("normal", 0.4)
+pdf = [scenario.apply(s, spawn(7, "pdf", i)) for i, s in enumerate(exact)]
+samples = [
+    scenario.apply_multisample(s, 3, spawn(7, "ms", i))
+    for i, s in enumerate(exact)
+]
+SimilaritySession(pdf).queries([0]).using(EuclideanTechnique()).knn(3)
+SimilaritySession(samples).queries([0]).using(MunichTechnique()).prob_range(
+    4.0, 0.5
+)
+print(json.dumps({name: sum(values) for name, values in tracer.counters.items()}))
+"""
+
+
+class TestPlanResolvesMaterializations:
+    @pytest.mark.parametrize("module", PLAN_SIDE_MODULES)
+    def test_hooks_make_no_engine_lookup(self, module):
+        """Only ``QueryPlan.execute`` resolves materializations: these
+        modules call no ``.materialize(`` and name no engine."""
+        path = os.path.join(REPO_ROOT, "src", "repro", "queries", f"{module}.py")
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        engine_names = {"QueryEngine", "SHARED_ENGINE"}
+        found = []
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "materialize"
+            ):
+                found.append(f"line {node.lineno}: .materialize(")
+            elif isinstance(node, ast.Name) and node.id in engine_names:
+                found.append(f"line {node.lineno}: {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr in engine_names:
+                found.append(f"line {node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.alias) and node.name in engine_names:
+                found.append(f"import of {node.name}")
+        assert found == []
+
+    def test_tracer_reads_the_plans_it_wraps(self, subprocess_env):
+        """The e2e tracer's ``QueryPlan.execute`` callback reads the
+        call's positional arguments; a signature change that breaks it
+        is counted in ``trace.callback_errors``, not raised."""
+        path = os.path.join(REPO_ROOT, "benchmarks", "e2e", "tracing.py")
+        result = subprocess.run(
+            [sys.executable, "-c", TRACED_PLANS_PROBE, path],
+            env=subprocess_env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        counters = json.loads(result.stdout.strip().splitlines()[-1])
+        assert "trace.callback_errors" not in counters
+        for stage in ("index", "bounds", "refine"):
+            assert counters.get(f"plan.{stage}.seconds", 0.0) > 0.0, stage
 
 
 class TestDocsConsistency:

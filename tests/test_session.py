@@ -29,6 +29,7 @@ import pytest
 from repro.core import MappedCollection, load_collection, save_collection, spawn
 from repro.core.errors import InvalidParameterError, UnsupportedQueryError
 from repro.datasets import generate_dataset
+from repro.distances.filtered import FilteredEuclidean
 from repro.distances.lp import (
     euclidean,
     euclidean_matrix,
@@ -62,6 +63,7 @@ from repro.queries import (
     knn_indices,
     knn_table,
 )
+from repro.queries.session import execute_query
 from repro.queries.thresholds import (
     PAPER_K,
     calibrate_queries,
@@ -768,9 +770,9 @@ class _GatedEuclidean(EuclideanTechnique):
         super().__init__()
         self.gate = threading.Barrier(parties, timeout=30.0)
 
-    def distance_kernel(self, queries, collection, engine):
+    def distance_kernel(self, query_side, candidate_side):
         self.gate.wait()
-        return super().distance_kernel(queries, collection, engine)
+        return super().distance_kernel(query_side, candidate_side)
 
 
 class TestTechniquesHoldParametersOnly:
@@ -841,3 +843,118 @@ class TestTechniquesHoldParametersOnly:
                 .profile_matrix()
             )
             np.testing.assert_array_equal(answers[key], serial.values)
+
+
+def _single_row_ops(session, technique: Technique, n_ops: int = 20) -> int:
+    """``n_ops`` one-row verbs on ``session``: kNN and range in turn for
+    a distance technique, prob-range for a probabilistic one."""
+    for op in range(n_ops):
+        queries = session.queries([op % len(session)]).using(technique)
+        if technique.kind != "distance":
+            queries.prob_range(4.0, 0.5)
+        elif op % 2:
+            queries.range(4.0)
+        else:
+            queries.knn(3)
+    return n_ops
+
+
+class TestPlanResolvesEachSideOnce:
+    """A plan materializes its two sides once, and only the candidate
+    side (or a loaded map) enters the session's engine."""
+
+    @staticmethod
+    def _collection(technique, homogeneous, multisample):
+        if technique.input_kind == "multisample":
+            return list(multisample)
+        return list(homogeneous)
+
+    @pytest.mark.parametrize(
+        "technique", _every_family(), ids=lambda t: t.name
+    )
+    def test_single_row_ops_leave_one_engine_entry(
+        self, technique, homogeneous, multisample
+    ):
+        """A one-row query list is built for its plan and dropped with
+        it, so the session's engine holds the collection alone."""
+        session = SimilaritySession(
+            self._collection(technique, homogeneous, multisample),
+            engine=QueryEngine(),
+        )
+        _single_row_ops(session, technique)
+        assert len(session.engine) == 1
+
+    @pytest.mark.parametrize(
+        "technique", _every_family(), ids=lambda t: t.name
+    )
+    def test_one_engine_lookup_per_plan(
+        self, technique, homogeneous, multisample, monkeypatch
+    ):
+        session = SimilaritySession(
+            self._collection(technique, homogeneous, multisample),
+            engine=QueryEngine(),
+        )
+        lookups = []
+        materialize = QueryEngine.materialize
+
+        def counting(engine, collection):
+            lookups.append(collection)
+            return materialize(engine, collection)
+
+        monkeypatch.setattr(QueryEngine, "materialize", counting)
+        n_ops = _single_row_ops(session, technique)
+        assert len(lookups) == n_ops
+        assert all(looked is session.collection for looked in lookups)
+
+    def test_default_session_leaves_the_shared_engine_alone(
+        self, homogeneous
+    ):
+        collection = list(homogeneous)
+        session = SimilaritySession(collection)
+        assert session.engine is not SHARED_ENGINE
+        query_set = session.queries().using(FilteredTechnique.uma())
+        query_set.knn(3)
+        query_set.profile_matrix()
+        session.queries([2]).using(EuclideanTechnique()).range(4.0)
+        assert id(collection) not in SHARED_ENGINE._entries
+        assert list(session.engine._entries) == [id(collection)]
+
+    def test_shard_session_filters_the_map_once(
+        self, homogeneous, tmp_path, monkeypatch
+    ):
+        """A shard daemon's all-series request queries the whole map
+        against its slice: the map's side comes from the session's
+        engine, so a second request reuses its filtered matrix."""
+        mapped = load_collection(
+            save_collection(homogeneous, str(tmp_path / "mapped"))
+        )
+        start, stop = 6, 18
+        session = SimilaritySession(mapped.shard(start, stop))
+        technique = FilteredTechnique.uma()
+        filtered = []
+        filter_uncertain = FilteredEuclidean.filter_uncertain
+
+        def counting(self, series):
+            filtered.append(series)
+            return filter_uncertain(self, series)
+
+        monkeypatch.setattr(FilteredEuclidean, "filter_uncertain", counting)
+        positions = np.arange(len(mapped), dtype=np.intp)
+        answers = []
+        for _ in range(2):
+            answers.append(
+                execute_query(
+                    session, technique, "knn", mapped, positions, k=3,
+                    col_offset=start,
+                )
+            )
+            map_side = session.engine._entries[id(mapped)]
+            matrices = map_side.filtered_matrix(technique.filtered)
+            if len(answers) == 1:
+                first_side, first_matrices = map_side, matrices
+        assert set(session.engine._entries) == {
+            id(session.collection), id(mapped)
+        }
+        assert map_side is first_side and matrices is first_matrices
+        assert len(filtered) == len(mapped) + (stop - start)
+        np.testing.assert_array_equal(answers[0].indices, answers[1].indices)
