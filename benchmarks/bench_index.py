@@ -54,7 +54,6 @@ from repro.queries import (
     MunichTechnique,
     PlanPolicy,
     ProudTechnique,
-    QueryEngine,
     SimilaritySession,
 )
 
@@ -98,11 +97,9 @@ def _knn_at_scale(collection, indexed: bool, repeats: int):
     holder: Dict = {}
 
     def run():
-        # A fresh engine per run: the unindexed path must not coast on
+        # A fresh session per run: the unindexed path must not coast on
         # summaries cached by the indexed one (and vice versa).
-        session = SimilaritySession(
-            collection, engine=QueryEngine(), policy=policy
-        )
+        session = SimilaritySession(collection, policy=policy)
         holder["result"] = (
             session.queries(list(range(N_QUERIES)))
             .using(EuclideanTechnique(index_segments=SEGMENTS))
@@ -256,11 +253,7 @@ def _build_parity_workload(n_series: int, length: int):
 def _parity_case(name: str, collection, technique, query) -> Dict:
     indexed, baseline = (
         query(
-            SimilaritySession(
-                collection,
-                engine=QueryEngine(),
-                policy=PlanPolicy(mode=mode),
-            )
+            SimilaritySession(collection, policy=PlanPolicy(mode=mode))
             .queries()
             .using(technique)
         )

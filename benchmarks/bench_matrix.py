@@ -5,15 +5,19 @@ Times the paper's full evaluation protocol — *every* series of the
 collection queried against all others (Section 4.1.2), the Figure 11–12
 workload — two ways per technique:
 
-* **looped**: one single-row ``distance_matrix([q], collection)`` /
-  ``probability_matrix([q], collection, eps)`` call per query — the
-  ``M = 1`` plan every single-row query (e.g. a daemon request) runs,
-  kept under the regression gate here;
-* **matrix**: a single ``distance_matrix`` /
-  ``probability_matrix`` kernel for the whole ``(M, N)`` grid — the
+* **looped**: one single-row query set per query on one session over
+  the collection (``session.queries([i]).using(t).profile_matrix()``),
+  so every row reuses the session's materialization — the ``M = 1``
+  plan every single-row query (e.g. a daemon request) runs, kept under
+  the regression gate here;
+* **matrix**: a single ``(M, N)`` plan for the whole grid on the same
+  session (``session.queries().using(t).profile_matrix()``) — the
   session-API path (GEMM identity for Euclidean/UMA/UEMA, grouped table
   application for DUST, broadcast moments for PROUD, batched bounds for
   MUNICH).
+
+Both legs read one warm materialization, so they time the plans and
+kernels, not the building of the collection's dense arrays.
 
 Results land in ``BENCH_matrix.json`` at the repo root.
 
@@ -43,6 +47,7 @@ from repro.queries import (
     FilteredTechnique,
     MunichTechnique,
     ProudTechnique,
+    SimilaritySession,
 )
 
 SEED = 2012
@@ -84,34 +89,36 @@ def _best_of(callable_, repeats: int) -> float:
     return float(best)
 
 
+def _query_sets(collection, technique):
+    """One single-row query set per series and the all-series query set,
+    all on one session."""
+    session = SimilaritySession(collection)
+    rows = [
+        session.queries([row]).using(technique)
+        for row in range(len(collection))
+    ]
+    return rows, session.queries().using(technique)
+
+
 def _bench_distance(technique, collection, repeats) -> Dict:
+    rows, every = _query_sets(collection, technique)
     looped = _best_of(
-        lambda: [
-            technique.distance_matrix([query], collection)
-            for query in collection
-        ],
-        repeats,
+        lambda: [query_set.profile_matrix() for query_set in rows], repeats
     )
-    matrix = _best_of(
-        lambda: technique.distance_matrix(collection, collection), repeats
-    )
+    matrix = _best_of(every.profile_matrix, repeats)
     return _row(technique.name, "distance", looped, matrix, len(collection))
 
 
 def _bench_probability(technique, collection, epsilons, repeats) -> Dict:
+    rows, every = _query_sets(collection, technique)
     looped = _best_of(
         lambda: [
-            technique.probability_matrix([query], collection, float(eps))
-            for query, eps in zip(collection, epsilons)
+            query_set.profile_matrix(float(eps))
+            for query_set, eps in zip(rows, epsilons)
         ],
         repeats,
     )
-    matrix = _best_of(
-        lambda: technique.probability_matrix(
-            collection, collection, epsilons
-        ),
-        repeats,
-    )
+    matrix = _best_of(lambda: every.profile_matrix(epsilons), repeats)
     return _row(
         technique.name, "probability", looped, matrix, len(collection)
     )

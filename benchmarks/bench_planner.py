@@ -26,7 +26,10 @@ Three workloads exercise the planner's machinery:
   kernel would materialize (~340× at length 1024) — long series run
   first class instead of falling to one pair per block.
 
-All workloads are seeded (SEED=2012): reruns are deterministic.
+All workloads are seeded (SEED=2012): reruns are deterministic.  The
+Monte Carlo legs hand every timed plan one prebuilt candidate side
+(``candidate_side=``), so they time the plans, not the building of the
+collection's dense arrays.
 
 Run:  PYTHONPATH=src python benchmarks/bench_planner.py
       PYTHONPATH=src python benchmarks/bench_planner.py --quick
@@ -49,7 +52,7 @@ from repro.datasets import generate_dataset
 from repro.distances import dtw_distance_matrix, rolling_dtw_paired
 from repro.distances.dtw_batch import banded_dtw_from_costs
 from repro.munich import Munich
-from repro.queries import MunichDtwTechnique
+from repro.queries import CollectionMaterialization, MunichDtwTechnique
 
 SEED = 2012
 PARITY_TOL = 1e-9
@@ -114,15 +117,18 @@ def _bench_adaptive_mc(
         column0[:n_queries], column0, window=window
     )
     epsilons = np.sort(calibration, axis=1)[:, k]
+    candidates = CollectionMaterialization(multisample)
 
     def fixed():
         return technique.matrix_with_stats(
-            "probability", queries, multisample, epsilon=epsilons
+            "probability", queries, multisample, epsilon=epsilons,
+            candidate_side=candidates,
         )
 
     def adaptive():
         return technique.matrix_with_stats(
-            "probability", queries, multisample, epsilon=epsilons, tau=tau
+            "probability", queries, multisample, epsilon=epsilons, tau=tau,
+            candidate_side=candidates,
         )
 
     fixed_values, fixed_stats = fixed()
@@ -194,18 +200,21 @@ def _bench_tau_sweep(
     )
     epsilons = np.median(calibration, axis=1)
     grid = tuple(float(tau) for tau in tau_grid)
+    candidates = CollectionMaterialization(multisample)
 
     def sweep_fixed():
         return [
             technique.matrix_with_stats(
-                "probability", queries, multisample, epsilon=epsilons, tau=tau
+                "probability", queries, multisample, epsilon=epsilons,
+                tau=tau, candidate_side=candidates,
             )[0]
             for tau in grid
         ]
 
     def sweep_grid():
         return technique.matrix_with_stats(
-            "probability", queries, multisample, epsilon=epsilons, tau=grid
+            "probability", queries, multisample, epsilon=epsilons, tau=grid,
+            candidate_side=candidates,
         )[0]
 
     reference = technique.matrix_with_stats(

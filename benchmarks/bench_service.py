@@ -43,7 +43,7 @@ from repro.datasets import generate_dataset, stream_fourier_collection
 from repro.perturbation import ConstantScenario
 from repro.queries import SimilaritySession
 from repro.service import ServiceCatalog, ServiceClient, SimilarityDaemon
-from repro.service.protocol import build_technique
+from repro.service.registry import build_technique
 
 SEED = 2012
 DEFAULT_OUT = os.path.join(

@@ -99,7 +99,6 @@ from .queries import (
     PlanPolicy,
     ProudTechnique,
     PruningStats,
-    QueryEngine,
     QueryPlan,
     QuerySet,
     RangeResult,
@@ -145,7 +144,7 @@ __all__ = [
     "ProudTechnique", "MunichTechnique", "DustDtwTechnique",
     "MunichDtwTechnique",
     # queries
-    "QueryEngine", "SimilaritySession", "QuerySet",
+    "SimilaritySession", "QuerySet",
     "MatrixResult", "KnnResult", "RangeResult",
     "QueryPlan", "PruningStats", "StageStats",
     # plan policy

@@ -82,6 +82,25 @@ def normalize_tau(tau) -> Union[None, float, Tuple[float, ...]]:
     return tuple(sorted(set(values))) if grid else values[0]
 
 
+def epsilon_vector(epsilon, n_queries: int) -> np.ndarray:
+    """A scalar or per-query ε as a validated ``(n_queries,)`` vector.
+
+    A scalar is broadcast to every query row; a sequence must hold one
+    threshold per row.  Every ε must be ``>= 0`` (NaN is rejected).
+    """
+    eps = np.asarray(epsilon, dtype=np.float64)
+    if eps.ndim == 0:
+        eps = np.full(n_queries, float(eps))
+    elif eps.shape != (n_queries,):
+        raise InvalidParameterError(
+            f"epsilon must be a scalar or a vector of {n_queries} per-query "
+            f"thresholds, got shape {eps.shape}"
+        )
+    if eps.size and (np.any(eps < 0.0) or np.any(np.isnan(eps))):
+        raise InvalidParameterError("every epsilon must be >= 0")
+    return eps
+
+
 __all__ = [
     "Collection",
     "TimeSeries",
@@ -114,6 +133,7 @@ __all__ = [
     "child_seeds",
     "DEFAULT_SEED",
     "normalize_tau",
+    "epsilon_vector",
     "ReproError",
     "InvalidSeriesError",
     "LengthMismatchError",

@@ -36,9 +36,9 @@ Manifest format (``collection.json``, version 1)::
 objects hold **row views** of the mapped matrices (no copies; each array
 is opened read-only as a plain ``ndarray`` view of its ``np.memmap``, and
 validated once, not once per row) and whose materialization hooks
-(:attr:`MappedCollection.mapped_values` and friends) let the query
-engine's :class:`~repro.queries.engine.CollectionMaterialization` warm its
-dense matrices straight from the map instead of re-stacking rows.
+(:attr:`MappedCollection.mapped_values` and friends) let a
+:class:`~repro.queries.engine.CollectionMaterialization` warm its dense
+matrices straight from the map instead of re-stacking rows.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class MappedCollection(Collection):
     """
 
     #: The item list is fixed at load time and the maps are read-only:
-    #: engine materializations may skip their per-item snapshot scan.
+    #: a materialization's ``is_current`` skips its per-item identity scan.
     immutable_items = True
 
     __slots__ = (

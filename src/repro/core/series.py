@@ -22,7 +22,8 @@ def owns_readonly_buffer(array: np.ndarray) -> bool:
     Only then is adopting the array without a defensive copy safe: a
     read-only *view* of a writeable base (``base[:]`` +
     ``setflags(write=False)``) can still be mutated through the base,
-    which would silently desynchronize the engine's cached matrices.
+    which would silently desynchronize a materialization's cached
+    matrices.
     Memory-mapped rows (``np.load(..., mmap_mode="r")``) pass — every
     level of their chain is read-only.
     """

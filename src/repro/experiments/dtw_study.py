@@ -30,6 +30,7 @@ from ..distances.lp import euclidean_profile
 from ..evaluation.metrics import score_result_set
 from ..perturbation.scenarios import ConstantScenario
 from ..queries.knn import knn_indices
+from ..queries.session import SimilaritySession
 from ..queries.techniques import DustDtwTechnique, DustTechnique
 from .config import EXPERIMENT_SEED, Scale, get_scale
 from .report import format_series_table
@@ -76,12 +77,17 @@ def run_dtw_study(
         perturbed_values = np.vstack(
             [series.observations for series in perturbed]
         )
-        dust = DustTechnique()
-        dust_dtw = DustDtwTechnique(window=window)
+        # One session per σ, so the DUST rows share its materialization.
+        session = SimilaritySession(perturbed)
+
+        def one_row(technique):
+            return lambda q: (
+                session.queries([q]).using(technique).profile_matrix().values[0]
+            )
 
         # Each measure scores one query against every candidate in a
         # single batch row (row-wise Euclidean / wavefront DTW / the
-        # techniques' one-row kernels).
+        # techniques' one-row plans on the session).
         measures = {
             "Euclidean": lambda q: euclidean_profile(
                 perturbed[q].observations, perturbed_values
@@ -89,12 +95,8 @@ def run_dtw_study(
             "DTW": lambda q: dtw_distance_stack(
                 perturbed[q].observations, perturbed_values, window=window
             ),
-            "DUST": lambda q: dust.distance_matrix(
-                [perturbed[q]], perturbed
-            )[0],
-            "DUST-DTW": lambda q: dust_dtw.distance_matrix(
-                [perturbed[q]], perturbed
-            )[0],
+            "DUST": one_row(DustTechnique()),
+            "DUST-DTW": one_row(DustDtwTechnique(window=window)),
         }
         row: Dict[str, float] = {}
         for name, measure in measures.items():

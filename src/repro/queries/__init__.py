@@ -3,9 +3,10 @@
 Collection-level scoring runs through the batch query engine
 (:mod:`repro.queries.engine`): each technique pairs its per-pair
 reference (``distance`` / ``probability``) with one vectorized ``(M, N)``
-kernel per kind, whose per-collection materializations (values
-matrices, filtered matrices, error-model codes, bounding intervals) are
-cached by :class:`~repro.queries.engine.QueryEngine`.
+kernel per kind, which reads the values matrices, filtered matrices,
+error-model codes and bounding intervals a
+:class:`~repro.queries.engine.CollectionMaterialization` builds for a
+collection.  A session holds its collection's one materialization.
 
 All-pairs workloads — every series a query, the paper's full protocol —
 go through the declarative session API (:mod:`repro.queries.session`):
@@ -20,12 +21,7 @@ returns the same surface for a daemon or a sharded cluster.
 from __future__ import annotations
 
 from ..core import normalize_tau
-from .engine import (
-    DEFAULT_MAX_COLLECTIONS,
-    SHARED_ENGINE,
-    CollectionMaterialization,
-    QueryEngine,
-)
+from .engine import CollectionMaterialization
 from .index import IndexStage
 from .knn import (
     euclidean_knn_table,
@@ -80,10 +76,7 @@ from .thresholds import (
 )
 
 __all__ = [
-    "QueryEngine",
     "CollectionMaterialization",
-    "SHARED_ENGINE",
-    "DEFAULT_MAX_COLLECTIONS",
     "SimilaritySession",
     "QuerySet",
     "SimilarityBackend",

@@ -6,41 +6,32 @@ Architecture note
 Every similarity workload in the repo — the harness scoring loops, the
 ε-calibration protocol, kNN, and range queries — asks one question many
 times: *"score one query against every series of a collection"*.  Answering
-it pair-by-pair pays a Python-interpreter round-trip per candidate.  The
-batch engine removes that overhead in two pieces:
+it pair-by-pair pays a Python-interpreter round-trip per candidate.
+:class:`CollectionMaterialization` removes that overhead: it turns one
+collection into the dense NumPy arrays the vectorized kernels consume —
+the ``(N, n)`` observation matrix, per-filter filtered matrices
+(UMA/UEMA), the error-model *code* matrix that groups DUST's
+lookup-table applications, per-timestamp error variances (PROUD), and
+sample/bounding-interval stacks (MUNICH).  Every array is built lazily,
+at most once.
 
-* :class:`CollectionMaterialization` turns one collection into the dense
-  NumPy arrays the vectorized kernels consume — the ``(N, n)`` observation
-  matrix, per-filter filtered matrices (UMA/UEMA), the error-model *code*
-  matrix that groups DUST's lookup-table applications, per-timestamp error
-  variances (PROUD), and sample/bounding-interval stacks (MUNICH).  Every
-  array is built lazily, at most once.
-* :class:`QueryEngine` owns those materializations, keyed by collection
-  identity.  Unlike the earlier per-technique ``id(series)`` dicts, the
-  engine holds a **strong reference** to each keyed collection, so a key
-  can never be silently reused after garbage collection (the stale-cache
-  hazard).  Capacity is bounded: the least recently used collection is
-  evicted — together with its strong reference — once the bound is hit.
-  Lookup, insert and eviction run under one lock.
-
-Within a query one place reads the engine:
-:meth:`repro.queries.planner.QueryPlan.execute` resolves a workload's
-two sides once per plan — the collection through the engine, the query
-rows through it only when they are the collection or a loaded map, and
-otherwise as a materialization built for that plan alone — and hands
-both to the ``(M, N)`` kernels of
-:class:`repro.queries.techniques.Technique`.  A session owns its engine
-(a direct ``technique.distance_matrix(q, c)`` runs on
-:data:`SHARED_ENGINE`), so an engine holds only the collections a live
-session uses.  Every concrete technique overrides the kernels with
-vectorized ones; the default implementations loop over the per-pair
-methods, so third-party techniques keep working unchanged.
+Nothing caches materializations by collection identity.  A
+:class:`~repro.queries.session.SimilaritySession` holds its collection's
+one materialization and hands it to every plan it runs;
+:meth:`repro.queries.planner.QueryPlan.execute` builds any side it is
+not given — the query rows, and for a session-less
+``technique.distance_matrix(q, c)`` the collection too — and drops it
+with the plan, so a plan keeps no collection alive after it returns.
+Both sides reach the ``(M, N)`` kernels of
+:class:`repro.queries.techniques.Technique`.  Every concrete technique
+overrides the kernels with vectorized ones; the default implementations
+loop over the per-pair methods, so third-party techniques keep working
+unchanged.
 """
 
 from __future__ import annotations
 
 import operator
-import threading
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,9 +44,6 @@ from ..core.uncertain import (
 )
 from ..distances.filtered import FilteredEuclidean
 from ..distributions.base import ErrorDistribution
-
-#: Default number of collections an engine keeps materialized at once.
-DEFAULT_MAX_COLLECTIONS = 8
 
 
 def _stack(rows: List[np.ndarray]) -> np.ndarray:
@@ -84,9 +72,9 @@ class CollectionMaterialization:
     """Lazily-built dense views of one collection of series.
 
     The materialization keeps a strong reference to the collection it was
-    built from (``self.collection``), which is what makes identity-keyed
-    caching sound: the key ``id(collection)`` cannot be recycled while the
-    entry is alive.
+    built from (``self.collection``) and to each member it snapshotted,
+    which is what makes its identity checks sound: no member's ``id`` can
+    be recycled while the materialization is alive.
 
     The lazy fills take no lock.  Each one is a pure function of the
     snapshotted items (and of its key, for the per-filter, per-window and
@@ -117,7 +105,7 @@ class CollectionMaterialization:
         # references pin each item, so is_current() can compare by identity
         # without id-recycling false positives; a caller that mutates the
         # collection in place (append / replace / remove) is detected and
-        # the engine rebuilds instead of serving stale arrays.
+        # its session rebuilds instead of serving stale arrays.
         self._items = list(collection)
         self._frozen = bool(getattr(collection, "immutable_items", False))
         self._values: np.ndarray = None
@@ -434,58 +422,3 @@ class CollectionMaterialization:
             cached = summarize_intervals(lower, upper, n_segments)
             self._summaries[key] = cached
         return cached
-
-
-class QueryEngine:
-    """Identity-keyed cache of :class:`CollectionMaterialization` objects.
-
-    A caller passes its engine to every plan it runs
-    (``technique.matrix_with_stats(..., engine=...)``); no technique holds
-    one.  At most :data:`DEFAULT_MAX_COLLECTIONS` collections stay
-    materialized: the least recently used entry (and its strong
-    collection reference) is dropped beyond that.  A session owns its
-    engine, which then holds its collection and at most one loaded-map
-    query side.  :meth:`materialize` is atomic and the lazy fills are
-    pure, so any number of threads may share an engine.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[int, CollectionMaterialization] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def materialize(self, collection: Sequence) -> CollectionMaterialization:
-        """Fetch (building on first use) the materialization of a collection.
-
-        The entry holds a strong reference to ``collection``: while it is
-        cached, ``id(collection)`` cannot be recycled, so a hit is always
-        the same object that was keyed.
-        """
-        key = id(collection)
-        with self._lock:
-            # Popping and re-inserting moves a hit to the back of the
-            # (insertion-ordered) dict: LRU.
-            entry = self._entries.pop(key, None)
-            if entry is None or not entry.is_current():
-                # New, or mutated in place since materialization: rebuild.
-                entry = CollectionMaterialization(collection)
-                if len(self._entries) >= DEFAULT_MAX_COLLECTIONS:
-                    del self._entries[next(iter(self._entries))]
-            self._entries[key] = entry
-            return entry
-
-    def clear(self) -> None:
-        """Drop every materialization (and its collection reference)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __repr__(self) -> str:
-        return f"QueryEngine(collections={len(self._entries)})"
-
-
-#: The engine a plan runs on when its caller passes none: the
-#: session-less ``technique.distance_matrix`` / ``probability_matrix`` /
-#: ``calibration_matrix`` calls.  Sessions own their engines.
-SHARED_ENGINE = QueryEngine()

@@ -67,8 +67,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core import epsilon_vector
 from ..core.errors import InvalidParameterError
-from .engine import SHARED_ENGINE, CollectionMaterialization, QueryEngine
+from .engine import CollectionMaterialization
 
 #: Kinds of score matrices a plan can produce.
 PLAN_KINDS = ("distance", "probability", "calibration")
@@ -597,24 +598,29 @@ class AdaptiveMCStage(RefineStage):
 
 
 def _resolve_sides(
-    engine: QueryEngine, queries: Sequence, collection: Sequence
+    queries: Union[Sequence, CollectionMaterialization],
+    collection: Sequence,
+    candidate_side: Optional[CollectionMaterialization],
 ) -> Tuple[CollectionMaterialization, CollectionMaterialization]:
     """The ``(query_side, candidate_side)`` materializations of one plan.
 
-    The collection comes from ``engine``, so its identity check runs once
-    per plan.  Queries that *are* the collection share its side (the full
-    protocol).  A loaded map (``immutable_items``) also comes from the
-    engine: a shard daemon's all-series request queries the whole map
-    against its slice, and each plan would otherwise re-filter or
-    re-summarize every series of the map.  Any other query sequence is
-    built for this plan and dropped with it, so a per-request list never
-    enters the engine's LRU.
+    A session passes its collection's ``candidate_side``; without one the
+    plan builds it.  Queries that *are* the collection share its side (the
+    full protocol), and queries passed as a materialization are their own
+    side (a shard daemon's all-series request on a slice queries the
+    whole map's).  Any other query sequence is built for this plan.  Every
+    side the plan builds is dropped with it.
     """
-    candidate_side = engine.materialize(collection)
+    if candidate_side is None:
+        candidate_side = CollectionMaterialization(collection)
+    elif candidate_side.collection is not collection:
+        raise InvalidParameterError(
+            "candidate_side must be a materialization of the collection"
+        )
     if queries is collection:
         return candidate_side, candidate_side
-    if getattr(queries, "immutable_items", False):
-        return engine.materialize(queries), candidate_side
+    if isinstance(queries, CollectionMaterialization):
+        return queries, candidate_side
     return CollectionMaterialization(queries), candidate_side
 
 
@@ -632,13 +638,13 @@ class QueryPlan:
         self,
         technique,
         kind: str,
-        queries: Sequence,
+        queries: Union[Sequence, CollectionMaterialization],
         collection: Sequence,
         epsilon=None,
         tau: Union[None, float, Tuple[float, ...]] = None,
         knn_k: Optional[int] = None,
         exclude: Optional[np.ndarray] = None,
-        engine: Optional[QueryEngine] = None,
+        candidate_side: Optional[CollectionMaterialization] = None,
     ) -> Tuple[np.ndarray, PruningStats]:
         """Run the cascade; returns ``(values, stats)``.
 
@@ -649,15 +655,14 @@ class QueryPlan:
         ``tau`` is the optional decision threshold adaptive stages stop
         against; ``knn_k``/``exclude`` describe a top-k workload the
         same way (pruned cells become ``+inf``; ``exclude`` holds each
-        row's self-match column, ``-1`` for none).  ``engine`` is the
-        :class:`~repro.queries.engine.QueryEngine` the collection (and a
-        loaded-map query side) materializes on (default
-        :data:`~repro.queries.engine.SHARED_ENGINE`); both sides are
+        row's self-match column, ``-1`` for none).  ``candidate_side`` is
+        the collection's
+        :class:`~repro.queries.engine.CollectionMaterialization` (a
+        session passes its own; default: built for this plan), and
+        ``queries`` may be a materialization too.  Both sides are
         resolved once, before the first stage, and every stage reads
         them off the :class:`PlanContext`.
         """
-        from .techniques import _epsilon_vector
-
         if kind not in PLAN_KINDS:
             raise InvalidParameterError(
                 f"kind must be one of {PLAN_KINDS}, got {kind!r}"
@@ -665,9 +670,9 @@ class QueryPlan:
         n_queries = len(queries)
         n_candidates = len(collection)
         if kind == "probability":
-            epsilons = _epsilon_vector(epsilon, n_queries)
+            epsilons = epsilon_vector(epsilon, n_queries)
         elif kind == "distance" and epsilon is not None:
-            epsilons = _epsilon_vector(epsilon, n_queries)
+            epsilons = epsilon_vector(epsilon, n_queries)
         elif epsilon is not None:
             raise InvalidParameterError(f"{kind} plans take no epsilon")
         else:
@@ -700,7 +705,7 @@ class QueryPlan:
                 ),
             )
         query_side, candidate_side = _resolve_sides(
-            SHARED_ENGINE if engine is None else engine, queries, collection
+            queries, collection, candidate_side
         )
         context = PlanContext(
             technique=technique,

@@ -19,10 +19,10 @@ techniques' batch-of-queries matrix kernels
     prq = session.queries().using(ProudTechnique(assumed_std=0.7))
     hits = prq.prob_range(epsilon=eps_vector, tau=0.4)
 
-A :class:`SimilaritySession` pins one collection on one
-:class:`~repro.queries.engine.QueryEngine` (its own by default), so
-every query set against it reuses the same materialization matrices,
-and dropping the session frees them.  :class:`QuerySet` is an
+A :class:`SimilaritySession` pins one collection and holds its one
+:class:`~repro.queries.engine.CollectionMaterialization`, so every
+query set against it reuses the same materialization matrices, and
+dropping the session frees them.  :class:`QuerySet` is an
 immutable fluent builder: ``queries()`` selects the query rows
 (default: every series — the full protocol), ``using()`` binds a
 technique, and the terminal verbs — ``knn``,
@@ -48,12 +48,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core import normalize_tau
+from ..core import epsilon_vector, normalize_tau
 from ..core.errors import InvalidParameterError, UnsupportedQueryError
-from .engine import QueryEngine
+from .engine import CollectionMaterialization
 from .knn import check_knn_k, knn_table, local_topk_rows
 from .planner import PlanPolicy, PruningStats
-from .techniques import Technique, _epsilon_vector
+from .techniques import Technique
 
 #: The technique kind each query verb needs, and the error its absence
 #: raises — in a query set's verb, and on a daemon's event loop before a
@@ -128,7 +128,7 @@ def match_sets(
     ``score <= threshold``; a row's own column (``query_positions[i] >=
     0``) is excluded.  Indices are ascending.
     """
-    cutoff = _epsilon_vector(threshold, values.shape[0])
+    cutoff = epsilon_vector(threshold, values.shape[0])
     sets: List[np.ndarray] = []
     for position, row in enumerate(values):
         if kind == "probability":
@@ -446,7 +446,7 @@ class QuerySet:
                 f"{technique.name} is probabilistic; profile_matrix() "
                 f"requires epsilon (scalar or one per query)"
             )
-        eps = _epsilon_vector(epsilon, len(self._queries))
+        eps = epsilon_vector(epsilon, len(self._queries))
         return self._session.backend.profile_matrix(
             self, eps, tau=normalize_tau(tau)
         )
@@ -487,7 +487,7 @@ class QuerySet:
         full ``profile_matrix()``.
         """
         check_verb_kind("range", self._require_technique())
-        eps = _epsilon_vector(epsilon, len(self._queries))
+        eps = epsilon_vector(epsilon, len(self._queries))
         return self._session.backend.range(self, eps)
 
     def prob_range(self, epsilon, tau: float) -> RangeResult:
@@ -509,7 +509,7 @@ class QuerySet:
             raise InvalidParameterError(
                 f"tau must be within [0, 1], got {tau}"
             )
-        eps = _epsilon_vector(epsilon, len(self._queries))
+        eps = epsilon_vector(epsilon, len(self._queries))
         return self._session.backend.prob_range(self, eps, float(tau))
 
     def explain(self, k=None, epsilon=None, tau=None) -> PruningStats:
@@ -569,7 +569,7 @@ def execute_query(
     session: "SimilaritySession",
     technique: Technique,
     op: str,
-    queries: Sequence,
+    queries: Union[Sequence, CollectionMaterialization],
     positions: np.ndarray,
     *,
     k: Optional[int] = None,
@@ -583,6 +583,7 @@ def execute_query(
     The one query executor: an in-process session runs it over its whole
     collection, and a daemon once per request over the column slice
     ``[col_offset, col_offset + width)`` its ``session`` holds.
+    ``queries`` is a sequence of series or a materialization of them.
     ``positions`` are the query rows' **global** collection positions
     (``-1`` for a non-member); the verb takes ``k``, an ``(M,)`` ε
     vector, or ε and ``tau``.  Returns, in global indices, a
@@ -609,7 +610,7 @@ def execute_query(
         knn_k=k,
         exclude=None if k is None else local,
         policy=policy,
-        engine=session.engine,
+        candidate_side=session.materialization(),
     )
     if k is not None:
         indices, scores = local_topk_rows(values, k, local, col_offset)
@@ -690,7 +691,7 @@ class SimilarityBackend(abc.ABC):
 
 
 class InProcessBackend(SimilarityBackend):
-    """Execute verbs in this process, on the session's engine.
+    """Execute verbs in this process, on the session's materialization.
 
     The three query verbs run :func:`execute_query` over the whole
     collection — the executor a daemon runs for every request — and the
@@ -721,7 +722,7 @@ class InProcessBackend(SimilarityBackend):
             epsilon=epsilon,
             tau=tau,
             policy=query_set.policy,
-            engine=session.engine,
+            candidate_side=session.materialization(),
         )
         return MatrixResult(
             technique_name=technique.name,
@@ -759,28 +760,24 @@ class InProcessBackend(SimilarityBackend):
 
 
 class SimilaritySession:
-    """One collection pinned on one query engine.
+    """One collection pinned with its one materialization.
 
     Parameters
     ----------
     collection:
         The candidate series (a :class:`~repro.core.collection.Collection`
-        or any sequence of series).  Materialized eagerly, so every query
-        set against the session shares the same dense matrices.
-    engine:
-        The :class:`~repro.queries.engine.QueryEngine` to materialize on;
-        defaults to a new engine the session owns, so the engine holds
-        only this session's collection (and, for a loaded-map query
-        sequence, that map).  Pass one engine to several sessions to
-        share their materializations, e.g. to compare indexed and
-        unindexed plans on one set of matrices.
+        or any sequence of series).  Its
+        :class:`~repro.queries.engine.CollectionMaterialization` is built
+        once (again only after an in-place change to a plain list), so
+        every query set against the session shares the same dense
+        matrices.
     policy:
         The :class:`~repro.queries.planner.PlanPolicy` every query set
         of the session plans under (``None``: the default
         ``PlanPolicy()``).  The session is the one place it is set.
 
     Every verb runs the technique's ``(M, N)`` query plan in this
-    process on the session's engine (``knn``, ``range`` and
+    process over the session's materialization (``knn``, ``range`` and
     ``prob_range`` through :func:`execute_query`); the technique itself
     is never modified, so one instance may serve many sessions and
     threads at once.  Sharding across processes is the
@@ -788,12 +785,13 @@ class SimilaritySession:
     shard map).
     """
 
-    __slots__ = ("_collection", "_engine", "_backend", "_closed", "_policy")
+    __slots__ = (
+        "_collection", "_materialization", "_backend", "_closed", "_policy"
+    )
 
     def __init__(
         self,
         collection: Sequence,
-        engine: Optional[QueryEngine] = None,
         *,
         policy: Optional[PlanPolicy] = None,
     ) -> None:
@@ -802,11 +800,10 @@ class SimilaritySession:
                 "a similarity session needs a non-empty collection"
             )
         self._collection = collection
-        self._engine = engine if engine is not None else QueryEngine()
+        self._materialization = CollectionMaterialization(collection)
         self._policy = check_policy(policy)
         self._backend = InProcessBackend()
         self._closed = False
-        self._engine.materialize(collection)
 
     @property
     def policy(self) -> Optional[PlanPolicy]:
@@ -817,11 +814,6 @@ class SimilaritySession:
     def collection(self) -> Sequence:
         """The pinned candidate collection."""
         return self._collection
-
-    @property
-    def engine(self) -> QueryEngine:
-        """The engine holding this session's materializations."""
-        return self._engine
 
     @property
     def backend(self) -> SimilarityBackend:
@@ -879,11 +871,19 @@ class SimilaritySession:
         selected = [self._collection[int(i)] for i in positions]
         return QuerySet(self, selected, positions)
 
-    def materialization(self):
-        """The collection's :class:`CollectionMaterialization` (pinned)."""
-        return self._engine.materialize(self._collection)
+    def materialization(self) -> CollectionMaterialization:
+        """The collection's one :class:`CollectionMaterialization`.
+
+        Rebuilt only when :meth:`~CollectionMaterialization.is_current`
+        reports that the collection (a plain list) changed in place, so
+        every plan reads the current members.  Two threads that see one
+        change may both rebuild; either result serves.
+        """
+        if not self._materialization.is_current():
+            self._materialization = CollectionMaterialization(
+                self._collection
+            )
+        return self._materialization
 
     def __repr__(self) -> str:
-        return (
-            f"SimilaritySession(n_series={len(self)}, engine={self._engine!r})"
-        )
+        return f"SimilaritySession(n_series={len(self)})"

@@ -80,11 +80,11 @@ with the executed plan's :class:`~repro.queries.planner.PruningStats`.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core import MATRIX_BLOCK_ELEMENTS, normalize_tau
+from ..core import MATRIX_BLOCK_ELEMENTS, epsilon_vector, normalize_tau
 from ..core.errors import InvalidParameterError, UnsupportedQueryError
 from ..core.summaries import (
     DEFAULT_SEGMENTS,
@@ -146,21 +146,6 @@ def _query_blocks(n_queries: int, n_candidates: int, length: int):
         yield start, min(start + block, n_queries)
 
 
-def _epsilon_vector(epsilon, n_queries: int) -> np.ndarray:
-    """Normalize a scalar or per-query ε into a validated ``(M,)`` vector."""
-    eps = np.asarray(epsilon, dtype=np.float64)
-    if eps.ndim == 0:
-        eps = np.full(n_queries, float(eps))
-    elif eps.shape != (n_queries,):
-        raise InvalidParameterError(
-            f"epsilon must be a scalar or a vector of {n_queries} per-query "
-            f"thresholds, got shape {eps.shape}"
-        )
-    if eps.size and (np.any(eps < 0.0) or np.any(np.isnan(eps))):
-        raise InvalidParameterError("every epsilon must be >= 0")
-    return eps
-
-
 def _per_pair_matrix(
     score, queries: Sequence, collection: Sequence, *row_args
 ) -> np.ndarray:
@@ -216,7 +201,7 @@ class Technique(abc.ABC):
     :class:`~repro.queries.engine.CollectionMaterialization` objects the
     plan resolved for its query rows and its candidate collection.  A
     hook reads arrays off them and looks nothing up, so concurrent runs
-    of one instance on different engines cannot see each other's
+    of one instance in different sessions cannot see each other's
     collections.  The base kernels loop the per-pair methods over
     ``side.collection``, so a custom technique that implements only
     ``distance`` or ``probability`` keeps working.
@@ -237,9 +222,9 @@ class Technique(abc.ABC):
     def reset(self) -> None:
         """Drop any per-series memos (called between datasets).
 
-        The base technique keeps none; collection-level caches live in
-        the engine a caller passes in, which is identity-keyed with strong
-        references, so its entries never go stale.
+        The base technique keeps none; collection-level arrays live in
+        the materializations a plan reads, which a session holds and
+        rebuilds when its collection changes in place.
         """
 
     def distance(self, query, candidate) -> float:
@@ -280,14 +265,14 @@ class Technique(abc.ABC):
     def matrix_with_stats(
         self,
         kind: str,
-        queries: Sequence,
+        queries: Union[Sequence, CollectionMaterialization],
         collection: Sequence,
         epsilon=None,
         tau=None,
         knn_k: Optional[int] = None,
         exclude: Optional[np.ndarray] = None,
         policy: Optional[PlanPolicy] = None,
-        engine=None,
+        candidate_side: Optional[CollectionMaterialization] = None,
     ) -> Tuple[np.ndarray, PruningStats]:
         """Execute this technique's plan over an ``(M, N)`` workload.
 
@@ -305,9 +290,10 @@ class Technique(abc.ABC):
         thresholds — Monte Carlo techniques then bracket the whole grid
         in one adaptive pass.  ``policy`` (default ``PlanPolicy()``; a
         session passes its own) decides whether the index stage may be
-        prepended to the cascade.  ``engine`` (default: the process-wide
-        shared engine; a session passes its own) holds the collection's
-        materialization, from which the plan resolves both sides.
+        prepended to the cascade.  ``candidate_side`` is the collection's
+        materialization (a session passes its own; default: the plan
+        builds one and drops it on return); ``queries`` may be passed as
+        a materialization too.
         """
         tau = normalize_tau(tau)
         plan = self._indexed_plan(
@@ -315,7 +301,7 @@ class Technique(abc.ABC):
         )
         return plan.execute(
             self, kind, queries, collection, epsilon=epsilon, tau=tau,
-            knn_k=knn_k, exclude=exclude, engine=engine,
+            knn_k=knn_k, exclude=exclude, candidate_side=candidate_side,
         )
 
     def _indexed_plan(
@@ -481,7 +467,7 @@ class Technique(abc.ABC):
 
         Base implementation loops over the per-pair :meth:`probability`.
         """
-        eps = _epsilon_vector(epsilon, len(query_side))
+        eps = epsilon_vector(epsilon, len(query_side))
         return _per_pair_matrix(
             self.probability, query_side.collection, candidate_side.collection, eps
         )
@@ -758,7 +744,7 @@ class ProudTechnique(Technique):
         synopsis_coefficients: Optional[int] = None,
     ) -> None:
         # The technique returns raw probabilities and callers apply tau;
-        # the default here only matters for direct use of the engine.
+        # the default here only matters for direct use of ``Proud``.
         self._proud = Proud(tau=0.5, synopsis_coefficients=synopsis_coefficients)
         self.assumed_std = assumed_std
         self._model_cache: Dict[
@@ -822,7 +808,7 @@ class ProudTechnique(Technique):
         per-pair path.
         """
         n_queries = len(query_side)
-        eps = _epsilon_vector(epsilon, n_queries)
+        eps = epsilon_vector(epsilon, n_queries)
         if self._proud.synopsis is not None:
             return super().probability_kernel(query_side, candidate_side, eps)
         values = candidate_side.values_matrix()
@@ -1255,7 +1241,7 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
     they are drawn once per refine call) and pushes the whole draw stack
     through the rolling wavefront DP of
     :func:`~repro.distances.dtw_batch.dtw_hits_paired`, after two
-    collection-level stages that reuse cached engine stacks:
+    collection-level stages that reuse the sides' cached stacks:
 
     * a band-inflated bounding-interval envelope lower bound — candidates
       no materialization can reach are 0.0 without sampling;

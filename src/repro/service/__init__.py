@@ -50,13 +50,8 @@ from .cluster import (
     connect,
 )
 from .daemon import SimilarityDaemon
-from .protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    TECHNIQUE_NAMES,
-    build_technique,
-    technique_spec,
-)
+from .protocol import PROTOCOL_VERSION, ProtocolError
+from .registry import TECHNIQUE_NAMES, build_technique, technique_spec
 
 __all__ = [
     "CatalogEntry",

@@ -34,7 +34,7 @@ from ..queries.planner import POLICY_MODES, PlanPolicy
 from .catalog import ServiceCatalog
 from .client import ServiceClient
 from .daemon import SimilarityDaemon
-from .protocol import TECHNIQUE_NAMES
+from .registry import TECHNIQUE_NAMES
 
 
 def build_serve_parser() -> argparse.ArgumentParser:

@@ -37,10 +37,15 @@ close the client's connection, so the next request reconnects.
 
 from __future__ import annotations
 
+import errno
 import itertools
+import math
+import os
+import selectors
 import socket
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import ReproError
 from .protocol import (
@@ -116,7 +121,7 @@ class ServiceResult:
 
 
 class Channel:
-    """One blocking newline-JSON connection to a daemon.
+    """One newline-JSON connection to a daemon.
 
     The service layer's one socket: :class:`ServiceClient` sends through
     one, and the cluster coordinator pools them per shard endpoint.  The
@@ -124,19 +129,53 @@ class Channel:
     from the coordinator), so a reply says which request it answers.
     A request and its reply are two steps, so a caller may put requests
     on several channels before it reads any reply.
+
+    Opening one does not block: the constructor starts a non-blocking
+    connect, and :func:`finish_connects` completes it before the first
+    :meth:`send`, for several channels at once on the caller's thread.
+    ``connect_timeout`` bounds the connect from the constructor on;
+    each resolved address of ``host`` is tried in turn within it, as
+    :func:`socket.create_connection` would.
     """
 
-    __slots__ = ("host", "port", "_sock", "_reader")
+    __slots__ = ("host", "port", "_connect_by", "_addresses", "_sock", "_reader")
 
     def __init__(
         self, host: str, port: int, connect_timeout: Optional[float]
     ) -> None:
         self.host = host
         self.port = port
-        self._sock = socket.create_connection(
-            (host, port), timeout=connect_timeout
+        self._connect_by = time.monotonic() + (
+            math.inf if connect_timeout is None else connect_timeout
         )
+        self._addresses = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
+        self._reader = None
+        self._dial(None)
+
+    def _dial(self, error: Optional[OSError]) -> None:
+        """Start a non-blocking connect to the next resolved address;
+        with none left, raise the last address's failure."""
+        while self._addresses:
+            family, kind, proto, _, address = self._addresses.pop(0)
+            self._sock = socket.socket(family, kind, proto)
+            self._sock.setblocking(False)
+            code = self._sock.connect_ex(address)
+            if code in (0, errno.EINPROGRESS):
+                return
+            self._sock.close()
+            error = OSError(code, os.strerror(code))
+        raise error
+
+    def _connected(self) -> bool:
+        """Whether the connect a selector reported ready is open; a
+        failed one moves on to the next address."""
+        code = self._sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if code:
+            self._sock.close()
+            self._dial(OSError(code, os.strerror(code)))
+            return False
         self._reader = self._sock.makefile("rb")
+        return True
 
     def send(
         self,
@@ -178,14 +217,55 @@ class Channel:
         return self.receive(request_id, timeout)
 
     def close(self) -> None:
-        try:
-            self._reader.close()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        for handle in (self._reader, self._sock):
+            try:
+                if handle is not None:
+                    handle.close()
+            except OSError:
+                pass
+
+
+def finish_connects(
+    channels: Sequence[Channel],
+) -> Iterator[Tuple[int, Optional[OSError]]]:
+    """Complete several channels' connects together, on this thread.
+
+    Every connect is already under way; this waits on all of them at
+    once and yields ``(position, None)`` as each channel opens, so its
+    caller can send on it while the others still connect, or
+    ``(position, error)`` as one fails — :class:`TimeoutError` once its
+    ``connect_timeout`` ran out.  A failed channel is closed, and so is
+    every channel still connecting when the caller stops iterating.
+    """
+    pending = dict(enumerate(channels))
+    try:
+        while pending:
+            wait = min(c._connect_by for c in pending.values()) - time.monotonic()
+            with selectors.DefaultSelector() as selector:
+                for position, channel in pending.items():
+                    selector.register(channel._sock, selectors.EVENT_WRITE, position)
+                events = selector.select(None if wait == math.inf else max(wait, 0))
+            ready = {key.data for key, _ in events}
+            now = time.monotonic()
+            for position, channel in list(pending.items()):
+                error = None
+                try:
+                    if position not in ready:
+                        if channel._connect_by > now:
+                            continue
+                        raise TimeoutError(
+                            f"connect to {channel.host}:{channel.port} timed out"
+                        )
+                    if not channel._connected():
+                        continue
+                except OSError as failure:
+                    channel.close()
+                    error = failure
+                del pending[position]
+                yield position, error
+    finally:
+        for channel in pending.values():
+            channel.close()
 
 
 @dataclass
@@ -201,7 +281,11 @@ class ServiceClient:
     def connect(self) -> "ServiceClient":
         """Open the connection (lazy — every request path calls this)."""
         if self._channel is None:
-            self._channel = Channel(self.host, self.port, self.timeout)
+            channel = Channel(self.host, self.port, self.timeout)
+            [(_, error)] = finish_connects([channel])
+            if error is not None:
+                raise error
+            self._channel = channel
         return self
 
     def close(self) -> None:

@@ -39,7 +39,7 @@ side by side without a thread per shard.  Robustness:
 
 The unified surface: :func:`connect` returns a session whose fluent
 ``queries().using(technique).knn(k)`` chain executes against an
-in-process engine or, with the coordinator as a :class:`RemoteSession`'s
+in-process session or, with the coordinator as a :class:`RemoteSession`'s
 backend, against daemons — a shard fleet, or one daemon as a one-shard
 map over ``[0, N)`` — returning the same
 :class:`~repro.queries.session.KnnResult` /
@@ -56,9 +56,10 @@ in :class:`ClusterError`.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,8 +75,9 @@ from ..queries.session import (
     checked_selection,
 )
 from .catalog import ServiceCatalog, ShardEntry
-from .client import Channel, ServiceClient, ServiceError
-from .protocol import stats_from_payload, technique_spec
+from .client import Channel, ServiceClient, ServiceError, finish_connects
+from .protocol import stats_from_payload
+from .registry import technique_spec
 
 #: Default per-request wall-clock budget (seconds).
 DEFAULT_TIMEOUT = 60.0
@@ -218,15 +220,45 @@ class ClusterCoordinator(SimilarityBackend):
 
     # -- connection pool -----------------------------------------------------
 
-    def _checkout(self, shard: ShardEntry) -> Channel:
-        key = (shard.host, shard.port)
-        with self._lock:
-            if self._closed:
-                raise ClusterError("coordinator is closed")
-            pool = self._pools.setdefault(key, [])
-            if pool:
-                return pool.pop()
-        return Channel(shard.host, shard.port, self.connect_timeout)
+    def _open(
+        self, shards: Sequence[ShardEntry], deadline: Optional[float]
+    ) -> Iterator[Tuple[int, Any]]:
+        """Yield ``(position, channel or error)`` for each of ``shards``.
+
+        Pooled channels come first, before any new connect starts.  Then
+        every new connect is started before any is waited on, and each
+        channel is yielded as soon as its connect completes, so a hung
+        connect holds back no other shard's request.  A connect waits at
+        most ``min(connect_timeout, remaining budget)``.
+        """
+        fresh = []
+        for position, shard in enumerate(shards):
+            with self._lock:
+                if self._closed:
+                    pooled: Any = ClusterError("coordinator is closed")
+                else:
+                    pool = self._pools.get((shard.host, shard.port))
+                    pooled = pool.pop() if pool else None
+            if pooled is None:
+                fresh.append(position)
+            else:
+                yield position, pooled
+        connecting: List[Tuple[int, Channel]] = []
+        for position in fresh:
+            shard = shards[position]
+            try:
+                bound = self._budget(shard, deadline)
+                if self.connect_timeout is not None:
+                    bound = min(bound or math.inf, self.connect_timeout)
+                connecting.append(
+                    (position, Channel(shard.host, shard.port, bound))
+                )
+            except OSError as error:
+                yield position, error
+        opened = finish_connects([channel for _, channel in connecting])
+        for index, error in opened:
+            position, channel = connecting[index]
+            yield position, error or channel
 
     def _checkin(self, shard: ShardEntry, channel: Channel) -> None:
         key = (shard.host, shard.port)
@@ -278,29 +310,27 @@ class ClusterCoordinator(SimilarityBackend):
             )
         return budget
 
-    def _pooled(self, shard: ShardEntry) -> bool:
-        """Whether a channel to ``shard`` waits in the pool."""
-        with self._lock:
-            return bool(self._pools.get((shard.host, shard.port)))
-
     def _send(
         self,
         shard: ShardEntry,
+        channel: Union[Channel, Exception],
         request_id: str,
         payload: Dict[str, Any],
         deadline: Optional[float],
     ) -> Channel:
-        """Put one request on a pooled channel and return the channel.
+        """Put one request on ``channel`` and return the channel.
 
-        The remaining budget is the write's socket timeout and ships as
-        the request's ``timeout``, so the daemon drops an overrun
-        request itself.
+        ``channel`` is what :meth:`_open` yielded: a failed open raises
+        here.  The remaining budget is the write's socket timeout and
+        ships as the request's ``timeout``, so the daemon drops an
+        overrun request itself.
         """
-        budget = self._budget(shard, deadline)
-        if budget is not None:
-            payload = {**payload, "timeout": max(budget, 1e-3)}
-        channel = self._checkout(shard)
+        if isinstance(channel, Exception):
+            raise channel
         try:
+            budget = self._budget(shard, deadline)
+            if budget is not None:
+                payload = {**payload, "timeout": max(budget, 1e-3)}
             channel.send(request_id, payload, budget)
         except BaseException:
             channel.close()
@@ -346,7 +376,8 @@ class ClusterCoordinator(SimilarityBackend):
         payload: Dict[str, Any],
         deadline: Optional[float],
     ) -> Dict[str, Any]:
-        channel = self._send(shard, request_id, payload, deadline)
+        [(_, channel)] = self._open([shard], deadline)
+        self._send(shard, channel, request_id, payload, deadline)
         return self._receive(shard, channel, request_id, deadline)
 
     def _scatter(
@@ -361,11 +392,13 @@ class ClusterCoordinator(SimilarityBackend):
 
         Every request goes out before any reply is read, all on the
         caller's thread, so the shards execute side by side and no
-        thread is started.  Requests on pooled channels go first, so a
-        slow connect to one shard holds back no request that needs no
-        connect.  Replies are read in send order; a read's timeout is
-        floored (see :meth:`_receive`), so a slow shard read first
-        fails no reply that came in time behind it.  A transport
+        thread is started.  Requests on pooled channels go first; then
+        every new connect starts at once and each request goes out as
+        soon as its connect completes (see :meth:`_open`), so a slow
+        connect to one shard holds back no other shard's request.
+        Replies are read in send order; a read's timeout is floored
+        (see :meth:`_receive`), so a slow shard read first fails no
+        reply that came in time behind it.  A transport
         failure of a send or of a receive gets one immediate retry,
         sent once every first request is out, its reply read last.
         Failed shards are ``None`` in the response list (allowed only
@@ -403,18 +436,19 @@ class ClusterCoordinator(SimilarityBackend):
         ]
         outcomes: List[Any] = [None] * len(shards)
         attempts = [0] * len(shards)
-        outbox = sorted(
-            range(len(shards)), key=lambda index: not self._pooled(shards[index])
-        )
+        outbox = list(range(len(shards)))
         # (shard index, channel) of every request on the wire, unread.
         unread: List[Tuple[int, Channel]] = []
         try:
             while outbox or unread:
                 settled: List[Tuple[int, Any]] = []
-                for index in outbox:
+                opened = self._open([shards[i] for i in outbox], deadline)
+                for position, channel in opened:
+                    index = outbox[position]
                     attempts[index] += 1
                     sent = _outcome(
-                        self._send, shards[index], *requests[index], deadline
+                        self._send, shards[index], channel, *requests[index],
+                        deadline,
                     )
                     if isinstance(sent, Exception):
                         settled.append((index, sent))

@@ -10,8 +10,8 @@ executor an in-process session runs — in a thread pool (`numpy`
 releases the GIL inside the GEMM/DP kernels).  A technique
 holds parameters only, so any requests — same technique or not — run
 side by side on the pool; their warm state lives in the session's
-engine (materialized matrices, filtered stacks, summaries) and in the
-process-wide DUST table store, neither of which a request owns.
+materialization (materialized matrices, filtered stacks, summaries) and
+in the process-wide DUST table store, neither of which a request owns.
 
 Every query runs against a column slice of its collection — a request
 without ``candidates`` is the slice ``[0, N)`` — and the daemon keeps one
@@ -44,9 +44,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core import epsilon_vector
 from ..core.errors import InvalidParameterError, ReproError
 from ..core.mmapio import MappedCollection
 from ..core.series import TimeSeries
+from ..queries.engine import CollectionMaterialization
 from ..queries.knn import check_knn_k
 from ..queries.planner import PlanPolicy
 from ..queries.session import (
@@ -56,11 +58,7 @@ from ..queries.session import (
     check_verb_kind,
     execute_query,
 )
-from ..queries.techniques import (
-    EuclideanTechnique,
-    Technique,
-    _epsilon_vector,
-)
+from ..queries.techniques import EuclideanTechnique, Technique
 from .catalog import CatalogError, ServiceCatalog
 from .protocol import (
     MAX_LINE_BYTES,
@@ -68,7 +66,6 @@ from .protocol import (
     QUERY_OPS,
     ProtocolError,
     Request,
-    build_technique,
     decode_message,
     encode_message,
     error_response,
@@ -77,6 +74,7 @@ from .protocol import (
     stats_payload,
     wire_number,
 )
+from .registry import build_technique
 
 #: How long stop() waits for in-flight work before force-closing.
 DRAIN_TIMEOUT = 30.0
@@ -160,6 +158,9 @@ class SimilarityDaemon:
         # shard daemon never materializes columns outside its slice,
         # which is the whole point of scattering.
         self._maps: Dict[str, MappedCollection] = {}
+        # Each map's one materialization, built by the first all-series
+        # request on a slice of it (see _map_side).
+        self._map_sides: Dict[str, CollectionMaterialization] = {}
         self._sessions: Dict[Tuple[str, int, int], SimilaritySession] = {}
         self._session_locks: Dict[Tuple[str, int, int], asyncio.Lock] = {}
         self._inflight: set = set()
@@ -240,6 +241,7 @@ class SimilarityDaemon:
             session.close()
         self._sessions.clear()
         self._maps.clear()
+        self._map_sides.clear()
         if self._owns_catalog:
             self._catalog.close()
 
@@ -278,11 +280,11 @@ class SimilarityDaemon:
     def _warm_session(collection: MappedCollection) -> SimilaritySession:
         """An in-process session over ``collection``, primed by a probe.
 
-        One 1-NN probe fills the engine's kernel caches (materialized
-        matrices, norm stacks, index adoption) so a restarted daemon's
-        first real query pays only its own kernel — the warm-start
-        contract the service benchmark gates on.  Kinds without a
-        distance path just skip the probe.
+        One 1-NN probe fills the materialization's kernel caches
+        (materialized matrices, norm stacks, index adoption) so a
+        restarted daemon's first real query pays only its own kernel —
+        the warm-start contract the service benchmark gates on.  Kinds
+        without a distance path just skip the probe.
         """
         session = SimilaritySession(collection)
         if len(session) > 1:
@@ -300,6 +302,21 @@ class SimilarityDaemon:
         if mapped is None:
             mapped = self._maps[name] = self._catalog.open_collection(name)
         return mapped
+
+    def _map_side(self, name: str) -> CollectionMaterialization:
+        """The one materialization of ``name``'s full map, built on first use.
+
+        An all-series request on a slice queries the whole map against
+        the slice; each plan would otherwise re-filter or re-summarize
+        every series of the map.  Called on the event loop only, like
+        :meth:`_collection_map`, and dropped with the map.
+        """
+        side = self._map_sides.get(name)
+        if side is None:
+            side = self._map_sides[name] = CollectionMaterialization(
+                self._collection_map(name)
+            )
+        return side
 
     async def _get_session(
         self, name: str, candidates: Optional[Tuple[int, int]] = None
@@ -433,7 +450,7 @@ class SimilarityDaemon:
             for value in epsilon if isinstance(epsilon, list) else [epsilon]:
                 wire_number(value, "params.epsilon")
             try:
-                arguments["epsilon"] = _epsilon_vector(
+                arguments["epsilon"] = epsilon_vector(
                     epsilon, len(positions)
                 )
             except InvalidParameterError as error:
@@ -471,6 +488,8 @@ class SimilarityDaemon:
         )
         mapped = self._collection_map(request.collection)
         items, positions = self._resolve_queries(request, mapped)
+        if items is mapped and session.collection is not mapped:
+            items = self._map_side(request.collection)
         technique = build_technique(request.technique)
         arguments = self._validate_params(
             request, technique, positions, len(mapped)
@@ -571,6 +590,7 @@ class SimilarityDaemon:
             for key in [key for key in self._sessions if key[0] == name]:
                 self._sessions.pop(key).close()
             self._maps.pop(name, None)
+            self._map_sides.pop(name, None)
             await self._get_session(name)
             return ok_response(
                 request.request_id,

@@ -36,8 +36,8 @@ Response::
      "error": {"type": "UnknownCollection", "message": "..."}}
 
 The technique registry lives in :mod:`repro.service.registry` (one
-canonical table of servable families); this module re-exports its spec
-helpers so existing imports keep working.
+canonical table of servable families); a request's technique spec is
+normalized there.
 """
 
 from __future__ import annotations
@@ -48,13 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from ..queries.planner import PruningStats, StageStats
-from .registry import (  # noqa: F401  (canonical home; re-exported API)
-    TECHNIQUE_NAMES,
-    ProtocolError,
-    build_technique,
-    normalize_technique_spec,
-    technique_spec,
-)
+from .registry import ProtocolError, normalize_technique_spec
 
 #: Bump on incompatible wire-format changes; both ends must match.
 PROTOCOL_VERSION = 1

@@ -9,7 +9,7 @@ from here:
   spec → validated spec → a fresh instance; the daemon builds one per
   request (a technique holds parameters only, so building costs a few
   microseconds and loses no warm state), and
-  :mod:`repro.service.protocol` re-exports both unchanged;
+  :mod:`repro.service.protocol` normalizes each request's spec;
 * :func:`technique_spec` — the *reverse* mapping, a local technique
   instance → its wire spec, so remote backends can ship the technique a
   fluent :class:`~repro.queries.session.QuerySet` was built with.

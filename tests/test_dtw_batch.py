@@ -42,9 +42,9 @@ from repro.dust import Dust
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario
 from repro.queries import (
+    CollectionMaterialization,
     DustDtwTechnique,
     MunichDtwTechnique,
-    QueryEngine,
     SimilaritySession,
 )
 from shard_blocks import sharded_knn, sharded_matrix
@@ -525,8 +525,8 @@ class TestMunichDtwTechnique:
         assert np.array_equal(matrix, reference)
 
     def test_ragged_collection_matches_per_pair(self):
-        """Mixed samples per timestamp leave the engine without a
-        samples tensor; the per-cell draws still equal the per-pair
+        """Mixed samples per timestamp leave the materialization without
+        a samples tensor; the per-cell draws still equal the per-pair
         path."""
         rng = np.random.default_rng(12)
         series = [
@@ -539,7 +539,7 @@ class TestMunichDtwTechnique:
             window=2,
             munich=Munich(tau=0.5, method="montecarlo", n_samples=30, rng=6),
         )
-        assert QueryEngine().materialize(series).samples_tensor() is None
+        assert CollectionMaterialization(series).samples_tensor() is None
         matrix = technique.probability_matrix(series[:3], series, 2.5)
         reference = np.array([
             [technique.probability(query, candidate, 2.5)

@@ -1,4 +1,4 @@
-"""Batch query engine: materialization cache + kernel/per-pair equivalence.
+"""Batch query engine: materializations + kernel/per-pair equivalence.
 
 The contract under test: for every technique family, a one-row
 ``distance_matrix`` / ``probability_matrix`` returns exactly (to 1e-9)
@@ -12,25 +12,24 @@ from __future__ import annotations
 import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core import spawn
+from repro.core.errors import InvalidParameterError
 from repro.datasets import generate_dataset
 from repro.distances.lp import euclidean, euclidean_profile
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario, MixedStdScenario
 from repro.queries import (
-    DEFAULT_MAX_COLLECTIONS,
-    SHARED_ENGINE,
     CollectionMaterialization,
     DustTechnique,
     EuclideanTechnique,
     FilteredTechnique,
     MunichTechnique,
     ProudTechnique,
-    QueryEngine,
     SimilaritySession,
     technique_epsilon,
 )
@@ -305,15 +304,16 @@ class TestBatchQueryConsumers:
 
 class TestQueryEngine:
     def test_materialize_is_cached_per_collection(self, homogeneous):
-        engine = QueryEngine()
-        first = engine.materialize(homogeneous)
-        again = engine.materialize(homogeneous)
-        assert first is again
-        assert len(engine) == 1
+        """A session builds its collection's materialization once and
+        hands that one to every plan it runs."""
+        session = SimilaritySession(homogeneous)
+        first = session.materialization()
+        session.queries([0]).using(EuclideanTechnique()).knn(3)
+        session.queries().using(FilteredTechnique.uma()).range(4.0)
+        assert session.materialization() is first
 
     def test_values_matrix_built_once(self, homogeneous):
-        engine = QueryEngine()
-        materialized = engine.materialize(homogeneous)
+        materialized = CollectionMaterialization(homogeneous)
         matrix = materialized.values_matrix()
         assert matrix is materialized.values_matrix()
         np.testing.assert_array_equal(
@@ -321,41 +321,20 @@ class TestQueryEngine:
         )
 
     def test_strong_reference_prevents_stale_id_reuse(self):
-        """The failure mode of the old id(series) caches: a dead object's id
-        being recycled must never serve stale data.  The engine pins every
-        keyed collection, so a cached id is always alive."""
-        engine = QueryEngine()
+        """A materialization pins every member it snapshotted, so the
+        member that replaces one in place can never inherit its ``id``
+        and pass ``is_current`` as the old one."""
         values = np.random.default_rng(3).normal(size=(4, 8))
-        collections = []
-        for _ in range(DEFAULT_MAX_COLLECTIONS + 12):
-            collection = [row.copy() for row in values]
-            engine.materialize(collection)
-            collections.append(collection)
-        del collections
-        gc.collect()
-        for entry in list(engine._entries.values()):
-            assert entry.collection is not None
-            assert id(entry.collection) in engine._entries
-
-    def test_lru_eviction_bounds_memory(self):
-        engine = QueryEngine()
-        collections = [
-            [np.full(4, float(i))] for i in range(DEFAULT_MAX_COLLECTIONS + 2)
-        ]
-        for collection in collections[:DEFAULT_MAX_COLLECTIONS + 1]:
-            engine.materialize(collection)
-        assert len(engine) == DEFAULT_MAX_COLLECTIONS
-        assert id(collections[0]) not in engine._entries
-        # collections[1] is now least recently used; touching it keeps it.
-        engine.materialize(collections[1])
-        engine.materialize(collections[-1])
-        assert len(engine) == DEFAULT_MAX_COLLECTIONS
-        assert id(collections[1]) in engine._entries
-        assert id(collections[2]) not in engine._entries
+        collection = [row.copy() for row in values]
+        for _ in range(20):
+            materialized = CollectionMaterialization(collection)
+            collection[0] = values[0].copy()
+            gc.collect()
+            assert not materialized.is_current()
 
     def test_model_codes_group_by_distribution(self, heterogeneous):
-        engine = QueryEngine()
-        codes, distincts = engine.materialize(heterogeneous).model_codes()
+        materialized = CollectionMaterialization(heterogeneous)
+        codes, distincts = materialized.model_codes()
         assert codes.shape == (len(heterogeneous), LENGTH)
         assert len(distincts) == 2  # σ=1.0 and σ=0.4 normals
         for row, series in enumerate(heterogeneous):
@@ -363,37 +342,49 @@ class TestQueryEngine:
                 assert distincts[codes[row, i]] == series.error_model[i]
 
     def test_filtered_matrix_cached_per_filter(self, homogeneous):
-        engine = QueryEngine()
-        materialized = engine.materialize(homogeneous)
+        materialized = CollectionMaterialization(homogeneous)
         uma = FilteredTechnique.uma().filtered
         uema = FilteredTechnique.uema().filtered
         first = materialized.filtered_matrix(uma)
         assert first is materialized.filtered_matrix(uma)
         assert materialized.filtered_matrix(uema) is not first
 
-    def test_engine_argument_and_clear(self, homogeneous):
-        """A plan materializes on the engine its caller passes, and the
-        technique keeps no handle on it: ``reset()`` leaves it alone."""
+    def test_candidate_side_argument(self, homogeneous):
+        """A plan reads the candidate side its caller passes, and
+        refuses a side built over another collection."""
         technique = EuclideanTechnique()
-        private = QueryEngine()
         collection = list(homogeneous)
-        technique.matrix_with_stats(
-            "distance", collection, collection, engine=private
+        side = CollectionMaterialization(collection)
+        values, _ = technique.matrix_with_stats(
+            "distance", [collection[0]], collection, candidate_side=side
         )
-        assert list(private._entries) == [id(collection)]
-        assert id(collection) not in SHARED_ENGINE._entries
-        technique.reset()
-        assert len(private) == 1
-        private.clear()
-        assert len(private) == 0
+        assert side._values is not None
+        np.testing.assert_array_equal(
+            values, technique.distance_matrix([collection[0]], collection)
+        )
+        with pytest.raises(InvalidParameterError, match="candidate_side"):
+            technique.matrix_with_stats(
+                "distance", collection, list(collection), candidate_side=side
+            )
 
-    def test_shared_engine_not_cleared_by_reset(self, homogeneous):
+    def test_session_less_call_keeps_no_collection(self, homogeneous):
+        """A session-less matrix call builds its sides for the plan and
+        drops them on return: the collection is collectable after."""
+
+        class Members(list):
+            """A list that takes weak references."""
+
         technique = EuclideanTechnique()
-        technique.distance_matrix(homogeneous, homogeneous)
-        before = len(SHARED_ENGINE)
-        assert before >= 1
-        technique.reset()
-        assert len(SHARED_ENGINE) == before
+        collection = Members(homogeneous)
+        alive = weakref.ref(collection)
+        technique.distance_matrix(collection, collection)
+        technique.distance_matrix([homogeneous[0]], collection)
+        technique.matrix_with_stats(
+            "distance", [homogeneous[1]], collection, knn_k=3
+        )
+        del collection
+        gc.collect()
+        assert alive() is None
 
     def test_euclidean_profile_matches_scalar(self):
         values = np.random.default_rng(11).normal(size=(6, 12))
@@ -405,24 +396,29 @@ class TestQueryEngine:
         assert len(CollectionMaterialization(homogeneous)) == len(homogeneous)
 
     def test_in_place_mutation_triggers_rebuild(self, homogeneous):
-        """Replacing or appending members of a keyed collection must not
-        serve stale arrays (identity of the list alone is not enough)."""
+        """A session over a plain list answers from its new contents
+        after an in-place replace or append (identity of the list alone
+        is not enough)."""
         technique = EuclideanTechnique()
-        engine = QueryEngine()
         collection = list(homogeneous)
+        session = SimilaritySession(collection)
 
         def profile():
-            return technique.matrix_with_stats(
-                "distance", [collection[0]], collection, engine=engine
-            )[0][0]
+            query_set = session.queries([0]).using(technique)
+            return query_set.profile_matrix().values[0]
 
         before = profile()
+        built = session.materialization()
         collection[5] = homogeneous[6]  # replace a member in place
         after = profile()
         assert after[5] == pytest.approx(before[6], abs=1e-12)
+        assert session.materialization() is not built
         collection.append(homogeneous[7])  # grow in place
         grown = profile()
         assert grown.shape == (len(homogeneous) + 1,)
+        assert grown[-1] == pytest.approx(before[7], abs=1e-12)
+        nearest = session.queries([0]).using(technique).knn(len(homogeneous))
+        assert len(homogeneous) in nearest.indices[0]
 
     def test_dust_table_propagates_nan(self):
         technique = DustTechnique()
@@ -472,23 +468,6 @@ def _run_threads(target, n_threads: int, switch_interval: float) -> list:
 
 
 class TestEngineConcurrency:
-    def test_concurrent_materialize_keeps_the_lru_consistent(self):
-        """Threads sharing one engine, each touching a shared collection
-        and a new one-item list per call, so every call of the second
-        kind inserts and evicts: lookup, insert and evict never race."""
-        engine = QueryEngine()
-        shared = [np.zeros(4), np.ones(4)]
-        row = np.arange(4.0)
-
-        def hammer(slot: int) -> None:
-            for _ in range(20_000):
-                assert engine.materialize(shared).collection is shared
-                engine.materialize([row])
-
-        assert _run_threads(hammer, 4, 1e-6) == []
-        assert len(engine) <= DEFAULT_MAX_COLLECTIONS
-        assert engine.materialize(shared) is engine._entries[id(shared)]
-
     def test_concurrent_lazy_fills_build_equal_arrays(self, heterogeneous):
         """Eight threads filling one fresh materialization's caches at
         once: every thread gets arrays equal to a serial build."""

@@ -54,6 +54,7 @@ from repro.distances.lp import euclidean_matrix
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario, MixedStdScenario
 from repro.queries import (
+    CollectionMaterialization,
     DustTechnique,
     EuclideanTechnique,
     FilteredTechnique,
@@ -62,7 +63,6 @@ from repro.queries import (
     MunichTechnique,
     PlanPolicy,
     ProudTechnique,
-    QueryEngine,
     SimilaritySession,
     knn_table,
     local_topk_rows,
@@ -235,7 +235,7 @@ class TestAdmissibility:
         """The envelope-summary bound lower-bounds banded DTW of every
         sampled materialization pair (the MUNICH-DTW soundness claim)."""
         technique = MunichDtwTechnique(window=2)
-        side = QueryEngine().materialize(multisample)
+        side = CollectionMaterialization(multisample)
         lower, slack = technique.index_bounds("probability", side, side)
         assert slack == PRUNE_SLACK
         rng = make_rng(5)
@@ -308,12 +308,11 @@ class TestThresholds:
 
 
 def _indexed_and_unindexed(collection):
-    """Two sessions on one private engine: the default policy, and
+    """Two sessions over one collection: the default policy, and
     ``NO_INDEX``."""
-    engine = QueryEngine()
     return (
-        SimilaritySession(collection, engine=engine),
-        SimilaritySession(collection, engine=engine, policy=NO_INDEX),
+        SimilaritySession(collection),
+        SimilaritySession(collection, policy=NO_INDEX),
     )
 
 
@@ -373,7 +372,7 @@ class TestParity:
 
     def test_sharded_knn_matches_single_process(self, multisample):
         technique = EuclideanTechnique()
-        single = SimilaritySession(multisample, engine=QueryEngine())
+        single = SimilaritySession(multisample)
         reference = single.queries().using(technique).knn(4)
         positions = np.arange(len(multisample), dtype=np.intp)
         indices, scores, _ = sharded_knn(
@@ -384,7 +383,7 @@ class TestParity:
 
     def test_sharded_range_matches_single_process(self, multisample):
         technique = EuclideanTechnique()
-        single = SimilaritySession(multisample, engine=QueryEngine())
+        single = SimilaritySession(multisample)
         reference = single.queries().using(technique).range(3.0)
         values, _ = sharded_matrix(
             technique, "distance", multisample, multisample, epsilon=3.0, **SHARDED
@@ -397,7 +396,7 @@ class TestParity:
         """Plain distance matrices carry no decision information, so the
         plan stays a pure refine (documented stage-list contract)."""
         technique = EuclideanTechnique()
-        session = SimilaritySession(multisample, engine=QueryEngine())
+        session = SimilaritySession(multisample)
         result = session.queries().using(technique).profile_matrix()
         stages = [s.stage for s in result.pruning_stats.stages]
         assert stages == ["refine"]
@@ -556,7 +555,7 @@ class TestTightBounds:
             else EuclideanTechnique(index_segments=segments)
         )
         if geometry == "steps" and not filtered:
-            summary = QueryEngine().materialize(collection).paa_summary(
+            summary = CollectionMaterialization(collection).paa_summary(
                 segments
             )
             lower = paa_lower_bound(summary, summary)
@@ -621,9 +620,7 @@ class TestMultistepGain:
             str(tmp_path), n_series=4000, length=64, seed=2012
         )
         build_index(manifest, n_segments=DEFAULT_SEGMENTS)
-        session = SimilaritySession(
-            load_collection(manifest), engine=QueryEngine()
-        )
+        session = SimilaritySession(load_collection(manifest))
         technique = EuclideanTechnique()
         refined = cells = 0
         for row in range(0, 4000, 200):
@@ -643,7 +640,7 @@ class TestMultistepGain:
 class TestAccounting:
     def test_visited_plus_skipped_covers_grid(self, multisample):
         technique = EuclideanTechnique()
-        session = SimilaritySession(multisample, engine=QueryEngine())
+        session = SimilaritySession(multisample)
         result = session.queries().using(technique).knn(4)
         stats = result.pruning_stats
         total = stats.total_cells
@@ -663,7 +660,7 @@ class TestAccounting:
 
     def test_summary_reports_selectivity(self, multisample):
         technique = EuclideanTechnique()
-        session = SimilaritySession(multisample, engine=QueryEngine())
+        session = SimilaritySession(multisample)
         result = session.queries().using(technique).knn(4)
         text = result.pruning_stats.summary()
         assert "index selectivity" in text
@@ -672,7 +669,7 @@ class TestAccounting:
     def test_selectivity_none_without_index(self, multisample):
         technique = EuclideanTechnique()
         session = SimilaritySession(
-            multisample, engine=QueryEngine(), policy=NO_INDEX
+            multisample, policy=NO_INDEX
         )
         result = session.queries().using(technique).knn(4)
         # NO_INDEX keeps the stage out of the plan, so selectivity

@@ -25,10 +25,10 @@ from repro.datasets import generate_dataset
 from repro.distributions import UniformError, with_tails
 from repro.perturbation import ConstantScenario, MixedFamilyScenario
 from repro.queries import (
+    CollectionMaterialization,
     DustTechnique,
     EuclideanTechnique,
     MunichTechnique,
-    QueryEngine,
 )
 from repro.munich import Munich
 
@@ -98,8 +98,7 @@ class TestPdfRoundtrip:
     def test_engine_warms_from_map(self, pdf, tmp_path):
         save_collection(pdf, str(tmp_path))
         loaded = load_collection(str(tmp_path))
-        engine = QueryEngine()
-        materialized = engine.materialize(loaded)
+        materialized = CollectionMaterialization(loaded)
         # The materialization adopts the mapped matrices: zero re-stacking.
         assert materialized.values_matrix() is loaded.mapped_values
         assert materialized.variances_matrix() is loaded.mapped_variances
@@ -174,8 +173,7 @@ class TestMultisampleRoundtrip:
     def test_engine_bounds_from_map(self, multisample, tmp_path):
         save_collection(multisample, str(tmp_path))
         loaded = load_collection(str(tmp_path))
-        engine = QueryEngine()
-        materialized = engine.materialize(loaded)
+        materialized = CollectionMaterialization(loaded)
         low, high = materialized.bounding_matrices()
         assert np.array_equal(low, loaded.mapped_samples.min(axis=2))
         column = materialized.sample_column_matrix(0)
@@ -516,13 +514,13 @@ class TestPersistedIndex:
         assert "residuals" in loaded.mapped_index
         technique = EuclideanTechnique()
         mapped = (
-            SimilaritySession(loaded, engine=QueryEngine())
+            SimilaritySession(loaded)
             .queries()
             .using(technique)
             .knn(3)
         )
         direct = (
-            SimilaritySession(pdf, engine=QueryEngine())
+            SimilaritySession(pdf)
             .queries()
             .using(technique)
             .knn(3)
@@ -569,8 +567,7 @@ class TestPersistedIndex:
         save_collection(pdf, str(tmp_path))
         build_index(str(tmp_path))
         loaded = load_collection(str(tmp_path))
-        engine = QueryEngine()
-        materialized = engine.materialize(loaded)
+        materialized = CollectionMaterialization(loaded)
         summary = materialized.paa_summary(DEFAULT_SEGMENTS)
         assert np.shares_memory(summary.means, loaded.mapped_index["means"])
         # A non-matching segment count falls back to computing fresh.
@@ -588,8 +585,7 @@ class TestPersistedIndex:
         save_collection(multisample, str(tmp_path))
         build_index(str(tmp_path))
         loaded = load_collection(str(tmp_path))
-        engine = QueryEngine()
-        materialized = engine.materialize(loaded)
+        materialized = CollectionMaterialization(loaded)
         summary = materialized.interval_paa_summary(DEFAULT_SEGMENTS)
         assert np.shares_memory(
             summary.low_means, loaded.mapped_index["low_means"]
@@ -637,13 +633,13 @@ class TestPersistedIndex:
         loaded = load_collection(str(tmp_path))
         technique = EuclideanTechnique()
         mapped = (
-            SimilaritySession(loaded, engine=QueryEngine())
+            SimilaritySession(loaded)
             .queries()
             .using(technique)
             .knn(3)
         )
         direct = (
-            SimilaritySession(multisample, engine=QueryEngine())
+            SimilaritySession(multisample)
             .queries()
             .using(technique)
             .knn(3)

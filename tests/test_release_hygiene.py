@@ -282,25 +282,17 @@ class TestPlanResolvesMaterializations:
     @pytest.mark.parametrize("module", PLAN_SIDE_MODULES)
     def test_hooks_make_no_engine_lookup(self, module):
         """Only ``QueryPlan.execute`` resolves materializations: these
-        modules call no ``.materialize(`` and name no engine."""
+        modules construct no ``CollectionMaterialization``."""
         path = os.path.join(REPO_ROOT, "src", "repro", "queries", f"{module}.py")
         with open(path, encoding="utf-8") as handle:
             tree = ast.parse(handle.read())
-        engine_names = {"QueryEngine", "SHARED_ENGINE"}
-        found = []
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "materialize"
-            ):
-                found.append(f"line {node.lineno}: .materialize(")
-            elif isinstance(node, ast.Name) and node.id in engine_names:
-                found.append(f"line {node.lineno}: {node.id}")
-            elif isinstance(node, ast.Attribute) and node.attr in engine_names:
-                found.append(f"line {node.lineno}: .{node.attr}")
-            elif isinstance(node, ast.alias) and node.name in engine_names:
-                found.append(f"import of {node.name}")
+        found = [
+            f"line {node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "CollectionMaterialization"
+            in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
         assert found == []
 
     def test_tracer_reads_the_plans_it_wraps(self, subprocess_env):
@@ -321,6 +313,31 @@ class TestPlanResolvesMaterializations:
             assert counters.get(f"plan.{stage}.seconds", 0.0) > 0.0, stage
 
 
+#: Docs whose backticked ``repro.…`` paths must name live code.
+DOCS_NAMING_CODE = (
+    "DESIGN.md",
+    "README.md",
+    os.path.join(".claude", "skills", "verify", "SKILL.md"),
+)
+
+
+def _resolves(path: str) -> bool:
+    """Whether a dotted ``repro.…`` path is a module or an attribute of
+    its longest importable prefix."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            owner = getattr(owner, name, None)
+            if owner is None:
+                return False
+        return True
+    return False
+
+
 class TestDocsConsistency:
     @pytest.fixture(scope="class")
     def design_text(self):
@@ -334,11 +351,19 @@ class TestDocsConsistency:
             path = os.path.join(REPO_ROOT, "benchmarks", bench_name)
             assert os.path.isfile(path), bench_name
 
-    def test_design_module_references_exist(self, design_text):
-        for module_name in set(re.findall(r"`repro\.([\w.]+)`", design_text)):
-            if "N" in module_name:
-                continue  # prose placeholder like experiments.figN
-            importlib.import_module(f"repro.{module_name}")
+    def test_design_module_references_exist(self):
+        """Every backticked ``repro.…`` path in the docs names a module
+        or an attribute of one."""
+        missing = []
+        for doc in DOCS_NAMING_CODE:
+            with open(os.path.join(REPO_ROOT, doc), encoding="utf-8") as handle:
+                text = handle.read()
+            for path in set(re.findall(r"`(repro\.[\w.]+)`", text)):
+                if re.search(r"[a-z]N+\b", path):
+                    continue  # prose placeholder like experiments.figN
+                if not _resolves(path):
+                    missing.append(f"{doc}: {path}")
+        assert missing == []
 
     def test_readme_examples_exist(self):
         with open(os.path.join(REPO_ROOT, "README.md")) as handle:

@@ -44,6 +44,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
 
 import numpy as np
@@ -75,10 +76,10 @@ from repro.service.cluster import (
 )
 from repro.service.protocol import (
     PROTOCOL_VERSION,
-    build_technique,
     decode_message,
     encode_message,
 )
+from repro.service.registry import build_technique
 
 SEED = 626
 N_SERIES = 12
@@ -1184,6 +1185,36 @@ class TestPipelinedScatter:
             fleet.close()
             for daemon in daemons:
                 daemon.stop()
+        assert result.failed_shards == (endpoint,)
+        _assert_survivor_ranking(result, pdf, start, stop, 3)
+
+    def test_hung_connect_on_a_cold_coordinator_fails_alone(
+        self, collections, pdf, tmp_path
+    ):
+        """With no pooled channel, every connect starts before any is
+        waited on: a first shard whose connect hangs past the budget
+        fails alone, and the live shard behind it is answered."""
+        hung = socket.socket()
+        hung.bind(("127.0.0.1", 0))
+        hung.listen(0)
+        # One queued connection fills the accept backlog, so every
+        # later connect to ``hung`` hangs.
+        filler = socket.create_connection(hung.getsockname(), timeout=5.0)
+        [live] = _spawn_fleet({"pdf": collections["pdf"]}, tmp_path, 1)
+        stand_in = types.SimpleNamespace(port=hung.getsockname()[1])
+        endpoint = f"127.0.0.1:{stand_in.port}"
+        start, stop = _tile(N_SERIES, 2)[0]
+        fleet = self._fleet(
+            [stand_in, live], timeout=1.0, connect_timeout=1.2,
+            allow_partial=True,
+        )
+        try:
+            result = _chain(fleet, "pdf", "dust").knn(3)
+        finally:
+            fleet.close()
+            live.stop()
+            filler.close()
+            hung.close()
         assert result.failed_shards == (endpoint,)
         _assert_survivor_ranking(result, pdf, start, stop, 3)
 

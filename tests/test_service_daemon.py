@@ -46,6 +46,7 @@ from daemon_harness import DaemonHarness, ExecutionGate
 import repro.service.daemon as daemon_module
 from repro.core import TimeSeries, save_collection, spawn
 from repro.datasets import generate_dataset
+from repro.distances.filtered import FilteredEuclidean
 from repro.perturbation import ConstantScenario
 from repro.queries import SimilaritySession
 from repro.service import ServiceCatalog, ServiceError
@@ -53,11 +54,8 @@ from repro.service.catalog import ShardEntry
 from repro.service.client import ServiceResult
 from repro.service.cluster import ClusterCoordinator, RemoteSession
 from repro.service.cli import query_main
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    build_technique,
-    stats_from_payload,
-)
+from repro.service.protocol import PROTOCOL_VERSION, stats_from_payload
+from repro.service.registry import build_technique
 
 SEED = 626
 N_SERIES = 12
@@ -1184,6 +1182,52 @@ class TestSessionTable:
         ] == [(0, half), (0, N_SERIES), (half, N_SERIES)]
         expected = _serial(pdf, "dust", lambda q: q.knn(3))
         np.testing.assert_array_equal(merged.indices, expected.indices)
+
+    def test_all_series_requests_on_a_slice_filter_the_map_once(
+        self, pdf, collections, tmp_path, monkeypatch
+    ):
+        """An all-series request on a slice queries the whole map against
+        the slice: the daemon builds the map's side once, so a second UMA
+        kNN request filters no series."""
+        filtered = []
+        filter_uncertain = FilteredEuclidean.filter_uncertain
+
+        def counting(self, series):
+            filtered.append(series)
+            return filter_uncertain(self, series)
+
+        monkeypatch.setattr(FilteredEuclidean, "filter_uncertain", counting)
+        live = _single_collection_daemon(collections, tmp_path)
+        start, stop = 3, 9
+        request = {
+            "v": PROTOCOL_VERSION,
+            "op": "knn",
+            "collection": "pdf",
+            "params": {"k": 3},
+            "technique": {"name": "uma", "params": {"window": 2}},
+            "candidates": {"start": start, "stop": stop},
+        }
+        try:
+            answers = [
+                _raw_exchange(
+                    live,
+                    json.dumps({**request, "id": f"r{n}"}).encode() + b"\n",
+                )
+                for n in range(2)
+            ]
+        finally:
+            live.stop()
+        assert [answer["ok"] for answer in answers] == [True, True]
+        assert answers[0]["result"] == answers[1]["result"]
+        assert len(filtered) == N_SERIES + (stop - start)
+        with SimilaritySession(pdf[start:stop]) as session:
+            local = session.queries(list(pdf)).using(build_technique(
+                request["technique"]
+            ))
+            expected = local.knn(3)
+        assert answers[0]["result"]["indices"] == (
+            expected.indices + start
+        ).tolist()
 
     def test_a_served_slice_makes_its_collection_warm(
         self, collections, tmp_path

@@ -17,14 +17,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import spawn
+from repro.core import epsilon_vector, spawn
 from repro.datasets import generate_dataset
 from repro.perturbation import ConstantScenario
 from repro.queries import SimilaritySession, knn_table
 from repro.queries.session import execute_query
-from repro.queries.techniques import _epsilon_vector
 from repro.service.daemon import _wire_result
-from repro.service.protocol import build_technique
+from repro.service.registry import build_technique
 
 SEED = 515
 N_SERIES = 14
@@ -104,7 +103,7 @@ def _run(collection, spec, op, params, window):
     if "k" in params:
         arguments["k"] = params["k"]
     if "epsilon" in params:
-        arguments["epsilon"] = _epsilon_vector(
+        arguments["epsilon"] = epsilon_vector(
             params["epsilon"], len(QUERY_ROWS)
         )
     if "tau" in params:

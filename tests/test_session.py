@@ -15,8 +15,10 @@ The contracts under test:
 * the harness's F1, τ and result sizes match a per-pair reference of
   the same protocol;
 * a technique holds parameters only: running it through sessions leaves
-  its state untouched, and one instance serves two sessions on two
-  engines from two threads at once.
+  its state untouched, and one instance serves two sessions from two
+  threads at once;
+* a session's plans share its one candidate materialization, and each
+  plan builds its query rows' side for itself.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import pytest
 from repro.core import MappedCollection, load_collection, save_collection, spawn
 from repro.core.errors import InvalidParameterError, UnsupportedQueryError
 from repro.datasets import generate_dataset
-from repro.distances.filtered import FilteredEuclidean
 from repro.distances.lp import (
     euclidean,
     euclidean_matrix,
@@ -45,7 +46,7 @@ from repro.evaluation import (
 from repro.munich import Munich
 from repro.perturbation import ConstantScenario, MixedStdScenario
 from repro.queries import (
-    SHARED_ENGINE,
+    CollectionMaterialization,
     DustDtwTechnique,
     DustTechnique,
     EuclideanTechnique,
@@ -55,7 +56,6 @@ from repro.queries import (
     MunichDtwTechnique,
     MunichTechnique,
     ProudTechnique,
-    QueryEngine,
     QuerySet,
     RangeResult,
     SimilaritySession,
@@ -63,7 +63,6 @@ from repro.queries import (
     knn_indices,
     knn_table,
 )
-from repro.queries.session import execute_query
 from repro.queries.thresholds import (
     PAPER_K,
     calibrate_queries,
@@ -399,7 +398,7 @@ class TestSimilaritySession:
         mapped = load_collection(
             save_collection(homogeneous, str(tmp_path / "mapped"))
         )
-        session = SimilaritySession(mapped, engine=QueryEngine())
+        session = SimilaritySession(mapped)
         passes = []
         iterate = MappedCollection.__iter__
 
@@ -419,7 +418,7 @@ class TestSimilaritySession:
         """A list collection that gains a member after a query by series
         still recognizes the new member."""
         members = list(homogeneous)
-        session = SimilaritySession(members, engine=QueryEngine())
+        session = SimilaritySession(members)
         assert session.queries([members[2]]).query_positions.tolist() == [2]
         newcomer = heterogeneous[0]
         assert session.queries([newcomer]).query_positions.tolist() == [-1]
@@ -450,17 +449,17 @@ class TestSimilaritySession:
             query_set.profile_matrix()
 
     def test_session_pins_collection_on_private_engine(self, homogeneous):
-        engine = QueryEngine()
-        session = SimilaritySession(homogeneous, engine=engine)
-        assert len(engine) == 1
+        session = SimilaritySession(homogeneous)
+        pinned = session.materialization()
+        assert pinned.collection is homogeneous
         technique = EuclideanTechnique()
         before = dict(vars(technique))
         session.queries().using(technique).profile_matrix()
-        # The engine reached the kernels as an argument: the technique
-        # is unchanged and the session's engine holds the collection.
+        # The materialization reached the kernels as an argument: the
+        # technique is unchanged and the session still holds its one.
         assert vars(technique) == before
-        assert list(engine._entries) == [id(homogeneous)]
-        assert session.materialization().values_matrix().shape == (
+        assert session.materialization() is pinned
+        assert pinned.values_matrix().shape == (
             len(homogeneous),
             LENGTH,
         )
@@ -790,7 +789,7 @@ class TestTechniquesHoldParametersOnly:
             else homogeneous
         )
         before = _state(technique)
-        session = SimilaritySession(collection, engine=QueryEngine())
+        session = SimilaritySession(collection)
         for rows in (None, [3], [0, 5, 9]):
             queries = session.queries(rows).using(technique)
             if technique.kind == "distance":
@@ -803,16 +802,14 @@ class TestTechniquesHoldParametersOnly:
     def test_one_technique_serves_two_engines_from_two_threads(
         self, homogeneous, heterogeneous
     ):
-        """Two sessions on private engines run one shared technique at
-        the same time (both kernels are entered before either returns):
-        each engine holds only its own collection, and both answers
+        """Two sessions run one shared technique at the same time (both
+        kernels are entered before either returns): each session's
+        materialization holds only its own collection, and both answers
         equal serial runs."""
         technique = _GatedEuclidean(parties=2)
         collections = {"a": list(homogeneous), "b": list(heterogeneous)}
-        engines = {key: QueryEngine() for key in collections}
         sessions = {
-            key: SimilaritySession(collections[key], engine=engines[key])
-            for key in collections
+            key: SimilaritySession(collections[key]) for key in collections
         }
         answers: dict = {}
         errors: list = []
@@ -834,10 +831,9 @@ class TestTechniquesHoldParametersOnly:
             assert not worker.is_alive()
         assert errors == []
         for key, collection in collections.items():
-            assert list(engines[key]._entries) == [id(collection)]
-            assert id(collection) not in SHARED_ENGINE._entries
+            assert sessions[key].materialization().collection is collection
             serial = (
-                SimilaritySession(collection, engine=QueryEngine())
+                SimilaritySession(collection)
                 .queries()
                 .using(EuclideanTechnique())
                 .profile_matrix()
@@ -860,8 +856,8 @@ def _single_row_ops(session, technique: Technique, n_ops: int = 20) -> int:
 
 
 class TestPlanResolvesEachSideOnce:
-    """A plan materializes its two sides once, and only the candidate
-    side (or a loaded map) enters the session's engine."""
+    """A plan materializes its two sides once: a session's plans share
+    its one candidate side, and each builds its query rows' side."""
 
     @staticmethod
     def _collection(technique, homogeneous, multisample):
@@ -873,16 +869,26 @@ class TestPlanResolvesEachSideOnce:
         "technique", _every_family(), ids=lambda t: t.name
     )
     def test_single_row_ops_leave_one_engine_entry(
-        self, technique, homogeneous, multisample
+        self, technique, homogeneous, multisample, monkeypatch
     ):
-        """A one-row query list is built for its plan and dropped with
-        it, so the session's engine holds the collection alone."""
+        """20 single-row ops build 20 plan-local query sides and reuse
+        the session's one candidate side."""
         session = SimilaritySession(
-            self._collection(technique, homogeneous, multisample),
-            engine=QueryEngine(),
+            self._collection(technique, homogeneous, multisample)
         )
-        _single_row_ops(session, technique)
-        assert len(session.engine) == 1
+        candidate_side = session.materialization()
+        built = []
+        build = CollectionMaterialization.__init__
+
+        def counting(side, collection):
+            built.append(collection)
+            build(side, collection)
+
+        monkeypatch.setattr(CollectionMaterialization, "__init__", counting)
+        n_ops = _single_row_ops(session, technique)
+        assert len(built) == n_ops
+        assert all(len(rows) == 1 for rows in built)
+        assert session.materialization() is candidate_side
 
     @pytest.mark.parametrize(
         "technique", _every_family(), ids=lambda t: t.name
@@ -890,71 +896,20 @@ class TestPlanResolvesEachSideOnce:
     def test_one_engine_lookup_per_plan(
         self, technique, homogeneous, multisample, monkeypatch
     ):
+        """Each plan reads the session's materialization once, so a list
+        collection pays one identity scan per op."""
         session = SimilaritySession(
-            self._collection(technique, homogeneous, multisample),
-            engine=QueryEngine(),
+            self._collection(technique, homogeneous, multisample)
         )
-        lookups = []
-        materialize = QueryEngine.materialize
+        candidate_side = session.materialization()
+        scanned = []
+        is_current = CollectionMaterialization.is_current
 
-        def counting(engine, collection):
-            lookups.append(collection)
-            return materialize(engine, collection)
+        def counting(side):
+            scanned.append(side)
+            return is_current(side)
 
-        monkeypatch.setattr(QueryEngine, "materialize", counting)
+        monkeypatch.setattr(CollectionMaterialization, "is_current", counting)
         n_ops = _single_row_ops(session, technique)
-        assert len(lookups) == n_ops
-        assert all(looked is session.collection for looked in lookups)
-
-    def test_default_session_leaves_the_shared_engine_alone(
-        self, homogeneous
-    ):
-        collection = list(homogeneous)
-        session = SimilaritySession(collection)
-        assert session.engine is not SHARED_ENGINE
-        query_set = session.queries().using(FilteredTechnique.uma())
-        query_set.knn(3)
-        query_set.profile_matrix()
-        session.queries([2]).using(EuclideanTechnique()).range(4.0)
-        assert id(collection) not in SHARED_ENGINE._entries
-        assert list(session.engine._entries) == [id(collection)]
-
-    def test_shard_session_filters_the_map_once(
-        self, homogeneous, tmp_path, monkeypatch
-    ):
-        """A shard daemon's all-series request queries the whole map
-        against its slice: the map's side comes from the session's
-        engine, so a second request reuses its filtered matrix."""
-        mapped = load_collection(
-            save_collection(homogeneous, str(tmp_path / "mapped"))
-        )
-        start, stop = 6, 18
-        session = SimilaritySession(mapped.shard(start, stop))
-        technique = FilteredTechnique.uma()
-        filtered = []
-        filter_uncertain = FilteredEuclidean.filter_uncertain
-
-        def counting(self, series):
-            filtered.append(series)
-            return filter_uncertain(self, series)
-
-        monkeypatch.setattr(FilteredEuclidean, "filter_uncertain", counting)
-        positions = np.arange(len(mapped), dtype=np.intp)
-        answers = []
-        for _ in range(2):
-            answers.append(
-                execute_query(
-                    session, technique, "knn", mapped, positions, k=3,
-                    col_offset=start,
-                )
-            )
-            map_side = session.engine._entries[id(mapped)]
-            matrices = map_side.filtered_matrix(technique.filtered)
-            if len(answers) == 1:
-                first_side, first_matrices = map_side, matrices
-        assert set(session.engine._entries) == {
-            id(session.collection), id(mapped)
-        }
-        assert map_side is first_side and matrices is first_matrices
-        assert len(filtered) == len(mapped) + (stop - start)
-        np.testing.assert_array_equal(answers[0].indices, answers[1].indices)
+        assert len(scanned) == n_ops
+        assert all(side is candidate_side for side in scanned)
